@@ -58,7 +58,7 @@ from ..utils.rng import (
     subtree_journal_key,
 )
 from ..utils.rounds import RoundReport
-from .sparse_cut import nearly_most_balanced_sparse_cut
+from .sparse_cut import nearly_most_balanced_sparse_cut, validate_phi
 
 
 @dataclass(frozen=True)
@@ -596,9 +596,10 @@ def expander_decomposition(
         dict-host run of the same graph, as the differential suite pins).
     epsilon:
         Removed-edge budget as a fraction of |E| (reported, and checkable via
-        :attr:`DecompositionResult.within_budget`).
+        :attr:`DecompositionResult.within_budget`); a finite number ≥ 0.
     phi:
-        Conductance target each component must certify.
+        Conductance target each component must certify; a finite number
+        > 0.  Either argument out of range raises :class:`ValueError`.
     mode:
         PAPER uses the verbatim parameter schedules; PRACTICAL (default) the
         runnable ones.
@@ -681,6 +682,9 @@ def expander_decomposition(
         Callback receiving the cumulative emitted-component count as the
         run proceeds — the feed for bench's heartbeat lines.
     """
+    validate_phi(phi)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     rng = ensure_rng(seed)
     engine, owned_engine = resolve_executor(executor, workers)
     report = RoundReport("expander_decomposition")

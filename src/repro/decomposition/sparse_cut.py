@@ -300,20 +300,6 @@ def default_num_instances(graph: WorkGraph) -> int:
     return max(4, math.ceil(math.log2(max(graph.num_edges, 2))))
 
 
-#: Whether the peeled work adapter defers a batch's harvested-cut removals
-#: and applies them as one union :meth:`~repro.graphs.peel.PeeledCSR.peel`
-#: at the end of the application loop, instead of one peel (an O(n)
-#: masked-array pass) per cut.  Exact, not approximate: harvested cuts are
-#: pairwise disjoint, Remove-j preserves the degrees of the surviving
-#: vertices, and ``peel`` is path-independent (``tests/test_peel.py`` pins
-#: this), so every per-cut decision — containment, the small-side flip,
-#: the balance check — is simulatable from a pending-dead set plus a
-#: running volume, and the final union peel produces bit-for-bit the mask
-#: the sequential per-cut peels would.  Tests monkeypatch this to pin that
-#: the batching never changes an output.
-BATCHED_PEEL_ENABLED = True
-
-
 class _DictWork:
     """Work-state adapter over a mutable dict ``Graph`` (the reference path).
 
@@ -386,16 +372,28 @@ class _DictWork:
 class _PeelWork:
     """Work-state adapter over a :class:`PeeledCSR` view (the fast path).
 
-    The input view is cloned (callers keep theirs) and every removal is a
-    masked :meth:`~repro.graphs.peel.PeeledCSR.peel`; final measurements run
+    The input view is cloned (callers keep theirs) and removals are masked
+    :meth:`~repro.graphs.peel.PeeledCSR.peel` calls; final measurements run
     against a pristine clone of the initial view, whose integer statistics
     equal the input graph's.
+
+    A batch's harvested-cut removals are deferred and applied as one union
+    peel at the end of the application loop (:meth:`flush_batch`), instead
+    of one peel — an O(n) masked-array pass — per cut.  Exact, not
+    approximate: harvested cuts are pairwise disjoint, Remove-j preserves
+    the degrees of the surviving vertices, and ``peel`` is path-independent
+    (``tests/test_peel.py`` pins this), so every per-cut decision —
+    containment, the small-side flip, the balance check — is simulatable
+    from a pending-dead set plus a running volume, and the union peel
+    produces bit-for-bit the mask per-cut peels would.  The dict adapter
+    (:class:`_DictWork`) removes each cut immediately, so the differential
+    matrix's dict-vs-CSR cells check this against the oracle.
     """
 
     def __init__(self, peel: PeeledCSR) -> None:
         self.peel = peel.clone()
         self.initial = peel.clone()
-        #: Deferred-removal state (see :data:`BATCHED_PEEL_ENABLED`): base
+        #: Deferred-removal state (see the class docstring): base
         #: index arrays awaiting the union peel, the labels they cover, and
         #: their volume — the three facts that keep every adapter query
         #: answering exactly what the sequential per-cut peels would.
@@ -445,18 +443,14 @@ class _PeelWork:
         return alive - self._pending_dead - cut_vertices
 
     def remove(self, cut_vertices: set) -> None:
-        """Peel the cut: the masked Remove-j + vertex drop.
+        """Peel the cut: the masked Remove-j + vertex drop, deferred.
 
-        With :data:`BATCHED_PEEL_ENABLED` the peel is deferred — the cut
-        joins the batch's pending set and the whole batch lands as one
-        union :meth:`~repro.graphs.peel.PeeledCSR.peel` in
+        The cut joins the batch's pending set and the whole batch lands as
+        one union :meth:`~repro.graphs.peel.PeeledCSR.peel` in
         :meth:`flush_batch` (path-independence makes the union bit-equal
         to per-cut peels, at one O(n) pass per batch instead of per cut).
         """
         idx = self.peel.indices_of(cut_vertices)
-        if not BATCHED_PEEL_ENABLED:
-            self.peel.peel(idx)
-            return
         self._pending_indices.append(idx)
         self._pending_dead |= set(cut_vertices)
         self._pending_volume += self.peel.volume(idx)
@@ -498,6 +492,16 @@ class _PeelWork:
             self.initial.balance_of_cut(idx),
             self.initial.cut_size(idx),
         )
+
+
+def validate_phi(phi: float) -> None:
+    """Reject a conductance target that is not a finite number > 0.
+
+    ``nan`` would otherwise fail deep in the parameter formulas and a
+    non-positive target would *certify* components no walk can cut.
+    """
+    if not (math.isfinite(phi) and phi > 0):
+        raise ValueError(f"phi must be a finite number > 0, got {phi!r}")
 
 
 def nearly_most_balanced_sparse_cut(
@@ -579,7 +583,10 @@ def nearly_most_balanced_sparse_cut(
     within one walk step rather than one batch.  An expired search returns
     an *interrupted* result: empty, not certified — the caller must treat
     the component as unfinished, never as a certified expander.
+
+    A ``phi`` that is not a finite number > 0 raises :class:`ValueError`.
     """
+    validate_phi(phi)
     rng = ensure_rng(seed)
     root = stream_root(rng)
     deadline = resolve_deadline(deadline)
@@ -689,7 +696,7 @@ def nearly_most_balanced_sparse_cut(
                         accumulated_volume = work.initial_volume(accumulated)
                         applied += 1
                     # One union peel for the whole batch's cuts (see
-                    # BATCHED_PEEL_ENABLED); a no-op on the dict path.
+                    # _PeelWork); a no-op on the dict path.
                     work.flush_batch()
                     if applied == 0:
                         failures += 1

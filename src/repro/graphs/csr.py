@@ -9,13 +9,10 @@ path actually needs:
 * :class:`CSRGraph` — a compressed-sparse-row snapshot of a ``Graph`` with a
   *stable* vertex ↔ index mapping (vertices sorted by ``repr``, the same
   total order the dict sweep uses for tie-breaks);
-* vectorized kernels for the walk — :func:`lazy_walk_step`,
-  :func:`truncate`, :func:`truncated_walk_step`,
-  :func:`truncated_walk_sequence`, :func:`degree_distribution` — operating
-  on dense numpy mass vectors restricted to their support;
-* the vectorized sweep prefix scan — :func:`build_sweep` — computing the
-  ρ̃-ordering, prefix volumes, and prefix cut sizes of one walk vector with
-  ``argsort``/``cumsum`` instead of a Python loop.
+* :class:`WalkWorkspace` — the one CSR walk/sweep kernel: the truncated
+  lazy walk step on sparse mass vectors restricted to their support, and
+  the ρ̃-sweep prefix scan (ordering, prefix volumes, prefix cut sizes)
+  computed with ``lexsort``/``cumsum`` instead of a Python loop.
 
 Bit-for-bit parity with the dict backend is a design goal, not an accident:
 the kernels evaluate the *same* IEEE expressions as
@@ -32,12 +29,10 @@ as well.
 
 from __future__ import annotations
 
-import os
 import pickle
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,73 +57,21 @@ BACKENDS = ("dict", "csr", "auto")
 #: Largest value an index array entry may take for the int32 layout to be
 #: chosen: both vertex indices (``indices`` entries, up to ``n - 1``) and
 #: adjacency offsets (``indptr`` entries, up to the directed entry count
-#: ``2m``) must fit.  Module-level on purpose — the boundary tests
-#: monkeypatch it down to exercise the decision edge without building a
-#: 2³¹-entry graph.
+#: ``2m``) must fit.  Module-level on purpose — tests monkeypatch it down
+#: to exercise the decision edge without building a 2³¹-entry graph, and
+#: to 0 to get int64 storage on small graphs.
 INDEX32_LIMIT = 2**31 - 1
 
-#: The recognised index-width policies: ``"auto"`` picks int32 whenever it
-#: fits (the default), ``"int32"``/``"int64"`` force a width (forcing int32
-#: onto a too-large graph raises :class:`OverflowError`, never wraps).
-INDEX_DTYPE_POLICIES = ("auto", "int32", "int64")
 
-_INDEX_DTYPE_POLICY = os.environ.get("REPRO_INDEX_DTYPE", "auto")
-
-
-def index_dtype_policy() -> str:
-    """The current index-width policy (env ``REPRO_INDEX_DTYPE`` seeds it)."""
-    return _INDEX_DTYPE_POLICY
-
-
-def set_index_dtype_policy(policy: str) -> str:
-    """Set the process-wide index-width policy; returns the previous one."""
-    global _INDEX_DTYPE_POLICY
-    if policy not in INDEX_DTYPE_POLICIES:
-        raise ValueError(
-            f"unknown index dtype policy {policy!r}; expected one of {INDEX_DTYPE_POLICIES}"
-        )
-    previous = _INDEX_DTYPE_POLICY
-    _INDEX_DTYPE_POLICY = policy
-    return previous
-
-
-@contextmanager
-def forced_index_dtype(policy: str):
-    """Scoped index-width policy override (used by the differential matrix)."""
-    previous = set_index_dtype_policy(policy)
-    try:
-        yield
-    finally:
-        set_index_dtype_policy(previous)
-
-
-def choose_index_dtype(
-    num_vertices: int, num_entries: int, policy: Optional[str] = None
-) -> np.dtype:
+def choose_index_dtype(num_vertices: int, num_entries: int) -> np.dtype:
     """Pick the index dtype for a snapshot with the given dimensions.
 
     ``num_entries`` is the number of directed adjacency entries (``2m``);
-    both it and ``num_vertices`` must stay at or below
-    :data:`INDEX32_LIMIT` for the int32 layout.  Under ``policy="int32"``
-    an oversized graph raises :class:`OverflowError` — an explicit guard,
-    because a silently wrapped index array would corrupt every downstream
-    kernel rather than fail loudly.
+    int32 is chosen whenever both it and ``num_vertices`` stay at or below
+    :data:`INDEX32_LIMIT`, int64 otherwise — never a silently wrapped
+    index array.
     """
-    if policy is None:
-        policy = _INDEX_DTYPE_POLICY
-    if policy not in INDEX_DTYPE_POLICIES:
-        raise ValueError(
-            f"unknown index dtype policy {policy!r}; expected one of {INDEX_DTYPE_POLICIES}"
-        )
-    if policy == "int64":
-        return np.dtype(np.int64)
     fits = num_vertices <= INDEX32_LIMIT and num_entries <= INDEX32_LIMIT
-    if policy == "int32" and not fits:
-        raise OverflowError(
-            f"int32 index layout forced but the snapshot does not fit: "
-            f"n={num_vertices}, directed entries={num_entries}, "
-            f"limit={INDEX32_LIMIT}"
-        )
     return np.dtype(np.int32) if fits else np.dtype(np.int64)
 
 
@@ -221,10 +164,10 @@ class CSRGraph:
         """Snapshot ``graph`` into CSR form (one O(n log n + m) pass).
 
         The index arrays take the width :func:`choose_index_dtype` picks
-        for the snapshot's dimensions (int32 whenever it fits, under the
-        default policy).  ``loops`` — and therefore ``degree`` — stay
-        int64 regardless, so every arithmetic expression downstream of
-        degrees is unchanged by the index width.
+        for the snapshot's dimensions (int32 whenever it fits).
+        ``loops`` — and therefore ``degree`` — stay int64 regardless, so
+        every arithmetic expression downstream of degrees is unchanged by
+        the index width.
         """
         vertices = sorted(graph.vertices(), key=repr)
         index = {v: i for i, v in enumerate(vertices)}
@@ -426,153 +369,10 @@ class CSRGraph:
 SparseMass = tuple[np.ndarray, np.ndarray]
 
 
-def sparsify(p: np.ndarray) -> SparseMass:
-    """Restrict a dense mass vector to its (positive) support."""
-    idx = np.flatnonzero(p)
-    return idx, p[idx]
-
-
 def mass_to_dict(csr: CSRGraph, mass: SparseMass) -> dict:
     """Convert a sparse CSR mass vector into the dict backend's form."""
     idx, vals = mass
     return {csr.vertices[int(i)]: float(m) for i, m in zip(idx, vals)}
-
-
-def mass_from_dict(csr: CSRGraph, p: dict) -> np.ndarray:
-    """Convert a dict mass vector into a dense numpy vector."""
-    out = np.zeros(csr.n)
-    for v, m in p.items():
-        out[csr.index[v]] = m
-    return out
-
-
-def point_mass(csr: CSRGraph, start: int) -> np.ndarray:
-    """χ_v as a dense vector: all probability mass on vertex index ``start``."""
-    p = np.zeros(csr.n)
-    p[start] = 1.0
-    return p
-
-
-def degree_distribution(csr: CSRGraph, subset: Optional[Iterable[int]] = None) -> SparseMass:
-    """ψ_S: mass deg(v)/Vol(S) on each vertex index of ``subset``.
-
-    Mirrors :func:`repro.walks.lazy_walk.degree_distribution`; the whole
-    graph is used when ``subset`` is ``None``, and zero-degree vertices are
-    dropped from the support.
-    """
-    if subset is None:
-        idx = np.arange(csr.n, dtype=np.int64)
-    else:
-        idx = np.asarray(sorted(subset), dtype=np.int64)
-    total = csr.degree[idx].sum()
-    if total == 0:
-        raise ValueError("cannot normalise over a zero-volume set")
-    deg = csr.degree[idx]
-    keep = deg > 0
-    idx = idx[keep]
-    return idx, deg[keep] / int(total)
-
-
-# ----------------------------------------------------------------------
-# walk kernels (paper Appendix A)
-# ----------------------------------------------------------------------
-def lazy_walk_step(csr: CSRGraph, p: np.ndarray) -> np.ndarray:
-    """One lazy walk step ``M p`` with ``M = (A D^{-1} + I) / 2``, vectorized.
-
-    Work is O(n + Vol(support)): only the support's adjacency is gathered.
-    The expression and accumulation order match the dict backend exactly
-    (incoming shares summed in ascending source-index order, self-retained
-    mass added last), so the two backends stay bit-identical.
-    """
-    active = np.flatnonzero(p)
-    if active.size == 0:
-        return np.zeros(csr.n)
-    mass = p[active]
-    deg = csr.degree[active]
-    zero = deg == 0
-    safe = np.where(zero, 1, deg)
-    keep = np.where(zero, mass, mass * (0.5 + (0.5 * csr.loops[active]) / safe))
-    nz = active[~zero]
-    result = np.zeros(csr.n)
-    if nz.size:
-        share = mass[~zero] / (2.0 * deg[~zero])
-        row_id, flat = csr.flat_adjacency(nz)
-        if flat.size:
-            # bincount accumulates sequentially in input order, i.e. for each
-            # target vertex the shares arrive in ascending source index —
-            # the canonical order the dict backend also uses.
-            result = np.bincount(flat, weights=share[row_id], minlength=csr.n)
-    result[active] += keep
-    return result
-
-
-def truncate(csr: CSRGraph, p: np.ndarray, epsilon: float) -> np.ndarray:
-    """[p]_ε: zero every entry with ``p(x) < 2 ε deg(x)`` (in place on a copy)."""
-    out = p.copy()
-    out[out < 2.0 * epsilon * csr.degree] = 0.0
-    return out
-
-
-def truncated_walk_step(csr: CSRGraph, p: np.ndarray, epsilon: float) -> np.ndarray:
-    """One truncated lazy walk step: ``[M p]_ε``."""
-    return truncate(csr, lazy_walk_step(csr, p), epsilon)
-
-
-def truncated_walk_sequence(
-    csr: CSRGraph, start: int, steps: int, epsilon: float
-) -> list[SparseMass]:
-    """The sequence p̃_0, ..., p̃_steps from a point mass at index ``start``.
-
-    Returns each vector restricted to its support (:data:`SparseMass`).
-    Stepping stops early — with the terminal vector padded to full length —
-    once all mass truncates to zero or a step reproduces its predecessor
-    bit-for-bit (the IEEE fixpoint), matching
-    :func:`repro.walks.lazy_walk.truncated_walk_sequence` exactly.
-    """
-    if not 0 <= start < csr.n:
-        raise KeyError(f"start index {start!r} not in graph")
-    p = point_mass(csr, start)
-    sequence = [sparsify(p)]
-    for _ in range(steps):
-        previous = p
-        p = truncated_walk_step(csr, p, epsilon)
-        sequence.append(sparsify(p))
-        if sequence[-1][0].size == 0:
-            remaining = steps - (len(sequence) - 1)
-            empty = (np.empty(0, dtype=np.int64), np.empty(0))
-            sequence.extend(empty for _ in range(remaining))
-            break
-        if np.array_equal(p, previous):
-            # Truncated fixpoint: every later vector equals this one.
-            remaining = steps - (len(sequence) - 1)
-            fixpoint = sequence[-1]
-            sequence.extend(fixpoint for _ in range(remaining))
-            break
-    return sequence
-
-
-def truncated_walk_iter(csr: CSRGraph, start: int, steps: int, epsilon: float):
-    """Lazily yield p̃_0, ..., p̃_steps (each a :data:`SparseMass`).
-
-    The generator twin of :func:`truncated_walk_sequence`: it yields the
-    *same* vectors in the same order but computes a step only when the
-    consumer asks for it, so a certification scan that stops early — at
-    zero mass, at the IEEE fixpoint, or under the adaptive walk budget
-    (:class:`repro.nibble.sweep.WalkBudgetTracker`) — never pays for the
-    walk steps it does not sweep.  Unlike the list variant there is no
-    terminal padding; consumers that index by time step (the CONGEST
-    parity tests) keep using :func:`truncated_walk_sequence`.
-    """
-    if not 0 <= start < csr.n:
-        raise KeyError(f"start index {start!r} not in graph")
-    p = point_mass(csr, start)
-    yield sparsify(p)
-    for _ in range(steps):
-        p = truncated_walk_step(csr, p, epsilon)
-        mass = sparsify(p)
-        yield mass
-        if mass[0].size == 0:
-            return
 
 
 # ----------------------------------------------------------------------
@@ -666,8 +466,9 @@ def prefix_cut_profile(csr: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np
     ``cumsum`` and one ``flat_adjacency`` gather.  ``csr`` may be a
     :class:`~repro.graphs.peel.PeeledCSR` view — the masked surface drops
     dead targets, so the integers are those of the alive working graph.
-    Both the ρ̃-sweep (:func:`build_sweep`) and the spectral sweep cut
-    (:func:`repro.graphs.spectral.sweep_cut`'s masked path) build on it.
+    The spectral sweep cut (:func:`repro.graphs.spectral.sweep_cut`'s
+    masked path) builds on it; :meth:`WalkWorkspace.build_sweep` computes
+    the same integers for ρ̃-orderings with a persistent position array.
     """
     jmax = len(order)
     prefix_volume = np.zeros(jmax + 1, dtype=np.int64)
@@ -686,123 +487,24 @@ def prefix_cut_profile(csr: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np
     return prefix_volume, prefix_cut
 
 
-def build_sweep(csr: CSRGraph, mass: SparseMass) -> CSRSweep:
-    """Order the support of ``mass`` by ρ̃ and precompute prefix statistics.
-
-    The numpy analogue of :func:`repro.nibble.sweep.build_sweep` +
-    :meth:`repro.graphs.graph.Graph.prefix_cut_profile`: ρ̃ = mass/degree,
-    sort by (-ρ̃, index) via ``lexsort`` (index order equals the dict
-    backend's ``repr`` tie-break by construction), prefix volumes by
-    ``cumsum`` of degrees, and prefix cut sizes by counting, for each swept
-    vertex, how many of its neighbors precede it in the ordering
-    (:func:`prefix_cut_profile`).
-    """
-    idx, vals = mass
-    deg = csr.degree[idx]
-    keep = (vals > 0) & (deg > 0)
-    idx = idx[keep]
-    vals = vals[keep]
-    rho = vals / csr.degree[idx]
-    perm = np.lexsort((idx, -rho))
-    order = idx[perm]
-    prefix_volume, prefix_cut = prefix_cut_profile(csr, order)
-    return CSRSweep(
-        order=order,
-        rho=rho[perm],
-        total_volume=csr.total_volume,
-        prefix_volume=prefix_volume,
-        prefix_cut=prefix_cut,
-    )
-
-
 # ----------------------------------------------------------------------
-# preallocated walk workspace (the PR 8 kernel rewrite)
+# the walk/sweep kernel (paper Appendix A's p̃_t and π̃ orderings)
 # ----------------------------------------------------------------------
-_WORKSPACE_ENABLED = os.environ.get("REPRO_WORKSPACE", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def workspace_enabled() -> bool:
-    """Whether walk workspaces are in use (env ``REPRO_WORKSPACE`` seeds it)."""
-    return _WORKSPACE_ENABLED
-
-
-def set_workspace_enabled(enabled: bool) -> bool:
-    """Toggle workspace kernels process-wide; returns the previous setting."""
-    global _WORKSPACE_ENABLED
-    previous = _WORKSPACE_ENABLED
-    _WORKSPACE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def forced_workspace(enabled: bool):
-    """Scoped workspace toggle (the differential matrix runs both arms)."""
-    previous = set_workspace_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_workspace_enabled(previous)
-
-
-# Optional jitted scatter-add seam.  The jitted loop accumulates strictly
-# sequentially in input order — the same order ``np.bincount`` uses — so
-# turning the flag on cannot change a single bit of any walk vector.  The
-# flag defaults off and falls back silently when numba is not installed;
-# the pure-numpy path is the oracle either way.
-_NUMBA_SCATTER = None
-if os.environ.get("REPRO_NUMBA", "0").lower() in ("1", "true", "on"):  # pragma: no cover
-    try:
-        import numba as _numba
-
-        @_numba.njit(cache=True)
-        def _numba_scatter(ids, weights, out):
-            for k in range(ids.shape[0]):
-                out[ids[k]] += weights[k]
-
-        _NUMBA_SCATTER = _numba_scatter
-    except Exception:
-        _NUMBA_SCATTER = None
-
-
-def scatter_add(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum ``weights`` into a zero vector of ``size`` slots at ``ids``.
-
-    Sequential in input order (for each slot, contributions arrive in the
-    order they appear in ``ids``) on both the ``np.bincount`` default path
-    and the optional numba path, which is exactly the accumulation-order
-    contract the dict↔CSR bit-identity rests on.
-    """
-    if _NUMBA_SCATTER is not None:  # pragma: no cover - numba not in CI image
-        out = np.zeros(size)
-        _NUMBA_SCATTER(np.ascontiguousarray(ids, dtype=np.int64), weights, out)
-        return out
-    return np.bincount(ids, weights=weights, minlength=size)
-
-
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_VALS = np.empty(0)
 
 
 class WalkWorkspace:
-    """Reusable scratch state making walk + sweep kernels allocation-lean.
+    """The CSR walk/sweep kernel: truncated walk steps and sweeps on supports.
 
-    The dense kernels above are O(n) *per step* even when the truncated
-    support has a handful of vertices: ``lazy_walk_step`` materialises a
-    length-``n`` result and scans it (``flatnonzero``), ``truncate`` copies
-    and thresholds length-``n`` vectors, and ``prefix_cut_profile`` fills a
-    length-``n`` position array per sweep.  On deep-recursion components
-    (tiny alive sets inside a 10⁴-vertex base) those O(n) passes dominate
-    the whole decomposition.  A workspace replaces them with sparse
-    kernels that touch only the support:
+    Every vector is a :data:`SparseMass`, so no kernel does length-``n``
+    work per step — which matters on deep-recursion components (tiny alive
+    sets inside a 10⁴-vertex base):
 
     * :meth:`truncated_step` maps a :data:`SparseMass` directly to the next
       :data:`SparseMass` — union support via ``np.unique``, incoming shares
-      scattered into compacted slots by :func:`scatter_add`, retained mass
-      added, truncation threshold applied — with zero length-``n`` work;
+      scattered into compacted slots by ``np.bincount``, retained mass
+      added, truncation threshold applied;
     * :meth:`build_sweep` reuses one persistent position array (sentinel
       ``n``, set/reset O(support) per sweep) instead of ``np.full(n, ...)``;
     * one *gather cache* serves both: the sweep of p̃_t and the walk step to
@@ -810,13 +512,14 @@ class WalkWorkspace:
       positive-degree support), so each time step pays for at most one
       ``flat_adjacency`` call — and none once the support stabilises.
 
-    Bit-identity with the dense kernels is by construction, not tolerance:
-    every float expression is evaluated element-restricted but otherwise
-    verbatim, and the scatter accumulates per-target contributions in the
-    same ascending-source order as ``np.bincount`` over the dense vector,
-    so each partial-sum sequence — and therefore each IEEE result — is
-    identical.  ``tests/differential`` pins this across the whole backend
-    matrix.
+    Bit-identity with the dict walk (:mod:`repro.walks.lazy_walk`) and the
+    dict sweep (:mod:`repro.nibble.sweep`) is by construction, not
+    tolerance: every float expression is the dict path's, evaluated
+    element-wise, and ``np.bincount`` accumulates each target's incoming
+    shares sequentially in ascending source index — the dict path's
+    canonical order — so each partial-sum sequence, and therefore each IEEE
+    result, is identical.  ``tests/differential`` pins this across the
+    whole backend matrix.
 
     A workspace belongs to one :class:`CSRGraph` snapshot or one
     :class:`~repro.graphs.peel.PeeledCSR` view; views invalidate theirs on
@@ -868,9 +571,9 @@ class WalkWorkspace:
     def truncated_step(self, mass: SparseMass, epsilon: float) -> SparseMass:
         """One truncated lazy walk step, sparse in and sparse out.
 
-        Produces bit-for-bit the :func:`sparsify` of
-        ``truncate(lazy_walk_step(dense(mass)))`` — see the class docstring
-        for the accumulation-order argument.
+        Produces bit-for-bit the support of the dict path's
+        :func:`repro.walks.lazy_walk.truncated_walk_step` — see the class
+        docstring for the accumulation-order argument.
         """
         g = self.graph
         active, vals = mass
@@ -912,7 +615,9 @@ class WalkWorkspace:
             self._keep_pos = keep_pos
             self._deg_support = deg_support
         if flat.size:
-            out = scatter_add(scatter_ids, share[row_id], len(out_support))
+            out = np.bincount(
+                scatter_ids, weights=share[row_id], minlength=len(out_support)
+            )
         else:
             out = np.zeros(len(out_support))
         out[keep_pos] += keep
@@ -921,15 +626,21 @@ class WalkWorkspace:
 
     # ------------------------------------------------------------------
     def walk_iter(self, start: int, steps: int, epsilon: float):
-        """Lazily yield p̃_0, ..., p̃_steps; the workspace twin of
-        :func:`truncated_walk_iter` (same vectors, same early stop)."""
+        """Lazily yield p̃_0, ..., p̃_steps from a point mass at ``start``.
+
+        The CSR twin of :func:`repro.walks.lazy_walk.truncated_walk_iter`
+        (same vectors, same early stop at zero mass).  ``start`` must be an
+        index of the graph and, on a :class:`~repro.graphs.peel.PeeledCSR`
+        view, alive: anything else raises :class:`KeyError` — a walk seeded
+        at a dead base index would leak mass through the base adjacency
+        into nonsense cuts.  The check runs on the first ``next``.
+        """
         g = self.graph
-        alive = getattr(g, "alive", None)
-        if alive is not None:
-            if not alive[start]:
-                raise KeyError(f"start index {start!r} is peeled")
-        elif not 0 <= start < g.n:
+        if not 0 <= start < g.n:
             raise KeyError(f"start index {start!r} not in graph")
+        alive = getattr(g, "alive", None)
+        if alive is not None and not alive[start]:
+            raise KeyError(f"start index {start!r} is peeled")
         mass: SparseMass = (
             np.array([start], dtype=np.int64),
             np.array([1.0]),
@@ -943,12 +654,17 @@ class WalkWorkspace:
 
     # ------------------------------------------------------------------
     def build_sweep(self, mass: SparseMass) -> CSRSweep:
-        """Sweep statistics of ``mass``, equal to :func:`build_sweep`.
+        """Order the support of ``mass`` by ρ̃; precompute prefix statistics.
 
-        All prefix statistics are integer arithmetic, so sharing the
-        ascending-row gather with the walk step (instead of gathering in
-        sweep order) changes nothing: the per-position neighbor counts are
-        permuted with ``pos``/``invperm``, which is exact.
+        The numpy analogue of :func:`repro.nibble.sweep.build_sweep`: ρ̃ =
+        mass/degree, sorted by (-ρ̃, index) via ``lexsort`` (index order
+        equals the dict backend's ``repr`` tie-break by construction),
+        prefix volumes by ``cumsum`` of degrees, and prefix cut sizes by
+        counting, for each swept vertex, how many of its neighbors precede
+        it in the ordering.  All prefix statistics are integer arithmetic,
+        so sharing the ascending-row gather with the walk step (instead of
+        gathering in sweep order) changes nothing: the per-position
+        neighbor counts are permuted with ``pos``, which is exact.
         """
         g = self.graph
         idx, vals = mass
@@ -982,16 +698,13 @@ class WalkWorkspace:
         )
 
 
-def get_workspace(graph) -> Optional[WalkWorkspace]:
-    """The graph's cached :class:`WalkWorkspace`, or ``None`` when disabled.
+def get_workspace(graph) -> WalkWorkspace:
+    """The graph's cached :class:`WalkWorkspace`.
 
-    Lazily created and memoised on the snapshot/view (``_ws``); callers
-    treat ``None`` as "use the dense kernels", so flipping
-    :func:`set_workspace_enabled` swaps engines without touching call
-    sites.
+    Lazily created and memoised on the snapshot/view (``_ws``);
+    :meth:`~repro.graphs.peel.PeeledCSR.peel` drops a view's workspace, so
+    the next call builds a fresh one for the shrunken alive set.
     """
-    if not _WORKSPACE_ENABLED:
-        return None
     ws = graph._ws
     if ws is None:
         ws = WalkWorkspace(graph)

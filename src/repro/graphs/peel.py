@@ -35,19 +35,18 @@ set ``S`` yields the same arrays as :meth:`PeeledCSR.for_subset` built for
 ``S`` directly, which is what lets one snapshot serve an entire recursion
 branch of the expander decomposition.
 
-The vectorized kernels of :mod:`repro.graphs.csr` touch a graph only
-through ``n`` / ``degree`` / ``loops`` / ``proper_degree`` /
-``total_volume`` / ``vertices`` / ``index`` / ``flat_adjacency``.
-:class:`PeeledCSR` exposes that exact surface with the mask applied
-(``flat_adjacency`` drops edges into peeled vertices, ``degree`` is the
-unchanged base array per INV-1), so the *same* kernel code runs masked,
-bit-for-bit equal to the dict backend on the materialised ``G{U}`` — no
-third kernel implementation to keep in sync.  The module-level
-:func:`lazy_walk_step` / :func:`truncate` / :func:`truncated_walk_sequence`
-/ :func:`build_sweep` wrappers pin that contract by name (and the parity
-tests drive them); :func:`truncated_walk_sequence` additionally guards
-against peeled start vertices and is the variant the Nibble driver calls
-on views.
+The CSR walk/sweep kernel (:class:`~repro.graphs.csr.WalkWorkspace`)
+touches a graph only through ``n`` / ``degree`` / ``loops`` /
+``proper_degree`` / ``total_volume`` / ``vertices`` / ``index`` /
+``flat_adjacency``.  :class:`PeeledCSR` exposes that exact surface with the
+mask applied (``flat_adjacency`` drops edges into peeled vertices,
+``degree`` is the unchanged base array per INV-1), so the *same* kernel code
+runs masked, bit-for-bit equal to the dict backend on the materialised
+``G{U}`` — no second kernel implementation to keep in sync.  The one check
+the surface cannot provide — a peeled view's base index still contains dead
+vertices — lives in :meth:`~repro.graphs.csr.WalkWorkspace.walk_iter`,
+which rejects a dead start.  Any new kernel that reaches past the masked
+surface (e.g. into ``base.indptr`` directly) must apply the mask itself.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import csr as csr_kernels
-from .csr import CSRGraph, CSRSweep, SparseMass
+from .csr import CSRGraph
 from .graph import Graph, Vertex
 from ..utils.rng import sample_index_by_weight
 
@@ -183,7 +182,7 @@ class PeeledCSR:
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        """Size of the *base* index space (mass vectors stay this length)."""
+        """Size of the *base* index space (mass vectors index into it)."""
         return self.base.n
 
     @property
@@ -278,11 +277,11 @@ class PeeledCSR:
     def compact(self) -> "PeeledCSR":
         """Re-snapshot the alive set into a fresh all-alive compact view.
 
-        The masked kernels cost O(base.n) per walk step no matter how few
-        vertices remain alive, so once a view has shrunk well below its
-        index space it pays to rebuild: this gathers the residual
-        alive–alive adjacency with one masked ``flat_adjacency`` pass and
-        re-indexes it into a new :class:`CSRGraph` — O(n + Vol(alive))
+        Peels, start sampling, and workspace set-up cost O(base.n) no
+        matter how few vertices remain alive, so once a view has shrunk
+        well below its index space it pays to rebuild: this gathers the
+        residual alive–alive adjacency with one masked ``flat_adjacency``
+        pass and re-indexes it into a new :class:`CSRGraph` — O(n + Vol(alive))
         numpy work, no dict graph in sight.  The compact base keeps the
         alive labels in their old relative (``repr``-sorted) order, and
         degrees/loops carry over unchanged, so walks, sweeps, and cuts on
@@ -469,75 +468,16 @@ class PeeledCSR:
 
 
 # ----------------------------------------------------------------------
-# masked kernels
+# compaction policy
 # ----------------------------------------------------------------------
-# The CSR kernels only touch their graph argument through the surface
-# PeeledCSR masks (degree / loops / flat_adjacency / n / total_volume), so
-# the masked variants *are* the CSR kernels run on the view.  These
-# wrappers pin that contract by name — plus the one check delegation
-# cannot provide: a peeled view's base index still contains dead vertices,
-# so the walk entry point must reject a peeled start
-# (:func:`truncated_walk_sequence` below, which is the variant the Nibble
-# driver calls on views).  Any new kernel that reaches past the masked
-# surface (e.g. into base.indptr directly) must grow a genuinely masked
-# variant here instead.
-
-
 def maybe_compact(peel: PeeledCSR) -> PeeledCSR:
     """Compact a view once it has shrunk below half of its index space.
 
     The 2× rule keeps total compaction cost linear over any peeling
     sequence (a geometric series, the standard amortisation argument) while
-    capping the masked kernels' dense-vector overhead at 2× the alive count.
+    capping the view's length-``n`` array work at 2× the alive count.
     Returns the view unchanged when compaction wouldn't pay.
     """
     if 2 * peel.num_vertices <= peel.n:
         return peel.compact()
     return peel
-
-
-def lazy_walk_step(peel: PeeledCSR, p: np.ndarray) -> np.ndarray:
-    """Masked lazy walk step ``M p`` on the alive subgraph.
-
-    Residual loops keep their share in place (the Remove-j compensation is
-    what makes the masked walk equal the walk on the materialised ``G{U}``),
-    and mass never crosses into peeled vertices because the masked
-    ``flat_adjacency`` drops those edges.  Bit-identical to both the dict
-    and plain-CSR backends on the same alive set.
-    """
-    return csr_kernels.lazy_walk_step(peel, p)
-
-
-def truncate(peel: PeeledCSR, p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Masked truncation ``[p]_ε``: thresholds use the preserved degrees."""
-    return csr_kernels.truncate(peel, p, epsilon)
-
-
-def truncated_walk_sequence(
-    peel: PeeledCSR, start: int, steps: int, epsilon: float
-) -> list[SparseMass]:
-    """Masked p̃_0..p̃_steps from a point mass at alive base index ``start``."""
-    if not peel.alive[start]:
-        raise KeyError(f"start index {start!r} is peeled")
-    return csr_kernels.truncated_walk_sequence(peel, start, steps, epsilon)
-
-
-def truncated_walk_iter(peel: PeeledCSR, start: int, steps: int, epsilon: float):
-    """Masked lazy walk generator (the view twin of
-    :func:`repro.graphs.csr.truncated_walk_iter`), with the same peeled-start
-    guard as :func:`truncated_walk_sequence`: a walk seeded at a dead base
-    index would leak mass through the base adjacency into nonsense cuts."""
-    if not peel.alive[start]:
-        raise KeyError(f"start index {start!r} is peeled")
-    return csr_kernels.truncated_walk_iter(peel, start, steps, epsilon)
-
-
-def build_sweep(peel: PeeledCSR, mass: SparseMass) -> CSRSweep:
-    """Masked sweep prefix scan over an alive-supported mass vector.
-
-    Prefix volumes use the preserved degrees, prefix cut sizes count only
-    alive–alive edges (residual ``proper_degree`` minus twice the
-    earlier-alive-neighbor counts), and ``total_volume`` is the alive
-    volume — the exact integers the dict sweep computes on ``G{U}``.
-    """
-    return csr_kernels.build_sweep(peel, mass)

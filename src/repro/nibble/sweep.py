@@ -157,8 +157,8 @@ def candidate_indices_from_profile(
 
     ``prefix_volume[j]`` is Vol(π̃(1..j)) with ``prefix_volume[0] = 0``, as
     produced by both :func:`build_sweep` and the CSR backend's
-    :func:`repro.graphs.csr.build_sweep`.  The CSR scan uses its own
-    ``searchsorted`` variant
+    :meth:`repro.graphs.csr.WalkWorkspace.build_sweep`.  The CSR scan uses
+    its own ``searchsorted`` variant
     (:func:`repro.graphs.csr.candidate_indices_from_volumes`) on long
     sweeps; the two constructions are semantically identical and are pinned
     equal by ``tests/test_csr.py``.

@@ -60,7 +60,7 @@ from ..nibble.parameters import NibbleParameters
 from ..resilience.deadline import DeadlineExpired, active_deadline
 from ..resilience.events import DegradeEvent, ResultValidationError
 from .shared import SharedCSR, shared_memory_available
-from .worker import batch_memo, run_nibble_instance, run_sharded_chunk
+from .worker import run_nibble_instance, run_sharded_chunk
 
 #: A batch result: ``(instance_index, scale-or-None, cut-or-None)`` triples,
 #: ascending by instance index.
@@ -107,11 +107,11 @@ def sequential_batch(
     the stream keying.
 
     Duplicate ``(start, scale)`` draws within the batch are answered from a
-    per-batch memo (:func:`repro.parallel.worker.batch_memo`) — exact, not
-    approximate, because the batch's graph is invariant and an instance is
-    deterministic given its draws.  This is what tames the terminal
-    deep-recursion batches on clique chains, where a handful of possible
-    starts meets Θ(log m) instances.
+    per-batch memo (see :func:`repro.parallel.worker.run_nibble_instance`)
+    — exact, not approximate, because the batch's graph is invariant and an
+    instance is deterministic given its draws.  This is what tames the
+    terminal deep-recursion batches on clique chains, where a handful of
+    possible starts meets Θ(log m) instances.
     """
     from ..utils.rng import task_stream
 
@@ -122,7 +122,7 @@ def sequential_batch(
         # start-sampling map once, not once per instance.
         degrees = sorted_degree_map(graph)
     results: BatchResult = []
-    memo = batch_memo()
+    memo: dict = {}
     for i in range(num_instances):
         scale, cut = run_nibble_instance(
             graph,

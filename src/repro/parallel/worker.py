@@ -63,24 +63,6 @@ def attached_graph(meta: SharedCSRMeta) -> CSRGraph:
     return handle.graph
 
 
-#: Whether batch runners reuse the cut of an already-seen ``(start, scale)``
-#: draw within one batch.  A Nibble instance is a deterministic function of
-#: (graph, start, scale, params) once its two stream draws are made, and a
-#: batch's graph is invariant by construction (harvest + peel happen after
-#: the batch), so answering a duplicate draw from the memo is exact — not a
-#: heuristic.  Duplicates are common exactly where they hurt: terminal
-#: deep-recursion components (2–5-clique chains) draw a handful of starts
-#: across Θ(log m) instances, so without the memo the batch fan-out re-runs
-#: the same walk almost ``num_instances`` times.  Tests monkeypatch this to
-#: pin that the memo never changes an output.
-BATCH_MEMO_ENABLED = True
-
-
-def batch_memo() -> Optional[dict]:
-    """A fresh per-batch memo dict, or ``None`` when the memo is disabled."""
-    return {} if BATCH_MEMO_ENABLED else None
-
-
 def draw_nibble_instance(
     graph: "PeeledCSR | object",
     params: NibbleParameters,
@@ -132,10 +114,17 @@ def run_nibble_instance(
 
     ``degrees`` may carry a prebuilt
     :func:`~repro.graphs.graph.sorted_degree_map` of a dict ``graph`` so a
-    batch pays for it once; it must describe the current graph.  ``memo``
-    (see :func:`batch_memo`) short-circuits a duplicate ``(start, scale)``
-    draw with the batch's earlier answer; the stream is consumed either
-    way, so RNG states and round accounting never depend on the memo.
+    batch pays for it once; it must describe the current graph.
+
+    ``memo`` — a dict shared by one batch's instances — short-circuits a
+    duplicate ``(start, scale)`` draw with the batch's earlier answer.
+    Exact, not a heuristic: an instance is a deterministic function of
+    (graph, start, scale, params) once its two stream draws are made, a
+    batch's graph is invariant (harvest and peel happen after the batch),
+    and the stream is consumed either way, so RNG states and round
+    accounting never depend on the memo.  Duplicates are common exactly
+    where they hurt: terminal deep-recursion components (2–5-clique
+    chains) draw a handful of starts across Θ(log m) instances.
     """
     start, scale = draw_nibble_instance(graph, params, stream, degrees)
     if scale is None:
@@ -238,7 +227,7 @@ def run_sharded_chunk(
         num_edges=int(num_edges),
     )
     out: list[tuple[int, Optional[int], Optional[NibbleCut]]] = []
-    memo = batch_memo()  # per-chunk: nothing may flow between chunks
+    memo: dict = {}  # per-chunk: nothing may flow between chunks
     for i in instance_indices:
         stream = task_stream(root, batch_index, int(i))
         scale, cut = run_nibble_instance(

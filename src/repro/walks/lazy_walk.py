@@ -56,10 +56,10 @@ def lazy_walk_step(graph: Graph, p: Mapping[Vertex, float]) -> MassVector:
     Mass is accumulated in a canonical order — incoming shares summed over
     sources in ascending ``repr`` order, the self-retained share added last
     — which is exactly the order the vectorized CSR kernel
-    (:func:`repro.graphs.csr.lazy_walk_step`) uses, so the two backends
-    produce bit-identical vectors.  (Floating-point addition is not
-    associative; without a pinned order the backends would drift by ULPs
-    and could break sweep ties differently.)
+    (:meth:`repro.graphs.csr.WalkWorkspace.truncated_step`) uses, so the
+    two backends produce bit-identical vectors.  (Floating-point addition
+    is not associative; without a pinned order the backends would drift by
+    ULPs and could break sweep ties differently.)
     """
     # Internal adjacency access (no per-vertex set copies, no method
     # dispatch): this loop is the dict backend's hottest code.  The

@@ -1,10 +1,10 @@
 """Differential-testing harness: one matrix, every backend, bit-identical.
 
 The repository's core correctness contract is that every execution backend
-— the dict oracle, the dense CSR engine, the preallocated
-:class:`~repro.graphs.csr.WalkWorkspace` kernels, int32 and int64 index
-storage, memory-mapped snapshots, and the certification fast path on or
-off — produces *bit-identical* outputs: the same cuts, the same RNG
+— the dict oracle, the CSR engine (:class:`~repro.graphs.csr.WalkWorkspace`
+kernels on peeled views), int32 and int64 index storage, memory-mapped
+snapshots, the certification fast path on or off, and permuted sibling
+scheduling — produces *bit-identical* outputs: the same cuts, the same RNG
 post-states, the same round accounting.  This module is the single place
 that contract is written down as executable code.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,8 @@ from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
 )
-from repro.graphs.csr import CSRGraph, forced_index_dtype, forced_workspace
+from repro.graphs import csr as csr_backend
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
     dumbbell_cliques,
@@ -64,16 +66,16 @@ class BackendConfig:
     """One cell of the backend matrix.
 
     ``backend`` is the engine argument handed to the pipeline entry points;
-    ``index_dtype`` forces the CSR index-dtype policy; ``workspace``
-    toggles the preallocated walk kernels; ``fast_path`` toggles the
-    spectral pre-check layer; ``mmap`` round-trips the graph through a
-    memory-mapped :class:`CSRGraph` snapshot and uses it as the host.
+    ``index_dtype`` is ``"int32"`` (the automatic choice on every family
+    here) or ``"int64"`` (wide storage forced via
+    :func:`index_width`); ``fast_path`` toggles the spectral pre-check
+    layer; ``mmap`` round-trips the graph through a memory-mapped
+    :class:`CSRGraph` snapshot and uses it as the host.
     """
 
     name: str
     backend: str = "auto"
-    index_dtype: str = "auto"
-    workspace: bool = True
+    index_dtype: str = "int32"
     fast_path: bool = True
     mmap: bool = False
     #: Component-scheduler column: ``"inline"`` (the oracle ordering) or
@@ -89,9 +91,7 @@ MATRIX = (
     BackendConfig("dict", backend="dict"),
     BackendConfig("auto", backend="auto"),
     BackendConfig("csr-int64", backend="csr", index_dtype="int64"),
-    BackendConfig("csr-int64-nows", backend="csr", index_dtype="int64", workspace=False),
     BackendConfig("csr-int32", backend="csr", index_dtype="int32"),
-    BackendConfig("csr-int32-nows", backend="csr", index_dtype="int32", workspace=False),
     BackendConfig("mmap", mmap=True),
     BackendConfig("dict-nofast", backend="dict", fast_path=False),
     BackendConfig("auto-nofast", backend="auto", fast_path=False),
@@ -99,16 +99,16 @@ MATRIX = (
 )
 
 #: A cheaper matrix that still touches every axis once (dict oracle,
-#: int32 + workspace, int64 + dense kernels, mmap, fast path off) — used
-#: on the broader generator families where the full matrix would make the
+#: int32, int64, mmap, fast path off, permuted scheduling) — used on the
+#: broader generator families where the full matrix would make the
 #: suite's runtime quadratic in coverage.
 CORE_MATRIX = (
     MATRIX[0],  # dict
-    MATRIX[4],  # csr-int32 (workspace on)
-    MATRIX[3],  # csr-int64-nows (dense kernels)
-    MATRIX[6],  # mmap
-    MATRIX[8],  # auto-nofast
-    MATRIX[9],  # component-parallel (permuted sibling scheduling)
+    MATRIX[3],  # csr-int32
+    MATRIX[2],  # csr-int64
+    MATRIX[4],  # mmap
+    MATRIX[6],  # auto-nofast
+    MATRIX[7],  # component-parallel (permuted sibling scheduling)
 )
 
 
@@ -153,6 +153,28 @@ def sparse_cut_signature(result):
         result.certified_no_cut,
         result.batches,
     )
+
+
+@contextmanager
+def index_width(index_dtype: str):
+    """Scope in which new CSR snapshots use ``index_dtype`` storage.
+
+    int32 is what :func:`~repro.graphs.csr.choose_index_dtype` picks for
+    every graph that fits; ``"int64"`` lowers
+    :data:`~repro.graphs.csr.INDEX32_LIMIT` to 0 so nothing fits and every
+    snapshot built inside the scope is wide.
+    """
+    if index_dtype == "int32":
+        yield
+        return
+    if index_dtype != "int64":
+        raise ValueError(f"unknown index dtype {index_dtype!r}")
+    previous = csr_backend.INDEX32_LIMIT
+    csr_backend.INDEX32_LIMIT = 0
+    try:
+        yield
+    finally:
+        csr_backend.INDEX32_LIMIT = previous
 
 
 def _host_graph(graph: Graph, config: BackendConfig, stack):
@@ -237,8 +259,7 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        stack.enter_context(forced_workspace(config.workspace))
-        stack.enter_context(forced_index_dtype(config.index_dtype))
+        stack.enter_context(index_width(config.index_dtype))
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
         result = expander_decomposition(
@@ -265,8 +286,7 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        stack.enter_context(forced_workspace(config.workspace))
-        stack.enter_context(forced_index_dtype(config.index_dtype))
+        stack.enter_context(index_width(config.index_dtype))
         host = _host_graph(graph, config, stack)
         if config.mmap:
             host = PeeledCSR.full(host)

@@ -1,15 +1,15 @@
-"""Batched harvest application ≡ sequential peels, bitwise, on every family.
+"""Batched harvest application ≡ immediate removal, bitwise, on every family.
 
-``nearly_most_balanced_sparse_cut`` applies a batch's harvested cuts in one
-union :meth:`PeeledCSR.peel` when ``BATCHED_PEEL_ENABLED`` (the default).
-The exactness argument lives on that flag's docstring in
+On the peeled engine ``nearly_most_balanced_sparse_cut`` applies a batch's
+harvested cuts in one union :meth:`PeeledCSR.peel`.  The exactness
+argument lives on the ``_PeelWork`` docstring in
 :mod:`repro.decomposition.sparse_cut`: harvested cuts are pairwise
 disjoint, peeling is degree-preserving on survivors, and ``peel`` is
-path-independent — so the union peel is bit-equal to peeling each cut as
-it lands.  This suite *checks* that argument differentially: both modes,
-every generator family, full pipeline, identical signatures, RNG
-post-states, and round totals — including under the PR 8 batch memo,
-whose cache keys must not observe the application strategy either.
+path-independent — so the union peel is bit-equal to removing each cut as
+it lands, which is what the dict oracle (``_DictWork``) does.  This suite
+*checks* that argument differentially: the CSR engine against the dict
+oracle, every generator family, full pipeline, identical signatures, RNG
+post-states, and round totals.
 """
 
 import numpy as np
@@ -20,14 +20,13 @@ from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
 )
-from repro.decomposition import sparse_cut as sparse_cut_module
 
 FAMILIES = generator_families()
 
 
-def run_decomposition(graph, seed=7):
+def run_decomposition(graph, backend, seed=7):
     rng = np.random.default_rng(seed)
-    result = expander_decomposition(graph, 0.2, 0.1, seed=rng)
+    result = expander_decomposition(graph, 0.2, 0.1, seed=rng, backend=backend)
     return (
         decomposition_signature(result),
         result.report.total_rounds,
@@ -35,9 +34,9 @@ def run_decomposition(graph, seed=7):
     )
 
 
-def run_cut(graph, seed=7):
+def run_cut(graph, backend, seed=7):
     rng = np.random.default_rng(seed)
-    result = nearly_most_balanced_sparse_cut(graph, 0.1, seed=rng)
+    result = nearly_most_balanced_sparse_cut(graph, 0.1, seed=rng, backend=backend)
     return (
         result.cut,
         result.conductance,
@@ -56,17 +55,8 @@ def family(request):
 
 
 class TestBatchedPeelParity:
-    def test_default_is_batched(self):
-        assert sparse_cut_module.BATCHED_PEEL_ENABLED is True
+    def test_decomposition_bitwise_equal(self, family):
+        assert run_decomposition(family, "csr") == run_decomposition(family, "dict")
 
-    def test_decomposition_bitwise_equal(self, family, monkeypatch):
-        monkeypatch.setattr(sparse_cut_module, "BATCHED_PEEL_ENABLED", False)
-        sequential = run_decomposition(family)
-        monkeypatch.setattr(sparse_cut_module, "BATCHED_PEEL_ENABLED", True)
-        assert run_decomposition(family) == sequential
-
-    def test_sparse_cut_bitwise_equal(self, family, monkeypatch):
-        monkeypatch.setattr(sparse_cut_module, "BATCHED_PEEL_ENABLED", False)
-        sequential = run_cut(family)
-        monkeypatch.setattr(sparse_cut_module, "BATCHED_PEEL_ENABLED", True)
-        assert run_cut(family) == sequential
+    def test_sparse_cut_bitwise_equal(self, family):
+        assert run_cut(family, "csr") == run_cut(family, "dict")

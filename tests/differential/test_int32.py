@@ -3,22 +3,17 @@
 The storage layer promises that index dtype and array residency are pure
 representation choices: int32 vs int64 and RAM vs mmap may never change a
 single bit of any derived quantity.  These tests pin the *decision* logic
-(the int32/int64 threshold, the explicit overflow guard) and the
-*composition* rules (mmap snapshots flowing through ``PeeledCSR`` views
+(the int32/int64 threshold at :data:`~repro.graphs.csr.INDEX32_LIMIT`) and
+the *composition* rules (mmap snapshots flowing through ``PeeledCSR`` views
 and compaction unchanged).
 """
 
 import numpy as np
 import pytest
 
+from diffharness import index_width
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import (
-    CSRGraph,
-    choose_index_dtype,
-    forced_index_dtype,
-    index_dtype_policy,
-    set_index_dtype_policy,
-)
+from repro.graphs.csr import CSRGraph, choose_index_dtype
 from repro.graphs.generators import (
     power_law_csr,
     power_law_graph,
@@ -65,29 +60,23 @@ class TestIndexDtypeDecision:
         monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", entries - 1)
         assert CSRGraph.from_graph(g).indices.dtype == np.int64
 
-    def test_forced_int32_overflow_raises(self, monkeypatch):
+    def test_matrix_int64_scope_builds_wide_snapshots(self):
         g = ring_of_cliques(3, 4)
-        entries = int(CSRGraph.from_graph(g).indptr[-1])
-        monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", entries - 1)
-        with forced_index_dtype("int32"):
-            with pytest.raises(OverflowError):
-                CSRGraph.from_graph(g)
+        with index_width("int64"):
+            assert CSRGraph.from_graph(g).indices.dtype == np.int64
+        assert CSRGraph.from_graph(g).indices.dtype == np.int32
 
-    def test_policy_validation_and_restore(self):
-        before = index_dtype_policy()
-        with pytest.raises(ValueError):
-            set_index_dtype_policy("int16")
-        with forced_index_dtype("int64"):
-            assert index_dtype_policy() == "int64"
-            assert choose_index_dtype(10, 10) == np.int64
-        assert index_dtype_policy() == before
+    def test_choice_covers_vertices_and_entries(self, monkeypatch):
+        monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", 10)
+        assert choose_index_dtype(10, 10) == np.int32
+        assert choose_index_dtype(11, 10) == np.int64
+        assert choose_index_dtype(10, 11) == np.int64
 
-    def test_int32_and_int64_builds_are_value_identical(self):
+    def test_int32_and_int64_builds_are_value_identical(self, monkeypatch):
         g = ring_of_cliques(4, 6)
-        with forced_index_dtype("int32"):
-            small = CSRGraph.from_graph(g)
-        with forced_index_dtype("int64"):
-            wide = CSRGraph.from_graph(g)
+        small = CSRGraph.from_graph(g)
+        monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", 0)
+        wide = CSRGraph.from_graph(g)
         assert small.indices.dtype == np.int32 and wide.indices.dtype == np.int64
         assert np.array_equal(small.indptr, wide.indptr)
         assert np.array_equal(small.indices, wide.indices)
@@ -151,8 +140,8 @@ class TestPowerLawCSRGenerator:
             assert back.neighbors(v) == dict_twin.neighbors(v)
             assert back.self_loops(v) == dict_twin.self_loops(v)
 
-    def test_auto_dtype_applies(self):
+    def test_auto_dtype_applies(self, monkeypatch):
         csr = power_law_csr(120, seed=5)
         assert csr.indices.dtype == np.int32
-        with forced_index_dtype("int64"):
-            assert power_law_csr(120, seed=5).indices.dtype == np.int64
+        monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", 0)
+        assert power_law_csr(120, seed=5).indices.dtype == np.int64

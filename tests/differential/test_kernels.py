@@ -1,10 +1,11 @@
-"""Granular kernel parity: workspace walks and sweeps vs the oracles.
+"""Granular kernel parity: workspace walks and sweeps vs the dict oracle.
 
 The pipeline matrix (test_pipeline.py) pins end-to-end identity; this
-module pins the individual kernels the :class:`WalkWorkspace` replaces —
-truncated walk sequences and sweep construction — step by step and field
-by field against both the dict oracle and the dense CSR engine, so a
-divergence is localised to the exact step and vector that drifted.
+module pins the individual :class:`WalkWorkspace` kernels — truncated walk
+sequences and sweep construction — step by step and field by field
+against the dict walk (:mod:`repro.walks.lazy_walk`) and the dict sweep
+(:mod:`repro.nibble.sweep`), so a divergence is localised to the exact
+step and vector that drifted.
 """
 
 import numpy as np
@@ -12,12 +13,13 @@ import pytest
 
 from diffharness import generator_families
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import CSRGraph, WalkWorkspace, forced_workspace, get_workspace
+from repro.graphs.csr import CSRGraph, WalkWorkspace, get_workspace
 from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.peel import PeeledCSR
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
 from repro.nibble.sweep import candidate_indices
-from repro.walks.lazy_walk import truncated_walk_sequence as dict_walk_sequence
+from repro.walks.lazy_walk import truncated_walk_iter as dict_walk_iter
 
 
 def walk_graphs():
@@ -41,7 +43,7 @@ def assert_same_mass(csr, sparse, dense_dict):
 
 
 class TestWorkspaceWalkParity:
-    def test_walk_iter_matches_dict_and_dense_sequences(self):
+    def test_walk_iter_matches_dict_sequences(self):
         for g in walk_graphs():
             if g.total_volume() == 0:
                 continue
@@ -51,19 +53,10 @@ class TestWorkspaceWalkParity:
             start = csr.vertices[len(csr.vertices) // 2]
             for scale in (1, params.ell):
                 eps = params.epsilon_b(scale)
-                dict_seq = dict_walk_sequence(g, start, params.t0, eps)
-                dense_seq = list(
-                    csr_backend.truncated_walk_iter(
-                        csr, csr.index[start], params.t0, eps
-                    )
-                )
+                dict_seq = list(dict_walk_iter(g, start, params.t0, eps))
                 ws_seq = list(ws.walk_iter(csr.index[start], params.t0, eps))
-                assert len(ws_seq) == len(dense_seq) == len(dict_seq)
-                for ws_mass, dense_mass, dict_mass in zip(
-                    ws_seq, dense_seq, dict_seq
-                ):
-                    assert np.array_equal(ws_mass[0], dense_mass[0])
-                    assert np.array_equal(ws_mass[1], dense_mass[1])
+                assert len(ws_seq) == len(dict_seq)
+                for ws_mass, dict_mass in zip(ws_seq, dict_seq):
                     assert_same_mass(csr, ws_mass, dict_mass)
 
     def test_workspace_reuse_across_walks_stays_identical(self):
@@ -83,11 +76,15 @@ class TestWorkspaceWalkParity:
                 assert np.array_equal(a[0], b[0])
                 assert np.array_equal(a[1], b[1])
 
-    def test_peeled_start_raises_keyerror(self):
+    @pytest.mark.parametrize("offset", [3, 0, -1], ids=["n+3", "n", "minus-1"])
+    def test_peeled_start_raises_keyerror(self, offset):
+        """Any start outside the index space is a KeyError on a snapshot
+        and on a peeled view alike (``-1`` must not wrap to the last row)."""
         csr = CSRGraph.from_graph(walk_graphs()[0])
-        ws = WalkWorkspace(csr)
-        with pytest.raises(KeyError):
-            next(ws.walk_iter(csr.n + 3, 5, 0.01))
+        start = -1 if offset < 0 else csr.n + offset
+        for graph in (csr, PeeledCSR.full(csr)):
+            with pytest.raises(KeyError):
+                next(WalkWorkspace(graph).walk_iter(start, 5, 0.01))
 
 
 class TestWorkspaceSweepParity:
@@ -95,30 +92,24 @@ class TestWorkspaceSweepParity:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             dense = np.where(rng.random(csr.n) < 0.6, rng.random(csr.n), 0.0)
-            sparse = csr_backend.sparsify(dense)
-            if sparse[0].size:
-                yield sparse
+            idx = np.flatnonzero(dense)
+            if idx.size:
+                yield idx, dense[idx]
 
-    def test_sweep_fields_match_dense_and_dict(self):
+    def test_sweep_fields_match_dict(self):
         for seed, g in enumerate(walk_graphs()):
             csr = CSRGraph.from_graph(g)
             ws = WalkWorkspace(csr)
             for sparse in self.masses(csr, seed):
-                dense_state = csr_backend.build_sweep(csr, sparse)
                 ws_state = ws.build_sweep(sparse)
-                assert np.array_equal(ws_state.order, dense_state.order)
-                assert np.array_equal(ws_state.rho, dense_state.rho)
-                assert np.array_equal(
-                    ws_state.prefix_volume, dense_state.prefix_volume
-                )
-                assert np.array_equal(ws_state.prefix_cut, dense_state.prefix_cut)
-                assert ws_state.total_volume == dense_state.total_volume
                 mass = csr_backend.mass_to_dict(csr, sparse)
                 dict_state = dict_build_sweep(g, mass)
                 order = [csr.vertices[int(i)] for i in ws_state.order]
                 assert order == dict_state.order
+                assert [dict_state.rho[v] for v in order] == list(ws_state.rho)
                 assert list(ws_state.prefix_volume) == dict_state.prefix_volume
                 assert list(ws_state.prefix_cut) == dict_state.prefix_cut
+                assert ws_state.total_volume == dict_state.total_volume
 
     def test_candidate_scan_matches_dict_linear_scan(self):
         """The bisect-based dict scan and the searchsorted CSR scan must
@@ -137,31 +128,15 @@ class TestWorkspaceSweepParity:
                     ) == candidate_indices(dict_state, phi)
 
 
-class TestWorkspaceToggles:
+class TestWorkspaceCache:
     def test_get_workspace_memoises_per_snapshot(self):
         csr = CSRGraph.from_graph(walk_graphs()[0])
-        with forced_workspace(True):
-            ws = get_workspace(csr)
-            assert ws is not None
-            assert get_workspace(csr) is ws
-        with forced_workspace(False):
-            assert get_workspace(csr) is None
+        ws = get_workspace(csr)
+        assert isinstance(ws, WalkWorkspace)
+        assert get_workspace(csr) is ws
 
-    def test_forced_workspace_restores_previous_state(self):
-        before = csr_backend.workspace_enabled()
-        with forced_workspace(not before):
-            assert csr_backend.workspace_enabled() is (not before)
-            with forced_workspace(before):
-                assert csr_backend.workspace_enabled() is before
-            assert csr_backend.workspace_enabled() is (not before)
-        assert csr_backend.workspace_enabled() is before
-
-    def test_scatter_add_matches_bincount(self):
-        rng = np.random.default_rng(0)
-        for size in (1, 7, 64):
-            ids = rng.integers(0, size, 200)
-            weights = rng.random(200)
-            assert np.array_equal(
-                csr_backend.scatter_add(ids, weights, size),
-                np.bincount(ids, weights=weights, minlength=size),
-            )
+    def test_peel_drops_the_view_workspace(self):
+        view = PeeledCSR.from_graph(walk_graphs()[0])
+        ws = get_workspace(view)
+        view.peel([0])
+        assert get_workspace(view) is not ws

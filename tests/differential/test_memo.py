@@ -6,8 +6,9 @@ Deep-recursion batches on chains of 2–5-cliques draw the same
 the full walk.  The memo answers duplicates from the batch's earlier
 result — exact, because a batch's graph is invariant and the stream is
 consumed either way.  These tests pin both halves of that claim: the
-short-circuit actually fires (fewer ApproximateNibble executions), and
-nothing about the output, the RNG stream, or the round accounting moves.
+short-circuit actually fires (one ApproximateNibble execution per distinct
+draw), and every instance's answer equals a memo-free run of the same
+instance on the same stream.
 """
 
 import itertools
@@ -15,11 +16,13 @@ import itertools
 import numpy as np
 import pytest
 
-from diffharness import decomposition_signature
-from repro.decomposition import expander_decomposition
 from repro.graphs.generators import dumbbell_cliques, ring_of_cliques
 from repro.graphs.graph import Graph
+from repro.graphs.peel import PeeledCSR
+from repro.nibble.parameters import NibbleParameters
 from repro.parallel import worker
+from repro.parallel.executor import sequential_batch
+from repro.utils.rng import task_stream
 
 
 def clique_chain(sizes):
@@ -39,24 +42,18 @@ def clique_chain(sizes):
 CHAIN_SIZES = (3, 2, 4, 5, 2, 3, 4, 2, 5, 3)
 
 
-def run_with_memo(monkeypatch, g, enabled, seed=7):
-    monkeypatch.setattr(worker, "BATCH_MEMO_ENABLED", enabled)
-    rng = np.random.default_rng(seed)
-    result = expander_decomposition(g, 0.2, 0.1, seed=rng)
-    return (
-        decomposition_signature(result),
-        rng.bit_generator.state,
-        result.report.total_rounds,
-    )
+#: Instances per batch: well above the number of distinct draws a small
+#: chain offers, so every batch below repeats draws.
+NUM_INSTANCES = 24
+ROOT = 12345
+
+
+def hosts(graph):
+    """The batch's graph on both engines: dict and peeled view."""
+    return [("dict", graph), ("peeled", PeeledCSR.from_graph(graph))]
 
 
 class TestBatchMemo:
-    def test_helper_respects_flag(self, monkeypatch):
-        monkeypatch.setattr(worker, "BATCH_MEMO_ENABLED", True)
-        assert worker.batch_memo() == {}
-        monkeypatch.setattr(worker, "BATCH_MEMO_ENABLED", False)
-        assert worker.batch_memo() is None
-
     @pytest.mark.parametrize(
         "name,graph",
         [
@@ -66,58 +63,41 @@ class TestBatchMemo:
         ],
         ids=["clique_chain", "dumbbell", "ring_of_cliques"],
     )
-    def test_memo_is_output_neutral(self, monkeypatch, name, graph):
-        on = run_with_memo(monkeypatch, graph, True)
-        off = run_with_memo(monkeypatch, graph, False)
-        assert on == off, name
+    def test_memo_is_output_neutral(self, name, graph):
+        """A memoised batch returns, instance by instance, exactly what a
+        memo-free run of that instance on its own stream returns."""
+        params = NibbleParameters.practical(graph, 0.1)
+        for engine, host in hosts(graph):
+            batch = sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
+            for i, scale, cut in batch:
+                alone = worker.run_nibble_instance(
+                    host, params, task_stream(ROOT, 0, i), memo=None
+                )
+                assert (scale, cut) == alone, (name, engine, i)
 
     def test_memo_short_circuits_duplicate_draws(self, monkeypatch):
-        """On the clique chain the memo must actually fire: strictly fewer
-        ApproximateNibble executions for the same (identical) output."""
-        g = clique_chain(CHAIN_SIZES)
+        """In a batch with duplicate draws, ApproximateNibble runs exactly
+        once per distinct ``(start, scale)`` draw."""
+        g = clique_chain((3, 2, 3))
+        params = NibbleParameters.practical(g, 0.1)
         real = worker.approximate_nibble
-        counts = {}
+        for engine, host in hosts(g):
+            draws = {
+                worker.draw_nibble_instance(host, params, task_stream(ROOT, 0, i))
+                for i in range(NUM_INSTANCES)
+            }
+            assert len(draws) < NUM_INSTANCES, engine  # duplicates exist
+            walks = []
 
-        def counted(*args, **kwargs):
-            counts[flag] = counts.get(flag, 0) + 1
-            return real(*args, **kwargs)
+            def counted(*args, **kwargs):
+                walks.append(args[1:3])
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(worker, "approximate_nibble", counted)
-        outputs = {}
-        for flag in (True, False):
-            monkeypatch.setattr(worker, "BATCH_MEMO_ENABLED", flag)
-            rng = np.random.default_rng(11)
-            outputs[flag] = decomposition_signature(
-                expander_decomposition(g, 0.2, 0.1, seed=rng)
-            )
-        assert outputs[True] == outputs[False]
-        assert counts[True] < counts[False]
-
-    @pytest.mark.parametrize(
-        "name,graph",
-        [
-            ("clique_chain", clique_chain(CHAIN_SIZES)),
-            ("ring_of_cliques", ring_of_cliques(6, 8)),
-        ],
-        ids=["clique_chain", "ring_of_cliques"],
-    )
-    def test_memo_and_batched_peel_commute(self, monkeypatch, name, graph):
-        """The 2×2 interaction grid: the batch memo (PR 8) keys on the
-        batch's drawn instances and the batched harvest application (this
-        PR) changes only *when* peels land, never what the batch drew — so
-        all four flag combinations must be bit-identical."""
-        from repro.decomposition import sparse_cut as sparse_cut_module
-
-        outputs = {}
-        for memo in (True, False):
-            for batched in (True, False):
-                monkeypatch.setattr(
-                    sparse_cut_module, "BATCHED_PEEL_ENABLED", batched
-                )
-                outputs[memo, batched] = run_with_memo(monkeypatch, graph, memo)
-        reference = outputs[True, True]
-        for combo, got in outputs.items():
-            assert got == reference, (name, combo)
+            monkeypatch.setattr(worker, "approximate_nibble", counted)
+            sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
+            monkeypatch.setattr(worker, "approximate_nibble", real)
+            assert len(walks) == len(draws), engine
+            assert set(walks) == draws, engine
 
     def test_draw_protocol_is_two_stream_draws(self):
         """draw_nibble_instance must consume exactly the start draw and the

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import CSR_AUTO_THRESHOLD, CSRGraph, resolve_backend
+from repro.graphs.csr import CSR_AUTO_THRESHOLD, CSRGraph, WalkWorkspace, resolve_backend
 from repro.graphs.generators import (
     barbell_expanders,
     erdos_renyi_graph,
@@ -29,10 +29,9 @@ from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep, candidate_indices
 from repro.walks.lazy_walk import (
-    degree_distribution,
     lazy_walk_step,
-    truncate,
-    truncated_walk_sequence,
+    truncated_walk_iter,
+    truncated_walk_step,
 )
 
 
@@ -61,6 +60,13 @@ def family_graphs() -> list[tuple[str, Graph]]:
         ("planted", planted_partition_graph(4, 12, 0.7, 0.02, seed=7)),
         ("power_law", power_law_graph(80, seed=7)),
     ]
+
+
+def random_mass(csr: CSRGraph, rng: np.random.Generator, density: float = 1.0):
+    """A random sparse mass vector (ascending support, positive values)."""
+    dense = np.where(rng.random(csr.n) < density, rng.random(csr.n), 0.0)
+    idx = np.flatnonzero(dense)
+    return idx, dense[idx]
 
 
 def assert_mass_equal(csr: CSRGraph, sparse, dense_dict):
@@ -115,31 +121,31 @@ class TestCSRGraphStructure:
 
 class TestWalkParity:
     def test_single_step_bit_identical(self):
+        # epsilon = 0 truncates nothing, so the workspace step is the plain
+        # lazy walk step restricted to its support.
         for g in random_graphs():
             if g.num_vertices == 0:
                 continue
             csr = CSRGraph.from_graph(g)
-            start = csr.vertices[0]
-            p_dict = {start: 1.0}
-            p_dense = csr_backend.point_mass(csr, 0)
+            ws = WalkWorkspace(csr)
+            p_dict = {csr.vertices[0]: 1.0}
+            p_csr = (np.array([0]), np.array([1.0]))
             for _ in range(4):
                 p_dict = lazy_walk_step(g, p_dict)
-                p_dense = csr_backend.lazy_walk_step(csr, p_dense)
-                assert_mass_equal(csr, csr_backend.sparsify(p_dense), p_dict)
+                p_csr = ws.truncated_step(p_csr, 0.0)
+                assert_mass_equal(csr, p_csr, p_dict)
 
     def test_truncation_bit_identical(self):
         for g in random_graphs(4):
             csr = CSRGraph.from_graph(g)
-            rng = np.random.default_rng(42)
-            dense = rng.random(csr.n)
-            as_dict = csr_backend.mass_to_dict(csr, csr_backend.sparsify(dense))
-            # the two converters must be exact inverses of each other
-            assert np.array_equal(csr_backend.mass_from_dict(csr, as_dict), dense)
+            ws = WalkWorkspace(csr)
+            mass = random_mass(csr, np.random.default_rng(42))
+            as_dict = csr_backend.mass_to_dict(csr, mass)
             for eps in (1e-4, 1e-2, 0.05):
                 assert_mass_equal(
                     csr,
-                    csr_backend.sparsify(csr_backend.truncate(csr, dense, eps)),
-                    truncate(g, as_dict, eps),
+                    ws.truncated_step(mass, eps),
+                    truncated_walk_step(g, as_dict, eps),
                 )
 
     def test_truncated_sequences_bit_identical(self):
@@ -147,54 +153,29 @@ class TestWalkParity:
             if g.total_volume() == 0:
                 continue
             csr = CSRGraph.from_graph(g)
+            ws = WalkWorkspace(csr)
             params = NibbleParameters.practical(g, 0.15)
             start = csr.vertices[len(csr.vertices) // 2]
             for scale in (1, params.ell):
                 eps = params.epsilon_b(scale)
-                dict_seq = truncated_walk_sequence(g, start, params.t0, eps)
-                csr_seq = csr_backend.truncated_walk_sequence(
-                    csr, csr.index[start], params.t0, eps
-                )
+                dict_seq = list(truncated_walk_iter(g, start, params.t0, eps))
+                csr_seq = list(ws.walk_iter(csr.index[start], params.t0, eps))
                 assert len(dict_seq) == len(csr_seq)
                 for dict_mass, sparse in zip(dict_seq, csr_seq):
                     assert_mass_equal(csr, sparse, dict_mass)
-
-    def test_missing_start_raises_keyerror(self):
-        g = ring_of_cliques(2, 4)
-        csr = CSRGraph.from_graph(g)
-        with pytest.raises(KeyError):
-            csr_backend.truncated_walk_sequence(csr, csr.n + 3, 5, 0.01)
-
-    def test_degree_distribution_parity(self):
-        for g in random_graphs(4):
-            if g.total_volume() == 0:
-                continue
-            csr = CSRGraph.from_graph(g)
-            assert_mass_equal(
-                csr, csr_backend.degree_distribution(csr), degree_distribution(g)
-            )
-            subset = csr.vertices[:: 2]
-            if g.volume(subset) > 0:
-                idx = [csr.index[v] for v in subset]
-                assert_mass_equal(
-                    csr,
-                    csr_backend.degree_distribution(csr, idx),
-                    degree_distribution(g, subset),
-                )
 
 
 class TestSweepParity:
     def sweeps(self, g: Graph, csr: CSRGraph, seed: int):
         """Paired (dict, csr) sweeps of a few random mass vectors."""
         rng = np.random.default_rng(seed)
+        ws = WalkWorkspace(csr)
         for _ in range(3):
-            dense = np.where(rng.random(csr.n) < 0.6, rng.random(csr.n), 0.0)
-            mass = csr_backend.mass_to_dict(csr, csr_backend.sparsify(dense))
-            if not mass:
+            sparse = random_mass(csr, rng, density=0.6)
+            if sparse[0].size == 0:
                 continue
-            yield build_sweep(g, mass), csr_backend.build_sweep(
-                csr, csr_backend.sparsify(dense)
-            )
+            mass = csr_backend.mass_to_dict(csr, sparse)
+            yield build_sweep(g, mass), ws.build_sweep(sparse)
 
     def test_order_and_prefix_statistics_identical(self):
         for seed, g in enumerate(random_graphs()):
@@ -224,8 +205,9 @@ class TestSweepParity:
     def test_prefix_cut_matches_graph_profile(self):
         for g in random_graphs(4):
             csr = CSRGraph.from_graph(g)
-            mass = csr_backend.degree_distribution(csr)
-            state = csr_backend.build_sweep(csr, mass)
+            idx = np.flatnonzero(csr.degree)
+            mass = (idx, csr.degree[idx] / csr.total_volume)  # ψ_V
+            state = WalkWorkspace(csr).build_sweep(mass)
             order = [csr.vertices[int(i)] for i in state.order]
             volumes, cuts = g.prefix_cut_profile(order)
             assert list(state.prefix_volume) == volumes
@@ -269,5 +251,6 @@ class TestCutParity:
 
 # Full-pipeline parity (sparse cuts and decompositions across backends)
 # lives in tests/differential/test_pipeline.py, which drives the complete
-# backend matrix — dict / csr / int32 / int64 / workspace / mmap / fast
-# path — through every generator family via assert_pipeline_identical.
+# backend matrix — dict / csr / int32 / int64 / mmap / fast path /
+# permuted scheduling — through every generator family via
+# assert_pipeline_identical.

@@ -91,6 +91,27 @@ class TestExpanderDecomposition:
         assert paper[0] == 0.1 and len(paper) >= 2
 
 
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "phi", [float("nan"), float("inf"), -0.2, 0.0], ids=["nan", "inf", "negative", "zero"]
+    )
+    def test_bad_phi_raises_naming_phi(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            expander_decomposition(ring_of_cliques(3, 4), epsilon=0.1, phi=phi, seed=1)
+
+    @pytest.mark.parametrize(
+        "epsilon", [float("nan"), float("inf"), -0.1], ids=["nan", "inf", "negative"]
+    )
+    def test_bad_epsilon_raises_naming_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            expander_decomposition(ring_of_cliques(3, 4), epsilon=epsilon, phi=0.1, seed=1)
+
+    def test_zero_epsilon_is_accepted(self):
+        g = ring_of_cliques(3, 4)
+        result = expander_decomposition(g, epsilon=0.0, phi=0.1, seed=1)
+        assert sum(len(c) for c in result.components) == g.num_vertices
+
+
 class TestDistributedAgainstCentralized:
     def test_distributed_cut_matches_centralized(self):
         """Acceptance: the distributed Nibble's cut equals the centralized one

@@ -37,12 +37,11 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
-from repro.graphs import peel as peel_backend
 from repro.graphs.peel import PeeledCSR, maybe_compact
 from repro.nibble.nibble import NibbleCut, approximate_nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
-from repro.walks.lazy_walk import truncated_walk_sequence as dict_walk_sequence
+from repro.walks.lazy_walk import truncated_walk_iter as dict_walk_iter
 from repro.utils.rng import ensure_rng
 
 
@@ -184,10 +183,9 @@ class TestMaskedKernels:
             start = sorted(subset, key=repr)[0]
             for scale in (1, params.ell):
                 eps = params.epsilon_b(scale)
-                dict_seq = dict_walk_sequence(work, start, params.t0, eps)
-                peel_seq = peel_backend.truncated_walk_sequence(
-                    view, base.index[start], params.t0, eps
-                )
+                dict_seq = list(dict_walk_iter(work, start, params.t0, eps))
+                ws = csr_backend.get_workspace(view)
+                peel_seq = list(ws.walk_iter(base.index[start], params.t0, eps))
                 assert len(dict_seq) == len(peel_seq)
                 for mass_dict, sparse in zip(dict_seq, peel_seq):
                     converted = csr_backend.mass_to_dict(view, sparse)
@@ -198,16 +196,10 @@ class TestMaskedKernels:
                     if not mass_dict:
                         break
                     ds = dict_build_sweep(work, mass_dict)
-                    ps = peel_backend.build_sweep(view, sparse)
+                    ps = ws.build_sweep(sparse)
                     assert [view.vertices[int(i)] for i in ps.order] == ds.order
                     assert list(ps.prefix_volume) == ds.prefix_volume
                     assert list(ps.prefix_cut) == ds.prefix_cut
-                # the single-step wrappers follow the same delegation contract
-                dense = csr_backend.point_mass(view, base.index[start])
-                stepped = peel_backend.truncate(
-                    view, peel_backend.lazy_walk_step(view, dense), eps
-                )
-                assert csr_backend.mass_to_dict(view, csr_backend.sparsify(stepped)) == dict_seq[1]
 
     def test_nibble_cut_identical_on_view_and_guq(self):
         for g, subset in random_cases(4):

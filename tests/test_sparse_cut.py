@@ -84,3 +84,12 @@ class TestNearlyMostBalancedSparseCut:
         assert found.conductance == pytest.approx(g.conductance_of_cut(found.cut))
         assert found.cut_size == g.cut_size(found.cut)
         assert found.balance == pytest.approx(g.balance_of_cut(found.cut))
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "phi", [float("nan"), float("inf"), -0.2, 0.0], ids=["nan", "inf", "negative", "zero"]
+    )
+    def test_bad_phi_raises_naming_phi(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            nearly_most_balanced_sparse_cut(dumbbell_cliques(4, 3), phi, seed=1)
