@@ -41,12 +41,12 @@ from ..graphs.spectral import (
     certify_conductance,
 )
 from ..nibble.parameters import ParameterMode, h_inverse
-from ..parallel.executor import Executor, resolve_executor
-from ..parallel.scheduler import (
-    ComponentScheduler,
+from ..parallel.executor import (
+    SEQUENTIAL,
+    Executor,
     SubtreeSpec,
     SubtreeTask,
-    resolve_scheduler,
+    resolve_executor,
 )
 from ..resilience.deadline import Deadline, resolve_deadline
 from ..utils.rng import (
@@ -222,7 +222,7 @@ class _SubtreeContext:
     """The run-wide recursion state shared by every subtree of one run.
 
     ``root`` is the single stream root drawn from the caller's generator;
-    ``scheduler`` decides where sibling subtrees execute; ``base`` is the
+    ``engine`` decides where sibling subtrees execute; ``base`` is the
     lazily-created CSR snapshot every peeled view restricts (mutated in
     place on first need, exactly like the old driver's local).  The
     resilience fields: ``journal`` replays and records completed subtrees
@@ -240,7 +240,7 @@ class _SubtreeContext:
     max_depth: int
     cut_kwargs: dict
     root: int
-    scheduler: ComponentScheduler
+    engine: Executor
     base: Optional[CSRGraph] = None
     journal: Optional[object] = None
     deadline: Optional[Deadline] = None
@@ -248,14 +248,13 @@ class _SubtreeContext:
     progress: int = 0
 
     def spec(self) -> Optional[SubtreeSpec]:
-        """The dispatch spec for pool schedulers (``None`` without a base).
+        """The dispatch spec for pooled sibling groups (``None`` without a base).
 
         The shipped ``cut_kwargs`` replace the driver's executor with
         ``None``: worker-side batches run on the sequential engine —
         workers never nest pools — and the stream discipline makes that
         invisible to every output.  ``deadline`` rides along driver-side
-        only (the scheduler bounds its waits with it; it is never
-        pickled).
+        only (the engine bounds its waits with it; it is never pickled).
         """
         if self.base is None:
             return None
@@ -306,10 +305,10 @@ def _finished(outcome: _SubtreeOutcome) -> bool:
 def _run_children(
     ctx: _SubtreeContext, outcome: _SubtreeOutcome, tasks: list[SubtreeTask]
 ) -> _SubtreeOutcome:
-    """Run sibling subtrees through the scheduler; merge in task order.
+    """Run sibling subtrees through the engine; merge in task order.
 
     ``tasks`` arrive in canonical (ascending smallest-``repr``) order and
-    the scheduler returns outcomes positionally, so the merged component,
+    the engine returns outcomes positionally, so the merged component,
     cut-edge, and report order is the same whether the siblings ran
     inline, permuted, or on pool workers.
 
@@ -323,6 +322,7 @@ def _run_children(
     """
     results: list = [None] * len(tasks)
     replayed: set[int] = set()
+    pooled: set[int] = set()
     pending: list[SubtreeTask] = []
     pending_positions: list[int] = []
     for i, task in enumerate(tasks):
@@ -335,15 +335,16 @@ def _run_children(
         pending.append(task)
         pending_positions.append(i)
     if pending:
-        children = ctx.scheduler.run_siblings(
+        children, shipped = ctx.engine.run_siblings(
             pending,
             lambda task: _decompose_subtree(ctx, task.subset, task.depth, task.hint),
             spec=ctx.spec(),
         )
         for position, child in zip(pending_positions, children):
             results[position] = child
+        pooled = {pending_positions[k] for k in shipped}
     for i, (task, child) in enumerate(zip(tasks, results)):
-        if i in replayed or getattr(child, "_from_pool", False):
+        if i in replayed or i in pooled:
             _bump(ctx, len(child.components))
         if (
             ctx.journal is not None
@@ -529,36 +530,31 @@ def decompose_subtree_on_base(
     subset_indices,
     depth: int,
     hint: Optional[SpectralCertificate],
-    phi: float,
-    mode: ParameterMode,
-    schedule,
-    max_depth: int,
-    cut_kwargs: dict,
-    root: int,
+    spec: SubtreeSpec,
 ) -> _SubtreeOutcome:
     """One recursion subtree against a host snapshot: the pool-worker body.
 
     :func:`repro.parallel.worker.run_subtree` calls this with the
     rehydrated shared-memory ``base``; ``subset_indices`` are base vertex
-    indices (labels are not shipped — the snapshot already carries them).
-    Runs the exact :func:`_decompose_subtree` recursion with the inline
-    scheduler and sequential batches, so the returned outcome is
-    bit-identical to the driver decomposing the same subtree itself.
+    indices (labels are not shipped — the snapshot already carries them)
+    and ``spec`` carries the run's parameters (its own ``base`` and
+    ``deadline`` are not used).  Runs the exact :func:`_decompose_subtree`
+    recursion on the sequential executor (sibling groups and batches
+    inline), so the returned outcome is bit-identical to the driver
+    decomposing the same subtree itself.
     """
-    from ..parallel.scheduler import INLINE
-
     labels = base.vertices
     subset = frozenset(labels[int(i)] for i in subset_indices)
     ctx = _SubtreeContext(
         graph=base,
         host_is_csr=True,
-        phi=phi,
-        mode=mode,
-        schedule=list(schedule),
-        max_depth=max_depth,
-        cut_kwargs=dict(cut_kwargs),
-        root=root,
-        scheduler=INLINE,
+        phi=spec.phi,
+        mode=spec.mode,
+        schedule=list(spec.schedule),
+        max_depth=spec.max_depth,
+        cut_kwargs=dict(spec.cut_kwargs),
+        root=spec.root,
+        engine=SEQUENTIAL,
         base=base,
     )
     return _decompose_subtree(ctx, subset, depth, hint)
@@ -576,7 +572,6 @@ def expander_decomposition(
     fast_path: bool = True,
     executor: Optional[Executor] = None,
     workers: Optional[int] = None,
-    scheduler: Optional[ComponentScheduler] = None,
     journal=None,
     deadline=None,
     on_progress=None,
@@ -638,10 +633,10 @@ def expander_decomposition(
         straight off the peeled view on the CSR path (no dict ``G{U}``
         rebuild) regardless of this flag.
     executor, workers:
-        Execution engine (:mod:`repro.parallel`), now used at *two* levels:
-        every level's ParallelNibble batches, and — through the component
-        scheduler it implies — whole sibling subtrees of the recursion.
-        ``workers`` > 1 creates one
+        Execution engine (:mod:`repro.parallel`), used for both kinds of
+        independent task: every level's ParallelNibble batches
+        (``run_batch``) and whole sibling subtrees of the recursion
+        (``run_siblings``).  ``workers`` > 1 creates one
         :class:`~repro.parallel.executor.ShardedExecutor` — one process
         pool, one shared snapshot per base — amortised over the whole
         recursion and closed on return; an explicit ``executor`` is used
@@ -654,12 +649,9 @@ def expander_decomposition(
         degradation (no shared memory, a broken pool) falls back to
         sequential with one warning.  The call draws exactly one stream
         root from ``seed`` — however deep the recursion, however many
-        batches run.
-    scheduler:
-        Explicit :class:`~repro.parallel.scheduler.ComponentScheduler`
-        override for sibling-subtree execution (default: the scheduler the
-        resolved engine implies — pooled for a sharded executor, inline
-        otherwise).  The testing seam for scheduling-invariance suites.
+        batches run.  ``executor`` is also the testing seam: a
+        scheduling-invariance suite passes an executor that runs siblings
+        in a shuffled order.
     journal:
         A :class:`~repro.resilience.journal.RunJournal` for
         checkpoint/resume.  Completed subtrees are recorded as the run
@@ -671,7 +663,8 @@ def expander_decomposition(
         :class:`ValueError`).  Journals are driver-side only; pool workers
         never see one.
     deadline:
-        A wall-clock budget: seconds (a float) or a prepared
+        A wall-clock budget: seconds (a float; ``inf`` never expires, NaN
+        raises :class:`ValueError`) or a prepared
         :class:`~repro.resilience.deadline.Deadline`.  On expiry the run
         stops cleanly and returns a :class:`PartialDecomposition` whose
         untouched subtrees are flagged ``unfinished`` uncertified
@@ -724,7 +717,7 @@ def expander_decomposition(
         max_depth=max_depth,
         cut_kwargs=cut_kwargs,
         root=root,
-        scheduler=resolve_scheduler(engine, scheduler),
+        engine=engine,
         journal=journal,
         deadline=resolve_deadline(deadline),
         on_progress=on_progress,

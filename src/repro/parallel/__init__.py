@@ -1,9 +1,11 @@
 """Shared-memory multicore execution backends for the decomposition.
 
-The pipeline's ParallelNibble batches are embarrassingly parallel — the
-paper even names them that way — and this package is the explicit seam
-through which they run: an :class:`~repro.parallel.executor.Executor`
-protocol with a sequential oracle and a process-pool engine, a
+The pipeline's ParallelNibble batches and the recursion's sibling
+subtrees are independent tasks — the paper even names the batches
+embarrassingly parallel — and this package is the one seam through which
+both run: an :class:`~repro.parallel.executor.Executor` protocol
+(``run_batch`` and ``run_siblings``) with a sequential oracle and a
+process-pool engine whose two task kinds share one dispatch path, a
 :class:`~repro.parallel.shared.SharedCSR` transport that moves the
 immutable CSR snapshot into ``multiprocessing.shared_memory`` exactly
 once, and the counter-based stream splitting of :mod:`repro.utils.rng`
@@ -19,33 +21,20 @@ from .executor import (
     Executor,
     SequentialExecutor,
     ShardedExecutor,
+    SubtreeSpec,
+    SubtreeTask,
     resolve_executor,
     sequential_batch,
     validate_batch_triples,
-)
-from .scheduler import (
-    INLINE,
-    ComponentScheduler,
-    InlineScheduler,
-    PermutedScheduler,
-    PooledComponentScheduler,
-    SubtreeSpec,
-    SubtreeTask,
-    resolve_scheduler,
     validate_subtree_outcome,
 )
 from .shared import SharedCSR, SharedCSRMeta, shared_memory_available
-from .worker import run_nibble_instance, run_sharded_chunk, run_subtree
+from .worker import run_chunk, run_nibble_instance, run_sharded_chunk, run_subtree
 
 __all__ = [
     "BatchResult",
-    "ComponentScheduler",
     "Executor",
-    "INLINE",
-    "InlineScheduler",
     "POOL_REBUILD_LIMIT",
-    "PermutedScheduler",
-    "PooledComponentScheduler",
     "SEQUENTIAL",
     "SHARD_MIN_VERTICES",
     "SequentialExecutor",
@@ -55,7 +44,7 @@ __all__ = [
     "SubtreeSpec",
     "SubtreeTask",
     "resolve_executor",
-    "resolve_scheduler",
+    "run_chunk",
     "run_nibble_instance",
     "run_sharded_chunk",
     "run_subtree",

@@ -1,44 +1,42 @@
-"""The execution-backend seam: how a ParallelNibble batch actually runs.
+"""The execution-backend seam: where ParallelNibble batches and sibling subtrees run.
 
-Three layers of the pipeline — :func:`repro.decomposition.sparse_cut.
-parallel_nibble_cuts`, :func:`~repro.decomposition.sparse_cut.
-nearly_most_balanced_sparse_cut`, and :func:`repro.decomposition.expander.
-expander_decomposition` — used to hand-roll the same in-loop sequencing of
-a batch's RandomNibble instances.  This module replaces that with one
-explicit protocol:
-
-* :class:`Executor` — ``run_batch(graph, params, root, batch_index, ...)``
-  returns ordered ``(instance_index, scale, cut)`` triples.  Executors
-  never touch :class:`~repro.utils.rounds.RoundReport`; the driver rebuilds
-  exact round accounting from the returned scales, so reports are
-  executor-independent by construction.
-* :class:`SequentialExecutor` — the bit-identity oracle: every instance
-  runs inline, in index order, on its counter-derived stream.
-* :class:`ShardedExecutor` — the multicore engine: the batch's immutable
-  CSR snapshot is published once into shared memory
-  (:class:`~repro.parallel.shared.SharedCSR`) and the instances fan out
-  over a ``ProcessPoolExecutor``, chunked contiguously across workers.
+The pipeline has two kinds of independent task and one seam for both,
+the :class:`Executor` protocol.  :meth:`Executor.run_batch` runs a
+ParallelNibble batch and returns ordered ``(instance_index, scale, cut)``
+triples (executors never touch :class:`~repro.utils.rounds.RoundReport`;
+the driver rebuilds exact round accounting from the scales).
+:meth:`Executor.run_siblings` runs a group of sibling subtrees of the
+decomposition recursion and returns their outcomes in task order.
+:class:`SequentialExecutor` is the bit-identity oracle: everything runs
+inline, in order.  :class:`ShardedExecutor` publishes the immutable CSR
+snapshot once into shared memory (:class:`~repro.parallel.shared
+.SharedCSR`) and fans batch chunks and whole subtrees out over a
+``ProcessPoolExecutor`` through one dispatch method,
+:meth:`ShardedExecutor._dispatch`.
 
 Cut-identity across engines falls out of the stream discipline
-(:func:`repro.utils.rng.task_stream`): instance ``i`` of batch ``b`` draws
-from a stream keyed by ``(root, b, i)`` on every engine, so which worker
-runs it — or whether a pool exists at all — cannot reach the outputs.
-That same property is the foundation of the resilience layer
-(:mod:`repro.resilience`): a crashed, hung, or lying worker's work is
-simply re-run inline on the same addressed streams — bit-identically —
-while the pool is torn down and rebuilt for the next batch.  Failures are
-recorded as structured :class:`~repro.resilience.events.DegradeEvent`\\ s
-on the executor; only when the bounded rebuild budget
-(``max_pool_rebuilds``) is exhausted does the engine degrade to inline
-execution permanently, with the one classic warning.  Returned results
-are re-verified against the working graph (``verify_results``) so a
-corrupted result — chaos-injected or real — is caught by recomputing the
-certification arithmetic, never silently propagated.
+(:mod:`repro.utils.rng`): instance ``i`` of batch ``b`` draws from a
+stream keyed by ``(root, b, i)`` and the subtree of subset *S* at depth
+*d* from one keyed by ``(root, d, component_stream_key(S))`` on every
+engine, so which worker runs a task — or whether a pool exists at all —
+cannot reach the outputs.  That same property is the foundation of the
+resilience layer (:mod:`repro.resilience`): a crashed, hung, or lying
+worker's job is simply re-run inline on the same addressed streams —
+bit-identically — while the pool is torn down and rebuilt for the next
+group.  Failures are recorded as structured
+:class:`~repro.resilience.events.DegradeEvent`\\ s on the executor; only
+when the bounded rebuild budget (``max_pool_rebuilds``) is exhausted does
+the engine degrade to inline execution permanently, with the one classic
+warning.  Every pooled result is re-verified in the driver
+(:func:`validate_batch_triples`, :func:`validate_subtree_outcome`), so a
+corrupted result is caught and recomputed, never silently propagated.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
+import math
 import os
 import signal
 import threading
@@ -46,7 +44,8 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,10 +56,10 @@ from ..graphs.graph import sorted_degree_map
 from ..graphs.peel import PeeledCSR
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
-from ..resilience.deadline import DeadlineExpired, active_deadline
+from ..resilience.deadline import active_deadline, check_walk_deadline
 from ..resilience.events import DegradeEvent, ResultValidationError
 from .shared import SharedCSR, shared_memory_available
-from .worker import run_nibble_instance, run_sharded_chunk
+from .worker import run_chunk, run_sharded_chunk, run_subtree
 
 #: A batch result: ``(instance_index, scale-or-None, cut-or-None)`` triples,
 #: ascending by instance index.
@@ -101,8 +100,8 @@ def sequential_batch(
 ) -> BatchResult:
     """Run a whole batch inline, instance by instance, in index order.
 
-    The shared body of :class:`SequentialExecutor` and of every fallback in
-    :class:`ShardedExecutor`.  ``task_streams`` defaults to
+    The body of :class:`SequentialExecutor` and of every batch
+    :class:`ShardedExecutor` keeps inline.  ``task_streams`` defaults to
     :func:`repro.utils.rng.task_stream`; injectable for tests that probe
     the stream keying.
 
@@ -113,52 +112,38 @@ def sequential_batch(
     terminal deep-recursion batches on clique chains, where a handful of
     possible starts meets Θ(log m) instances.
     """
-    from ..utils.rng import task_stream
-
-    streams = task_streams or task_stream
     degrees: Optional[dict] = None
     if not isinstance(graph, PeeledCSR):
         # Unchanged graph for the whole batch: build the canonical
         # start-sampling map once, not once per instance.
         degrees = sorted_degree_map(graph)
-    results: BatchResult = []
-    memo: dict = {}
-    for i in range(num_instances):
-        scale, cut = run_nibble_instance(
-            graph,
-            params,
-            streams(root, batch_index, i),
-            backend=backend,
-            csr=csr,
-            degrees=degrees,
-            adaptive=adaptive,
-            memo=memo,
-        )
-        results.append((i, scale, cut))
-    return results
+    return run_chunk(
+        graph, params, root, batch_index, range(num_instances), adaptive,
+        streams=task_streams, backend=backend, csr=csr, degrees=degrees,
+    )
 
 
 def validate_batch_triples(
-    graph, params: NibbleParameters, results: BatchResult, num_instances: int
+    graph, params: NibbleParameters, results: BatchResult, instance_indices: list[int]
 ) -> None:
-    """Re-verify a pooled batch's triples against the working graph.
+    """Re-verify a pooled batch chunk's triples against the working graph.
 
     The certification re-check of the resilience contract: every claimed
     cut's volume, boundary size, and conductance are recomputed from the
     cut's own vertices on the driver's working view — the same integer
     sweep statistics and the same float division the worker's scan used,
-    so agreement is exact, not approximate — and the index set and
-    truncation scales are checked against the batch shape and the
-    parameter schedule.  Any disagreement raises
+    so agreement is exact, not approximate — and the instance indices and
+    truncation scales are checked against the chunk's ``instance_indices``
+    (in order) and the parameter schedule.  Any disagreement raises
     :class:`~repro.resilience.events.ResultValidationError`, which the
     executor treats like a crashed worker: re-run inline, rebuild the
     pool.  A corrupted result can therefore never reach a caller.
     """
-    indices = sorted(index for index, _, _ in results)
-    if indices != list(range(num_instances)):
+    indices = [index for index, _, _ in results]
+    if indices != list(instance_indices):
         raise ResultValidationError(
-            f"pooled batch returned instance indices {indices}; "
-            f"expected exactly 0..{num_instances - 1}"
+            f"pooled chunk returned instance indices {indices}; "
+            f"expected exactly {list(instance_indices)}"
         )
     for index, scale, cut in results:
         if scale is not None and not 1 <= scale <= params.ell:
@@ -193,16 +178,140 @@ def validate_batch_triples(
             )
 
 
-class Executor:
-    """Protocol for running one ParallelNibble batch of Nibble instances.
+@dataclass(frozen=True)
+class SubtreeTask:
+    """One sibling subtree of the recursion: a component to decompose.
 
-    ``run_batch`` is the whole surface: given the working graph, the
-    parameter schedule, the batch's stream address ``(root, batch_index)``
-    and the instance count, return the ``(instance_index, scale, cut)``
-    triples in ascending index order.  Implementations must be
-    output-deterministic in those inputs — scheduling, worker identity, and
-    chunking may never reach a result — and must not touch round reports
-    (the driver charges rounds from the scales).
+    ``subset`` is the component's vertex-label set, ``depth`` its recursion
+    depth, and ``hint`` an optional precomputed
+    :class:`~repro.graphs.spectral.SpectralCertificate` of its induced
+    graph (the driver batches sibling solves).  Together with the run-wide
+    :class:`SubtreeSpec` these name the subtree completely — which is why
+    any engine can run it anywhere and produce the same outcome.
+    """
+
+    subset: frozenset
+    depth: int
+    hint: Optional[object] = None
+
+
+@dataclass(frozen=True)
+class SubtreeSpec:
+    """The run-wide parameters a pool worker needs to decompose a subtree.
+
+    ``base`` is the host CSR snapshot every subtree's peeled views restrict
+    (published into shared memory at dispatch time); the rest mirrors the
+    driver's own recursion context, with ``cut_kwargs`` already scrubbed of
+    the driver's executor (worker-side batches run sequentially — workers
+    never nest pools).  ``None`` at a dispatch site means the recursion has
+    no CSR base (pure dict run), so every sibling runs inline.
+
+    ``deadline`` is the driver-side :class:`~repro.resilience.deadline
+    .Deadline` (never shipped to workers — it bounds how long the *driver*
+    waits on pool results; workers hit by a cancel are killed and their
+    subtrees re-enter the driver, where the expired deadline turns them
+    into flagged unfinished markers immediately).
+    """
+
+    base: object
+    phi: float
+    mode: object
+    schedule: tuple
+    max_depth: int
+    cut_kwargs: dict
+    root: int
+    deadline: Optional[object] = None
+
+
+#: The inline callback :meth:`Executor.run_siblings` receives: decompose
+#: one task in the driver and return its outcome.
+RunInline = Callable[[SubtreeTask], object]
+
+#: What :meth:`Executor.run_siblings` returns: one outcome per task, in task
+#: order, and the positions whose outcome came back from a pool worker
+#: (the driver did not watch those subtrees emit, so it accounts their
+#: progress itself).
+SiblingResult = tuple[list, set]
+
+
+def validate_subtree_outcome(outcome, subset: frozenset, base: CSRGraph) -> None:
+    """Re-verify a pool-returned subtree outcome against the host snapshot.
+
+    The component-level certification re-check: the outcome's components
+    must exactly partition the subtree's vertex set (every vertex in
+    exactly one component), and its cut edges must be exactly the edges of
+    ``base`` inside the subset whose endpoints lie in different components,
+    each listed once — the recursion removes precisely those edges.  The
+    check costs O(Vol(subset)).  A worker returning a corrupted outcome —
+    chaos-injected or real — therefore cannot slip a wrong decomposition
+    past the driver; the violation raises
+    :class:`~repro.resilience.events.ResultValidationError` and the
+    subtree is re-run inline, bit-identically.
+    """
+    try:
+        components = outcome.components
+        cut_edges = outcome.cut_edges
+    except AttributeError as exc:
+        raise ResultValidationError(
+            f"subtree outcome has no components/cut_edges: {outcome!r}"
+        ) from exc
+    covered = 0
+    seen: set = set()
+    for component in components:
+        covered += len(component.vertices)
+        seen |= component.vertices
+    if covered != len(subset) or seen != set(subset):
+        raise ResultValidationError(
+            f"subtree components cover {covered} vertex slots over "
+            f"{len(seen)} distinct vertices; expected an exact partition of "
+            f"the {len(subset)}-vertex subtree"
+        )
+    index = base.index
+    rows = np.sort(np.fromiter((index[v] for v in subset), np.int64, len(subset)))
+    label = np.empty(len(rows), dtype=np.int64)
+    for position, component in enumerate(components):
+        label[np.searchsorted(rows, [index[v] for v in component.vertices])] = position
+    row_id, flat = base.flat_adjacency(rows)
+    at = np.minimum(np.searchsorted(rows, flat), len(rows) - 1)
+    crossing = (rows[at] == flat) & (label[at] != label[row_id]) & (rows[row_id] < flat)
+    expected = set(zip(rows[row_id[crossing]].tolist(), flat[crossing].tolist()))
+    claimed = set()
+    for edge in cut_edges:
+        try:
+            u, v = (index[endpoint] for endpoint in edge)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ResultValidationError(
+                f"subtree cut edge {edge!r} is not an edge of the host graph"
+            ) from exc
+        key = (min(u, v), max(u, v))
+        if key in claimed:
+            raise ResultValidationError(f"subtree cut edge {edge!r} is listed twice")
+        claimed.add(key)
+    if claimed != expected:
+        labels = base.vertices
+        invented = sorted(((labels[u], labels[v]) for u, v in claimed - expected), key=repr)
+        missing = sorted(((labels[u], labels[v]) for u, v in expected - claimed), key=repr)
+        raise ResultValidationError(
+            "subtree cut edges disagree with its components: "
+            f"invented {invented[:5]}, missing {missing[:5]}"
+        )
+
+
+class Executor:
+    """Protocol for running the pipeline's independent tasks.
+
+    Two methods make the surface.  ``run_batch``: given the working graph,
+    the parameter schedule, the batch's stream address ``(root,
+    batch_index)`` and the instance count, return the ``(instance_index,
+    scale, cut)`` triples in ascending index order.  ``run_siblings``: given
+    a group of sibling :class:`SubtreeTask`\\ s, a callback that decomposes
+    one task inline, and the run's :class:`SubtreeSpec` (or ``None``),
+    return a :data:`SiblingResult` — one outcome per task, in task order,
+    and the positions not run through the callback.  Implementations must
+    be output-deterministic in those inputs — execution order, worker
+    identity, chunking, and inline-vs-shipped placement may never reach a
+    result — and must not touch round reports (the driver charges rounds
+    from the scales).
 
     Executors are context managers; :meth:`close` releases whatever the
     engine holds (pools, shared segments) and is idempotent.
@@ -224,6 +333,15 @@ class Executor:
         """Run the batch; see the class docstring for the contract."""
         raise NotImplementedError
 
+    def run_siblings(
+        self,
+        tasks: list[SubtreeTask],
+        run_inline: RunInline,
+        spec: Optional[SubtreeSpec] = None,
+    ) -> SiblingResult:
+        """Run every sibling subtree; see the class docstring for the contract."""
+        raise NotImplementedError
+
     def close(self) -> None:
         """Release engine resources; idempotent, safe to call twice."""
 
@@ -237,12 +355,14 @@ class Executor:
 
 
 class SequentialExecutor(Executor):
-    """The in-process oracle: the batch runs inline in instance order.
+    """The in-process oracle: instances and sibling subtrees run inline, in order.
 
     Every other engine is defined as "produces exactly what this produces";
-    the parity suite (``tests/test_parallel.py``) pins that equivalence.
+    the parity suites (``tests/test_parallel.py``,
+    ``tests/test_component_parallel.py``) pin that equivalence.
     Stateless — the module-level :data:`SEQUENTIAL` singleton serves every
-    caller.
+    caller, including the pool workers themselves (workers never nest
+    pools).
     """
 
     name = "sequential"
@@ -263,6 +383,15 @@ class SequentialExecutor(Executor):
             graph, params, root, batch_index, num_instances,
             backend=backend, csr=csr, adaptive=adaptive,
         )
+
+    def run_siblings(
+        self,
+        tasks: list[SubtreeTask],
+        run_inline: RunInline,
+        spec: Optional[SubtreeSpec] = None,
+    ) -> SiblingResult:
+        """Run each task inline via ``run_inline``, in task order."""
+        return [run_inline(task) for task in tasks], set()
 
 
 #: The shared stateless sequential engine (the default executor).
@@ -333,29 +462,64 @@ def _install_sigterm_backstop() -> None:
     _SIGTERM_PID = os.getpid()
 
 
+@dataclass(frozen=True)
+class _Job:
+    """One task for :meth:`ShardedExecutor._dispatch`: a batch chunk or a subtree.
+
+    ``inline`` recomputes the result in the driver, bit-identically — the
+    recovery for a failed job and the whole job when ``fn`` is ``None``.
+    ``fn`` is the worker entry point, called as ``fn(meta, *args)`` with the
+    published snapshot's meta; ``address`` names the job for fault
+    injection (``("chunk", root, batch, first instance)`` or ``("subtree",
+    root, depth, first index, size)``); ``validate`` raises
+    :class:`~repro.resilience.events.ResultValidationError` on a wrong
+    pooled result.
+    """
+
+    inline: Callable[[], object]
+    fn: Optional[Callable] = None
+    args: tuple = ()
+    address: tuple = ()
+    validate: Optional[Callable[[object], None]] = None
+
+
+def _inline_chunk(graph, params, root, batch_index, indices, adaptive):
+    """A batch chunk recomputed in the driver, under the ambient deadline.
+
+    Checks the deadline first, so a chunk re-run after a deadline cancel
+    always ends the batch as an interrupted search.
+    """
+    check_walk_deadline()
+    return run_chunk(graph, params, root, batch_index, indices, adaptive)
+
+
 class ShardedExecutor(Executor):
-    """Process-pool engine: batches fan out over shared-memory snapshots.
+    """Process-pool engine: batches and sibling subtrees fan out over shared memory.
 
-    The pool is created lazily on the first sharded batch (constructing an
+    The pool is created lazily on the first shipped job (constructing an
     executor is free).  Batches on dict graphs, on views smaller than
-    ``min_shard_vertices``, or after the engine has terminally degraded
-    run inline through :func:`sequential_batch` — identical results either
-    way, per the stream discipline.  Published segments are cached per
-    snapshot object (keyed by identity, holding the base alive so the key
-    cannot be recycled) and unlinked on LRU eviction, :meth:`close`,
-    context-manager exit, or the ``atexit``/SIGTERM backstops.
+    ``min_shard_vertices``, sibling groups without a CSR base, siblings
+    smaller than ``min_shard_vertices``, and everything after the engine
+    has terminally degraded run inline — identical results either way, per
+    the stream discipline.  Small siblings run in the driver *while the
+    pool works*, so a split into one big and many tiny components overlaps
+    the big subtree with the tiny certifications.  Published segments are
+    cached per snapshot object (keyed by identity, holding the base alive
+    so the key cannot be recycled) and unlinked on LRU eviction,
+    :meth:`close`, context-manager exit, or the ``atexit``/SIGTERM
+    backstops.
 
-    Failure policy (the resilience layer): a submit error, a crashed
-    worker, a per-task timeout (``task_timeout`` seconds per outstanding
-    future; hung workers are killed), or a result failing re-verification
-    (``verify_results``) counts as one *failure episode* — recorded as a
-    :class:`~repro.resilience.events.DegradeEvent` on :attr:`events`, the
-    affected work re-run inline (bit-identically), the pool torn down and
-    lazily rebuilt for the next batch after ``retry_backoff`` seconds
-    (doubling per episode).  After ``max_pool_rebuilds`` episodes the
-    engine degrades to inline execution permanently with the one classic
-    warning; ``max_pool_rebuilds=0`` restores the historic
-    first-failure-is-final behaviour.
+    Failure policy (the resilience layer, :meth:`_dispatch`): a submit
+    error, a crashed worker, a per-task timeout (``task_timeout`` seconds
+    per outstanding future; hung workers are killed), or a result failing
+    re-verification counts as one *failure episode* per batch or sibling
+    group — recorded as a :class:`~repro.resilience.events.DegradeEvent` on
+    :attr:`events`, the failed jobs re-run inline (bit-identically), the
+    pool torn down and lazily rebuilt for the next group after
+    ``retry_backoff`` seconds (doubling per episode).  After
+    ``max_pool_rebuilds`` episodes the engine degrades to inline execution
+    permanently with the one classic warning; ``max_pool_rebuilds=0``
+    restores the historic first-failure-is-final behaviour.
     """
 
     name = "sharded"
@@ -367,7 +531,6 @@ class ShardedExecutor(Executor):
         max_pool_rebuilds: int = POOL_REBUILD_LIMIT,
         task_timeout: Optional[float] = None,
         retry_backoff: float = 0.05,
-        verify_results: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -376,7 +539,6 @@ class ShardedExecutor(Executor):
         self.max_pool_rebuilds = int(max_pool_rebuilds)
         self.task_timeout = task_timeout
         self.retry_backoff = float(retry_backoff)
-        self.verify_results = bool(verify_results)
         #: Structured failure/cancel episodes, in order of occurrence.
         self.events: list[DegradeEvent] = []
         self._pool = None
@@ -413,32 +575,18 @@ class ShardedExecutor(Executor):
         return handle
 
     # ------------------------------------------------------------------
-    def _chunk_call(self):
-        """The worker entrypoint for batch chunks: ``(callable, prefix-args)``.
+    def _worker_call(self, job: "_Job", meta) -> tuple:
+        """``(callable, *args)`` to submit for ``job`` (the chaos executor's seam)."""
+        return (job.fn, meta, *job.args)
 
-        The name is resolved from this module's globals at call time, so
-        tests that monkeypatch ``executor.run_sharded_chunk`` keep their
-        seam; :class:`~repro.resilience.chaos.ChaosExecutor` overrides the
-        hook itself to interpose fault injection.
-        """
-        return run_sharded_chunk, ()
-
-    def _subtree_call(self):
-        """The worker entrypoint for recursion subtrees: ``(callable, prefix-args)``.
-
-        Resolved from the scheduler module's globals at call time (tests
-        monkeypatch ``scheduler.run_subtree``); the chaos executor
-        overrides the hook to interpose fault injection.
-        """
-        from . import scheduler as scheduler_module
-
-        return scheduler_module.run_subtree, ()
-
-    def component_scheduler(self):
-        """The component-level scheduler this engine implies (pooled)."""
-        from .scheduler import PooledComponentScheduler
-
-        return PooledComponentScheduler(self)
+    def _wait_timeout(self, deadline) -> Optional[float]:
+        """``task_timeout`` capped by ``deadline``; ``None`` if neither bounds the wait."""
+        timeout = self.task_timeout
+        if deadline is not None:
+            remaining = deadline.remaining()
+            if remaining != math.inf:
+                timeout = remaining if timeout is None else min(timeout, remaining)
+        return timeout
 
     # ------------------------------------------------------------------
     def _teardown_pool(self, kill: bool = False) -> None:
@@ -452,17 +600,13 @@ class ShardedExecutor(Executor):
         if pool is None:
             return
         if kill:
-            try:
-                for process in list((getattr(pool, "_processes", None) or {}).values()):
-                    process.terminate()
-            except Exception:  # pragma: no cover - racing a dying pool
-                pass
+            _kill_workers(pool)
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - shutdown of a dead pool
             pass
 
-    def _note_failure(self, exc: Exception, scope: str, kill: bool = False) -> None:
+    def _note_failure(self, exc: Exception, scope: str) -> None:
         """Record one failure episode; tear down and maybe terminally degrade.
 
         The episode is appended to :attr:`events`; the pool is dropped
@@ -486,7 +630,7 @@ class ShardedExecutor(Executor):
                 fatal=fatal,
             )
         )
-        self._teardown_pool(kill=kill or kind == "timeout")
+        self._teardown_pool(kill=kind == "timeout")
         if fatal:
             self._degrade(exc)
         elif self.retry_backoff > 0:
@@ -500,7 +644,7 @@ class ShardedExecutor(Executor):
             "sharded executor degraded to sequential execution "
             f"({type(exc).__name__}: {exc}); results are unaffected",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
 
     def _deadline_cancel(self, scope: str) -> None:
@@ -522,6 +666,58 @@ class ShardedExecutor(Executor):
         self._teardown_pool(kill=True)
 
     # ------------------------------------------------------------------
+    def _dispatch(self, scope: str, base: CSRGraph, jobs: list["_Job"], deadline) -> SiblingResult:
+        """Run ``jobs``: the one submit / wait / validate / recover path.
+
+        Publishes ``base`` and ships every job that has a worker entry
+        point; the others run inline while the pool works.  Each wait is
+        bounded by ``task_timeout`` and ``deadline``; every pooled result
+        is validated.  The first failure is the group's one failure
+        episode (a broken pool fails every outstanding future at once, and
+        charging each would spend the whole rebuild budget on one event);
+        a wait cut short by an expired deadline instead cancels the pool
+        work without charging the budget.  Every failed or cancelled job
+        re-runs inline.  Returns the results in job order and the
+        positions that came from the pool.
+        """
+        futures: dict[int, object] = {}
+        if any(job.fn is not None for job in jobs) and (
+            deadline is None or not deadline.expired()
+        ):
+            try:
+                meta = self._publish(base).meta
+                pool = self._ensure_pool()
+                for i, job in enumerate(jobs):
+                    if job.fn is not None:
+                        futures[i] = pool.submit(*self._worker_call(job, meta))
+            except Exception as exc:
+                self._note_failure(exc, scope=scope)
+                futures = {}
+        results = [None if i in futures else job.inline() for i, job in enumerate(jobs)]
+        pooled: set = set()
+        failed = cancelled = False
+        for i, future in futures.items():
+            job = jobs[i]
+            try:
+                result = future.result(timeout=self._wait_timeout(deadline))
+                job.validate(result)
+            except Exception as exc:
+                expired = deadline is not None and deadline.expired()
+                if not cancelled and expired and isinstance(exc, TIMEOUT_ERRORS):
+                    # The budget ran out while the pool was working: cancel
+                    # the rest (not a fault); the inline re-runs notice the
+                    # expired deadline at once.
+                    cancelled = True
+                    self._deadline_cancel(scope)
+                elif not cancelled and not failed:
+                    failed = True
+                    self._note_failure(exc, scope=scope)
+                results[i] = job.inline()
+            else:
+                results[i] = result
+                pooled.add(i)
+        return results, pooled
+
     def run_batch(
         self,
         graph,
@@ -533,16 +729,15 @@ class ShardedExecutor(Executor):
         csr: Optional[CSRGraph] = None,
         adaptive: bool = True,
     ) -> BatchResult:
-        """Fan the batch out over the pool; recover inline on any failure.
+        """Fan the batch out over the pool as one chunk per worker.
 
         Only :class:`PeeledCSR` batches above the size floor are shipped —
         dict-graph batches (small by the backend auto-threshold) and tiny
-        views run inline.  A pool-side failure (crash, timeout, or a
-        result failing re-verification) is one failure episode: the batch
-        re-runs inline — bit-identically, per the counter-keyed streams —
-        and the pool is rebuilt for the next batch until the rebuild
-        budget is spent.  An ambient deadline bounds the wait for pool
-        results; its expiry raises
+        views run inline.  A failed chunk re-runs only its own instances
+        inline: the streams are counter-addressed and the batch memo is
+        exact, so that is bit-identical to re-running the batch.  An
+        ambient deadline bounds the wait for pool results; once it has
+        expired, a chunk's inline re-run raises
         :class:`~repro.resilience.deadline.DeadlineExpired` (a cancel, not
         a failure), which the sparse-cut driver converts into an
         interrupted result.
@@ -558,67 +753,71 @@ class ShardedExecutor(Executor):
                 graph, params, root, batch_index, num_instances,
                 backend=backend, csr=csr, adaptive=adaptive,
             )
-        deadline = active_deadline()
-        futures: list = []
-        try:
-            meta = self._publish(graph.base).meta
-            pool = self._ensure_pool()
-            chunk_call, chunk_prefix = self._chunk_call()
-            chunks = [
-                chunk
-                for chunk in np.array_split(
-                    np.arange(num_instances), min(self.workers, num_instances)
+        jobs = []
+        for chunk in np.array_split(
+            np.arange(num_instances), min(self.workers, num_instances)
+        ):
+            indices = [int(i) for i in chunk]
+            jobs.append(
+                _Job(
+                    inline=functools.partial(
+                        _inline_chunk, graph, params, root, batch_index, indices, adaptive
+                    ),
+                    fn=run_sharded_chunk,
+                    args=(
+                        graph.alive, graph.proper_degree, graph.loops, graph.total_volume,
+                        graph.num_edges, params, root, batch_index, indices, adaptive,
+                    ),
+                    address=("chunk", root, batch_index, indices[0]),
+                    validate=functools.partial(
+                        validate_batch_triples, graph, params, instance_indices=indices
+                    ),
                 )
-                if chunk.size
-            ]
-            futures = [
-                pool.submit(
-                    chunk_call,
-                    *chunk_prefix,
-                    meta,
-                    graph.alive,
-                    graph.proper_degree,
-                    graph.loops,
-                    graph.total_volume,
-                    graph.num_edges,
-                    params,
-                    root,
-                    batch_index,
-                    [int(i) for i in chunk],
-                    adaptive,
+            )
+        chunks, _ = self._dispatch("batch", graph.base, jobs, active_deadline())
+        return [triple for chunk in chunks for triple in chunk]
+
+    def run_siblings(
+        self,
+        tasks: list[SubtreeTask],
+        run_inline: RunInline,
+        spec: Optional[SubtreeSpec] = None,
+    ) -> SiblingResult:
+        """Ship siblings at or above the size floor to the pool, run the rest inline.
+
+        Every shipped subtree decomposes wholly inside one worker against
+        the published host snapshot (:func:`repro.parallel.worker
+        .run_subtree`) and is re-verified by
+        :func:`validate_subtree_outcome`.  Without a spec (no CSR base),
+        on a degraded engine, or for a lone task, everything runs inline.
+        The spec's deadline bounds each wait; its expiry cancels the
+        remaining pool work, and the inline re-runs emit their flagged
+        unfinished markers at once.
+        """
+        if spec is None or self._broken or self._closed or len(tasks) < 2:
+            return SEQUENTIAL.run_siblings(tasks, run_inline)
+        index = spec.base.index
+        shipped = replace(spec, base=None, deadline=None)  # both stay driver-side
+        jobs = []
+        for task in tasks:
+            inline = functools.partial(run_inline, task)
+            if len(task.subset) < self.min_shard_vertices:
+                jobs.append(_Job(inline=inline))
+                continue
+            subset_indices = sorted(index[v] for v in task.subset)
+            first = subset_indices[0] if subset_indices else -1
+            jobs.append(
+                _Job(
+                    inline=inline,
+                    fn=run_subtree,
+                    args=(subset_indices, task.depth, task.hint, shipped),
+                    address=("subtree", spec.root, task.depth, first, len(subset_indices)),
+                    validate=functools.partial(
+                        validate_subtree_outcome, subset=task.subset, base=spec.base
+                    ),
                 )
-                for chunk in chunks
-            ]
-            results: BatchResult = []
-            for future in futures:
-                timeout = self.task_timeout
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    timeout = remaining if timeout is None else min(timeout, remaining)
-                results.extend(future.result(timeout=timeout))
-            if self.verify_results:
-                validate_batch_triples(graph, params, results, num_instances)
-        except DeadlineExpired:
-            raise
-        except Exception as exc:
-            if (
-                deadline is not None
-                and deadline.expired()
-                and isinstance(exc, TIMEOUT_ERRORS)
-            ):
-                self._deadline_cancel("batch")
-                raise DeadlineExpired(
-                    "deadline expired while waiting on a pooled batch"
-                ) from exc
-            self._note_failure(
-                exc, scope="batch", kill=isinstance(exc, TIMEOUT_ERRORS)
             )
-            return sequential_batch(
-                graph, params, root, batch_index, num_instances,
-                backend=backend, csr=csr, adaptive=adaptive,
-            )
-        results.sort(key=lambda triple: triple[0])
-        return results
+        return self._dispatch("subtree", spec.base, jobs, spec.deadline)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -632,10 +831,7 @@ class ShardedExecutor(Executor):
             except Exception:  # pragma: no cover - interpreter teardown
                 pass
             self._pool = None
-        while self._published:
-            _, (_, handle) = self._published.popitem(last=False)
-            handle.unlink()
-        _LIVE_SHARDED.discard(self)
+        self._unlink_published()
 
     def _signal_teardown(self) -> None:
         """Async-signal-tolerant teardown: raw worker kills + unlinks only.
@@ -650,11 +846,11 @@ class ShardedExecutor(Executor):
         self._broken = True
         pool, self._pool = self._pool, None
         if pool is not None:
-            for process in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - racing a dying pool
-                    pass
+            _kill_workers(pool)
+        self._unlink_published()
+
+    def _unlink_published(self) -> None:
+        """Unlink every published segment and leave the live set."""
         while self._published:
             _, (_, handle) = self._published.popitem(last=False)
             try:
@@ -663,23 +859,14 @@ class ShardedExecutor(Executor):
                 pass
         _LIVE_SHARDED.discard(self)
 
-    def terminate(self) -> None:
-        """Interrupt-path close: kill workers now, then unlink; idempotent.
 
-        Unlike :meth:`close` this never waits on outstanding work — it is
-        what the SIGTERM backstop and deadline cancellation call, so a
-        terminating run leaves no orphaned pool processes and no
-        ``/dev/shm`` segments behind.
-        """
-        self._closed = True
-        self._teardown_pool(kill=True)
-        while self._published:
-            _, (_, handle) = self._published.popitem(last=False)
-            try:
-                handle.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-        _LIVE_SHARDED.discard(self)
+def _kill_workers(pool) -> None:
+    """SIGTERM every worker process of ``pool`` (lock-free, best effort)."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - racing a dying pool
+            pass
 
 
 _FALLBACK_WARNED = False

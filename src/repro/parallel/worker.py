@@ -1,13 +1,15 @@
 """Worker-process side of the sharded executor (and the shared instance body).
 
-The driver ships each worker one *chunk* of a ParallelNibble batch: the
-:class:`~repro.parallel.shared.SharedCSRMeta` of the published snapshot,
-the batch's :class:`~repro.graphs.peel.PeeledCSR` mask state (small dense
-arrays), the stream root / batch index, and the instance indices of the
-chunk.  :func:`run_sharded_chunk` rehydrates the view and runs each
-instance on its own counter-derived stream — no state flows between
-instances, between chunks, or between processes, which is the whole
-determinism argument (``docs/PARALLEL.md``).
+The driver ships a worker one of two jobs, each led by the
+:class:`~repro.parallel.shared.SharedCSRMeta` of the published snapshot:
+a *chunk* of a ParallelNibble batch — the batch's
+:class:`~repro.graphs.peel.PeeledCSR` mask state (small dense arrays), the
+stream root / batch index, and the chunk's instance indices — for
+:func:`run_sharded_chunk`, or a recursion *subtree* for
+:func:`run_subtree`.  Each rehydrates its graph and runs on
+counter-derived streams — no state flows between instances, between
+jobs, or between processes, which is the whole determinism argument
+(``docs/PARALLEL.md``).
 
 :func:`run_nibble_instance` is the single shared body of one RandomNibble
 instance.  The sequential driver (:func:`repro.decomposition.sparse_cut.
@@ -152,25 +154,17 @@ def run_nibble_instance(
 
 
 def run_subtree(
-    meta: SharedCSRMeta,
-    subset_indices: list[int],
-    depth: int,
-    hint,
-    phi: float,
-    mode,
-    schedule,
-    max_depth: int,
-    cut_kwargs: dict,
-    root: int,
+    meta: SharedCSRMeta, subset_indices: list[int], depth: int, hint, spec
 ) -> object:
     """Decompose one recursion subtree inside a worker process.
 
     Rehydrates the host snapshot from shared memory (cached per process by
-    :func:`attached_graph`), maps the shipped base indices back to vertex
-    labels, and runs the exact driver recursion
+    :func:`attached_graph`) and runs the exact driver recursion
     (:func:`repro.decomposition.expander.decompose_subtree_on_base`) with
-    the inline scheduler and the sequential batch executor — workers never
-    nest pools.  Every searched component inside the subtree draws from
+    the sequential executor for its sibling groups and batches — workers
+    never nest pools.  ``spec`` is the run's
+    :class:`~repro.parallel.executor.SubtreeSpec` shipped without its base
+    and deadline.  Every searched component inside the subtree draws from
     ``split_stream(root, depth, component_stream_key(subset))``, the same
     address the driver would use, so the returned outcome (components, cut
     edges, level reports, pre-check skips) is bit-identical to an inline
@@ -179,19 +173,46 @@ def run_subtree(
     """
     from ..decomposition.expander import decompose_subtree_on_base
 
-    base = attached_graph(meta)
     return decompose_subtree_on_base(
-        base,
-        subset_indices,
-        depth,
-        hint,
-        phi,
-        mode,
-        schedule,
-        max_depth,
-        cut_kwargs,
-        root,
+        attached_graph(meta), subset_indices, depth, hint, spec
     )
+
+
+def run_chunk(
+    graph: "PeeledCSR | object",
+    params: NibbleParameters,
+    root: int,
+    batch_index: int,
+    instance_indices,
+    adaptive: bool = True,
+    streams=None,
+    **instance_kwargs,
+) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
+    """Run the listed instances of one batch on ``graph``, in order.
+
+    The one instance loop: a pooled chunk, its inline re-run in the
+    driver, and a whole inline batch all come through here.  Every
+    instance runs on ``streams(root, batch_index, instance_index)``
+    (default :func:`repro.utils.rng.task_stream` — the key names *what*
+    the task is, never where it runs) with a memo private to this call,
+    so nothing flows between chunks; ``instance_kwargs`` go to
+    :func:`run_nibble_instance`.  Returns ``(instance_index, scale, cut)``
+    triples in the given order.
+    """
+    streams = streams or task_stream
+    out: list[tuple[int, Optional[int], Optional[NibbleCut]]] = []
+    memo: dict = {}
+    for i in instance_indices:
+        scale, cut = run_nibble_instance(
+            graph,
+            params,
+            streams(root, batch_index, int(i)),
+            adaptive=adaptive,
+            memo=memo,
+            **instance_kwargs,
+        )
+        out.append((int(i), scale, cut))
+    return out
 
 
 def run_sharded_chunk(
@@ -210,12 +231,9 @@ def run_sharded_chunk(
     """Run one chunk of a ParallelNibble batch inside a worker process.
 
     Rebuilds the batch's :class:`PeeledCSR` view over the shared snapshot
-    (zero-copy base arrays, small shipped mask arrays) and runs every
-    instance of the chunk on :func:`repro.utils.rng.task_stream` keyed by
-    ``(batch_index, instance_index)`` — the key names *what* the task is,
-    never where it runs, so the triples this returns are identical to what
-    the sequential executor computes for the same indices.  Returns
-    ``(instance_index, scale, cut)`` triples in chunk order.
+    (zero-copy base arrays, small shipped mask arrays) and runs the chunk
+    through :func:`run_chunk`, so the triples this returns are identical
+    to what the sequential executor computes for the same indices.
     """
     base = attached_graph(meta)
     view = PeeledCSR(
@@ -226,12 +244,4 @@ def run_sharded_chunk(
         total_volume=int(total_volume),
         num_edges=int(num_edges),
     )
-    out: list[tuple[int, Optional[int], Optional[NibbleCut]]] = []
-    memo: dict = {}  # per-chunk: nothing may flow between chunks
-    for i in instance_indices:
-        stream = task_stream(root, batch_index, int(i))
-        scale, cut = run_nibble_instance(
-            view, params, stream, adaptive=adaptive, memo=memo
-        )
-        out.append((int(i), scale, cut))
-    return out
+    return run_chunk(view, params, root, batch_index, instance_indices, adaptive)

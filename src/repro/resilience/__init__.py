@@ -15,9 +15,9 @@ missing work; this package is what lets it *survive* it:
 * :mod:`~repro.resilience.events` — structured :class:`DegradeEvent`
   records replacing the old one-shot degradation warning, plus
   :class:`ResultValidationError`, the re-verification failure.
-* :mod:`~repro.resilience.chaos` — :class:`ChaosExecutor` /
-  :class:`ChaosScheduler`, seeded deterministic fault injection
-  (crash / hang / slow / corrupt) across the whole differential matrix.
+* :mod:`~repro.resilience.chaos` — :class:`ChaosExecutor`, seeded
+  deterministic fault injection (crash / hang / slow / corrupt) into both
+  pooled task kinds, across the whole differential matrix.
 
 The first three modules import nothing from the rest of the package, so
 every layer can depend on them; :mod:`~repro.resilience.chaos` sits
@@ -39,10 +39,8 @@ from .journal import RunJournal
 _CHAOS_NAMES = {
     "ChaosExecutor",
     "ChaosInjectedCrash",
-    "ChaosScheduler",
     "ChaosSpec",
-    "chaos_run_sharded_chunk",
-    "chaos_run_subtree",
+    "chaos_run_task",
 }
 
 __all__ = [

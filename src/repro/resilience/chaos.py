@@ -1,10 +1,9 @@
 """Deterministic fault injection for the parallel execution layer.
 
-PR 9 tested the degrade paths with ad-hoc poisoned workers; this module
-promotes that into a reusable layer: a :class:`ChaosExecutor` /
-:class:`ChaosScheduler` pair that behaves exactly like the sharded engine
-except that each shipped work item — a ParallelNibble chunk or a
-recursion subtree — may be hit by a seeded fault:
+A :class:`ChaosExecutor` behaves exactly like the sharded engine except
+that each shipped work item — a ParallelNibble chunk or a recursion
+subtree — runs through one worker wrapper, :func:`chaos_run_task`, and
+may be hit by a seeded fault:
 
 * **crash** — the worker raises :class:`ChaosInjectedCrash`;
 * **hang** — the worker sleeps past the engine's per-task timeout;
@@ -16,7 +15,9 @@ recursion subtree — may be hit by a seeded fault:
   catch and recover from.
 
 Fault decisions are a pure function of ``(ChaosSpec.seed, work-item
-address)`` — SHA-256, like every other cross-process key in this
+address)`` — the address the driver gives each job, ``("chunk", root,
+batch, first instance)`` or ``("subtree", root, depth, first index,
+size)``, hashed with SHA-256 like every other cross-process key in this
 repository — so a chaos run is exactly reproducible: the same spec
 injects the same faults into the same chunks on any machine, any worker
 count, any scheduling order.  Because the retry layer recovers every
@@ -33,7 +34,6 @@ import time
 from dataclasses import dataclass, replace
 
 from ..parallel.executor import SHARD_MIN_VERTICES, ShardedExecutor
-from ..parallel.scheduler import PooledComponentScheduler
 
 
 class ChaosInjectedCrash(RuntimeError):
@@ -114,7 +114,7 @@ def _corrupt_outcome(outcome):
 
     Drops one vertex from the first multi-vertex component (the outcome's
     components then no longer cover the subtree's subset), falling back
-    to dropping a whole component.  Caught by the scheduler's partition
+    to dropping a whole component.  Caught by the executor's partition
     re-verification.
     """
     for position, component in enumerate(outcome.components):
@@ -129,71 +129,42 @@ def _corrupt_outcome(outcome):
     return outcome
 
 
-def chaos_run_sharded_chunk(spec: ChaosSpec, *args):
-    """Worker-side chunk entrypoint with fault injection; pool-picklable.
-
-    Delegates to :func:`repro.parallel.worker.run_sharded_chunk` (the real
-    chunk body) unless the spec's roll for this chunk's address —
-    ``("chunk", root, batch_index, first_instance)`` — injects a fault.
-    """
-    from ..parallel.worker import run_sharded_chunk
-
-    root, batch_index, instance_indices = args[7], args[8], args[9]
-    first = instance_indices[0] if instance_indices else -1
-    fault = spec.roll("chunk", root, batch_index, first)
-    if fault == "crash":
-        raise ChaosInjectedCrash(
-            f"injected crash in chunk (batch {batch_index}, instances {instance_indices})"
-        )
-    if fault == "hang":
-        time.sleep(spec.hang_seconds)
-    elif fault == "slow":
-        time.sleep(spec.slow_seconds)
-    results = run_sharded_chunk(*args)
-    if fault == "corrupt":
-        results = _corrupt_triples(results)
-    return results
+#: The corruptor for each task kind, keyed by the address's first element.
+CORRUPTORS = {"chunk": _corrupt_triples, "subtree": _corrupt_outcome}
 
 
-def chaos_run_subtree(spec: ChaosSpec, *args):
-    """Worker-side subtree entrypoint with fault injection; pool-picklable.
+def chaos_run_task(spec: ChaosSpec, address: tuple, corrupt, fn, *args):
+    """Worker-side entry point with fault injection; pool-picklable.
 
-    Delegates to :func:`repro.parallel.worker.run_subtree` unless the roll
-    for this subtree's address — ``("subtree", root, depth, sorted subset
-    indices digest)`` — injects a fault.  The address uses the same facts
-    the subtree's own stream key does, so the fault plan is independent of
+    Runs ``fn(*args)`` — the job's real worker entry point — unless the
+    spec's roll for the driver-given ``address`` injects a fault; a
+    corrupt fault passes the result through ``corrupt``, the corruptor for
+    the job's kind (:data:`CORRUPTORS`).  The address uses the same facts
+    the job's own stream key does, so the fault plan is independent of
     scheduling, exactly like the randomness it perturbs.
     """
-    from ..parallel.worker import run_subtree
-
-    subset_indices, depth, root = args[1], args[2], args[9]
-    first = subset_indices[0] if subset_indices else -1
-    fault = spec.roll("subtree", root, depth, first, len(subset_indices))
+    fault = spec.roll(*address)
     if fault == "crash":
-        raise ChaosInjectedCrash(
-            f"injected crash in subtree (depth {depth}, n={len(subset_indices)})"
-        )
+        raise ChaosInjectedCrash(f"injected crash in {address!r}")
     if fault == "hang":
         time.sleep(spec.hang_seconds)
     elif fault == "slow":
         time.sleep(spec.slow_seconds)
-    outcome = run_subtree(*args)
-    if fault == "corrupt":
-        outcome = _corrupt_outcome(outcome)
-    return outcome
+    result = fn(*args)
+    return corrupt(result) if fault == "corrupt" else result
 
 
 class ChaosExecutor(ShardedExecutor):
     """A sharded executor whose shipped work is fault-injected per the spec.
 
-    Everything else — publication cache, stream discipline, retry layer —
-    is inherited.  Guard rails the chaos contract needs are enforced at
+    Everything else — publication cache, stream discipline, the one
+    dispatch path with its always-on result re-verification — is
+    inherited.  Guard rails the chaos contract needs are enforced at
     construction: a non-zero hang rate requires a per-task timeout
-    (default 5 s) so no configuration can hang, a non-zero corrupt rate
-    forces result re-verification on so no corruption can pass, and the
-    rebuild budget defaults to effectively unlimited so injected faults
-    exercise the *retry* path rather than the terminal degrade (tests pin
-    the terminal path separately with ``max_pool_rebuilds=0``).
+    (default 5 s) so no configuration can hang, and the rebuild budget
+    defaults to effectively unlimited so injected faults exercise the
+    *retry* path rather than the terminal degrade (tests pin the terminal
+    path separately with ``max_pool_rebuilds=0``).
     """
 
     name = "chaos"
@@ -206,44 +177,27 @@ class ChaosExecutor(ShardedExecutor):
         max_pool_rebuilds: int = 1_000_000,
         task_timeout: float = None,
         retry_backoff: float = 0.0,
-        verify_results: bool = True,
     ) -> None:
         spec = spec if spec is not None else ChaosSpec()
         if spec.hang > 0 and task_timeout is None:
             task_timeout = 5.0
-        if spec.corrupt > 0:
-            verify_results = True
         super().__init__(
             workers,
             min_shard_vertices=min_shard_vertices,
             max_pool_rebuilds=max_pool_rebuilds,
             task_timeout=task_timeout,
             retry_backoff=retry_backoff,
-            verify_results=verify_results,
         )
         self.spec = spec
 
-    def _chunk_call(self):
-        """Route batch chunks through :func:`chaos_run_sharded_chunk`."""
-        return chaos_run_sharded_chunk, (self.spec,)
-
-    def _subtree_call(self):
-        """Route subtrees through :func:`chaos_run_subtree`."""
-        return chaos_run_subtree, (self.spec,)
-
-    def component_scheduler(self):
-        """The chaos engine's component-level face."""
-        return ChaosScheduler(self)
-
-
-class ChaosScheduler(PooledComponentScheduler):
-    """The pooled component scheduler over a :class:`ChaosExecutor`.
-
-    A named subclass rather than new behaviour: subtree dispatch already
-    flows through the executor's ``_subtree_call`` hook, so wrapping a
-    chaos engine is all the fault injection needs — but the distinct
-    ``name`` keeps chaos runs identifiable in test parametrisation and
-    bench output.
-    """
-
-    name = "chaos-pooled"
+    def _worker_call(self, job, meta) -> tuple:
+        """Route every job through :func:`chaos_run_task`."""
+        return (
+            chaos_run_task,
+            self.spec,
+            job.address,
+            CORRUPTORS[job.address[0]],
+            job.fn,
+            meta,
+            *job.args,
+        )

@@ -26,6 +26,7 @@ through emitting its unfinished markers.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from typing import Callable, Optional, Union
@@ -50,13 +51,20 @@ class Deadline:
     against the same clock.  Once expired, always expired (the latch), so
     every layer that consults the deadline after expiry agrees — which is
     what makes the partial decomposition's "everything after the expiry
-    point is an unfinished marker" prefix argument exact.
+    point is an unfinished marker" prefix argument exact.  An infinite
+    budget never expires; a NaN budget raises :class:`ValueError` (it
+    would compare false against every elapsed time and leave nothing
+    remaining without ever expiring).
     """
 
     def __init__(
         self, seconds: float, clock: Optional[Callable[[], float]] = None
     ) -> None:
         self.budget = float(seconds)
+        if math.isnan(self.budget):
+            raise ValueError(
+                f"deadline budget must be a number of seconds, got {seconds!r}"
+            )
         self._clock = clock if clock is not None else time.monotonic
         self._start = self._clock()
         self._expired = False

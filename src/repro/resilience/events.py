@@ -1,13 +1,12 @@
 """Structured degrade events: what went wrong, where, and what happened next.
 
-The resilient executor layer (:mod:`repro.parallel.executor`,
-:mod:`repro.parallel.scheduler`) used to communicate failure through a
-single one-shot ``RuntimeWarning``; with bounded pool-rebuild retries a
-run can now survive *several* distinct failure episodes, so each one is
-recorded as a :class:`DegradeEvent` on the executor's ``events`` list —
-machine-readable, assertable in tests, and printable by bench — while the
-warning is reserved for the terminal "retries exhausted, inline forever"
-transition.
+The resilient executor layer (:mod:`repro.parallel.executor`) used to
+communicate failure through a single one-shot ``RuntimeWarning``; with
+bounded pool-rebuild retries a run can now survive *several* distinct
+failure episodes, so each one is recorded as a :class:`DegradeEvent` on
+the executor's ``events`` list — machine-readable, assertable in tests,
+and printable by bench — while the warning is reserved for the terminal
+"retries exhausted, inline forever" transition.
 
 This module imports nothing from the rest of the package (it sits below
 both :mod:`repro.parallel` and :mod:`repro.decomposition` in the import
@@ -22,10 +21,11 @@ from dataclasses import dataclass
 class ResultValidationError(RuntimeError):
     """A pool worker returned a result that fails re-verification.
 
-    Raised by the executor's batch validator and the scheduler's outcome
-    validator when a returned cut's recomputed conductance/volume/boundary
-    disagrees with what the worker claimed, or a subtree outcome's
-    components fail to partition the subtree's vertex set.  The caller
+    Raised by the executor's batch and subtree validators when a returned
+    cut's recomputed conductance/volume/boundary disagrees with what the
+    worker claimed, or a subtree outcome's components fail to partition
+    the subtree's vertex set or its cut edges are not exactly the host
+    edges between those components.  The caller
     treats it exactly like a crashed worker: the work is re-run inline
     (bit-identically, per the counter-addressed stream discipline) and the
     pool is rebuilt — a corrupted result can therefore never reach a

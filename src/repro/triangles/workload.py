@@ -98,8 +98,8 @@ def _rng_state_key(rng: np.random.Generator) -> str:
 def _scrub_execution_kwargs(sparse_cut_kwargs: Optional[dict]) -> dict:
     """Drop execution-engine keys from sparse-cut kwargs before key-building.
 
-    ``executor``, ``workers``, and ``scheduler`` select *how* batches and
-    sibling subtrees run, never *what* they produce (the
+    ``executor`` and ``workers`` select *how* batches and sibling
+    subtrees run, never *what* they produce (the
     :mod:`repro.parallel` identity contract), so they must not fragment the
     decomposition cache — and an executor object's ``repr`` would poison
     the key with a process-local address anyway.
@@ -107,7 +107,7 @@ def _scrub_execution_kwargs(sparse_cut_kwargs: Optional[dict]) -> dict:
     return {
         k: v
         for k, v in (sparse_cut_kwargs or {}).items()
-        if k not in ("executor", "workers", "scheduler")
+        if k not in ("executor", "workers")
     }
 
 

@@ -59,6 +59,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
+from repro.parallel import SequentialExecutor
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,10 @@ class BackendConfig:
     index_dtype: str = "int32"
     fast_path: bool = True
     mmap: bool = False
-    #: Component-scheduler column: ``"inline"`` (the oracle ordering) or
+    #: Sibling-order column: ``"inline"`` (the oracle ordering) or
     #: ``"permuted"`` — sibling subtrees executed in a deterministic
-    #: shuffled order, the in-process stand-in for pool completion races.
+    #: shuffled order by :class:`PermutedExecutor`, the in-process stand-in
+    #: for pool completion races.
     scheduler: str = "inline"
 
 
@@ -205,7 +207,10 @@ def ambient_executor():
     subtrees while still asserting bit-identity to the dict oracle.  One
     engine is shared across the suite (one pool, one snapshot cache); the
     executor module's ``atexit`` backstop unlinks its segments at
-    interpreter exit.
+    interpreter exit.  The ``component-parallel`` cell's decompositions run
+    on :class:`PermutedExecutor` instead (its sparse cuts still use this
+    engine): the permuted order is that cell's whole point, and the other
+    cells already cover pool-side subtrees.
 
     The ``chaos-parity`` job additionally sets ``REPRO_DIFF_CHAOS=<seed>``:
     the engine becomes a :class:`~repro.resilience.chaos.ChaosExecutor`
@@ -243,15 +248,39 @@ def ambient_executor():
     return _AMBIENT_EXECUTOR
 
 
-def _config_scheduler(config: BackendConfig):
-    """The component scheduler a configuration forces (``None`` = engine's)."""
-    if config.scheduler == "permuted":
-        from repro.parallel import PermutedScheduler
+class PermutedExecutor(SequentialExecutor):
+    """Adversarial test engine: sibling subtrees run inline in a shuffled order.
 
+    Each sibling group is executed in a deterministic pseudo-random
+    permutation of its submission order — the in-process model of pool
+    workers finishing (and delivering) in an arbitrary order — and returned
+    in task order.  Batches run exactly as on the sequential oracle.
+    Because the recursion is pure (counter-addressed streams, no shared
+    mutable state), the outcomes must be bit-identical to the sequential
+    executor's; the ``component-parallel`` matrix cell and
+    ``test_scheduling.py`` assert exactly that.
+    """
+
+    name = "permuted"
+
+    def __init__(self, seed: int = 0) -> None:
+        self._rng = np.random.default_rng(seed)
+
+    def run_siblings(self, tasks, run_inline, spec=None):
+        """Run the tasks inline in a shuffled order; return in task order."""
+        results: list = [None] * len(tasks)
+        for i in self._rng.permutation(len(tasks)):
+            results[int(i)] = run_inline(tasks[int(i)])
+        return results, set()
+
+
+def _config_executor(config: BackendConfig):
+    """The executor a configuration runs on: permuted, or the ambient one."""
+    if config.scheduler == "permuted":
         # Fresh per run so every decomposition sees the same deterministic
-        # permutation sequence (the scheduler is stateful across groups).
-        return PermutedScheduler(seed=101)
-    return None
+        # permutation sequence (the executor is stateful across groups).
+        return PermutedExecutor(seed=101)
+    return ambient_executor()
 
 
 def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
@@ -269,8 +298,7 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
             seed=rng,
             backend=config.backend,
             fast_path=config.fast_path,
-            executor=ambient_executor(),
-            scheduler=_config_scheduler(config),
+            executor=_config_executor(config),
             **kwargs,
         )
         return result, rng.bit_generator.state

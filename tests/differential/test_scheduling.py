@@ -1,6 +1,6 @@
 """Property-based scheduling invariance: the order siblings run never matters.
 
-The component scheduler's correctness argument is order-freeness: every
+Sibling dispatch's correctness argument is order-freeness: every
 searched component's randomness is addressed by ``(root, depth,
 component_stream_key)``, and the parent merges child outcomes in canonical
 (smallest-repr) order — so *any* execution order of sibling subtrees, in
@@ -13,7 +13,7 @@ asserted identical to the inline-sequential reference.
 import numpy as np
 import pytest
 
-from diffharness import decomposition_signature
+from diffharness import PermutedExecutor, decomposition_signature
 from repro.decomposition import expander_decomposition
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -22,8 +22,8 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.parallel import (
-    PermutedScheduler,
     ShardedExecutor,
+    SubtreeTask,
     shared_memory_available,
 )
 
@@ -65,6 +65,20 @@ def run(graph, seed, **kwargs):
 class TestPermutationInvariance:
     """Deterministic shuffled sibling execution ≡ inline, across the space."""
 
+    def test_permuted_shuffles_execution_but_not_results(self):
+        tasks = [SubtreeTask(frozenset([i]), 0) for i in range(8)]
+        seen = []
+
+        def record(task):
+            seen.append(min(task.subset))
+            return min(task.subset)
+
+        results, pooled = PermutedExecutor(seed=3).run_siblings(tasks, record)
+        assert results == list(range(8))  # positional, submission-aligned
+        assert pooled == set()
+        assert sorted(seen) == list(range(8))
+        assert seen != list(range(8))  # the order genuinely moved
+
     @pytest.mark.parametrize("trial", range(10))
     def test_random_instance_random_permutations(self, trial):
         sampler = np.random.default_rng(1000 + trial)
@@ -73,19 +87,19 @@ class TestPermutationInvariance:
         seed = int(sampler.integers(1 << 16))
         reference = run(graph, seed)
         for perm_seed in sampler.integers(1 << 16, size=3):
-            got = run(graph, seed, scheduler=PermutedScheduler(seed=int(perm_seed)))
+            got = run(graph, seed, executor=PermutedExecutor(seed=int(perm_seed)))
             assert got == reference, (name, trial, int(perm_seed))
 
     def test_stateful_scheduler_reuse_is_still_invariant(self):
-        # One PermutedScheduler carried across several decompositions keeps
+        # One PermutedExecutor carried across several decompositions keeps
         # drawing fresh permutations; none of them may show through.
-        scheduler = PermutedScheduler(seed=5)
+        permuted = PermutedExecutor(seed=5)
         sampler = np.random.default_rng(77)
         for trial in range(4):
             name, build = FAMILY_SPACE[trial % len(FAMILY_SPACE)]
             graph = build(sampler)
             seed = int(sampler.integers(1 << 16))
-            assert run(graph, seed, scheduler=scheduler) == run(graph, seed), (
+            assert run(graph, seed, executor=permuted) == run(graph, seed), (
                 name,
                 trial,
             )

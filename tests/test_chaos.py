@@ -21,10 +21,9 @@ from repro.graphs.generators import (
     planted_partition_graph,
     ring_of_cliques,
 )
-from repro.parallel import resolve_scheduler, shared_memory_available
+from repro.parallel import shared_memory_available
 from repro.resilience import (
     ChaosExecutor,
-    ChaosScheduler,
     ChaosSpec,
     Deadline,
 )
@@ -98,17 +97,24 @@ class TestChaosSpec:
             assert hangy.task_timeout is not None, "hang rate demands a timeout"
         finally:
             hangy.close()
-        corrupting = ChaosExecutor(
-            2, spec=ChaosSpec(seed=1, corrupt=0.5), verify_results=False
-        )
-        try:
-            assert corrupting.verify_results, "corrupt rate forces verification"
-        finally:
-            corrupting.close()
 
-    def test_chaos_engine_resolves_chaos_scheduler(self):
-        with ChaosExecutor(2, spec=MIXED) as engine:
-            assert isinstance(resolve_scheduler(engine), ChaosScheduler)
+    def test_one_wrapper_for_both_task_kinds(self):
+        # The driver hands the wrapper the job's address and its kind's
+        # corruptor; the wrapper rolls, sleeps or raises, then runs the job.
+        from repro.resilience.chaos import CORRUPTORS, ChaosInjectedCrash, chaos_run_task
+
+        with pytest.raises(ChaosInjectedCrash):
+            chaos_run_task(
+                ChaosSpec(seed=2, crash=1.0), ("subtree", 1, 0, 0, 3),
+                CORRUPTORS["subtree"], len, [1, 2, 3],
+            )
+        clean = ChaosSpec(seed=2)
+        assert chaos_run_task(clean, ("chunk", 1, 0, 0), CORRUPTORS["chunk"], len, [1, 2]) == 2
+        corrupted = chaos_run_task(
+            ChaosSpec(seed=2, corrupt=1.0), ("chunk", 1, 0, 0),
+            CORRUPTORS["chunk"], list, [(0, 1, None)],
+        )
+        assert corrupted == [(0, 10**9, None)]  # out-of-schedule scale
 
 
 @needs_shm

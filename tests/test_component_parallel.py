@@ -1,8 +1,8 @@
 """Component-level parallelism: identity, fault injection, leak checks.
 
-The tentpole contract under test: sibling subtrees of the decomposition
-recursion dispatched through a :class:`~repro.parallel.scheduler
-.PooledComponentScheduler` must be *engine-invisible* — sequential,
+The contract under test: sibling subtrees of the decomposition recursion
+dispatched through :meth:`~repro.parallel.executor.ShardedExecutor
+.run_siblings` must be *engine-invisible* — sequential,
 1-worker, and N-worker runs produce the same components, cut edges, round
 totals, and residual RNG state, because every searched component's
 randomness is addressed by ``(root, depth, component_stream_key)`` rather
@@ -23,23 +23,22 @@ import numpy as np
 import pytest
 
 from repro.decomposition import expander_decomposition
+from repro.decomposition.expander import ExpanderComponent, _SubtreeOutcome
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     planted_partition_graph,
     ring_of_cliques,
 )
+from repro.graphs.graph import Graph
 from repro.parallel import (
-    INLINE,
-    InlineScheduler,
-    PermutedScheduler,
-    PooledComponentScheduler,
     SEQUENTIAL,
     ShardedExecutor,
     SubtreeTask,
-    resolve_scheduler,
     shared_memory_available,
+    validate_subtree_outcome,
 )
-from repro.parallel import scheduler as scheduler_module
 from repro.parallel import executor as executor_module
+from repro.resilience import ResultValidationError
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="multiprocessing.shared_memory unavailable"
@@ -79,7 +78,7 @@ class FakePool:
     """A pool double whose submitted calls run inline in this process.
 
     Used to inject failures deterministically: the submitted function is
-    whatever name the scheduler resolved at submit time, so a monkeypatched
+    whatever name the executor resolved at submit time, so a monkeypatched
     ``run_subtree``/``run_sharded_chunk`` raises exactly where a poisoned
     worker would.
     """
@@ -114,8 +113,8 @@ GRAPHS = [
 ]
 
 
-class TestSchedulerUnits:
-    def test_inline_runs_in_submission_order(self):
+class TestRunSiblingsUnits:
+    def test_sequential_runs_in_submission_order(self):
         tasks = [SubtreeTask(frozenset([i]), 0) for i in range(5)]
         seen = []
 
@@ -123,46 +122,62 @@ class TestSchedulerUnits:
             seen.append(min(task.subset))
             return min(task.subset)
 
-        assert INLINE.run_siblings(tasks, record) == [0, 1, 2, 3, 4]
+        assert SEQUENTIAL.run_siblings(tasks, record) == ([0, 1, 2, 3, 4], set())
         assert seen == [0, 1, 2, 3, 4]
-
-    def test_permuted_shuffles_execution_but_not_results(self):
-        tasks = [SubtreeTask(frozenset([i]), 0) for i in range(8)]
-        seen = []
-
-        def record(task):
-            seen.append(min(task.subset))
-            return min(task.subset)
-
-        results = PermutedScheduler(seed=3).run_siblings(tasks, record)
-        assert results == list(range(8))  # positional, submission-aligned
-        assert sorted(seen) == list(range(8))
-        assert seen != list(range(8))  # the order genuinely moved
-
-    def test_resolve_scheduler_mapping(self):
-        assert resolve_scheduler(SEQUENTIAL) is INLINE
-        engine = ShardedExecutor(2)
-        try:
-            pooled = resolve_scheduler(engine)
-            assert isinstance(pooled, PooledComponentScheduler)
-            assert pooled.executor is engine
-            mine = PermutedScheduler(1)
-            assert resolve_scheduler(engine, mine) is mine
-        finally:
-            engine.close()
 
     def test_pooled_without_spec_runs_inline(self):
         # A dict-only run has no CSR base: every sibling runs inline and
         # no pool is ever created.
         engine = ShardedExecutor(2, min_shard_vertices=1)
         try:
-            pooled = PooledComponentScheduler(engine)
             tasks = [SubtreeTask(frozenset([i]), 0) for i in range(3)]
-            got = pooled.run_siblings(tasks, lambda t: min(t.subset), spec=None)
-            assert got == [0, 1, 2]
+            got = engine.run_siblings(tasks, lambda t: min(t.subset), spec=None)
+            assert got == ([0, 1, 2], set())
             assert engine._pool is None
         finally:
             engine.close()
+
+
+def two_triangles():
+    """Triangles {0,1,2} and {3,4,5} joined by the one edge (2, 3)."""
+    graph = Graph()
+    for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]:
+        graph.add_edge(u, v)
+    return CSRGraph.from_graph(graph)
+
+
+def outcome_of(cut_edges):
+    """A subtree outcome splitting the two triangles apart."""
+    return _SubtreeOutcome(
+        components=[
+            ExpanderComponent(frozenset({0, 1, 2}), True, 1.0, 1),
+            ExpanderComponent(frozenset({3, 4, 5}), True, 1.0, 1),
+        ],
+        cut_edges=list(cut_edges),
+    )
+
+
+class TestSubtreeValidator:
+    """The subtree re-check compares cut edges against the host graph."""
+
+    SUBSET = frozenset(range(6))
+
+    def test_true_outcome_passes(self):
+        validate_subtree_outcome(outcome_of([(3, 2)]), self.SUBSET, two_triangles())
+
+    @pytest.mark.parametrize(
+        "cut_edges,message",
+        [
+            # (0, 1) lies inside one component and (0, 5) is no edge at all.
+            ([(0, 1), (0, 5)], "cut edges disagree"),
+            ([], "missing"),  # the true cut edge (2, 3) dropped
+            ([(2, 3), (3, 2)], "listed twice"),
+        ],
+        ids=["invented", "dropped", "duplicate"],
+    )
+    def test_wrong_cut_edges_rejected(self, cut_edges, message):
+        with pytest.raises(ResultValidationError, match=message):
+            validate_subtree_outcome(outcome_of(cut_edges), self.SUBSET, two_triangles())
 
 
 @needs_shm
@@ -173,14 +188,6 @@ class TestComponentParallelIdentity:
         for workers in (1, 2, 4):
             with ShardedExecutor(workers, min_shard_vertices=1) as engine:
                 assert run(graph, executor=engine) == expected, f"workers={workers}"
-
-    def test_inline_scheduler_override_with_pool_engine(self):
-        # scheduler= is an explicit override seam: forcing INLINE under a
-        # sharded engine must still match (batch-level sharding stays on).
-        graph = ring_of_cliques(6, 8)
-        expected = run(graph)
-        with ShardedExecutor(2, min_shard_vertices=1) as engine:
-            assert run(graph, executor=engine, scheduler=INLINE) == expected
 
     def test_leaves_no_shared_memory(self):
         graph = ring_of_cliques(6, 8)
@@ -201,7 +208,7 @@ class TestFaultInjection:
         def poisoned(*args, **kwargs):
             raise RuntimeError("worker poisoned mid-run")
 
-        monkeypatch.setattr(scheduler_module, "run_subtree", poisoned)
+        monkeypatch.setattr(executor_module, "run_subtree", poisoned)
         # max_pool_rebuilds=0 pins the historic first-failure-final policy
         # (the default policy would rebuild a real pool and recover).
         with ShardedExecutor(2, min_shard_vertices=1, max_pool_rebuilds=0) as engine:

@@ -127,6 +127,14 @@ class TestDeadlineUnit:
         made = resolve_deadline(0.25)
         assert isinstance(made, Deadline) and made.budget == 0.25
 
+    def test_nan_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            Deadline(float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            expander_decomposition(
+                ring_of_cliques(4, 5), 0.2, 0.1, seed=1, deadline=float("nan")
+            )
+
     def test_walk_check_is_ambient(self):
         check_walk_deadline()  # no scope installed: a no-op
         expired = Deadline(0.0, clock=lambda: 1.0)
@@ -488,6 +496,19 @@ class TestRetryPolicy:
             and "degraded to sequential" in str(w.message)
         ]
         assert len(degraded) == 1
+        assert got == expected
+
+    def test_infinite_deadline_keeps_a_healthy_pool(self):
+        # An infinite budget bounds no wait: the pooled run must neither
+        # time out nor record a failure (Future.result cannot take inf).
+        graph = ring_of_cliques(8, 40)
+        expected = run(graph)
+        with ShardedExecutor(2, min_shard_vertices=1) as engine:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = run(graph, executor=engine, deadline=float("inf"))
+            assert engine.events == []
+            assert not engine._broken
         assert got == expected
 
     def test_deadline_cancel_does_not_charge_the_budget(self):
