@@ -8,13 +8,13 @@ Five sections, all emitted into one JSON report
   structure, certified fraction, ε·m budget; cost: CONGEST rounds, wall
   time).  Unchanged from the original harness.
 * ``large_results`` — full decompositions of 10⁴-vertex instances on the
-  vectorized engine (``backend="auto"``: peeled-CSR views above the size
-  threshold, dict below — all backends are cut-identical, this is just
-  the fastest schedule).
+  vectorized engine (peeled-CSR views above the size threshold, dict
+  below — both engines are cut-identical, this is just the fastest
+  schedule).
 * ``walk_sweep_comparison`` — the dict-vs-CSR timing comparison of the
   walk/sweep stage (truncated walk + certification scan, i.e. one
   ApproximateNibble) across instance sizes from 48 to 10⁵ vertices, with a
-  cut-equality assertion per run: the backends must return *identical*
+  cut-equality assertion per run: the engines must return *identical*
   cuts, the speedup is the only thing allowed to differ.
 * ``parallel_scaling`` — the multicore sweep: the two large families
   decomposed at 1, 2, and 4 workers through the shared-memory sharded
@@ -146,7 +146,7 @@ def families(seed: int) -> list[tuple[str, Callable[[], Graph], float, float]]:
 def large_families(seed: int) -> list[tuple[str, Callable[[], Graph], float, float, dict]]:
     """(name, builder, epsilon, phi, sparse_cut_kwargs) per ≥10⁴-vertex family.
 
-    These run on the CSR backend; batch sizes are reduced from the Θ(log m)
+    These run on the CSR engine; batch sizes are reduced from the Θ(log m)
     default because at this scale a handful of degree-proportional starts
     already finds the planted cuts, and the benchmark measures the engine,
     not the failure-probability constant.
@@ -286,7 +286,6 @@ def run_family(
     epsilon: float,
     phi: float,
     seed: int,
-    backend: str = "auto",
     sparse_cut_kwargs: Optional[dict] = None,
     fast_path: bool = True,
     workers: int = 1,
@@ -309,7 +308,6 @@ def run_family(
         epsilon=epsilon,
         phi=phi,
         seed=seed,
-        backend=backend,
         sparse_cut_kwargs=sparse_cut_kwargs,
         fast_path=fast_path,
         workers=workers,
@@ -323,7 +321,6 @@ def run_family(
         "epsilon": epsilon,
         "phi": phi,
         "seed": seed,
-        "backend": backend,
         "fast_path": fast_path,
         "workers": int(workers or 1),
         "num_components": result.num_components,
@@ -478,7 +475,6 @@ def run_parallel_scaling(
             epsilon,
             phi,
             seed,
-            backend="auto",
             sparse_cut_kwargs=sparse_cut_kwargs,
             workers=workers,
         )
@@ -606,10 +602,11 @@ def run_triangle_cache_stage(
 
 
 def run_stage_comparison(name: str, graph: Graph, phi: float, seed: int, num_starts: int) -> dict:
-    """Time the walk/sweep stage (one ApproximateNibble) on both backends.
+    """Time the walk/sweep stage (one ApproximateNibble) on both engines.
 
     The same degree-proportionally sampled starts and truncation scales are
-    replayed on each backend, and total wall time per backend is recorded.
+    replayed on the dict ``graph`` and on its prebuilt ``CSRGraph``
+    snapshot, and total wall time per engine is recorded.
     Cut equality is a hard contract, not an observation: any dict/CSR
     disagreement raises and aborts the benchmark, so no record with
     non-identical cuts can ever be written.  The CSR snapshot cost is
@@ -629,22 +626,15 @@ def run_stage_comparison(name: str, graph: Graph, phi: float, seed: int, num_sta
 
     timings = {"dict": 0.0, "csr": 0.0}
     cuts: dict[str, list] = {"dict": [], "csr": []}
-    for backend in ("dict", "csr"):
+    for engine, target in (("dict", graph), ("csr", csr)):
         for start in starts:
             for scale in scales:
                 begin = time.perf_counter()
-                cut = approximate_nibble(
-                    graph,
-                    start,
-                    scale,
-                    params,
-                    backend=backend,
-                    csr=csr if backend == "csr" else None,
-                )
-                timings[backend] += time.perf_counter() - begin
-                cuts[backend].append(cut)
+                cut = approximate_nibble(target, start, scale, params)
+                timings[engine] += time.perf_counter() - begin
+                cuts[engine].append(cut)
     if cuts["dict"] != cuts["csr"]:  # pragma: no cover - parity pinned by tests
-        raise AssertionError(f"{name}: dict and CSR backends returned different cuts")
+        raise AssertionError(f"{name}: dict and CSR engines returned different cuts")
     speedup = timings["dict"] / timings["csr"] if timings["csr"] > 0 else float("inf")
     return {
         "family": name,
@@ -825,7 +815,6 @@ def main() -> None:
                 epsilon,
                 phi,
                 args.seed,
-                backend="auto",
                 sparse_cut_kwargs=kwargs,
                 workers=args.workers,
             )

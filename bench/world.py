@@ -11,7 +11,7 @@ Two modes::
 
     PYTHONPATH=src python bench/world.py --smoke [--output PATH]
     PYTHONPATH=src python bench/world.py [--seed N] [--points N]
-        [--axes sbm,bridge,...] [--backend auto] [--workers N]
+        [--axes sbm,bridge,...] [--workers N]
 
 ``--smoke`` is the CI slice: fixed world seed 7, 8 points per axis on all
 six axes (48 instances), chosen small enough to finish in minutes on one
@@ -73,12 +73,6 @@ def main() -> None:
         help="Comma-separated axis subset (default: all six)",
     )
     parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=("dict", "csr", "auto"),
-        help="Walk/sweep engine (all backends are record-identical; default auto)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -109,7 +103,6 @@ def main() -> None:
         seed,
         points,
         axes=axes,
-        backend=args.backend,
         workers=args.workers,
         progress=print_progress,
     )

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..graphs.csr import CSRGraph, resolve_backend_size
+from ..graphs.csr import CSRGraph, uses_csr_engine
 from ..graphs.graph import Edge, Graph, Vertex
 from ..graphs.peel import PeeledCSR, maybe_compact
 from ..graphs.spectral import (
@@ -393,10 +393,8 @@ def _decompose_subtree(
         return outcome
     view: Optional[PeeledCSR] = None
     work: Optional[Graph] = None
-    if (
-        ctx.host_is_csr  # a CSR host has no dict graph to fall back to
-        or resolve_backend_size(len(subset), ctx.cut_kwargs["backend"]) == "csr"
-    ):
+    # A CSR host has no dict graph to fall back to.
+    if ctx.host_is_csr or uses_csr_engine(len(subset)):
         if ctx.base is None:
             ctx.base = (
                 ctx.graph if ctx.host_is_csr else CSRGraph.from_graph(ctx.graph)
@@ -568,7 +566,6 @@ def expander_decomposition(
     seed: SeedLike = None,
     max_depth: Optional[int] = None,
     sparse_cut_kwargs: Optional[dict] = None,
-    backend: str = "auto",
     fast_path: bool = True,
     executor: Optional[Executor] = None,
     workers: Optional[int] = None,
@@ -586,9 +583,12 @@ def expander_decomposition(
         memory-mapped one included (:meth:`CSRGraph.from_mmap`) — in which
         case it serves as the shared base for every level's peeled view
         without any dict materialisation, which is what lets 10⁷-edge
-        graphs decompose without ever holding a dict graph in RAM
-        (``backend`` is then ignored; the run is still bit-identical to a
-        dict-host run of the same graph, as the differential suite pins).
+        graphs decompose without ever holding a dict graph in RAM (the run
+        is still bit-identical to a dict-host run of the same graph, as the
+        differential suite pins).  On a dict host each working subset's size
+        picks its engine (:func:`repro.graphs.csr.uses_csr_engine`): a
+        :class:`~repro.graphs.peel.PeeledCSR` view of one host snapshot for
+        large ones, a dict ``G{U}`` for small deep-recursion pieces.
     epsilon:
         Removed-edge budget as a fraction of |E| (reported, and checkable via
         :attr:`DecompositionResult.within_budget`); a finite number ≥ 0.
@@ -605,17 +605,6 @@ def expander_decomposition(
     sparse_cut_kwargs:
         Extra keyword arguments forwarded to
         :func:`nearly_most_balanced_sparse_cut` (batch sizes, overrides).
-    backend:
-        Walk/sweep engine for every level's cut search — ``"dict"``,
-        ``"csr"``, or ``"auto"`` (default; resolved per working subset, so
-        large components run the peeled-CSR engine while small
-        deep-recursion pieces stay on the cheaper dict path).  On the CSR
-        path the host graph is snapshotted into one :class:`CSRGraph` for
-        the whole run and every level's ``G{U}`` is a
-        :class:`~repro.graphs.peel.PeeledCSR` view of it (an O(n + Vol(U))
-        masked restriction) instead of a rebuilt dict graph.  All engines
-        return identical cuts, hence identical decompositions for a fixed
-        seed.
     fast_path:
         The certification fast path (default on): spectral pre-checks skip
         ParallelNibble batches that are provably failures, sibling
@@ -684,11 +673,10 @@ def expander_decomposition(
     schedule = level_schedule(phi, graph.num_vertices, mode)
     if max_depth is None:
         max_depth = recursion_depth_bound(graph.num_vertices)
-    # sparse_cut_kwargs may legitimately carry its own "backend",
-    # "fast_path", or "executor"; an explicit entry there wins over the
-    # decomposition-level default.
+    # sparse_cut_kwargs may legitimately carry its own "fast_path" or
+    # "executor"; an explicit entry there wins over the decomposition-level
+    # default.
     cut_kwargs = {
-        "backend": backend,
         "fast_path": fast_path,
         "executor": engine,
         **(sparse_cut_kwargs or {}),

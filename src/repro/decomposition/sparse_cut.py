@@ -36,12 +36,13 @@ cuts on either — ``tests/test_peel.py`` pins this.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph, resolve_backend
+from ..graphs.csr import uses_csr_engine
 from ..graphs.graph import Graph, Vertex
 from ..graphs.peel import PeeledCSR, maybe_compact
 from ..graphs.spectral import (
@@ -85,20 +86,18 @@ def random_nibble(
     params: NibbleParameters,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     degrees: Optional[dict] = None,
     adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """One RandomNibble instance: random degree-proportional start, random b.
 
     The start vertex is drawn over the positive-degree vertices in
-    ``repr``-sorted order on every backend (the dict path builds its degree
+    ``repr``-sorted order on every engine (the dict path builds its degree
     map in that order, the peeled path's ascending index order *is* that
     order), so the dict and peeled engines consume the same ``rng`` stream
-    and pick the same start for a shared seed.  ``backend``/``csr``/
-    ``adaptive`` are as in :func:`repro.nibble.nibble.nibble`; a
-    :class:`PeeledCSR` ``graph`` always runs the masked CSR engine.
+    and pick the same start for a shared seed.  A dict ``Graph`` runs the
+    dict engine, a :class:`PeeledCSR` view the masked CSR engine;
+    ``adaptive`` is as in :func:`repro.nibble.nibble.nibble`.
     ``degrees`` may carry a prebuilt
     :func:`~repro.graphs.graph.sorted_degree_map` so a batch of instances
     on an unchanged graph pays for it once; it must describe the current
@@ -108,13 +107,7 @@ def random_nibble(
     and on a worker.
     """
     _, cut = run_nibble_instance(
-        graph,
-        params,
-        ensure_rng(rng),
-        backend=backend,
-        csr=csr,
-        degrees=degrees,
-        adaptive=adaptive,
+        graph, params, ensure_rng(rng), degrees=degrees, adaptive=adaptive,
         report=report,
     )
     return cut
@@ -150,8 +143,6 @@ def parallel_nibble_cuts(
     num_instances: int,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     adaptive: bool = True,
     executor: Optional[Executor] = None,
     stream: Optional[tuple[int, int]] = None,
@@ -175,36 +166,17 @@ def parallel_nibble_cuts(
     is rebuilt driver-side from the scales the executor reports, so the
     :class:`~repro.utils.rounds.RoundReport` is executor-independent too.
 
-    When the CSR backend is selected the graph is snapshotted into CSR form
-    once and shared by every instance of the batch; callers that run many
-    batches on an unchanged graph can pass a prebuilt ``csr`` snapshot.  A
-    :class:`PeeledCSR` ``graph`` needs no snapshotting at all — the view is
-    already the engine's native form.
+    The instances run on whatever engine ``graph``'s type names: the dict
+    engine on a dict ``Graph``, the masked CSR engine on a
+    :class:`PeeledCSR` view.
     """
     if stream is None:
         stream = (stream_root(rng), 0)
     root, batch_index = stream
     if executor is None:
         executor = SEQUENTIAL
-    if isinstance(graph, PeeledCSR):
-        chosen = "csr"
-        csr = None
-    else:
-        chosen = resolve_backend(graph, backend)
-        if chosen == "csr":
-            if csr is None:
-                csr = CSRGraph.from_graph(graph)
-        else:
-            csr = None
     triples = executor.run_batch(
-        graph,
-        params,
-        root,
-        batch_index,
-        num_instances,
-        backend=chosen,
-        csr=csr,
-        adaptive=adaptive,
+        graph, params, root, batch_index, num_instances, adaptive=adaptive
     )
     instance_reports: list[RoundReport] = []
     found: list[NibbleCut] = []
@@ -231,8 +203,6 @@ def parallel_nibble(
     num_instances: int,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     adaptive: bool = True,
     executor: Optional[Executor] = None,
 ) -> Optional[NibbleCut]:
@@ -244,14 +214,7 @@ def parallel_nibble(
     harvest directly.
     """
     cuts = parallel_nibble_cuts(
-        graph,
-        params,
-        num_instances,
-        rng,
-        report=report,
-        backend=backend,
-        csr=csr,
-        adaptive=adaptive,
+        graph, params, num_instances, rng, report=report, adaptive=adaptive,
         executor=executor,
     )
     return cuts[0] if cuts else None
@@ -305,7 +268,7 @@ class _DictWork:
 
     The accumulation loop of :func:`nearly_most_balanced_sparse_cut` talks
     to the working graph only through this surface and its peeled twin
-    (:class:`_PeelWork`), so the two backends make byte-for-byte identical
+    (:class:`_PeelWork`), so the two engines make byte-for-byte identical
     decisions; only the mechanics of a removal differ.
     """
 
@@ -504,6 +467,32 @@ def validate_phi(phi: float) -> None:
         raise ValueError(f"phi must be a finite number > 0, got {phi!r}")
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int ≥ 1."""
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
+def _validate_search_arguments(
+    num_instances: Optional[int], max_failures: int, balance_target: float
+) -> None:
+    """Reject sparse-cut tuning arguments that would make the search vacuous.
+
+    A batch of no instances, a stop after no failures, or a balance target
+    already met by the empty set would each end the search before any walk
+    runs — and an empty result reads as the "no φ-sparse cut" certificate.
+    """
+    if num_instances is not None and not _is_count(num_instances):
+        raise ValueError(
+            f"num_instances must be None or an int >= 1, got {num_instances!r}"
+        )
+    if not _is_count(max_failures):
+        raise ValueError(f"max_failures must be an int >= 1, got {max_failures!r}")
+    if not (math.isfinite(balance_target) and balance_target > 0):
+        raise ValueError(
+            f"balance_target must be a finite number > 0, got {balance_target!r}"
+        )
+
+
 def nearly_most_balanced_sparse_cut(
     graph: WorkGraph,
     phi: float,
@@ -514,7 +503,6 @@ def nearly_most_balanced_sparse_cut(
     num_instances: Optional[int] = None,
     report: Optional[RoundReport] = None,
     params_overrides: Optional[dict] = None,
-    backend: str = "auto",
     fast_path: bool = True,
     spectral_hint: Optional[SpectralCertificate] = None,
     executor: Optional[Executor] = None,
@@ -541,12 +529,11 @@ def nearly_most_balanced_sparse_cut(
     "no φ-sparse cut exists" certificate the expander decomposition
     consumes.
 
-    ``backend`` selects the engine when ``graph`` is a dict ``Graph``:
-    ``"dict"`` keeps the reference mutable graph, ``"csr"`` (or ``"auto"``
-    above the size threshold) snapshots once into a :class:`PeeledCSR` and
-    runs every batch and every removal masked — no per-batch re-snapshot.
-    A ``PeeledCSR`` input always runs the peeled engine.  All choices are
-    cut-identical for a shared seed.
+    The engine is picked here, once: a ``PeeledCSR`` input runs peeled, and
+    so does a dict ``Graph`` the size rule
+    (:func:`repro.graphs.csr.uses_csr_engine`) sends to CSR — snapshotted
+    once, so every batch and removal runs masked; a smaller one keeps the
+    reference mutable graph.  Both engines are cut-identical for a seed.
 
     ``fast_path`` enables the certification fast path (default on): before
     a batch is launched against a working graph whose state has not been
@@ -584,9 +571,13 @@ def nearly_most_balanced_sparse_cut(
     an *interrupted* result: empty, not certified — the caller must treat
     the component as unfinished, never as a certified expander.
 
-    A ``phi`` that is not a finite number > 0 raises :class:`ValueError`.
+    A ``phi`` that is not a finite number > 0 raises :class:`ValueError`, as
+    do a ``num_instances`` or ``max_failures`` that is not an int ≥ 1 and a
+    ``balance_target`` that is not a finite number > 0 — each would issue
+    the no-cut certificate without running a single instance.
     """
     validate_phi(phi)
+    _validate_search_arguments(num_instances, max_failures, balance_target)
     rng = ensure_rng(seed)
     root = stream_root(rng)
     deadline = resolve_deadline(deadline)
@@ -594,7 +585,7 @@ def nearly_most_balanced_sparse_cut(
     own_report = report if report is not None else RoundReport("sparse_cut")
     if isinstance(graph, PeeledCSR):
         work: Union[_DictWork, _PeelWork] = _PeelWork(graph)
-    elif resolve_backend(graph, backend) == "csr":
+    elif uses_csr_engine(graph.num_vertices):
         work = _PeelWork(PeeledCSR.from_graph(graph))
     else:
         work = _DictWork(graph)
@@ -669,7 +660,6 @@ def nearly_most_balanced_sparse_cut(
                         params,
                         batch_size,
                         report=own_report,
-                        backend=backend,
                         adaptive=fast_path,
                         executor=engine,
                         stream=(root, batch_index),

@@ -14,16 +14,16 @@ path actually needs:
   the ρ̃-sweep prefix scan (ordering, prefix volumes, prefix cut sizes)
   computed with ``lexsort``/``cumsum`` instead of a Python loop.
 
-Bit-for-bit parity with the dict backend is a design goal, not an accident:
+Bit-for-bit parity with the dict engine is a design goal, not an accident:
 the kernels evaluate the *same* IEEE expressions as
 :mod:`repro.walks.lazy_walk` and accumulate incoming mass in the *same*
 canonical order (ascending vertex index, which equals the dict path's
-``repr``-sorted order), so ``backend="csr"`` and ``backend="dict"`` produce
+``repr``-sorted order), so a ``CSRGraph`` and its dict ``Graph`` produce
 identical walk vectors, identical sweeps, and therefore identical certified
 cuts.  ``tests/test_csr.py`` pins this across all benchmark families.
 
 Integer sweep statistics (prefix volume / cut size) are exact in both
-backends, so conductance values — ratios of those integers — agree exactly
+engines, so conductance values — ratios of those integers — agree exactly
 as well.
 """
 
@@ -38,18 +38,15 @@ import numpy as np
 
 from .graph import Graph, Vertex
 
-#: ``backend="auto"`` switches from the dict to the CSR engine at this many
-#: vertices.  Below it the per-step numpy dispatch overhead outweighs the
-#: vectorization win; above it the CSR path dominates.  PR 5 re-measured
-#: the crossover after the walk-budget and pre-check changes shifted the
+#: :func:`uses_csr_engine` switches from the dict to the CSR engine at this
+#: many vertices.  Below it the per-step numpy dispatch overhead outweighs
+#: the vectorization win; above it the CSR path dominates.  The crossover
+#: was re-measured after the walk-budget and pre-check changes shifted the
 #: mix toward long cut-finding walks on mid-size working graphs: the CSR
 #: engine now wins from a few dozen vertices up (≈1.2× end-to-end on the
 #: n=10240 ring decomposition vs the old 512 cutoff — see EXPERIMENTS.md),
 #: so only genuinely tiny graphs stay on the dict reference engine.
 CSR_AUTO_THRESHOLD = 32
-
-#: The three recognised backend names.
-BACKENDS = ("dict", "csr", "auto")
 
 # ----------------------------------------------------------------------
 # index-width policy (int32 vs int64 CSR arrays)
@@ -75,25 +72,14 @@ def choose_index_dtype(num_vertices: int, num_entries: int) -> np.dtype:
     return np.dtype(np.int32) if fits else np.dtype(np.int64)
 
 
-def resolve_backend_size(num_vertices: int, backend: str) -> str:
-    """Resolve a backend name to ``"dict"`` or ``"csr"`` for a vertex count.
+def uses_csr_engine(num_vertices: int) -> bool:
+    """Whether a working graph of ``num_vertices`` vertices runs the CSR engine.
 
-    ``"auto"`` picks the CSR engine at :data:`CSR_AUTO_THRESHOLD` vertices
-    and above.  Both engines return identical results, so the choice is
-    purely a performance knob.  The count-based form exists so the
-    decomposition recursion can resolve a subset's backend *before*
-    materialising any working graph for it.
+    The pipeline's one engine rule, applied only where a working graph is
+    built; every layer below dispatches on the type it is handed.  Reads
+    :data:`CSR_AUTO_THRESHOLD` at call time, so tests can move it.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "auto":
-        return "csr" if num_vertices >= CSR_AUTO_THRESHOLD else "dict"
-    return backend
-
-
-def resolve_backend(graph: Graph, backend: str) -> str:
-    """Resolve a backend name to ``"dict"`` or ``"csr"`` for a graph."""
-    return resolve_backend_size(graph.num_vertices, backend)
+    return num_vertices >= CSR_AUTO_THRESHOLD
 
 
 class CSRGraph:
@@ -369,10 +355,10 @@ class CSRGraph:
 SparseMass = tuple[np.ndarray, np.ndarray]
 
 
-def mass_to_dict(csr: CSRGraph, mass: SparseMass) -> dict:
+def mass_to_dict(graph: CSRGraph, mass: SparseMass) -> dict:
     """Convert a sparse CSR mass vector into the dict backend's form."""
     idx, vals = mass
-    return {csr.vertices[int(i)]: float(m) for i, m in zip(idx, vals)}
+    return {graph.vertices[int(i)]: float(m) for i, m in zip(idx, vals)}
 
 
 # ----------------------------------------------------------------------
@@ -457,13 +443,13 @@ def candidate_indices_from_volumes(prefix_volume: np.ndarray, phi: float) -> lis
     return candidates
 
 
-def prefix_cut_profile(csr: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def prefix_cut_profile(graph: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix volumes and prefix cut sizes of an explicit vertex-index order.
 
     The numpy twin of :meth:`repro.graphs.graph.Graph.prefix_cut_profile`:
     ``prefix_volume[j]`` / ``prefix_cut[j]`` are Vol / |∂| of the length-``j``
     prefix of ``order`` (entry 0 is the empty prefix), computed with one
-    ``cumsum`` and one ``flat_adjacency`` gather.  ``csr`` may be a
+    ``cumsum`` and one ``flat_adjacency`` gather.  ``graph`` may be a
     :class:`~repro.graphs.peel.PeeledCSR` view — the masked surface drops
     dead targets, so the integers are those of the alive working graph.
     The spectral sweep cut (:func:`repro.graphs.spectral.sweep_cut`'s
@@ -472,13 +458,13 @@ def prefix_cut_profile(csr: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np
     """
     jmax = len(order)
     prefix_volume = np.zeros(jmax + 1, dtype=np.int64)
-    np.cumsum(csr.degree[order], out=prefix_volume[1:])
+    np.cumsum(graph.degree[order], out=prefix_volume[1:])
     # position of each ordered vertex; vertices outside the order sort
     # as "after every prefix" so their edges always count toward the cut.
-    pos = np.full(csr.n, jmax, dtype=np.int64)
+    pos = np.full(graph.n, jmax, dtype=np.int64)
     pos[order] = np.arange(jmax, dtype=np.int64)
-    row_id, flat = csr.flat_adjacency(order)
-    delta = csr.proper_degree[order].astype(np.int64)
+    row_id, flat = graph.flat_adjacency(order)
+    delta = graph.proper_degree[order].astype(np.int64)
     if flat.size:
         earlier = pos[flat] < row_id
         delta -= 2 * np.bincount(row_id[earlier], minlength=jmax).astype(np.int64)

@@ -328,15 +328,14 @@ def brute_force_triangles(graph: Graph) -> set[frozenset]:
     return triangles
 
 
-def triangle_count(graph: Graph, backend: str = "auto") -> int:
+def triangle_count(graph: Graph) -> int:
     """Number of triangles in the graph, via the oriented enumerator.
 
     Delegates to :func:`repro.triangles.oriented_triangle_count` (degeneracy
     orientation + sorted-adjacency intersection, O(m·degeneracy)), so this
     stays usable at benchmark scale; the old brute-force path survives only
-    as the size-guarded :func:`brute_force_triangles` oracle.  ``backend``
-    selects the counting engine exactly as in the rest of the pipeline.
+    as the size-guarded :func:`brute_force_triangles` oracle.
     """
     from ..triangles.oriented import oriented_triangle_count
 
-    return oriented_triangle_count(graph, backend=backend)
+    return oriented_triangle_count(graph)

@@ -130,7 +130,7 @@ def normalized_laplacian(graph: Graph) -> np.ndarray:
 
 
 def _lambda2_power_iteration(
-    csr: CSRGraph, iterations: int = 400, seed: int = 0
+    graph: CSRGraph, iterations: int = 400, seed: int = 0
 ) -> tuple[float, np.ndarray]:
     """(λ₂, Fiedler vector) by deflated power iteration — the scipy-free path.
 
@@ -149,15 +149,15 @@ def _lambda2_power_iteration(
     bias (without being a fully rigorous lower bound on λ₂ — see the module
     docstring's best-effort caveat).
     """
-    n = csr.n
-    deg = csr.degree.astype(float)
+    n = graph.n
+    deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    loops_share = np.where(deg > 0, csr.loops / np.maximum(deg, 1e-12), 0.0)
-    row = np.repeat(np.arange(n), csr.proper_degree)
+    loops_share = np.where(deg > 0, graph.loops / np.maximum(deg, 1e-12), 0.0)
+    row = np.repeat(np.arange(n), graph.proper_degree)
 
     def laplacian_matvec(x: np.ndarray) -> np.ndarray:
         y = inv_sqrt * x
-        ay = np.bincount(row, weights=y[csr.indices], minlength=n)
+        ay = np.bincount(row, weights=y[graph.indices], minlength=n)
         return x - inv_sqrt * ay - loops_share * x
 
     kernel = np.sqrt(np.maximum(deg, 0.0))
@@ -196,7 +196,7 @@ def _lambda2_sparse(graph: Graph) -> tuple[float, np.ndarray, CSRGraph]:
     return lam2, fiedler, csr
 
 
-def _lambda2_eigsh(csr: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
+def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     """(λ₂, Fiedler vector) by a *converged* scipy Lanczos solve, or ``None``.
 
     Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L`` (its two largest
@@ -206,8 +206,8 @@ def _lambda2_eigsh(csr: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     falls back to the best-effort power iteration, while the fast path's
     pre-check refuses to skip work on an unconverged estimate.
     """
-    n = csr.n
-    deg = csr.degree.astype(float)
+    n = graph.n
+    deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     try:
         import scipy.sparse as sp
@@ -216,12 +216,12 @@ def _lambda2_eigsh(csr: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
         return None
     # Matrix assembly stays outside the solver try/except: a construction
     # bug must propagate, not be papered over by the iterative fallback.
-    row = np.repeat(np.arange(n), csr.proper_degree)
-    data = -inv_sqrt[row] * inv_sqrt[csr.indices]
+    row = np.repeat(np.arange(n), graph.proper_degree)
+    data = -inv_sqrt[row] * inv_sqrt[graph.indices]
     diagonal = np.ones(n)
     positive = deg > 0
-    diagonal[positive] -= csr.loops[positive] * inv_sqrt[positive] ** 2
-    lap = sp.csr_matrix((data, csr.indices.copy(), csr.indptr.copy()), shape=(n, n))
+    diagonal[positive] -= graph.loops[positive] * inv_sqrt[positive] ** 2
+    lap = sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
     lap = lap + sp.diags(diagonal)
     shifted = sp.identity(n, format="csr") * 2.0 - lap
     # A fixed ARPACK start vector keeps this a pure function of the graph;
@@ -238,16 +238,16 @@ def _lambda2_eigsh(csr: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     return lam2, vectors[:, order[1]]
 
 
-def _lambda2_sparse_csr(csr: CSRGraph) -> tuple[float, np.ndarray]:
+def _lambda2_sparse_csr(graph: CSRGraph) -> tuple[float, np.ndarray]:
     """(λ₂, Fiedler vector) of a CSR snapshot by a sparse iterative solve.
 
     The converged Lanczos solve (:func:`_lambda2_eigsh`) when available,
     otherwise the best-effort deflated power iteration
     (:func:`_lambda2_power_iteration`).
     """
-    solved = _lambda2_eigsh(csr)
+    solved = _lambda2_eigsh(graph)
     if solved is None:
-        return _lambda2_power_iteration(csr)
+        return _lambda2_power_iteration(graph)
     return solved
 
 

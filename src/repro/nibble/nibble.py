@@ -24,9 +24,10 @@ pure function of the walk vectors: the distributed implementation
 CONGEST diffusion program and feeds them through this exact code path, so
 centralized and distributed cuts coincide whenever their walk vectors do
 (the diffusion program's vectors are pinned to the centralized ones to
-1e-12 by ``tests/test_congest.py``).  The dict and CSR *backends*, by
+1e-12 by ``tests/test_congest.py``).  The dict and CSR *engines*, by
 contrast, are bit-identical by construction — same IEEE expressions, same
-canonical accumulation order — so ``backend`` never changes an output.
+canonical accumulation order — so the graph type a caller hands in picks
+the engine and never changes an output.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 import numpy as np
 
 from ..graphs import csr as csr_backend
-from ..graphs.csr import CSRGraph, resolve_backend
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph, Vertex
 from ..graphs.peel import PeeledCSR
 from ..resilience.deadline import check_walk_deadline
@@ -207,7 +208,7 @@ def scan_walk_sequence(
 
 
 def scan_walk_sequence_csr(
-    csr: CSRGraph | PeeledCSR,
+    graph: CSRGraph | PeeledCSR,
     sequence: Iterable[csr_backend.SparseMass],
     scale: int,
     params: NibbleParameters,
@@ -224,7 +225,7 @@ def scan_walk_sequence_csr(
     best-cut tie rule (lowest conductance, larger volume, earlier time,
     smaller prefix) replicate the dict scan exactly, so for bit-identical
     walk vectors — which the canonical accumulation order guarantees — the
-    returned cut is identical too.  ``csr`` may be a
+    returned cut is identical too.  ``graph`` may be a
     :class:`~repro.graphs.peel.PeeledCSR` view: the kernels only reach the
     graph through the masked surface, so the scan then certifies prefixes
     of the peeled working graph.
@@ -236,11 +237,11 @@ def scan_walk_sequence_csr(
     certified prefix indices) is the same rule in index space, so the two
     backends stop at the same time step for bit-identical walks.
 
-    Sweeps run on ``csr``'s cached :class:`~repro.graphs.csr.WalkWorkspace`,
+    Sweeps run on ``graph``'s cached :class:`~repro.graphs.csr.WalkWorkspace`,
     whose gather cache a workspace-driven walk shares, so each time step
     pays for at most one adjacency gather.
     """
-    workspace = csr_backend.get_workspace(csr)
+    workspace = csr_backend.get_workspace(graph)
     best: Optional[tuple] = None  # ((Φ, -Vol), t, j, cut_size, prefix indices)
     max_fraction = (
         params.relaxed_max_cut_volume_fraction
@@ -326,7 +327,7 @@ def scan_walk_sequence_csr(
         return None
     (conductance, neg_volume), t, j, cut_size, prefix = best
     return NibbleCut(
-        vertices=frozenset(csr.vertices[int(i)] for i in prefix),
+        vertices=frozenset(graph.vertices[int(i)] for i in prefix),
         conductance=conductance,
         volume=-neg_volume,
         cut_size=cut_size,
@@ -350,56 +351,41 @@ def _charge_rounds(
 
 
 def _run_nibble(
-    graph: Graph | PeeledCSR,
+    graph: Graph | CSRGraph | PeeledCSR,
     start: Vertex,
     scale: int,
     params: NibbleParameters,
     report: Optional[RoundReport],
     approximate: bool,
-    backend: str,
-    csr: Optional[CSRGraph | PeeledCSR],
     adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """Shared walk-then-scan body of Nibble and ApproximateNibble.
 
-    ``graph`` may be a :class:`~repro.graphs.peel.PeeledCSR` view, in which
-    case the masked CSR engine runs directly on it (``backend`` is ignored)
-    and the cut is measured in the peeled working graph — exactly what the
+    The engine follows the type of ``graph`` (see :func:`nibble`).  On a
+    :class:`~repro.graphs.peel.PeeledCSR` view the CSR kernels run masked,
+    so the cut is measured in the peeled working graph — exactly what the
     dict path measures on the materialised ``G{U}``.
 
     The walk is generated lazily and scanned step by step; with
     ``adaptive=True`` (default) the scan stops the walk early under the
     shared :class:`~repro.nibble.sweep.WalkBudgetTracker` rule once the
     sweep has stabilised, skipping the remaining walk steps on both
-    backends identically.
+    engines identically.
     """
     if not 1 <= scale <= params.ell:
         raise ValueError(f"scale b={scale} outside 1..ell={params.ell}")
     label = "approximate_nibble" if approximate else "nibble"
     _charge_rounds(report, f"{label}(b={scale})", params)
     stable = ADAPTIVE_STABLE_STEPS if adaptive else None
-    if isinstance(graph, PeeledCSR):
-        # A peeled view always runs the masked CSR engine: there is no dict
-        # graph to fall back to, and the view already *is* the snapshot.
-        chosen = "csr"
-        if csr is None:
-            csr = graph
-    else:
-        # The backend request wins over a supplied snapshot: an explicit
-        # backend="dict" must run the dict engine even if a csr object is
-        # around.
-        chosen = resolve_backend(graph, backend)
-    if chosen == "csr":
-        if csr is None:
-            csr = CSRGraph.from_graph(graph)
-        if start not in csr.index:
+    if isinstance(graph, (CSRGraph, PeeledCSR)):
+        if start not in graph.index:
             raise KeyError(f"start vertex {start!r} not in graph")
         # walk_iter rejects a start that is peeled out of a view.
-        sequence = csr_backend.get_workspace(csr).walk_iter(
-            csr.index[start], params.t0, params.epsilon_b(scale)
+        sequence = csr_backend.get_workspace(graph).walk_iter(
+            graph.index[start], params.t0, params.epsilon_b(scale)
         )
         return scan_walk_sequence_csr(
-            csr,
+            graph,
             sequence,
             scale,
             params,
@@ -420,13 +406,11 @@ def _run_nibble(
 
 
 def nibble(
-    graph: Graph,
+    graph: Graph | CSRGraph | PeeledCSR,
     start: Vertex,
     scale: int,
     params: NibbleParameters,
     report: Optional[RoundReport] = None,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """Nibble(G, v, φ, b): exhaustive sweep certification (paper Appendix A).
@@ -436,56 +420,34 @@ def nibble(
     rule), or ``None`` when no prefix of any of the ``t0`` truncated walk
     vectors certifies.
 
-    ``backend`` selects the walk/sweep engine — ``"dict"`` (the reference
-    sparse-dictionary path), ``"csr"`` (the vectorized
-    :mod:`repro.graphs.csr` path), or ``"auto"`` (CSR above
-    :data:`~repro.graphs.csr.CSR_AUTO_THRESHOLD` vertices).  Both produce
-    identical cuts; a prebuilt ``csr`` snapshot may be passed to amortise
-    conversion across calls on the same graph.  The snapshot is honored
-    only when the resolved backend is ``"csr"`` and must describe the
-    current state of ``graph`` (rebuild it after any mutation).
+    The type of ``graph`` selects the walk/sweep engine: a dict ``Graph``
+    runs the reference path, a :class:`~repro.graphs.csr.CSRGraph` (or a
+    :class:`~repro.graphs.peel.PeeledCSR` view) the vectorized
+    :mod:`repro.graphs.csr` path.  Both produce identical cuts.
 
     ``adaptive`` toggles the adaptive walk budget (on by default; the
     fast-path parity suite pins that toggling it never changes a cut).
     """
     return _run_nibble(
-        graph,
-        start,
-        scale,
-        params,
-        report,
-        approximate=False,
-        backend=backend,
-        csr=csr,
-        adaptive=adaptive,
+        graph, start, scale, params, report, approximate=False, adaptive=adaptive
     )
 
 
 def approximate_nibble(
-    graph: Graph,
+    graph: Graph | CSRGraph | PeeledCSR,
     start: Vertex,
     scale: int,
     params: NibbleParameters,
     report: Optional[RoundReport] = None,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """ApproximateNibble: candidate prefixes only, relaxed volume bound (C.3*).
 
     The O(φ⁻¹ log Vol) candidate prefixes are the only ones a CONGEST node
     set can afford to evaluate; Lemma 4 of the paper shows the relaxation
-    preserves the output guarantees up to constants.  ``backend``, ``csr``,
+    preserves the output guarantees up to constants.  The engine choice
     and ``adaptive`` are as in :func:`nibble`.
     """
     return _run_nibble(
-        graph,
-        start,
-        scale,
-        params,
-        report,
-        approximate=True,
-        backend=backend,
-        csr=csr,
-        adaptive=adaptive,
+        graph, start, scale, params, report, approximate=True, adaptive=adaptive
     )

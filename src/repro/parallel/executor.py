@@ -93,8 +93,6 @@ def sequential_batch(
     root: int,
     batch_index: int,
     num_instances: int,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     adaptive: bool = True,
     task_streams=None,
 ) -> BatchResult:
@@ -119,7 +117,7 @@ def sequential_batch(
         degrees = sorted_degree_map(graph)
     return run_chunk(
         graph, params, root, batch_index, range(num_instances), adaptive,
-        streams=task_streams, backend=backend, csr=csr, degrees=degrees,
+        streams=task_streams, degrees=degrees,
     )
 
 
@@ -326,8 +324,6 @@ class Executor:
         root: int,
         batch_index: int,
         num_instances: int,
-        backend: str = "auto",
-        csr: Optional[CSRGraph] = None,
         adaptive: bool = True,
     ) -> BatchResult:
         """Run the batch; see the class docstring for the contract."""
@@ -374,14 +370,11 @@ class SequentialExecutor(Executor):
         root: int,
         batch_index: int,
         num_instances: int,
-        backend: str = "auto",
-        csr: Optional[CSRGraph] = None,
         adaptive: bool = True,
     ) -> BatchResult:
         """Run every instance inline via :func:`sequential_batch`."""
         return sequential_batch(
-            graph, params, root, batch_index, num_instances,
-            backend=backend, csr=csr, adaptive=adaptive,
+            graph, params, root, batch_index, num_instances, adaptive=adaptive
         )
 
     def run_siblings(
@@ -725,14 +718,12 @@ class ShardedExecutor(Executor):
         root: int,
         batch_index: int,
         num_instances: int,
-        backend: str = "auto",
-        csr: Optional[CSRGraph] = None,
         adaptive: bool = True,
     ) -> BatchResult:
         """Fan the batch out over the pool as one chunk per worker.
 
         Only :class:`PeeledCSR` batches above the size floor are shipped —
-        dict-graph batches (small by the backend auto-threshold) and tiny
+        dict-graph batches (small by the engine size threshold) and tiny
         views run inline.  A failed chunk re-runs only its own instances
         inline: the streams are counter-addressed and the batch memo is
         exact, so that is bit-identical to re-running the batch.  An
@@ -750,8 +741,7 @@ class ShardedExecutor(Executor):
             or graph.num_vertices < self.min_shard_vertices
         ):
             return sequential_batch(
-                graph, params, root, batch_index, num_instances,
-                backend=backend, csr=csr, adaptive=adaptive,
+                graph, params, root, batch_index, num_instances, adaptive=adaptive
             )
         jobs = []
         for chunk in np.array_split(

@@ -96,8 +96,6 @@ def run_nibble_instance(
     graph: "PeeledCSR | object",
     params: NibbleParameters,
     stream: np.random.Generator,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
     degrees: Optional[dict] = None,
     adaptive: bool = True,
     report: Optional[RoundReport] = None,
@@ -133,21 +131,9 @@ def run_nibble_instance(
         return None, None
     if memo is not None and (start, scale) in memo:
         return scale, memo[(start, scale)]
-    if isinstance(graph, PeeledCSR):
-        cut = approximate_nibble(
-            graph, start, scale, params, report=report, adaptive=adaptive
-        )
-    else:
-        cut = approximate_nibble(
-            graph,
-            start,
-            scale,
-            params,
-            report=report,
-            backend=backend,
-            csr=csr,
-            adaptive=adaptive,
-        )
+    cut = approximate_nibble(
+        graph, start, scale, params, report=report, adaptive=adaptive
+    )
     if memo is not None:
         memo[(start, scale)] = cut
     return scale, cut
@@ -186,7 +172,7 @@ def run_chunk(
     instance_indices,
     adaptive: bool = True,
     streams=None,
-    **instance_kwargs,
+    degrees: Optional[dict] = None,
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run the listed instances of one batch on ``graph``, in order.
 
@@ -195,7 +181,7 @@ def run_chunk(
     instance runs on ``streams(root, batch_index, instance_index)``
     (default :func:`repro.utils.rng.task_stream` — the key names *what*
     the task is, never where it runs) with a memo private to this call,
-    so nothing flows between chunks; ``instance_kwargs`` go to
+    so nothing flows between chunks; ``degrees`` goes to
     :func:`run_nibble_instance`.  Returns ``(instance_index, scale, cut)``
     triples in the given order.
     """
@@ -207,9 +193,9 @@ def run_chunk(
             graph,
             params,
             streams(root, batch_index, int(i)),
+            degrees=degrees,
             adaptive=adaptive,
             memo=memo,
-            **instance_kwargs,
         )
         out.append((int(i), scale, cut))
     return out

@@ -46,13 +46,13 @@ class BaselineResult:
         return len(self.triangles)
 
 
-def cpz_baseline_enumeration(graph: Graph, backend: str = "auto") -> BaselineResult:
+def cpz_baseline_enumeration(graph: Graph) -> BaselineResult:
     """Enumerate all triangles with the degeneracy-ordered baseline.
 
     Computes the canonical degeneracy order, orients every edge forward
     along it, and closes the forward wedges — the low-arboricity half of
-    CPZ run on the whole graph.  ``backend`` picks the dict or vectorized
-    engine as everywhere else; the triangle set is engine-independent.
+    CPZ run on the whole graph.  The dict or vectorized engine is picked by
+    size as everywhere else; the triangle set is engine-independent.
 
     The attached :class:`~repro.utils.rounds.RoundReport` charges the
     reference costs described in the module docstring; compare its
@@ -66,7 +66,7 @@ def cpz_baseline_enumeration(graph: Graph, backend: str = "auto") -> BaselineRes
     peel_report = report.subreport("degeneracy_peeling")
     peel_report.charge(max(1.0, degen * math.ceil(math.log2(n))), messages=graph.num_edges)
     wedges = forward_wedge_count(graph, order=order)
-    triangles = oriented_triangles(graph, backend=backend, order=order)
+    triangles = oriented_triangles(graph, order=order)
     enum_report = report.subreport("oriented_enumeration")
     enum_report.charge(max(1.0, math.ceil(math.sqrt(n))), messages=wedges)
     return BaselineResult(

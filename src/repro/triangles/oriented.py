@@ -12,8 +12,8 @@ arboricity-bounded bound of Chiba–Nishizeki, and the reason this enumerator
 replaces the old unoriented brute force as the repository's triangle ground
 truth at benchmark scale.
 
-Like the rest of the pipeline the enumerator runs on two engines selected
-by ``backend="dict"|"csr"|"auto"``:
+Like the rest of the pipeline the enumerator runs on two engines, picked
+by the graph's size (:func:`repro.graphs.csr.uses_csr_engine`):
 
 * the dict path walks forward adjacency sets in pure Python (the readable
   reference, cheapest on small graphs);
@@ -23,7 +23,7 @@ by ``backend="dict"|"csr"|"auto"``:
   membership test against the oriented edge-key array.
 
 Both return the same mathematical object — the set of triangles, each a
-``frozenset`` of three vertex labels — so backend parity is plain set
+``frozenset`` of three vertex labels — so engine parity is plain set
 equality, pinned by ``tests/test_triangles.py``.
 """
 
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph, resolve_backend
+from ..graphs.csr import CSRGraph, uses_csr_engine
 from ..graphs.graph import Graph, Vertex
 from ..graphs.metrics import degeneracy_order
 
@@ -43,7 +43,7 @@ def _rank_map(graph: Graph, order: Optional[Sequence[Vertex]]) -> dict:
     if order is None:
         order, _ = degeneracy_order(graph)
     rank = {v: r for r, v in enumerate(order)}
-    if len(rank) != graph.num_vertices:
+    if len(rank) != len(order) or rank.keys() != set(graph.vertices()):
         raise ValueError("order must enumerate every vertex exactly once")
     return rank
 
@@ -70,23 +70,23 @@ def _oriented_dict(graph: Graph, rank: dict) -> set[frozenset]:
 
 
 def _forward_arrays(
-    csr: CSRGraph, rank_idx: np.ndarray
+    graph: CSRGraph, rank_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-sorted forward adjacency of ``csr`` as flat arrays.
+    """Rank-sorted forward adjacency of ``graph`` as flat arrays.
 
     Returns ``(fe_row, fe_tgt, counts)``: the forward (rank-increasing)
     directed edges grouped by source row — within a group targets ascend by
     rank — plus the per-row forward-degree counts.
     """
-    rows = np.repeat(np.arange(csr.n, dtype=np.int64), csr.proper_degree)
-    flat = csr.indices
+    rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.proper_degree)
+    flat = graph.indices
     keep = rank_idx[flat] > rank_idx[rows]
     fe_row = rows[keep]
     fe_tgt = flat[keep]
     perm = np.lexsort((rank_idx[fe_tgt], fe_row))
     fe_row = fe_row[perm]
     fe_tgt = fe_tgt[perm]
-    counts = np.bincount(fe_row, minlength=csr.n)
+    counts = np.bincount(fe_row, minlength=graph.n)
     return fe_row, fe_tgt, counts
 
 
@@ -119,7 +119,7 @@ def _candidate_pairs(
 
 
 def _oriented_csr_hits(
-    csr: CSRGraph, rank_idx: np.ndarray
+    graph: CSRGraph, rank_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index triples of every triangle, one entry per triangle.
 
@@ -129,50 +129,46 @@ def _oriented_csr_hits(
     against the forward edge-key array (``source·n + target``, sorted once)
     finds each triangle exactly once, at its apex.
     """
-    fe_row, fe_tgt, counts = _forward_arrays(csr, rank_idx)
+    fe_row, fe_tgt, counts = _forward_arrays(graph, rank_idx)
     if fe_row.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    keys = np.sort(fe_row * np.int64(csr.n) + fe_tgt)
+    keys = np.sort(fe_row * np.int64(graph.n) + fe_tgt)
     apex, first, second = _candidate_pairs(fe_row, fe_tgt, counts)
     if apex.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    cand = first * np.int64(csr.n) + second
+    cand = first * np.int64(graph.n) + second
     pos = np.searchsorted(keys, cand)
     pos_safe = np.minimum(pos, len(keys) - 1)
     hit = (pos < len(keys)) & (keys[pos_safe] == cand)
     return apex[hit], first[hit], second[hit]
 
 
-def _rank_index_array(csr: CSRGraph, rank: dict) -> np.ndarray:
+def _rank_index_array(graph: CSRGraph, rank: dict) -> np.ndarray:
     """The rank map as an array over CSR indices."""
-    rank_idx = np.empty(csr.n, dtype=np.int64)
+    rank_idx = np.empty(graph.n, dtype=np.int64)
     for v, r in rank.items():
-        rank_idx[csr.index[v]] = r
+        rank_idx[graph.index[v]] = r
     return rank_idx
 
 
 def oriented_triangles(
-    graph: Graph,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
-    order: Optional[Sequence[Vertex]] = None,
+    graph: Graph, order: Optional[Sequence[Vertex]] = None
 ) -> set[frozenset]:
     """Every triangle of ``graph``, as frozensets of three vertex labels.
 
     Exact on any input; the orientation order only affects cost, never the
     output.  ``order`` defaults to the canonical degeneracy order (the
     O(m·degeneracy) bound); any permutation of the vertices is accepted —
-    e.g. the ``repr``-sorted order to skip the peeling pass.  ``backend``
-    and the optional prebuilt ``csr`` snapshot behave exactly as in
-    :func:`repro.nibble.nibble.nibble`.
+    e.g. the ``repr``-sorted order to skip the peeling pass — and anything
+    else raises :class:`ValueError`.  Graphs at or above the engine
+    threshold are snapshotted and enumerated on the CSR engine.
     """
     rank = _rank_map(graph, order)
-    if resolve_backend(graph, backend) == "dict":
+    if not uses_csr_engine(graph.num_vertices):
         return _oriented_dict(graph, rank)
-    if csr is None:
-        csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.from_graph(graph)
     apex, first, second = _oriented_csr_hits(csr, _rank_index_array(csr, rank))
     labels = csr.vertices
     return {
@@ -182,10 +178,7 @@ def oriented_triangles(
 
 
 def oriented_triangle_count(
-    graph: Graph,
-    backend: str = "auto",
-    csr: Optional[CSRGraph] = None,
-    order: Optional[Sequence[Vertex]] = None,
+    graph: Graph, order: Optional[Sequence[Vertex]] = None
 ) -> int:
     """Number of triangles, skipping the per-triangle label materialisation.
 
@@ -195,10 +188,9 @@ def oriented_triangle_count(
     routes through.
     """
     rank = _rank_map(graph, order)
-    if resolve_backend(graph, backend) == "dict":
+    if not uses_csr_engine(graph.num_vertices):
         return len(_oriented_dict(graph, rank))
-    if csr is None:
-        csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.from_graph(graph)
     apex, _, _ = _oriented_csr_hits(csr, _rank_index_array(csr, rank))
     return int(apex.size)
 

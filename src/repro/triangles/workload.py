@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ..decomposition.expander import DecompositionResult, expander_decomposition
-from ..graphs.csr import CSRGraph, resolve_backend
+from ..graphs.csr import CSRGraph, uses_csr_engine
 from ..graphs.graph import Graph
 from ..graphs.metrics import degeneracy_order
 from ..graphs.peel import PeeledCSR
@@ -155,7 +155,6 @@ class DecompositionCache:
         epsilon: float,
         phi: float,
         mode: ParameterMode,
-        backend: str,
         fast_path: bool,
         sparse_cut_kwargs: Optional[dict],
         rng: np.random.Generator,
@@ -181,7 +180,6 @@ class DecompositionCache:
             float(epsilon),
             float(phi),
             mode.value,
-            backend,
             bool(fast_path),
             repr(sorted(_scrub_execution_kwargs(sparse_cut_kwargs).items())),
             _rng_state_key(rng),
@@ -200,7 +198,6 @@ class DecompositionCache:
             phi=phi,
             mode=mode,
             seed=rng,
-            backend=backend,
             fast_path=fast_path,
             sparse_cut_kwargs=sparse_cut_kwargs,
             executor=executor,
@@ -385,7 +382,6 @@ def decomposition_triangle_enumeration(
     phi: float = 0.1,
     mode: ParameterMode = ParameterMode.PRACTICAL,
     seed: SeedLike = None,
-    backend: str = "auto",
     verify: bool = True,
     sparse_cut_kwargs: Optional[dict] = None,
     fast_path: bool = True,
@@ -406,8 +402,8 @@ def decomposition_triangle_enumeration(
     With ``verify=True`` (the default, kept on in benchmarks and tests) the
     final set is checked for exact equality against the independent
     oriented enumerator and a mismatch raises — the workload never returns
-    a silently wrong answer.  ``backend`` selects dict/CSR engines per
-    level exactly as in the decomposition itself; all choices return the
+    a silently wrong answer.  Every level picks its dict/CSR engines by
+    size exactly as the decomposition itself does; both engines return the
     same triangle set.  ``fast_path`` forwards the certification fast path
     to every level's decomposition (output-neutral; see
     :func:`repro.decomposition.expander.expander_decomposition`).
@@ -442,7 +438,7 @@ def decomposition_triangle_enumeration(
         """Recursion base case: one oriented pass over what is left."""
         begin = time.perf_counter()
         order, _ = degeneracy_order(remainder)  # one peel serves both calls
-        found = oriented_triangles(remainder, backend=backend, order=order)
+        found = oriented_triangles(remainder, order=order)
         direct_report = level_report.subreport("direct_enumeration")
         _charge_cluster(
             direct_report,
@@ -480,7 +476,6 @@ def decomposition_triangle_enumeration(
                     epsilon=epsilon,
                     phi=phi,
                     mode=mode,
-                    backend=backend,
                     fast_path=fast_path,
                     sparse_cut_kwargs=sparse_cut_kwargs,
                     rng=rng,
@@ -493,7 +488,6 @@ def decomposition_triangle_enumeration(
                     phi=phi,
                     mode=mode,
                     seed=rng,
-                    backend=backend,
                     fast_path=fast_path,
                     sparse_cut_kwargs=sparse_cut_kwargs,
                     executor=engine,
@@ -509,9 +503,7 @@ def decomposition_triangle_enumeration(
                 break
 
             begin = time.perf_counter()
-            found_here = _enumerate_clusters(
-                work, decomposition, backend, level_report, cache=cache
-            )
+            found_here = _enumerate_clusters(work, decomposition, level_report, cache=cache)
             triangles.update(found_here)
             found_total += len(found_here)
             levels.append(
@@ -540,7 +532,7 @@ def decomposition_triangle_enumeration(
         )
     verified = False
     if verify:
-        expected = oriented_triangles(graph, backend=backend)
+        expected = oriented_triangles(graph)
         if triangles != expected:
             missing = len(expected - triangles)
             extra = len(triangles - expected)
@@ -562,11 +554,10 @@ def decomposition_triangle_enumeration(
 def _enumerate_clusters(
     work: Graph,
     decomposition: DecompositionResult,
-    backend: str,
     level_report: RoundReport,
     cache: Optional[DecompositionCache] = None,
 ) -> set:
-    """The cluster stage of one level, on the engine ``backend`` resolves to.
+    """The cluster stage of one level, on the engine the level's size picks.
 
     On the CSR engine the level snapshots ``work`` once; every cluster is a
     masked view of that snapshot and closes its wedges against the shared
@@ -578,7 +569,7 @@ def _enumerate_clusters(
     """
     found: set = set()
     cluster_reports: list[RoundReport] = []
-    if resolve_backend(work, backend) == "csr":
+    if uses_csr_engine(work.num_vertices):
         base = cache.snapshot(work) if cache is not None else CSRGraph.from_graph(work)
         edge_keys = base.directed_edge_keys()
         for i, component in enumerate(decomposition.components):

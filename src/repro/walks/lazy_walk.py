@@ -11,12 +11,12 @@ the truncation is that the walk's support stays local (Lemma 3), and the
 sparse representation is what makes the distributed implementation's
 congestion argument meaningful.
 
-This is the *reference* backend.  The vectorized twin in
+This is the *reference* engine.  The vectorized twin in
 :mod:`repro.graphs.csr` evaluates the same IEEE expressions in the same
 canonical accumulation order (ascending ``repr``-sorted vertex order), so
-the two backends produce bit-identical walk vectors; ``backend="csr"`` on
-:func:`repro.nibble.nibble.nibble` switches the hot path over without
-changing any output.
+the two engines produce bit-identical walk vectors; handing
+:func:`repro.nibble.nibble.nibble` a ``CSRGraph`` instead of a ``Graph``
+switches the hot path over without changing any output.
 """
 
 from __future__ import annotations

@@ -35,11 +35,7 @@ SMOKE_POINTS_PER_AXIS = 8
 FULL_POINTS_PER_AXIS = 25
 
 
-def run_point(
-    point: WorldPoint,
-    backend: str = "auto",
-    workers: int = 1,
-) -> dict:
+def run_point(point: WorldPoint, workers: int = 1) -> dict:
     """Run the decomposition pipeline on one sampled point and record it.
 
     The record's ``family`` key (``axis[index]``) is what
@@ -55,7 +51,6 @@ def run_point(
         epsilon=point.epsilon,
         phi=point.phi,
         seed=point.seed,
-        backend=backend,
         fast_path=True,
         workers=workers,
     )
@@ -69,7 +64,6 @@ def run_point(
         "seed": point.seed,
         "epsilon": point.epsilon,
         "phi": point.phi,
-        "backend": backend,
         "workers": int(workers or 1),
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
@@ -102,7 +96,6 @@ def run_sweep(
     world_seed: int,
     points_per_axis: int,
     axes: Sequence[str] = ALL_AXES,
-    backend: str = "auto",
     workers: int = 1,
     progress: Optional[callable] = None,
 ) -> dict:
@@ -116,7 +109,7 @@ def run_sweep(
     points = sample_world(world_seed, points_per_axis, tuple(axes))
     records = []
     for point in points:
-        record = run_point(point, backend=backend, workers=workers)
+        record = run_point(point, workers=workers)
         records.append(record)
         if progress is not None:
             progress(record)
@@ -125,7 +118,6 @@ def run_sweep(
         "world_seed": world_seed,
         "points_per_axis": points_per_axis,
         "axes": list(axes),
-        "backend": backend,
         "workers": int(workers or 1),
         "world_results": records,
         "marginal_effects": marginal_effects(records),

@@ -1,8 +1,14 @@
 """Suite-wide fixtures and guards.
 
-The only machinery here is an opt-in per-test timeout: pool-backed tests
-can hang forever if a worker deadlocks instead of crashing (a crash is
-caught by the degrade path; a deadlock is not).  CI sets
+Two pieces of machinery live here.  The ``engine`` fixture forces every
+working graph a test builds onto the dict or the CSR engine, by moving
+the size threshold :func:`repro.graphs.csr.uses_csr_engine` reads — the
+library itself picks the engine from the graph, so this is how a test
+compares the two on one input.
+
+The other is an opt-in per-test timeout: pool-backed tests can hang
+forever if a worker deadlocks instead of crashing (a crash is caught by
+the degrade path; a deadlock is not).  CI sets
 ``REPRO_TEST_TIMEOUT=<seconds>`` so a wedged test fails loudly with a
 stack trace instead of eating the job's whole ``timeout-minutes``.  The
 guard uses :mod:`signal` alarms — no third-party plugin — and is a no-op
@@ -13,8 +19,34 @@ does not exist.
 import os
 import signal
 import threading
+from contextlib import contextmanager
 
 import pytest
+
+from repro.graphs import csr as csr_module
+
+#: Size thresholds that put every graph the suite builds on one engine.
+ENGINE_THRESHOLDS = {"dict": 10**9, "csr": 0}
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """``with engine("dict"):`` / ``with engine("csr"):`` — one engine throughout.
+
+    ``"auto"`` keeps the library's default size rule, so a test can loop
+    over all three names.
+    """
+
+    @contextmanager
+    def scope(name: str):
+        with monkeypatch.context() as patch:
+            if name != "auto":
+                patch.setattr(
+                    csr_module, "CSR_AUTO_THRESHOLD", ENGINE_THRESHOLDS[name]
+                )
+            yield
+
+    return scope
 
 
 def _timeout_seconds() -> float:

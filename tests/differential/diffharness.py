@@ -1,14 +1,24 @@
-"""Differential-testing harness: one matrix, every backend, bit-identical.
+"""Differential-testing harness: one matrix, every configuration, bit-identical.
 
-The repository's core correctness contract is that every execution backend
-— the dict oracle, the CSR engine (:class:`~repro.graphs.csr.WalkWorkspace`
-kernels on peeled views), int32 and int64 index storage, memory-mapped
-snapshots, the certification fast path on or off, and permuted sibling
-scheduling — produces *bit-identical* outputs: the same cuts, the same RNG
-post-states, the same round accounting.  This module is the single place
-that contract is written down as executable code.
+The repository's core correctness contract is that every execution
+configuration — the dict oracle, the CSR engine
+(:class:`~repro.graphs.csr.WalkWorkspace` kernels on peeled views), int32
+and int64 index storage, memory-mapped snapshots, the certification fast
+path on or off, and permuted sibling scheduling — produces
+*bit-identical* outputs: the same cuts, the same RNG post-states, the same
+round accounting.  This module is the single place that contract is
+written down as executable code.
 
-:data:`MATRIX` enumerates the backend configurations.  The one entry
+The library picks the walk engine by graph type and size
+(:func:`repro.graphs.csr.uses_csr_engine`), so the engine column of the
+matrix is an :func:`engine_threshold` scope: dict cells raise the size
+threshold above every family's vertex count, csr cells lower it to 0,
+and auto cells keep the library default.  The scope covers the main
+process; pool workers (``REPRO_DIFF_WORKERS``) run under the threshold
+they were forked with, which bit-identity makes invisible to every
+output.
+
+:data:`MATRIX` enumerates the configurations.  The one entry
 point, :func:`assert_pipeline_identical`, drives a graph through a full
 expander decomposition and a sparse-cut harvest under every configuration
 and asserts:
@@ -24,8 +34,8 @@ and asserts:
   charges spectral rounds instead of skipped-batch rounds, so totals are
   only comparable between configurations with the same ``fast_path``).
 
-To add a backend: append a :class:`BackendConfig` to :data:`MATRIX` and
-teach :func:`_host_graph` how to build its host view if it needs one.
+To add a configuration: append a :class:`BackendConfig` to :data:`MATRIX`
+and teach :func:`_host_graph` how to build its host view if it needs one.
 Every differential test picks the new configuration up automatically
 (see ``docs/KERNELS.md``).
 """
@@ -38,6 +48,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -62,11 +73,19 @@ from repro.graphs.peel import PeeledCSR
 from repro.parallel import SequentialExecutor
 
 
+#: Engine threshold of the dict cells: one above every family's vertex
+#: count (:func:`generator_families`), so every working graph the suite
+#: builds stays on the dict engine.
+DICT_ONLY = 81
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    """One cell of the backend matrix.
+    """One cell of the configuration matrix.
 
-    ``backend`` is the engine argument handed to the pipeline entry points;
+    ``engine_threshold`` is the CSR size threshold the cell runs under
+    (:func:`engine_threshold`; ``None`` keeps the library default,
+    :data:`DICT_ONLY` pins the dict engine, 0 the CSR engine);
     ``index_dtype`` is ``"int32"`` (the automatic choice on every family
     here) or ``"int64"`` (wide storage forced via
     :func:`index_width`); ``fast_path`` toggles the spectral pre-check
@@ -75,7 +94,7 @@ class BackendConfig:
     """
 
     name: str
-    backend: str = "auto"
+    engine_threshold: Optional[int] = None
     index_dtype: str = "int32"
     fast_path: bool = True
     mmap: bool = False
@@ -86,18 +105,18 @@ class BackendConfig:
     scheduler: str = "inline"
 
 
-#: The full backend matrix.  ``dict`` is the oracle; everything else must
-#: match it bit for bit.  Keep at least one dict configuration per
+#: The full configuration matrix.  ``dict`` is the oracle; everything else
+#: must match it bit for bit.  Keep at least one dict configuration per
 #: fast-path group so round totals always have an oracle to compare to.
 MATRIX = (
-    BackendConfig("dict", backend="dict"),
-    BackendConfig("auto", backend="auto"),
-    BackendConfig("csr-int64", backend="csr", index_dtype="int64"),
-    BackendConfig("csr-int32", backend="csr", index_dtype="int32"),
+    BackendConfig("dict", engine_threshold=DICT_ONLY),
+    BackendConfig("auto"),
+    BackendConfig("csr-int64", engine_threshold=0, index_dtype="int64"),
+    BackendConfig("csr-int32", engine_threshold=0, index_dtype="int32"),
     BackendConfig("mmap", mmap=True),
-    BackendConfig("dict-nofast", backend="dict", fast_path=False),
-    BackendConfig("auto-nofast", backend="auto", fast_path=False),
-    BackendConfig("component-parallel", backend="auto", scheduler="permuted"),
+    BackendConfig("dict-nofast", engine_threshold=DICT_ONLY, fast_path=False),
+    BackendConfig("auto-nofast", fast_path=False),
+    BackendConfig("component-parallel", scheduler="permuted"),
 )
 
 #: A cheaper matrix that still touches every axis once (dict oracle,
@@ -155,6 +174,25 @@ def sparse_cut_signature(result):
         result.certified_no_cut,
         result.batches,
     )
+
+
+@contextmanager
+def engine_threshold(threshold: Optional[int]):
+    """Scope in which working graphs of ``threshold`` or more vertices run CSR.
+
+    Lowers or raises :data:`~repro.graphs.csr.CSR_AUTO_THRESHOLD`, which
+    :func:`~repro.graphs.csr.uses_csr_engine` reads at call time;
+    ``None`` keeps the library default.
+    """
+    if threshold is None:
+        yield
+        return
+    previous = csr_backend.CSR_AUTO_THRESHOLD
+    csr_backend.CSR_AUTO_THRESHOLD = threshold
+    try:
+        yield
+    finally:
+        csr_backend.CSR_AUTO_THRESHOLD = previous
 
 
 @contextmanager
@@ -289,6 +327,7 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
 
     with ExitStack() as stack:
         stack.enter_context(index_width(config.index_dtype))
+        stack.enter_context(engine_threshold(config.engine_threshold))
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
         result = expander_decomposition(
@@ -296,7 +335,6 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
             epsilon,
             phi,
             seed=rng,
-            backend=config.backend,
             fast_path=config.fast_path,
             executor=_config_executor(config),
             **kwargs,
@@ -315,6 +353,7 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
 
     with ExitStack() as stack:
         stack.enter_context(index_width(config.index_dtype))
+        stack.enter_context(engine_threshold(config.engine_threshold))
         host = _host_graph(graph, config, stack)
         if config.mmap:
             host = PeeledCSR.full(host)
@@ -323,7 +362,6 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
             host,
             phi,
             seed=rng,
-            backend=config.backend,
             fast_path=config.fast_path,
             executor=ambient_executor(),
             **kwargs,
@@ -342,7 +380,7 @@ def assert_pipeline_identical(
     sparse_cut: bool = True,
     **kwargs,
 ):
-    """Drive ``graph`` through every backend configuration; assert identity.
+    """Drive ``graph`` through every configuration; assert identity.
 
     Runs a full expander decomposition (and, unless ``sparse_cut=False``,
     a sparse-cut harvest) under each entry of ``configs`` and asserts

@@ -15,7 +15,12 @@ post-states, and round totals.
 import numpy as np
 import pytest
 
-from diffharness import decomposition_signature, generator_families
+from diffharness import (
+    DICT_ONLY,
+    decomposition_signature,
+    engine_threshold,
+    generator_families,
+)
 from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
@@ -24,9 +29,10 @@ from repro.decomposition import (
 FAMILIES = generator_families()
 
 
-def run_decomposition(graph, backend, seed=7):
+def run_decomposition(graph, threshold, seed=7):
     rng = np.random.default_rng(seed)
-    result = expander_decomposition(graph, 0.2, 0.1, seed=rng, backend=backend)
+    with engine_threshold(threshold):
+        result = expander_decomposition(graph, 0.2, 0.1, seed=rng)
     return (
         decomposition_signature(result),
         result.report.total_rounds,
@@ -34,9 +40,10 @@ def run_decomposition(graph, backend, seed=7):
     )
 
 
-def run_cut(graph, backend, seed=7):
+def run_cut(graph, threshold, seed=7):
     rng = np.random.default_rng(seed)
-    result = nearly_most_balanced_sparse_cut(graph, 0.1, seed=rng, backend=backend)
+    with engine_threshold(threshold):
+        result = nearly_most_balanced_sparse_cut(graph, 0.1, seed=rng)
     return (
         result.cut,
         result.conductance,
@@ -56,7 +63,7 @@ def family(request):
 
 class TestBatchedPeelParity:
     def test_decomposition_bitwise_equal(self, family):
-        assert run_decomposition(family, "csr") == run_decomposition(family, "dict")
+        assert run_decomposition(family, 0) == run_decomposition(family, DICT_ONLY)
 
     def test_sparse_cut_bitwise_equal(self, family):
-        assert run_cut(family, "csr") == run_cut(family, "dict")
+        assert run_cut(family, 0) == run_cut(family, DICT_ONLY)

@@ -1,4 +1,4 @@
-"""The backend matrix: full pipelines, every configuration, bit-identical.
+"""The configuration matrix: full pipelines, every configuration, bit-identical.
 
 This module hosts the parity contract that used to be split across
 ``tests/test_csr.py::TestPipelineParity`` and ``tests/test_fast_path.py``'s
@@ -12,6 +12,7 @@ import pytest
 
 from diffharness import (
     CORE_MATRIX,
+    DICT_ONLY,
     MATRIX,
     assert_pipeline_identical,
     decomposition_signature,
@@ -44,9 +45,11 @@ class TestBackendMatrix:
         )
 
     def test_matrix_covers_every_axis(self):
-        """The matrix must keep exercising every backend axis the kernels
-        expose — losing a cell here silently weakens every test above."""
-        assert {c.backend for c in MATRIX} >= {"dict", "csr", "auto"}
+        """The matrix must keep exercising every axis the kernels expose —
+        losing a cell here silently weakens every test above."""
+        # engine column: dict-only, CSR-only, and the default size rule
+        assert {c.engine_threshold for c in MATRIX} >= {DICT_ONLY, 0, None}
+        assert DICT_ONLY == 1 + max(g.num_vertices for _, g in FAMILIES)
         assert {c.index_dtype for c in MATRIX} == {"int32", "int64"}
         assert {c.index_dtype for c in CORE_MATRIX} == {"int32", "int64"}
         assert {c.fast_path for c in MATRIX} == {True, False}
@@ -58,7 +61,8 @@ class TestBackendMatrix:
         # round-accounting oracle: a dict engine in each fast-path group
         for fast_path in (True, False):
             assert any(
-                c.backend == "dict" and c.fast_path is fast_path for c in MATRIX
+                c.engine_threshold == DICT_ONLY and c.fast_path is fast_path
+                for c in MATRIX
             )
 
 

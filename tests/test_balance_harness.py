@@ -32,6 +32,7 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.metrics import most_balanced_sparse_cut_exact
+from repro.graphs.peel import PeeledCSR
 
 
 def small_random_graphs():
@@ -71,13 +72,12 @@ class TestSoundness:
             assert not exact.is_empty  # found's own cut qualifies
             assert found.balance <= exact.balance + 1e-12
 
-    def test_dict_and_peeled_engines_agree_on_the_harness(self):
+    def test_dict_and_peeled_engines_agree_on_the_harness(self, engine):
         for seed, g in small_random_graphs()[:6]:
-            dict_found = nearly_most_balanced_sparse_cut(
-                g, 0.3, seed=seed, backend="dict"
-            )
+            with engine("dict"):
+                dict_found = nearly_most_balanced_sparse_cut(g, 0.3, seed=seed)
             peel_found = nearly_most_balanced_sparse_cut(
-                g, 0.3, seed=seed, backend="csr"
+                PeeledCSR.from_graph(g), 0.3, seed=seed
             )
             assert dict_found.cut == peel_found.cut
             assert dict_found.certified_no_cut == peel_found.certified_no_cut

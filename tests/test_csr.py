@@ -1,12 +1,13 @@
-"""Dict-vs-CSR backend parity: the randomized property harness.
+"""Dict-vs-CSR engine parity: the randomized property harness.
 
 The CSR walk engine (`repro.graphs.csr`) promises *bit-identical* results to
-the reference dict backend — same walk vectors, same sweep statistics, same
+the reference dict engine — same walk vectors, same sweep statistics, same
 certified cuts — because both accumulate floating-point mass in the same
 canonical order.  These tests pin that promise on randomized graphs (the
-property harness ROADMAP asked for) and on every benchmark family; the
-full-pipeline matrix (decompositions and sparse cuts across every backend
-configuration) lives in ``tests/differential/``.
+property harness ROADMAP asked for) and on every benchmark family, and pin
+the size rule that picks between the engines; the full-pipeline matrix
+(decompositions and sparse cuts across every configuration) lives in
+``tests/differential/``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,24 @@ import numpy as np
 import pytest
 
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import CSR_AUTO_THRESHOLD, CSRGraph, WalkWorkspace, resolve_backend
+from repro.graphs.csr import CSRGraph, WalkWorkspace, uses_csr_engine
 from repro.graphs.generators import (
     barbell_expanders,
+    cycle_graph,
     erdos_renyi_graph,
     planted_partition_graph,
     power_law_graph,
     random_regular_graph,
     ring_of_cliques,
 )
+from repro.decomposition import (
+    expander as expander_module,
+    expander_decomposition,
+    nearly_most_balanced_sparse_cut,
+    sparse_cut as sparse_cut_module,
+)
 from repro.graphs.graph import Graph
+from repro.graphs.peel import PeeledCSR
 from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep, candidate_indices
@@ -108,15 +117,6 @@ class TestCSRGraphStructure:
                 assert back.neighbors(v) == g.neighbors(v)
                 assert back.self_loops(v) == g.self_loops(v)
 
-    def test_resolve_backend(self):
-        small = ring_of_cliques(2, 4)
-        assert resolve_backend(small, "dict") == "dict"
-        assert resolve_backend(small, "csr") == "csr"
-        assert resolve_backend(small, "auto") == "dict"
-        big = Graph(vertices=range(CSR_AUTO_THRESHOLD))
-        assert resolve_backend(big, "auto") == "csr"
-        with pytest.raises(ValueError):
-            resolve_backend(small, "numpy")
 
 
 class TestWalkParity:
@@ -193,7 +193,7 @@ class TestSweepParity:
     def test_candidate_indices_identical(self):
         # candidate_indices_from_volumes is the searchsorted variant the CSR
         # scan actually calls — compare it (not the dict-side helper)
-        # against the dict backend's linear-scan construction.
+        # against the dict engine's linear-scan construction.
         for seed, g in enumerate(random_graphs(4)):
             csr = CSRGraph.from_graph(g)
             for dict_state, csr_state in self.sweeps(g, csr, seed + 100):
@@ -224,9 +224,7 @@ class TestCutParity:
             start = csr.vertices[seed % csr.n]
             for scale in (1, max(1, params.ell // 2)):
                 for fn in (nibble, approximate_nibble):
-                    dict_cut = fn(g, start, scale, params, backend="dict")
-                    csr_cut = fn(g, start, scale, params, backend="csr", csr=csr)
-                    assert dict_cut == csr_cut
+                    assert fn(g, start, scale, params) == fn(csr, start, scale, params)
 
     def test_nibble_cuts_identical_on_families(self):
         for _, g in family_graphs():
@@ -234,23 +232,62 @@ class TestCutParity:
             csr = CSRGraph.from_graph(g)
             for start in (csr.vertices[0], csr.vertices[csr.n // 2]):
                 for scale in (1, params.ell):
-                    assert nibble(g, start, scale, params, backend="dict") == nibble(
-                        g, start, scale, params, backend="csr"
-                    )
-                    assert approximate_nibble(
-                        g, start, scale, params, backend="dict"
-                    ) == approximate_nibble(g, start, scale, params, backend="csr")
+                    for fn in (nibble, approximate_nibble):
+                        assert fn(g, start, scale, params) == fn(
+                            csr, start, scale, params
+                        )
 
-    def test_scale_out_of_range_raises_on_both_backends(self):
+    def test_scale_out_of_range_raises_on_both_engines(self):
         g = ring_of_cliques(3, 5)
         params = NibbleParameters.practical(g, 0.1)
-        for backend in ("dict", "csr"):
+        for target in (g, CSRGraph.from_graph(g)):
             with pytest.raises(ValueError):
-                nibble(g, next(iter(g.vertices())), params.ell + 1, params, backend=backend)
+                nibble(target, next(iter(g.vertices())), params.ell + 1, params)
 
 
-# Full-pipeline parity (sparse cuts and decompositions across backends)
+class TestEngineRule:
+    """The size rule at its edge: 31 vertices run dict, 32 run CSR.
+
+    Observed at both places the rule is applied to a dict graph — the
+    decomposition's working-graph builder (what it hands the sparse cut)
+    and the sparse cut's entry (what it hands each ParallelNibble batch) —
+    on cycles, sparse enough that every cut search runs.
+    """
+
+    def test_threshold_edge(self):
+        assert csr_backend.CSR_AUTO_THRESHOLD == 32
+        assert not uses_csr_engine(31)
+        assert uses_csr_engine(32)
+
+    @pytest.mark.parametrize("n,engine", [(31, Graph), (32, PeeledCSR)])
+    def test_decomposition_site(self, monkeypatch, n, engine):
+        seen = []
+        original = expander_module.nearly_most_balanced_sparse_cut
+
+        def spy(target, *args, **kwargs):
+            seen.append(type(target))
+            return original(target, *args, **kwargs)
+
+        monkeypatch.setattr(expander_module, "nearly_most_balanced_sparse_cut", spy)
+        expander_decomposition(cycle_graph(n), 0.5, 0.1, seed=1)
+        assert seen[0] is engine
+
+    @pytest.mark.parametrize("n,engine", [(31, Graph), (32, PeeledCSR)])
+    def test_sparse_cut_site(self, monkeypatch, n, engine):
+        seen = []
+        original = sparse_cut_module.parallel_nibble_cuts
+
+        def spy(graph, *args, **kwargs):
+            seen.append(type(graph))
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(sparse_cut_module, "parallel_nibble_cuts", spy)
+        nearly_most_balanced_sparse_cut(cycle_graph(n), 0.1, seed=1, fast_path=False)
+        assert seen and set(seen) == {engine}
+
+
+# Full-pipeline parity (sparse cuts and decompositions across engines)
 # lives in tests/differential/test_pipeline.py, which drives the complete
-# backend matrix — dict / csr / int32 / int64 / mmap / fast path /
+# configuration matrix — dict / csr / int32 / int64 / mmap / fast path /
 # permuted scheduling — through every generator family via
 # assert_pipeline_identical.

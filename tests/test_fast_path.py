@@ -68,20 +68,22 @@ class TestAdaptiveWalkBudget:
             rng = ensure_rng(5)
             degrees = {v: g.degree(v) for v in g.vertices() if g.degree(v) > 0}
             starts = [sample_by_degree(rng, degrees) for _ in range(3)]
+            csr = CSRGraph.from_graph(g)
             for pick, start in enumerate(starts):
                 for scale in (1, params.ell):
-                    for backend in ("dict", "csr"):
+                    for target in (g, csr):
+                        engine = type(target).__name__
                         assert approximate_nibble(
-                            g, start, scale, params, backend=backend, adaptive=True
+                            target, start, scale, params, adaptive=True
                         ) == approximate_nibble(
-                            g, start, scale, params, backend=backend, adaptive=False
-                        ), (name, start, scale, backend)
+                            target, start, scale, params, adaptive=False
+                        ), (name, start, scale, engine)
                         if pick == 0:  # the exhaustive scan, once per config
                             assert nibble(
-                                g, start, scale, params, backend=backend, adaptive=True
+                                target, start, scale, params, adaptive=True
                             ) == nibble(
-                                g, start, scale, params, backend=backend, adaptive=False
-                            ), (name, start, scale, backend)
+                                target, start, scale, params, adaptive=False
+                            ), (name, start, scale, engine)
 
     def test_budget_stops_early_on_isolated_component(self):
         """On a closed support (an isolated clique) the budget must stop
@@ -93,8 +95,8 @@ class TestAdaptiveWalkBudget:
                 g.remove_edge_with_loops(u, v)
         params = NibbleParameters.practical(g, 0.1, t0_override=400)
         start = sorted(g.vertices(), key=repr)[0]
-        on = approximate_nibble(g, start, 1, params, backend="dict", adaptive=True)
-        off = approximate_nibble(g, start, 1, params, backend="dict", adaptive=False)
+        on = approximate_nibble(g, start, 1, params, adaptive=True)
+        off = approximate_nibble(g, start, 1, params, adaptive=False)
         assert on == off
 
 

@@ -258,16 +258,17 @@ class TestCutIdentity:
             got = nearly_most_balanced_sparse_cut(graph, 0.1, seed=5, workers=workers)
             assert cut_signature(got) == expected, f"workers={workers} diverged"
 
-    @pytest.mark.parametrize("backend", ["dict", "csr", "auto"])
-    def test_sharded_engine_matches_sequential_per_backend(self, backend):
+    @pytest.mark.parametrize("which", ["dict", "csr", "auto"])
+    def test_sharded_engine_matches_sequential_per_walk_engine(self, engine, which):
         graph = barbell_expanders(32, degree=8, seed=3)
-        expected = cut_signature(
-            nearly_most_balanced_sparse_cut(graph, 0.1, seed=5, backend=backend)
-        )
-        with ShardedExecutor(2, min_shard_vertices=1) as engine:
-            got = nearly_most_balanced_sparse_cut(
-                graph, 0.1, seed=5, backend=backend, executor=engine
+        with engine(which):
+            expected = cut_signature(
+                nearly_most_balanced_sparse_cut(graph, 0.1, seed=5)
             )
+            with ShardedExecutor(2, min_shard_vertices=1) as pool:
+                got = nearly_most_balanced_sparse_cut(
+                    graph, 0.1, seed=5, executor=pool
+                )
         assert cut_signature(got) == expected
 
     def test_shared_stream_consumption_is_engine_independent(self):
@@ -304,7 +305,6 @@ class TestCutIdentity:
             epsilon=0.3,
             phi=0.1,
             mode=ParameterMode.PRACTICAL,
-            backend="auto",
             fast_path=True,
             sparse_cut_kwargs=None,
         )

@@ -5,11 +5,12 @@ Three layers of pinning:
 * structural — a peeled view is *equal* (degrees, loops, residual edges,
   volumes) to the ``G{U}`` the dict path materialises, peeling is path
   independent, and compaction changes nothing;
-* kernel — masked walks and sweeps are bit-identical to the dict backend
+* kernel — masked walks and sweeps are bit-identical to the dict engine
   run on the materialised ``G{U}``;
 * pipeline — RandomNibble start draws, multi-cut harvests, sparse cuts,
-  and whole decompositions coincide across ``dict`` / ``csr`` / ``auto``
-  and direct ``PeeledCSR`` inputs for a shared seed.
+  and whole decompositions coincide across the dict engine, the CSR
+  engine, the default size rule, and direct ``PeeledCSR`` inputs for a
+  shared seed.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class TestMaskedKernels:
             work = g.induced_with_loops(subset)
             params = NibbleParameters.practical(work, 0.2)
             start = sorted(subset, key=repr)[len(subset) // 2]
-            dict_cut = approximate_nibble(work, start, 1, params, backend="dict")
+            dict_cut = approximate_nibble(work, start, 1, params)
             peel_cut = approximate_nibble(view, start, 1, params)
             compact_cut = approximate_nibble(view.compact(), start, 1, params)
             assert dict_cut == peel_cut == compact_cut
@@ -248,7 +249,7 @@ class TestMaskedKernels:
             work = g.induced_with_loops(subset)
             params = NibbleParameters.practical(work, 0.2)
             for seed in range(4):
-                dict_cut = random_nibble(work, params, rng=seed, backend="dict")
+                dict_cut = random_nibble(work, params, rng=seed)
                 peel_cut = random_nibble(view, params, rng=seed)
                 assert dict_cut == peel_cut
 
@@ -302,10 +303,12 @@ class TestHarvest:
 
 
 class TestPipelineParity:
-    def test_sparse_cut_identical_across_all_engines(self):
+    def test_sparse_cut_identical_across_all_engines(self, engine):
         for name, g in family_graphs():
-            dict_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7, backend="dict")
-            csr_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7, backend="csr")
+            with engine("dict"):
+                dict_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
+            with engine("csr"):
+                csr_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
             peel_result = nearly_most_balanced_sparse_cut(
                 PeeledCSR.from_graph(g), 0.1, seed=7
             )
@@ -322,12 +325,12 @@ class TestPipelineParity:
                 == peel_result.certified_no_cut
             )
 
-    def test_decomposition_identical_across_all_engines(self):
+    def test_decomposition_identical_across_all_engines(self, engine):
         for name, g in family_graphs():
-            results = [
-                expander_decomposition(g, 0.2, 0.1, seed=7, backend=b)
-                for b in ("dict", "csr", "auto")
-            ]
+            results = []
+            for which in ("dict", "csr", "auto"):
+                with engine(which):
+                    results.append(expander_decomposition(g, 0.2, 0.1, seed=7))
             reference = {c.vertices for c in results[0].components}
             reference_cuts = Counter(frozenset(e) for e in results[0].cut_edges)
             for r in results[1:]:
@@ -335,25 +338,27 @@ class TestPipelineParity:
                 assert Counter(frozenset(e) for e in r.cut_edges) == reference_cuts
 
     def test_sparse_cut_measured_in_input_graph_on_peel_path(self):
-        g = barbell_expanders(32, seed=7)
-        found = nearly_most_balanced_sparse_cut(g, 0.1, seed=7, backend="csr")
+        g = barbell_expanders(32, seed=7)  # 64 vertices: the peeled engine
+        found = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
         assert not found.is_empty
         assert found.conductance == pytest.approx(g.conductance_of_cut(found.cut))
         assert found.cut_size == g.cut_size(found.cut)
         assert found.balance == pytest.approx(g.balance_of_cut(found.cut))
 
-    def test_auto_mixes_engines_per_level_and_stays_identical(self, monkeypatch):
-        """With the auto threshold forced low, the recursion genuinely mixes
+    def test_auto_mixes_engines_per_level_and_stays_identical(
+        self, engine, monkeypatch
+    ):
+        """With the size threshold forced low, the recursion genuinely mixes
         peeled-CSR top levels with dict deep levels — and must still equal
         the pure dict and pure csr runs."""
-        import repro.graphs.csr as csr_module
-
-        monkeypatch.setattr(csr_module, "CSR_AUTO_THRESHOLD", 16)
         for name, g in family_graphs()[:2]:
-            results = [
-                expander_decomposition(g, 0.2, 0.1, seed=11, backend=b)
-                for b in ("dict", "csr", "auto")
-            ]
+            results = []
+            for which in ("dict", "csr"):
+                with engine(which):
+                    results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
+            with monkeypatch.context() as patch:
+                patch.setattr(csr_backend, "CSR_AUTO_THRESHOLD", 16)
+                results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
             reference = {c.vertices for c in results[0].components}
             for r in results[1:]:
                 assert {c.vertices for c in r.components} == reference, name

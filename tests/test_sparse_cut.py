@@ -6,6 +6,7 @@ from repro.graphs.generators import (
     barbell_expanders,
     dumbbell_cliques,
     random_regular_graph,
+    ring_of_cliques,
     unbalanced_bridged_expanders,
 )
 from repro.graphs.metrics import most_balanced_sparse_cut_exact
@@ -93,3 +94,43 @@ class TestArgumentValidation:
     def test_bad_phi_raises_naming_phi(self, phi):
         with pytest.raises(ValueError, match="phi"):
             nearly_most_balanced_sparse_cut(dumbbell_cliques(4, 3), phi, seed=1)
+
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("num_instances", -1),
+            ("num_instances", 0),
+            ("num_instances", 2.5),
+            ("max_failures", 0),
+            ("max_failures", -3),
+            ("max_failures", None),
+            ("balance_target", 0.0),
+            ("balance_target", -0.5),
+            ("balance_target", float("nan")),
+            ("balance_target", float("inf")),
+        ],
+    )
+    def test_vacuous_tuning_argument_raises_instead_of_certifying(
+        self, argument, value
+    ):
+        """Each of these used to end the search before any instance ran and
+        return the empty "no sparse cut" certificate — on a ring with six
+        planted sparse cuts.  The check runs before the seed is touched."""
+        rng = ensure_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=argument):
+            nearly_most_balanced_sparse_cut(
+                ring_of_cliques(6, 8), 0.1, seed=rng, **{argument: value}
+            )
+        assert rng.bit_generator.state == state
+
+    def test_in_range_tuning_arguments_still_find_the_ring_cuts(self):
+        found = nearly_most_balanced_sparse_cut(
+            ring_of_cliques(6, 8),
+            0.1,
+            seed=1,
+            num_instances=1,
+            max_failures=1,
+            balance_target=1e-9,
+        )
+        assert not found.is_empty

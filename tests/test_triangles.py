@@ -4,7 +4,7 @@ pipeline, CPZ baseline.
 Four layers of pinning:
 
 * the oriented enumerator is exact (vs the brute-force oracle on every
-  random graph small enough for it) and backend/order independent;
+  random graph small enough for it) and engine/order independent;
 * the decomposition-based enumeration returns the *exact* triangle set on
   every benchmark family — including the closed-form ring-of-cliques count —
   with the cluster/recursion split behaving as the partition argument of
@@ -65,36 +65,52 @@ def bench_families():
 
 
 class TestOrientedEnumerator:
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_matches_brute_force_on_small_random_graphs(self, backend):
+    @pytest.mark.parametrize("which", ["dict", "csr"])
+    def test_matches_brute_force_on_small_random_graphs(self, engine, which):
         for seed in range(12):
             g = erdos_renyi_graph(10 + seed % 7, 0.25 + 0.02 * seed, seed=seed)
-            assert oriented_triangles(g, backend=backend) == brute_force_triangles(g)
+            with engine(which):
+                assert oriented_triangles(g) == brute_force_triangles(g)
 
-    def test_backend_parity_on_bench_families(self):
+    def test_engine_parity_on_bench_families(self, engine):
         for name, g, _, _ in bench_families():
-            by_backend = {
-                backend: oriented_triangles(g, backend=backend)
-                for backend in ("dict", "csr", "auto")
-            }
-            assert by_backend["dict"] == by_backend["csr"] == by_backend["auto"], name
-            assert oriented_triangle_count(g, backend="csr") == len(by_backend["dict"])
+            by_engine = {}
+            for which in ("dict", "csr", "auto"):
+                with engine(which):
+                    by_engine[which] = oriented_triangles(g)
+            assert by_engine["dict"] == by_engine["csr"] == by_engine["auto"], name
+            with engine("csr"):
+                assert oriented_triangle_count(g) == len(by_engine["dict"])
 
-    def test_order_only_affects_cost_never_output(self):
+    def test_order_only_affects_cost_never_output(self, engine):
         g = triangle_rich_graph(60, seed=3)
         default = oriented_triangles(g)
         repr_order = sorted(g.vertices(), key=repr)
-        for backend in ("dict", "csr"):
-            assert oriented_triangles(g, backend=backend, order=repr_order) == default
+        for which in ("dict", "csr"):
+            with engine(which):
+                assert oriented_triangles(g, order=repr_order) == default
 
-    def test_ring_of_cliques_closed_form(self):
+    @pytest.mark.parametrize("which", ["dict", "csr"])
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 5], [0, 1, 2, 2], [0, 1]], ids=["foreign", "repeat", "short"]
+    )
+    def test_order_must_be_a_permutation_of_the_vertices(self, engine, which, order):
+        triangle = Graph(edges=[(0, 1), (1, 2), (0, 2)])
+        with engine(which):
+            with pytest.raises(ValueError, match="exactly once"):
+                oriented_triangles(triangle, order=order)
+            with pytest.raises(ValueError, match="exactly once"):
+                oriented_triangle_count(triangle, order=order)
+
+    def test_ring_of_cliques_closed_form(self, engine):
         # Ring edges join distinct cliques through distinct endpoints, so
         # every triangle lives inside one clique: k·C(s,3) exactly.
         for k, s in [(6, 8), (40, 16)]:
             expected = k * math.comb(s, 3)
             g = ring_of_cliques(k, s)
-            assert oriented_triangle_count(g, backend="csr") == expected
-            assert oriented_triangle_count(g, backend="dict") == expected
+            for which in ("dict", "csr"):
+                with engine(which):
+                    assert oriented_triangle_count(g) == expected
 
     def test_degenerate_inputs(self):
         assert oriented_triangles(Graph()) == set()
@@ -202,16 +218,16 @@ class TestDecompositionWorkload:
         assert result.cluster_triangle_count == result.count
         assert result.cross_triangle_count == 0
 
-    def test_backend_parity_and_verify_flag(self):
+    def test_engine_parity_and_verify_flag(self, engine):
         g = ring_of_cliques(6, 8)
-        by_backend = {
-            backend: decomposition_triangle_enumeration(
-                g, 0.10, 0.10, seed=7, backend=backend, verify=(backend == "dict")
-            )
-            for backend in ("dict", "csr")
-        }
-        assert by_backend["dict"].triangles == by_backend["csr"].triangles
-        assert by_backend["dict"].verified and not by_backend["csr"].verified
+        by_engine = {}
+        for which in ("dict", "csr"):
+            with engine(which):
+                by_engine[which] = decomposition_triangle_enumeration(
+                    g, 0.10, 0.10, seed=7, verify=(which == "dict")
+                )
+        assert by_engine["dict"].triangles == by_engine["csr"].triangles
+        assert by_engine["dict"].verified and not by_engine["csr"].verified
 
     def test_round_accounting_splits_cleanly(self):
         g = ring_of_cliques(6, 8)
@@ -247,9 +263,9 @@ class TestBaseline:
         assert baseline.report.find("oriented_enumeration") is not None
         assert baseline.report.find("degeneracy_peeling") is not None
 
-    def test_backend_independent(self):
+    def test_engine_independent(self, engine):
         g = triangle_rich_graph(60, seed=3)
-        assert (
-            cpz_baseline_enumeration(g, backend="dict").triangles
-            == cpz_baseline_enumeration(g, backend="csr").triangles
-        )
+        with engine("dict"):
+            dict_triangles = cpz_baseline_enumeration(g).triangles
+        with engine("csr"):
+            assert cpz_baseline_enumeration(g).triangles == dict_triangles
