@@ -101,10 +101,10 @@ def random_nibble(
     ``degrees`` may carry a prebuilt
     :func:`~repro.graphs.graph.sorted_degree_map` so a batch of instances
     on an unchanged graph pays for it once; it must describe the current
-    graph.  The sampling-then-walk body is the shared
-    :func:`repro.parallel.worker.run_nibble_instance` — the exact function
-    every executor runs — so "one instance" means the same thing inline
-    and on a worker.
+    graph.  The sampling-then-walk body is
+    :func:`repro.parallel.worker.run_nibble_instance`; every executor's
+    batch makes the same draws and the same walk per distinct draw, so
+    "one instance" means the same thing alone, inline and on a worker.
     """
     _, cut = run_nibble_instance(
         graph, params, ensure_rng(rng), degrees=degrees, adaptive=adaptive,

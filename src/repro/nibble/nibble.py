@@ -135,9 +135,10 @@ def scan_walk_sequence(
     one vector at a time and every break skips the remaining walk steps.
     With ``stable_steps`` set, the adaptive walk budget
     (:class:`repro.nibble.sweep.WalkBudgetTracker`) additionally stops the
-    scan once the sweep signature — support ordering plus certified prefix
-    set — has repeated that many consecutive steps; the rule is shared
-    bit-for-bit with the CSR twin, so the backends stop at the same step.
+    scan once the sweep signature — support ordering, certified prefix
+    set, and the ordered ρ̃ values at float32 resolution — has repeated
+    that many consecutive steps; the rule is shared bit-for-bit with the
+    CSR twin, so the backends stop at the same step.
     """
     best: Optional[NibbleCut] = None
     previous: Optional[Mapping[Vertex, float]] = None
@@ -233,8 +234,9 @@ def scan_walk_sequence_csr(
     ``sequence`` may be a lazy generator
     (:meth:`repro.graphs.csr.WalkWorkspace.walk_iter`) and ``stable_steps``
     enables the adaptive walk budget, both exactly as in
-    :func:`scan_walk_sequence` — the stop signature (support ordering +
-    certified prefix indices) is the same rule in index space, so the two
+    :func:`scan_walk_sequence` — the stop signature (support ordering,
+    certified prefix indices, float32 ρ̃ values) is the same rule in index
+    space, so the two
     backends stop at the same time step for bit-identical walks.
 
     Sweeps run on ``graph``'s cached :class:`~repro.graphs.csr.WalkWorkspace`,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,16 @@ class NibbleParameters:
         steps for the walk to mix inside any component whose internal mixing
         time is O(log n / φ), which covers every planted instance used in the
         benchmarks.  γ and ε_b keep the paper's functional dependence on φ and
-        t₀ with constant 1.
+        t₀ with constant 1.  ``t0_override`` replaces the formula (cap
+        included) and must be an int ≥ 1: a walk of no steps certifies
+        nothing, which would read as a "no sparse cut" certificate.
         """
+        if t0_override is not None and not (
+            isinstance(t0_override, numbers.Integral) and t0_override >= 1
+        ):
+            raise ValueError(
+                f"t0_override must be None or an int >= 1, got {t0_override!r}"
+            )
         num_edges, volume = graph_stats(graph)
         m = max(num_edges, 2)
         log_m = math.log(m + math.e)

@@ -83,8 +83,9 @@ def build_sweep(graph: Graph, mass: Mapping[Vertex, float]) -> SweepState:
     )
 
 
-#: Consecutive time steps whose sweep signature (support ordering +
-#: certified prefix set) must repeat unchanged before the adaptive walk
+#: Consecutive time steps whose sweep signature (support ordering,
+#: certified prefix set, and the ρ̃ values at float32 resolution) must
+#: repeat unchanged before the adaptive walk
 #: budget stops the walk.  The value is the safety dial of the fast path:
 #: the parity suite (``tests/test_fast_path.py``) and the bench smoke gate
 #: assert that at this setting the adaptive stop never changes an output on
@@ -100,9 +101,11 @@ class WalkBudgetTracker:
     exact IEEE fixpoint (late steps jitter by ULPs without ever reproducing
     a predecessor bit-for-bit).  This tracker implements the stop rule the
     two scan twins (:func:`repro.nibble.nibble.scan_walk_sequence` and
-    :func:`~repro.nibble.nibble.scan_walk_sequence_csr`) share: after each
-    swept time step the scan feeds in a *signature* — the ρ̃-ordering of the
-    support plus the set of certified prefix indices — and the scan stops
+    :func:`~repro.nibble.nibble.scan_walk_sequence_csr`) and the lockstep
+    batch kernel (:func:`repro.nibble.lockstep.lockstep_approximate_nibble`)
+    share: after each swept time step the scan feeds in a *signature* — the
+    ρ̃-ordering of the support, the set of certified prefix indices, and
+    the ordered ρ̃ values cast to float32 — and the scan stops
     walking once the signature has repeated ``stable_steps`` consecutive
     times **and** the support is *closed* (zero boundary edges, i.e. a
     union of connected components of the working graph — the scans read

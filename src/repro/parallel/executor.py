@@ -52,7 +52,6 @@ import numpy as np
 from concurrent.futures import TimeoutError as _FuturesTimeout
 
 from ..graphs.csr import CSRGraph
-from ..graphs.graph import sorted_degree_map
 from ..graphs.peel import PeeledCSR
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
@@ -103,21 +102,16 @@ def sequential_batch(
     :func:`repro.utils.rng.task_stream`; injectable for tests that probe
     the stream keying.
 
-    Duplicate ``(start, scale)`` draws within the batch are answered from a
-    per-batch memo (see :func:`repro.parallel.worker.run_nibble_instance`)
-    — exact, not approximate, because the batch's graph is invariant and an
-    instance is deterministic given its draws.  This is what tames the
-    terminal deep-recursion batches on clique chains, where a handful of
-    possible starts meets Θ(log m) instances.
+    Duplicate ``(start, scale)`` draws within the batch are run once (see
+    :func:`repro.parallel.worker.run_chunk`) — exact, not approximate,
+    because the batch's graph is invariant and an instance is
+    deterministic given its draws.  This is what tames the terminal
+    deep-recursion batches on clique chains, where a handful of possible
+    starts meets Θ(log m) instances.
     """
-    degrees: Optional[dict] = None
-    if not isinstance(graph, PeeledCSR):
-        # Unchanged graph for the whole batch: build the canonical
-        # start-sampling map once, not once per instance.
-        degrees = sorted_degree_map(graph)
     return run_chunk(
         graph, params, root, batch_index, range(num_instances), adaptive,
-        streams=task_streams, degrees=degrees,
+        streams=task_streams,
     )
 
 
@@ -725,10 +719,10 @@ class ShardedExecutor(Executor):
         Only :class:`PeeledCSR` batches above the size floor are shipped —
         dict-graph batches (small by the engine size threshold) and tiny
         views run inline.  A failed chunk re-runs only its own instances
-        inline: the streams are counter-addressed and the batch memo is
-        exact, so that is bit-identical to re-running the batch.  An
-        ambient deadline bounds the wait for pool results; once it has
-        expired, a chunk's inline re-run raises
+        inline: the streams are counter-addressed and an instance's answer
+        depends only on its draws, so that is bit-identical to re-running
+        the batch.  An ambient deadline bounds the wait for pool results;
+        once it has expired, a chunk's inline re-run raises
         :class:`~repro.resilience.deadline.DeadlineExpired` (a cancel, not
         a failure), which the sparse-cut driver converts into an
         interrupted result.

@@ -1,4 +1,4 @@
-"""Worker-process side of the sharded executor (and the shared instance body).
+"""Worker-process side of the sharded executor, and the batch and instance bodies.
 
 The driver ships a worker one of two jobs, each led by the
 :class:`~repro.parallel.shared.SharedCSRMeta` of the published snapshot:
@@ -11,12 +11,15 @@ counter-derived streams — no state flows between instances, between
 jobs, or between processes, which is the whole determinism argument
 (``docs/PARALLEL.md``).
 
-:func:`run_nibble_instance` is the single shared body of one RandomNibble
-instance.  The sequential driver (:func:`repro.decomposition.sparse_cut.
-random_nibble`), the :class:`~repro.parallel.executor.SequentialExecutor`,
-and the sharded workers all call this exact function, so "what one
-instance does with its stream" is defined in one place and cannot drift
-between engines.
+:func:`draw_nibble_instance` is the one definition of what an instance
+draws from its stream.  :func:`run_chunk` is the one batch body every
+executor runs: it makes every instance's draws, then runs each distinct
+draw once — on a :class:`~repro.graphs.peel.PeeledCSR` view one
+ApproximateNibble after another, on a dict ``Graph`` all of them as the
+rows of one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble`
+call.  :func:`run_nibble_instance` is the body of a single RandomNibble
+call (:func:`repro.decomposition.sparse_cut.random_nibble`); the tests pin
+every batch to it instance by instance.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import sorted_degree_map
 from ..graphs.peel import PeeledCSR
+from ..nibble.lockstep import lockstep_approximate_nibble
 from ..nibble.nibble import NibbleCut, approximate_nibble
 from ..nibble.parameters import NibbleParameters, sample_scale
 from ..utils.rng import sample_by_degree, task_stream
@@ -77,7 +81,7 @@ def draw_nibble_instance(
     draw, then the truncation-scale draw, in that order and nothing else.
     Returns ``(None, None)`` — no draws consumed — when the graph has no
     positive-degree vertex.  ``start`` is a vertex *label* on both the
-    peeled and dict paths, so it keys the batch memo uniformly.
+    peeled and dict paths, so it keys a batch's deduplication uniformly.
     """
     if isinstance(graph, PeeledCSR):
         start_index = graph.sample_start(stream)
@@ -99,43 +103,29 @@ def run_nibble_instance(
     degrees: Optional[dict] = None,
     adaptive: bool = True,
     report: Optional[RoundReport] = None,
-    memo: Optional[dict] = None,
 ) -> tuple[Optional[int], Optional[NibbleCut]]:
     """One RandomNibble instance on its private ``stream``.
 
+    The body of :func:`repro.decomposition.sparse_cut.random_nibble`.
     Draws the degree-proportional start and the truncation scale from
     ``stream`` via :func:`draw_nibble_instance` (exactly two draws, in that
     order — the repository's pinned instance protocol), then runs
     ApproximateNibble.  Returns ``(scale, cut)``; ``scale`` is ``None``
-    when the graph was empty and nothing was drawn, so callers can rebuild
-    exact round accounting from the scales alone (the executors run with
-    ``report=None`` and the *driver* charges rounds — see
-    :meth:`repro.parallel.executor.Executor.run_batch`).
+    when the graph was empty and nothing was drawn.  A batch runs the
+    same draws and the same walk per distinct draw through
+    :func:`run_chunk`, which the tests pin to this function instance by
+    instance.
 
     ``degrees`` may carry a prebuilt
-    :func:`~repro.graphs.graph.sorted_degree_map` of a dict ``graph`` so a
-    batch pays for it once; it must describe the current graph.
-
-    ``memo`` — a dict shared by one batch's instances — short-circuits a
-    duplicate ``(start, scale)`` draw with the batch's earlier answer.
-    Exact, not a heuristic: an instance is a deterministic function of
-    (graph, start, scale, params) once its two stream draws are made, a
-    batch's graph is invariant (harvest and peel happen after the batch),
-    and the stream is consumed either way, so RNG states and round
-    accounting never depend on the memo.  Duplicates are common exactly
-    where they hurt: terminal deep-recursion components (2–5-clique
-    chains) draw a handful of starts across Θ(log m) instances.
+    :func:`~repro.graphs.graph.sorted_degree_map` of a dict ``graph``; it
+    must describe the current graph.
     """
     start, scale = draw_nibble_instance(graph, params, stream, degrees)
     if scale is None:
         return None, None
-    if memo is not None and (start, scale) in memo:
-        return scale, memo[(start, scale)]
     cut = approximate_nibble(
         graph, start, scale, params, report=report, adaptive=adaptive
     )
-    if memo is not None:
-        memo[(start, scale)] = cut
     return scale, cut
 
 
@@ -172,33 +162,48 @@ def run_chunk(
     instance_indices,
     adaptive: bool = True,
     streams=None,
-    degrees: Optional[dict] = None,
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run the listed instances of one batch on ``graph``, in order.
 
-    The one instance loop: a pooled chunk, its inline re-run in the
-    driver, and a whole inline batch all come through here.  Every
-    instance runs on ``streams(root, batch_index, instance_index)``
-    (default :func:`repro.utils.rng.task_stream` — the key names *what*
-    the task is, never where it runs) with a memo private to this call,
-    so nothing flows between chunks; ``degrees`` goes to
-    :func:`run_nibble_instance`.  Returns ``(instance_index, scale, cut)``
-    triples in the given order.
+    The one batch body: a pooled chunk, its inline re-run in the driver,
+    and a whole inline batch all come through here.  Every instance makes
+    its two draws (:func:`draw_nibble_instance`) from ``streams(root,
+    batch_index, instance_index)`` (default
+    :func:`repro.utils.rng.task_stream` — the key names *what* the task
+    is, never where it runs), so nothing flows between chunks.  Each
+    distinct ``(start, scale)`` draw then runs once: on a dict ``Graph``
+    all of them together as the rows of one
+    :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call, on a
+    :class:`PeeledCSR` view one :func:`approximate_nibble` each.
+
+    Deduplication is exact, not a heuristic: an instance is a
+    deterministic function of (graph, start, scale, params) once its draws
+    are made, a batch's graph is invariant (harvest and peel happen after
+    the batch), and every stream is drawn from either way, so RNG states
+    and round accounting never depend on it.  Duplicates are common
+    exactly where they hurt: terminal deep-recursion components (2–5-clique
+    chains) draw a handful of starts across Θ(log m) instances.  Returns
+    ``(instance_index, scale, cut)`` triples in the given order.
     """
     streams = streams or task_stream
-    out: list[tuple[int, Optional[int], Optional[NibbleCut]]] = []
-    memo: dict = {}
-    for i in instance_indices:
-        scale, cut = run_nibble_instance(
-            graph,
-            params,
-            streams(root, batch_index, int(i)),
-            degrees=degrees,
-            adaptive=adaptive,
-            memo=memo,
-        )
-        out.append((int(i), scale, cut))
-    return out
+    degrees = None if isinstance(graph, PeeledCSR) else sorted_degree_map(graph)
+    draws = [
+        draw_nibble_instance(graph, params, streams(root, batch_index, int(i)), degrees)
+        for i in instance_indices
+    ]
+    distinct = list(dict.fromkeys(d for d in draws if d[1] is not None))
+    if isinstance(graph, PeeledCSR):
+        found = [
+            approximate_nibble(graph, start, scale, params, adaptive=adaptive)
+            for start, scale in distinct
+        ]
+    else:
+        found = lockstep_approximate_nibble(graph, distinct, params, adaptive)
+    cuts = dict(zip(distinct, found))
+    return [
+        (int(i), scale, cuts.get((start, scale)))
+        for i, (start, scale) in zip(instance_indices, draws)
+    ]
 
 
 def run_sharded_chunk(

@@ -1,0 +1,241 @@
+"""Lockstep ParallelNibble kernel vs the dict oracle, row by row.
+
+:func:`repro.nibble.lockstep.lockstep_approximate_nibble` runs a whole
+dict-graph batch as the rows of one dense walk-and-sweep.  Every row must
+equal — bit for bit, every :class:`NibbleCut` field — what the dict walk
+(:func:`~repro.walks.lazy_walk.truncated_walk_iter`) fed through the dict
+scan (:func:`~repro.nibble.nibble.scan_walk_sequence`) returns for the
+same ``(start, scale)``.  The cases below cover the benchmark families'
+small pieces at every scale, degenerate rows, rows that retire at each
+stop rule while others keep walking, the deadline, and a graph large
+enough that a superlinear table would show.
+"""
+
+import dataclasses
+
+import pytest
+
+from diffharness import generator_families
+from repro.decomposition import nearly_most_balanced_sparse_cut
+from repro.graphs.generators import (
+    barbell_expanders,
+    planted_partition_graph,
+    ring_of_cliques,
+)
+from repro.graphs.graph import Graph
+from repro.nibble.lockstep import lockstep_approximate_nibble
+from repro.nibble.nibble import scan_walk_sequence
+from repro.nibble.parameters import NibbleParameters
+from repro.nibble.sweep import ADAPTIVE_STABLE_STEPS
+from repro.parallel.executor import sequential_batch
+from repro.resilience.deadline import Deadline, DeadlineExpired, deadline_scope
+from repro.walks.lazy_walk import truncated_walk_iter
+
+
+def oracle(graph, start, scale, params, adaptive):
+    """The dict walk and scan for one draw: ``(cut, steps, stop reason)``."""
+    seen = []
+
+    def walk():
+        for mass in truncated_walk_iter(
+            graph, start, params.t0, params.epsilon_b(scale)
+        ):
+            seen.append(mass)
+            yield mass
+
+    cut = scan_walk_sequence(
+        graph,
+        walk(),
+        scale,
+        params,
+        start,
+        approximate=True,
+        stable_steps=ADAPTIVE_STABLE_STEPS if adaptive else None,
+    )
+    if not seen[-1]:
+        reason = "zero"
+    elif len(seen) > 2 and seen[-1] == seen[-2]:
+        reason = "fixpoint"
+    elif len(seen) < params.t0 + 1:
+        reason = "adaptive"
+    else:
+        reason = "t0"
+    return cut, len(seen) - 1, reason
+
+
+def assert_rows_match(graph, draws, params, adaptive):
+    got = lockstep_approximate_nibble(graph, draws, params, adaptive=adaptive)
+    assert len(got) == len(draws)
+    reasons = set()
+    for (start, scale), cut in zip(draws, got):
+        expected, _, reason = oracle(graph, start, scale, params, adaptive)
+        assert cut == expected, (start, scale, adaptive)
+        reasons.add(reason)
+    return reasons
+
+
+def small_pieces():
+    """Sub-threshold pieces of the benchmark families, as the recursion
+    hands them to a dict batch: induced with self loops (G{S})."""
+    ring = ring_of_cliques(6, 8)
+    barbell = barbell_expanders(32, seed=7)
+    planted = planted_partition_graph(4, 12, 0.7, 0.02, seed=7)
+    ring_order = sorted(ring.vertices())
+    yield "ring_2_cliques", ring.induced_with_loops(ring_order[:16])
+    yield "ring_3_cliques", ring.induced_with_loops(ring_order[8:32])
+    yield "barbell_side", barbell.induced_with_loops(sorted(barbell.vertices(), key=repr)[:24])
+    yield "planted_2_blocks", planted.induced_with_loops(
+        sorted(planted.vertices(), key=repr)[:24]
+    )
+    for name, graph in generator_families():
+        if graph.num_vertices < 32:
+            yield name, graph
+
+
+PIECES = list(small_pieces())
+
+
+class TestRowParity:
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
+    @pytest.mark.parametrize("name,graph", PIECES, ids=[name for name, _ in PIECES])
+    def test_every_scale_matches_the_dict_oracle(self, name, graph, adaptive):
+        params = NibbleParameters.practical(graph, 0.1, max_t0=150)
+        starts = sorted(graph.vertices(), key=repr)[::3]
+        draws = [(v, b) for v in starts for b in range(1, params.ell + 1)]
+        assert_rows_match(graph, draws, params, adaptive)
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
+    def test_each_row_stops_at_the_oracle_step(self, adaptive):
+        """A one-row batch consults the deadline once per lockstep step, so
+        the count of consultations is the step the row stopped at; it must
+        be the step the dict scan stopped at, for every stop rule."""
+        cases = [(name, g) for name, g in PIECES[:4]] + [("mixed", mixed_graph())]
+        for name, graph in cases:
+            params = NibbleParameters.practical(graph, 0.1, max_t0=150)
+            params = dataclasses.replace(
+                params, truncation_scale=params.truncation_scale * 40
+            )
+            for start in sorted(graph.vertices(), key=repr)[::5]:
+                for scale in (1, params.ell):
+                    _, steps, _ = oracle(graph, start, scale, params, adaptive)
+                    ticks = counting_deadline(10**9)
+                    with deadline_scope(ticks):
+                        lockstep_approximate_nibble(
+                            graph, [(start, scale)], params, adaptive=adaptive
+                        )
+                    assert ticks.elapsed() - 1 == steps + 1, (name, start, scale)
+
+    def test_open_support_never_takes_the_adaptive_stop(self):
+        """A heavy start whose truncated leak is below float32 resolution
+        keeps an open support with a stable signature; the adaptive stop
+        must still wait for a closed support, as the dict scan does."""
+        graph = ring_of_cliques(2, 8)
+        graph.add_edge("heavy", (0, 0))
+        graph.add_edge("heavy", (0, 1))
+        graph.add_self_loops("heavy", 125_000_000)
+        params = dataclasses.replace(
+            NibbleParameters.practical(graph, 0.1, max_t0=150), truncation_scale=2e-9
+        )
+        cut, steps, reason = oracle(graph, "heavy", 1, params, adaptive=True)
+        assert (steps, reason) == (params.t0, "t0")
+        ticks = counting_deadline(10**9)
+        with deadline_scope(ticks):
+            got = lockstep_approximate_nibble(graph, [("heavy", 1)], params)
+        assert got == [cut]
+        assert ticks.elapsed() - 1 == steps + 1
+
+    def test_two_thousand_vertices_match(self):
+        """Linear memory: a ~2000-vertex dict graph fits (no n×n table)."""
+        graph = ring_of_cliques(250, 8)
+        params = NibbleParameters.practical(graph, 0.1, max_t0=40)
+        vertices = sorted(graph.vertices(), key=repr)
+        draws = [(vertices[0], 1), (vertices[777], 2), (vertices[1999], params.ell)]
+        assert_rows_match(graph, draws, params, adaptive=True)
+
+
+def mixed_graph():
+    """Several components: a clique ring, a star, a loop-only vertex, an
+    isolated vertex and an open path long enough to keep walking."""
+    g = ring_of_cliques(3, 5)
+    for leaf in range(12):
+        g.add_edge("hub", ("leaf", leaf))
+    g.add_self_loops("looped", 3)
+    g.add_vertex("isolated")
+    for i in range(29):
+        g.add_edge(("path", i), ("path", i + 1))
+    return g
+
+
+class TestAdversarialRows:
+    def test_degenerate_starts_and_duplicate_draws(self):
+        g = mixed_graph()
+        params = NibbleParameters.practical(g, 0.2, max_t0=60)
+        draws = [
+            ("isolated", 1),  # degree-0 start: all mass stays, never swept
+            ("looped", 1),  # loops only: a fixpoint from the first step
+            ("hub", 1),
+            ((0, 0), 2),
+            ((0, 0), 2),  # a duplicate draw gets the same answer
+            (("path", 0), params.ell),
+        ]
+        got = lockstep_approximate_nibble(g, draws, params)
+        assert got[3] == got[4]
+        assert got[0] is None
+        assert_rows_match(g, draws, params, adaptive=True)
+        assert_rows_match(g, draws, params, adaptive=False)
+
+    def test_rows_retire_at_every_stop_rule_while_others_walk(self):
+        """One batch whose rows stop on zero mass, on the IEEE fixpoint, on
+        the adaptive rule and at t0 — at different steps — each still
+        matching the oracle."""
+        g = mixed_graph()
+        base = NibbleParameters.practical(g, 0.2, max_t0=80)
+        # A coarse truncation so the star's mass dies out at scale 1.
+        params = dataclasses.replace(base, truncation_scale=0.05)
+        vertices = sorted(g.vertices(), key=repr)
+        draws = [(v, b) for v in vertices for b in (1, 2, params.ell)]
+        reasons = assert_rows_match(g, draws, params, adaptive=True)
+        assert reasons == {"zero", "fixpoint", "adaptive", "t0"}
+        steps = {oracle(g, v, b, params, True)[1] for v, b in draws}
+        assert len(steps) > 3  # rows retire at many different steps
+
+    def test_out_of_range_scale_and_foreign_start_raise(self):
+        g = ring_of_cliques(2, 4)
+        params = NibbleParameters.practical(g, 0.1)
+        with pytest.raises(ValueError, match="scale"):
+            lockstep_approximate_nibble(g, [((0, 0), params.ell + 1)], params)
+        with pytest.raises(KeyError):
+            lockstep_approximate_nibble(g, [("missing", 1)], params)
+        assert lockstep_approximate_nibble(g, [], params) == []
+
+    def test_empty_graph_batch_draws_nothing(self):
+        g = Graph(vertices=["a", "b"])
+        params = NibbleParameters.practical(g, 0.1)
+        assert sequential_batch(g, params, 1, 0, 4) == [
+            (i, None, None) for i in range(4)
+        ]
+
+
+def counting_deadline(budget):
+    """A deadline whose clock advances by one per reading: ``elapsed()`` is
+    the number of ``expired()`` checks so far plus one (its own reading)."""
+    ticks = iter(range(10**9))
+    return Deadline(budget, clock=lambda: float(next(ticks)))
+
+
+class TestDeadline:
+    def test_expiry_mid_batch_raises(self):
+        graph = ring_of_cliques(3, 8)
+        params = NibbleParameters.practical(graph, 0.1, max_t0=150)
+        with deadline_scope(counting_deadline(40)):
+            with pytest.raises(DeadlineExpired):
+                sequential_batch(graph, params, 7, 0, 6)
+
+    def test_sparse_cut_returns_interrupted(self):
+        graph = ring_of_cliques(3, 8)  # 24 vertices: a dict-engine search
+        result = nearly_most_balanced_sparse_cut(
+            graph, 0.1, seed=3, deadline=counting_deadline(60)
+        )
+        assert result.interrupted
+        assert not result.certified_no_cut
+        assert result.cut == frozenset()

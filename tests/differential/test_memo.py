@@ -1,14 +1,16 @@
-"""Batch memo on tiny-component chains: fewer walks, identical bits.
+"""Duplicate draws on tiny-component chains: fewer walks, identical bits.
 
 Deep-recursion batches on chains of 2–5-cliques draw the same
 ``(start, scale)`` pair over and over (a handful of high-degree starts,
-Θ(log m) instances), and before the per-batch memo every duplicate re-ran
-the full walk.  The memo answers duplicates from the batch's earlier
-result — exact, because a batch's graph is invariant and the stream is
-consumed either way.  These tests pin both halves of that claim: the
-short-circuit actually fires (one ApproximateNibble execution per distinct
-draw), and every instance's answer equals a memo-free run of the same
-instance on the same stream.
+Θ(log m) instances).  A batch runs each distinct draw once
+(:func:`repro.parallel.worker.run_chunk`, which replaced the per-batch
+memo) — exact, because a batch's graph is invariant and every stream is
+drawn from either way.  These tests pin both halves of that claim: the
+deduplication actually fires (one ApproximateNibble execution per
+distinct draw on a peeled view; on a dict graph, where the batch runs as
+one lockstep kernel call, that call carries each distinct draw once), and
+every instance's answer equals a stand-alone run of the same instance on
+the same stream.
 """
 
 import itertools
@@ -64,44 +66,58 @@ class TestBatchMemo:
         ids=["clique_chain", "dumbbell", "ring_of_cliques"],
     )
     def test_memo_is_output_neutral(self, name, graph):
-        """A memoised batch returns, instance by instance, exactly what a
-        memo-free run of that instance on its own stream returns."""
+        """A deduplicated batch returns, instance by instance, exactly what
+        a stand-alone run of that instance on its own stream returns."""
         params = NibbleParameters.practical(graph, 0.1)
         for engine, host in hosts(graph):
             batch = sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
             for i, scale, cut in batch:
                 alone = worker.run_nibble_instance(
-                    host, params, task_stream(ROOT, 0, i), memo=None
+                    host, params, task_stream(ROOT, 0, i)
                 )
                 assert (scale, cut) == alone, (name, engine, i)
 
     def test_memo_short_circuits_duplicate_draws(self, monkeypatch):
-        """In a batch with duplicate draws, ApproximateNibble runs exactly
-        once per distinct ``(start, scale)`` draw."""
+        """In a batch with duplicate draws, every distinct ``(start, scale)``
+        draw runs exactly once: one ApproximateNibble per distinct draw on
+        a peeled view, one lockstep kernel call carrying exactly the
+        distinct draws on a dict graph."""
         g = clique_chain((3, 2, 3))
         params = NibbleParameters.practical(g, 0.1)
-        real = worker.approximate_nibble
+        real_nibble = worker.approximate_nibble
+        real_kernel = worker.lockstep_approximate_nibble
         for engine, host in hosts(g):
-            draws = {
+            draws = [
                 worker.draw_nibble_instance(host, params, task_stream(ROOT, 0, i))
                 for i in range(NUM_INSTANCES)
-            }
-            assert len(draws) < NUM_INSTANCES, engine  # duplicates exist
-            walks = []
+            ]
+            assert len(set(draws)) < NUM_INSTANCES, engine  # duplicates exist
+            walks, kernel_calls = [], []
 
             def counted(*args, **kwargs):
                 walks.append(args[1:3])
-                return real(*args, **kwargs)
+                return real_nibble(*args, **kwargs)
+
+            def counted_kernel(graph, batch_draws, *args, **kwargs):
+                kernel_calls.append(list(batch_draws))
+                return real_kernel(graph, batch_draws, *args, **kwargs)
 
             monkeypatch.setattr(worker, "approximate_nibble", counted)
+            monkeypatch.setattr(worker, "lockstep_approximate_nibble", counted_kernel)
             sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
-            monkeypatch.setattr(worker, "approximate_nibble", real)
-            assert len(walks) == len(draws), engine
-            assert set(walks) == draws, engine
+            monkeypatch.setattr(worker, "approximate_nibble", real_nibble)
+            monkeypatch.setattr(worker, "lockstep_approximate_nibble", real_kernel)
+            if engine == "dict":
+                assert walks == [], engine
+                assert kernel_calls == [list(dict.fromkeys(draws))], engine
+            else:
+                assert kernel_calls == [], engine
+                assert len(walks) == len(set(draws)), engine
+                assert set(walks) == set(draws), engine
 
     def test_draw_protocol_is_two_stream_draws(self):
         """draw_nibble_instance must consume exactly the start draw and the
-        scale draw — the memo's exactness argument leans on this."""
+        scale draw — the deduplication's exactness argument leans on this."""
         from repro.graphs.peel import PeeledCSR
         from repro.nibble.parameters import NibbleParameters, sample_scale
 

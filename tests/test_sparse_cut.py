@@ -134,3 +134,24 @@ class TestArgumentValidation:
             balance_target=1e-9,
         )
         assert not found.is_empty
+
+    @pytest.mark.parametrize("t0_override", [-3, 0, 2.7], ids=["negative", "zero", "float"])
+    def test_bad_t0_override_raises_naming_it(self, t0_override):
+        """A non-positive walk length used to certify "no sparse cut" on a
+        ring with six planted cuts (or divide by zero); a float was
+        silently truncated."""
+        with pytest.raises(ValueError, match="t0_override"):
+            NibbleParameters.practical(ring_of_cliques(6, 8), 0.1, t0_override=t0_override)
+        with pytest.raises(ValueError, match="t0_override"):
+            nearly_most_balanced_sparse_cut(
+                ring_of_cliques(6, 8),
+                0.1,
+                seed=1,
+                num_instances=6,
+                params_overrides={"t0_override": t0_override},
+                fast_path=False,
+            )
+
+    def test_positive_t0_override_is_the_walk_length(self):
+        params = NibbleParameters.practical(ring_of_cliques(6, 8), 0.1, t0_override=7)
+        assert params.t0 == 7
