@@ -1,18 +1,13 @@
-"""CONGEST / CONGESTED-CLIQUE / LOCAL simulator and distributed primitives."""
+"""CONGEST simulator and distributed primitives."""
 
 from .message import BandwidthViolation, Message, payload_words
-from .network import (
-    CongestedCliqueNetwork,
-    CongestNetwork,
-    LocalNetwork,
-    SimulationResult,
-)
+from .network import CongestNetwork, SimulationResult
 from .nibble_program import (
     DistributedNibbleResult,
     distributed_nibble,
     distributed_random_nibble,
 )
-from .node import EchoProgram, IdleProgram, NodeProgram
+from .node import NodeProgram
 from .primitives import (
     BfsTree,
     BfsTreeProgram,
@@ -21,7 +16,6 @@ from .primitives import (
     DiffusionProgram,
     FloodMinProgram,
     LeaderDisagreement,
-    broadcast_value,
     build_bfs_tree,
     convergecast_sum,
     degree_proportional_sampling,
@@ -36,19 +30,14 @@ __all__ = [
     "BfsTreeProgram",
     "BroadcastProgram",
     "CongestNetwork",
-    "CongestedCliqueNetwork",
     "ConvergecastSumProgram",
     "DiffusionProgram",
     "DistributedNibbleResult",
-    "EchoProgram",
     "FloodMinProgram",
-    "IdleProgram",
     "LeaderDisagreement",
-    "LocalNetwork",
     "Message",
     "NodeProgram",
     "SimulationResult",
-    "broadcast_value",
     "build_bfs_tree",
     "convergecast_sum",
     "degree_proportional_sampling",

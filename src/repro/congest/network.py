@@ -199,39 +199,3 @@ class CongestNetwork:
                     raise violation
                 violations.append(violation)
         return msg_count, word_count, max_w
-
-
-class CongestedCliqueNetwork(CongestNetwork):
-    """CONGESTED-CLIQUE: all-to-all communication, same bandwidth per pair.
-
-    The communication topology is the complete graph on the input graph's
-    vertices, while programs can still be given the *input* graph's adjacency
-    as their problem instance.  Used by the Dolev–Lenzen–Peled triangle
-    enumeration baseline.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        bandwidth_words: int = 4,
-        strict_bandwidth: bool = False,
-    ) -> None:
-        complete = Graph(vertices=graph.vertices())
-        vertices = list(graph.vertices())
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1:]:
-                complete.add_edge(u, v)
-        super().__init__(complete, bandwidth_words, strict_bandwidth)
-        self.input_graph = graph
-
-
-class LocalNetwork(CongestNetwork):
-    """LOCAL model: unbounded message sizes (bandwidth accounting disabled)."""
-
-    def __init__(self, graph: Graph) -> None:
-        super().__init__(graph, bandwidth_words=1, strict_bandwidth=False)
-
-    def _account(self, sender, outbox, round_number, violations):
-        msg_count = len(outbox)
-        word_count = sum(payload_words(p) for p in outbox.values())
-        return msg_count, word_count, 0

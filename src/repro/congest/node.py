@@ -89,31 +89,3 @@ class NodeProgram:
     def degree(self) -> int:
         """Number of incident communication edges."""
         return len(self.neighbors)
-
-
-class IdleProgram(NodeProgram):
-    """A node that does nothing and terminates immediately (testing aid)."""
-
-    def initialize(self) -> Outbox:
-        self.terminate()
-        return {}
-
-    def receive(self, round_number: int, inbox: Mapping[Hashable, Any]) -> Outbox:
-        return {}
-
-
-class EchoProgram(NodeProgram):
-    """Sends its id once, then records everything it hears (testing aid)."""
-
-    def __init__(self, node_id, neighbors, rng) -> None:
-        super().__init__(node_id, neighbors, rng)
-        self.heard: dict[Hashable, Any] = {}
-
-    def initialize(self) -> Outbox:
-        return self.broadcast(self.node_id)
-
-    def receive(self, round_number: int, inbox: Mapping[Hashable, Any]) -> Outbox:
-        self.heard.update(inbox)
-        if len(self.heard) == len(self.neighbors):
-            self.terminate(dict(self.heard))
-        return {}

@@ -305,22 +305,6 @@ class BroadcastProgram(NodeProgram):
         return self.broadcast(value)
 
 
-def broadcast_value(
-    graph: Graph, root: Hashable, value: Any, seed: SeedLike = None
-) -> tuple[dict[Hashable, Any], int]:
-    """Deliver ``value`` from ``root`` to every reachable vertex."""
-    network = CongestNetwork(graph, bandwidth_words=4)
-    result = network.run(
-        lambda node_id, nbrs, rng: BroadcastProgram(
-            node_id, nbrs, rng, value=value if node_id == root else None,
-            is_root=node_id == root,
-        ),
-        max_rounds=graph.num_vertices + 2,
-        seed=seed,
-    )
-    return {v: out for v, out in result.outputs.items() if out is not None}, result.rounds
-
-
 # ----------------------------------------------------------------------
 # distributed truncated lazy random walk diffusion (Lemma 9's inner loop)
 # ----------------------------------------------------------------------

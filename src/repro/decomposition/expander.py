@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..graphs.csr import CSRGraph, uses_csr_engine
-from ..graphs.graph import Edge, Graph, Vertex
+from ..graphs.csr import CSRGraph
+from ..graphs.graph import Edge, Graph
 from ..graphs.peel import PeeledCSR, maybe_compact
 from ..graphs.spectral import (
     SpectralCertificate,
@@ -223,17 +223,16 @@ class _SubtreeContext:
 
     ``root`` is the single stream root drawn from the caller's generator;
     ``engine`` decides where sibling subtrees execute; ``base`` is the
-    lazily-created CSR snapshot every peeled view restricts (mutated in
-    place on first need, exactly like the old driver's local).  The
-    resilience fields: ``journal`` replays and records completed subtrees
+    host's CSR snapshot, which every working graph restricts as a
+    :class:`~repro.graphs.peel.PeeledCSR` view.  The resilience fields:
+    ``journal`` replays and records completed subtrees
     (:class:`~repro.resilience.journal.RunJournal`), ``deadline`` bounds
     the run (:class:`~repro.resilience.deadline.Deadline`), and
     ``on_progress`` receives the running emitted-component count — the
     bench heartbeat's data feed.
     """
 
-    graph: object
-    host_is_csr: bool
+    base: CSRGraph
     phi: float
     mode: ParameterMode
     schedule: list[float]
@@ -241,14 +240,13 @@ class _SubtreeContext:
     cut_kwargs: dict
     root: int
     engine: Executor
-    base: Optional[CSRGraph] = None
     journal: Optional[object] = None
     deadline: Optional[Deadline] = None
     on_progress: Optional[object] = None
     progress: int = 0
 
-    def spec(self) -> Optional[SubtreeSpec]:
-        """The dispatch spec for pooled sibling groups (``None`` without a base).
+    def spec(self) -> SubtreeSpec:
+        """The dispatch spec for pooled sibling groups.
 
         The shipped ``cut_kwargs`` replace the driver's executor with
         ``None``: worker-side batches run on the sequential engine —
@@ -256,8 +254,6 @@ class _SubtreeContext:
         invisible to every output.  ``deadline`` rides along driver-side
         only (the engine bounds its waits with it; it is never pickled).
         """
-        if self.base is None:
-            return None
         return SubtreeSpec(
             base=self.base,
             phi=self.phi,
@@ -391,25 +387,16 @@ def _decompose_subtree(
         # Never raise — ancestors keep merging and the run ends cleanly.
         _emit(ctx, outcome, _unfinished_marker(subset, depth))
         return outcome
-    view: Optional[PeeledCSR] = None
-    work: Optional[Graph] = None
-    # A CSR host has no dict graph to fall back to.
-    if ctx.host_is_csr or uses_csr_engine(len(subset)):
-        if ctx.base is None:
-            ctx.base = (
-                ctx.graph if ctx.host_is_csr else CSRGraph.from_graph(ctx.graph)
-            )
-        # Deep-recursion subsets are a shrinking fraction of the host:
-        # compact the view once it has halved so walk vectors stay
-        # proportional to the component, not to the original n.
+    # Deep-recursion subsets are a shrinking fraction of the host: compact
+    # the view once it has halved so its arrays stay proportional to the
+    # component, not to the original n.  A singleton needs no view.
+    view = None
+    if len(subset) > 1:
         view = maybe_compact(
             PeeledCSR.for_subset(ctx.base, (ctx.base.index[v] for v in subset))
         )
-    else:
-        work = ctx.graph.induced_with_loops(subset)
-    target: "Graph | PeeledCSR" = view if view is not None else work
 
-    if len(subset) == 1 or target.num_edges == 0:
+    if view is None or view.num_edges == 0:
         # Isolated vertices (all their degree is self loops) are vacuously
         # φ-expanders: they admit no cut at all.  repr-sorted so the
         # component order is canonical on every process.
@@ -419,14 +406,14 @@ def _decompose_subtree(
             )
         return outcome
 
-    pieces = target.connected_components()
+    pieces = view.connected_components()
     if len(pieces) > 1:
         # Splitting along existing components removes no edges.  The
-        # canonical piece order (ascending smallest ``repr``, which the
-        # peeled view produces natively) keeps the merge — and with it the
-        # output ordering — identical across engines.
+        # canonical piece order (ascending smallest ``repr``, which a view
+        # of a dict host produces natively) keeps the merge — and with it
+        # the output ordering — independent of the host's form.
         pieces.sort(key=lambda piece: min(map(repr, piece)))
-        if ctx.cut_kwargs["fast_path"] and view is not None:
+        if ctx.cut_kwargs["fast_path"]:
             # Batch the sibling components' spectral solves: one stacked
             # eigh per size class instead of one dispatch per future
             # pre-check.  Each hint is bit-identical to the solo solve, so
@@ -445,7 +432,7 @@ def _decompose_subtree(
             _emit(ctx, outcome, _unfinished_marker(subset, depth))
             return outcome
         certified, estimate, _ = certify_conductance(
-            target, ctx.phi, precomputed=hint
+            view, ctx.phi, precomputed=hint
         )
         _emit(
             ctx, outcome, ExpanderComponent(frozenset(subset), certified, estimate, depth)
@@ -458,7 +445,7 @@ def _decompose_subtree(
     search_phi = theta if ctx.mode is ParameterMode.PAPER else max(theta, ctx.phi)
     level_report = RoundReport(f"level {depth} (n={len(subset)})")
     cut_result = nearly_most_balanced_sparse_cut(
-        target,
+        view,
         search_phi,
         mode=ctx.mode,
         seed=split_stream(ctx.root, depth, component_stream_key(subset)),
@@ -487,11 +474,11 @@ def _decompose_subtree(
             # spectral check: don't start an eigensolve past the budget.
             _emit(ctx, outcome, _unfinished_marker(subset, depth))
             return outcome
-        # Authoritative final check, straight off the working view on
-        # the CSR path (no dict G{U} rebuild); an exact certificate the
-        # fast path already computed for this very graph is reused.
+        # Authoritative final check, straight off the working view (no
+        # dict G{U} rebuild); an exact certificate the fast path already
+        # computed for this very graph is reused.
         certified, estimate, witness = certify_conductance(
-            target, ctx.phi, precomputed=cut_result.spectral or hint
+            view, ctx.phi, precomputed=cut_result.spectral or hint
         )
         if certified:
             _emit(
@@ -502,7 +489,7 @@ def _decompose_subtree(
         # split on the check's own witness cut so a missed sparse cut
         # cannot silently produce an uncertified component.
         if witness and len(witness) < len(subset):
-            level_report.subreport("fallback_split").charge(target.num_vertices)
+            level_report.subreport("fallback_split").charge(view.num_vertices)
             split = frozenset(witness)
         else:
             _emit(
@@ -511,10 +498,7 @@ def _decompose_subtree(
             return outcome
 
     rest = frozenset(subset - split)
-    if view is not None:
-        outcome.cut_edges.extend(view.cut_edges(view.indices_of(split)))
-    else:
-        outcome.cut_edges.extend(work.cut_edges(split))
+    outcome.cut_edges.extend(view.cut_edges(view.indices_of(split)))
     sides = sorted(
         (side for side in (frozenset(split), rest) if side),
         key=lambda side: min(map(repr, side)),
@@ -544,8 +528,7 @@ def decompose_subtree_on_base(
     labels = base.vertices
     subset = frozenset(labels[int(i)] for i in subset_indices)
     ctx = _SubtreeContext(
-        graph=base,
-        host_is_csr=True,
+        base=base,
         phi=spec.phi,
         mode=spec.mode,
         schedule=list(spec.schedule),
@@ -553,13 +536,12 @@ def decompose_subtree_on_base(
         cut_kwargs=dict(spec.cut_kwargs),
         root=spec.root,
         engine=SEQUENTIAL,
-        base=base,
     )
     return _decompose_subtree(ctx, subset, depth, hint)
 
 
 def expander_decomposition(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     epsilon: float,
     phi: float,
     mode: ParameterMode = ParameterMode.PRACTICAL,
@@ -585,10 +567,9 @@ def expander_decomposition(
         without any dict materialisation, which is what lets 10⁷-edge
         graphs decompose without ever holding a dict graph in RAM (the run
         is still bit-identical to a dict-host run of the same graph, as the
-        differential suite pins).  On a dict host each working subset's size
-        picks its engine (:func:`repro.graphs.csr.uses_csr_engine`): a
-        :class:`~repro.graphs.peel.PeeledCSR` view of one host snapshot for
-        large ones, a dict ``G{U}`` for small deep-recursion pieces.
+        differential suite pins).  A dict host is snapshotted once; every
+        working subset, at every level, is a
+        :class:`~repro.graphs.peel.PeeledCSR` view of the one snapshot.
     epsilon:
         Removed-edge budget as a fraction of |E| (reported, and checkable via
         :attr:`DecompositionResult.within_budget`); a finite number ≥ 0.
@@ -618,9 +599,8 @@ def expander_decomposition(
         :func:`certify_conductance` remains the authoritative final
         check); the adaptive budget is a convergence heuristic — both are
         pinned cut-identical on/off by the parity suite and the bench
-        smoke gate.  Leaf components certify
-        straight off the peeled view on the CSR path (no dict ``G{U}``
-        rebuild) regardless of this flag.
+        smoke gate.  Leaf components certify straight off their peeled
+        view (no dict ``G{U}`` rebuild) regardless of this flag.
     executor, workers:
         Execution engine (:mod:`repro.parallel`), used for both kinds of
         independent task: every level's ParallelNibble batches
@@ -696,9 +676,11 @@ def expander_decomposition(
             num_vertices=int(graph.num_vertices),
             num_edges=int(graph.num_edges),
         )
+    # Every working graph is a view of this one snapshot (a CSR host is
+    # its own), so no level builds a dict G{U}.
+    base = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
     ctx = _SubtreeContext(
-        graph=graph,
-        host_is_csr=isinstance(graph, CSRGraph),
+        base=base,
         phi=phi,
         mode=mode,
         schedule=schedule,
@@ -710,7 +692,7 @@ def expander_decomposition(
         deadline=resolve_deadline(deadline),
         on_progress=on_progress,
     )
-    top = frozenset(graph.vertices if ctx.host_is_csr else graph.vertices())
+    top = frozenset(base.vertices)
     try:
         outcome = _decompose_subtree(ctx, top, 0, None)
     finally:

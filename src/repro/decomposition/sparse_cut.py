@@ -22,15 +22,12 @@ The algorithm is the paper's Phase-1 loop:
   balanced enough or ``max_failures`` consecutive batches certify no
   further cut.
 
-The working graph exists in two interchangeable forms: the reference dict
-``Graph`` (Remove-j via :meth:`Graph.remove_edge_with_loops`), and the
-vectorized :class:`~repro.graphs.peel.PeeledCSR` view, whose
-:meth:`~repro.graphs.peel.PeeledCSR.peel` performs the same operation as a
-masked array update on one shared CSR snapshot.  Both run the *same*
-accumulation loop below (one code path over a thin work-state adapter), and
-RandomNibble samples its start through the same canonical
-``repr``-ordered weighted draw on both, so a shared seed produces identical
-cuts on either — ``tests/test_peel.py`` pins this.
+The working graph is a :class:`~repro.graphs.peel.PeeledCSR` view of one
+CSR snapshot: :meth:`~repro.graphs.peel.PeeledCSR.peel` performs Remove-j
+(boundary edges become compensating self loops, the cut's vertices leave)
+as a masked array update.  Every entry point takes a dict ``Graph``, a
+:class:`~repro.graphs.csr.CSRGraph` or a view, and turns it into a view
+once, at entry; a batch never runs on anything else.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..graphs.csr import uses_csr_engine
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph, Vertex
 from ..graphs.peel import PeeledCSR, maybe_compact
 from ..graphs.spectral import (
@@ -63,8 +60,9 @@ from ..resilience.deadline import (
 from ..utils.rng import SeedLike, ensure_rng, stream_root
 from ..utils.rounds import RoundReport, parallel_rounds
 
-#: A working graph: the reference dict form or the peeled-CSR view.
-WorkGraph = Union[Graph, PeeledCSR]
+#: What the entry points accept; each turns it into a :class:`PeeledCSR`
+#: view once (a dict ``Graph`` or a ``CSRGraph`` becomes its all-alive view).
+WorkGraph = Union[Graph, CSRGraph, PeeledCSR]
 
 # Re-exported for callers that address them through this module (the
 # distributed Nibble program, the public ``repro.decomposition`` surface);
@@ -86,29 +84,22 @@ def random_nibble(
     params: NibbleParameters,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    degrees: Optional[dict] = None,
     adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """One RandomNibble instance: random degree-proportional start, random b.
 
     The start vertex is drawn over the positive-degree vertices in
-    ``repr``-sorted order on every engine (the dict path builds its degree
-    map in that order, the peeled path's ascending index order *is* that
-    order), so the dict and peeled engines consume the same ``rng`` stream
-    and pick the same start for a shared seed.  A dict ``Graph`` runs the
-    dict engine, a :class:`PeeledCSR` view the masked CSR engine;
-    ``adaptive`` is as in :func:`repro.nibble.nibble.nibble`.
-    ``degrees`` may carry a prebuilt
-    :func:`~repro.graphs.graph.sorted_degree_map` so a batch of instances
-    on an unchanged graph pays for it once; it must describe the current
-    graph.  The sampling-then-walk body is
+    ascending index order (on a snapshot of a dict graph, its ``repr``
+    order), so a shared seed picks the same start whichever form the
+    graph is handed in; ``adaptive`` is as in
+    :func:`repro.nibble.nibble.nibble`.  The sampling-then-walk body is
     :func:`repro.parallel.worker.run_nibble_instance`; every executor's
-    batch makes the same draws and the same walk per distinct draw, so
-    "one instance" means the same thing alone, inline and on a worker.
+    batch makes the same draws and gets the same cut per distinct draw,
+    so "one instance" means the same thing alone, inline and on a worker.
     """
+    view = PeeledCSR.from_graph(graph)
     _, cut = run_nibble_instance(
-        graph, params, ensure_rng(rng), degrees=degrees, adaptive=adaptive,
-        report=report,
+        view, params, ensure_rng(rng), adaptive=adaptive, report=report
     )
     return cut
 
@@ -166,17 +157,19 @@ def parallel_nibble_cuts(
     is rebuilt driver-side from the scales the executor reports, so the
     :class:`~repro.utils.rounds.RoundReport` is executor-independent too.
 
-    The instances run on whatever engine ``graph``'s type names: the dict
-    engine on a dict ``Graph``, the masked CSR engine on a
-    :class:`PeeledCSR` view.
+    The batch runs on ``graph`` as a :class:`PeeledCSR` view (a dict
+    ``Graph`` or a ``CSRGraph`` is wrapped whole first); which kernel runs
+    its rows is :func:`repro.parallel.worker.run_chunk`'s choice and never
+    changes a cut.
     """
+    view = PeeledCSR.from_graph(graph)
     if stream is None:
         stream = (stream_root(rng), 0)
     root, batch_index = stream
     if executor is None:
         executor = SEQUENTIAL
     triples = executor.run_batch(
-        graph, params, root, batch_index, num_instances, adaptive=adaptive
+        view, params, root, batch_index, num_instances, adaptive=adaptive
     )
     instance_reports: list[RoundReport] = []
     found: list[NibbleCut] = []
@@ -263,77 +256,8 @@ def default_num_instances(graph: WorkGraph) -> int:
     return max(4, math.ceil(math.log2(max(graph.num_edges, 2))))
 
 
-class _DictWork:
-    """Work-state adapter over a mutable dict ``Graph`` (the reference path).
-
-    The accumulation loop of :func:`nearly_most_balanced_sparse_cut` talks
-    to the working graph only through this surface and its peeled twin
-    (:class:`_PeelWork`), so the two engines make byte-for-byte identical
-    decisions; only the mechanics of a removal differ.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph.copy()
-        self.initial = graph
-
-    @property
-    def search_graph(self) -> Graph:
-        """What the ParallelNibble batch should run on."""
-        return self.graph
-
-    @property
-    def num_edges(self) -> int:
-        """Residual proper edge count of the working graph."""
-        return self.graph.num_edges
-
-    def total_volume(self) -> int:
-        """Vol of the current working graph."""
-        return self.graph.total_volume()
-
-    def contains_all(self, cut_vertices: set) -> bool:
-        """Whether every cut vertex is still in the working graph."""
-        return all(v in self.graph for v in cut_vertices)
-
-    def volume_of(self, cut_vertices: set) -> int:
-        """Vol of a vertex set in the current working graph."""
-        return self.graph.volume(cut_vertices)
-
-    def complement(self, cut_vertices: set) -> set:
-        """The other side of the cut in the current working graph."""
-        return set(self.graph.vertices()) - cut_vertices
-
-    def remove(self, cut_vertices: set) -> None:
-        """Remove-j every boundary edge, then drop the cut's vertices."""
-        for u, v in self.graph.cut_edges(cut_vertices):
-            self.graph.remove_edge_with_loops(u, v)
-        for v in cut_vertices:
-            self.graph.remove_vertex(v)
-
-    def refresh(self) -> None:
-        """Between batches: nothing to do on the dict path."""
-
-    def flush_batch(self) -> None:
-        """End of a batch's application loop: dict removals are immediate."""
-
-    def initial_volume(self, vertices: set) -> int:
-        """Vol of a vertex set measured in the *input* graph."""
-        return self.initial.volume(vertices)
-
-    def initial_vertices(self) -> set:
-        """Vertex set of the input graph."""
-        return set(self.initial.vertices())
-
-    def measure(self, vertices: set) -> tuple[float, float, int]:
-        """(Φ, balance, |∂|) of a set, measured in the input graph."""
-        return (
-            self.initial.conductance_of_cut(vertices),
-            self.initial.balance_of_cut(vertices),
-            self.initial.cut_size(vertices),
-        )
-
-
 class _PeelWork:
-    """Work-state adapter over a :class:`PeeledCSR` view (the fast path).
+    """Work-state adapter over the working :class:`PeeledCSR` view.
 
     The input view is cloned (callers keep theirs) and removals are masked
     :meth:`~repro.graphs.peel.PeeledCSR.peel` calls; final measurements run
@@ -348,9 +272,9 @@ class _PeelWork:
     (``tests/test_peel.py`` pins this), so every per-cut decision —
     containment, the small-side flip, the balance check — is simulatable
     from a pending-dead set plus a running volume, and the union peel
-    produces bit-for-bit the mask per-cut peels would.  The dict adapter
-    (:class:`_DictWork`) removes each cut immediately, so the differential
-    matrix's dict-vs-CSR cells check this against the oracle.
+    produces bit-for-bit the mask per-cut peels would.  The differential
+    matrix checks this against signatures frozen from a dict oracle that
+    removed each cut immediately.
     """
 
     def __init__(self, peel: PeeledCSR) -> None:
@@ -512,8 +436,9 @@ def nearly_most_balanced_sparse_cut(
     """Theorem 3: accumulate Nibble cuts into a nearly most balanced sparse cut.
 
     The working graph starts as (a copy of) ``graph`` — callers hand in
-    ``G{U}`` directly, either as a dict ``Graph`` or as a
-    :class:`PeeledCSR` view of a shared snapshot — and is shrunk after
+    ``G{U}`` directly, as a :class:`PeeledCSR` view of a shared snapshot,
+    or a dict ``Graph`` or ``CSRGraph`` that is snapshotted into its
+    all-alive view once, here — and is shrunk after
     every harvested cut C by the degree-preserving Remove-j operation
     (boundary edges become compensating self loops at both endpoints, so
     conductance accounting at deeper levels stays honest), after which C's
@@ -528,12 +453,6 @@ def nearly_most_balanced_sparse_cut(
     apply nothing.  An empty result with ``certified_no_cut=True`` is the
     "no φ-sparse cut exists" certificate the expander decomposition
     consumes.
-
-    The engine is picked here, once: a ``PeeledCSR`` input runs peeled, and
-    so does a dict ``Graph`` the size rule
-    (:func:`repro.graphs.csr.uses_csr_engine`) sends to CSR — snapshotted
-    once, so every batch and removal runs masked; a smaller one keeps the
-    reference mutable graph.  Both engines are cut-identical for a seed.
 
     ``fast_path`` enables the certification fast path (default on): before
     a batch is launched against a working graph whose state has not been
@@ -583,12 +502,7 @@ def nearly_most_balanced_sparse_cut(
     deadline = resolve_deadline(deadline)
     engine, owned = resolve_executor(executor, workers)
     own_report = report if report is not None else RoundReport("sparse_cut")
-    if isinstance(graph, PeeledCSR):
-        work: Union[_DictWork, _PeelWork] = _PeelWork(graph)
-    elif uses_csr_engine(graph.num_vertices):
-        work = _PeelWork(PeeledCSR.from_graph(graph))
-    else:
-        work = _DictWork(graph)
+    work = _PeelWork(PeeledCSR.from_graph(graph))
     total_volume = work.total_volume()
     accumulated: set[Vertex] = set()
     accumulated_volume = 0
@@ -686,7 +600,7 @@ def nearly_most_balanced_sparse_cut(
                         accumulated_volume = work.initial_volume(accumulated)
                         applied += 1
                     # One union peel for the whole batch's cuts (see
-                    # _PeelWork); a no-op on the dict path.
+                    # _PeelWork).
                     work.flush_batch()
                     if applied == 0:
                         failures += 1

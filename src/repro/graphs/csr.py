@@ -1,15 +1,15 @@
 """Vectorized CSR walk engine (the numpy backend of the Nibble family).
 
-The dict-of-sets :class:`~repro.graphs.graph.Graph` is the mutable substrate
-of the decomposition (Remove-j edits, G{S} construction), but pure-Python
-iteration over it caps the truncated-walk hot path (paper Appendix A) at
+The dict-of-sets :class:`~repro.graphs.graph.Graph` is the input format and
+the substrate of the reference engine, but pure-Python iteration over it
+caps the truncated-walk hot path (paper Appendix A) at
 roughly 10³ vertices.  This module provides the flat, immutable view the hot
 path actually needs:
 
 * :class:`CSRGraph` — a compressed-sparse-row snapshot of a ``Graph`` with a
   *stable* vertex ↔ index mapping (vertices sorted by ``repr``, the same
   total order the dict sweep uses for tie-breaks);
-* :class:`WalkWorkspace` — the one CSR walk/sweep kernel: the truncated
+* :class:`WalkWorkspace` — the single-walk CSR kernel: the truncated
   lazy walk step on sparse mass vectors restricted to their support, and
   the ρ̃-sweep prefix scan (ordering, prefix volumes, prefix cut sizes)
   computed with ``lexsort``/``cumsum`` instead of a Python loop.
@@ -38,14 +38,13 @@ import numpy as np
 
 from .graph import Graph, Vertex
 
-#: :func:`uses_csr_engine` switches from the dict to the CSR engine at this
-#: many vertices.  Below it the per-step numpy dispatch overhead outweighs
-#: the vectorization win; above it the CSR path dominates.  The crossover
-#: was re-measured after the walk-budget and pre-check changes shifted the
-#: mix toward long cut-finding walks on mid-size working graphs: the CSR
-#: engine now wins from a few dozen vertices up (≈1.2× end-to-end on the
-#: n=10240 ring decomposition vs the old 512 cutoff — see EXPERIMENTS.md),
-#: so only genuinely tiny graphs stay on the dict reference engine.
+#: :func:`uses_csr_engine` switches the triangle enumerators
+#: (:mod:`repro.triangles`) from their dict to their CSR implementation at
+#: this many vertices.  Below it the per-call numpy dispatch overhead
+#: outweighs the vectorization win.  The decomposition and the sparse cut
+#: do not consult it: every working graph there is a
+#: :class:`~repro.graphs.peel.PeeledCSR` view, and a batch's kernel is
+#: picked by :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
 CSR_AUTO_THRESHOLD = 32
 
 # ----------------------------------------------------------------------
@@ -73,10 +72,9 @@ def choose_index_dtype(num_vertices: int, num_entries: int) -> np.dtype:
 
 
 def uses_csr_engine(num_vertices: int) -> bool:
-    """Whether a working graph of ``num_vertices`` vertices runs the CSR engine.
+    """Whether a triangle enumeration on ``num_vertices`` vertices runs CSR.
 
-    The pipeline's one engine rule, applied only where a working graph is
-    built; every layer below dispatches on the type it is handed.  Reads
+    The triangle entry points' engine rule.  Reads
     :data:`CSR_AUTO_THRESHOLD` at call time, so tests can move it.
     """
     return num_vertices >= CSR_AUTO_THRESHOLD

@@ -503,24 +503,6 @@ def triangle_rich_graph(n: int, p: float = 0.3, seed: SeedLike = None) -> Graph:
     return g
 
 
-def relabel_to_integers(graph: Graph) -> tuple[Graph, dict]:
-    """Relabel arbitrary vertex names to ``0 .. n-1``.
-
-    Returns the relabelled graph and the mapping ``old -> new``.  The CONGEST
-    simulator and the routing layer index node programs by integer id, so
-    generators with tuple-labelled vertices go through this shim.
-    """
-    mapping = {v: i for i, v in enumerate(sorted(graph.vertices(), key=repr))}
-    g = Graph(vertices=range(len(mapping)))
-    for u, v in graph.edges():
-        g.add_edge(mapping[u], mapping[v])
-    for v in graph.vertices():
-        loops = graph.self_loops(v)
-        if loops:
-            g.add_self_loops(mapping[v], loops)
-    return g, mapping
-
-
 # ----------------------------------------------------------------------
 # metadata-returning variants (ground truth for the world sweep)
 # ----------------------------------------------------------------------

@@ -430,20 +430,3 @@ class Graph:
             f"Graph(n={self.num_vertices}, m={self.num_edges}, "
             f"loops={self.num_self_loops})"
         )
-
-
-def sorted_degree_map(graph: "Graph") -> dict:
-    """Positive degrees keyed by vertex, in canonical ``repr``-sorted order.
-
-    The iteration order of this dict is what maps an RNG draw to a vertex
-    (see :func:`repro.utils.rng.sample_by_degree`); ``repr`` order matches
-    the peeled-CSR path's ascending base-index order, keeping the dict and
-    vectorized engines' RNG streams in lockstep.  This is the single
-    canonical start-sampling map every RandomNibble entry point — inline or
-    on a worker — builds from a dict working graph.
-    """
-    return {
-        v: graph.degree(v)
-        for v in sorted(graph.vertices(), key=repr)
-        if graph.degree(v) > 0
-    }

@@ -44,11 +44,6 @@ def balance(graph: Graph, subset: Iterable[Vertex]) -> float:
     return graph.balance_of_cut(subset)
 
 
-def edge_boundary(graph: Graph, subset: Iterable[Vertex]):
-    """∂(S) as a list of edges."""
-    return graph.cut_edges(subset)
-
-
 # ----------------------------------------------------------------------
 # graph conductance
 # ----------------------------------------------------------------------

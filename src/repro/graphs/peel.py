@@ -130,8 +130,16 @@ class PeeledCSR:
         )
 
     @classmethod
-    def from_graph(cls, graph: Graph) -> "PeeledCSR":
-        """Snapshot a dict ``Graph`` and return the all-alive view of it."""
+    def from_graph(cls, graph: "Graph | CSRGraph | PeeledCSR") -> "PeeledCSR":
+        """The all-alive view of a dict ``Graph`` (snapshotted) or a ``CSRGraph``.
+
+        A ``PeeledCSR`` is returned as it is (not copied): every entry point
+        that normalises its input this way only reads it.
+        """
+        if isinstance(graph, PeeledCSR):
+            return graph
+        if isinstance(graph, CSRGraph):
+            return cls.full(graph)
         return cls.full(CSRGraph.from_graph(graph))
 
     @classmethod
@@ -281,23 +289,24 @@ class PeeledCSR:
         matter how few vertices remain alive, so once a view has shrunk
         well below its index space it pays to rebuild: this gathers the
         residual alive–alive adjacency with one masked ``flat_adjacency``
-        pass and re-indexes it into a new :class:`CSRGraph` — O(n + Vol(alive))
-        numpy work, no dict graph in sight.  The compact base keeps the
+        pass and re-indexes it into a new :class:`CSRGraph` — one O(n) scan
+        for the alive set plus O(Vol(alive) log n) numpy work, no dict
+        graph in sight.  The compact base keeps the
         alive labels in their old relative (``repr``-sorted) order, and
         degrees/loops carry over unchanged, so walks, sweeps, and cuts on
         the compact view are bit-identical to the uncompacted ones.
         :func:`maybe_compact` applies the 2× shrink heuristic.
         """
         idx = self.alive_indices()
-        remap = np.full(self.base.n, -1, dtype=np.int64)
-        remap[idx] = np.arange(idx.size, dtype=np.int64)
         _, flat = self.flat_adjacency(idx)
         indptr = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(self.proper_degree[idx], out=indptr[1:])
         dtype = csr_kernels.choose_index_dtype(idx.size, int(indptr[-1]))
         base = CSRGraph(
             indptr=indptr.astype(dtype, copy=False),
-            indices=remap[flat].astype(dtype, copy=False),
+            # every gathered neighbor is alive, so its new index is its
+            # rank in ``idx``: a binary search, no length-n remap array
+            indices=np.searchsorted(idx, flat).astype(dtype, copy=False),
             loops=self.loops[idx].copy(),
             vertices=[self.base.vertices[int(i)] for i in idx],
         )
@@ -481,3 +490,4 @@ def maybe_compact(peel: PeeledCSR) -> PeeledCSR:
     if 2 * peel.num_vertices <= peel.n:
         return peel.compact()
     return peel
+

@@ -63,20 +63,6 @@ def vertex_index(graph: Graph) -> tuple[list[Vertex], dict[Vertex, int]]:
     return vertices, {v: i for i, v in enumerate(vertices)}
 
 
-def adjacency_matrix(graph: Graph, include_loops: bool = True) -> np.ndarray:
-    """Dense adjacency matrix; self loops contribute 1 on the diagonal."""
-    vertices, index = vertex_index(graph)
-    n = len(vertices)
-    a = np.zeros((n, n))
-    for u, v in graph.edges():
-        a[index[u], index[v]] += 1.0
-        a[index[v], index[u]] += 1.0
-    if include_loops:
-        for v in vertices:
-            a[index[v], index[v]] += graph.self_loops(v)
-    return a
-
-
 def degree_vector(graph: Graph) -> np.ndarray:
     """Degrees in the stable vertex order (self loops included)."""
     vertices, _ = vertex_index(graph)

@@ -1,26 +1,31 @@
-"""Lockstep ParallelNibble: a dict-graph batch as one multi-column walk.
+"""Lockstep ParallelNibble: a batch as one multi-row walk on a peeled view.
 
 The paper runs a ParallelNibble batch's RandomNibble instances at the
 same time (Lemma 10 charges the batch max-of-instances rounds).
 :func:`lockstep_approximate_nibble` does the same in numpy: every
-distinct ``(start, scale)`` draw of a batch on a dict
-:class:`~repro.graphs.graph.Graph` becomes one row of a dense
-``(rows × n)`` float64 mass array, and each lockstep time step runs,
-for all live rows at once, the truncated lazy-walk step, the ρ̃ sweep,
-(C.1)–(C.3*) on the geometric candidate prefixes, the best-cut update
-and the three stop rules of :func:`repro.nibble.nibble.scan_walk_sequence`
-(zero mass, IEEE fixpoint, adaptive stop).  Rows retire one by one.
+distinct ``(start, scale)`` draw of a batch on a
+:class:`~repro.graphs.peel.PeeledCSR` view becomes one row of a dense
+``(rows × n)`` float64 mass array over the view's ``n`` alive vertices,
+and each lockstep time step runs, for all live rows at once, the
+truncated lazy-walk step, the ρ̃ sweep, (C.1)–(C.3*) on the geometric
+candidate prefixes, the best-cut update and the three stop rules of the
+single-walk scans (zero mass, IEEE fixpoint, adaptive stop).  Rows
+retire one by one.
 
-Each row is bit-identical to ``approximate_nibble(graph, start, scale,
+Each row is bit-identical to ``approximate_nibble(view, start, scale,
 params, adaptive=adaptive)`` by construction, not by tolerance:
 
-* vertices are indexed in ``repr``-sorted order, the order the dict walk
-  accumulates sources in and the sweep breaks ρ̃ ties by;
+* the columns are the view's alive base indices in ascending order —
+  the order the :class:`~repro.graphs.csr.WalkWorkspace` accumulates
+  sources in and the sweep breaks ρ̃ ties by (and, on a snapshot of a
+  dict graph, its ``repr`` order);
 * each target's incoming mass is one ``np.bincount`` over a row-major
   ``(row, source, target)`` gather, which adds shares sequentially in
   ascending source order — zero-mass sources add ``+0.0``, exact for
-  these non-negative sums — and the self-retained share is added last;
-* every float expression is the dict path's, element-wise:
+  these non-negative sums — and the retained share is added last; a
+  compensating self loop of a peeled view enters only through that
+  retained share, as in the workspace;
+* every float expression is the single walk's, element-wise:
   ``m*(0.5+(0.5*loops)/deg)``, ``m/(2.0*deg)``, ``(2.0*ε_b)*deg``,
   ``m/deg``, ``cut/min(vol, Vol−vol)``, ``γ/vol``;
 * the candidate chain compares integer volumes with ``(1+φ)·Vol``
@@ -28,12 +33,13 @@ params, adaptive=adaptive)`` by construction, not by tolerance:
   integer row offset added;
 * the best-cut tie rule (min (Φ, −Vol), earlier t, smaller j) and the
   adaptive stop signature (ordering, certified set, float32 ρ̃) are
-  those of the dict scan;
+  those of the single-walk scans;
 * work is skipped only where its result is already known: prefix
   statistics are reused while every row's ordering and jmax repeat, and
   the best-cut update is skipped while the same prefixes certify.
 
-Memory is linear: every per-step array is ``rows × (n + 2m)`` at most.
+Memory is linear: every per-step array is ``rows × (n + 2m)`` at most,
+which is what :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET` bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from ..graphs.graph import Graph
+from ..graphs.peel import PeeledCSR
 from ..resilience.deadline import check_walk_deadline
 from .nibble import NibbleCut
 from .parameters import NibbleParameters
@@ -50,7 +56,7 @@ from .sweep import ADAPTIVE_STABLE_STEPS
 
 
 def lockstep_approximate_nibble(
-    graph: Graph,
+    view: PeeledCSR,
     draws: Sequence[tuple[Hashable, int]],
     params: NibbleParameters,
     adaptive: bool = True,
@@ -58,30 +64,29 @@ def lockstep_approximate_nibble(
     """ApproximateNibble for every ``(start, scale)`` of ``draws`` at once.
 
     Returns one cut (or ``None``) per draw, in order, each equal to
-    ``approximate_nibble(graph, start, scale, params, adaptive=adaptive)``.
-    The ambient deadline is checked once per lockstep time step.  Round
-    accounting is the caller's: a batch charges rounds from its scales.
+    ``approximate_nibble(view, start, scale, params, adaptive=adaptive)``.
+    A start must be an alive vertex of ``view``.  The ambient deadline is
+    checked once per lockstep time step.  Round accounting is the
+    caller's: a batch charges rounds from its scales.
     """
+    alive = view.alive_indices()
+    starts = []
     for start, scale in draws:
         if not 1 <= scale <= params.ell:
             raise ValueError(f"scale b={scale} outside 1..ell={params.ell}")
-        if start not in graph:
-            raise KeyError(f"start vertex {start!r} not in graph")
+        if start not in view.index or not view.alive[view.index[start]]:
+            raise KeyError(f"start vertex {start!r} not in the view")
+        starts.append(view.index[start])
     if not draws:
         return []
 
-    vertices = sorted(graph.vertices(), key=repr)
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = graph._adj
-    loops = np.array([graph._loops[v] for v in vertices], dtype=np.int64)
-    proper = np.array([len(adj[v]) for v in vertices], dtype=np.int64)
-    deg = proper + loops
+    n = len(alive)
+    loops = view.loops[alive]
+    proper = view.proper_degree[alive]
+    deg = view.degree[alive]
     # Directed edges, row-major by ascending source: the accumulation order.
-    src = np.repeat(np.arange(n, dtype=np.int64), proper)
-    tgt = np.fromiter(
-        (index[u] for v in vertices for u in adj[v]), dtype=np.int64, count=len(src)
-    )
+    src, flat = view.flat_adjacency(alive)
+    tgt = np.searchsorted(alive, flat)
     lower = src < tgt  # each undirected edge once, for the prefix cuts
     edge_lo, edge_hi = src[lower], tgt[lower]
     positive = deg > 0
@@ -89,7 +94,7 @@ def lockstep_approximate_nibble(
     keep_factor = np.ones(n)
     keep_factor[positive] = 0.5 + (0.5 * loops[positive]) / deg[positive]
     share_divisor = np.where(positive, 2.0 * deg, 1.0)
-    total = int(deg.sum())
+    total = int(view.total_volume)
     max_volume = params.relaxed_max_cut_volume_fraction * total
     stable = ADAPTIVE_STABLE_STEPS if adaptive else None
     # Scatter bins for up to ``len(draws)`` rows, sliced to the live count.
@@ -107,7 +112,7 @@ def lockstep_approximate_nibble(
         # No swept step yet: a jmax of -1 matches no signature.
         last_signature=np.full((columns, 1), -1, dtype=np.int64),
     )
-    rows.mass[np.arange(columns), [index[s] for s, _ in draws]] = 1.0
+    rows.mass[np.arange(columns), np.searchsorted(alive, starts)] = 1.0
     # Best cut per draw: its (Φ, -Vol) key — (inf, 0) loses to any
     # certified prefix — and (t, j, |∂|, prefix) once one certifies.
     best_conductance = np.full(columns, np.inf)
@@ -162,7 +167,7 @@ def lockstep_approximate_nibble(
         # -- best-cut update ---------------------------------------------
         # Per row the step's winner is min (Φ, -Vol), then smallest j; it
         # replaces the row's best only if strictly better, so ties go to
-        # the earlier time step — the dict scan's rule.  The same prefixes
+        # the earlier time step — the single-walk scans' rule.  The same prefixes
         # certifying as last step means the same winners, which cannot
         # beat themselves.
         if hit.size and not (reused and np.array_equal(hit, last_hit)):
@@ -200,6 +205,7 @@ def lockstep_approximate_nibble(
             if len(rows.col) == 0:
                 break
 
+    labels = view.vertices
     cuts: list[Optional[NibbleCut]] = []
     for (start, scale), conductance, neg_volume, found in zip(
         draws, best_conductance.tolist(), best_neg_volume.tolist(), best
@@ -210,7 +216,7 @@ def lockstep_approximate_nibble(
         t, j, boundary, prefix = found
         cuts.append(
             NibbleCut(
-                vertices=frozenset(vertices[i] for i in prefix.tolist()),
+                vertices=frozenset(labels[i] for i in alive[prefix].tolist()),
                 conductance=conductance,
                 volume=-neg_volume,
                 cut_size=boundary,

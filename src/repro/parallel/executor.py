@@ -52,7 +52,6 @@ import numpy as np
 from concurrent.futures import TimeoutError as _FuturesTimeout
 
 from ..graphs.csr import CSRGraph
-from ..graphs.peel import PeeledCSR
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
 from ..resilience.deadline import active_deadline, check_walk_deadline
@@ -195,8 +194,8 @@ class SubtreeSpec:
     (published into shared memory at dispatch time); the rest mirrors the
     driver's own recursion context, with ``cut_kwargs`` already scrubbed of
     the driver's executor (worker-side batches run sequentially — workers
-    never nest pools).  ``None`` at a dispatch site means the recursion has
-    no CSR base (pure dict run), so every sibling runs inline.
+    never nest pools).  A dispatch without a spec runs every sibling
+    inline.
 
     ``deadline`` is the driver-side :class:`~repro.resilience.deadline
     .Deadline` (never shipped to workers — it bounds how long the *driver*
@@ -292,10 +291,11 @@ def validate_subtree_outcome(outcome, subset: frozenset, base: CSRGraph) -> None
 class Executor:
     """Protocol for running the pipeline's independent tasks.
 
-    Two methods make the surface.  ``run_batch``: given the working graph,
-    the parameter schedule, the batch's stream address ``(root,
-    batch_index)`` and the instance count, return the ``(instance_index,
-    scale, cut)`` triples in ascending index order.  ``run_siblings``: given
+    Two methods make the surface.  ``run_batch``: given the working
+    :class:`~repro.graphs.peel.PeeledCSR` view, the parameter schedule,
+    the batch's stream address ``(root, batch_index)`` and the instance
+    count, return the ``(instance_index, scale, cut)`` triples in
+    ascending index order.  ``run_siblings``: given
     a group of sibling :class:`SubtreeTask`\\ s, a callback that decomposes
     one task inline, and the run's :class:`SubtreeSpec` (or ``None``),
     return a :data:`SiblingResult` — one outcome per task, in task order,
@@ -484,8 +484,8 @@ class ShardedExecutor(Executor):
     """Process-pool engine: batches and sibling subtrees fan out over shared memory.
 
     The pool is created lazily on the first shipped job (constructing an
-    executor is free).  Batches on dict graphs, on views smaller than
-    ``min_shard_vertices``, sibling groups without a CSR base, siblings
+    executor is free).  Batches on views smaller than
+    ``min_shard_vertices``, sibling groups without a spec, siblings
     smaller than ``min_shard_vertices``, and everything after the engine
     has terminally degraded run inline — identical results either way, per
     the stream discipline.  Small siblings run in the driver *while the
@@ -716,9 +716,8 @@ class ShardedExecutor(Executor):
     ) -> BatchResult:
         """Fan the batch out over the pool as one chunk per worker.
 
-        Only :class:`PeeledCSR` batches above the size floor are shipped —
-        dict-graph batches (small by the engine size threshold) and tiny
-        views run inline.  A failed chunk re-runs only its own instances
+        Only views at or above the size floor are shipped; tiny views
+        run inline.  A failed chunk re-runs only its own instances
         inline: the streams are counter-addressed and an instance's answer
         depends only on its draws, so that is bit-identical to re-running
         the batch.  An ambient deadline bounds the wait for pool results;
@@ -731,7 +730,6 @@ class ShardedExecutor(Executor):
             self._broken
             or self._closed
             or num_instances < 2
-            or not isinstance(graph, PeeledCSR)
             or graph.num_vertices < self.min_shard_vertices
         ):
             return sequential_batch(
@@ -772,8 +770,8 @@ class ShardedExecutor(Executor):
         Every shipped subtree decomposes wholly inside one worker against
         the published host snapshot (:func:`repro.parallel.worker
         .run_subtree`) and is re-verified by
-        :func:`validate_subtree_outcome`.  Without a spec (no CSR base),
-        on a degraded engine, or for a lone task, everything runs inline.
+        :func:`validate_subtree_outcome`.  Without a spec, on a degraded
+        engine, or for a lone task, everything runs inline.
         The spec's deadline bounds each wait; its expiry cancels the
         remaining pool work, and the inline re-runs emit their flagged
         unfinished markers at once.

@@ -13,13 +13,14 @@ jobs, or between processes, which is the whole determinism argument
 
 :func:`draw_nibble_instance` is the one definition of what an instance
 draws from its stream.  :func:`run_chunk` is the one batch body every
-executor runs: it makes every instance's draws, then runs each distinct
-draw once — on a :class:`~repro.graphs.peel.PeeledCSR` view one
-ApproximateNibble after another, on a dict ``Graph`` all of them as the
-rows of one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble`
-call.  :func:`run_nibble_instance` is the body of a single RandomNibble
-call (:func:`repro.decomposition.sparse_cut.random_nibble`); the tests pin
-every batch to it instance by instance.
+executor runs: it makes every instance's draws on the batch's
+:class:`~repro.graphs.peel.PeeledCSR` view, then runs each distinct draw
+once — all of them as the rows of one
+:func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call when the
+batch fits :data:`LOCKSTEP_CELL_BUDGET`, one ApproximateNibble walk after
+another otherwise.  :func:`run_nibble_instance` is the body of a single
+RandomNibble call (:func:`repro.decomposition.sparse_cut.random_nibble`);
+the tests pin every batch to it instance by instance.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.graph import sorted_degree_map
 from ..graphs.peel import PeeledCSR
 from ..nibble.lockstep import lockstep_approximate_nibble
 from ..nibble.nibble import NibbleCut, approximate_nibble
 from ..nibble.parameters import NibbleParameters, sample_scale
-from ..utils.rng import sample_by_degree, task_stream
+from ..utils.rng import task_stream
 from ..utils.rounds import RoundReport
 from .shared import SharedCSR, SharedCSRMeta
 
@@ -46,6 +46,13 @@ from .shared import SharedCSR, SharedCSRMeta
 ATTACH_CACHE_SIZE = 4
 
 _ATTACHED: "OrderedDict[str, SharedCSR]" = OrderedDict()
+
+#: A batch runs as lockstep rows while ``rows × (n + 2m)`` — its distinct
+#: draws times the view's alive vertices plus directed edges, the size of
+#: the kernel's per-step arrays — stays at or below this many cells, and
+#: one workspace walk per draw above it.  Set from the measured crossover
+#: (EXPERIMENTS.md, "Kernel budget").
+LOCKSTEP_CELL_BUDGET = 65_536
 
 
 def attached_graph(meta: SharedCSRMeta) -> CSRGraph:
@@ -70,37 +77,27 @@ def attached_graph(meta: SharedCSRMeta) -> CSRGraph:
 
 
 def draw_nibble_instance(
-    graph: "PeeledCSR | object",
-    params: NibbleParameters,
-    stream: np.random.Generator,
-    degrees: Optional[dict] = None,
+    view: PeeledCSR, params: NibbleParameters, stream: np.random.Generator
 ) -> tuple[Optional[object], Optional[int]]:
     """Consume one instance's two stream draws; return ``(start, scale)``.
 
     The repository's pinned instance protocol: a degree-proportional start
-    draw, then the truncation-scale draw, in that order and nothing else.
-    Returns ``(None, None)`` — no draws consumed — when the graph has no
-    positive-degree vertex.  ``start`` is a vertex *label* on both the
-    peeled and dict paths, so it keys a batch's deduplication uniformly.
+    draw (:meth:`~repro.graphs.peel.PeeledCSR.sample_start`), then the
+    truncation-scale draw, in that order and nothing else.  Returns
+    ``(None, None)`` — no draws consumed — when the view has no
+    positive-degree vertex.  ``start`` is a vertex *label*, so it keys a
+    batch's deduplication.
     """
-    if isinstance(graph, PeeledCSR):
-        start_index = graph.sample_start(stream)
-        if start_index is None:
-            return None, None
-        return graph.vertices[start_index], sample_scale(stream, params.ell)
-    if degrees is None:
-        degrees = sorted_degree_map(graph)
-    if not degrees:
+    start_index = view.sample_start(stream)
+    if start_index is None:
         return None, None
-    start = sample_by_degree(stream, degrees)
-    return start, sample_scale(stream, params.ell)
+    return view.vertices[start_index], sample_scale(stream, params.ell)
 
 
 def run_nibble_instance(
-    graph: "PeeledCSR | object",
+    view: PeeledCSR,
     params: NibbleParameters,
     stream: np.random.Generator,
-    degrees: Optional[dict] = None,
     adaptive: bool = True,
     report: Optional[RoundReport] = None,
 ) -> tuple[Optional[int], Optional[NibbleCut]]:
@@ -110,21 +107,17 @@ def run_nibble_instance(
     Draws the degree-proportional start and the truncation scale from
     ``stream`` via :func:`draw_nibble_instance` (exactly two draws, in that
     order — the repository's pinned instance protocol), then runs
-    ApproximateNibble.  Returns ``(scale, cut)``; ``scale`` is ``None``
-    when the graph was empty and nothing was drawn.  A batch runs the
-    same draws and the same walk per distinct draw through
+    ApproximateNibble on ``view``.  Returns ``(scale, cut)``; ``scale`` is
+    ``None`` when the view was empty and nothing was drawn.  A batch runs
+    the same draws and the same walk per distinct draw through
     :func:`run_chunk`, which the tests pin to this function instance by
     instance.
-
-    ``degrees`` may carry a prebuilt
-    :func:`~repro.graphs.graph.sorted_degree_map` of a dict ``graph``; it
-    must describe the current graph.
     """
-    start, scale = draw_nibble_instance(graph, params, stream, degrees)
+    start, scale = draw_nibble_instance(view, params, stream)
     if scale is None:
         return None, None
     cut = approximate_nibble(
-        graph, start, scale, params, report=report, adaptive=adaptive
+        view, start, scale, params, report=report, adaptive=adaptive
     )
     return scale, cut
 
@@ -155,7 +148,7 @@ def run_subtree(
 
 
 def run_chunk(
-    graph: "PeeledCSR | object",
+    view: PeeledCSR,
     params: NibbleParameters,
     root: int,
     batch_index: int,
@@ -163,7 +156,7 @@ def run_chunk(
     adaptive: bool = True,
     streams=None,
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
-    """Run the listed instances of one batch on ``graph``, in order.
+    """Run the listed instances of one batch on ``view``, in order.
 
     The one batch body: a pooled chunk, its inline re-run in the driver,
     and a whole inline batch all come through here.  Every instance makes
@@ -171,14 +164,16 @@ def run_chunk(
     batch_index, instance_index)`` (default
     :func:`repro.utils.rng.task_stream` — the key names *what* the task
     is, never where it runs), so nothing flows between chunks.  Each
-    distinct ``(start, scale)`` draw then runs once: on a dict ``Graph``
-    all of them together as the rows of one
-    :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call, on a
-    :class:`PeeledCSR` view one :func:`approximate_nibble` each.
+    distinct ``(start, scale)`` draw then runs once, on one of two
+    kernels with identical outputs: all of them together as the rows of
+    one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call
+    when ``rows × (n + 2m)`` fits :data:`LOCKSTEP_CELL_BUDGET`, otherwise
+    one :func:`approximate_nibble` walk per draw, whose work stays on the
+    walk's support (Nibble's locality) however large the view is.
 
     Deduplication is exact, not a heuristic: an instance is a
-    deterministic function of (graph, start, scale, params) once its draws
-    are made, a batch's graph is invariant (harvest and peel happen after
+    deterministic function of (view, start, scale, params) once its draws
+    are made, a batch's view is invariant (harvest and peel happen after
     the batch), and every stream is drawn from either way, so RNG states
     and round accounting never depend on it.  Duplicates are common
     exactly where they hurt: terminal deep-recursion components (2–5-clique
@@ -186,19 +181,19 @@ def run_chunk(
     ``(instance_index, scale, cut)`` triples in the given order.
     """
     streams = streams or task_stream
-    degrees = None if isinstance(graph, PeeledCSR) else sorted_degree_map(graph)
     draws = [
-        draw_nibble_instance(graph, params, streams(root, batch_index, int(i)), degrees)
+        draw_nibble_instance(view, params, streams(root, batch_index, int(i)))
         for i in instance_indices
     ]
     distinct = list(dict.fromkeys(d for d in draws if d[1] is not None))
-    if isinstance(graph, PeeledCSR):
+    cells = len(distinct) * (view.num_vertices + 2 * view.num_edges)
+    if cells <= LOCKSTEP_CELL_BUDGET:
+        found = lockstep_approximate_nibble(view, distinct, params, adaptive)
+    else:
         found = [
-            approximate_nibble(graph, start, scale, params, adaptive=adaptive)
+            approximate_nibble(view, start, scale, params, adaptive=adaptive)
             for start, scale in distinct
         ]
-    else:
-        found = lockstep_approximate_nibble(graph, distinct, params, adaptive)
     cuts = dict(zip(distinct, found))
     return [
         (int(i), scale, cuts.get((start, scale)))

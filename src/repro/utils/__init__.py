@@ -1,37 +1,20 @@
-"""Shared utilities: round accounting, RNG handling, concentration bounds."""
+"""Shared utilities: round accounting and RNG handling."""
 
-from .chernoff import (
-    bounded_dependence_upper_tail,
-    chernoff_lower_tail,
-    chernoff_upper_tail,
-    min_samples_for_failure,
-    whp_threshold,
-)
 from .rng import (
     SeedLike,
     ensure_rng,
-    exponential_shift,
-    random_id,
     sample_by_degree,
     sample_index_by_weight,
     spawn,
 )
-from .rounds import RoundReport, parallel_rounds, sequential_rounds
+from .rounds import RoundReport, parallel_rounds
 
 __all__ = [
     "RoundReport",
     "SeedLike",
-    "bounded_dependence_upper_tail",
-    "chernoff_lower_tail",
-    "chernoff_upper_tail",
     "ensure_rng",
-    "exponential_shift",
-    "min_samples_for_failure",
     "parallel_rounds",
-    "random_id",
     "sample_by_degree",
     "sample_index_by_weight",
-    "sequential_rounds",
     "spawn",
-    "whp_threshold",
 ]

@@ -122,13 +122,6 @@ def task_stream(root: int, batch_index: int, instance_index: int) -> np.random.G
     return split_stream(root, batch_index, instance_index)
 
 
-def exponential_shift(rng: np.random.Generator, beta: float) -> float:
-    """Sample Exponential(beta) (mean 1/beta), as used by MPX clustering."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return float(rng.exponential(scale=1.0 / beta))
-
-
 def sample_index_by_weight(rng: np.random.Generator, weights: np.ndarray) -> int:
     """Sample a position of ``weights`` proportionally to its value.
 
@@ -148,8 +141,9 @@ def sample_by_degree(rng: np.random.Generator, degrees: dict, total: Optional[in
     """Sample one vertex proportionally to its degree (the ψ_V distribution).
 
     Iteration order of ``degrees`` determines which vertex a given RNG draw
-    maps to; callers that need cross-backend reproducibility build the dict
-    in ``repr``-sorted order (see :func:`repro.decomposition.sparse_cut.random_nibble`).
+    maps to; callers that need to reproduce the pipeline's draws build the
+    dict in ``repr``-sorted order, the order
+    :meth:`repro.graphs.peel.PeeledCSR.sample_start` draws in.
     ``total``, when given, only pre-validates the caller's volume; the
     normaliser is always the weight sum itself.
     """
@@ -158,8 +152,3 @@ def sample_by_degree(rng: np.random.Generator, degrees: dict, total: Optional[in
     items = list(degrees.items())
     weights = np.array([d for _, d in items], dtype=float)
     return items[sample_index_by_weight(rng, weights)][0]
-
-
-def random_id(rng: np.random.Generator, bits: int = 48) -> int:
-    """A random identifier of the given bit length (ParallelNibble instance ids)."""
-    return int(rng.integers(0, 1 << bits))

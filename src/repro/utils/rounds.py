@@ -119,11 +119,3 @@ def parallel_rounds(reports: list[RoundReport], label: str = "parallel") -> Roun
         combined.rounds = max(r.total_rounds for r in reports)
         combined.messages = sum(r.total_messages for r in reports)
     return combined
-
-
-def sequential_rounds(reports: list[RoundReport], label: str = "sequential") -> RoundReport:
-    """Combine reports of routines that run one after another (costs add)."""
-    combined = RoundReport(label)
-    for r in reports:
-        combined.children.append(r)
-    return combined

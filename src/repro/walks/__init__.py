@@ -2,24 +2,15 @@
 
 from .distributions import (
     entropy,
-    mass_inside,
-    relative_pointwise_distance,
     stationary_distribution,
     total_variation_distance,
-    walk_mixing_time,
 )
 from .lazy_walk import (
     MassVector,
     degree_distribution,
-    escape_probability,
-    exact_walk_sequence,
     lazy_walk_step,
-    normalized_mass,
-    participating_edges,
     point_mass,
     support,
-    support_volume,
-    total_mass,
     truncate,
     truncated_walk_sequence,
     truncated_walk_step,
@@ -29,21 +20,12 @@ __all__ = [
     "MassVector",
     "degree_distribution",
     "entropy",
-    "escape_probability",
-    "exact_walk_sequence",
     "lazy_walk_step",
-    "mass_inside",
-    "normalized_mass",
-    "participating_edges",
     "point_mass",
-    "relative_pointwise_distance",
     "stationary_distribution",
     "support",
-    "support_volume",
-    "total_mass",
     "total_variation_distance",
     "truncate",
     "truncated_walk_sequence",
     "truncated_walk_step",
-    "walk_mixing_time",
 ]

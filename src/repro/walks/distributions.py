@@ -6,7 +6,7 @@ import math
 from typing import Mapping
 
 from ..graphs.graph import Graph, Vertex
-from .lazy_walk import MassVector, lazy_walk_step, point_mass
+from .lazy_walk import MassVector
 
 
 def stationary_distribution(graph: Graph) -> MassVector:
@@ -23,38 +23,6 @@ def total_variation_distance(p: Mapping[Vertex, float], q: Mapping[Vertex, float
     return 0.5 * sum(abs(p.get(v, 0.0) - q.get(v, 0.0)) for v in keys)
 
 
-def walk_mixing_time(
-    graph: Graph,
-    start: Vertex,
-    tolerance: float = 0.25,
-    max_steps: int = 50_000,
-) -> int:
-    """Steps of the exact lazy walk from ``start`` until TV distance <= tolerance."""
-    target = stationary_distribution(graph)
-    current = point_mass(start)
-    for step in range(1, max_steps + 1):
-        current = lazy_walk_step(graph, current)
-        if total_variation_distance(current, target) <= tolerance:
-            return step
-    return max_steps
-
-
-def relative_pointwise_distance(
-    graph: Graph, p: Mapping[Vertex, float]
-) -> float:
-    """max_v |p(v) - π(v)| / π(v) over vertices with positive degree."""
-    pi = stationary_distribution(graph)
-    worst = 0.0
-    for v, base in pi.items():
-        worst = max(worst, abs(p.get(v, 0.0) - base) / base)
-    return worst
-
-
 def entropy(p: Mapping[Vertex, float]) -> float:
     """Shannon entropy of a (sub-)probability vector, in nats."""
     return -sum(mass * math.log(mass) for mass in p.values() if mass > 0.0)
-
-
-def mass_inside(p: Mapping[Vertex, float], subset: set) -> float:
-    """Total mass of ``p`` on ``subset``."""
-    return float(sum(mass for v, mass in p.items() if v in subset))

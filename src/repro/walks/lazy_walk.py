@@ -42,11 +42,6 @@ def degree_distribution(graph: Graph, subset: Optional[Iterable[Vertex]] = None)
     return {v: graph.degree(v) / total for v in vertices if graph.degree(v) > 0}
 
 
-def total_mass(p: Mapping[Vertex, float]) -> float:
-    """Sum of the entries of a mass vector."""
-    return float(sum(p.values()))
-
-
 def lazy_walk_step(graph: Graph, p: Mapping[Vertex, float]) -> MassVector:
     """One step of the lazy random walk: return ``M p``.
 
@@ -165,57 +160,6 @@ def truncated_walk_iter(graph: Graph, start: Vertex, steps: int, epsilon: float)
             return
 
 
-def exact_walk_sequence(graph: Graph, start: Vertex, steps: int) -> list[MassVector]:
-    """The untruncated sequence p_0, ..., p_steps (reference / tests)."""
-    sequence = [point_mass(start)]
-    current = sequence[0]
-    for _ in range(steps):
-        current = lazy_walk_step(graph, current)
-        sequence.append(current)
-    return sequence
-
-
-def normalized_mass(graph: Graph, p: Mapping[Vertex, float]) -> MassVector:
-    """ρ(x) = p(x) / deg(x) (entries with zero degree are skipped)."""
-    return {v: mass / graph.degree(v) for v, mass in p.items() if graph.degree(v) > 0}
-
-
 def support(p: Mapping[Vertex, float]) -> set[Vertex]:
     """Vertices carrying strictly positive mass."""
     return {v for v, mass in p.items() if mass > 0.0}
-
-
-def support_volume(graph: Graph, p: Mapping[Vertex, float]) -> int:
-    """Vol of the support of ``p`` — the congestion quantity of Lemma 3."""
-    return graph.volume(support(p))
-
-
-def participating_edges(graph: Graph, sequence: Iterable[Mapping[Vertex, float]]) -> set[frozenset]:
-    """The edge set P* of Definition 2: edges with an endpoint touched by the walk.
-
-    An edge participates if at least one endpoint has positive (truncated)
-    mass at some time step of the sequence.
-    """
-    touched: set[Vertex] = set()
-    for p in sequence:
-        touched.update(support(p))
-    edges: set[frozenset] = set()
-    for v in touched:
-        for u in graph.neighbors(v):
-            edges.add(frozenset((u, v)))
-    return edges
-
-
-def escape_probability(
-    graph: Graph, subset: set[Vertex], start: Vertex, steps: int
-) -> float:
-    """Probability that mass started at ``start`` sits outside ``subset`` after ``steps``.
-
-    Used in tests of the "mass stays trapped inside a sparse cut" intuition
-    that underlies Nibble: for a φ-sparse S and most starts in S the escaped
-    mass after t0 steps stays below t0·φ.
-    """
-    current = point_mass(start)
-    for _ in range(steps):
-        current = lazy_walk_step(graph, current)
-    return float(sum(mass for v, mass in current.items() if v not in subset))

@@ -1,12 +1,15 @@
 """Suite-wide fixtures and guards.
 
-Two pieces of machinery live here.  The ``engine`` fixture forces every
-working graph a test builds onto the dict or the CSR engine, by moving
-the size threshold :func:`repro.graphs.csr.uses_csr_engine` reads — the
-library itself picks the engine from the graph, so this is how a test
-compares the two on one input.
+Three pieces of machinery live here.  The ``engine`` fixture puts the
+triangle enumerators on their dict or their CSR engine, by moving the
+size threshold :func:`repro.graphs.csr.uses_csr_engine` reads — the
+library picks that engine from the graph, so this is how a test compares
+the two on one input.  The ``kernel`` fixture does the same for the
+ParallelNibble batches: ``"lockstep"`` runs every batch as lockstep
+rows, ``"workspace"`` runs one workspace walk per draw, by moving the
+cell budget :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
 
-The other is an opt-in per-test timeout: pool-backed tests can hang
+The last is an opt-in per-test timeout: pool-backed tests can hang
 forever if a worker deadlocks instead of crashing (a crash is caught by
 the degrade path; a deadlock is not).  CI sets
 ``REPRO_TEST_TIMEOUT=<seconds>`` so a wedged test fails loudly with a
@@ -24,29 +27,46 @@ from contextlib import contextmanager
 import pytest
 
 from repro.graphs import csr as csr_module
+from repro.parallel import worker
 
-#: Size thresholds that put every graph the suite builds on one engine.
+#: Size thresholds that put every triangle enumeration on one engine.
 ENGINE_THRESHOLDS = {"dict": 10**9, "csr": 0}
 
+#: Cell budgets that put every ParallelNibble batch on one kernel.
+KERNEL_BUDGETS = {"lockstep": float("inf"), "workspace": 0}
 
-@pytest.fixture
-def engine(monkeypatch):
-    """``with engine("dict"):`` / ``with engine("csr"):`` — one engine throughout.
 
-    ``"auto"`` keeps the library's default size rule, so a test can loop
-    over all three names.
+def _forcing_fixture(monkeypatch, module, attribute: str, settings: dict):
+    """A ``with scope(name):`` factory that pins ``module.attribute``.
+
+    ``"auto"`` keeps the library's default, so a test can loop over every
+    name of ``settings`` and ``"auto"``.
     """
 
     @contextmanager
     def scope(name: str):
         with monkeypatch.context() as patch:
             if name != "auto":
-                patch.setattr(
-                    csr_module, "CSR_AUTO_THRESHOLD", ENGINE_THRESHOLDS[name]
-                )
+                patch.setattr(module, attribute, settings[name])
             yield
 
     return scope
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """``with engine("dict"):`` / ``with engine("csr"):`` — one triangle engine."""
+    return _forcing_fixture(
+        monkeypatch, csr_module, "CSR_AUTO_THRESHOLD", ENGINE_THRESHOLDS
+    )
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """``with kernel("lockstep"):`` / ``with kernel("workspace"):`` — one batch kernel."""
+    return _forcing_fixture(
+        monkeypatch, worker, "LOCKSTEP_CELL_BUDGET", KERNEL_BUDGETS
+    )
 
 
 def _timeout_seconds() -> float:

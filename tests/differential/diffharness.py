@@ -1,38 +1,44 @@
 """Differential-testing harness: one matrix, every configuration, bit-identical.
 
 The repository's core correctness contract is that every execution
-configuration — the dict oracle, the CSR engine
-(:class:`~repro.graphs.csr.WalkWorkspace` kernels on peeled views), int32
-and int64 index storage, memory-mapped snapshots, the certification fast
-path on or off, and permuted sibling scheduling — produces
-*bit-identical* outputs: the same cuts, the same RNG post-states, the same
-round accounting.  This module is the single place that contract is
-written down as executable code.
+configuration — both batch kernels (lockstep rows,
+:mod:`repro.nibble.lockstep`, and one
+:class:`~repro.graphs.csr.WalkWorkspace` walk per draw), int32 and int64
+index storage, memory-mapped snapshots, the certification fast path on
+or off, and permuted sibling scheduling — produces *bit-identical*
+outputs: the same cuts, the same RNG post-states, the same round
+accounting.  This module is the single place that contract is written
+down as executable code.
 
-The library picks the walk engine by graph type and size
-(:func:`repro.graphs.csr.uses_csr_engine`), so the engine column of the
-matrix is an :func:`engine_threshold` scope: dict cells raise the size
-threshold above every family's vertex count, csr cells lower it to 0,
-and auto cells keep the library default.  The scope covers the main
-process; pool workers (``REPRO_DIFF_WORKERS``) run under the threshold
-they were forked with, which bit-identity makes invisible to every
-output.
+The reference every cell is checked against is frozen: the dict oracle's
+signatures, recorded before the dict working graphs left the pipeline
+(``oracle_signatures.json``, written by :mod:`oracle_fixture`).  So the
+pipeline is still checked against output that code other than itself
+produced.
+
+A batch picks its kernel by size
+(:data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`), so the kernel
+column of the matrix is a :func:`kernel_budget` scope: lockstep cells
+raise the budget to infinity, workspace cells lower it to 0, and auto
+cells keep the library default.  The scope covers the main process; pool
+workers (``REPRO_DIFF_WORKERS``) run under the budget they were forked
+with, which bit-identity makes invisible to every output.
 
 :data:`MATRIX` enumerates the configurations.  The one entry
-point, :func:`assert_pipeline_identical`, drives a graph through a full
-expander decomposition and a sparse-cut harvest under every configuration
-and asserts:
+point, :func:`assert_pipeline_identical`, drives a generator family
+through a full expander decomposition and a sparse-cut harvest under
+every configuration and asserts, against the frozen oracle:
 
-* identical decomposition signatures (component vertex sets, removed-edge
+* identical decompositions (component vertex sets, removed-edge
   multisets, per-component certification flags and estimates);
 * identical sparse-cut results (cut set, conductance, balance, size,
   certification, batch count);
 * identical RNG post-states (``rng.bit_generator.state`` after the call)
   — the fast path burns skipped batches' draws, so even it may not
   perturb the stream;
-* identical round totals *within each fast-path group* (the pre-check
-  charges spectral rounds instead of skipped-batch rounds, so totals are
-  only comparable between configurations with the same ``fast_path``).
+* identical round totals for the cell's fast-path setting (the
+  pre-check charges spectral rounds instead of skipped-batch rounds, so
+  the oracle keeps one total per setting).
 
 To add a configuration: append a :class:`BackendConfig` to :data:`MATRIX`
 and teach :func:`_host_graph` how to build its host view if it needs one.
@@ -42,6 +48,7 @@ Every differential test picks the new configuration up automatically
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from collections import Counter
@@ -56,6 +63,14 @@ from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
 )
+from oracle_fixture import (
+    EPSILON,
+    PHI,
+    SEED,
+    decomposition_record,
+    load,
+    sparse_cut_record,
+)
 from repro.graphs import csr as csr_backend
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
@@ -69,23 +84,22 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.peel import PeeledCSR
-from repro.parallel import SequentialExecutor
+from repro.parallel import SequentialExecutor, worker
 
 
-#: Engine threshold of the dict cells: one above every family's vertex
-#: count (:func:`generator_families`), so every working graph the suite
-#: builds stays on the dict engine.
-DICT_ONLY = 81
+#: Kernel budget of the lockstep cells: every batch's rows fit it, so
+#: every batch runs as lockstep rows.
+LOCKSTEP_ALL = math.inf
 
 
 @dataclass(frozen=True)
 class BackendConfig:
     """One cell of the configuration matrix.
 
-    ``engine_threshold`` is the CSR size threshold the cell runs under
-    (:func:`engine_threshold`; ``None`` keeps the library default,
-    :data:`DICT_ONLY` pins the dict engine, 0 the CSR engine);
+    ``kernel_budget`` is the lockstep cell budget the cell runs under
+    (:func:`kernel_budget`; ``None`` keeps the library default,
+    :data:`LOCKSTEP_ALL` runs every batch as lockstep rows, 0 every batch
+    as one workspace walk per draw);
     ``index_dtype`` is ``"int32"`` (the automatic choice on every family
     here) or ``"int64"`` (wide storage forced via
     :func:`index_width`); ``fast_path`` toggles the spectral pre-check
@@ -94,7 +108,7 @@ class BackendConfig:
     """
 
     name: str
-    engine_threshold: Optional[int] = None
+    kernel_budget: Optional[float] = None
     index_dtype: str = "int32"
     fast_path: bool = True
     mmap: bool = False
@@ -105,28 +119,27 @@ class BackendConfig:
     scheduler: str = "inline"
 
 
-#: The full configuration matrix.  ``dict`` is the oracle; everything else
-#: must match it bit for bit.  Keep at least one dict configuration per
-#: fast-path group so round totals always have an oracle to compare to.
+#: The full configuration matrix; every cell must match the frozen oracle
+#: bit for bit.
 MATRIX = (
-    BackendConfig("dict", engine_threshold=DICT_ONLY),
+    BackendConfig("lockstep", kernel_budget=LOCKSTEP_ALL),
     BackendConfig("auto"),
-    BackendConfig("csr-int64", engine_threshold=0, index_dtype="int64"),
-    BackendConfig("csr-int32", engine_threshold=0, index_dtype="int32"),
+    BackendConfig("workspace-int64", kernel_budget=0, index_dtype="int64"),
+    BackendConfig("workspace", kernel_budget=0),
     BackendConfig("mmap", mmap=True),
-    BackendConfig("dict-nofast", engine_threshold=DICT_ONLY, fast_path=False),
+    BackendConfig("lockstep-nofast", kernel_budget=LOCKSTEP_ALL, fast_path=False),
     BackendConfig("auto-nofast", fast_path=False),
     BackendConfig("component-parallel", scheduler="permuted"),
 )
 
-#: A cheaper matrix that still touches every axis once (dict oracle,
+#: A cheaper matrix that still touches every axis once (both kernels,
 #: int32, int64, mmap, fast path off, permuted scheduling) — used on the
 #: broader generator families where the full matrix would make the
 #: suite's runtime quadratic in coverage.
 CORE_MATRIX = (
-    MATRIX[0],  # dict
-    MATRIX[3],  # csr-int32
-    MATRIX[2],  # csr-int64
+    MATRIX[0],  # lockstep
+    MATRIX[3],  # workspace (int32)
+    MATRIX[2],  # workspace-int64
     MATRIX[4],  # mmap
     MATRIX[6],  # auto-nofast
     MATRIX[7],  # component-parallel (permuted sibling scheduling)
@@ -138,7 +151,8 @@ def generator_families() -> list[tuple[str, Graph]]:
 
     The first four are the benchmark families every existing parity suite
     pins; the rest broaden structural coverage (sparse random, regular,
-    lattice, and the pathological low-conductance chain).
+    lattice, and the pathological low-conductance chain).  The frozen
+    oracle (``oracle_signatures.json``) is keyed by these names.
     """
     return [
         ("ring_of_cliques", ring_of_cliques(6, 8)),
@@ -177,22 +191,22 @@ def sparse_cut_signature(result):
 
 
 @contextmanager
-def engine_threshold(threshold: Optional[int]):
-    """Scope in which working graphs of ``threshold`` or more vertices run CSR.
+def kernel_budget(budget: Optional[float]):
+    """Scope in which batches up to ``budget`` cells run as lockstep rows.
 
-    Lowers or raises :data:`~repro.graphs.csr.CSR_AUTO_THRESHOLD`, which
-    :func:`~repro.graphs.csr.uses_csr_engine` reads at call time;
-    ``None`` keeps the library default.
+    Moves :data:`~repro.parallel.worker.LOCKSTEP_CELL_BUDGET`, which
+    :func:`~repro.parallel.worker.run_chunk` reads at call time; ``None``
+    keeps the library default.
     """
-    if threshold is None:
+    if budget is None:
         yield
         return
-    previous = csr_backend.CSR_AUTO_THRESHOLD
-    csr_backend.CSR_AUTO_THRESHOLD = threshold
+    previous = worker.LOCKSTEP_CELL_BUDGET
+    worker.LOCKSTEP_CELL_BUDGET = budget
     try:
         yield
     finally:
-        csr_backend.CSR_AUTO_THRESHOLD = previous
+        worker.LOCKSTEP_CELL_BUDGET = previous
 
 
 @contextmanager
@@ -254,7 +268,7 @@ def ambient_executor():
     the engine becomes a :class:`~repro.resilience.chaos.ChaosExecutor`
     injecting seeded crashes, slowdowns, and corrupted results into the
     pooled work — every fault recovered by the retry layer, every run
-    still asserted bit-identical to the fault-free dict oracle.  Hangs are
+    still asserted bit-identical to the frozen fault-free oracle.  Hangs are
     exercised by the dedicated chaos tests (``tests/test_chaos.py``), not
     ambiently: a per-item hang would multiply the whole suite's runtime by
     the task timeout.
@@ -327,7 +341,7 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
 
     with ExitStack() as stack:
         stack.enter_context(index_width(config.index_dtype))
-        stack.enter_context(engine_threshold(config.engine_threshold))
+        stack.enter_context(kernel_budget(config.kernel_budget))
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
         result = expander_decomposition(
@@ -345,18 +359,15 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
 def run_sparse_cut(graph, config, seed, phi, **kwargs):
     """One sparse-cut harvest under ``config``; returns (result, post-state).
 
-    An ``mmap`` configuration runs off a full peeled view over the
-    memory-mapped snapshot — the same shape the decomposition driver
-    hands the sparse-cut stage for CSR hosts.
+    An ``mmap`` configuration hands the memory-mapped snapshot itself to
+    the sparse cut, which wraps it in its all-alive view.
     """
     from contextlib import ExitStack
 
     with ExitStack() as stack:
         stack.enter_context(index_width(config.index_dtype))
-        stack.enter_context(engine_threshold(config.engine_threshold))
+        stack.enter_context(kernel_budget(config.kernel_budget))
         host = _host_graph(graph, config, stack)
-        if config.mmap:
-            host = PeeledCSR.full(host)
         rng = np.random.default_rng(seed)
         result = nearly_most_balanced_sparse_cut(
             host,
@@ -372,46 +383,30 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
 def assert_pipeline_identical(
     graph: Graph,
     *,
-    seed: int = 7,
-    epsilon: float = 0.2,
-    phi: float = 0.1,
+    label: str,
     configs=MATRIX,
-    label: str = "",
     sparse_cut: bool = True,
-    **kwargs,
 ):
-    """Drive ``graph`` through every configuration; assert identity.
+    """Drive family ``label`` through every configuration; assert identity.
 
     Runs a full expander decomposition (and, unless ``sparse_cut=False``,
-    a sparse-cut harvest) under each entry of ``configs`` and asserts
-    bit-identical signatures, RNG post-states, and — within each
-    fast-path group — round totals.  Returns the reference decomposition
+    a sparse-cut harvest) under each entry of ``configs`` with the
+    fixture's seed, ε and φ, and asserts that every record — signatures,
+    RNG post-state and round total — equals the frozen oracle's for the
+    cell's fast-path setting.  Returns the reference decomposition
     signature so callers can pin structural expectations on top.
     """
-    ref_sig = ref_state = None
-    rounds_by_group: dict[bool, float] = {}
+    oracle = load()
+    ref_sig = None
     for config in configs:
-        result, state = run_decomposition(graph, config, seed, epsilon, phi, **kwargs)
-        sig = decomposition_signature(result)
+        expected = oracle[f"{label}/fast_path={config.fast_path}"]
+        result, state = run_decomposition(graph, config, SEED, EPSILON, PHI)
+        got = decomposition_record(result, state)
+        assert got == expected["decomposition"], (label, config.name)
         if ref_sig is None:
-            ref_sig, ref_state = sig, state
-        assert sig == ref_sig, (label, config.name)
-        assert state == ref_state, (label, config.name)
-        rounds = result.report.total_rounds
-        expected = rounds_by_group.setdefault(config.fast_path, rounds)
-        assert rounds == expected, (label, config.name)
-
-    if sparse_cut:
-        cut_sig = cut_state = None
-        cut_rounds: dict[bool, float] = {}
-        for config in configs:
-            result, state = run_sparse_cut(graph, config, seed, phi)
-            sig = sparse_cut_signature(result)
-            if cut_sig is None:
-                cut_sig, cut_state = sig, state
-            assert sig == cut_sig, (label, config.name)
-            assert state == cut_state, (label, config.name)
-            rounds = result.report.total_rounds
-            expected = cut_rounds.setdefault(config.fast_path, rounds)
-            assert rounds == expected, (label, config.name)
+            ref_sig = decomposition_signature(result)
+        if sparse_cut:
+            result, state = run_sparse_cut(graph, config, SEED, PHI)
+            got = sparse_cut_record(result, state)
+            assert got == expected["sparse_cut"], (label, config.name)
     return ref_sig

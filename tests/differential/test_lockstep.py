@@ -1,30 +1,39 @@
-"""Lockstep ParallelNibble kernel vs the dict oracle, row by row.
+"""Lockstep ParallelNibble kernel vs the dict oracle and the workspace, row by row.
 
 :func:`repro.nibble.lockstep.lockstep_approximate_nibble` runs a whole
-dict-graph batch as the rows of one dense walk-and-sweep.  Every row must
-equal — bit for bit, every :class:`NibbleCut` field — what the dict walk
+batch on a :class:`~repro.graphs.peel.PeeledCSR` view as the rows of one
+dense walk-and-sweep.  Every row must equal — bit for bit, every
+:class:`NibbleCut` field — both what the dict walk
 (:func:`~repro.walks.lazy_walk.truncated_walk_iter`) fed through the dict
 scan (:func:`~repro.nibble.nibble.scan_walk_sequence`) returns for the
-same ``(start, scale)``.  The cases below cover the benchmark families'
-small pieces at every scale, degenerate rows, rows that retire at each
-stop rule while others keep walking, the deadline, and a graph large
-enough that a superlinear table would show.
+same ``(start, scale)`` on the materialised view (``view.to_graph()``),
+and what one :class:`~repro.graphs.csr.WalkWorkspace` walk on the view
+(:func:`~repro.nibble.nibble.approximate_nibble`) returns.  The cases
+below cover the benchmark families' small pieces at every scale, views
+with gaps, views after peels, int32 and int64 bases, a memory-mapped
+base, degenerate rows, rows that retire at each stop rule while others
+keep walking, the deadline, and a graph large enough that a superlinear
+table would show.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from diffharness import generator_families
+from diffharness import generator_families, index_width
 from repro.decomposition import nearly_most_balanced_sparse_cut
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
+    erdos_renyi_graph,
     planted_partition_graph,
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.peel import PeeledCSR
 from repro.nibble.lockstep import lockstep_approximate_nibble
-from repro.nibble.nibble import scan_walk_sequence
+from repro.nibble.nibble import approximate_nibble, scan_walk_sequence
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import ADAPTIVE_STABLE_STEPS
 from repro.parallel.executor import sequential_batch
@@ -63,33 +72,55 @@ def oracle(graph, start, scale, params, adaptive):
     return cut, len(seen) - 1, reason
 
 
-def assert_rows_match(graph, draws, params, adaptive):
-    got = lockstep_approximate_nibble(graph, draws, params, adaptive=adaptive)
+def assert_rows_match(view, draws, params, adaptive):
+    """Every lockstep row equals the dict oracle and the workspace walk."""
+    graph = view.to_graph()
+    got = lockstep_approximate_nibble(view, draws, params, adaptive=adaptive)
     assert len(got) == len(draws)
     reasons = set()
     for (start, scale), cut in zip(draws, got):
         expected, _, reason = oracle(graph, start, scale, params, adaptive)
         assert cut == expected, (start, scale, adaptive)
+        workspace = approximate_nibble(view, start, scale, params, adaptive=adaptive)
+        assert cut == workspace, (start, scale, adaptive)
         reasons.add(reason)
     return reasons
 
 
+def every_draw(view, params, stride=3):
+    """Every ``stride``-th alive vertex at every scale."""
+    alive = view.alive_indices()
+    return [
+        (view.vertices[int(i)], b)
+        for i in alive[::stride]
+        for b in range(1, params.ell + 1)
+    ]
+
+
+def subset_view(graph, keep):
+    """The uncompacted view of ``keep`` (labels) over a snapshot of ``graph``."""
+    base = CSRGraph.from_graph(graph)
+    return PeeledCSR.for_subset(base, (base.index[v] for v in keep))
+
+
 def small_pieces():
-    """Sub-threshold pieces of the benchmark families, as the recursion
-    hands them to a dict batch: induced with self loops (G{S})."""
+    """Pieces of the benchmark families as the recursion hands them to a
+    batch: G{S} views over the host snapshot, with gaps in the index space."""
     ring = ring_of_cliques(6, 8)
     barbell = barbell_expanders(32, seed=7)
     planted = planted_partition_graph(4, 12, 0.7, 0.02, seed=7)
     ring_order = sorted(ring.vertices())
-    yield "ring_2_cliques", ring.induced_with_loops(ring_order[:16])
-    yield "ring_3_cliques", ring.induced_with_loops(ring_order[8:32])
-    yield "barbell_side", barbell.induced_with_loops(sorted(barbell.vertices(), key=repr)[:24])
-    yield "planted_2_blocks", planted.induced_with_loops(
-        sorted(planted.vertices(), key=repr)[:24]
+    yield "ring_2_cliques", subset_view(ring, ring_order[:16])
+    yield "ring_3_cliques", subset_view(ring, ring_order[8:32])
+    yield "barbell_side", subset_view(
+        barbell, sorted(barbell.vertices(), key=repr)[:24]
+    )
+    yield "planted_2_blocks", subset_view(
+        planted, sorted(planted.vertices(), key=repr)[:24]
     )
     for name, graph in generator_families():
         if graph.num_vertices < 32:
-            yield name, graph
+            yield name, PeeledCSR.from_graph(graph)
 
 
 PIECES = list(small_pieces())
@@ -97,21 +128,21 @@ PIECES = list(small_pieces())
 
 class TestRowParity:
     @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
-    @pytest.mark.parametrize("name,graph", PIECES, ids=[name for name, _ in PIECES])
-    def test_every_scale_matches_the_dict_oracle(self, name, graph, adaptive):
-        params = NibbleParameters.practical(graph, 0.1, max_t0=150)
-        starts = sorted(graph.vertices(), key=repr)[::3]
-        draws = [(v, b) for v in starts for b in range(1, params.ell + 1)]
-        assert_rows_match(graph, draws, params, adaptive)
+    @pytest.mark.parametrize("name,view", PIECES, ids=[name for name, _ in PIECES])
+    def test_every_scale_matches_the_dict_oracle(self, name, view, adaptive):
+        params = NibbleParameters.practical(view, 0.1, max_t0=150)
+        assert_rows_match(view, every_draw(view, params), params, adaptive)
 
     @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
     def test_each_row_stops_at_the_oracle_step(self, adaptive):
         """A one-row batch consults the deadline once per lockstep step, so
         the count of consultations is the step the row stopped at; it must
         be the step the dict scan stopped at, for every stop rule."""
-        cases = [(name, g) for name, g in PIECES[:4]] + [("mixed", mixed_graph())]
-        for name, graph in cases:
-            params = NibbleParameters.practical(graph, 0.1, max_t0=150)
+        cases = [(name, v) for name, v in PIECES[:4]]
+        cases.append(("mixed", PeeledCSR.from_graph(mixed_graph())))
+        for name, view in cases:
+            graph = view.to_graph()
+            params = NibbleParameters.practical(view, 0.1, max_t0=150)
             params = dataclasses.replace(
                 params, truncation_scale=params.truncation_scale * 40
             )
@@ -121,7 +152,7 @@ class TestRowParity:
                     ticks = counting_deadline(10**9)
                     with deadline_scope(ticks):
                         lockstep_approximate_nibble(
-                            graph, [(start, scale)], params, adaptive=adaptive
+                            view, [(start, scale)], params, adaptive=adaptive
                         )
                     assert ticks.elapsed() - 1 == steps + 1, (name, start, scale)
 
@@ -133,6 +164,7 @@ class TestRowParity:
         graph.add_edge("heavy", (0, 0))
         graph.add_edge("heavy", (0, 1))
         graph.add_self_loops("heavy", 125_000_000)
+        view = PeeledCSR.from_graph(graph)
         params = dataclasses.replace(
             NibbleParameters.practical(graph, 0.1, max_t0=150), truncation_scale=2e-9
         )
@@ -140,17 +172,66 @@ class TestRowParity:
         assert (steps, reason) == (params.t0, "t0")
         ticks = counting_deadline(10**9)
         with deadline_scope(ticks):
-            got = lockstep_approximate_nibble(graph, [("heavy", 1)], params)
+            got = lockstep_approximate_nibble(view, [("heavy", 1)], params)
         assert got == [cut]
         assert ticks.elapsed() - 1 == steps + 1
 
     def test_two_thousand_vertices_match(self):
-        """Linear memory: a ~2000-vertex dict graph fits (no n×n table)."""
-        graph = ring_of_cliques(250, 8)
-        params = NibbleParameters.practical(graph, 0.1, max_t0=40)
-        vertices = sorted(graph.vertices(), key=repr)
+        """Linear memory: a ~2000-vertex view fits (no n×n table)."""
+        view = PeeledCSR.from_graph(ring_of_cliques(250, 8))
+        params = NibbleParameters.practical(view, 0.1, max_t0=40)
+        vertices = view.vertices
         draws = [(vertices[0], 1), (vertices[777], 2), (vertices[1999], params.ell)]
-        assert_rows_match(graph, draws, params, adaptive=True)
+        assert_rows_match(view, draws, params, adaptive=True)
+
+
+def gapped_views(seed):
+    """Views the recursion builds: ⅔ subsets with gaps, then peeled further."""
+    rng = np.random.default_rng(seed)
+    for graph in (
+        ring_of_cliques(5, 6),
+        erdos_renyi_graph(36, 0.15, seed=seed),
+        barbell_expanders(12, seed=seed),
+    ):
+        keep = [v for v in sorted(graph.vertices(), key=repr) if rng.random() < 2 / 3]
+        view = subset_view(graph, keep)
+        yield view
+        peeled = view.clone()
+        alive = peeled.alive_indices()
+        peeled.peel(alive[rng.random(alive.size) < 0.2])
+        yield peeled
+
+
+class TestViewShapes:
+    """The kernel reads a view only through its alive rows: gaps in the
+    index space, compensating loops from peels, the index width and the
+    base's residency must not reach a row."""
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
+    def test_subset_and_peeled_views(self, adaptive):
+        for view in gapped_views(seed=5):
+            params = NibbleParameters.practical(view, 0.1, max_t0=120)
+            assert view.num_vertices < view.n  # the index space has gaps
+            assert_rows_match(view, every_draw(view, params), params, adaptive)
+
+    @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
+    def test_index_widths(self, index_dtype):
+        with index_width(index_dtype):
+            views = list(gapped_views(seed=9))
+        for view in views:
+            assert view.base.indices.dtype == np.dtype(index_dtype)
+            params = NibbleParameters.practical(view, 0.1, max_t0=120)
+            assert_rows_match(view, every_draw(view, params), params, True)
+
+    def test_mmap_base(self, tmp_path):
+        graph = planted_partition_graph(3, 10, 0.7, 0.05, seed=3)
+        path = CSRGraph.from_graph(graph).to_mmap(tmp_path / "snapshot")
+        base = CSRGraph.from_mmap(path)
+        assert isinstance(base.indices, np.memmap)
+        view = PeeledCSR.for_subset(base, range(2, base.n - 3))
+        view.peel([5, 9])
+        params = NibbleParameters.practical(view, 0.1, max_t0=120)
+        assert_rows_match(view, every_draw(view, params, stride=2), params, True)
 
 
 def mixed_graph():
@@ -168,8 +249,8 @@ def mixed_graph():
 
 class TestAdversarialRows:
     def test_degenerate_starts_and_duplicate_draws(self):
-        g = mixed_graph()
-        params = NibbleParameters.practical(g, 0.2, max_t0=60)
+        view = PeeledCSR.from_graph(mixed_graph())
+        params = NibbleParameters.practical(view, 0.2, max_t0=60)
         draws = [
             ("isolated", 1),  # degree-0 start: all mass stays, never swept
             ("looped", 1),  # loops only: a fixpoint from the first step
@@ -178,40 +259,43 @@ class TestAdversarialRows:
             ((0, 0), 2),  # a duplicate draw gets the same answer
             (("path", 0), params.ell),
         ]
-        got = lockstep_approximate_nibble(g, draws, params)
+        got = lockstep_approximate_nibble(view, draws, params)
         assert got[3] == got[4]
         assert got[0] is None
-        assert_rows_match(g, draws, params, adaptive=True)
-        assert_rows_match(g, draws, params, adaptive=False)
+        assert_rows_match(view, draws, params, adaptive=True)
+        assert_rows_match(view, draws, params, adaptive=False)
 
     def test_rows_retire_at_every_stop_rule_while_others_walk(self):
         """One batch whose rows stop on zero mass, on the IEEE fixpoint, on
         the adaptive rule and at t0 — at different steps — each still
         matching the oracle."""
-        g = mixed_graph()
-        base = NibbleParameters.practical(g, 0.2, max_t0=80)
+        view = PeeledCSR.from_graph(mixed_graph())
+        graph = view.to_graph()
+        base = NibbleParameters.practical(view, 0.2, max_t0=80)
         # A coarse truncation so the star's mass dies out at scale 1.
         params = dataclasses.replace(base, truncation_scale=0.05)
-        vertices = sorted(g.vertices(), key=repr)
-        draws = [(v, b) for v in vertices for b in (1, 2, params.ell)]
-        reasons = assert_rows_match(g, draws, params, adaptive=True)
+        draws = [(v, b) for v in view.vertices for b in (1, 2, params.ell)]
+        reasons = assert_rows_match(view, draws, params, adaptive=True)
         assert reasons == {"zero", "fixpoint", "adaptive", "t0"}
-        steps = {oracle(g, v, b, params, True)[1] for v, b in draws}
+        steps = {oracle(graph, v, b, params, True)[1] for v, b in draws}
         assert len(steps) > 3  # rows retire at many different steps
 
     def test_out_of_range_scale_and_foreign_start_raise(self):
-        g = ring_of_cliques(2, 4)
-        params = NibbleParameters.practical(g, 0.1)
+        view = PeeledCSR.from_graph(ring_of_cliques(2, 4))
+        params = NibbleParameters.practical(view, 0.1)
         with pytest.raises(ValueError, match="scale"):
-            lockstep_approximate_nibble(g, [((0, 0), params.ell + 1)], params)
+            lockstep_approximate_nibble(view, [((0, 0), params.ell + 1)], params)
         with pytest.raises(KeyError):
-            lockstep_approximate_nibble(g, [("missing", 1)], params)
-        assert lockstep_approximate_nibble(g, [], params) == []
+            lockstep_approximate_nibble(view, [("missing", 1)], params)
+        view.peel([view.index[(1, 0)]])
+        with pytest.raises(KeyError):  # a peeled start is not in the view
+            lockstep_approximate_nibble(view, [((1, 0), 1)], params)
+        assert lockstep_approximate_nibble(view, [], params) == []
 
     def test_empty_graph_batch_draws_nothing(self):
-        g = Graph(vertices=["a", "b"])
-        params = NibbleParameters.practical(g, 0.1)
-        assert sequential_batch(g, params, 1, 0, 4) == [
+        view = PeeledCSR.from_graph(Graph(vertices=["a", "b"]))
+        params = NibbleParameters.practical(view, 0.1)
+        assert sequential_batch(view, params, 1, 0, 4) == [
             (i, None, None) for i in range(4)
         ]
 
@@ -225,14 +309,14 @@ def counting_deadline(budget):
 
 class TestDeadline:
     def test_expiry_mid_batch_raises(self):
-        graph = ring_of_cliques(3, 8)
-        params = NibbleParameters.practical(graph, 0.1, max_t0=150)
+        view = PeeledCSR.from_graph(ring_of_cliques(3, 8))
+        params = NibbleParameters.practical(view, 0.1, max_t0=150)
         with deadline_scope(counting_deadline(40)):
             with pytest.raises(DeadlineExpired):
-                sequential_batch(graph, params, 7, 0, 6)
+                sequential_batch(view, params, 7, 0, 6)
 
     def test_sparse_cut_returns_interrupted(self):
-        graph = ring_of_cliques(3, 8)  # 24 vertices: a dict-engine search
+        graph = ring_of_cliques(3, 8)  # every batch runs as lockstep rows
         result = nearly_most_balanced_sparse_cut(
             graph, 0.1, seed=3, deadline=counting_deadline(60)
         )

@@ -4,13 +4,13 @@ Deep-recursion batches on chains of 2–5-cliques draw the same
 ``(start, scale)`` pair over and over (a handful of high-degree starts,
 Θ(log m) instances).  A batch runs each distinct draw once
 (:func:`repro.parallel.worker.run_chunk`, which replaced the per-batch
-memo) — exact, because a batch's graph is invariant and every stream is
-drawn from either way.  These tests pin both halves of that claim: the
-deduplication actually fires (one ApproximateNibble execution per
-distinct draw on a peeled view; on a dict graph, where the batch runs as
-one lockstep kernel call, that call carries each distinct draw once), and
-every instance's answer equals a stand-alone run of the same instance on
-the same stream.
+memo) — exact, because a batch's view is invariant and every stream is
+drawn from either way.  These tests pin both halves of that claim, under
+both batch kernels: the deduplication actually fires (one
+ApproximateNibble walk per distinct draw on the workspace kernel; one
+lockstep kernel call carrying each distinct draw once on the lockstep
+kernel), and every instance's answer equals a stand-alone run of the
+same instance on the same stream.
 """
 
 import itertools
@@ -18,6 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
+from diffharness import LOCKSTEP_ALL, kernel_budget
 from repro.graphs.generators import dumbbell_cliques, ring_of_cliques
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
@@ -50,9 +51,8 @@ NUM_INSTANCES = 24
 ROOT = 12345
 
 
-def hosts(graph):
-    """The batch's graph on both engines: dict and peeled view."""
-    return [("dict", graph), ("peeled", PeeledCSR.from_graph(graph))]
+#: The two batch kernels, as kernel-budget scopes.
+KERNELS = [("lockstep", LOCKSTEP_ALL), ("workspace", 0)]
 
 
 class TestBatchMemo:
@@ -69,29 +69,32 @@ class TestBatchMemo:
         """A deduplicated batch returns, instance by instance, exactly what
         a stand-alone run of that instance on its own stream returns."""
         params = NibbleParameters.practical(graph, 0.1)
-        for engine, host in hosts(graph):
-            batch = sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
+        view = PeeledCSR.from_graph(graph)
+        for kernel, budget in KERNELS:
+            with kernel_budget(budget):
+                batch = sequential_batch(view, params, ROOT, 0, NUM_INSTANCES)
             for i, scale, cut in batch:
                 alone = worker.run_nibble_instance(
-                    host, params, task_stream(ROOT, 0, i)
+                    view, params, task_stream(ROOT, 0, i)
                 )
-                assert (scale, cut) == alone, (name, engine, i)
+                assert (scale, cut) == alone, (name, kernel, i)
 
     def test_memo_short_circuits_duplicate_draws(self, monkeypatch):
         """In a batch with duplicate draws, every distinct ``(start, scale)``
-        draw runs exactly once: one ApproximateNibble per distinct draw on
-        a peeled view, one lockstep kernel call carrying exactly the
-        distinct draws on a dict graph."""
+        draw runs exactly once: one lockstep kernel call carrying exactly
+        the distinct draws on the lockstep kernel, one ApproximateNibble
+        walk per distinct draw on the workspace kernel."""
         g = clique_chain((3, 2, 3))
         params = NibbleParameters.practical(g, 0.1)
+        view = PeeledCSR.from_graph(g)
         real_nibble = worker.approximate_nibble
         real_kernel = worker.lockstep_approximate_nibble
-        for engine, host in hosts(g):
-            draws = [
-                worker.draw_nibble_instance(host, params, task_stream(ROOT, 0, i))
-                for i in range(NUM_INSTANCES)
-            ]
-            assert len(set(draws)) < NUM_INSTANCES, engine  # duplicates exist
+        draws = [
+            worker.draw_nibble_instance(view, params, task_stream(ROOT, 0, i))
+            for i in range(NUM_INSTANCES)
+        ]
+        assert len(set(draws)) < NUM_INSTANCES  # duplicates exist
+        for kernel, budget in KERNELS:
             walks, kernel_calls = [], []
 
             def counted(*args, **kwargs):
@@ -104,16 +107,17 @@ class TestBatchMemo:
 
             monkeypatch.setattr(worker, "approximate_nibble", counted)
             monkeypatch.setattr(worker, "lockstep_approximate_nibble", counted_kernel)
-            sequential_batch(host, params, ROOT, 0, NUM_INSTANCES)
+            with kernel_budget(budget):
+                sequential_batch(view, params, ROOT, 0, NUM_INSTANCES)
             monkeypatch.setattr(worker, "approximate_nibble", real_nibble)
             monkeypatch.setattr(worker, "lockstep_approximate_nibble", real_kernel)
-            if engine == "dict":
-                assert walks == [], engine
-                assert kernel_calls == [list(dict.fromkeys(draws))], engine
+            if kernel == "lockstep":
+                assert walks == [], kernel
+                assert kernel_calls == [list(dict.fromkeys(draws))], kernel
             else:
-                assert kernel_calls == [], engine
-                assert len(walks) == len(set(draws)), engine
-                assert set(walks) == set(draws), engine
+                assert kernel_calls == [], kernel
+                assert len(walks) == len(set(draws)), kernel
+                assert set(walks) == set(draws), kernel
 
     def test_draw_protocol_is_two_stream_draws(self):
         """draw_nibble_instance must consume exactly the start draw and the

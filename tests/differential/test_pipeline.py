@@ -4,24 +4,37 @@ This module hosts the parity contract that used to be split across
 ``tests/test_csr.py::TestPipelineParity`` and ``tests/test_fast_path.py``'s
 ``TestDecompositionParity`` / ``TestSparseCutParity`` — every pinned case
 from those classes lives on here, now driven through the shared
-:mod:`diffharness` matrix, which also covers the workspace kernels, int32
-storage, and memory-mapped snapshots those suites predate.
+:mod:`diffharness` matrix, which checks both batch kernels, int32
+storage, and memory-mapped snapshots against the frozen dict-oracle
+signatures.
 """
 
 import pytest
 
 from diffharness import (
     CORE_MATRIX,
-    DICT_ONLY,
+    LOCKSTEP_ALL,
     MATRIX,
     assert_pipeline_identical,
     decomposition_signature,
     generator_families,
+    kernel_budget,
 )
 from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
 )
+from oracle_fixture import (
+    EPSILON,
+    HARNESS_PHIS,
+    PHI,
+    SEED,
+    harness_graphs,
+    harness_key,
+    load,
+    sparse_cut_record,
+)
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.graphs.generators import ring_of_cliques
 from repro.utils.rng import ensure_rng
@@ -47,9 +60,10 @@ class TestBackendMatrix:
     def test_matrix_covers_every_axis(self):
         """The matrix must keep exercising every axis the kernels expose —
         losing a cell here silently weakens every test above."""
-        # engine column: dict-only, CSR-only, and the default size rule
-        assert {c.engine_threshold for c in MATRIX} >= {DICT_ONLY, 0, None}
-        assert DICT_ONLY == 1 + max(g.num_vertices for _, g in FAMILIES)
+        # kernel column: lockstep rows only, workspace walks only, and the
+        # default budget rule
+        assert {c.kernel_budget for c in MATRIX} == {LOCKSTEP_ALL, 0, None}
+        assert {c.kernel_budget for c in CORE_MATRIX} >= {LOCKSTEP_ALL, 0}
         assert {c.index_dtype for c in MATRIX} == {"int32", "int64"}
         assert {c.index_dtype for c in CORE_MATRIX} == {"int32", "int64"}
         assert {c.fast_path for c in MATRIX} == {True, False}
@@ -58,12 +72,37 @@ class TestBackendMatrix:
         # both matrices, or scheduling-invariance loses its standing check
         assert {c.scheduler for c in MATRIX} == {"inline", "permuted"}
         assert any(c.scheduler == "permuted" for c in CORE_MATRIX)
-        # round-accounting oracle: a dict engine in each fast-path group
-        for fast_path in (True, False):
-            assert any(
-                c.engine_threshold == DICT_ONLY and c.fast_path is fast_path
-                for c in MATRIX
-            )
+        # the frozen oracle covers every family in both fast-path groups,
+        # recorded with the arguments the matrix runs
+        oracle = load()
+        assert (oracle["seed"], oracle["epsilon"], oracle["phi"]) == (
+            SEED,
+            EPSILON.hex(),
+            PHI.hex(),
+        )
+        for name, _ in FAMILIES:
+            for fast_path in (True, False):
+                assert f"{name}/fast_path={fast_path}" in oracle
+
+
+class TestBalanceHarnessOracle:
+    """The balance harness's random graphs (n ≤ 16), cut under each kernel
+    budget and from each input type, against the frozen dict-oracle cuts."""
+
+    @pytest.mark.parametrize(
+        "budget", [0, None, LOCKSTEP_ALL], ids=["workspace", "default", "lockstep"]
+    )
+    @pytest.mark.parametrize("wrap", [None, CSRGraph.from_graph], ids=["dict", "csr"])
+    def test_harness_cuts_match_the_frozen_oracle(self, budget, wrap):
+        oracle = load()
+        for seed, graph in harness_graphs():
+            graph = wrap(graph) if wrap else graph
+            for phi in HARNESS_PHIS:
+                rng = ensure_rng(seed)
+                with kernel_budget(budget):
+                    cut = nearly_most_balanced_sparse_cut(graph, phi, seed=rng)
+                got = sparse_cut_record(cut, rng.bit_generator.state)
+                assert got == oracle[harness_key(seed, phi)], (seed, phi)
 
 
 class TestMigratedDecompositionParity:

@@ -15,9 +15,11 @@ enumerate (n ≤ 16).  Two kinds of pinning:
   returned balance achieves Theorem 3's factor-two guarantee against the
   exact optimum.
 
-Both engines run the same harness: the dict reference and the peeled-CSR
-path must return identical cuts (cut-identity is the peeling engine's
-contract), so the guarantees transfer.
+Both batch kernels run the same harness: lockstep rows and one workspace
+walk per draw must return identical cuts (cut-identity is the kernels'
+contract), so the guarantees transfer.  The frozen dict-oracle cuts of
+these random graphs live in ``tests/differential/oracle_signatures.json``
+and are checked by ``tests/differential/test_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -72,15 +74,20 @@ class TestSoundness:
             assert not exact.is_empty  # found's own cut qualifies
             assert found.balance <= exact.balance + 1e-12
 
-    def test_dict_and_peeled_engines_agree_on_the_harness(self, engine):
+    def test_lockstep_and_workspace_kernels_agree_on_the_harness(self, kernel):
         for seed, g in small_random_graphs()[:6]:
-            with engine("dict"):
-                dict_found = nearly_most_balanced_sparse_cut(g, 0.3, seed=seed)
-            peel_found = nearly_most_balanced_sparse_cut(
-                PeeledCSR.from_graph(g), 0.3, seed=seed
+            with kernel("lockstep"):
+                lockstep_found = nearly_most_balanced_sparse_cut(g, 0.3, seed=seed)
+            with kernel("workspace"):
+                workspace_found = nearly_most_balanced_sparse_cut(
+                    PeeledCSR.from_graph(g), 0.3, seed=seed
+                )
+            assert lockstep_found.cut == workspace_found.cut
+            assert lockstep_found.batches == workspace_found.batches
+            assert lockstep_found.conductance == workspace_found.conductance
+            assert (
+                lockstep_found.certified_no_cut == workspace_found.certified_no_cut
             )
-            assert dict_found.cut == peel_found.cut
-            assert dict_found.certified_no_cut == peel_found.certified_no_cut
 
 
 class TestRecall:

@@ -12,6 +12,7 @@ degrades the run to inline execution with exactly one warning, bit-identical
 outputs, and zero leaked ``/dev/shm`` segments.
 """
 
+import gc
 import os
 import warnings
 from collections import Counter
@@ -38,6 +39,7 @@ from repro.parallel import (
     validate_subtree_outcome,
 )
 from repro.parallel import executor as executor_module
+from repro.parallel import worker as worker_module
 from repro.resilience import ResultValidationError
 
 needs_shm = pytest.mark.skipif(
@@ -72,6 +74,23 @@ def shm_entries():
     if not path.is_dir():
         return set()
     return {p.name for p in path.iterdir()}
+
+
+@pytest.fixture(autouse=True)
+def release_in_process_attachments():
+    """Drop the snapshots :class:`FakePool` calls attached in this process.
+
+    The double runs worker bodies here, so the worker-side attach cache
+    (``worker._ATTACHED``) fills in the test process.  A real worker drops
+    its mappings when it exits; do the same after each test, once garbage
+    cycles over the attached arrays are collected, so no mapping is left
+    for interpreter shutdown to close while its arrays are still alive.
+    """
+    yield
+    gc.collect()
+    while worker_module._ATTACHED:
+        _, handle = worker_module._ATTACHED.popitem()
+        handle.close()
 
 
 class FakePool:

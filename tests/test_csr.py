@@ -5,7 +5,7 @@ the reference dict engine — same walk vectors, same sweep statistics, same
 certified cuts — because both accumulate floating-point mass in the same
 canonical order.  These tests pin that promise on randomized graphs (the
 property harness ROADMAP asked for) and on every benchmark family, and pin
-the size rule that picks between the engines; the full-pipeline matrix
+the kernel rule that picks a batch's kernel; the full-pipeline matrix
 (decompositions and sparse cuts across every configuration) lives in
 ``tests/differential/``.
 """
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import CSRGraph, WalkWorkspace, uses_csr_engine
+from repro.graphs.csr import CSRGraph, WalkWorkspace
 from repro.graphs.generators import (
     barbell_expanders,
     cycle_graph,
@@ -37,6 +37,9 @@ from repro.graphs.peel import PeeledCSR
 from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep, candidate_indices
+from repro.parallel import worker
+from repro.parallel.executor import sequential_batch
+from repro.utils.rng import task_stream
 from repro.walks.lazy_walk import (
     lazy_walk_step,
     truncated_walk_iter,
@@ -245,22 +248,47 @@ class TestCutParity:
                 nibble(target, next(iter(g.vertices())), params.ell + 1, params)
 
 
-class TestEngineRule:
-    """The size rule at its edge: 31 vertices run dict, 32 run CSR.
+class TestKernelRule:
+    """One graph type for every batch, and the kernel rule at its edge.
 
-    Observed at both places the rule is applied to a dict graph — the
-    decomposition's working-graph builder (what it hands the sparse cut)
-    and the sparse cut's entry (what it hands each ParallelNibble batch) —
-    on cycles, sparse enough that every cut search runs.
+    Every working graph is a :class:`PeeledCSR` view whatever its size —
+    observed at the decomposition's working-graph builder (what it hands
+    the sparse cut) and at the sparse cut's entry (what it hands each
+    ParallelNibble batch), on cycles either side of the old 32-vertex
+    engine threshold, sparse enough that every cut search runs.  A batch
+    runs as lockstep rows exactly while ``rows × (n + 2m)`` fits
+    :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
     """
 
-    def test_threshold_edge(self):
-        assert csr_backend.CSR_AUTO_THRESHOLD == 32
-        assert not uses_csr_engine(31)
-        assert uses_csr_engine(32)
+    def test_threshold_edge(self, monkeypatch):
+        view = PeeledCSR.from_graph(cycle_graph(12))
+        params = NibbleParameters.practical(view, 0.1)
+        draws = {
+            worker.draw_nibble_instance(view, params, task_stream(5, 0, i))
+            for i in range(6)
+        }
+        cells = len(draws) * (view.num_vertices + 2 * view.num_edges)
+        real_kernel = worker.lockstep_approximate_nibble
+        real_walk = worker.approximate_nibble
+        for budget, kernel_calls, walks in ((cells, 1, 0), (cells - 1, 0, len(draws))):
+            seen = []
+            monkeypatch.setattr(worker, "LOCKSTEP_CELL_BUDGET", budget)
+            monkeypatch.setattr(
+                worker,
+                "lockstep_approximate_nibble",
+                lambda *a, **k: seen.append("lockstep") or real_kernel(*a, **k),
+            )
+            monkeypatch.setattr(
+                worker,
+                "approximate_nibble",
+                lambda *a, **k: seen.append("walk") or real_walk(*a, **k),
+            )
+            sequential_batch(view, params, 5, 0, 6)
+            assert seen.count("lockstep") == kernel_calls, budget
+            assert seen.count("walk") == walks, budget
 
-    @pytest.mark.parametrize("n,engine", [(31, Graph), (32, PeeledCSR)])
-    def test_decomposition_site(self, monkeypatch, n, engine):
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_decomposition_site(self, monkeypatch, n):
         seen = []
         original = expander_module.nearly_most_balanced_sparse_cut
 
@@ -270,10 +298,10 @@ class TestEngineRule:
 
         monkeypatch.setattr(expander_module, "nearly_most_balanced_sparse_cut", spy)
         expander_decomposition(cycle_graph(n), 0.5, 0.1, seed=1)
-        assert seen[0] is engine
+        assert seen and set(seen) == {PeeledCSR}
 
-    @pytest.mark.parametrize("n,engine", [(31, Graph), (32, PeeledCSR)])
-    def test_sparse_cut_site(self, monkeypatch, n, engine):
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_sparse_cut_site(self, monkeypatch, n):
         seen = []
         original = sparse_cut_module.parallel_nibble_cuts
 
@@ -283,7 +311,7 @@ class TestEngineRule:
 
         monkeypatch.setattr(sparse_cut_module, "parallel_nibble_cuts", spy)
         nearly_most_balanced_sparse_cut(cycle_graph(n), 0.1, seed=1, fast_path=False)
-        assert seen and set(seen) == {engine}
+        assert seen and set(seen) == {PeeledCSR}
 
 
 # Full-pipeline parity (sparse cuts and decompositions across engines)

@@ -1,9 +1,8 @@
 """No function in the library takes an engine-selection parameter.
 
-The walk engine is a function of the graph a caller hands in: a dict
-``Graph`` runs the dict engine, a ``CSRGraph`` or ``PeeledCSR`` the CSR
-kernels, and the one size rule (:func:`repro.graphs.csr.uses_csr_engine`)
-is applied only where a working graph is built.  This guard parses every
+Every batch runs on a ``PeeledCSR`` view and picks its kernel by size
+(:data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`); a single ``nibble``
+call runs the engine its graph's type names.  This guard parses every
 module under ``src/repro`` and fails on any function, method, or lambda
 with a parameter named ``backend`` or ``csr`` — the user-set engine string
 and the prebuilt-snapshot side channel that used to thread through every

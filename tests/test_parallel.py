@@ -72,7 +72,7 @@ class TestTaskStreams:
             recorded.append((root, batch_index, instance_index))
             return task_stream(root, batch_index, instance_index)
 
-        graph = barbell_expanders(16, degree=6, seed=2)
+        graph = PeeledCSR.from_graph(barbell_expanders(16, degree=6, seed=2))
         params = NibbleParameters.practical(graph, 0.1)
         sequential_batch(graph, params, 42, 3, 5, task_streams=recording)
         assert recorded == [(42, 3, i) for i in range(5)]
@@ -258,10 +258,10 @@ class TestCutIdentity:
             got = nearly_most_balanced_sparse_cut(graph, 0.1, seed=5, workers=workers)
             assert cut_signature(got) == expected, f"workers={workers} diverged"
 
-    @pytest.mark.parametrize("which", ["dict", "csr", "auto"])
-    def test_sharded_engine_matches_sequential_per_walk_engine(self, engine, which):
+    @pytest.mark.parametrize("which", ["lockstep", "workspace", "auto"])
+    def test_sharded_engine_matches_sequential_per_walk_engine(self, kernel, which):
         graph = barbell_expanders(32, degree=8, seed=3)
-        with engine(which):
+        with kernel(which):
             expected = cut_signature(
                 nearly_most_balanced_sparse_cut(graph, 0.1, seed=5)
             )

@@ -8,9 +8,9 @@ Three layers of pinning:
 * kernel — masked walks and sweeps are bit-identical to the dict engine
   run on the materialised ``G{U}``;
 * pipeline — RandomNibble start draws, multi-cut harvests, sparse cuts,
-  and whole decompositions coincide across the dict engine, the CSR
-  engine, the default size rule, and direct ``PeeledCSR`` inputs for a
-  shared seed.
+  and whole decompositions coincide across both batch kernels (lockstep
+  rows and one workspace walk per draw), the default budget rule, and
+  direct ``PeeledCSR`` inputs for a shared seed.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR, maybe_compact
+from repro.parallel import worker
 from repro.nibble.nibble import NibbleCut, approximate_nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
@@ -303,33 +304,26 @@ class TestHarvest:
 
 
 class TestPipelineParity:
-    def test_sparse_cut_identical_across_all_engines(self, engine):
+    def test_sparse_cut_identical_across_kernels_and_inputs(self, kernel):
         for name, g in family_graphs():
-            with engine("dict"):
-                dict_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
-            with engine("csr"):
-                csr_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
+            with kernel("lockstep"):
+                lockstep_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
+            with kernel("workspace"):
+                workspace_result = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
             peel_result = nearly_most_balanced_sparse_cut(
                 PeeledCSR.from_graph(g), 0.1, seed=7
             )
-            assert dict_result.cut == csr_result.cut == peel_result.cut, name
-            assert dict_result.batches == csr_result.batches == peel_result.batches
-            assert (
-                dict_result.conductance
-                == csr_result.conductance
-                == peel_result.conductance
-            )
-            assert (
-                dict_result.certified_no_cut
-                == csr_result.certified_no_cut
-                == peel_result.certified_no_cut
-            )
+            results = (lockstep_result, workspace_result, peel_result)
+            assert len({r.cut for r in results}) == 1, name
+            assert len({r.batches for r in results}) == 1, name
+            assert len({r.conductance for r in results}) == 1, name
+            assert len({r.certified_no_cut for r in results}) == 1, name
 
-    def test_decomposition_identical_across_all_engines(self, engine):
+    def test_decomposition_identical_across_kernels(self, kernel):
         for name, g in family_graphs():
             results = []
-            for which in ("dict", "csr", "auto"):
-                with engine(which):
+            for which in ("lockstep", "workspace", "auto"):
+                with kernel(which):
                     results.append(expander_decomposition(g, 0.2, 0.1, seed=7))
             reference = {c.vertices for c in results[0].components}
             reference_cuts = Counter(frozenset(e) for e in results[0].cut_edges)
@@ -338,30 +332,43 @@ class TestPipelineParity:
                 assert Counter(frozenset(e) for e in r.cut_edges) == reference_cuts
 
     def test_sparse_cut_measured_in_input_graph_on_peel_path(self):
-        g = barbell_expanders(32, seed=7)  # 64 vertices: the peeled engine
+        g = barbell_expanders(32, seed=7)
         found = nearly_most_balanced_sparse_cut(g, 0.1, seed=7)
         assert not found.is_empty
         assert found.conductance == pytest.approx(g.conductance_of_cut(found.cut))
         assert found.cut_size == g.cut_size(found.cut)
         assert found.balance == pytest.approx(g.balance_of_cut(found.cut))
 
-    def test_auto_mixes_engines_per_level_and_stays_identical(
-        self, engine, monkeypatch
+    def test_budget_mixes_kernels_per_level_and_stays_identical(
+        self, kernel, monkeypatch
     ):
-        """With the size threshold forced low, the recursion genuinely mixes
-        peeled-CSR top levels with dict deep levels — and must still equal
-        the pure dict and pure csr runs."""
+        """With the cell budget forced low, the recursion genuinely mixes
+        workspace top levels with lockstep deep levels — and must still
+        equal the all-lockstep and all-workspace runs."""
+        calls = Counter()
+
+        def counted(name, run):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+
+            return wrapper
+
         for name, g in family_graphs()[:2]:
             results = []
-            for which in ("dict", "csr"):
-                with engine(which):
+            for which in ("lockstep", "workspace"):
+                with kernel(which):
                     results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
             with monkeypatch.context() as patch:
-                patch.setattr(csr_backend, "CSR_AUTO_THRESHOLD", 16)
+                patch.setattr(worker, "LOCKSTEP_CELL_BUDGET", 1024)
+                for attr in ("lockstep_approximate_nibble", "approximate_nibble"):
+                    patch.setattr(worker, attr, counted(attr, getattr(worker, attr)))
                 results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
             reference = {c.vertices for c in results[0].components}
             for r in results[1:]:
                 assert {c.vertices for c in r.components} == reference, name
+        assert calls["lockstep_approximate_nibble"] > 0
+        assert calls["approximate_nibble"] > 0
 
     def test_peeled_input_rejects_nothing_alive(self):
         g = ring_of_cliques(2, 4)

@@ -9,10 +9,12 @@ from repro.graphs.generators import (
     ring_of_cliques,
     unbalanced_bridged_expanders,
 )
+from repro.graphs.csr import CSRGraph
 from repro.graphs.metrics import most_balanced_sparse_cut_exact
 from repro.decomposition import (
     nearly_most_balanced_sparse_cut,
     parallel_nibble,
+    parallel_nibble_cuts,
     random_nibble,
     sample_scale,
 )
@@ -85,6 +87,44 @@ class TestNearlyMostBalancedSparseCut:
         assert found.conductance == pytest.approx(g.conductance_of_cut(found.cut))
         assert found.cut_size == g.cut_size(found.cut)
         assert found.balance == pytest.approx(g.balance_of_cut(found.cut))
+
+
+class TestCSRGraphInput:
+    """A plain ``CSRGraph`` is a graph every entry point accepts: the
+    sparse cut and the batch entry points wrap it in its all-alive view
+    and return exactly what the dict graph it snapshots gives."""
+
+    @staticmethod
+    def signature(found):
+        return (
+            found.cut,
+            found.conductance,
+            found.balance,
+            found.cut_size,
+            found.certified_no_cut,
+            found.batches,
+            found.report.total_rounds,
+        )
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_sparse_cut(self, k):
+        graph = ring_of_cliques(k, 8)
+        found = nearly_most_balanced_sparse_cut(CSRGraph.from_graph(graph), 0.1, seed=1)
+        assert not found.is_empty
+        expected = nearly_most_balanced_sparse_cut(graph, 0.1, seed=1)
+        assert self.signature(found) == self.signature(expected)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_batch_entry_points(self, k):
+        graph = ring_of_cliques(k, 8)
+        snapshot = CSRGraph.from_graph(graph)
+        params = NibbleParameters.practical(graph, 0.1)
+        cuts = parallel_nibble_cuts(snapshot, params, 4, rng=1)
+        assert cuts
+        assert cuts == parallel_nibble_cuts(graph, params, 4, rng=1)
+        assert random_nibble(snapshot, params, rng=1) == random_nibble(
+            graph, params, rng=1
+        )
 
 
 class TestArgumentValidation:

@@ -2,11 +2,11 @@
 
 The load-bearing property is the determinism contract: every non-timing
 field of a world record is a pure function of ``(world_seed, axis,
-index)`` — independent of the walk engine, of which other points ran, and of
+index)`` — independent of the batch kernel, of which other points ran, and of
 re-runs.  That is what lets CI diff a fresh smoke sweep against the
 committed ``BENCH_world.json`` across machines.
 
-The heavyweight cross-engine and full-slice checks are marked ``slow``
+The heavyweight cross-kernel and full-slice checks are marked ``slow``
 (run with ``pytest -m slow``); the default run covers the samplers,
 scoring, and summary arithmetic plus one cheap end-to-end record.
 """
@@ -246,16 +246,16 @@ class TestRecords:
         assert 0.0 <= record["certified_fraction"] <= 1.0
         assert json.loads(json.dumps(record)) == record
 
-    def test_record_is_engine_invariant(self, engine):
-        """dict, csr, and auto must agree on every non-timing field."""
+    def test_record_is_kernel_invariant(self, kernel):
+        """lockstep, workspace, and auto must agree on every non-timing field."""
         point = sample_point("disconnected", 0, world_seed=7)
         stripped = {}
-        for which in ("dict", "csr", "auto"):
-            with engine(which):
+        for which in ("lockstep", "workspace", "auto"):
+            with kernel(which):
                 record = run_point(point)
             record.pop("wall_time_s")
             stripped[which] = record
-        assert stripped["dict"] == stripped["csr"] == stripped["auto"]
+        assert stripped["lockstep"] == stripped["workspace"] == stripped["auto"]
 
     def test_power_law_record_has_no_fake_recall(self):
         point = sample_point("power_law", 0, world_seed=7)
@@ -278,13 +278,13 @@ class TestSweepDeterminism:
         assert strip_timing(first) == strip_timing(second)
         assert len(first["world_results"]) == 2 * len(self.AXES)
 
-    def test_engines_agree_on_a_sweep(self, engine):
+    def test_kernels_agree_on_a_sweep(self, kernel):
         cleaned = {}
-        for which in ("dict", "csr"):
-            with engine(which):
+        for which in ("lockstep", "workspace"):
+            with kernel(which):
                 payload = run_sweep(7, 2, axes=("sbm", "disconnected"))
             cleaned[which] = strip_timing(payload)
-        assert cleaned["dict"] == cleaned["csr"]
+        assert cleaned["lockstep"] == cleaned["workspace"]
 
     def test_sweep_payload_summary_matches_records(self):
         payload = run_sweep(7, 3, axes=("clique_ring",))
