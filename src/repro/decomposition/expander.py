@@ -592,14 +592,13 @@ def expander_decomposition(
         components split off together get their spectral solves batched
         into stacked ``eigh`` calls
         (:func:`repro.graphs.spectral.batched_component_certificates`) and
-        handed down as pre-check hints, and the walk kernels run under the
-        adaptive budget.  The pre-check and its RNG replay are
-        output-neutral by construction (a skip only happens on a
-        converged solve proving every skipped batch a failure, and
+        handed down as pre-check hints.  It is the pre-check only: the
+        walks run the same steps either way.  The pre-check and its RNG
+        replay are output-neutral by construction (a skip only happens on
+        a converged solve proving every skipped batch a failure, and
         :func:`certify_conductance` remains the authoritative final
-        check); the adaptive budget is a convergence heuristic — both are
-        pinned cut-identical on/off by the parity suite and the bench
-        smoke gate.  Leaf components certify straight off their peeled
+        check), pinned cut-identical on/off by the parity suite and the
+        bench smoke gate.  Leaf components certify straight off their peeled
         view (no dict ``G{U}`` rebuild) regardless of this flag.
     executor, workers:
         Execution engine (:mod:`repro.parallel`), used for both kinds of

@@ -84,23 +84,19 @@ def random_nibble(
     params: NibbleParameters,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """One RandomNibble instance: random degree-proportional start, random b.
 
     The start vertex is drawn over the positive-degree vertices in
     ascending index order (on a snapshot of a dict graph, its ``repr``
     order), so a shared seed picks the same start whichever form the
-    graph is handed in; ``adaptive`` is as in
-    :func:`repro.nibble.nibble.nibble`.  The sampling-then-walk body is
+    graph is handed in.  The sampling-then-walk body is
     :func:`repro.parallel.worker.run_nibble_instance`; every executor's
     batch makes the same draws and gets the same cut per distinct draw,
     so "one instance" means the same thing alone, inline and on a worker.
     """
     view = PeeledCSR.from_graph(graph)
-    _, cut = run_nibble_instance(
-        view, params, ensure_rng(rng), adaptive=adaptive, report=report
-    )
+    _, cut = run_nibble_instance(view, params, ensure_rng(rng), report=report)
     return cut
 
 
@@ -134,7 +130,6 @@ def parallel_nibble_cuts(
     num_instances: int,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    adaptive: bool = True,
     executor: Optional[Executor] = None,
     stream: Optional[tuple[int, int]] = None,
 ) -> list[NibbleCut]:
@@ -168,9 +163,7 @@ def parallel_nibble_cuts(
     root, batch_index = stream
     if executor is None:
         executor = SEQUENTIAL
-    triples = executor.run_batch(
-        view, params, root, batch_index, num_instances, adaptive=adaptive
-    )
+    triples = executor.run_batch(view, params, root, batch_index, num_instances)
     instance_reports: list[RoundReport] = []
     found: list[NibbleCut] = []
     for i, scale, cut in triples:
@@ -196,7 +189,6 @@ def parallel_nibble(
     num_instances: int,
     rng: SeedLike = None,
     report: Optional[RoundReport] = None,
-    adaptive: bool = True,
     executor: Optional[Executor] = None,
 ) -> Optional[NibbleCut]:
     """A batch of RandomNibble instances; returns the best cut found, if any.
@@ -207,8 +199,7 @@ def parallel_nibble(
     harvest directly.
     """
     cuts = parallel_nibble_cuts(
-        graph, params, num_instances, rng, report=report, adaptive=adaptive,
-        executor=executor,
+        graph, params, num_instances, rng, report=report, executor=executor
     )
     return cuts[0] if cuts else None
 
@@ -460,9 +451,9 @@ def nearly_most_balanced_sparse_cut(
     (:func:`repro.graphs.spectral.conductance_lower_bound`) is consulted —
     when it strictly clears ``phi``, every remaining batch is guaranteed to
     fail, so the batches are skipped and the empty certificate is issued
-    directly; the walks also run under the adaptive budget.  Both halves
-    are output-neutral by construction: batch randomness is *addressed* by
-    counter-derived streams (a skipped batch's draws are simply never
+    directly.  That is the whole fast path here (the pre-check only), and
+    it is output-neutral by construction: batch randomness is *addressed*
+    by counter-derived streams (a skipped batch's draws are simply never
     made, leaving the caller's generator untouched), the decomposition
     retains the full spectral certification as the authoritative final
     check, and the parity suite pins cut-identity with the fast path on
@@ -574,7 +565,6 @@ def nearly_most_balanced_sparse_cut(
                         params,
                         batch_size,
                         report=own_report,
-                        adaptive=fast_path,
                         executor=engine,
                         stream=(root, batch_index),
                     )

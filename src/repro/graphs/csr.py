@@ -44,7 +44,7 @@ from .graph import Graph, Vertex
 #: outweighs the vectorization win.  The decomposition and the sparse cut
 #: do not consult it: every working graph there is a
 #: :class:`~repro.graphs.peel.PeeledCSR` view, and a batch's kernel is
-#: picked by :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
+#: picked by :data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
 CSR_AUTO_THRESHOLD = 32
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,19 @@ same time (Lemma 10 charges the batch max-of-instances rounds).
 :func:`lockstep_approximate_nibble` does the same in numpy: every
 distinct ``(start, scale)`` draw of a batch on a
 :class:`~repro.graphs.peel.PeeledCSR` view becomes one row of a dense
-``(rows × n)`` float64 mass array over the view's ``n`` alive vertices,
-and each lockstep time step runs, for all live rows at once, the
-truncated lazy-walk step, the ρ̃ sweep, (C.1)–(C.3*) on the geometric
-candidate prefixes, the best-cut update and the three stop rules of the
-single-walk scans (zero mass, IEEE fixpoint, adaptive stop).  Rows
-retire one by one.
+``(rows × n)`` float64 mass array over the view's ``n`` alive vertices.
+
+ApproximateNibble's sweep only reads the walk — the two stop rules, zero
+mass and the IEEE fixpoint, are read off the walk alone — so the kernel
+walks a *block* of ``K`` lockstep steps first, keeping each step's mass
+in a ``(K, rows, n)`` stack, and then sweeps every ``(step, row)`` pair
+of the block in one vectorised pass: one stable ρ̃ argsort, one set of
+prefix statistics, one (C.1)–(C.3*) test on the geometric candidate
+prefixes and one best-cut selection.  A row that stops mid-block is
+swept up to the step before its stop and dropped at the block's end.
 
 Each row is bit-identical to ``approximate_nibble(view, start, scale,
-params, adaptive=adaptive)`` by construction, not by tolerance:
+params)`` by construction, not by tolerance:
 
 * the columns are the view's alive base indices in ascending order —
   the order the :class:`~repro.graphs.csr.WalkWorkspace` accumulates
@@ -31,15 +35,14 @@ params, adaptive=adaptive)`` by construction, not by tolerance:
 * the candidate chain compares integer volumes with ``(1+φ)·Vol``
   exactly, through ``floor`` of the threshold — never a float with an
   integer row offset added;
-* the best-cut tie rule (min (Φ, −Vol), earlier t, smaller j) and the
-  adaptive stop signature (ordering, certified set, float32 ρ̃) are
-  those of the single-walk scans;
-* work is skipped only where its result is already known: prefix
-  statistics are reused while every row's ordering and jmax repeat, and
-  the best-cut update is skipped while the same prefixes certify.
+* a block's winner per draw is its least ``(Φ, −Vol, t, j)``, and it
+  replaces the draw's best from earlier blocks only when strictly better
+  in ``(Φ, −Vol)`` — together the single-walk scans' rule of a per-step
+  winner that replaces the best only when strictly better.
 
-Memory is linear: every per-step array is ``rows × (n + 2m)`` at most,
-which is what :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET` bounds.
+Memory is linear: a block's arrays hold ``K × rows × (n + 2m)`` cells,
+at most :data:`BLOCK_CELLS`, or one step's :func:`batch_cells` when a
+single step is larger.
 """
 
 from __future__ import annotations
@@ -52,21 +55,40 @@ from ..graphs.peel import PeeledCSR
 from ..resilience.deadline import check_walk_deadline
 from .nibble import NibbleCut
 from .parameters import NibbleParameters
-from .sweep import ADAPTIVE_STABLE_STEPS
+
+#: A batch runs as lockstep rows while its :func:`batch_cells` stays at or
+#: below this many cells, and one workspace walk per draw above it
+#: (:func:`repro.parallel.worker.run_chunk`).  Set from the measured
+#: crossover (EXPERIMENTS.md, "Kernel budget").
+LOCKSTEP_CELL_BUDGET = 65_536
+
+#: Cells one walk-then-sweep block spans: a block is
+#: ``max(1, BLOCK_CELLS // batch_cells(view, rows))`` steps long (capped by
+#: the steps left), for the rows still walking when it starts.  Set from
+#: the measured latency/RSS trade-off (EXPERIMENTS.md, "Blocked sweep").
+BLOCK_CELLS = 32_768
+
+
+def batch_cells(view: PeeledCSR, rows: int) -> int:
+    """``rows × (n + 2m)``: the cells of one lockstep step over ``view``.
+
+    ``n`` alive vertices and ``2m`` directed alive edges per row — the size
+    of the kernel's per-step arrays.
+    """
+    return rows * (view.num_vertices + 2 * view.num_edges)
 
 
 def lockstep_approximate_nibble(
     view: PeeledCSR,
     draws: Sequence[tuple[Hashable, int]],
     params: NibbleParameters,
-    adaptive: bool = True,
 ) -> list[Optional[NibbleCut]]:
     """ApproximateNibble for every ``(start, scale)`` of ``draws`` at once.
 
     Returns one cut (or ``None``) per draw, in order, each equal to
-    ``approximate_nibble(view, start, scale, params, adaptive=adaptive)``.
-    A start must be an alive vertex of ``view``.  The ambient deadline is
-    checked once per lockstep time step.  Round accounting is the
+    ``approximate_nibble(view, start, scale, params)``.  A start must be
+    an alive vertex of ``view``.  The ambient deadline is checked once per
+    lockstep time step, t = 0 included.  Round accounting is the
     caller's: a batch charges rounds from its scales.
     """
     alive = view.alive_indices()
@@ -96,114 +118,74 @@ def lockstep_approximate_nibble(
     share_divisor = np.where(positive, 2.0 * deg, 1.0)
     total = int(view.total_volume)
     max_volume = params.relaxed_max_cut_volume_fraction * total
-    stable = ADAPTIVE_STABLE_STEPS if adaptive else None
     # Scatter bins for up to ``len(draws)`` rows, sliced to the live count.
     bins = (np.arange(len(draws))[:, None] * n + tgt).ravel()
     graph_arrays = (deg, proper, edge_lo, edge_hi, total, max_volume)
 
     columns = len(draws)
-    rows = _Rows(
-        col=np.arange(columns),
-        mass=np.zeros((columns, n)),
-        threshold=np.array([2.0 * params.epsilon_b(b) for _, b in draws])[:, None]
-        * deg,
-        min_volume=np.array([params.min_cut_volume(b) for _, b in draws]),
-        repeats=np.zeros(columns, dtype=np.int64),
-        # No swept step yet: a jmax of -1 matches no signature.
-        last_signature=np.full((columns, 1), -1, dtype=np.int64),
-    )
-    rows.mass[np.arange(columns), np.searchsorted(alive, starts)] = 1.0
+    # The walking rows: each row's draw, mass, truncation and (C.3*) bound.
+    col = np.arange(columns)
+    mass = np.zeros((columns, n))
+    mass[col, np.searchsorted(alive, starts)] = 1.0
+    threshold = np.array([2.0 * params.epsilon_b(b) for _, b in draws])[:, None] * deg
+    min_volume = np.array([params.min_cut_volume(b) for _, b in draws])
     # Best cut per draw: its (Φ, -Vol) key — (inf, 0) loses to any
     # certified prefix — and (t, j, |∂|, prefix) once one certifies.
     best_conductance = np.full(columns, np.inf)
     best_neg_volume = np.zeros(columns, dtype=np.int64)
     best: list[Optional[tuple]] = [None] * columns
-    prefixes: Optional[_Prefixes] = None
-    last_hit = None
 
-    for t in range(params.t0 + 1):
-        check_walk_deadline()
-        if t == 0:
-            continue  # p̃_0 = χ_v is never certified (its prefix is trivial)
-        # -- truncated lazy-walk step ------------------------------------
-        count = len(rows.col)
-        mass = rows.mass
-        share = (mass / share_divisor)[:, src]
-        walked = np.bincount(
-            bins[: count * len(src)], weights=share.ravel(), minlength=count * n
-        )
-        walked = walked.reshape(count, n) + mass * keep_factor
-        walked[walked < rows.threshold] = 0.0
-        rows.mass = walked
-        # -- zero-mass and fixpoint stops --------------------------------
-        live = walked.any(axis=1)
-        if t >= 2:
-            live &= (walked != mass).any(axis=1)
-        if not live.all():
-            rows.keep(live)
-            prefixes = None
-            if len(rows.col) == 0:
-                break
-        mass = rows.mass
-        # -- ρ̃ sweep -----------------------------------------------------
-        support = (mass > 0.0) & positive
-        rho = np.where(support, mass / safe_deg, 0.0)
-        order = np.argsort(np.where(support, -rho, np.inf), axis=1, kind="stable")
-        jmax = support.sum(axis=1)
-        # Everything but (C.2) is a function of the ordering and jmax alone,
-        # and late in a walk the ordering rarely moves: reuse it then.
-        reused = (
-            prefixes is not None
-            and np.array_equal(order, prefixes.order)
-            and np.array_equal(jmax, prefixes.jmax)
-        )
-        if not reused:
-            prefixes = _Prefixes(order, jmax, rows.min_volume, params, *graph_arrays)
-        rho_sorted = rho.ravel()[prefixes.flat_order]
-        certified = prefixes.static & (
-            rho_sorted[prefixes.rho_at] >= prefixes.gamma_over_volume  # (C.2)
-        )
-        hit = np.flatnonzero(certified)
-        # -- best-cut update ---------------------------------------------
-        # Per row the step's winner is min (Φ, -Vol), then smallest j; it
-        # replaces the row's best only if strictly better, so ties go to
-        # the earlier time step — the single-walk scans' rule.  The same prefixes
-        # certifying as last step means the same winners, which cannot
-        # beat themselves.
-        if hit.size and not (reused and np.array_equal(hit, last_hit)):
-            _update_best(
-                prefixes, hit, t, rows.col, best_conductance, best_neg_volume, best
+    check_walk_deadline()  # t = 0: p̃_0 = χ_v is never certified
+    t = 0
+    while t < params.t0 and len(col):
+        count = len(col)
+        steps = min(max(1, BLOCK_CELLS // batch_cells(view, count)), params.t0 - t)
+        # -- walk the block ----------------------------------------------
+        stack = np.empty((steps, count, n))
+        swept = np.zeros((steps, count), dtype=bool)
+        walking = np.ones(count, dtype=bool)
+        for k in range(steps):
+            check_walk_deadline()
+            share = (mass / share_divisor)[:, src]
+            walked = np.bincount(
+                bins[: count * len(src)], weights=share.ravel(), minlength=count * n
             )
-        last_hit = hit
-        if stable is None:
-            continue
-        # -- adaptive stop: stable signature and closed support ----------
-        # Signature row: jmax, the ordering, the float32 ρ̃ bits and the
-        # certified-prefix mask.  With jmax equal, equal full-length rows
-        # mean equal supports, orderings, ρ̃ values and certified sets.  A
-        # row with jmax == 0 holds all its mass on degree-0 vertices, so it
-        # is a fixpoint and retires next step; its tracker is never read.
-        certified_at = np.zeros(len(rows.col) * (n + 1), dtype=np.int64)
-        certified_at[prefixes.candidates[hit]] = 1
-        signature = np.concatenate(
-            (
-                jmax[:, None],
-                order,
-                rho_sorted.astype(np.float32).view(np.int32).reshape(order.shape),
-                certified_at.reshape(len(rows.col), n + 1),
-            ),
-            axis=1,
-        )
-        rows.repeats = np.where(
-            (signature == rows.last_signature).all(axis=1), rows.repeats + 1, 0
-        )
-        rows.last_signature = signature
-        done = (jmax > 0) & (rows.repeats >= stable) & prefixes.closed
-        if done.any():
-            rows.keep(~done)
-            prefixes = None
-            if len(rows.col) == 0:
+            walked = walked.reshape(count, n) + mass * keep_factor
+            walked[walked < threshold] = 0.0
+            # Zero mass and the fixpoint (from t = 2 on) stop a row before
+            # its step is swept; a stopped row keeps walking to the block's
+            # end unswept.
+            walking &= walked.any(axis=1)
+            if t + k >= 1:
+                walking &= (walked != mass).any(axis=1)
+            stack[k] = walked
+            swept[k] = walking
+            mass = walked
+            if not walking.any():
+                steps = k + 1
                 break
+        # -- sweep the block ---------------------------------------------
+        pair_step, pair_row = np.nonzero(swept[:steps])
+        if pair_row.size:
+            pair_mass = stack[pair_step, pair_row]
+            support = (pair_mass > 0.0) & positive
+            rho = np.where(support, pair_mass / safe_deg, 0.0)
+            order = np.argsort(np.where(support, -rho, np.inf), axis=1, kind="stable")
+            prefixes = _Prefixes(
+                order, support.sum(axis=1), min_volume[pair_row], params, *graph_arrays
+            )
+            certified = prefixes.static & (
+                rho.ravel()[prefixes.rho_at] >= prefixes.gamma_over_volume  # (C.2)
+            )
+            hit = np.flatnonzero(certified)
+            if hit.size:
+                _update_best(
+                    prefixes, hit, t + 1 + pair_step, col[pair_row],
+                    best_conductance, best_neg_volume, best,
+                )
+        t += steps
+        col, mass = col[walking], mass[walking]
+        threshold, min_volume = threshold[walking], min_volume[walking]
 
     labels = view.vertices
     cuts: list[Optional[NibbleCut]] = []
@@ -229,33 +211,15 @@ def lockstep_approximate_nibble(
     return cuts
 
 
-class _Rows:
-    """The live rows' state; :meth:`keep` drops retired rows from every array.
-
-    ``col`` maps a row to its draw; ``threshold`` and ``min_volume`` are
-    the row's truncation and (C.3*) bounds; ``last_signature`` and
-    ``repeats`` are the row's :class:`~repro.nibble.sweep.WalkBudgetTracker`
-    — the previous swept step's signature and how often it has repeated.
-    """
-
-    def __init__(self, **arrays: np.ndarray) -> None:
-        self.__dict__.update(arrays)
-
-    def keep(self, live: np.ndarray) -> None:
-        """Keep only the rows where ``live`` is set."""
-        for name in list(self.__dict__):
-            setattr(self, name, getattr(self, name)[live])
-
-
 class _Prefixes:
-    """Prefix statistics of one step's orderings, and their candidates.
+    """Prefix statistics of a block's orderings, and their candidates.
 
-    Everything here depends on the ``(rows × n)`` ordering, jmax and the
-    rows' scales only: prefix volumes and cuts, the geometric candidate
+    Everything here depends on the ``(pairs × n)`` ordering, jmax and the
+    pairs' scales only: prefix volumes and cuts, the geometric candidate
     chain, and the candidates' (C.1), (C.3*) and γ/Vol values.  Flat
-    indices address the row-major ``(rows × (n+1))`` prefix grid
-    (``candidates``) and the ``(rows × n)`` ordered ρ̃ (``flat_order``,
-    ``rho_at``).
+    indices address the row-major ``(pairs × (n+1))`` prefix grid
+    (``candidates``) and the ``(pairs × n)`` ρ̃ grid (``rho_at``, each
+    candidate's last vertex).
     """
 
     def __init__(
@@ -264,8 +228,7 @@ class _Prefixes:
     ) -> None:
         count, n = order.shape
         row = np.arange(count)[:, None]
-        self.order, self.jmax = order, jmax
-        self.flat_order = (order + row * n).ravel()
+        self.order = order
         volume = np.zeros((count, n + 1), dtype=np.int64)
         np.cumsum(deg[order], axis=1, out=volume[:, 1:])
         # An edge is inside a prefix from its later endpoint's position on.
@@ -274,7 +237,6 @@ class _Prefixes:
         internal = np.bincount(closes.ravel(), minlength=count * n).reshape(count, n)
         cut = np.zeros((count, n + 1), dtype=np.int64)
         np.cumsum(proper[order] - 2 * internal, axis=1, out=cut[:, 1:])
-        self.closed = cut[row[:, 0], jmax] == 0
         # The geometric candidate chain, by pointer doubling:
         # next(j) = min(max(j+1, largest j' with Vol(j') <= (1+φ)Vol(j)), jmax).
         # Rows are offset by Vol+1 so one searchsorted serves them all; both
@@ -296,10 +258,11 @@ class _Prefixes:
         for _ in range(max(int(jmax.max()) - 1, 0).bit_length()):
             on_chain[hop[on_chain]] = True
             hop = hop[hop]
-        # (C.1) and (C.3*) on the candidates; (C.2) needs the step's ρ̃.
+        # (C.1) and (C.3*) on the candidates; (C.2) needs the pair's ρ̃.
         self.candidates = np.flatnonzero(on_chain)
         self.cand_row, self.cand_j = np.divmod(self.candidates, n + 1)
-        self.rho_at = self.cand_row * n + self.cand_j - 1
+        last = order.ravel()[self.cand_row * n + self.cand_j - 1]
+        self.rho_at = self.cand_row * n + last
         self.vol = volume.ravel()[self.candidates]
         self.boundary = cut.ravel()[self.candidates]
         denom = np.minimum(self.vol, total - self.vol)
@@ -316,16 +279,22 @@ class _Prefixes:
         self.gamma_over_volume = params.gamma / self.vol
 
 
-def _update_best(prefixes, hit, t, col, best_conductance, best_neg_volume, best):
-    """Fold one step's certified candidates ``hit`` into the per-draw best."""
+def _update_best(
+    prefixes, hit, pair_t, pair_draw, best_conductance, best_neg_volume, best
+):
+    """Fold one block's certified candidates ``hit`` into the per-draw best.
+
+    Per draw the block's winner is the least ``(Φ, −Vol, t, j)``; it
+    replaces the draw's best only if strictly better in ``(Φ, −Vol)``, so
+    ties go to the earlier block.
+    """
     p = prefixes
-    ranked = hit[
-        np.lexsort((p.cand_j[hit], -p.vol[hit], p.conductance[hit], p.cand_row[hit]))
-    ]
+    draw, t = pair_draw[p.cand_row[hit]], pair_t[p.cand_row[hit]]
+    rank = np.lexsort((p.cand_j[hit], t, -p.vol[hit], p.conductance[hit], draw))
+    draw, ranked = draw[rank], hit[rank]
     first = np.ones(len(ranked), dtype=bool)
-    first[1:] = p.cand_row[ranked[1:]] != p.cand_row[ranked[:-1]]
-    win = ranked[first]
-    draw = col[p.cand_row[win]]
+    first[1:] = draw[1:] != draw[:-1]
+    win, draw = ranked[first], draw[first]
     conductance, neg_volume = p.conductance[win], -p.vol[win]
     better = (conductance < best_conductance[draw]) | (
         (conductance == best_conductance[draw])
@@ -334,6 +303,5 @@ def _update_best(prefixes, hit, t, col, best_conductance, best_neg_volume, best)
     best_conductance[draw[better]] = conductance[better]
     best_neg_volume[draw[better]] = neg_volume[better]
     for pick, d in zip(win[better].tolist(), draw[better].tolist()):
-        j = int(p.cand_j[pick])
-        prefix = p.order[p.cand_row[pick], :j].copy()
-        best[d] = (t, j, int(p.boundary[pick]), prefix)
+        row, j = int(p.cand_row[pick]), int(p.cand_j[pick])
+        best[d] = (int(pair_t[row]), j, int(p.boundary[pick]), p.order[row, :j].copy())

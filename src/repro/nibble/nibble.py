@@ -45,13 +45,7 @@ from ..resilience.deadline import check_walk_deadline
 from ..utils.rounds import RoundReport
 from ..walks.lazy_walk import truncated_walk_iter
 from .parameters import NibbleParameters
-from .sweep import (
-    ADAPTIVE_STABLE_STEPS,
-    SweepState,
-    WalkBudgetTracker,
-    build_sweep,
-    candidate_indices,
-)
+from .sweep import SweepState, build_sweep, candidate_indices
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,6 @@ def scan_walk_sequence(
     start: Hashable,
     approximate: bool = False,
     return_first: bool = False,
-    stable_steps: Optional[int] = None,
 ) -> Optional[NibbleCut]:
     """Sweep every time step of ``sequence`` and return a certified cut.
 
@@ -133,16 +126,11 @@ def scan_walk_sequence(
     ``sequence`` may be a lazy generator
     (:func:`repro.walks.lazy_walk.truncated_walk_iter`): the scan consumes
     one vector at a time and every break skips the remaining walk steps.
-    With ``stable_steps`` set, the adaptive walk budget
-    (:class:`repro.nibble.sweep.WalkBudgetTracker`) additionally stops the
-    scan once the sweep signature — support ordering, certified prefix
-    set, and the ordered ρ̃ values at float32 resolution — has repeated
-    that many consecutive steps; the rule is shared bit-for-bit with the
-    CSR twin, so the backends stop at the same step.
+    The only breaks are exact: zero mass and the IEEE fixpoint, both read
+    off the walk alone, so the sweep never changes which steps are walked.
     """
     best: Optional[NibbleCut] = None
     previous: Optional[Mapping[Vertex, float]] = None
-    tracker = WalkBudgetTracker(stable_steps) if stable_steps is not None else None
     for t, mass in enumerate(sequence):
         check_walk_deadline()
         if t == 0:
@@ -164,11 +152,9 @@ def scan_walk_sequence(
             indices = candidate_indices(state, params.phi)
         else:
             indices = range(1, state.jmax + 1)
-        certified_js: list[int] = []
         for j in indices:
             if not conditions_hold(state, j, scale, params, relaxed=approximate):
                 continue
-            certified_js.append(j)
             cut = NibbleCut(
                 vertices=frozenset(state.prefix(j)),
                 conductance=state.conductance(j),
@@ -186,25 +172,6 @@ def scan_walk_sequence(
                 -best.volume,
             ):
                 best = cut
-        if (
-            tracker is not None
-            and tracker.stabilized(
-                (
-                    state.order,
-                    certified_js,
-                    np.asarray(
-                        [state.rho[v] for v in state.order], dtype=np.float32
-                    ).tobytes(),
-                )
-            )
-            and state.prefix_cut[state.jmax] == 0
-        ):
-            # Adaptive budget: the sweep signature — ordering, certified
-            # set, and the ρ̃ values themselves at float32 resolution — has
-            # been stable long enough and the support is closed
-            # (|∂(support)| = 0), so no later step can reach a new vertex
-            # and the walk has converged past the point of changing a tie.
-            break
     return best
 
 
@@ -216,7 +183,6 @@ def scan_walk_sequence_csr(
     start: Hashable,
     approximate: bool = False,
     return_first: bool = False,
-    stable_steps: Optional[int] = None,
 ) -> Optional[NibbleCut]:
     """Vectorized twin of :func:`scan_walk_sequence` for the CSR backend.
 
@@ -232,11 +198,8 @@ def scan_walk_sequence_csr(
     of the peeled working graph.
 
     ``sequence`` may be a lazy generator
-    (:meth:`repro.graphs.csr.WalkWorkspace.walk_iter`) and ``stable_steps``
-    enables the adaptive walk budget, both exactly as in
-    :func:`scan_walk_sequence` — the stop signature (support ordering,
-    certified prefix indices, float32 ρ̃ values) is the same rule in index
-    space, so the two
+    (:meth:`repro.graphs.csr.WalkWorkspace.walk_iter`), and the scan stops
+    on the same two exact rules as :func:`scan_walk_sequence`, so the two
     backends stop at the same time step for bit-identical walks.
 
     Sweeps run on ``graph``'s cached :class:`~repro.graphs.csr.WalkWorkspace`,
@@ -251,7 +214,6 @@ def scan_walk_sequence_csr(
         else params.max_cut_volume_fraction
     )
     previous: Optional[csr_backend.SparseMass] = None
-    tracker = WalkBudgetTracker(stable_steps) if stable_steps is not None else None
     for t, mass in enumerate(sequence):
         check_walk_deadline()
         if t == 0:
@@ -310,21 +272,6 @@ def scan_walk_sequence_csr(
                 best = (key, t, j, int(cut[pick]), state.prefix(j).copy())
                 if return_first:
                     break
-        if (
-            tracker is not None
-            and tracker.stabilized(
-                (
-                    state.order.tobytes(),
-                    j_values[hit].tobytes(),
-                    state.rho.astype(np.float32).tobytes(),
-                )
-            )
-            and state.prefix_cut[state.jmax] == 0
-        ):
-            # Adaptive budget: stable signature (ordering + certified set +
-            # float32 ρ̃ values) + closed support — the same stop rule, in
-            # index space, as the dict scan.
-            break
     if best is None:
         return None
     (conductance, neg_volume), t, j, cut_size, prefix = best
@@ -359,7 +306,6 @@ def _run_nibble(
     params: NibbleParameters,
     report: Optional[RoundReport],
     approximate: bool,
-    adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """Shared walk-then-scan body of Nibble and ApproximateNibble.
 
@@ -368,17 +314,14 @@ def _run_nibble(
     so the cut is measured in the peeled working graph — exactly what the
     dict path measures on the materialised ``G{U}``.
 
-    The walk is generated lazily and scanned step by step; with
-    ``adaptive=True`` (default) the scan stops the walk early under the
-    shared :class:`~repro.nibble.sweep.WalkBudgetTracker` rule once the
-    sweep has stabilised, skipping the remaining walk steps on both
-    engines identically.
+    The walk is generated lazily and scanned step by step, so a scan that
+    stops on zero mass or the fixpoint skips the remaining walk steps on
+    both engines identically.
     """
     if not 1 <= scale <= params.ell:
         raise ValueError(f"scale b={scale} outside 1..ell={params.ell}")
     label = "approximate_nibble" if approximate else "nibble"
     _charge_rounds(report, f"{label}(b={scale})", params)
-    stable = ADAPTIVE_STABLE_STEPS if adaptive else None
     if isinstance(graph, (CSRGraph, PeeledCSR)):
         if start not in graph.index:
             raise KeyError(f"start vertex {start!r} not in graph")
@@ -387,23 +330,11 @@ def _run_nibble(
             graph.index[start], params.t0, params.epsilon_b(scale)
         )
         return scan_walk_sequence_csr(
-            graph,
-            sequence,
-            scale,
-            params,
-            start,
-            approximate=approximate,
-            stable_steps=stable,
+            graph, sequence, scale, params, start, approximate=approximate
         )
     sequence = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
     return scan_walk_sequence(
-        graph,
-        sequence,
-        scale,
-        params,
-        start,
-        approximate=approximate,
-        stable_steps=stable,
+        graph, sequence, scale, params, start, approximate=approximate
     )
 
 
@@ -413,7 +344,6 @@ def nibble(
     scale: int,
     params: NibbleParameters,
     report: Optional[RoundReport] = None,
-    adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """Nibble(G, v, φ, b): exhaustive sweep certification (paper Appendix A).
 
@@ -426,13 +356,8 @@ def nibble(
     runs the reference path, a :class:`~repro.graphs.csr.CSRGraph` (or a
     :class:`~repro.graphs.peel.PeeledCSR` view) the vectorized
     :mod:`repro.graphs.csr` path.  Both produce identical cuts.
-
-    ``adaptive`` toggles the adaptive walk budget (on by default; the
-    fast-path parity suite pins that toggling it never changes a cut).
     """
-    return _run_nibble(
-        graph, start, scale, params, report, approximate=False, adaptive=adaptive
-    )
+    return _run_nibble(graph, start, scale, params, report, approximate=False)
 
 
 def approximate_nibble(
@@ -441,15 +366,12 @@ def approximate_nibble(
     scale: int,
     params: NibbleParameters,
     report: Optional[RoundReport] = None,
-    adaptive: bool = True,
 ) -> Optional[NibbleCut]:
     """ApproximateNibble: candidate prefixes only, relaxed volume bound (C.3*).
 
     The O(φ⁻¹ log Vol) candidate prefixes are the only ones a CONGEST node
     set can afford to evaluate; Lemma 4 of the paper shows the relaxation
     preserves the output guarantees up to constants.  The engine choice
-    and ``adaptive`` are as in :func:`nibble`.
+    is as in :func:`nibble`.
     """
-    return _run_nibble(
-        graph, start, scale, params, report, approximate=True, adaptive=adaptive
-    )
+    return _run_nibble(graph, start, scale, params, report, approximate=True)

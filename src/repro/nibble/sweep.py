@@ -83,66 +83,6 @@ def build_sweep(graph: Graph, mass: Mapping[Vertex, float]) -> SweepState:
     )
 
 
-#: Consecutive time steps whose sweep signature (support ordering,
-#: certified prefix set, and the ρ̃ values at float32 resolution) must
-#: repeat unchanged before the adaptive walk
-#: budget stops the walk.  The value is the safety dial of the fast path:
-#: the parity suite (``tests/test_fast_path.py``) and the bench smoke gate
-#: assert that at this setting the adaptive stop never changes an output on
-#: any benchmark family.
-ADAPTIVE_STABLE_STEPS = 3
-
-
-class WalkBudgetTracker:
-    """The shared adaptive walk-budget rule of both certification scans.
-
-    ROADMAP's leftover scale item: the truncated walk visits every one of
-    its ``t0`` sweep steps even after its support has stabilised short of an
-    exact IEEE fixpoint (late steps jitter by ULPs without ever reproducing
-    a predecessor bit-for-bit).  This tracker implements the stop rule the
-    two scan twins (:func:`repro.nibble.nibble.scan_walk_sequence` and
-    :func:`~repro.nibble.nibble.scan_walk_sequence_csr`) and the lockstep
-    batch kernel (:func:`repro.nibble.lockstep.lockstep_approximate_nibble`)
-    share: after each swept time step the scan feeds in a *signature* — the
-    ρ̃-ordering of the support, the set of certified prefix indices, and
-    the ordered ρ̃ values cast to float32 — and the scan stops
-    walking once the signature has repeated ``stable_steps`` consecutive
-    times **and** the support is *closed* (zero boundary edges, i.e. a
-    union of connected components of the working graph — the scans read
-    this off the already-computed full-support prefix cut for free).
-
-    Closure is the load-bearing half: an open support can grow again long
-    after its ordering stabilises (diffusing mass pushes a neighbor back
-    over the truncation threshold) and certify a strictly better cut at
-    that later step, so no open-support stop is safe.  A closed support can
-    never gain a vertex, its prefix (Φ, Vol) pairs are all determined by
-    the frozen ordering, and an identical certified prefix at a later time
-    step always loses the (Φ, −Vol, t, j) tie; only a late (C.2) ρ̃
-    threshold crossing could still change the outcome, which the repeat
-    requirement guards against.  The rule is deliberately *identical* on
-    both backends (bit-identical walks produce identical signatures up to
-    the vertex↔index bijection), so dict and CSR engines stop at the same
-    step and stay bit-identical with the budget on or off — pinned by the
-    fast-path parity suite and the bench smoke gate rather than assumed.
-    """
-
-    __slots__ = ("stable_steps", "_previous", "_repeats")
-
-    def __init__(self, stable_steps: int = ADAPTIVE_STABLE_STEPS) -> None:
-        self.stable_steps = stable_steps
-        self._previous = None
-        self._repeats = 0
-
-    def stabilized(self, signature) -> bool:
-        """Record one step's signature; ``True`` once it has repeated enough."""
-        if self._previous is not None and signature == self._previous:
-            self._repeats += 1
-        else:
-            self._repeats = 0
-            self._previous = signature
-        return self._repeats >= self.stable_steps
-
-
 def candidate_indices(state: SweepState, phi: float) -> list[int]:
     """The geometric candidate sequence (j_x) of ApproximateNibble.
 

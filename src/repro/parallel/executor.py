@@ -91,7 +91,6 @@ def sequential_batch(
     root: int,
     batch_index: int,
     num_instances: int,
-    adaptive: bool = True,
     task_streams=None,
 ) -> BatchResult:
     """Run a whole batch inline, instance by instance, in index order.
@@ -109,8 +108,7 @@ def sequential_batch(
     starts meets Θ(log m) instances.
     """
     return run_chunk(
-        graph, params, root, batch_index, range(num_instances), adaptive,
-        streams=task_streams,
+        graph, params, root, batch_index, range(num_instances), streams=task_streams
     )
 
 
@@ -318,7 +316,6 @@ class Executor:
         root: int,
         batch_index: int,
         num_instances: int,
-        adaptive: bool = True,
     ) -> BatchResult:
         """Run the batch; see the class docstring for the contract."""
         raise NotImplementedError
@@ -364,12 +361,9 @@ class SequentialExecutor(Executor):
         root: int,
         batch_index: int,
         num_instances: int,
-        adaptive: bool = True,
     ) -> BatchResult:
         """Run every instance inline via :func:`sequential_batch`."""
-        return sequential_batch(
-            graph, params, root, batch_index, num_instances, adaptive=adaptive
-        )
+        return sequential_batch(graph, params, root, batch_index, num_instances)
 
     def run_siblings(
         self,
@@ -470,14 +464,14 @@ class _Job:
     validate: Optional[Callable[[object], None]] = None
 
 
-def _inline_chunk(graph, params, root, batch_index, indices, adaptive):
+def _inline_chunk(graph, params, root, batch_index, indices):
     """A batch chunk recomputed in the driver, under the ambient deadline.
 
     Checks the deadline first, so a chunk re-run after a deadline cancel
     always ends the batch as an interrupted search.
     """
     check_walk_deadline()
-    return run_chunk(graph, params, root, batch_index, indices, adaptive)
+    return run_chunk(graph, params, root, batch_index, indices)
 
 
 class ShardedExecutor(Executor):
@@ -712,7 +706,6 @@ class ShardedExecutor(Executor):
         root: int,
         batch_index: int,
         num_instances: int,
-        adaptive: bool = True,
     ) -> BatchResult:
         """Fan the batch out over the pool as one chunk per worker.
 
@@ -732,9 +725,7 @@ class ShardedExecutor(Executor):
             or num_instances < 2
             or graph.num_vertices < self.min_shard_vertices
         ):
-            return sequential_batch(
-                graph, params, root, batch_index, num_instances, adaptive=adaptive
-            )
+            return sequential_batch(graph, params, root, batch_index, num_instances)
         jobs = []
         for chunk in np.array_split(
             np.arange(num_instances), min(self.workers, num_instances)
@@ -743,12 +734,12 @@ class ShardedExecutor(Executor):
             jobs.append(
                 _Job(
                     inline=functools.partial(
-                        _inline_chunk, graph, params, root, batch_index, indices, adaptive
+                        _inline_chunk, graph, params, root, batch_index, indices
                     ),
                     fn=run_sharded_chunk,
                     args=(
                         graph.alive, graph.proper_degree, graph.loops, graph.total_volume,
-                        graph.num_edges, params, root, batch_index, indices, adaptive,
+                        graph.num_edges, params, root, batch_index, indices,
                     ),
                     address=("chunk", root, batch_index, indices[0]),
                     validate=functools.partial(

@@ -17,10 +17,11 @@ executor runs: it makes every instance's draws on the batch's
 :class:`~repro.graphs.peel.PeeledCSR` view, then runs each distinct draw
 once — all of them as the rows of one
 :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call when the
-batch fits :data:`LOCKSTEP_CELL_BUDGET`, one ApproximateNibble walk after
-another otherwise.  :func:`run_nibble_instance` is the body of a single
-RandomNibble call (:func:`repro.decomposition.sparse_cut.random_nibble`);
-the tests pin every batch to it instance by instance.
+batch fits :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, one
+ApproximateNibble walk after another otherwise.
+:func:`run_nibble_instance` is the body of a single RandomNibble call
+(:func:`repro.decomposition.sparse_cut.random_nibble`); the tests pin
+every batch to it instance by instance.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.peel import PeeledCSR
-from ..nibble.lockstep import lockstep_approximate_nibble
+from ..nibble import lockstep
+from ..nibble.lockstep import batch_cells, lockstep_approximate_nibble
 from ..nibble.nibble import NibbleCut, approximate_nibble
 from ..nibble.parameters import NibbleParameters, sample_scale
 from ..utils.rng import task_stream
@@ -46,13 +48,6 @@ from .shared import SharedCSR, SharedCSRMeta
 ATTACH_CACHE_SIZE = 4
 
 _ATTACHED: "OrderedDict[str, SharedCSR]" = OrderedDict()
-
-#: A batch runs as lockstep rows while ``rows × (n + 2m)`` — its distinct
-#: draws times the view's alive vertices plus directed edges, the size of
-#: the kernel's per-step arrays — stays at or below this many cells, and
-#: one workspace walk per draw above it.  Set from the measured crossover
-#: (EXPERIMENTS.md, "Kernel budget").
-LOCKSTEP_CELL_BUDGET = 65_536
 
 
 def attached_graph(meta: SharedCSRMeta) -> CSRGraph:
@@ -98,7 +93,6 @@ def run_nibble_instance(
     view: PeeledCSR,
     params: NibbleParameters,
     stream: np.random.Generator,
-    adaptive: bool = True,
     report: Optional[RoundReport] = None,
 ) -> tuple[Optional[int], Optional[NibbleCut]]:
     """One RandomNibble instance on its private ``stream``.
@@ -116,10 +110,7 @@ def run_nibble_instance(
     start, scale = draw_nibble_instance(view, params, stream)
     if scale is None:
         return None, None
-    cut = approximate_nibble(
-        view, start, scale, params, report=report, adaptive=adaptive
-    )
-    return scale, cut
+    return scale, approximate_nibble(view, start, scale, params, report=report)
 
 
 def run_subtree(
@@ -153,7 +144,6 @@ def run_chunk(
     root: int,
     batch_index: int,
     instance_indices,
-    adaptive: bool = True,
     streams=None,
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run the listed instances of one batch on ``view``, in order.
@@ -167,7 +157,8 @@ def run_chunk(
     distinct ``(start, scale)`` draw then runs once, on one of two
     kernels with identical outputs: all of them together as the rows of
     one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call
-    when ``rows × (n + 2m)`` fits :data:`LOCKSTEP_CELL_BUDGET`, otherwise
+    when :func:`~repro.nibble.lockstep.batch_cells` fits
+    :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, otherwise
     one :func:`approximate_nibble` walk per draw, whose work stays on the
     walk's support (Nibble's locality) however large the view is.
 
@@ -186,12 +177,11 @@ def run_chunk(
         for i in instance_indices
     ]
     distinct = list(dict.fromkeys(d for d in draws if d[1] is not None))
-    cells = len(distinct) * (view.num_vertices + 2 * view.num_edges)
-    if cells <= LOCKSTEP_CELL_BUDGET:
-        found = lockstep_approximate_nibble(view, distinct, params, adaptive)
+    if batch_cells(view, len(distinct)) <= lockstep.LOCKSTEP_CELL_BUDGET:
+        found = lockstep_approximate_nibble(view, distinct, params)
     else:
         found = [
-            approximate_nibble(view, start, scale, params, adaptive=adaptive)
+            approximate_nibble(view, start, scale, params)
             for start, scale in distinct
         ]
     cuts = dict(zip(distinct, found))
@@ -212,7 +202,6 @@ def run_sharded_chunk(
     root: int,
     batch_index: int,
     instance_indices: list[int],
-    adaptive: bool = True,
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run one chunk of a ParallelNibble batch inside a worker process.
 
@@ -230,4 +219,4 @@ def run_sharded_chunk(
         total_volume=int(total_volume),
         num_edges=int(num_edges),
     )
-    return run_chunk(view, params, root, batch_index, instance_indices, adaptive)
+    return run_chunk(view, params, root, batch_index, instance_indices)

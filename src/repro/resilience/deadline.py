@@ -147,7 +147,9 @@ def check_walk_deadline() -> None:
     """Raise :class:`DeadlineExpired` if the ambient deadline has expired.
 
     Called once per lazy walk step by both walk/sweep backends
-    (:func:`repro.nibble.nibble.scan_walk_sequence` and its CSR twin).
+    (:func:`repro.nibble.nibble.scan_walk_sequence` and its CSR twin) and
+    once per lockstep step by
+    :func:`repro.nibble.lockstep.lockstep_approximate_nibble`.
     The empty-stack fast path is one list truthiness test, so unbounded
     runs pay essentially nothing.
     """

@@ -405,7 +405,8 @@ def decomposition_triangle_enumeration(
     a silently wrong answer.  Every level picks its dict/CSR engines by
     size exactly as the decomposition itself does; both engines return the
     same triangle set.  ``fast_path`` forwards the certification fast path
-    to every level's decomposition (output-neutral; see
+    — the spectral pre-check only — to every level's decomposition
+    (output-neutral; see
     :func:`repro.decomposition.expander.expander_decomposition`).
 
     A :class:`DecompositionCache` passed as ``cache`` is consulted at every

@@ -143,10 +143,8 @@ def truncated_walk_iter(graph: Graph, start: Vertex, steps: int, epsilon: float)
 
     The generator twin of :func:`truncated_walk_sequence`: identical vectors
     in identical order, but a step is computed only when the consumer asks
-    for it, so certification scans that stop early (zero mass, IEEE
-    fixpoint, or the adaptive walk budget of
-    :class:`repro.nibble.sweep.WalkBudgetTracker`) skip the remaining walk
-    steps entirely.  No terminal padding is produced — time-indexed
+    for it, so certification scans that stop early (zero mass or the IEEE
+    fixpoint) skip the remaining walk steps entirely.  No terminal padding is produced — time-indexed
     consumers (the CONGEST parity tests) keep using the list variant.
     """
     if start not in graph:

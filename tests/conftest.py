@@ -7,7 +7,7 @@ library picks that engine from the graph, so this is how a test compares
 the two on one input.  The ``kernel`` fixture does the same for the
 ParallelNibble batches: ``"lockstep"`` runs every batch as lockstep
 rows, ``"workspace"`` runs one workspace walk per draw, by moving the
-cell budget :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
+cell budget :data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
 
 The last is an opt-in per-test timeout: pool-backed tests can hang
 forever if a worker deadlocks instead of crashing (a crash is caught by
@@ -27,7 +27,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.graphs import csr as csr_module
-from repro.parallel import worker
+from repro.nibble import lockstep
 
 #: Size thresholds that put every triangle enumeration on one engine.
 ENGINE_THRESHOLDS = {"dict": 10**9, "csr": 0}
@@ -65,7 +65,7 @@ def engine(monkeypatch):
 def kernel(monkeypatch):
     """``with kernel("lockstep"):`` / ``with kernel("workspace"):`` — one batch kernel."""
     return _forcing_fixture(
-        monkeypatch, worker, "LOCKSTEP_CELL_BUDGET", KERNEL_BUDGETS
+        monkeypatch, lockstep, "LOCKSTEP_CELL_BUDGET", KERNEL_BUDGETS
     )
 
 

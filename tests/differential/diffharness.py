@@ -17,7 +17,7 @@ pipeline is still checked against output that code other than itself
 produced.
 
 A batch picks its kernel by size
-(:data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`), so the kernel
+(:data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`), so the kernel
 column of the matrix is a :func:`kernel_budget` scope: lockstep cells
 raise the budget to infinity, workspace cells lower it to 0, and auto
 cells keep the library default.  The scope covers the main process; pool
@@ -84,7 +84,8 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
-from repro.parallel import SequentialExecutor, worker
+from repro.nibble import lockstep
+from repro.parallel import SequentialExecutor
 
 
 #: Kernel budget of the lockstep cells: every batch's rows fit it, so
@@ -194,19 +195,19 @@ def sparse_cut_signature(result):
 def kernel_budget(budget: Optional[float]):
     """Scope in which batches up to ``budget`` cells run as lockstep rows.
 
-    Moves :data:`~repro.parallel.worker.LOCKSTEP_CELL_BUDGET`, which
+    Moves :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, which
     :func:`~repro.parallel.worker.run_chunk` reads at call time; ``None``
     keeps the library default.
     """
     if budget is None:
         yield
         return
-    previous = worker.LOCKSTEP_CELL_BUDGET
-    worker.LOCKSTEP_CELL_BUDGET = budget
+    previous = lockstep.LOCKSTEP_CELL_BUDGET
+    lockstep.LOCKSTEP_CELL_BUDGET = budget
     try:
         yield
     finally:
-        worker.LOCKSTEP_CELL_BUDGET = previous
+        lockstep.LOCKSTEP_CELL_BUDGET = previous
 
 
 @contextmanager

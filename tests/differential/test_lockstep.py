@@ -12,8 +12,8 @@ and what one :class:`~repro.graphs.csr.WalkWorkspace` walk on the view
 below cover the benchmark families' small pieces at every scale, views
 with gaps, views after peels, int32 and int64 bases, a memory-mapped
 base, degenerate rows, rows that retire at each stop rule while others
-keep walking, the deadline, and a graph large enough that a superlinear
-table would show.
+keep walking, block boundaries at several block lengths, the deadline,
+and a graph large enough that a superlinear table would show.
 """
 
 import dataclasses
@@ -32,16 +32,16 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
-from repro.nibble.lockstep import lockstep_approximate_nibble
+from repro.nibble import lockstep
+from repro.nibble.lockstep import batch_cells, lockstep_approximate_nibble
 from repro.nibble.nibble import approximate_nibble, scan_walk_sequence
 from repro.nibble.parameters import NibbleParameters
-from repro.nibble.sweep import ADAPTIVE_STABLE_STEPS
 from repro.parallel.executor import sequential_batch
 from repro.resilience.deadline import Deadline, DeadlineExpired, deadline_scope
 from repro.walks.lazy_walk import truncated_walk_iter
 
 
-def oracle(graph, start, scale, params, adaptive):
+def oracle(graph, start, scale, params):
     """The dict walk and scan for one draw: ``(cut, steps, stop reason)``."""
     seen = []
 
@@ -52,37 +52,27 @@ def oracle(graph, start, scale, params, adaptive):
             seen.append(mass)
             yield mass
 
-    cut = scan_walk_sequence(
-        graph,
-        walk(),
-        scale,
-        params,
-        start,
-        approximate=True,
-        stable_steps=ADAPTIVE_STABLE_STEPS if adaptive else None,
-    )
+    cut = scan_walk_sequence(graph, walk(), scale, params, start, approximate=True)
     if not seen[-1]:
         reason = "zero"
     elif len(seen) > 2 and seen[-1] == seen[-2]:
         reason = "fixpoint"
-    elif len(seen) < params.t0 + 1:
-        reason = "adaptive"
     else:
+        assert len(seen) == params.t0 + 1  # the only other stop is t0
         reason = "t0"
     return cut, len(seen) - 1, reason
 
 
-def assert_rows_match(view, draws, params, adaptive):
+def assert_rows_match(view, draws, params):
     """Every lockstep row equals the dict oracle and the workspace walk."""
     graph = view.to_graph()
-    got = lockstep_approximate_nibble(view, draws, params, adaptive=adaptive)
+    got = lockstep_approximate_nibble(view, draws, params)
     assert len(got) == len(draws)
     reasons = set()
     for (start, scale), cut in zip(draws, got):
-        expected, _, reason = oracle(graph, start, scale, params, adaptive)
-        assert cut == expected, (start, scale, adaptive)
-        workspace = approximate_nibble(view, start, scale, params, adaptive=adaptive)
-        assert cut == workspace, (start, scale, adaptive)
+        expected, _, reason = oracle(graph, start, scale, params)
+        assert cut == expected, (start, scale)
+        assert cut == approximate_nibble(view, start, scale, params), (start, scale)
         reasons.add(reason)
     return reasons
 
@@ -95,6 +85,17 @@ def every_draw(view, params, stride=3):
         for i in alive[::stride]
         for b in range(1, params.ell + 1)
     ]
+
+
+#: Block lengths the boundary tests force: single steps, short blocks, a
+#: length that leaves ragged blocks, and one block for the whole walk.
+BLOCK_STEPS = [1, 2, 7, None]
+
+
+def block_cells(view, rows, steps):
+    """A :data:`~repro.nibble.lockstep.BLOCK_CELLS` whose first block over
+    ``rows`` rows is ``steps`` long (``None``: the whole walk)."""
+    return 10**12 if steps is None else steps * batch_cells(view, rows)
 
 
 def subset_view(graph, keep):
@@ -127,39 +128,47 @@ PIECES = list(small_pieces())
 
 
 class TestRowParity:
-    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
     @pytest.mark.parametrize("name,view", PIECES, ids=[name for name, _ in PIECES])
-    def test_every_scale_matches_the_dict_oracle(self, name, view, adaptive):
+    def test_every_scale_matches_the_dict_oracle(self, name, view):
         params = NibbleParameters.practical(view, 0.1, max_t0=150)
-        assert_rows_match(view, every_draw(view, params), params, adaptive)
+        assert_rows_match(view, every_draw(view, params), params)
 
-    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
-    def test_each_row_stops_at_the_oracle_step(self, adaptive):
-        """A one-row batch consults the deadline once per lockstep step, so
-        the count of consultations is the step the row stopped at; it must
-        be the step the dict scan stopped at, for every stop rule."""
-        cases = [(name, v) for name, v in PIECES[:4]]
-        cases.append(("mixed", PeeledCSR.from_graph(mixed_graph())))
-        for name, view in cases:
-            graph = view.to_graph()
+    @pytest.mark.parametrize("steps", BLOCK_STEPS, ids=str)
+    def test_each_row_stops_at_the_oracle_step(self, monkeypatch, steps):
+        """A one-row batch consults the deadline once per lockstep step, t = 0
+        included, so the count of consultations is the step the row stopped
+        at; it must be the step the dict scan stopped at, for every stop rule
+        and every block length."""
+        cases = []
+        for view in [v for _, v in PIECES[:4]] + [PeeledCSR.from_graph(mixed_graph())]:
             params = NibbleParameters.practical(view, 0.1, max_t0=150)
             params = dataclasses.replace(
                 params, truncation_scale=params.truncation_scale * 40
             )
-            for start in sorted(graph.vertices(), key=repr)[::5]:
-                for scale in (1, params.ell):
-                    _, steps, _ = oracle(graph, start, scale, params, adaptive)
-                    ticks = counting_deadline(10**9)
-                    with deadline_scope(ticks):
-                        lockstep_approximate_nibble(
-                            view, [(start, scale)], params, adaptive=adaptive
-                        )
-                    assert ticks.elapsed() - 1 == steps + 1, (name, start, scale)
+            starts = sorted(view.to_graph().vertices(), key=repr)[::5]
+            draws = [(v, b) for v in starts for b in (1, params.ell)]
+            cases.append((view, params, draws))
+        view, params, draws = retiring_batch()  # adds rows that stop on zero mass
+        starts = ("hub", "looped", ("path", 0), (0, 0), ("leaf", 3))
+        cases.append((view, params, [(v, b) for v, b in draws if v in starts]))
+        reasons = set()
+        for view, params, draws in cases:
+            graph = view.to_graph()
+            monkeypatch.setattr(lockstep, "BLOCK_CELLS", block_cells(view, 1, steps))
+            for start, scale in draws:
+                _, stop, reason = oracle(graph, start, scale, params)
+                reasons.add(reason)
+                ticks = counting_deadline(10**9)
+                with deadline_scope(ticks):
+                    lockstep_approximate_nibble(view, [(start, scale)], params)
+                assert ticks.elapsed() - 1 == stop + 1, (start, scale)
+        assert reasons == {"zero", "fixpoint", "t0"}
 
-    def test_open_support_never_takes_the_adaptive_stop(self):
+    def test_heavy_start_walks_to_t0_and_matches_the_oracle(self):
         """A heavy start whose truncated leak is below float32 resolution
-        keeps an open support with a stable signature; the adaptive stop
-        must still wait for a closed support, as the dict scan does."""
+        keeps an open support whose ordering stops moving long before t0;
+        the row walks every step to t0, as the dict scan does, and returns
+        the oracle's cut."""
         graph = ring_of_cliques(2, 8)
         graph.add_edge("heavy", (0, 0))
         graph.add_edge("heavy", (0, 1))
@@ -168,7 +177,7 @@ class TestRowParity:
         params = dataclasses.replace(
             NibbleParameters.practical(graph, 0.1, max_t0=150), truncation_scale=2e-9
         )
-        cut, steps, reason = oracle(graph, "heavy", 1, params, adaptive=True)
+        cut, steps, reason = oracle(graph, "heavy", 1, params)
         assert (steps, reason) == (params.t0, "t0")
         ticks = counting_deadline(10**9)
         with deadline_scope(ticks):
@@ -182,7 +191,7 @@ class TestRowParity:
         params = NibbleParameters.practical(view, 0.1, max_t0=40)
         vertices = view.vertices
         draws = [(vertices[0], 1), (vertices[777], 2), (vertices[1999], params.ell)]
-        assert_rows_match(view, draws, params, adaptive=True)
+        assert_rows_match(view, draws, params)
 
 
 def gapped_views(seed):
@@ -207,12 +216,11 @@ class TestViewShapes:
     index space, compensating loops from peels, the index width and the
     base's residency must not reach a row."""
 
-    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "full"])
-    def test_subset_and_peeled_views(self, adaptive):
+    def test_subset_and_peeled_views(self):
         for view in gapped_views(seed=5):
             params = NibbleParameters.practical(view, 0.1, max_t0=120)
             assert view.num_vertices < view.n  # the index space has gaps
-            assert_rows_match(view, every_draw(view, params), params, adaptive)
+            assert_rows_match(view, every_draw(view, params), params)
 
     @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
     def test_index_widths(self, index_dtype):
@@ -221,7 +229,7 @@ class TestViewShapes:
         for view in views:
             assert view.base.indices.dtype == np.dtype(index_dtype)
             params = NibbleParameters.practical(view, 0.1, max_t0=120)
-            assert_rows_match(view, every_draw(view, params), params, True)
+            assert_rows_match(view, every_draw(view, params), params)
 
     def test_mmap_base(self, tmp_path):
         graph = planted_partition_graph(3, 10, 0.7, 0.05, seed=3)
@@ -231,7 +239,7 @@ class TestViewShapes:
         view = PeeledCSR.for_subset(base, range(2, base.n - 3))
         view.peel([5, 9])
         params = NibbleParameters.practical(view, 0.1, max_t0=120)
-        assert_rows_match(view, every_draw(view, params, stride=2), params, True)
+        assert_rows_match(view, every_draw(view, params, stride=2), params)
 
 
 def mixed_graph():
@@ -245,6 +253,17 @@ def mixed_graph():
     for i in range(29):
         g.add_edge(("path", i), ("path", i + 1))
     return g
+
+
+def retiring_batch():
+    """A batch on :func:`mixed_graph` whose rows stop on zero mass, on the
+    IEEE fixpoint and at t0, each at its own step."""
+    view = PeeledCSR.from_graph(mixed_graph())
+    base = NibbleParameters.practical(view, 0.2, max_t0=80)
+    # A coarse truncation so the star's mass dies out at scale 1.
+    params = dataclasses.replace(base, truncation_scale=0.05)
+    draws = [(v, b) for v in view.vertices for b in (1, 2, params.ell)]
+    return view, params, draws
 
 
 class TestAdversarialRows:
@@ -262,22 +281,16 @@ class TestAdversarialRows:
         got = lockstep_approximate_nibble(view, draws, params)
         assert got[3] == got[4]
         assert got[0] is None
-        assert_rows_match(view, draws, params, adaptive=True)
-        assert_rows_match(view, draws, params, adaptive=False)
+        assert_rows_match(view, draws, params)
 
     def test_rows_retire_at_every_stop_rule_while_others_walk(self):
-        """One batch whose rows stop on zero mass, on the IEEE fixpoint, on
-        the adaptive rule and at t0 — at different steps — each still
-        matching the oracle."""
-        view = PeeledCSR.from_graph(mixed_graph())
+        """One batch whose rows stop on zero mass, on the IEEE fixpoint and
+        at t0 — at different steps — each still matching the oracle."""
+        view, params, draws = retiring_batch()
         graph = view.to_graph()
-        base = NibbleParameters.practical(view, 0.2, max_t0=80)
-        # A coarse truncation so the star's mass dies out at scale 1.
-        params = dataclasses.replace(base, truncation_scale=0.05)
-        draws = [(v, b) for v in view.vertices for b in (1, 2, params.ell)]
-        reasons = assert_rows_match(view, draws, params, adaptive=True)
-        assert reasons == {"zero", "fixpoint", "adaptive", "t0"}
-        steps = {oracle(graph, v, b, params, True)[1] for v, b in draws}
+        reasons = assert_rows_match(view, draws, params)
+        assert reasons == {"zero", "fixpoint", "t0"}
+        steps = {oracle(graph, v, b, params)[1] for v, b in draws}
         assert len(steps) > 3  # rows retire at many different steps
 
     def test_out_of_range_scale_and_foreign_start_raise(self):
@@ -323,3 +336,66 @@ class TestDeadline:
         assert result.interrupted
         assert not result.certified_no_cut
         assert result.cut == frozenset()
+
+
+def block_schedule(view, stops, t0):
+    """The kernel's blocks as ``(first, last)`` steps, for rows that stop
+    walking at ``stops`` (t0 for a row that walks to the end)."""
+    blocks, t, walking = [], 0, list(stops)
+    while t < t0 and walking:
+        steps = max(1, lockstep.BLOCK_CELLS // batch_cells(view, len(walking)))
+        last = min(t + steps, t0, max(walking))
+        blocks.append((t + 1, last))
+        walking = [stop for stop in walking if stop > last]
+        t = last
+    return blocks
+
+
+class TestBlockBoundaries:
+    """A block walks K steps, then sweeps them; no block length may move a
+    row, a stop or a deadline consultation."""
+
+    @pytest.mark.parametrize("steps", BLOCK_STEPS, ids=str)
+    def test_rows_retiring_mid_block_match(self, monkeypatch, steps):
+        """Rows stop on zero mass and on the fixpoint inside a block while
+        other rows walk on across its boundary; every row still equals the
+        dict oracle and the per-draw workspace."""
+        view, params, draws = retiring_batch()
+        monkeypatch.setattr(
+            lockstep, "BLOCK_CELLS", block_cells(view, len(draws), steps)
+        )
+        graph = view.to_graph()
+        stops = [oracle(graph, v, b, params)[1] for v, b in draws]
+        if steps not in (1, None):
+            assert any(
+                first <= stop < last and max(stops) > last
+                for first, last in block_schedule(view, stops, params.t0)
+                for stop in stops
+            ), "no row retires mid-block while another walks on"
+        assert assert_rows_match(view, draws, params) == {"zero", "fixpoint", "t0"}
+
+    @pytest.mark.parametrize("steps", BLOCK_STEPS, ids=str)
+    def test_pieces_match(self, monkeypatch, steps):
+        for name, view in PIECES[:4]:
+            params = NibbleParameters.practical(view, 0.1, max_t0=150)
+            draws = every_draw(view, params, stride=5)
+            monkeypatch.setattr(
+                lockstep, "BLOCK_CELLS", block_cells(view, len(draws), steps)
+            )
+            assert_rows_match(view, draws, params)
+
+    @pytest.mark.parametrize("steps", [2, 7, None], ids=str)
+    def test_expiry_mid_block_raises(self, monkeypatch, steps):
+        view = PeeledCSR.from_graph(ring_of_cliques(3, 8))
+        params = NibbleParameters.practical(view, 0.1, max_t0=150)
+        draws = [((0, 0), 1), ((1, 3), params.ell)]
+        monkeypatch.setattr(
+            lockstep, "BLOCK_CELLS", block_cells(view, len(draws), steps)
+        )
+        # The 10th consultation is step 9: inside the fifth 2-step block,
+        # the second 7-step block and the one whole-walk block.
+        ticks = counting_deadline(10)
+        with deadline_scope(ticks):
+            with pytest.raises(DeadlineExpired):
+                lockstep_approximate_nibble(view, draws, params)
+        assert ticks.elapsed() - 1 == 10

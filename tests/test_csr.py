@@ -34,6 +34,7 @@ from repro.decomposition import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
+from repro.nibble import lockstep
 from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep, candidate_indices
@@ -257,7 +258,7 @@ class TestKernelRule:
     ParallelNibble batch), on cycles either side of the old 32-vertex
     engine threshold, sparse enough that every cut search runs.  A batch
     runs as lockstep rows exactly while ``rows × (n + 2m)`` fits
-    :data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`.
+    :data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
     """
 
     def test_threshold_edge(self, monkeypatch):
@@ -272,7 +273,7 @@ class TestKernelRule:
         real_walk = worker.approximate_nibble
         for budget, kernel_calls, walks in ((cells, 1, 0), (cells - 1, 0, len(draws))):
             seen = []
-            monkeypatch.setattr(worker, "LOCKSTEP_CELL_BUDGET", budget)
+            monkeypatch.setattr(lockstep, "LOCKSTEP_CELL_BUDGET", budget)
             monkeypatch.setattr(
                 worker,
                 "lockstep_approximate_nibble",

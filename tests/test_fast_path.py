@@ -1,16 +1,16 @@
 """Parity suite for the certification fast path (ISSUE 5).
 
 The fast path — spectral pre-checks that skip provably-failing
-ParallelNibble batches, batched sibling-component eigensolves, adaptive
-walk budgets, and the triangle workload's decomposition cache — is a pure
+ParallelNibble batches and batched sibling-component eigensolves — and
+the triangle workload's decomposition cache are a pure
 performance layer: every toggle must be output-neutral, bit for bit, on
 every engine.  These tests pin that contract the same way the peel suite
 pins engine parity (the decomposition- and sparse-cut-level on/off parity
 now lives in ``tests/differential/test_pipeline.py``, asserted across the
 full backend matrix):
 
-* Nibble/ApproximateNibble cuts identical with the adaptive walk budget
-  on and off;
+* sparse cuts and decompositions identical with the pre-check patched
+  off, so every batch it skips runs;
 * triangle sets and level records identical with and without a
   :class:`~repro.triangles.workload.DecompositionCache`, cold and warm;
 * the spectral pre-check itself: a sound lower bound (never above the
@@ -19,14 +19,18 @@ full backend matrix):
 """
 
 import numpy as np
-import pytest
 
+import repro.decomposition.expander as expander
+import repro.decomposition.sparse_cut as sparse_cut
+from repro.decomposition import expander_decomposition, nearly_most_balanced_sparse_cut
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
+    complete_graph,
     erdos_renyi_graph,
     planted_partition_graph,
     power_law_graph,
+    random_regular_graph,
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
@@ -38,10 +42,8 @@ from repro.graphs.spectral import (
     certify_conductance,
     conductance_lower_bound,
 )
-from repro.nibble.nibble import approximate_nibble, nibble
-from repro.nibble.parameters import NibbleParameters
 from repro.triangles import DecompositionCache, decomposition_triangle_enumeration
-from repro.utils.rng import ensure_rng, sample_by_degree
+from repro.utils.rng import ensure_rng
 
 
 def family_graphs():
@@ -61,43 +63,53 @@ def family_graphs():
 # clique-specific pre-check cases live on there verbatim.
 
 
-class TestAdaptiveWalkBudget:
-    def test_nibble_cuts_identical_with_and_without_budget(self):
-        for name, g in family_graphs():
-            params = NibbleParameters.practical(g, 0.1)
-            rng = ensure_rng(5)
-            degrees = {v: g.degree(v) for v in g.vertices() if g.degree(v) > 0}
-            starts = [sample_by_degree(rng, degrees) for _ in range(3)]
-            csr = CSRGraph.from_graph(g)
-            for pick, start in enumerate(starts):
-                for scale in (1, params.ell):
-                    for target in (g, csr):
-                        engine = type(target).__name__
-                        assert approximate_nibble(
-                            target, start, scale, params, adaptive=True
-                        ) == approximate_nibble(
-                            target, start, scale, params, adaptive=False
-                        ), (name, start, scale, engine)
-                        if pick == 0:  # the exhaustive scan, once per config
-                            assert nibble(
-                                target, start, scale, params, adaptive=True
-                            ) == nibble(
-                                target, start, scale, params, adaptive=False
-                            ), (name, start, scale, engine)
+class TestPrecheckNeutrality:
+    """The fast path is the spectral pre-check alone; patching the
+    pre-check off (a bound that never clears φ, no sibling hints) runs every
+    batch it would have skipped, and must return the same outputs."""
 
-    def test_budget_stops_early_on_isolated_component(self):
-        """On a closed support (an isolated clique) the budget must stop
-        the walk before the full t0 steps — observable through the cut's
-        time step staying put while outputs agree."""
-        g = ring_of_cliques(2, 16)
-        for u, v in list(g.edges()):
-            if u[0] != v[0]:
-                g.remove_edge_with_loops(u, v)
-        params = NibbleParameters.practical(g, 0.1, t0_override=400)
-        start = sorted(g.vertices(), key=repr)[0]
-        on = approximate_nibble(g, start, 1, params, adaptive=True)
-        off = approximate_nibble(g, start, 1, params, adaptive=False)
-        assert on == off
+    @staticmethod
+    def precheck_off(monkeypatch):
+        monkeypatch.setattr(
+            sparse_cut, "conductance_lower_bound", lambda graph, phi=None: (0.0, None)
+        )
+        monkeypatch.setattr(
+            expander,
+            "batched_component_certificates",
+            lambda view, pieces: [None] * len(pieces),
+        )
+
+    def test_sparse_cut_identical_with_precheck_off(self, monkeypatch):
+        # Two expanders, whose every batch the pre-check skips.
+        graphs = family_graphs() + [
+            ("complete", complete_graph(10)),
+            ("regular", random_regular_graph(40, 6, seed=3)),
+        ]
+        on = [nearly_most_balanced_sparse_cut(g, 0.1, seed=3) for _, g in graphs]
+        self.precheck_off(monkeypatch)
+        off = [nearly_most_balanced_sparse_cut(g, 0.1, seed=3) for _, g in graphs]
+        assert sum(r.precheck_skips for r in on) > 0  # the pre-check fired
+        assert all(r.precheck_skips == 0 for r in off)
+        for (name, _), a, b in zip(graphs, on, off):
+            assert (a.cut, a.certified_no_cut, a.batches, a.cut_size) == (
+                b.cut, b.certified_no_cut, b.batches, b.cut_size
+            ), name
+
+    def test_decomposition_identical_with_precheck_off(self, monkeypatch):
+        def record(result):
+            components = [
+                (sorted(map(repr, c.vertices)), c.certified, c.conductance_estimate)
+                for c in result.components
+            ]
+            return sorted(components), sorted(map(repr, result.cut_edges))
+
+        on = [expander_decomposition(g, 0.2, 0.1, seed=11) for _, g in family_graphs()]
+        self.precheck_off(monkeypatch)
+        assert sum(r.precheck_skips for r in on) > 0  # the pre-check fired
+        for (name, g), a in zip(family_graphs(), on):
+            b = expander_decomposition(g, 0.2, 0.1, seed=11)
+            assert b.precheck_skips == 0, name
+            assert record(a) == record(b), name
 
 
 class TestSpectralPrecheck:

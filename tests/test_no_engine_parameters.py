@@ -1,7 +1,7 @@
 """No function in the library takes an engine-selection parameter.
 
 Every batch runs on a ``PeeledCSR`` view and picks its kernel by size
-(:data:`repro.parallel.worker.LOCKSTEP_CELL_BUDGET`); a single ``nibble``
+(:data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`); a single ``nibble``
 call runs the engine its graph's type names.  This guard parses every
 module under ``src/repro`` and fails on any function, method, or lambda
 with a parameter named ``backend`` or ``csr`` — the user-set engine string

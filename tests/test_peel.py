@@ -40,6 +40,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR, maybe_compact
 from repro.parallel import worker
+from repro.nibble import lockstep
 from repro.nibble.nibble import NibbleCut, approximate_nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
@@ -360,7 +361,7 @@ class TestPipelineParity:
                 with kernel(which):
                     results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
             with monkeypatch.context() as patch:
-                patch.setattr(worker, "LOCKSTEP_CELL_BUDGET", 1024)
+                patch.setattr(lockstep, "LOCKSTEP_CELL_BUDGET", 1024)
                 for attr in ("lockstep_approximate_nibble", "approximate_nibble"):
                     patch.setattr(worker, attr, counted(attr, getattr(worker, attr)))
                 results.append(expander_decomposition(g, 0.2, 0.1, seed=11))
