@@ -7,15 +7,16 @@ Five sections, all emitted into one JSON report
   with known ground-truth structure (quality: components vs planted
   structure, certified fraction, ε·m budget; cost: CONGEST rounds, wall
   time).  Unchanged from the original harness.
-* ``large_results`` — full decompositions of 10⁴-vertex instances on the
-  vectorized engine (peeled-CSR views above the size threshold, dict
-  below — both engines are cut-identical, this is just the fastest
-  schedule).
-* ``walk_sweep_comparison`` — the dict-vs-CSR timing comparison of the
-  walk/sweep stage (truncated walk + certification scan, i.e. one
-  ApproximateNibble) across instance sizes from 48 to 10⁵ vertices, with a
-  cut-equality assertion per run: the engines must return *identical*
-  cuts, the speedup is the only thing allowed to differ.
+* ``large_results`` — full decompositions of 10⁴-vertex instances (every
+  working graph a peeled-CSR view of the host snapshot).
+* ``walk_sweep_comparison`` — the walk/sweep stage (truncated walk +
+  certification scan, i.e. one ApproximateNibble) timed on the dict
+  reference (:func:`repro.walks.lazy_walk.truncated_walk_iter` fed through
+  :func:`repro.nibble.nibble.scan_walk_sequence`) against
+  :func:`repro.nibble.nibble.approximate_nibble` on the CSR snapshot,
+  across instance sizes from 48 to 10⁵ vertices, with a cut-equality
+  assertion per run: the two must return *identical* cuts, the speedup
+  is the only thing allowed to differ.
 * ``parallel_scaling`` — the multicore sweep: the two large families
   decomposed at 1, 2, and 4 workers through the shared-memory sharded
   engine (:mod:`repro.parallel`), with the decomposition asserted
@@ -64,13 +65,12 @@ Usage::
 plus the triangle stages (seconds); ``--smoke`` is the CI guard: small
 families only, exits non-zero unless every run certifies 100% of its
 components within the ε·m budget, every triangle stage agrees with the
-oriented enumerator, the certification fast path is cut-identical
-to a fast-path-off rerun of every family, *and* the sharded engine is
-cut-identical to the sequential one, *and* every small family's auto
+oriented enumerator, the sharded engine is cut-identical to the
+sequential one, *and* every small family's auto
 dtype decision is int32; ``--workers N`` runs the results/large_results
 sections through the N-worker engine (recorded per run — outputs are
 engine-independent); ``--xl`` adds a 10⁵-vertex stage comparison
-(minutes, dominated by the dict baseline's own runtime — which is
+(minutes, dominated by the dict reference's own runtime — which is
 rather the point) and the 10⁷-edge mmap decomposition above.
 ``bench/compare.py`` diffs two reports.
 """
@@ -101,7 +101,7 @@ from repro.graphs.generators import (
     power_law_graph,
     ring_of_cliques,
 )
-from repro.nibble.nibble import approximate_nibble
+from repro.nibble.nibble import approximate_nibble, scan_walk_sequence
 from repro.nibble.parameters import NibbleParameters
 from repro.triangles import (
     DecompositionCache,
@@ -109,6 +109,7 @@ from repro.triangles import (
     decomposition_triangle_enumeration,
 )
 from repro.utils.rng import ensure_rng, sample_by_degree
+from repro.walks.lazy_walk import truncated_walk_iter
 
 
 def peak_rss_mb() -> float:
@@ -217,7 +218,7 @@ def triangle_families(seed: int, smoke: bool) -> list[tuple[str, Callable[[], Gr
 
     The smoke run sticks to the four ground-truth families; the full run
     adds a mid-size ring (n=640, 22400 triangles with a closed-form count)
-    so the vectorized cluster stage is exercised above the dict threshold.
+    so the cluster stage is exercised at a larger size.
     """
     out = [(name, builder, eps, phi) for name, builder, eps, phi in families(seed)]
     if not smoke:
@@ -287,7 +288,6 @@ def run_family(
     phi: float,
     seed: int,
     sparse_cut_kwargs: Optional[dict] = None,
-    fast_path: bool = True,
     workers: int = 1,
 ) -> dict:
     """Decompose one family and collect its quality/cost record.
@@ -309,7 +309,6 @@ def run_family(
         phi=phi,
         seed=seed,
         sparse_cut_kwargs=sparse_cut_kwargs,
-        fast_path=fast_path,
         workers=workers,
     )
     elapsed = time.perf_counter() - start
@@ -321,7 +320,6 @@ def run_family(
         "epsilon": epsilon,
         "phi": phi,
         "seed": seed,
-        "fast_path": fast_path,
         "workers": int(workers or 1),
         "num_components": result.num_components,
         "component_sizes": sizes,
@@ -528,36 +526,6 @@ def assert_sharded_identity(
         )
 
 
-def assert_fast_path_identity(
-    name: str, graph: Graph, epsilon: float, phi: float, seed: int
-) -> None:
-    """Assert the fast path changes nothing: cut-identical on/off runs.
-
-    Runs the full decomposition twice with the same seed — certification
-    fast path on, then off — and requires identical component vertex sets
-    and an identical removed-edge multiset.  A mismatch raises and aborts
-    the benchmark: the smoke gate treats "the fast path changed an output"
-    as a broken build, not a data point.
-    """
-    on = expander_decomposition(
-        graph, epsilon=epsilon, phi=phi, seed=seed, fast_path=True
-    )
-    off = expander_decomposition(
-        graph, epsilon=epsilon, phi=phi, seed=seed, fast_path=False
-    )
-    same_components = {c.vertices for c in on.components} == {
-        c.vertices for c in off.components
-    }
-    same_cuts = Counter(frozenset(e) for e in on.cut_edges) == Counter(
-        frozenset(e) for e in off.cut_edges
-    )
-    if not (same_components and same_cuts):
-        raise AssertionError(
-            f"{name}: fast path changed the decomposition "
-            f"(components equal: {same_components}, cuts equal: {same_cuts})"
-        )
-
-
 def run_triangle_cache_stage(
     name: str, graph: Graph, epsilon: float, phi: float, seed: int
 ) -> dict:
@@ -602,16 +570,18 @@ def run_triangle_cache_stage(
 
 
 def run_stage_comparison(name: str, graph: Graph, phi: float, seed: int, num_starts: int) -> dict:
-    """Time the walk/sweep stage (one ApproximateNibble) on both engines.
+    """Time the walk/sweep stage (one ApproximateNibble): dict reference vs CSR.
 
     The same degree-proportionally sampled starts and truncation scales are
-    replayed on the dict ``graph`` and on its prebuilt ``CSRGraph``
-    snapshot, and total wall time per engine is recorded.
-    Cut equality is a hard contract, not an observation: any dict/CSR
-    disagreement raises and aborts the benchmark, so no record with
-    non-identical cuts can ever be written.  The CSR snapshot cost is
-    reported separately because the decomposition amortises it over a whole
-    ParallelNibble batch.
+    replayed through the dict reference — the dict walk
+    (:func:`truncated_walk_iter`) fed through the dict scan
+    (:func:`scan_walk_sequence`) on ``graph`` — and through
+    :func:`approximate_nibble` on its prebuilt ``CSRGraph`` snapshot, and
+    total wall time per engine is recorded.  Cut equality is a hard
+    contract, not an observation: any dict/CSR disagreement raises and
+    aborts the benchmark, so no record with non-identical cuts can ever be
+    written.  The CSR snapshot cost is reported separately because the
+    decomposition amortises it over a whole ParallelNibble batch.
     """
     params = NibbleParameters.practical(graph, phi)
     rng = ensure_rng(seed)
@@ -624,13 +594,24 @@ def run_stage_comparison(name: str, graph: Graph, phi: float, seed: int, num_sta
     csr = CSRGraph.from_graph(graph)
     csr_build_s = time.perf_counter() - build_start
 
+    def dict_reference(start, scale):
+        walk = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
+        return scan_walk_sequence(
+            graph, walk, scale, params, start, approximate=True
+        )
+
+    view = PeeledCSR.full(csr)  # one view, so its workspace is built once
+
+    def on_csr(start, scale):
+        return approximate_nibble(view, start, scale, params)
+
     timings = {"dict": 0.0, "csr": 0.0}
     cuts: dict[str, list] = {"dict": [], "csr": []}
-    for engine, target in (("dict", graph), ("csr", csr)):
+    for engine, run in (("dict", dict_reference), ("csr", on_csr)):
         for start in starts:
             for scale in scales:
                 begin = time.perf_counter()
-                cut = approximate_nibble(target, start, scale, params)
+                cut = run(start, scale)
                 timings[engine] += time.perf_counter() - begin
                 cuts[engine].append(cut)
     if cuts["dict"] != cuts["csr"]:  # pragma: no cover - parity pinned by tests
@@ -765,11 +746,6 @@ def main() -> None:
         )
 
     if args.smoke:
-        # The fast-path identity gate: cut-identical decompositions with
-        # the certification fast path on and off, per small family.
-        for name, builder, epsilon, phi in families(args.seed):
-            assert_fast_path_identity(name, builder(), epsilon, phi, args.seed)
-        print("fast-path identity: on/off runs cut-identical on all families")
         # The sharded-identity gate: the process-pool engine (forced to
         # shard even these small graphs) must reproduce the sequential
         # decomposition exactly.
@@ -923,7 +899,7 @@ def main() -> None:
         print(
             "smoke passed: all families 100% certified within budget on "
             "int32 snapshots, triangle stages agree with the oriented "
-            "enumerator, fast path, sharded engine, and decomposition cache "
+            "enumerator, sharded engine and decomposition cache "
             f"are output-identical (peak RSS {peak_rss_mb()}MB)"
         )
     with open(args.output, "w") as handle:

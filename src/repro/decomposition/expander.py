@@ -28,6 +28,7 @@ schedule length also bounds the recursion depth.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,9 +95,9 @@ class DecompositionResult:
     level_schedule: list[float]
     report: RoundReport = field(default_factory=lambda: RoundReport("expander_decomposition"))
     #: ParallelNibble batches skipped by the spectral pre-check, summed over
-    #: every level's sparse-cut call (0 with the fast path off).  Determined
-    #: by the decomposition, not the engine, so it is safe to diff across
-    #: machines in the bench smoke gates.
+    #: every level's sparse-cut call.  Determined by the decomposition, not
+    #: the engine, so it is safe to diff across machines in the bench smoke
+    #: gates.
     precheck_skips: int = 0
 
     @property
@@ -191,6 +192,25 @@ def level_schedule(
             break
         schedule.append(nxt)
     return schedule
+
+
+def search_kwargs_key(sparse_cut_kwargs: Optional[dict]) -> str:
+    """The canonical string of the sparse-cut kwargs that shape a search.
+
+    ``executor`` and ``workers`` are dropped: they select *how* batches
+    and sibling subtrees run, never *what* they produce (the
+    :mod:`repro.parallel` identity contract), and an executor's ``repr``
+    carries a process-local address.  Everything else — batch sizes,
+    parameter overrides — is serialised with sorted keys at every depth,
+    so equal searches give equal strings.  The run journal pins it and the
+    triangle workload's decomposition cache keys on it.
+    """
+    searched = {
+        key: value
+        for key, value in (sparse_cut_kwargs or {}).items()
+        if key not in ("executor", "workers")
+    }
+    return json.dumps(searched, sort_keys=True, default=repr)
 
 
 @dataclass
@@ -413,14 +433,11 @@ def _decompose_subtree(
         # of a dict host produces natively) keeps the merge — and with it
         # the output ordering — independent of the host's form.
         pieces.sort(key=lambda piece: min(map(repr, piece)))
-        if ctx.cut_kwargs["fast_path"]:
-            # Batch the sibling components' spectral solves: one stacked
-            # eigh per size class instead of one dispatch per future
-            # pre-check.  Each hint is bit-identical to the solo solve, so
-            # downstream decisions are unchanged.
-            hints = batched_component_certificates(view, pieces)
-        else:
-            hints = [None] * len(pieces)
+        # Batch the sibling components' spectral solves: one stacked eigh
+        # per size class instead of one dispatch per future pre-check.
+        # Each hint is bit-identical to the solo solve, so downstream
+        # decisions are unchanged.
+        hints = batched_component_certificates(view, pieces)
         tasks = [
             SubtreeTask(frozenset(piece), depth, piece_hint)
             for piece, piece_hint in zip(pieces, hints)
@@ -475,7 +492,7 @@ def _decompose_subtree(
             _emit(ctx, outcome, _unfinished_marker(subset, depth))
             return outcome
         # Authoritative final check, straight off the working view (no
-        # dict G{U} rebuild); an exact certificate the fast path already
+        # dict G{U} rebuild); an exact certificate the pre-check already
         # computed for this very graph is reused.
         certified, estimate, witness = certify_conductance(
             view, ctx.phi, precomputed=cut_result.spectral or hint
@@ -548,7 +565,6 @@ def expander_decomposition(
     seed: SeedLike = None,
     max_depth: Optional[int] = None,
     sparse_cut_kwargs: Optional[dict] = None,
-    fast_path: bool = True,
     executor: Optional[Executor] = None,
     workers: Optional[int] = None,
     journal=None,
@@ -586,20 +602,12 @@ def expander_decomposition(
     sparse_cut_kwargs:
         Extra keyword arguments forwarded to
         :func:`nearly_most_balanced_sparse_cut` (batch sizes, overrides).
-    fast_path:
-        The certification fast path (default on): spectral pre-checks skip
-        ParallelNibble batches that are provably failures, sibling
-        components split off together get their spectral solves batched
-        into stacked ``eigh`` calls
+        Sibling components split off together always get their spectral
+        solves batched into stacked ``eigh`` calls
         (:func:`repro.graphs.spectral.batched_component_certificates`) and
-        handed down as pre-check hints.  It is the pre-check only: the
-        walks run the same steps either way.  The pre-check and its RNG
-        replay are output-neutral by construction (a skip only happens on
-        a converged solve proving every skipped batch a failure, and
-        :func:`certify_conductance` remains the authoritative final
-        check), pinned cut-identical on/off by the parity suite and the
-        bench smoke gate.  Leaf components certify straight off their peeled
-        view (no dict ``G{U}`` rebuild) regardless of this flag.
+        handed down as the sparse cut's pre-check hints; like the
+        pre-check itself this is output-neutral by construction, which
+        the parity suite pins by patching both off.
     executor, workers:
         Execution engine (:mod:`repro.parallel`), used for both kinds of
         independent task: every level's ParallelNibble batches
@@ -627,9 +635,10 @@ def expander_decomposition(
         parameters replays them instead of recomputing, so a run killed
         at any point resumes bit-identically — same components, same cut
         edges, same RNG post-state as an uninterrupted run (the journal's
-        ``meta.json`` pins the run identity and a mismatched seed raises
-        :class:`ValueError`).  Journals are driver-side only; pool workers
-        never see one.
+        ``meta.json`` pins the run identity — seed, parameters and
+        :func:`search_kwargs_key` of ``sparse_cut_kwargs`` — and a
+        mismatch raises :class:`ValueError`).  Journals are driver-side
+        only; pool workers never see one.
     deadline:
         A wall-clock budget: seconds (a float; ``inf`` never expires, NaN
         raises :class:`ValueError`) or a prepared
@@ -652,11 +661,9 @@ def expander_decomposition(
     schedule = level_schedule(phi, graph.num_vertices, mode)
     if max_depth is None:
         max_depth = recursion_depth_bound(graph.num_vertices)
-    # sparse_cut_kwargs may legitimately carry its own "fast_path" or
-    # "executor"; an explicit entry there wins over the decomposition-level
-    # default.
+    # sparse_cut_kwargs may legitimately carry its own "executor"; an
+    # explicit entry there wins over the decomposition-level default.
     cut_kwargs = {
-        "fast_path": fast_path,
         "executor": engine,
         **(sparse_cut_kwargs or {}),
     }
@@ -674,6 +681,7 @@ def expander_decomposition(
             max_depth=int(max_depth),
             num_vertices=int(graph.num_vertices),
             num_edges=int(graph.num_edges),
+            sparse_cut_kwargs=search_kwargs_key(sparse_cut_kwargs),
         )
     # Every working graph is a view of this one snapshot (a CSR host is
     # its own), so no level builds a dict G{U}.

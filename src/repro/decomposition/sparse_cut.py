@@ -209,7 +209,7 @@ class SparseCutResult:
     """Output of the nearly most balanced sparse cut (Theorem 3).
 
     ``spectral`` carries the exact spectral certificate of the *input*
-    graph when the fast path computed (or was handed) one — only possible
+    graph when the pre-check computed (or was handed) one — only possible
     on empty results, whose working graph never changed — so the expander
     decomposition's authoritative :func:`repro.graphs.spectral
     .certify_conductance` can reuse the solve instead of repeating it.
@@ -418,7 +418,6 @@ def nearly_most_balanced_sparse_cut(
     num_instances: Optional[int] = None,
     report: Optional[RoundReport] = None,
     params_overrides: Optional[dict] = None,
-    fast_path: bool = True,
     spectral_hint: Optional[SpectralCertificate] = None,
     executor: Optional[Executor] = None,
     workers: Optional[int] = None,
@@ -445,21 +444,20 @@ def nearly_most_balanced_sparse_cut(
     "no φ-sparse cut exists" certificate the expander decomposition
     consumes.
 
-    ``fast_path`` enables the certification fast path (default on): before
-    a batch is launched against a working graph whose state has not been
-    pre-checked yet, the cheap Cheeger lower bound
+    Before a batch is launched against a working graph whose state has
+    not been pre-checked yet, the cheap Cheeger lower bound
     (:func:`repro.graphs.spectral.conductance_lower_bound`) is consulted —
     when it strictly clears ``phi``, every remaining batch is guaranteed to
     fail, so the batches are skipped and the empty certificate is issued
-    directly.  That is the whole fast path here (the pre-check only), and
-    it is output-neutral by construction: batch randomness is *addressed*
-    by counter-derived streams (a skipped batch's draws are simply never
-    made, leaving the caller's generator untouched), the decomposition
-    retains the full spectral certification as the authoritative final
-    check, and the parity suite pins cut-identity with the fast path on
-    and off.  ``spectral_hint`` may carry a precomputed certificate of the
-    *input* graph (the decomposition batches sibling components' solves)
-    so the first pre-check costs nothing.
+    directly.  The pre-check is output-neutral by construction: batch
+    randomness is *addressed* by counter-derived streams (a skipped
+    batch's draws are simply never made, leaving the caller's generator
+    untouched), the decomposition retains the full spectral certification
+    as the authoritative final check, and the parity suite pins
+    cut-identity with the pre-check patched off.  ``spectral_hint`` may
+    carry a precomputed certificate of the *input* graph (the
+    decomposition batches sibling components' solves) so the first
+    pre-check costs nothing.
 
     ``executor``/``workers`` select the execution engine for the
     ParallelNibble batches (:mod:`repro.parallel`): an explicit
@@ -522,7 +520,7 @@ def nearly_most_balanced_sparse_cut(
                     batch_size = num_instances or default_num_instances(
                         work.search_graph
                     )
-                    if fast_path and not checked:
+                    if not checked:
                         checked = True
                         if spectral_hint is not None and not accumulated:
                             bound, cert = (

@@ -1,6 +1,6 @@
 """Graph substrate: the self-loop aware graph, its vectorized CSR twin, generators, metrics, spectral tools."""
 
-from .csr import CSRGraph, uses_csr_engine
+from .csr import CSRGraph
 from .graph import Graph
 from .peel import PeeledCSR
 from .metrics import (
@@ -41,7 +41,6 @@ __all__ = [
     "PeeledCSR",
     "csr",
     "peel",
-    "uses_csr_engine",
     "CutResult",
     "SpectralCertificate",
     "SweepCut",

@@ -1,10 +1,11 @@
-"""Vectorized CSR walk engine (the numpy backend of the Nibble family).
+"""Vectorized CSR walk engine (what every Nibble entry point runs on).
 
 The dict-of-sets :class:`~repro.graphs.graph.Graph` is the input format and
-the substrate of the reference engine, but pure-Python iteration over it
-caps the truncated-walk hot path (paper Appendix A) at
-roughly 10³ vertices.  This module provides the flat, immutable view the hot
-path actually needs:
+the substrate of the reference walk and sweep the tests compare against,
+but pure-Python iteration over it caps the truncated-walk hot path (paper
+Appendix A) at roughly 10³ vertices.  Every Nibble call therefore runs on
+a snapshot, whatever graph type it is handed.  This module provides the
+flat, immutable view the hot path needs:
 
 * :class:`CSRGraph` — a compressed-sparse-row snapshot of a ``Graph`` with a
   *stable* vertex ↔ index mapping (vertices sorted by ``repr``, the same
@@ -14,17 +15,16 @@ path actually needs:
   the ρ̃-sweep prefix scan (ordering, prefix volumes, prefix cut sizes)
   computed with ``lexsort``/``cumsum`` instead of a Python loop.
 
-Bit-for-bit parity with the dict engine is a design goal, not an accident:
-the kernels evaluate the *same* IEEE expressions as
+Bit-for-bit parity with the dict reference is a design goal, not an
+accident: the kernels evaluate the *same* IEEE expressions as
 :mod:`repro.walks.lazy_walk` and accumulate incoming mass in the *same*
 canonical order (ascending vertex index, which equals the dict path's
 ``repr``-sorted order), so a ``CSRGraph`` and its dict ``Graph`` produce
 identical walk vectors, identical sweeps, and therefore identical certified
 cuts.  ``tests/test_csr.py`` pins this across all benchmark families.
 
-Integer sweep statistics (prefix volume / cut size) are exact in both
-engines, so conductance values — ratios of those integers — agree exactly
-as well.
+Integer sweep statistics (prefix volume / cut size) are exact in both, so
+conductance values — ratios of those integers — agree exactly as well.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ from typing import Optional
 import numpy as np
 
 from .graph import Graph, Vertex
-
-#: :func:`uses_csr_engine` switches the triangle enumerators
-#: (:mod:`repro.triangles`) from their dict to their CSR implementation at
-#: this many vertices.  Below it the per-call numpy dispatch overhead
-#: outweighs the vectorization win.  The decomposition and the sparse cut
-#: do not consult it: every working graph there is a
-#: :class:`~repro.graphs.peel.PeeledCSR` view, and a batch's kernel is
-#: picked by :data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
-CSR_AUTO_THRESHOLD = 32
 
 # ----------------------------------------------------------------------
 # index-width policy (int32 vs int64 CSR arrays)
@@ -69,15 +60,6 @@ def choose_index_dtype(num_vertices: int, num_entries: int) -> np.dtype:
     """
     fits = num_vertices <= INDEX32_LIMIT and num_entries <= INDEX32_LIMIT
     return np.dtype(np.int32) if fits else np.dtype(np.int64)
-
-
-def uses_csr_engine(num_vertices: int) -> bool:
-    """Whether a triangle enumeration on ``num_vertices`` vertices runs CSR.
-
-    The triangle entry points' engine rule.  Reads
-    :data:`CSR_AUTO_THRESHOLD` at call time, so tests can move it.
-    """
-    return num_vertices >= CSR_AUTO_THRESHOLD
 
 
 class CSRGraph:

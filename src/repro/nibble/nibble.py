@@ -24,10 +24,13 @@ pure function of the walk vectors: the distributed implementation
 CONGEST diffusion program and feeds them through this exact code path, so
 centralized and distributed cuts coincide whenever their walk vectors do
 (the diffusion program's vectors are pinned to the centralized ones to
-1e-12 by ``tests/test_congest.py``).  The dict and CSR *engines*, by
-contrast, are bit-identical by construction — same IEEE expressions, same
-canonical accumulation order — so the graph type a caller hands in picks
-the engine and never changes an output.
+1e-12 by ``tests/test_congest.py``).  :func:`nibble` and
+:func:`approximate_nibble` themselves run every input on its
+:class:`~repro.graphs.peel.PeeledCSR` view and scan it with
+:func:`scan_walk_sequence_csr`; the dict walk
+(:func:`repro.walks.lazy_walk.truncated_walk_iter`) fed through
+:func:`scan_walk_sequence` is the reference the tests hold them to, bit
+for bit — same IEEE expressions, same canonical accumulation order.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from ..graphs.graph import Graph, Vertex
 from ..graphs.peel import PeeledCSR
 from ..resilience.deadline import check_walk_deadline
 from ..utils.rounds import RoundReport
-from ..walks.lazy_walk import truncated_walk_iter
 from .parameters import NibbleParameters
 from .sweep import SweepState, build_sweep, candidate_indices
 
@@ -309,32 +311,27 @@ def _run_nibble(
 ) -> Optional[NibbleCut]:
     """Shared walk-then-scan body of Nibble and ApproximateNibble.
 
-    The engine follows the type of ``graph`` (see :func:`nibble`).  On a
-    :class:`~repro.graphs.peel.PeeledCSR` view the CSR kernels run masked,
-    so the cut is measured in the peeled working graph — exactly what the
-    dict path measures on the materialised ``G{U}``.
+    Every input runs on its :class:`~repro.graphs.peel.PeeledCSR` view (a
+    dict ``Graph`` is snapshotted, a view is used as it is), so on a
+    peeled view the cut is measured in the peeled working graph — exactly
+    what the dict reference measures on the materialised ``G{U}``.
 
     The walk is generated lazily and scanned step by step, so a scan that
-    stops on zero mass or the fixpoint skips the remaining walk steps on
-    both engines identically.
+    stops on zero mass or the fixpoint skips the remaining walk steps.
     """
     if not 1 <= scale <= params.ell:
         raise ValueError(f"scale b={scale} outside 1..ell={params.ell}")
     label = "approximate_nibble" if approximate else "nibble"
     _charge_rounds(report, f"{label}(b={scale})", params)
-    if isinstance(graph, (CSRGraph, PeeledCSR)):
-        if start not in graph.index:
-            raise KeyError(f"start vertex {start!r} not in graph")
-        # walk_iter rejects a start that is peeled out of a view.
-        sequence = csr_backend.get_workspace(graph).walk_iter(
-            graph.index[start], params.t0, params.epsilon_b(scale)
-        )
-        return scan_walk_sequence_csr(
-            graph, sequence, scale, params, start, approximate=approximate
-        )
-    sequence = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
-    return scan_walk_sequence(
-        graph, sequence, scale, params, start, approximate=approximate
+    view = PeeledCSR.from_graph(graph)
+    if start not in view.index:
+        raise KeyError(f"start vertex {start!r} not in graph")
+    # walk_iter rejects a start that is peeled out of a view.
+    sequence = csr_backend.get_workspace(view).walk_iter(
+        view.index[start], params.t0, params.epsilon_b(scale)
+    )
+    return scan_walk_sequence_csr(
+        view, sequence, scale, params, start, approximate=approximate
     )
 
 
@@ -352,10 +349,10 @@ def nibble(
     rule), or ``None`` when no prefix of any of the ``t0`` truncated walk
     vectors certifies.
 
-    The type of ``graph`` selects the walk/sweep engine: a dict ``Graph``
-    runs the reference path, a :class:`~repro.graphs.csr.CSRGraph` (or a
-    :class:`~repro.graphs.peel.PeeledCSR` view) the vectorized
-    :mod:`repro.graphs.csr` path.  Both produce identical cuts.
+    ``graph`` may be a dict ``Graph``, a
+    :class:`~repro.graphs.csr.CSRGraph` or a
+    :class:`~repro.graphs.peel.PeeledCSR` view; all run the vectorized
+    :mod:`repro.graphs.csr` kernels on the view.
     """
     return _run_nibble(graph, start, scale, params, report, approximate=False)
 
@@ -371,7 +368,7 @@ def approximate_nibble(
 
     The O(φ⁻¹ log Vol) candidate prefixes are the only ones a CONGEST node
     set can afford to evaluate; Lemma 4 of the paper shows the relaxation
-    preserves the output guarantees up to constants.  The engine choice
-    is as in :func:`nibble`.
+    preserves the output guarantees up to constants.  ``graph`` is
+    handled as in :func:`nibble`.
     """
     return _run_nibble(graph, start, scale, params, report, approximate=True)

@@ -4,7 +4,8 @@ A :class:`RunJournal` is a directory holding two files:
 
 * ``meta.json`` — the run's identity: the stream root actually drawn from
   the caller's seed plus the parameters that shape the recursion (φ,
-  mode, max_depth, host size).  :meth:`bind` writes it on first use and
+  mode, max_depth, host size, and the canonical string of the sparse-cut
+  search kwargs).  :meth:`bind` writes it on first use and
   *validates* it on every later one, so a journal can never silently
   replay outcomes into a run with a different seed or parameterisation.
 * ``entries.pkl`` — an append-only stream of pickled ``(key, outcome)``

@@ -3,7 +3,7 @@
 Three layers, mirroring the paper's storyline:
 
 * :mod:`~repro.triangles.oriented` — the exact degeneracy-oriented
-  enumerator (dict + vectorized CSR engines), the repository's scalable
+  enumerator (vectorized over a CSR snapshot), the repository's scalable
   triangle ground truth;
 * :mod:`~repro.triangles.workload` — Theorem 2 proper:
   decompose → per-cluster wedge closing → recurse on the removed edges,

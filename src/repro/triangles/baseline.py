@@ -51,8 +51,7 @@ def cpz_baseline_enumeration(graph: Graph) -> BaselineResult:
 
     Computes the canonical degeneracy order, orients every edge forward
     along it, and closes the forward wedges — the low-arboricity half of
-    CPZ run on the whole graph.  The dict or vectorized engine is picked by
-    size as everywhere else; the triangle set is engine-independent.
+    CPZ run on the whole graph, with the vectorized oriented enumerator.
 
     The attached :class:`~repro.utils.rounds.RoundReport` charges the
     reference costs described in the module docstring; compare its

@@ -12,19 +12,14 @@ arboricity-bounded bound of Chiba–Nishizeki, and the reason this enumerator
 replaces the old unoriented brute force as the repository's triangle ground
 truth at benchmark scale.
 
-Like the rest of the pipeline the enumerator runs on two engines, picked
-by the graph's size (:func:`repro.graphs.csr.uses_csr_engine`):
-
-* the dict path walks forward adjacency sets in pure Python (the readable
-  reference, cheapest on small graphs);
-* the CSR path builds the rank-sorted forward adjacency as flat numpy
-  arrays, generates every candidate pair with the same repeat/offset gather
-  the walk kernels use, and closes wedges with one ``searchsorted``
-  membership test against the oriented edge-key array.
-
-Both return the same mathematical object — the set of triangles, each a
-``frozenset`` of three vertex labels — so engine parity is plain set
-equality, pinned by ``tests/test_triangles.py``.
+The enumerator snapshots the graph once and runs on flat arrays: it
+builds the rank-sorted forward adjacency as numpy arrays, generates every
+candidate pair with the same repeat/offset gather the walk kernels use,
+and closes wedges with one ``searchsorted`` membership test against the
+oriented edge-key array.  The result is the set of triangles, each a
+``frozenset`` of three vertex labels; ``tests/test_triangles.py`` checks
+it against the brute-force oracle and a forward-set reference
+enumerator.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph, uses_csr_engine
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph, Vertex
 from ..graphs.metrics import degeneracy_order
 
@@ -46,27 +41,6 @@ def _rank_map(graph: Graph, order: Optional[Sequence[Vertex]]) -> dict:
     if len(rank) != len(order) or rank.keys() != set(graph.vertices()):
         raise ValueError("order must enumerate every vertex exactly once")
     return rank
-
-
-def _oriented_dict(graph: Graph, rank: dict) -> set[frozenset]:
-    """Reference enumeration: forward adjacency sets + membership lookups."""
-    forward: dict[Vertex, list] = {}
-    forward_sets: dict[Vertex, set] = {}
-    for v in graph.vertices():
-        fwd = sorted(
-            (u for u in graph.neighbors(v) if rank[u] > rank[v]),
-            key=rank.__getitem__,
-        )
-        forward[v] = fwd
-        forward_sets[v] = set(fwd)
-    triangles: set[frozenset] = set()
-    for apex, fwd in forward.items():
-        for i, v in enumerate(fwd):
-            closes = forward_sets[v]
-            for w in fwd[i + 1:]:
-                if w in closes:
-                    triangles.add(frozenset((apex, v, w)))
-    return triangles
 
 
 def _forward_arrays(
@@ -118,7 +92,7 @@ def _candidate_pairs(
     return apex, first, second
 
 
-def _oriented_csr_hits(
+def _oriented_hits(
     graph: CSRGraph, rank_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index triples of every triangle, one entry per triangle.
@@ -162,14 +136,11 @@ def oriented_triangles(
     output.  ``order`` defaults to the canonical degeneracy order (the
     O(m·degeneracy) bound); any permutation of the vertices is accepted —
     e.g. the ``repr``-sorted order to skip the peeling pass — and anything
-    else raises :class:`ValueError`.  Graphs at or above the engine
-    threshold are snapshotted and enumerated on the CSR engine.
+    else raises :class:`ValueError`.
     """
     rank = _rank_map(graph, order)
-    if not uses_csr_engine(graph.num_vertices):
-        return _oriented_dict(graph, rank)
     csr = CSRGraph.from_graph(graph)
-    apex, first, second = _oriented_csr_hits(csr, _rank_index_array(csr, rank))
+    apex, first, second = _oriented_hits(csr, _rank_index_array(csr, rank))
     labels = csr.vertices
     return {
         frozenset((labels[int(a)], labels[int(b)], labels[int(c)]))
@@ -182,16 +153,13 @@ def oriented_triangle_count(
 ) -> int:
     """Number of triangles, skipping the per-triangle label materialisation.
 
-    Same enumeration as :func:`oriented_triangles`; on the CSR engine the
-    count is the size of the hit mask, so no Python-level per-triangle work
-    happens at all — the variant :func:`repro.graphs.metrics.triangle_count`
-    routes through.
+    Same enumeration as :func:`oriented_triangles`; the count is the size
+    of the hit mask, so no Python-level per-triangle work happens at all —
+    the variant :func:`repro.graphs.metrics.triangle_count` routes through.
     """
     rank = _rank_map(graph, order)
-    if not uses_csr_engine(graph.num_vertices):
-        return len(_oriented_dict(graph, rank))
     csr = CSRGraph.from_graph(graph)
-    apex, _, _ = _oriented_csr_hits(csr, _rank_index_array(csr, rank))
+    apex, _, _ = _oriented_hits(csr, _rank_index_array(csr, rank))
     return int(apex.size)
 
 

@@ -51,8 +51,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..decomposition.expander import DecompositionResult, expander_decomposition
-from ..graphs.csr import CSRGraph, uses_csr_engine
+from ..decomposition.expander import (
+    DecompositionResult,
+    expander_decomposition,
+    search_kwargs_key,
+)
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 from ..graphs.metrics import degeneracy_order
 from ..graphs.peel import PeeledCSR
@@ -93,22 +97,6 @@ def graph_fingerprint(graph: Graph) -> str:
 def _rng_state_key(rng: np.random.Generator) -> str:
     """A stable serialisation of a generator's exact state (cache key part)."""
     return json.dumps(rng.bit_generator.state, sort_keys=True, default=str)
-
-
-def _scrub_execution_kwargs(sparse_cut_kwargs: Optional[dict]) -> dict:
-    """Drop execution-engine keys from sparse-cut kwargs before key-building.
-
-    ``executor`` and ``workers`` select *how* batches and sibling
-    subtrees run, never *what* they produce (the
-    :mod:`repro.parallel` identity contract), so they must not fragment the
-    decomposition cache — and an executor object's ``repr`` would poison
-    the key with a process-local address anyway.
-    """
-    return {
-        k: v
-        for k, v in (sparse_cut_kwargs or {}).items()
-        if k not in ("executor", "workers")
-    }
 
 
 class DecompositionCache:
@@ -155,7 +143,6 @@ class DecompositionCache:
         epsilon: float,
         phi: float,
         mode: ParameterMode,
-        fast_path: bool,
         sparse_cut_kwargs: Optional[dict],
         rng: np.random.Generator,
         executor=None,
@@ -169,8 +156,9 @@ class DecompositionCache:
         state into ``rng`` and returns the stored result.  Callers must
         treat the result as immutable — it is shared across queries.
 
-        The key deliberately excludes ``executor``/``workers`` (and scrubs
-        them out of ``sparse_cut_kwargs``): the execution engine is
+        The key deliberately excludes ``executor``/``workers`` (and
+        :func:`~repro.decomposition.expander.search_kwargs_key` scrubs them
+        out of ``sparse_cut_kwargs``): the execution engine is
         output-invisible (:mod:`repro.parallel`), so a cache warmed by a
         sequential run must hit — and does hit — from a sharded run of the
         same query, and vice versa.
@@ -180,8 +168,7 @@ class DecompositionCache:
             float(epsilon),
             float(phi),
             mode.value,
-            bool(fast_path),
-            repr(sorted(_scrub_execution_kwargs(sparse_cut_kwargs).items())),
+            search_kwargs_key(sparse_cut_kwargs),
             _rng_state_key(rng),
         )
         entry = self._decompositions.get(key)
@@ -198,7 +185,6 @@ class DecompositionCache:
             phi=phi,
             mode=mode,
             seed=rng,
-            fast_path=fast_path,
             sparse_cut_kwargs=sparse_cut_kwargs,
             executor=executor,
             workers=workers,
@@ -229,32 +215,14 @@ def _charge_cluster(report: RoundReport, volume: int, wedges: int) -> None:
     report.charge(max(1.0, math.ceil(volume ** (1.0 / 3.0))), messages=wedges)
 
 
-def _cluster_triangles_dict(work: Graph, cluster: frozenset) -> tuple[set, int]:
-    """Triangles with ≥1 edge inside ``cluster``, via set-intersection wedges.
-
-    Returns ``(triangles, wedges_examined)``; the closing vertex is looked
-    up in the *working graph's* adjacency, so 2+1 triangles (one corner
-    outside the cluster) are found here too.
-    """
-    triangles: set = set()
-    examined = 0
-    for u, v in work.edges_within(cluster):
-        nu = work.neighbors(u)
-        nv = work.neighbors(v)
-        if len(nv) < len(nu):
-            nu, nv = nv, nu
-        examined += len(nu)
-        for w in nu:
-            if w != u and w != v and w in nv:
-                triangles.add(frozenset((u, v, w)))
-    return triangles, examined
-
-
-def _cluster_triangles_csr(
+def _cluster_triangles(
     base: CSRGraph, edge_keys: np.ndarray, indices: np.ndarray
 ) -> tuple[set, int]:
-    """Vectorized cluster stage: masked intra-edges + searchsorted closure.
+    """Triangles with ≥1 edge inside a cluster: masked intra-edges + closure.
 
+    Returns ``(triangles, wedges_examined)``; the closing vertex is looked
+    up in the *working graph's* full adjacency, so 2+1 triangles (one
+    corner outside the cluster) are found here too.
     ``indices`` are the cluster's base indices.  Intra-cluster edges come
     from a :class:`PeeledCSR` view of the shared level snapshot; for each
     such edge the candidates are gathered from the lower-degree endpoint's
@@ -384,7 +352,6 @@ def decomposition_triangle_enumeration(
     seed: SeedLike = None,
     verify: bool = True,
     sparse_cut_kwargs: Optional[dict] = None,
-    fast_path: bool = True,
     cache: Optional[DecompositionCache] = None,
     executor=None,
     workers: Optional[int] = None,
@@ -402,12 +369,8 @@ def decomposition_triangle_enumeration(
     With ``verify=True`` (the default, kept on in benchmarks and tests) the
     final set is checked for exact equality against the independent
     oriented enumerator and a mismatch raises — the workload never returns
-    a silently wrong answer.  Every level picks its dict/CSR engines by
-    size exactly as the decomposition itself does; both engines return the
-    same triangle set.  ``fast_path`` forwards the certification fast path
-    — the spectral pre-check only — to every level's decomposition
-    (output-neutral; see
-    :func:`repro.decomposition.expander.expander_decomposition`).
+    a silently wrong answer.  Every level's cluster stage runs on one
+    snapshot of the level's working graph.
 
     A :class:`DecompositionCache` passed as ``cache`` is consulted at every
     recursion level for both the level's decomposition and its CSR
@@ -477,7 +440,6 @@ def decomposition_triangle_enumeration(
                     epsilon=epsilon,
                     phi=phi,
                     mode=mode,
-                    fast_path=fast_path,
                     sparse_cut_kwargs=sparse_cut_kwargs,
                     rng=rng,
                     executor=engine,
@@ -489,7 +451,6 @@ def decomposition_triangle_enumeration(
                     phi=phi,
                     mode=mode,
                     seed=rng,
-                    fast_path=fast_path,
                     sparse_cut_kwargs=sparse_cut_kwargs,
                     executor=engine,
                 )
@@ -558,10 +519,9 @@ def _enumerate_clusters(
     level_report: RoundReport,
     cache: Optional[DecompositionCache] = None,
 ) -> set:
-    """The cluster stage of one level, on the engine the level's size picks.
+    """The cluster stage of one level.
 
-    On the CSR engine the level snapshots ``work`` once; every cluster is a
-    masked view of that snapshot and closes its wedges against the shared
+    The level snapshots ``work`` once; every cluster is a masked view of that snapshot and closes its wedges against the shared
     sorted edge-key array (memoised on the snapshot, so it is built once
     per level rather than consulted-and-rebuilt per cluster, and — through
     the :class:`DecompositionCache` — once per *graph* across repeated
@@ -570,26 +530,16 @@ def _enumerate_clusters(
     """
     found: set = set()
     cluster_reports: list[RoundReport] = []
-    if uses_csr_engine(work.num_vertices):
-        base = cache.snapshot(work) if cache is not None else CSRGraph.from_graph(work)
-        edge_keys = base.directed_edge_keys()
-        for i, component in enumerate(decomposition.components):
-            idx = np.asarray(
-                sorted(base.index[v] for v in component.vertices), dtype=np.int64
-            )
-            tris, wedges = _cluster_triangles_csr(base, edge_keys, idx)
-            found |= tris
-            cluster_report = RoundReport(f"cluster {i} (n={len(component)})")
-            _charge_cluster(cluster_report, int(base.degree[idx].sum()), wedges)
-            cluster_reports.append(cluster_report)
-    else:
-        for i, component in enumerate(decomposition.components):
-            tris, wedges = _cluster_triangles_dict(work, component.vertices)
-            found |= tris
-            cluster_report = RoundReport(f"cluster {i} (n={len(component)})")
-            _charge_cluster(
-                cluster_report, work.volume(component.vertices), wedges
-            )
-            cluster_reports.append(cluster_report)
+    base = cache.snapshot(work) if cache is not None else CSRGraph.from_graph(work)
+    edge_keys = base.directed_edge_keys()
+    for i, component in enumerate(decomposition.components):
+        idx = np.asarray(
+            sorted(base.index[v] for v in component.vertices), dtype=np.int64
+        )
+        tris, wedges = _cluster_triangles(base, edge_keys, idx)
+        found |= tris
+        cluster_report = RoundReport(f"cluster {i} (n={len(component)})")
+        _charge_cluster(cluster_report, int(base.degree[idx].sum()), wedges)
+        cluster_reports.append(cluster_report)
     level_report.add_child(parallel_rounds(cluster_reports, label="cluster_stage"))
     return found

@@ -2,10 +2,10 @@
 
 For every sampled :class:`~repro.worlds.samplers.WorldPoint` this module
 builds the instance, runs the full pipeline
-(:func:`repro.decomposition.expander_decomposition` with the certification
-fast path on), and distills one JSON-able record: certification rate,
-recall against the planted truth, removed-edge budget, CONGEST rounds,
-pre-check skip counts, and wall time.  Everything except ``wall_time_s``
+(:func:`repro.decomposition.expander_decomposition`), and distills one
+JSON-able record: certification rate, recall against the planted truth,
+removed-edge budget, CONGEST rounds, pre-check skip counts, and wall
+time.  Everything except ``wall_time_s``
 is a pure function of ``(world_seed, axis, index)`` — the determinism
 contract that lets ``bench/compare.py --smoke`` gate certification and
 recall regressions across machines exactly like it gates structure in the
@@ -51,7 +51,6 @@ def run_point(point: WorldPoint, workers: int = 1) -> dict:
         epsilon=point.epsilon,
         phi=point.phi,
         seed=point.seed,
-        fast_path=True,
         workers=workers,
     )
     elapsed = time.perf_counter() - start

@@ -1,13 +1,13 @@
 """Suite-wide fixtures and guards.
 
-Three pieces of machinery live here.  The ``engine`` fixture puts the
-triangle enumerators on their dict or their CSR engine, by moving the
-size threshold :func:`repro.graphs.csr.uses_csr_engine` reads — the
-library picks that engine from the graph, so this is how a test compares
-the two on one input.  The ``kernel`` fixture does the same for the
-ParallelNibble batches: ``"lockstep"`` runs every batch as lockstep
-rows, ``"workspace"`` runs one workspace walk per draw, by moving the
-cell budget :data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
+Three pieces of machinery live here.  ``tests/differential`` goes on
+``sys.path``, so the differential harness (``diffharness.py``, with its
+:func:`~diffharness.precheck_off` oracle) and the frozen-oracle fixture
+import by name from any test module, under any import mode.  The
+``kernel`` fixture puts the ParallelNibble batches on one kernel:
+``"lockstep"`` runs every batch as lockstep rows, ``"workspace"`` runs
+one workspace walk per draw, by moving the cell budget
+:data:`repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`.
 
 The last is an opt-in per-test timeout: pool-backed tests can hang
 forever if a worker deadlocks instead of crashing (a crash is caught by
@@ -21,52 +21,39 @@ does not exist.
 
 import os
 import signal
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from repro.graphs import csr as csr_module
 from repro.nibble import lockstep
 
-#: Size thresholds that put every triangle enumeration on one engine.
-ENGINE_THRESHOLDS = {"dict": 10**9, "csr": 0}
+DIFFERENTIAL = str(Path(__file__).resolve().parent / "differential")
+if DIFFERENTIAL not in sys.path:
+    sys.path.insert(0, DIFFERENTIAL)
 
 #: Cell budgets that put every ParallelNibble batch on one kernel.
 KERNEL_BUDGETS = {"lockstep": float("inf"), "workspace": 0}
 
 
-def _forcing_fixture(monkeypatch, module, attribute: str, settings: dict):
-    """A ``with scope(name):`` factory that pins ``module.attribute``.
+@pytest.fixture
+def kernel(monkeypatch):
+    """``with kernel("lockstep"):`` / ``with kernel("workspace"):`` — one batch kernel.
 
     ``"auto"`` keeps the library's default, so a test can loop over every
-    name of ``settings`` and ``"auto"``.
+    kernel and ``"auto"``.
     """
 
     @contextmanager
     def scope(name: str):
         with monkeypatch.context() as patch:
             if name != "auto":
-                patch.setattr(module, attribute, settings[name])
+                patch.setattr(lockstep, "LOCKSTEP_CELL_BUDGET", KERNEL_BUDGETS[name])
             yield
 
     return scope
-
-
-@pytest.fixture
-def engine(monkeypatch):
-    """``with engine("dict"):`` / ``with engine("csr"):`` — one triangle engine."""
-    return _forcing_fixture(
-        monkeypatch, csr_module, "CSR_AUTO_THRESHOLD", ENGINE_THRESHOLDS
-    )
-
-
-@pytest.fixture
-def kernel(monkeypatch):
-    """``with kernel("lockstep"):`` / ``with kernel("workspace"):`` — one batch kernel."""
-    return _forcing_fixture(
-        monkeypatch, lockstep, "LOCKSTEP_CELL_BUDGET", KERNEL_BUDGETS
-    )
 
 
 def _timeout_seconds() -> float:

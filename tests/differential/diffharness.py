@@ -4,10 +4,10 @@ The repository's core correctness contract is that every execution
 configuration — both batch kernels (lockstep rows,
 :mod:`repro.nibble.lockstep`, and one
 :class:`~repro.graphs.csr.WalkWorkspace` walk per draw), int32 and int64
-index storage, memory-mapped snapshots, the certification fast path on
-or off, and permuted sibling scheduling — produces *bit-identical*
-outputs: the same cuts, the same RNG post-states, the same round
-accounting.  This module is the single place that contract is written
+index storage, memory-mapped snapshots, the spectral pre-check on or
+patched off (:func:`precheck_off`), and permuted sibling scheduling —
+produces *bit-identical* outputs: the same cuts, the same RNG
+post-states, the same round accounting.  This module is the single place that contract is written
 down as executable code.
 
 The reference every cell is checked against is frozen: the dict oracle's
@@ -34,11 +34,13 @@ every configuration and asserts, against the frozen oracle:
 * identical sparse-cut results (cut set, conductance, balance, size,
   certification, batch count);
 * identical RNG post-states (``rng.bit_generator.state`` after the call)
-  — the fast path burns skipped batches' draws, so even it may not
-  perturb the stream;
-* identical round totals for the cell's fast-path setting (the
+  — a batch the pre-check skips never opens its stream, so even the
+  pre-check may not perturb the caller's;
+* identical round totals for the cell's pre-check setting (the
   pre-check charges spectral rounds instead of skipped-batch rounds, so
-  the oracle keeps one total per setting).
+  the oracle keeps one total per setting, under the key
+  ``fast_path=True`` / ``fast_path=False`` the fixture was recorded
+  with).
 
 To add a configuration: append a :class:`BackendConfig` to :data:`MATRIX`
 and teach :func:`_host_graph` how to build its host view if it needs one.
@@ -52,13 +54,15 @@ import math
 import os
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+import repro.decomposition.expander as expander_module
+import repro.decomposition.sparse_cut as sparse_cut_module
 from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
@@ -69,6 +73,7 @@ from oracle_fixture import (
     SEED,
     decomposition_record,
     load,
+    oracle_key,
     sparse_cut_record,
 )
 from repro.graphs import csr as csr_backend
@@ -85,7 +90,9 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.nibble import lockstep
+from repro.nibble.nibble import scan_walk_sequence
 from repro.parallel import SequentialExecutor
+from repro.walks.lazy_walk import truncated_walk_iter
 
 
 #: Kernel budget of the lockstep cells: every batch's rows fit it, so
@@ -103,15 +110,17 @@ class BackendConfig:
     as one workspace walk per draw);
     ``index_dtype`` is ``"int32"`` (the automatic choice on every family
     here) or ``"int64"`` (wide storage forced via
-    :func:`index_width`); ``fast_path`` toggles the spectral pre-check
-    layer; ``mmap`` round-trips the graph through a memory-mapped
+    :func:`index_width`); ``precheck=False`` runs the cell under
+    :func:`precheck_off`, on the sequential executor (a patch made in
+    this process never reaches pool workers forked before it); ``mmap``
+    round-trips the graph through a memory-mapped
     :class:`CSRGraph` snapshot and uses it as the host.
     """
 
     name: str
     kernel_budget: Optional[float] = None
     index_dtype: str = "int32"
-    fast_path: bool = True
+    precheck: bool = True
     mmap: bool = False
     #: Sibling-order column: ``"inline"`` (the oracle ordering) or
     #: ``"permuted"`` — sibling subtrees executed in a deterministic
@@ -128,13 +137,13 @@ MATRIX = (
     BackendConfig("workspace-int64", kernel_budget=0, index_dtype="int64"),
     BackendConfig("workspace", kernel_budget=0),
     BackendConfig("mmap", mmap=True),
-    BackendConfig("lockstep-nofast", kernel_budget=LOCKSTEP_ALL, fast_path=False),
-    BackendConfig("auto-nofast", fast_path=False),
+    BackendConfig("lockstep-nofast", kernel_budget=LOCKSTEP_ALL, precheck=False),
+    BackendConfig("auto-nofast", precheck=False),
     BackendConfig("component-parallel", scheduler="permuted"),
 )
 
 #: A cheaper matrix that still touches every axis once (both kernels,
-#: int32, int64, mmap, fast path off, permuted scheduling) — used on the
+#: int32, int64, mmap, pre-check off, permuted scheduling) — used on the
 #: broader generator families where the full matrix would make the
 #: suite's runtime quadratic in coverage.
 CORE_MATRIX = (
@@ -189,6 +198,47 @@ def sparse_cut_signature(result):
         result.certified_no_cut,
         result.batches,
     )
+
+
+def dict_reference_cut(graph: Graph, start, scale, params, approximate=True):
+    """One Nibble draw on the dict reference: the dict walk through the dict scan.
+
+    What :func:`~repro.nibble.nibble.approximate_nibble` (or, with
+    ``approximate=False``, :func:`~repro.nibble.nibble.nibble`) must
+    return for the same draw on any view of ``graph``, bit for bit.
+    """
+    walk = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
+    return scan_walk_sequence(
+        graph, walk, scale, params, start, approximate=approximate
+    )
+
+
+@contextmanager
+def precheck_off():
+    """Scope in which the spectral pre-check never fires.
+
+    The pre-check is output-neutral by construction, so turning it off is
+    an oracle, not a configuration: the sparse cut's Cheeger bound becomes
+    ``(0.0, None)`` (it never clears φ and carries no certificate to
+    reuse) and the decomposition's batched sibling solves hand down no
+    hints.  Every batch the pre-check would have skipped then runs.  The
+    patch covers this process only; pool workers keep the real pre-check.
+    """
+    saved = (
+        sparse_cut_module.conductance_lower_bound,
+        expander_module.batched_component_certificates,
+    )
+    sparse_cut_module.conductance_lower_bound = lambda graph, phi=None: (0.0, None)
+    expander_module.batched_component_certificates = (
+        lambda view, pieces: [None] * len(pieces)
+    )
+    try:
+        yield
+    finally:
+        (
+            sparse_cut_module.conductance_lower_bound,
+            expander_module.batched_component_certificates,
+        ) = saved
 
 
 @contextmanager
@@ -263,7 +313,8 @@ def ambient_executor():
     interpreter exit.  The ``component-parallel`` cell's decompositions run
     on :class:`PermutedExecutor` instead (its sparse cuts still use this
     engine): the permuted order is that cell's whole point, and the other
-    cells already cover pool-side subtrees.
+    cells already cover pool-side subtrees.  The pre-check-off cells run
+    sequentially too (see :func:`_config_executor`).
 
     The ``chaos-parity`` job additionally sets ``REPRO_DIFF_CHAOS=<seed>``:
     the engine becomes a :class:`~repro.resilience.chaos.ChaosExecutor`
@@ -328,7 +379,13 @@ class PermutedExecutor(SequentialExecutor):
 
 
 def _config_executor(config: BackendConfig):
-    """The executor a configuration runs on: permuted, or the ambient one."""
+    """The executor a configuration runs on: permuted, sequential, or ambient.
+
+    A pre-check-off cell runs sequentially: :func:`precheck_off` patches
+    this process, and the ambient pool's workers were forked before it.
+    """
+    if not config.precheck:
+        return None
     if config.scheduler == "permuted":
         # Fresh per run so every decomposition sees the same deterministic
         # permutation sequence (the executor is stateful across groups).
@@ -336,13 +393,20 @@ def _config_executor(config: BackendConfig):
     return ambient_executor()
 
 
-def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
-    """One decomposition under ``config``; returns (result, rng post-state)."""
-    from contextlib import ExitStack
-
+@contextmanager
+def _config_scope(config: BackendConfig):
+    """The index width, kernel budget and pre-check of one cell, as one scope."""
     with ExitStack() as stack:
         stack.enter_context(index_width(config.index_dtype))
         stack.enter_context(kernel_budget(config.kernel_budget))
+        if not config.precheck:
+            stack.enter_context(precheck_off())
+        yield stack
+
+
+def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
+    """One decomposition under ``config``; returns (result, rng post-state)."""
+    with _config_scope(config) as stack:
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
         result = expander_decomposition(
@@ -350,7 +414,6 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
             epsilon,
             phi,
             seed=rng,
-            fast_path=config.fast_path,
             executor=_config_executor(config),
             **kwargs,
         )
@@ -363,19 +426,14 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
     An ``mmap`` configuration hands the memory-mapped snapshot itself to
     the sparse cut, which wraps it in its all-alive view.
     """
-    from contextlib import ExitStack
-
-    with ExitStack() as stack:
-        stack.enter_context(index_width(config.index_dtype))
-        stack.enter_context(kernel_budget(config.kernel_budget))
+    with _config_scope(config) as stack:
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
         result = nearly_most_balanced_sparse_cut(
             host,
             phi,
             seed=rng,
-            fast_path=config.fast_path,
-            executor=ambient_executor(),
+            executor=ambient_executor() if config.precheck else None,
             **kwargs,
         )
         return result, rng.bit_generator.state
@@ -394,13 +452,13 @@ def assert_pipeline_identical(
     a sparse-cut harvest) under each entry of ``configs`` with the
     fixture's seed, ε and φ, and asserts that every record — signatures,
     RNG post-state and round total — equals the frozen oracle's for the
-    cell's fast-path setting.  Returns the reference decomposition
+    cell's pre-check setting.  Returns the reference decomposition
     signature so callers can pin structural expectations on top.
     """
     oracle = load()
     ref_sig = None
     for config in configs:
-        expected = oracle[f"{label}/fast_path={config.fast_path}"]
+        expected = oracle[oracle_key(label, config.precheck)]
         result, state = run_decomposition(graph, config, SEED, EPSILON, PHI)
         got = decomposition_record(result, state)
         assert got == expected["decomposition"], (label, config.name)

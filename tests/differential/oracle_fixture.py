@@ -4,7 +4,7 @@
 :func:`diffharness.generator_families`, what the pipeline produced with
 every working graph, batch and Remove-j on the dict engine — the oracle
 the matrix compared every configuration against while that engine was
-still part of the pipeline.  Per family and per fast-path setting it
+still part of the pipeline.  Per family and per pre-check setting it
 keeps the decomposition (component sets with their certification flags
 and estimates, the removed-edge multiset, the caller's RNG post-state,
 the round total) and the sparse-cut harvest (cut, conductance, balance,
@@ -14,9 +14,11 @@ also keeps the sparse cut of every random graph of the balance harness
 Floats are stored with :meth:`float.hex`, so a comparison is exact.
 
 The committed file was recorded by this script on the commit before the
-dict working graphs left the pipeline, with
-``repro.graphs.csr.CSR_AUTO_THRESHOLD`` raised above every family's size
-so that every working graph ran on the dict engine.
+dict working graphs left the pipeline, with the engine's size threshold
+raised above every family's size so that every working graph ran on the
+dict engine.  The pre-check was then a ``fast_path`` parameter; the keys
+keep its name (:func:`oracle_key`), and the ``fast_path=False`` entries
+are now re-recorded under :func:`diffharness.precheck_off`.
 :func:`diffharness.assert_pipeline_identical` checks every matrix cell
 against it, so the pipeline is still checked against output that code
 other than itself produced.  Usage, from the root of a checkout::
@@ -34,6 +36,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,11 @@ def exact(value):
     return float.hex(value) if isinstance(value, float) else value
 
 
+def oracle_key(name: str, precheck: bool) -> str:
+    """The fixture key of one family's records with the pre-check on or off."""
+    return f"{name}/fast_path={precheck}"
+
+
 def labels(vertices) -> list[str]:
     """A vertex set as its sorted label ``repr``\\ s."""
     return sorted(map(repr, vertices))
@@ -112,24 +120,21 @@ def sparse_cut_record(result, rng_state) -> dict:
 
 
 def record() -> dict:
-    """Run every family through both stages, fast path on and off, and
+    """Run every family through both stages, pre-check on and off, and
     every balance-harness graph through the sparse cut."""
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from diffharness import generator_families
+    from diffharness import generator_families, precheck_off
 
     out: dict = {"seed": SEED, "epsilon": exact(EPSILON), "phi": exact(PHI)}
     for name, graph in generator_families():
-        for fast_path in (True, False):
-            rng = np.random.default_rng(SEED)
-            result = expander_decomposition(
-                graph, EPSILON, PHI, seed=rng, fast_path=fast_path
-            )
-            decomposition = decomposition_record(result, rng.bit_generator.state)
-            rng = np.random.default_rng(SEED)
-            cut = nearly_most_balanced_sparse_cut(
-                graph, PHI, seed=rng, fast_path=fast_path
-            )
-            out[f"{name}/fast_path={fast_path}"] = {
+        for precheck in (True, False):
+            with nullcontext() if precheck else precheck_off():
+                rng = np.random.default_rng(SEED)
+                result = expander_decomposition(graph, EPSILON, PHI, seed=rng)
+                decomposition = decomposition_record(result, rng.bit_generator.state)
+                rng = np.random.default_rng(SEED)
+                cut = nearly_most_balanced_sparse_cut(graph, PHI, seed=rng)
+            out[oracle_key(name, precheck)] = {
                 "decomposition": decomposition,
                 "sparse_cut": sparse_cut_record(cut, rng.bit_generator.state),
             }

@@ -26,6 +26,7 @@ from oracle_fixture import (
     SEED,
     decomposition_record,
     load,
+    oracle_key,
     sparse_cut_record,
 )
 from repro.decomposition import (
@@ -59,12 +60,12 @@ def family(request):
 class TestBatchedPeelParity:
     def test_decomposition_bitwise_equal(self, family):
         name, graph = family
-        expected = ORACLE[f"{name}/fast_path=True"]["decomposition"]
+        expected = ORACLE[oracle_key(name, True)]["decomposition"]
         for budget in (0, LOCKSTEP_ALL):
             assert run_decomposition(graph, budget) == expected, (name, budget)
 
     def test_sparse_cut_bitwise_equal(self, family):
         name, graph = family
-        expected = ORACLE[f"{name}/fast_path=True"]["sparse_cut"]
+        expected = ORACLE[oracle_key(name, True)]["sparse_cut"]
         for budget in (0, LOCKSTEP_ALL):
             assert run_cut(graph, budget) == expected, (name, budget)

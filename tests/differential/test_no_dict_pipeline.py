@@ -1,16 +1,18 @@
-"""No decomposition, sparse-cut or batch path walks, sweeps or induces a dict graph.
+"""No Nibble, sparse-cut or decomposition path walks, sweeps or induces a dict graph.
 
-Every working graph is a :class:`~repro.graphs.peel.PeeledCSR` view and
+Every working graph is a :class:`~repro.graphs.peel.PeeledCSR` view,
 every ParallelNibble batch runs on one (lockstep rows or workspace
-walks).  The dict walk, the dict scan and sweep, ``G{U}`` as a dict
-graph and the dict Remove-j stay in the library only as the reference
-the tests compare against (and, for the scan, the CONGEST program).
-This guard makes each of them raise, then drives a dict-hosted
-decomposition and a small dict-graph sparse cut through the whole
-pipeline: neither may touch them.
+walks), and a single ``nibble`` / ``approximate_nibble`` call runs on its
+input's view whatever the input's type.  The dict walk, the dict scan
+and sweep, ``G{U}`` as a dict graph and the dict Remove-j stay in the
+library only as the reference the tests compare against (and, for the
+scan, the CONGEST program).  This guard makes each of them raise, then
+drives dict-graph Nibble calls, a dict-hosted decomposition and a small
+dict-graph sparse cut through the whole pipeline: none may touch them.
 """
 
 import importlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,8 +21,9 @@ from repro.decomposition import (
     nearly_most_balanced_sparse_cut,
 )
 from repro.graphs.generators import ring_of_cliques
+from diffharness import precheck_off
 from repro.graphs.graph import Graph
-from repro.nibble.nibble import approximate_nibble
+from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.walks import lazy_walk
 
@@ -50,13 +53,25 @@ def dict_engine_forbidden(monkeypatch):
 
 
 def test_the_guard_bites(dict_engine_forbidden):
-    """A dict-graph Nibble still runs the dict engine, so it must trip."""
+    """The dict reference, called directly, must trip the guard."""
     graph = ring_of_cliques(2, 5)
     params = NibbleParameters.practical(graph, 0.1)
     with pytest.raises(DictPathTouched):
-        approximate_nibble(graph, (0, 0), 1, params)
+        list(lazy_walk.truncated_walk_iter(graph, (0, 0), params.t0, 1e-4))
+    with pytest.raises(DictPathTouched):
+        nibble_module.scan_walk_sequence(graph, [], 1, params, (0, 0))
+    with pytest.raises(DictPathTouched):
+        sweep_module.build_sweep(graph, {(0, 0): 1.0})
     with pytest.raises(DictPathTouched):
         graph.induced_with_loops([(0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("fn", [nibble, approximate_nibble])
+def test_dict_graph_nibble(dict_engine_forbidden, fn):
+    graph = ring_of_cliques(2, 5)
+    params = NibbleParameters.practical(graph, 0.1)
+    cut = fn(graph, (0, 0), 1, params)
+    assert cut is not None and len(cut.vertices) == 5
 
 
 def test_dict_hosted_decomposition(dict_engine_forbidden):
@@ -65,9 +80,10 @@ def test_dict_hosted_decomposition(dict_engine_forbidden):
     assert result.certified_fraction == 1.0
 
 
-@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "nofast"])
-def test_ten_vertex_dict_sparse_cut(dict_engine_forbidden, fast_path):
+@pytest.mark.parametrize("scope", [nullcontext, precheck_off], ids=["fast", "nofast"])
+def test_ten_vertex_dict_sparse_cut(dict_engine_forbidden, scope):
     graph = ring_of_cliques(2, 5)
     assert graph.num_vertices == 10
-    found = nearly_most_balanced_sparse_cut(graph, 0.1, seed=1, fast_path=fast_path)
+    with scope():
+        found = nearly_most_balanced_sparse_cut(graph, 0.1, seed=1)
     assert len(found.cut) == 5

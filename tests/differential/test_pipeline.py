@@ -9,6 +9,8 @@ storage, and memory-mapped snapshots against the frozen dict-oracle
 signatures.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from diffharness import (
@@ -19,6 +21,7 @@ from diffharness import (
     decomposition_signature,
     generator_families,
     kernel_budget,
+    precheck_off,
 )
 from repro.decomposition import (
     expander_decomposition,
@@ -32,6 +35,7 @@ from oracle_fixture import (
     harness_graphs,
     harness_key,
     load,
+    oracle_key,
     sparse_cut_record,
 )
 from repro.graphs.csr import CSRGraph
@@ -66,13 +70,14 @@ class TestBackendMatrix:
         assert {c.kernel_budget for c in CORE_MATRIX} >= {LOCKSTEP_ALL, 0}
         assert {c.index_dtype for c in MATRIX} == {"int32", "int64"}
         assert {c.index_dtype for c in CORE_MATRIX} == {"int32", "int64"}
-        assert {c.fast_path for c in MATRIX} == {True, False}
+        assert {c.precheck for c in MATRIX} == {True, False}
+        assert not all(c.precheck for c in CORE_MATRIX)
         assert any(c.mmap for c in MATRIX)
         # component scheduling: the permuted-sibling column must stay in
         # both matrices, or scheduling-invariance loses its standing check
         assert {c.scheduler for c in MATRIX} == {"inline", "permuted"}
         assert any(c.scheduler == "permuted" for c in CORE_MATRIX)
-        # the frozen oracle covers every family in both fast-path groups,
+        # the frozen oracle covers every family in both pre-check groups,
         # recorded with the arguments the matrix runs
         oracle = load()
         assert (oracle["seed"], oracle["epsilon"], oracle["phi"]) == (
@@ -81,8 +86,8 @@ class TestBackendMatrix:
             PHI.hex(),
         )
         for name, _ in FAMILIES:
-            for fast_path in (True, False):
-                assert f"{name}/fast_path={fast_path}" in oracle
+            for precheck in (True, False):
+                assert oracle_key(name, precheck) in oracle
 
 
 class TestBalanceHarnessOracle:
@@ -114,26 +119,21 @@ class TestMigratedDecompositionParity:
             seed=11,
             sparse_cut_kwargs={"num_instances": 6, "params_overrides": {"max_t0": 150}},
         )
-        on = expander_decomposition(g, 0.1, 0.1, fast_path=True, **kwargs)
-        off = expander_decomposition(g, 0.1, 0.1, fast_path=False, **kwargs)
+        on = expander_decomposition(g, 0.1, 0.1, **kwargs)
+        with precheck_off():
+            off = expander_decomposition(g, 0.1, 0.1, **kwargs)
         assert decomposition_signature(on) == decomposition_signature(off)
         assert on.certified_fraction == 1.0
-
-    def test_fast_path_default_is_on(self):
-        g = ring_of_cliques(4, 8)
-        default = expander_decomposition(g, 0.1, 0.1, seed=3)
-        explicit = expander_decomposition(g, 0.1, 0.1, seed=3, fast_path=True)
-        assert decomposition_signature(default) == decomposition_signature(explicit)
 
 
 class TestMigratedSparseCutParity:
     """Cases carried over from tests/test_csr.py::TestPipelineParity and
     tests/test_fast_path.py::TestSparseCutParity.
 
-    The dict-vs-csr cut/batches parity and the fast-path on/off sparse-cut
+    The dict-vs-csr cut/batches parity and the pre-check on/off sparse-cut
     parity those classes pinned are strictly subsumed by the matrix test
     above (``assert_pipeline_identical`` harvests a sparse cut under every
-    configuration, including both fast-path groups, on every family).
+    configuration, including both pre-check groups, on every family).
     What stays here is the clique-specific behaviour the matrix cannot
     see: pre-check observability and the skipped-batch stream burn."""
 
@@ -144,11 +144,12 @@ class TestMigratedSparseCutParity:
         for i in range(12):
             for j in range(i + 1, 12):
                 g.add_edge(i, j)
-        result = nearly_most_balanced_sparse_cut(g, 0.1, seed=5, fast_path=True)
+        result = nearly_most_balanced_sparse_cut(g, 0.1, seed=5)
         assert result.certified_no_cut
         assert result.precheck_skips == result.batches > 0
         assert result.spectral is not None and result.spectral.exact
-        off = nearly_most_balanced_sparse_cut(g, 0.1, seed=5, fast_path=False)
+        with precheck_off():
+            off = nearly_most_balanced_sparse_cut(g, 0.1, seed=5)
         assert off.precheck_skips == 0
         assert off.batches == result.batches
 
@@ -159,12 +160,11 @@ class TestMigratedSparseCutParity:
         for i in range(10):
             for j in range(i + 1, 10):
                 g.add_edge(i, j)
-        states = {}
-        for fast_path in (True, False):
+        states = []
+        for scope in (nullcontext, precheck_off):
             rng = ensure_rng(123)
-            result = nearly_most_balanced_sparse_cut(
-                g, 0.1, seed=rng, fast_path=fast_path
-            )
+            with scope():
+                result = nearly_most_balanced_sparse_cut(g, 0.1, seed=rng)
             assert result.certified_no_cut
-            states[fast_path] = rng.bit_generator.state
-        assert states[True] == states[False]
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]

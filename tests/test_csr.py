@@ -1,9 +1,9 @@
 """Dict-vs-CSR engine parity: the randomized property harness.
 
 The CSR walk engine (`repro.graphs.csr`) promises *bit-identical* results to
-the reference dict engine — same walk vectors, same sweep statistics, same
-certified cuts — because both accumulate floating-point mass in the same
-canonical order.  These tests pin that promise on randomized graphs (the
+the dict reference (the dict walk and scan, called directly) — same walk
+vectors, same sweep statistics, same certified cuts — because both
+accumulate floating-point mass in the same canonical order.  These tests pin that promise on randomized graphs (the
 property harness ROADMAP asked for) and on every benchmark family, and pin
 the kernel rule that picks a batch's kernel; the full-pipeline matrix
 (decompositions and sparse cuts across every configuration) lives in
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diffharness import dict_reference_cut, precheck_off
 from repro.graphs import csr as csr_backend
 from repro.graphs.csr import CSRGraph, WalkWorkspace
 from repro.graphs.generators import (
@@ -227,8 +228,10 @@ class TestCutParity:
             csr = CSRGraph.from_graph(g)
             start = csr.vertices[seed % csr.n]
             for scale in (1, max(1, params.ell // 2)):
-                for fn in (nibble, approximate_nibble):
-                    assert fn(g, start, scale, params) == fn(csr, start, scale, params)
+                for approximate, fn in ((False, nibble), (True, approximate_nibble)):
+                    expected = dict_reference_cut(g, start, scale, params, approximate)
+                    assert fn(g, start, scale, params) == expected
+                    assert fn(csr, start, scale, params) == expected
 
     def test_nibble_cuts_identical_on_families(self):
         for _, g in family_graphs():
@@ -236,10 +239,15 @@ class TestCutParity:
             csr = CSRGraph.from_graph(g)
             for start in (csr.vertices[0], csr.vertices[csr.n // 2]):
                 for scale in (1, params.ell):
-                    for fn in (nibble, approximate_nibble):
-                        assert fn(g, start, scale, params) == fn(
-                            csr, start, scale, params
+                    for approximate, fn in (
+                        (False, nibble),
+                        (True, approximate_nibble),
+                    ):
+                        expected = dict_reference_cut(
+                            g, start, scale, params, approximate
                         )
+                        assert fn(g, start, scale, params) == expected
+                        assert fn(csr, start, scale, params) == expected
 
     def test_scale_out_of_range_raises_on_both_engines(self):
         g = ring_of_cliques(3, 5)
@@ -311,12 +319,13 @@ class TestKernelRule:
             return original(graph, *args, **kwargs)
 
         monkeypatch.setattr(sparse_cut_module, "parallel_nibble_cuts", spy)
-        nearly_most_balanced_sparse_cut(cycle_graph(n), 0.1, seed=1, fast_path=False)
+        with precheck_off():
+            nearly_most_balanced_sparse_cut(cycle_graph(n), 0.1, seed=1)
         assert seen and set(seen) == {PeeledCSR}
 
 
 # Full-pipeline parity (sparse cuts and decompositions across engines)
 # lives in tests/differential/test_pipeline.py, which drives the complete
-# configuration matrix — dict / csr / int32 / int64 / mmap / fast path /
-# permuted scheduling — through every generator family via
+# configuration matrix — both kernels / int32 / int64 / mmap / pre-check
+# off / permuted scheduling — through every generator family via
 # assert_pipeline_identical.

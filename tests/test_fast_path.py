@@ -1,16 +1,18 @@
-"""Parity suite for the certification fast path (ISSUE 5).
+"""Parity suite for the certification fast path.
 
 The fast path — spectral pre-checks that skip provably-failing
 ParallelNibble batches and batched sibling-component eigensolves — and
-the triangle workload's decomposition cache are a pure
-performance layer: every toggle must be output-neutral, bit for bit, on
-every engine.  These tests pin that contract the same way the peel suite
-pins engine parity (the decomposition- and sparse-cut-level on/off parity
-now lives in ``tests/differential/test_pipeline.py``, asserted across the
-full backend matrix):
+the triangle workload's decomposition cache are a pure performance
+layer that is always on: each must be output-neutral, bit for bit.  The
+pre-check has no switch, so these tests patch it off
+(:func:`diffharness.precheck_off`) as the oracle (the decomposition- and
+sparse-cut-level on/off parity lives in
+``tests/differential/test_pipeline.py``, asserted across the full
+backend matrix):
 
 * sparse cuts and decompositions identical with the pre-check patched
-  off, so every batch it skips runs;
+  off, so every batch it skips runs — decompositions also at each small
+  ``bench/decompose.py`` family's own ε and φ;
 * triangle sets and level records identical with and without a
   :class:`~repro.triangles.workload.DecompositionCache`, cold and warm;
 * the spectral pre-check itself: a sound lower bound (never above the
@@ -19,9 +21,9 @@ full backend matrix):
 """
 
 import numpy as np
+import pytest
 
-import repro.decomposition.expander as expander
-import repro.decomposition.sparse_cut as sparse_cut
+from diffharness import precheck_off
 from repro.decomposition import expander_decomposition, nearly_most_balanced_sparse_cut
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
@@ -56,11 +58,21 @@ def family_graphs():
     ]
 
 
+#: ``bench/decompose.py``'s (ε, φ) per family; with seed 7, the graphs of
+#: :func:`family_graphs` are its ``families(7)``.
+BENCH_SETTINGS = {
+    "ring_of_cliques": (0.10, 0.10),
+    "barbell": (0.10, 0.10),
+    "planted_partition": (0.20, 0.10),
+    "power_law": (0.30, 0.05),
+}
+
+
 # TestDecompositionParity and TestSparseCutParity moved to
-# tests/differential/test_pipeline.py: the fast-path on/off parity they
-# pinned is now asserted across the full backend matrix (dict / csr /
-# int32 / int64 / workspace / mmap) by assert_pipeline_identical, and the
-# clique-specific pre-check cases live on there verbatim.
+# tests/differential/test_pipeline.py: the pre-check on/off parity they
+# pinned is now asserted across the full backend matrix (both kernels /
+# int32 / int64 / mmap / permuted scheduling) by assert_pipeline_identical,
+# and the clique-specific pre-check cases live on there verbatim.
 
 
 class TestPrecheckNeutrality:
@@ -68,26 +80,15 @@ class TestPrecheckNeutrality:
     pre-check off (a bound that never clears φ, no sibling hints) runs every
     batch it would have skipped, and must return the same outputs."""
 
-    @staticmethod
-    def precheck_off(monkeypatch):
-        monkeypatch.setattr(
-            sparse_cut, "conductance_lower_bound", lambda graph, phi=None: (0.0, None)
-        )
-        monkeypatch.setattr(
-            expander,
-            "batched_component_certificates",
-            lambda view, pieces: [None] * len(pieces),
-        )
-
-    def test_sparse_cut_identical_with_precheck_off(self, monkeypatch):
+    def test_sparse_cut_identical_with_precheck_off(self):
         # Two expanders, whose every batch the pre-check skips.
         graphs = family_graphs() + [
             ("complete", complete_graph(10)),
             ("regular", random_regular_graph(40, 6, seed=3)),
         ]
         on = [nearly_most_balanced_sparse_cut(g, 0.1, seed=3) for _, g in graphs]
-        self.precheck_off(monkeypatch)
-        off = [nearly_most_balanced_sparse_cut(g, 0.1, seed=3) for _, g in graphs]
+        with precheck_off():
+            off = [nearly_most_balanced_sparse_cut(g, 0.1, seed=3) for _, g in graphs]
         assert sum(r.precheck_skips for r in on) > 0  # the pre-check fired
         assert all(r.precheck_skips == 0 for r in off)
         for (name, _), a, b in zip(graphs, on, off):
@@ -95,7 +96,12 @@ class TestPrecheckNeutrality:
                 b.cut, b.certified_no_cut, b.batches, b.cut_size
             ), name
 
-    def test_decomposition_identical_with_precheck_off(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "settings,seed",
+        [(dict.fromkeys(BENCH_SETTINGS, (0.2, 0.1)), 11), (BENCH_SETTINGS, 7)],
+        ids=["fixed", "bench"],
+    )
+    def test_decomposition_identical_with_precheck_off(self, settings, seed):
         def record(result):
             components = [
                 (sorted(map(repr, c.vertices)), c.certified, c.conductance_estimate)
@@ -103,11 +109,14 @@ class TestPrecheckNeutrality:
             ]
             return sorted(components), sorted(map(repr, result.cut_edges))
 
-        on = [expander_decomposition(g, 0.2, 0.1, seed=11) for _, g in family_graphs()]
-        self.precheck_off(monkeypatch)
+        on = [
+            expander_decomposition(g, *settings[name], seed=seed)
+            for name, g in family_graphs()
+        ]
         assert sum(r.precheck_skips for r in on) > 0  # the pre-check fired
         for (name, g), a in zip(family_graphs(), on):
-            b = expander_decomposition(g, 0.2, 0.1, seed=11)
+            with precheck_off():
+                b = expander_decomposition(g, *settings[name], seed=seed)
             assert b.precheck_skips == 0, name
             assert record(a) == record(b), name
 

@@ -305,7 +305,6 @@ class TestCutIdentity:
             epsilon=0.3,
             phi=0.1,
             mode=ParameterMode.PRACTICAL,
-            fast_path=True,
             sparse_cut_kwargs=None,
         )
         cold = cache.decomposition(graph, rng=ensure_rng(9), **kwargs)

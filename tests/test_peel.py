@@ -20,6 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from diffharness import dict_reference_cut
 from repro.decomposition import (
     expander_decomposition,
     harvest_disjoint_cuts,
@@ -211,7 +212,7 @@ class TestMaskedKernels:
             work = g.induced_with_loops(subset)
             params = NibbleParameters.practical(work, 0.2)
             start = sorted(subset, key=repr)[len(subset) // 2]
-            dict_cut = approximate_nibble(work, start, 1, params)
+            dict_cut = dict_reference_cut(work, start, 1, params)
             peel_cut = approximate_nibble(view, start, 1, params)
             compact_cut = approximate_nibble(view.compact(), start, 1, params)
             assert dict_cut == peel_cut == compact_cut

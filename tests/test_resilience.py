@@ -192,6 +192,34 @@ class TestJournalUnit:
             with pytest.raises(ValueError, match="different run"):
                 expander_decomposition(graph, 0.2, 0.1, seed=8, journal=journal)
 
+    def test_resume_with_different_search_kwargs_is_rejected(self, tmp_path):
+        """A journal pins the search kwargs: same seed, different batch
+        size or walk cap is a different run, not a replay."""
+        graph = ring_of_cliques(6, 8)
+        first = {"num_instances": 6, "params_overrides": {"max_t0": 150}}
+        with RunJournal(tmp_path / "j") as journal:
+            expander_decomposition(
+                graph, 0.1, 0.1, seed=1, sparse_cut_kwargs=first, journal=journal
+            )
+        with RunJournal(tmp_path / "j") as journal:
+            with pytest.raises(ValueError, match="different run.*sparse_cut_kwargs"):
+                expander_decomposition(
+                    graph,
+                    0.1,
+                    0.1,
+                    seed=1,
+                    sparse_cut_kwargs={
+                        "num_instances": 1,
+                        "params_overrides": {"max_t0": 2},
+                    },
+                    journal=journal,
+                )
+            # Key order is not part of the search.
+            reordered = {"params_overrides": {"max_t0": 150}, "num_instances": 6}
+            expander_decomposition(
+                graph, 0.1, 0.1, seed=1, sparse_cut_kwargs=reordered, journal=journal
+            )
+
 
 class TestMmapValidation:
     def snapshot(self, tmp_path):

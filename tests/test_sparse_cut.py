@@ -2,6 +2,7 @@
 
 import pytest
 
+from diffharness import precheck_off
 from repro.graphs.generators import (
     barbell_expanders,
     dumbbell_cliques,
@@ -182,14 +183,13 @@ class TestArgumentValidation:
         silently truncated."""
         with pytest.raises(ValueError, match="t0_override"):
             NibbleParameters.practical(ring_of_cliques(6, 8), 0.1, t0_override=t0_override)
-        with pytest.raises(ValueError, match="t0_override"):
+        with pytest.raises(ValueError, match="t0_override"), precheck_off():
             nearly_most_balanced_sparse_cut(
                 ring_of_cliques(6, 8),
                 0.1,
                 seed=1,
                 num_instances=6,
                 params_overrides={"t0_override": t0_override},
-                fast_path=False,
             )
 
     def test_positive_t0_override_is_the_walk_length(self):

@@ -4,7 +4,8 @@ pipeline, CPZ baseline.
 Four layers of pinning:
 
 * the oriented enumerator is exact (vs the brute-force oracle on every
-  random graph small enough for it) and engine/order independent;
+  random graph small enough for it, and vs the forward-set reference
+  enumerator above that size) and order independent;
 * the decomposition-based enumeration returns the *exact* triangle set on
   every benchmark family — including the closed-form ring-of-cliques count —
   with the cluster/recursion split behaving as the partition argument of
@@ -49,6 +50,36 @@ from repro.triangles import (
 )
 
 
+def forward_set_triangles(graph: Graph, order=None) -> set[frozenset]:
+    """Reference enumeration: forward adjacency sets + membership lookups.
+
+    The pure-Python orientation argument the vectorized enumerator
+    implements, for graphs above :func:`brute_force_triangles`' size
+    limit.  ``order`` defaults to the ``repr``-sorted order (the
+    orientation only affects cost, never the output).
+    """
+    if order is None:
+        order = sorted(graph.vertices(), key=repr)
+    rank = {v: r for r, v in enumerate(order)}
+    forward: dict = {}
+    forward_sets: dict = {}
+    for v in graph.vertices():
+        fwd = sorted(
+            (u for u in graph.neighbors(v) if rank[u] > rank[v]),
+            key=rank.__getitem__,
+        )
+        forward[v] = fwd
+        forward_sets[v] = set(fwd)
+    triangles: set[frozenset] = set()
+    for apex, fwd in forward.items():
+        for i, v in enumerate(fwd):
+            closes = forward_sets[v]
+            for w in fwd[i + 1:]:
+                if w in closes:
+                    triangles.add(frozenset((apex, v, w)))
+    return triangles
+
+
 def bench_families():
     """The four ground-truth families the benchmark harness also runs."""
     return [
@@ -65,52 +96,44 @@ def bench_families():
 
 
 class TestOrientedEnumerator:
-    @pytest.mark.parametrize("which", ["dict", "csr"])
-    def test_matches_brute_force_on_small_random_graphs(self, engine, which):
+    def test_matches_brute_force_on_small_random_graphs(self):
         for seed in range(12):
             g = erdos_renyi_graph(10 + seed % 7, 0.25 + 0.02 * seed, seed=seed)
-            with engine(which):
-                assert oriented_triangles(g) == brute_force_triangles(g)
+            expected = brute_force_triangles(g)
+            assert oriented_triangles(g) == expected
+            assert forward_set_triangles(g) == expected
 
-    def test_engine_parity_on_bench_families(self, engine):
+    def test_matches_the_reference_on_bench_families(self):
         for name, g, _, _ in bench_families():
-            by_engine = {}
-            for which in ("dict", "csr", "auto"):
-                with engine(which):
-                    by_engine[which] = oriented_triangles(g)
-            assert by_engine["dict"] == by_engine["csr"] == by_engine["auto"], name
-            with engine("csr"):
-                assert oriented_triangle_count(g) == len(by_engine["dict"])
+            expected = forward_set_triangles(g)
+            assert oriented_triangles(g) == expected, name
+            assert oriented_triangle_count(g) == len(expected), name
 
-    def test_order_only_affects_cost_never_output(self, engine):
+    def test_order_only_affects_cost_never_output(self):
         g = triangle_rich_graph(60, seed=3)
-        default = oriented_triangles(g)
+        expected = forward_set_triangles(g)
         repr_order = sorted(g.vertices(), key=repr)
-        for which in ("dict", "csr"):
-            with engine(which):
-                assert oriented_triangles(g, order=repr_order) == default
+        assert oriented_triangles(g) == expected
+        assert oriented_triangles(g, order=repr_order) == expected
 
-    @pytest.mark.parametrize("which", ["dict", "csr"])
     @pytest.mark.parametrize(
         "order", [[0, 1, 5], [0, 1, 2, 2], [0, 1]], ids=["foreign", "repeat", "short"]
     )
-    def test_order_must_be_a_permutation_of_the_vertices(self, engine, which, order):
+    def test_order_must_be_a_permutation_of_the_vertices(self, order):
         triangle = Graph(edges=[(0, 1), (1, 2), (0, 2)])
-        with engine(which):
-            with pytest.raises(ValueError, match="exactly once"):
-                oriented_triangles(triangle, order=order)
-            with pytest.raises(ValueError, match="exactly once"):
-                oriented_triangle_count(triangle, order=order)
+        with pytest.raises(ValueError, match="exactly once"):
+            oriented_triangles(triangle, order=order)
+        with pytest.raises(ValueError, match="exactly once"):
+            oriented_triangle_count(triangle, order=order)
 
-    def test_ring_of_cliques_closed_form(self, engine):
+    def test_ring_of_cliques_closed_form(self):
         # Ring edges join distinct cliques through distinct endpoints, so
         # every triangle lives inside one clique: k·C(s,3) exactly.
         for k, s in [(6, 8), (40, 16)]:
             expected = k * math.comb(s, 3)
             g = ring_of_cliques(k, s)
-            for which in ("dict", "csr"):
-                with engine(which):
-                    assert oriented_triangle_count(g) == expected
+            assert oriented_triangle_count(g) == expected
+            assert len(forward_set_triangles(g)) == expected
 
     def test_degenerate_inputs(self):
         assert oriented_triangles(Graph()) == set()
@@ -218,16 +241,28 @@ class TestDecompositionWorkload:
         assert result.cluster_triangle_count == result.count
         assert result.cross_triangle_count == 0
 
-    def test_engine_parity_and_verify_flag(self, engine):
+    def test_matches_the_reference_and_verify_flag(self):
         g = ring_of_cliques(6, 8)
-        by_engine = {}
-        for which in ("dict", "csr"):
-            with engine(which):
-                by_engine[which] = decomposition_triangle_enumeration(
-                    g, 0.10, 0.10, seed=7, verify=(which == "dict")
-                )
-        assert by_engine["dict"].triangles == by_engine["csr"].triangles
-        assert by_engine["dict"].verified and not by_engine["csr"].verified
+        verified = decomposition_triangle_enumeration(g, 0.10, 0.10, seed=7)
+        unverified = decomposition_triangle_enumeration(
+            g, 0.10, 0.10, seed=7, verify=False
+        )
+        assert verified.triangles == unverified.triangles == forward_set_triangles(g)
+        assert verified.verified and not unverified.verified
+
+    def test_small_level_matches_brute_force(self):
+        # Every level, however small, runs its cluster stage on a
+        # snapshot.  Two K8s joined by a perfect matching plus one chord:
+        # 16 vertices (the brute force's limit) and 65 edges (one above
+        # the direct base case), so level 0 decomposes.
+        g = disjoint_cliques(2, 8)
+        for i in range(8):
+            g.add_edge((0, i), (1, i))
+        g.add_edge((0, 0), (1, 1))
+        assert g.num_vertices == EXACT_ENUMERATION_LIMIT
+        result = decomposition_triangle_enumeration(g, 0.15, 0.10, seed=7)
+        assert not result.levels[0].direct
+        assert result.triangles == brute_force_triangles(g)
 
     def test_round_accounting_splits_cleanly(self):
         g = ring_of_cliques(6, 8)
@@ -263,9 +298,6 @@ class TestBaseline:
         assert baseline.report.find("oriented_enumeration") is not None
         assert baseline.report.find("degeneracy_peeling") is not None
 
-    def test_engine_independent(self, engine):
+    def test_matches_the_reference(self):
         g = triangle_rich_graph(60, seed=3)
-        with engine("dict"):
-            dict_triangles = cpz_baseline_enumeration(g).triangles
-        with engine("csr"):
-            assert cpz_baseline_enumeration(g).triangles == dict_triangles
+        assert cpz_baseline_enumeration(g).triangles == forward_set_triangles(g)
