@@ -492,8 +492,10 @@ def _decompose_subtree(
             _emit(ctx, outcome, _unfinished_marker(subset, depth))
             return outcome
         # Authoritative final check, straight off the working view (no
-        # dict G{U} rebuild); an exact certificate the pre-check already
-        # computed for this very graph is reused.
+        # dict G{U} rebuild).  A certificate the pre-check already computed
+        # for this very graph is reused when it names the solver the check
+        # would run: dense up to DENSE_EIGH_LIMIT vertices, Lanczos above,
+        # so a large component is compacted and solved once.
         certified, estimate, witness = certify_conductance(
             view, ctx.phi, precomputed=cut_result.spectral or hint
         )

@@ -208,11 +208,13 @@ def parallel_nibble(
 class SparseCutResult:
     """Output of the nearly most balanced sparse cut (Theorem 3).
 
-    ``spectral`` carries the exact spectral certificate of the *input*
-    graph when the pre-check computed (or was handed) one — only possible
-    on empty results, whose working graph never changed — so the expander
-    decomposition's authoritative :func:`repro.graphs.spectral
-    .certify_conductance` can reuse the solve instead of repeating it.
+    ``spectral`` carries the spectral certificate of the *input* graph
+    when the pre-check computed (or was handed) one before any cut was
+    applied — a dense ``eigh`` solve, or the converged Lanczos solve that
+    confirmed a large graph's bound — so the expander decomposition's
+    authoritative :func:`repro.graphs.spectral.certify_conductance` can
+    reuse the solve instead of repeating it (it does so when the
+    certificate names the solver it would run itself).
     ``precheck_skips`` counts the ParallelNibble batches the spectral
     pre-check proved pointless and skipped (batch randomness is addressed
     by counter-derived streams, so a skipped batch's draws are simply
@@ -531,9 +533,10 @@ def nearly_most_balanced_sparse_cut(
                             bound, cert = conductance_lower_bound(
                                 work.search_graph, phi=phi
                             )
-                        if cert is not None and cert.exact and not accumulated:
+                        if cert is not None and not accumulated:
                             # Valid for the *input* graph: nothing has been
-                            # removed yet.
+                            # removed yet.  Dense or Lanczos alike — the
+                            # final check decides whether it can reuse it.
                             spectral_cert = cert
                         if bound > phi + PRECHECK_MARGIN:
                             # Φ(working graph) ≥ λ₂/2 > φ: no prefix can ever

@@ -13,18 +13,31 @@ Up to :data:`DENSE_EIGH_LIMIT` vertices the eigenproblem is solved densely
 (``numpy.linalg.eigh``, exact to machine precision).  Beyond it a dense
 n x n Laplacian is infeasible, so λ₂ and the Fiedler vector come from a
 sparse iterative solve over the :class:`~repro.graphs.csr.CSRGraph`
-adjacency — ``scipy.sparse.linalg.eigsh`` when scipy is installed,
-otherwise a deflated power iteration in pure numpy.  The iterative values
-are accurate to solver tolerance rather than machine precision, so
-large-component certification is best-effort in the same sense as
-PRACTICAL-mode parameters (see EXPERIMENTS.md).
+adjacency — a converged ``scipy.sparse.linalg.eigsh`` (Lanczos) solve when
+scipy is installed and ARPACK converges, otherwise a deflated power
+iteration in pure numpy.  The iterative values are accurate to solver
+tolerance rather than machine precision, so large-component certification
+is best-effort in the same sense as PRACTICAL-mode parameters (see
+EXPERIMENTS.md).
+
+Each solve is a :class:`SpectralCertificate` tagged with the solver that
+produced it.  :func:`certify_conductance` reuses a certificate handed down
+from the sparse cut's pre-check (:func:`conductance_lower_bound`) exactly
+when it names the solver certification would run itself on that graph —
+dense ``eigh`` up to :data:`DENSE_EIGH_LIMIT` vertices, the converged
+Lanczos solve above.  The reused certificate is then the bytes
+certification would have computed, so the substitution saves a solve (and,
+above the limit, a compaction) without moving any output.  Between
+:data:`PRECHECK_DENSE_LIMIT` and :data:`DENSE_EIGH_LIMIT` vertices the
+pre-check's Lanczos certificate is ignored and certification solves
+densely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Literal, Mapping, Optional, Union
 
 import numpy as np
 
@@ -277,15 +290,24 @@ class SpectralCertificate:
     at most once and threads the result between its consumers — the
     sparse-cut pre-check that skips ParallelNibble batches, the expander
     decomposition's batched sibling-component solves, and the authoritative
-    :func:`certify_conductance` of the emitted component.  ``exact`` marks
-    a dense machine-precision solve; only exact certificates may substitute
-    for certification's own eigensolve (iterative pre-check estimates are
-    used solely to decide whether a batch is worth launching).
+    :func:`certify_conductance` of the emitted component.  ``solver`` names
+    the solve that produced it: ``"dense"`` (machine-precision ``eigh``) or
+    ``"lanczos"`` (a converged ``eigsh`` on the compacted graph).  A
+    certificate substitutes for certification's own eigensolve only when it
+    names the solver certification would run on that graph (dense up to
+    :data:`DENSE_EIGH_LIMIT` vertices, Lanczos above), so the substitution
+    never changes a bit of the result.  The power-iteration screen and
+    fallback never yield a certificate.
     """
 
     lam2: float
     scores: Mapping[Vertex, float]
-    exact: bool
+    solver: Literal["dense", "lanczos"]
+
+    @property
+    def exact(self) -> bool:
+        """Whether the solve was a dense, machine-precision ``eigh``."""
+        return self.solver == "dense"
 
     @property
     def cheeger_lower_bound(self) -> float:
@@ -488,12 +510,14 @@ def certify_conductance(
     which certifies straight off the masked surface — no dict ``G{U}`` is
     materialised (except the ≤ :data:`~repro.graphs.metrics
     .EXACT_ENUMERATION_LIMIT`-vertex enumeration fallback, where the tiny
-    dict graph is rebuilt for the exact oracle).  An *exact*
-    ``precomputed`` certificate replaces the eigensolve — it is the same
-    machine-precision solve certification would perform, typically handed
-    down from the fast path's pre-check so each component is solved once —
-    while iterative certificates are ignored and the solve is re-run: the
-    authoritative check never rests on a truncated iteration.
+    dict graph is rebuilt for the exact oracle).  A ``precomputed``
+    certificate replaces the eigensolve when its ``solver`` is the one this
+    check would run on ``graph`` — dense ``eigh`` up to
+    :data:`DENSE_EIGH_LIMIT` vertices, the converged Lanczos solve above —
+    so it carries the very bytes the check would compute; it is typically
+    handed down from the fast path's pre-check so each component is solved
+    once.  Any other certificate (a pre-check Lanczos solve on a graph this
+    check solves densely) is ignored and the solve is run here.
     """
     from .metrics import EXACT_ENUMERATION_LIMIT, graph_conductance_exact
 
@@ -502,7 +526,8 @@ def certify_conductance(
     total_volume = graph.total_volume if is_view else graph.total_volume()
     if num_vertices < 2 or total_volume == 0:
         return True, float("inf"), None  # no cut exists at all
-    if precomputed is not None and precomputed.exact:
+    solver = "dense" if num_vertices <= DENSE_EIGH_LIMIT else "lanczos"
+    if precomputed is not None and precomputed.solver == solver:
         scores, lam2 = precomputed.scores, precomputed.lam2
     else:
         scores, lam2 = fiedler_scores(graph)
@@ -530,29 +555,35 @@ def conductance_lower_bound(
 
     Graphs — dict or :class:`~repro.graphs.peel.PeeledCSR` view — of at
     most :data:`PRECHECK_DENSE_LIMIT` vertices are solved densely (exact;
-    the returned :class:`SpectralCertificate` is reusable by
+    the returned ``"dense"`` :class:`SpectralCertificate` is reusable by
     :func:`certify_conductance`, so the pre-check and the authoritative
     final check share one eigensolve).  Larger graphs go in two stages,
-    both on the *masked* surface — no dict materialisation, no dense eigh:
+    both on the *compacted* surface — no dict materialisation, no dense
+    eigh:
 
     1. a few deflated power-iteration blocks
        (:func:`_iterative_cheeger_bound`) *screen* the graph — on
        cut-bearing working graphs (the common mid-loop case) the Rayleigh
        quotient collapses below 2φ within a block or two and the
-       pre-check bails for the price of a handful of matvecs;
+       pre-check bails for the price of a handful of matvecs, with no
+       certificate;
     2. only when the screen believes φ is cleared does the *converged*
        Lanczos solve (:func:`_lambda2_eigsh`) run, and its λ₂ — accurate
        to solver tolerance, not a truncated iterate — is what the
        returned bound reports.  A screen estimate alone is never allowed
        to skip work: an unconverged iterate mixed with higher eigenpairs
        can overestimate λ₂ severely, and a skip must stand on the same
-       quality of solve certification itself uses.  Without scipy the
-       confirmation is unavailable and the bound is clamped below φ (no
-       skip) rather than trusted.
+       quality of solve certification itself uses.  The solve comes back
+       as a ``"lanczos"`` certificate, built exactly as
+       :func:`_fiedler_scores_masked` builds its sparse result, so above
+       :data:`DENSE_EIGH_LIMIT` certification reuses it instead of
+       compacting and solving the graph again.  Without scipy (or when
+       ARPACK does not converge) the confirmation is unavailable: the
+       bound is clamped below φ (no skip) and no certificate is returned.
 
-    The iterative path always runs on a *compacted* view, so the bound —
-    and with it the skip decision — is a pure function of the working
-    graph's structure, identical across the dict, CSR, and peeled engines.
+    The iterative path always runs on a *compacted* view, so the bound,
+    the skip decision and the certificate are pure functions of the
+    working graph's structure, whatever view or dict graph it is held in.
     Edgeless or single-vertex graphs admit no cut at all and report an
     infinite bound.
     """
@@ -561,9 +592,9 @@ def conductance_lower_bound(
     total_volume = graph.total_volume if is_view else graph.total_volume()
     if num_vertices < 2 or total_volume == 0:
         return float("inf"), None
-    if num_vertices <= PRECHECK_DENSE_LIMIT:
+    if num_vertices <= min(PRECHECK_DENSE_LIMIT, DENSE_EIGH_LIMIT):
         scores, lam2 = fiedler_scores(graph)
-        return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, exact=True)
+        return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="dense")
     view = graph.compact() if is_view else PeeledCSR.from_graph(graph)
     screen = _iterative_cheeger_bound(view, phi)
     if phi is not None and screen <= phi + PRECHECK_MARGIN:
@@ -572,7 +603,11 @@ def conductance_lower_bound(
     if confirmed is None:
         # No converged solve available: report a bound that cannot fire.
         return 0.0 if phi is None else min(screen, phi), None
-    return confirmed[0] / 2.0, None
+    lam2, fiedler = confirmed
+    scores = _embedding_scores(
+        fiedler, view.base.degree.astype(float), view.base.vertices
+    )
+    return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="lanczos")
 
 
 def batched_component_certificates(
@@ -626,7 +661,7 @@ def batched_component_certificates(
                     eigenvectors[slot][:, 1], piece_degrees[slot], piece_labels[slot]
                 )
                 hints[position] = SpectralCertificate(
-                    lam2=lam2, scores=scores, exact=True
+                    lam2=lam2, scores=scores, solver="dense"
                 )
     return hints
 

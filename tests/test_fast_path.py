@@ -17,20 +17,29 @@ backend matrix):
   :class:`~repro.triangles.workload.DecompositionCache`, cold and warm;
 * the spectral pre-check itself: a sound lower bound (never above the
   exact conductance), certificates that reproduce ``certify_conductance``
-  exactly, and batch-skipping observable where it must fire.
+  exactly, and batch-skipping observable where it must fire;
+* the Lanczos route above ``DENSE_EIGH_LIMIT``: the pre-check's converged
+  solve is the component's certificate, so a large component is compacted
+  and solved once, with outputs identical to solving it again.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from diffharness import precheck_off
+import repro.decomposition.expander as expander_module
+from diffharness import generator_families, precheck_off
+from oracle_fixture import EPSILON, PHI, SEED
 from repro.decomposition import expander_decomposition, nearly_most_balanced_sparse_cut
+from repro.graphs import spectral
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
     complete_graph,
     erdos_renyi_graph,
     planted_partition_graph,
+    power_law_csr,
     power_law_graph,
     random_regular_graph,
     ring_of_cliques,
@@ -66,6 +75,77 @@ BENCH_SETTINGS = {
     "planted_partition": (0.20, 0.10),
     "power_law": (0.30, 0.05),
 }
+
+
+#: The ``powerlaw_mmap`` benchmark workload's decomposition settings: at
+#: φ = 0.01 the pre-check certifies every component of its n = 5 000
+#: power-law graphs, the ≈4 900-vertex giant through the Lanczos route.
+POWERLAW_SETTINGS = {
+    "epsilon": 0.2,
+    "phi": 0.01,
+    "seed": 7,
+    "max_depth": 4,
+    "sparse_cut_kwargs": {"num_instances": 4, "params_overrides": {"max_t0": 60}},
+}
+
+
+def powerlaw_5000():
+    """One of the ``powerlaw_mmap`` workload's graphs."""
+    return power_law_csr(5000, exponent=2.0, seed=7)
+
+
+def spy_on(monkeypatch, owner, name, key):
+    """Wrap ``owner.name`` so every call records ``key(first argument)``.
+
+    Returns the list the keys are appended to, in call order.
+    """
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(first, *args, **kwargs):
+        calls.append(key(first))
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@contextmanager
+def lanczos_reuse_off():
+    """Scope in which the final check drops pre-check Lanczos certificates.
+
+    Every large component is then compacted and solved a second time by
+    :func:`~repro.graphs.spectral.certify_conductance` itself, so a run in
+    this scope is the oracle for the reuse: with the pre-check still on,
+    everything it returns — reports and ``precheck_skips`` included — must
+    be identical.
+    """
+    real = expander_module.certify_conductance
+
+    def solve_again(graph, phi, precomputed=None):
+        if precomputed is not None and precomputed.solver == "lanczos":
+            precomputed = None
+        return real(graph, phi, precomputed)
+
+    expander_module.certify_conductance = solve_again
+    try:
+        yield
+    finally:
+        expander_module.certify_conductance = real
+
+
+def output_record(result):
+    """Components (with estimates and levels) and cut edges of a decomposition."""
+    components = sorted(
+        (sorted(map(repr, c.vertices)), c.certified, c.conductance_estimate, c.level)
+        for c in result.components
+    )
+    return components, sorted(map(repr, result.cut_edges))
+
+
+def full_record(result):
+    """:func:`output_record` plus the round report and the pre-check skips."""
+    return output_record(result), result.report, result.precheck_skips
 
 
 # TestDecompositionParity and TestSparseCutParity moved to
@@ -119,6 +199,46 @@ class TestPrecheckNeutrality:
                 b = expander_decomposition(g, *settings[name], seed=seed)
             assert b.precheck_skips == 0, name
             assert record(a) == record(b), name
+
+    @staticmethod
+    def assert_lanczos_route_neutral(monkeypatch, name, graph, **settings):
+        """One decomposition against both oracles: the pre-check patched off
+        (same components, estimates and cut edges, every skipped batch run)
+        and the Lanczos certificates dropped (identical in everything).
+        Returns the number of Lanczos solves the reuse saved."""
+        with monkeypatch.context() as patch:
+            solves = spy_on(patch, spectral, "_lambda2_eigsh", lambda g: g.n)
+            on = expander_decomposition(graph, **settings)
+            reused = len(solves)
+            with lanczos_reuse_off():
+                again = expander_decomposition(graph, **settings)
+            solved_again = len(solves) - reused
+        with precheck_off():
+            off = expander_decomposition(graph, **settings)
+        assert full_record(on) == full_record(again), name
+        assert output_record(on) == output_record(off), name
+        assert off.precheck_skips == 0, name
+        return solved_again - reused
+
+    def test_lanczos_route_neutral_on_families_with_low_limits(self, monkeypatch):
+        """The frozen families are too small for the Lanczos route; shrink
+        both dense limits so their components take all three routes —
+        dense certificates reused, pre-check Lanczos certificates ignored by
+        a dense final check (9–16 vertices), and reused (17 and up)."""
+        monkeypatch.setattr(spectral, "PRECHECK_DENSE_LIMIT", 8)
+        monkeypatch.setattr(spectral, "DENSE_EIGH_LIMIT", 16)
+        saved = 0
+        for name, graph in generator_families():
+            saved += self.assert_lanczos_route_neutral(
+                monkeypatch, name, graph, epsilon=EPSILON, phi=PHI, seed=SEED
+            )
+        assert saved > 0  # some final check reused a Lanczos certificate
+
+    def test_lanczos_route_neutral_on_benchmark_power_law(self, monkeypatch):
+        saved = self.assert_lanczos_route_neutral(
+            monkeypatch, "power_law_csr(5000)", powerlaw_5000(), **POWERLAW_SETTINGS
+        )
+        assert saved > 0  # the giant's final check reused the pre-check's solve
 
 
 class TestSpectralPrecheck:
@@ -175,14 +295,23 @@ class TestSpectralPrecheck:
             assert hint.lam2 == solo_cert.lam2
             assert hint.scores == solo_cert.scores
 
-    def test_iterative_bound_fires_on_large_expander_only(self):
+    def test_iterative_bound_fires_on_large_expander_only(self, monkeypatch):
         g = barbell_expanders(640, degree=8, seed=7)
         base = CSRGraph.from_graph(g)
         half = [v for v in g.vertices() if v[0] == "L"]
         view = PeeledCSR.for_subset(base, (base.index[v] for v in half))
         bound, cert = conductance_lower_bound(view, 0.1)
-        assert cert is None  # iterative path: estimate only, never reused
+        # The converged Lanczos solve that confirmed the bound comes back as
+        # a certificate ...
+        assert cert is not None and cert.solver == "lanczos"
         assert bound > 0.1  # a genuine expander clears φ
+        # ... which certification ignores at 640 vertices: it solves this
+        # size densely, so it runs its own eigh and no Lanczos solve.
+        dense_solves = spy_on(monkeypatch, np.linalg, "eigh", lambda a: a.shape)
+        lanczos_solves = spy_on(monkeypatch, spectral, "_lambda2_eigsh", lambda g: g.n)
+        certified, _, witness = certify_conductance(view, 0.1, precomputed=cert)
+        assert certified and witness is None
+        assert dense_solves == [(640, 640)] and lanczos_solves == []
         full_bound, _ = conductance_lower_bound(PeeledCSR.full(base), 0.1)
         assert full_bound <= 0.1  # the bridge cut keeps the bound down
 
@@ -206,6 +335,62 @@ class TestSpectralPrecheck:
         for phi in (lam2_exact, 2.0 * lam2_exact, 1e-4, 1e-3):
             bound, _ = conductance_lower_bound(g, phi)
             assert bound <= lam2_exact / 2.0 + 1e-9, (phi, bound, lam2_exact)
+
+
+class TestLanczosCertificate:
+    """The pre-check's converged Lanczos solve, reused by certification."""
+
+    def test_one_solve_and_compaction_per_large_component(self, monkeypatch):
+        """Regression guard: each component above DENSE_EIGH_LIMIT is
+        compacted and Lanczos-solved once (the pre-check's solve is its
+        certificate), not once more by the final check."""
+        solves = spy_on(monkeypatch, spectral, "_lambda2_eigsh", lambda g: g.n)
+        compactions = spy_on(
+            monkeypatch, PeeledCSR, "compact", lambda view: view.num_vertices
+        )
+        result = expander_decomposition(powerlaw_5000(), **POWERLAW_SETTINGS)
+        large = sorted(
+            len(c) for c in result.components if len(c) > spectral.DENSE_EIGH_LIMIT
+        )
+        assert large  # the giant component takes the Lanczos route
+        assert sorted(solves) == large
+        assert sorted(n for n in compactions if n > spectral.DENSE_EIGH_LIMIT) == large
+
+    def test_without_lanczos_no_certificate_and_power_iteration_certifies(
+        self, monkeypatch
+    ):
+        """No scipy (or no ARPACK convergence): the pre-check cannot
+        confirm its screen, returns no certificate and never fires, and
+        certification falls back to the deflated power iteration."""
+        g = random_regular_graph(spectral.DENSE_EIGH_LIMIT + 100, 8, seed=11)
+        view = PeeledCSR.from_graph(g)
+        monkeypatch.setattr(spectral, "_lambda2_eigsh", lambda graph: None)
+        power_runs = spy_on(
+            monkeypatch, spectral, "_lambda2_power_iteration", lambda g: g.n
+        )
+        bound, cert = conductance_lower_bound(view, 0.05)
+        assert cert is None and bound <= 0.05
+        certified, _, witness = certify_conductance(view, 0.05, precomputed=cert)
+        assert power_runs == [view.num_vertices]
+        assert certified and witness is None
+
+    @pytest.mark.parametrize("certifies", [True, False], ids=["expander", "barbell"])
+    def test_reused_certificate_matches_own_solve(self, certifies):
+        """Above DENSE_EIGH_LIMIT, certifying with the pre-check's Lanczos
+        certificate returns exactly what certifying from scratch does —
+        witness cut included when certification fails."""
+        n = spectral.DENSE_EIGH_LIMIT + 100
+        if certifies:
+            graph = random_regular_graph(n, 8, seed=11)
+        else:
+            graph = barbell_expanders(n // 2, seed=7)
+        for host in (graph, PeeledCSR.from_graph(graph)):
+            _, cert = conductance_lower_bound(host)  # no φ: always confirms
+            assert cert is not None and cert.solver == "lanczos"
+            result = certify_conductance(host, 0.1, precomputed=cert)
+            assert result == certify_conductance(host, 0.1)
+            assert result[0] is certifies
+            assert (result[2] is None) is certifies
 
 
 class TestDecompositionCache:
