@@ -11,7 +11,6 @@ from .node import NodeProgram
 from .primitives import (
     BfsTree,
     BfsTreeProgram,
-    BroadcastProgram,
     ConvergecastSumProgram,
     DiffusionProgram,
     FloodMinProgram,
@@ -28,7 +27,6 @@ __all__ = [
     "BandwidthViolation",
     "BfsTree",
     "BfsTreeProgram",
-    "BroadcastProgram",
     "CongestNetwork",
     "ConvergecastSumProgram",
     "DiffusionProgram",

@@ -39,11 +39,6 @@ class SimulationResult:
     violations: list[BandwidthViolation] = field(default_factory=list)
     max_words_per_edge_round: int = 0
 
-    @property
-    def all_terminated(self) -> bool:
-        """Whether every node had locally terminated when the run ended."""
-        return self.terminated
-
 
 class CongestNetwork:
     """Synchronous message-passing simulator over a :class:`Graph`.

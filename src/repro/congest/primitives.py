@@ -281,31 +281,6 @@ def convergecast_sum(
 
 
 # ----------------------------------------------------------------------
-# broadcast a value from the root down a BFS tree
-# ----------------------------------------------------------------------
-class BroadcastProgram(NodeProgram):
-    """Floods a value held by the root to every vertex of the component."""
-
-    def __init__(self, node_id, neighbors, rng, value: Any, is_root: bool) -> None:
-        super().__init__(node_id, neighbors, rng)
-        self.value = value
-        self.is_root = is_root
-
-    def initialize(self) -> Outbox:
-        if self.is_root:
-            self.terminate(self.value)
-            return self.broadcast(self.value)
-        return {}
-
-    def receive(self, round_number: int, inbox: Mapping[Hashable, Any]) -> Outbox:
-        if self.terminated or not inbox:
-            return {}
-        value = next(iter(inbox.values()))
-        self.terminate(value)
-        return self.broadcast(value)
-
-
-# ----------------------------------------------------------------------
 # distributed truncated lazy random walk diffusion (Lemma 9's inner loop)
 # ----------------------------------------------------------------------
 class DiffusionProgram(NodeProgram):

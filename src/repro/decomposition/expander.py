@@ -353,7 +353,9 @@ def _run_children(
     if pending:
         children, shipped = ctx.engine.run_siblings(
             pending,
-            lambda task: _decompose_subtree(ctx, task.subset, task.depth, task.hint),
+            lambda task: _decompose_subtree(
+                ctx, task.subset, task.depth, task.hint, task.connected
+            ),
             spec=ctx.spec(),
         )
         for position, child in zip(pending_positions, children):
@@ -377,6 +379,7 @@ def _decompose_subtree(
     subset: frozenset,
     depth: int,
     hint: Optional[SpectralCertificate] = None,
+    connected: bool = False,
 ) -> _SubtreeOutcome:
     """Decompose one component subtree; the recursive heart of Theorem 1.
 
@@ -390,6 +393,10 @@ def _decompose_subtree(
     pieces either cut — descending a depth — or terminate), so the
     ``max_depth`` bound of 2⌈log₂n⌉ + 2 keeps the recursion far under the
     interpreter limit even at n = 10⁷.
+
+    ``connected`` marks a subset its parent split off as one connected
+    component; it is not scanned for components again.  The flag only
+    skips work, so it is not part of the subtree's journal or stream key.
     """
     outcome = _SubtreeOutcome()
     if not subset:
@@ -426,7 +433,7 @@ def _decompose_subtree(
             )
         return outcome
 
-    pieces = view.connected_components()
+    pieces = [subset] if connected else view.connected_components()
     if len(pieces) > 1:
         # Splitting along existing components removes no edges.  The
         # canonical piece order (ascending smallest ``repr``, which a view
@@ -439,7 +446,7 @@ def _decompose_subtree(
         # decisions are unchanged.
         hints = batched_component_certificates(view, pieces)
         tasks = [
-            SubtreeTask(frozenset(piece), depth, piece_hint)
+            SubtreeTask(frozenset(piece), depth, piece_hint, connected=True)
             for piece, piece_hint in zip(pieces, hints)
         ]
         return _run_children(ctx, outcome, tasks)
@@ -531,18 +538,19 @@ def decompose_subtree_on_base(
     subset_indices,
     depth: int,
     hint: Optional[SpectralCertificate],
+    connected: bool,
     spec: SubtreeSpec,
 ) -> _SubtreeOutcome:
     """One recursion subtree against a host snapshot: the pool-worker body.
 
     :func:`repro.parallel.worker.run_subtree` calls this with the
     rehydrated shared-memory ``base``; ``subset_indices`` are base vertex
-    indices (labels are not shipped — the snapshot already carries them)
-    and ``spec`` carries the run's parameters (its own ``base`` and
-    ``deadline`` are not used).  Runs the exact :func:`_decompose_subtree`
-    recursion on the sequential executor (sibling groups and batches
-    inline), so the returned outcome is bit-identical to the driver
-    decomposing the same subtree itself.
+    indices (labels are not shipped — the snapshot already carries them),
+    ``connected`` is the task's known-connected flag, and ``spec`` carries
+    the run's parameters (its own ``base`` and ``deadline`` are not used).
+    Runs the exact :func:`_decompose_subtree` recursion on the sequential
+    executor (sibling groups and batches inline), so the returned outcome
+    is bit-identical to the driver decomposing the same subtree itself.
     """
     labels = base.vertices
     subset = frozenset(labels[int(i)] for i in subset_indices)
@@ -556,7 +564,7 @@ def decompose_subtree_on_base(
         root=spec.root,
         engine=SEQUENTIAL,
     )
-    return _decompose_subtree(ctx, subset, depth, hint)
+    return _decompose_subtree(ctx, subset, depth, hint, connected)
 
 
 def expander_decomposition(

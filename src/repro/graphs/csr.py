@@ -67,8 +67,9 @@ class CSRGraph:
 
     Vertices are assigned indices ``0 .. n-1`` in ``sorted(..., key=repr)``
     order — the same total order the dict sweep (:mod:`repro.nibble.sweep`)
-    and the spectral tooling (:func:`repro.graphs.spectral.vertex_index`) use
-    — so index order and the dict backend's tie-break order coincide.
+    uses — so index order and the dict backend's tie-break order coincide,
+    and the spectral tooling's index-aligned score arrays
+    (:mod:`repro.graphs.spectral`) follow ``repr`` order on a dict host.
 
     Attributes
     ----------
@@ -432,8 +433,8 @@ def prefix_cut_profile(graph: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, 
     ``cumsum`` and one ``flat_adjacency`` gather.  ``graph`` may be a
     :class:`~repro.graphs.peel.PeeledCSR` view — the masked surface drops
     dead targets, so the integers are those of the alive working graph.
-    The spectral sweep cut (:func:`repro.graphs.spectral.sweep_cut`'s
-    masked path) builds on it; :meth:`WalkWorkspace.build_sweep` computes
+    The spectral sweep cut (:func:`repro.graphs.spectral.sweep_cut`)
+    builds on it; :meth:`WalkWorkspace.build_sweep` computes
     the same integers for ρ̃-orderings with a persistent position array.
     """
     jmax = len(order)

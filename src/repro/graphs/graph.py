@@ -356,10 +356,6 @@ class Graph:
                     queue.append(v)
         return dist
 
-    def ball(self, center: Vertex, radius: int) -> set[Vertex]:
-        """Return N^radius(center) = vertices within distance ``radius``."""
-        return set(self.bfs_distances(center, max_distance=radius))
-
     def connected_components(self) -> list[set[Vertex]]:
         """Return the list of connected components (as vertex sets)."""
         remaining = set(self._adj)
@@ -370,12 +366,6 @@ class Graph:
             components.append(comp)
             remaining -= comp
         return components
-
-    def is_connected(self) -> bool:
-        """Return whether the graph is connected (empty graph counts as connected)."""
-        if not self._adj:
-            return True
-        return len(self.bfs_distances(next(iter(self._adj)))) == len(self._adj)
 
     def diameter(self) -> int:
         """Exact diameter of the graph (``-1`` if disconnected or empty)."""
@@ -389,11 +379,6 @@ class Graph:
                 return -1
             best = max(best, max(dist.values()))
         return best
-
-    def eccentricity(self, v: Vertex) -> int:
-        """Maximum BFS distance from ``v`` to any reachable vertex."""
-        dist = self.bfs_distances(v)
-        return max(dist.values())
 
     # ------------------------------------------------------------------
     # interop
@@ -419,11 +404,6 @@ class Graph:
         for u, v in nx_graph.edges():
             g.add_edge(u, v)
         return g
-
-    @classmethod
-    def from_edge_list(cls, edges: Iterable[Edge]) -> "Graph":
-        """Build from an iterable of ``(u, v)`` pairs."""
-        return cls(edges=edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -166,13 +166,15 @@ def mixing_time_bounds(graph: Graph, phi: Optional[float] = None) -> tuple[float
         if phi <= 0:
             return float("inf"), float("inf")
         return 1.0 / phi, math.log(n) / (phi * phi)
+    from .peel import PeeledCSR
     from .spectral import fiedler_scores, sweep_cut
 
-    if graph.num_vertices < 2 or graph.total_volume() == 0:
+    view = PeeledCSR.from_graph(graph)
+    if view.num_vertices < 2 or view.total_volume == 0:
         return 0.0, float("inf")
-    scores, lam2 = fiedler_scores(graph)  # one eigensolve serves both sides
+    scores, lam2 = fiedler_scores(view)  # one eigensolve serves both sides
     phi_lower = lam2 / 2.0
-    phi_upper = sweep_cut(graph, scores).conductance
+    phi_upper = sweep_cut(view, scores).conductance
     lower = 1.0 / phi_upper if phi_upper > 0 else float("inf")
     upper = math.log(n) / (phi_lower * phi_lower) if phi_lower > 0 else float("inf")
     return lower, upper
@@ -190,16 +192,13 @@ def estimate_mixing_time(
     """
     import numpy as np
 
-    from .spectral import degree_vector, lazy_walk_matrix
-
     if graph.num_vertices == 0:
         return 0
-    degrees = degree_vector(graph)
+    degrees, matrix = _lazy_walk_matrix(graph)
     total = degrees.sum()
     if total == 0:
         return 0
     stationary = degrees / total
-    matrix = lazy_walk_matrix(graph)
     n = graph.num_vertices
     start = int(np.argmin(degrees))
     p = np.zeros(n)
@@ -209,6 +208,32 @@ def estimate_mixing_time(
         if 0.5 * np.abs(p - stationary).sum() < tolerance:
             return step
     return max_steps
+
+
+def _lazy_walk_matrix(graph: Graph):
+    """(degrees, column-stochastic lazy walk matrix M = (A D^{-1} + I) / 2).
+
+    Rows and columns follow ``repr``-sorted vertex order.  A self loop at
+    ``v`` keeps its share of probability at ``v``, matching the paper's
+    convention that self loops count toward the degree.
+    """
+    import numpy as np
+
+    vertices = sorted(graph.vertices(), key=repr)
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    degrees = np.array([graph.degree(v) for v in vertices], dtype=float)
+    m = np.zeros((n, n))
+    for v in vertices:
+        j = index[v]
+        deg = graph.degree(v)
+        if deg == 0:
+            m[j, j] = 1.0
+            continue
+        m[j, j] += 0.5 + 0.5 * graph.self_loops(v) / deg
+        for u in graph.neighbors(v):
+            m[index[u], j] += 0.5 / deg
+    return degrees, m
 
 
 # ----------------------------------------------------------------------
@@ -265,17 +290,12 @@ def degeneracy(graph: Graph) -> int:
     return degeneracy_order(graph)[1]
 
 
-def arboricity_upper_bound(graph: Graph) -> int:
-    """Upper bound on arboricity via degeneracy (arboricity <= degeneracy)."""
-    return max(1, degeneracy(graph)) if graph.num_edges else 0
-
-
 def densest_subgraph_density(graph: Graph) -> float:
     """Approximate maximum subgraph density via iterative peeling (Charikar 1/2-approx).
 
     Nash–Williams: arboricity = max over subgraphs of ⌈m_S / (n_S - 1)⌉, so
-    this density estimate gives a lower bound companion to
-    :func:`arboricity_upper_bound`.
+    this density estimate gives a lower bound companion to the
+    degeneracy upper bound (:func:`degeneracy`).
     """
     best = 0.0
     remaining = set(graph.vertices())

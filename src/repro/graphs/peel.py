@@ -446,11 +446,6 @@ class PeeledCSR:
         index = self.base.index
         return np.asarray(sorted(index[v] for v in labels), dtype=np.int64)
 
-    def labels_of(self, indices: Iterable[int]) -> frozenset:
-        """Vertex labels of the given base indices."""
-        labels = self.base.vertices
-        return frozenset(labels[int(i)] for i in indices)
-
     def to_graph(self) -> Graph:
         """Materialise the alive view into a dict ``Graph``.
 

@@ -1,4 +1,4 @@
-"""Spectral tooling: normalised Laplacians, spectral gaps, and sweep cuts.
+"""Spectral tooling: Cheeger bounds, Fiedler sweep cuts, conductance certificates.
 
 The expander decomposition certifies component conductance; at the sizes used
 in benchmarks an exact (exponential) conductance computation is impossible, so
@@ -9,10 +9,20 @@ we verify via the Cheeger sandwich
 and via sweep cuts over the Fiedler vector, which give an explicit cut whose
 conductance upper-bounds Phi(G).
 
-Up to :data:`DENSE_EIGH_LIMIT` vertices the eigenproblem is solved densely
-(``numpy.linalg.eigh``, exact to machine precision).  Beyond it a dense
-n x n Laplacian is infeasible, so λ₂ and the Fiedler vector come from a
-sparse iterative solve over the :class:`~repro.graphs.csr.CSRGraph`
+Every public routine accepts a dict :class:`~repro.graphs.graph.Graph`, a
+:class:`~repro.graphs.csr.CSRGraph` or a masked
+:class:`~repro.graphs.peel.PeeledCSR` working view, and turns it into a view
+once, at entry, with :meth:`PeeledCSR.from_graph` (a view is used as it
+is).  There is one implementation of each routine, and it runs on the
+view's masked surface: a dict graph is simply snapshotted first.  The
+normalised Laplacian ``L = I - D^{-1/2} A D^{-1/2}`` counts self loops in
+the degrees but not in the off-diagonal coupling, which is exactly how
+``G{S}`` weakens conductance relative to ``G[S]``.
+
+Up to :data:`DENSE_EIGH_LIMIT` alive vertices the eigenproblem is solved
+densely (``numpy.linalg.eigh``, exact to machine precision).  Beyond it a
+dense n x n Laplacian is infeasible, so the view is compacted and λ₂ and the
+Fiedler vector come from a sparse iterative solve over the compact CSR
 adjacency — a converged ``scipy.sparse.linalg.eigsh`` (Lanczos) solve when
 scipy is installed and ARPACK converges, otherwise a deflated power
 iteration in pure numpy.  The iterative values are accurate to solver
@@ -20,39 +30,40 @@ tolerance rather than machine precision, so large-component certification
 is best-effort in the same sense as PRACTICAL-mode parameters (see
 EXPERIMENTS.md).
 
-Each solve is a :class:`SpectralCertificate` tagged with the solver that
-produced it.  :func:`certify_conductance` reuses a certificate handed down
-from the sparse cut's pre-check (:func:`conductance_lower_bound`) exactly
-when it names the solver certification would run itself on that graph —
-dense ``eigh`` up to :data:`DENSE_EIGH_LIMIT` vertices, the converged
-Lanczos solve above.  The reused certificate is then the bytes
-certification would have computed, so the substitution saves a solve (and,
-above the limit, a compaction) without moving any output.  Between
-:data:`PRECHECK_DENSE_LIMIT` and :data:`DENSE_EIGH_LIMIT` vertices the
-pre-check's Lanczos certificate is ignored and certification solves
-densely.
+The Fiedler embedding ``x / sqrt(deg)`` is one float64 array aligned with
+the view's alive vertices in ascending base-index order — the order
+compaction preserves, and for a snapshotted dict graph the ``repr`` order.
+Each solve is a :class:`SpectralCertificate` carrying that array and tagged
+with the solver that produced it.  :func:`certify_conductance` reuses a
+certificate handed down from the sparse cut's pre-check
+(:func:`conductance_lower_bound`) or from the decomposition's batched
+sibling solves (:func:`batched_component_certificates`) exactly when it
+names the solver certification would run itself on that graph — dense
+``eigh`` up to :data:`DENSE_EIGH_LIMIT` vertices, the converged Lanczos
+solve above.  The reused certificate is then the bytes certification would
+have computed, so the substitution saves a solve (and, above the limit, a
+compaction) without moving any output.  Between :data:`PRECHECK_DENSE_LIMIT`
+and :data:`DENSE_EIGH_LIMIT` vertices the pre-check's Lanczos certificate
+is ignored and certification solves densely.  A certificate whose length
+differs from the alive count of the view it is applied to raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 
 from .csr import CSRGraph
 from .csr import prefix_cut_profile as csr_prefix_cut_profile
-from .graph import Graph, Vertex
+from .graph import Graph
 from .peel import PeeledCSR
 
 #: Largest vertex count solved with dense ``numpy.linalg.eigh``; larger
 #: graphs use the sparse iterative path (scipy Lanczos or power iteration).
 DENSE_EIGH_LIMIT = 1500
-
-#: A graph any spectral routine here accepts: the reference dict form or a
-#: masked :class:`~repro.graphs.peel.PeeledCSR` working view.
-SpectralGraph = Union[Graph, PeeledCSR]
 
 #: Absolute safety margin of the certification fast path's pre-check: the
 #: Cheeger lower bound must clear φ by at least this much before a
@@ -68,64 +79,6 @@ PRECHECK_MARGIN = 1e-9
 #: ParallelNibble batch it might save, while certification pays its one
 #: dense solve per component regardless.
 PRECHECK_DENSE_LIMIT = 512
-
-
-def vertex_index(graph: Graph) -> tuple[list[Vertex], dict[Vertex, int]]:
-    """A stable ordering of the vertices and its inverse map."""
-    vertices = sorted(graph.vertices(), key=repr)
-    return vertices, {v: i for i, v in enumerate(vertices)}
-
-
-def degree_vector(graph: Graph) -> np.ndarray:
-    """Degrees in the stable vertex order (self loops included)."""
-    vertices, _ = vertex_index(graph)
-    return np.array([graph.degree(v) for v in vertices], dtype=float)
-
-
-def lazy_walk_matrix(graph: Graph) -> np.ndarray:
-    """Column-stochastic lazy walk matrix M = (A D^{-1} + I) / 2.
-
-    A self loop at ``v`` keeps its share of probability at ``v``, matching the
-    paper's convention that self loops count toward the degree.
-    """
-    vertices, index = vertex_index(graph)
-    n = len(vertices)
-    m = np.zeros((n, n))
-    for v in vertices:
-        j = index[v]
-        deg = graph.degree(v)
-        if deg == 0:
-            m[j, j] = 1.0
-            continue
-        m[j, j] += 0.5 + 0.5 * graph.self_loops(v) / deg
-        for u in graph.neighbors(v):
-            m[index[u], j] += 0.5 / deg
-    return m
-
-
-def normalized_laplacian(graph: Graph) -> np.ndarray:
-    """Symmetric normalised Laplacian L = I - D^{-1/2} A D^{-1/2}.
-
-    Self loops are treated as non-edges for the Laplacian numerator but they
-    do inflate the degrees, which exactly mirrors how G{S} weakens conductance
-    relative to G[S].
-    """
-    vertices, index = vertex_index(graph)
-    n = len(vertices)
-    degrees = degree_vector(graph)
-    inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-12)), 0.0)
-    lap = np.eye(n)
-    for u, v in graph.edges():
-        i, j = index[u], index[v]
-        lap[i, j] -= inv_sqrt[i] * inv_sqrt[j]
-        lap[j, i] -= inv_sqrt[j] * inv_sqrt[i]
-    for v in vertices:
-        i = index[v]
-        if degrees[i] > 0:
-            # self loops contribute deg mass but no off-diagonal coupling; the
-            # diagonal of I - D^{-1/2} A D^{-1/2} must subtract their share.
-            lap[i, i] -= graph.self_loops(v) * inv_sqrt[i] * inv_sqrt[i]
-    return lap
 
 
 def _lambda2_power_iteration(
@@ -180,19 +133,6 @@ def _lambda2_power_iteration(
     residual = float(np.linalg.norm(lx - theta * x))
     lam2 = max(0.0, theta - residual)
     return lam2, x
-
-
-def _lambda2_sparse(graph: Graph) -> tuple[float, np.ndarray, CSRGraph]:
-    """(λ₂, Fiedler vector, CSR snapshot) via a sparse iterative eigensolve.
-
-    Snapshots the dict graph once and delegates to
-    :func:`_lambda2_sparse_csr`; the masked certification path hands the
-    same function a compacted working view's base instead, so large
-    components certify without ever materialising a dict ``G{U}``.
-    """
-    csr = CSRGraph.from_graph(graph)
-    lam2, fiedler = _lambda2_sparse_csr(csr)
-    return lam2, fiedler, csr
 
 
 def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
@@ -250,24 +190,27 @@ def _lambda2_sparse_csr(graph: CSRGraph) -> tuple[float, np.ndarray]:
     return solved
 
 
-def spectral_gap(graph: Graph) -> float:
+def spectral_gap(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     """Second-smallest eigenvalue of the normalised Laplacian (λ₂).
 
     Returns 0.0 for graphs with fewer than two vertices or no edges.  Exact
-    (dense ``eigh``) up to :data:`DENSE_EIGH_LIMIT` vertices, sparse
-    iterative beyond.
+    (dense ``eigvalsh`` of :func:`_masked_dense_laplacian`) up to
+    :data:`DENSE_EIGH_LIMIT` vertices, sparse iterative on the compacted
+    view beyond.
     """
-    if graph.num_vertices < 2 or graph.total_volume() == 0:
+    view = PeeledCSR.from_graph(graph)
+    idx = view.alive_indices()
+    if idx.size < 2 or view.total_volume == 0:
         return 0.0
-    if graph.num_vertices > DENSE_EIGH_LIMIT:
-        return _lambda2_sparse(graph)[0]
-    lap = normalized_laplacian(graph)
+    if idx.size > DENSE_EIGH_LIMIT:
+        return _lambda2_sparse_csr(view.compact().base)[0]
+    lap, _ = _masked_dense_laplacian(view, idx)
     eigenvalues = np.linalg.eigvalsh(lap)
     eigenvalues.sort()
     return float(max(0.0, eigenvalues[1]))
 
 
-def cheeger_bounds(graph: Graph) -> tuple[float, float]:
+def cheeger_bounds(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[float, float]:
     """(lower, upper) bounds on Φ(G) from the Cheeger inequality."""
     gap = spectral_gap(graph)
     return gap / 2.0, math.sqrt(max(0.0, 2.0 * gap))
@@ -286,6 +229,11 @@ class SweepCut:
 class SpectralCertificate:
     """One reusable spectral solve: λ₂ and the Fiedler embedding of a graph.
 
+    ``scores`` is the embedding x/sqrt(deg) as a float64 array aligned with
+    the solved view's alive vertices in ascending base-index order (see
+    the module docstring); it applies to any view of the same working
+    graph, compacted or not, and to no other.
+
     The certification fast path computes each working graph's eigenproblem
     at most once and threads the result between its consumers — the
     sparse-cut pre-check that skips ParallelNibble batches, the expander
@@ -301,13 +249,8 @@ class SpectralCertificate:
     """
 
     lam2: float
-    scores: Mapping[Vertex, float]
+    scores: np.ndarray
     solver: Literal["dense", "lanczos"]
-
-    @property
-    def exact(self) -> bool:
-        """Whether the solve was a dense, machine-precision ``eigh``."""
-        return self.solver == "dense"
 
     @property
     def cheeger_lower_bound(self) -> float:
@@ -323,11 +266,9 @@ def _masked_dense_laplacian(
     ``idx`` must be closed under the view's alive adjacency — the whole
     alive set, or one connected component of it — so that ``view.loops``
     already carries every Remove-j compensation the set sees.  Matrix rows
-    follow ascending base index, which is exactly the ``repr``-sorted label
-    order :func:`vertex_index` gives the materialised ``G{U}``, and every
-    entry is produced by the same IEEE expressions as
-    :func:`normalized_laplacian`, so the two constructions are bit-identical
-    and dense eigensolves downstream agree across backends exactly.
+    follow ascending base index, the order of the score arrays.  Self loops
+    add degree mass but no off-diagonal coupling, so the diagonal subtracts
+    their share ``loops / deg``.
     """
     k = idx.size
     degrees = view.degree[idx].astype(float)
@@ -340,93 +281,70 @@ def _masked_dense_laplacian(
     loops = view.loops[idx]
     diag = np.arange(k)
     positive = degrees > 0
-    # Mirrors the dict builder's left-associated (loops · inv) · inv so the
-    # float results agree bit-for-bit.
     lap[diag[positive], diag[positive]] -= (
         loops[positive] * inv_sqrt[positive]
     ) * inv_sqrt[positive]
     return lap, degrees
 
 
-def _embedding_scores(
-    fiedler: np.ndarray, degrees: np.ndarray, labels: list
-) -> dict[Vertex, float]:
-    """The Fiedler embedding x/sqrt(deg) as a label-keyed score dict."""
+def _embedding_scores(fiedler: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """The Fiedler embedding x/sqrt(deg), index-aligned with ``fiedler``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        embedding = np.where(
+        return np.where(
             degrees > 0, fiedler / np.sqrt(np.maximum(degrees, 1e-12)), 0.0
         )
-    return {v: float(embedding[i]) for i, v in enumerate(labels)}
 
 
-def _fiedler_scores_masked(view: PeeledCSR) -> tuple[dict[Vertex, float], float]:
-    """Masked twin of :func:`fiedler_scores`: solve straight off a view.
-
-    Dense path (alive count ≤ :data:`DENSE_EIGH_LIMIT`): the Laplacian is
-    assembled from the masked surface (:func:`_masked_dense_laplacian`) —
-    no dict ``G{U}`` is materialised.  Sparse path: the view is compacted
-    into a fresh CSR base, which is array-for-array the snapshot
-    ``CSRGraph.from_graph`` would take of the materialised working graph,
-    and handed to the same iterative solver.  Either way the scores and λ₂
-    equal the dict path's bit-for-bit.
-    """
-    idx = view.alive_indices()
-    labels = [view.vertices[int(i)] for i in idx]
-    if idx.size > DENSE_EIGH_LIMIT:
-        csr = view.compact().base
-        lam2, fiedler = _lambda2_sparse_csr(csr)
-        return _embedding_scores(fiedler, csr.degree.astype(float), csr.vertices), lam2
-    lap, degrees = _masked_dense_laplacian(view, idx)
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    lam2 = float(max(0.0, eigenvalues[1]))
-    return _embedding_scores(eigenvectors[:, 1], degrees, labels), lam2
-
-
-def fiedler_scores(graph: SpectralGraph) -> tuple[dict[Vertex, float], float]:
+def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, float]:
     """Fiedler embedding x/sqrt(deg) and λ₂ from one eigendecomposition.
 
     The spectral sweep cut and the Cheeger certificate both derive from the
     same eigenproblem; this helper computes it once for both consumers.
-    Dense and exact up to :data:`DENSE_EIGH_LIMIT` vertices, sparse
-    iterative (scipy Lanczos or deflated power iteration) beyond — see the
-    module docstring for the accuracy caveat.  ``graph`` may be a
-    :class:`~repro.graphs.peel.PeeledCSR` working view, which is solved off
-    the masked surface with no dict materialisation
-    (:func:`_fiedler_scores_masked`).
+    The scores are aligned with the view's alive vertices in ascending
+    index order.  Up to :data:`DENSE_EIGH_LIMIT` alive vertices the
+    Laplacian is assembled off the masked surface
+    (:func:`_masked_dense_laplacian`) and solved exactly with ``eigh``;
+    beyond, the view is compacted and solved by the sparse iterative path
+    (scipy Lanczos or deflated power iteration) — see the module docstring
+    for the accuracy caveat.
     """
-    if isinstance(graph, PeeledCSR):
-        return _fiedler_scores_masked(graph)
-    if graph.num_vertices > DENSE_EIGH_LIMIT:
-        lam2, fiedler, csr = _lambda2_sparse(graph)
-        return _embedding_scores(fiedler, csr.degree.astype(float), csr.vertices), lam2
-    vertices, _ = vertex_index(graph)
-    lap = normalized_laplacian(graph)
+    view = PeeledCSR.from_graph(graph)
+    idx = view.alive_indices()
+    if idx.size > DENSE_EIGH_LIMIT:
+        csr = view.compact().base
+        lam2, fiedler = _lambda2_sparse_csr(csr)
+        return _embedding_scores(fiedler, csr.degree.astype(float)), lam2
+    lap, degrees = _masked_dense_laplacian(view, idx)
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
     lam2 = float(max(0.0, eigenvalues[1]))
-    return _embedding_scores(eigenvectors[:, 1], degree_vector(graph), vertices), lam2
+    return _embedding_scores(eigenvectors[:, 1], degrees), lam2
 
 
-def _sweep_cut_masked(
-    view: PeeledCSR, scores: Optional[dict[Vertex, float]] = None
+def sweep_cut(
+    graph: "Graph | CSRGraph | PeeledCSR", scores: Optional[np.ndarray] = None
 ) -> SweepCut:
-    """Masked twin of :func:`sweep_cut`, run straight off a working view.
+    """Best prefix cut when vertices are sorted by ``scores``.
 
-    The ordering rule (descending score, ``repr`` tie-break) is reproduced
-    as a ``lexsort`` over (−score, base index) — ascending alive index *is*
-    ``repr`` order — and the prefix integers come from the masked
-    :func:`repro.graphs.csr.prefix_cut_profile`, so the conductances are
-    the same exact integer ratios the dict path computes on the
-    materialised ``G{U}`` and the selected prefix is identical.
+    ``scores`` is aligned with the view's alive vertices in ascending index
+    order (as :func:`fiedler_scores` returns it); an array of any other
+    length raises :class:`ValueError`.  With ``scores=None`` the Fiedler
+    embedding is used, i.e. the classical spectral sweep — the
+    constructive side of Cheeger's inequality.  Vertices are ordered by
+    descending score with ties to the smaller index (for a snapshotted
+    dict graph, the smaller ``repr``), and the prefix integers come from
+    the masked :func:`repro.graphs.csr.prefix_cut_profile`, so every
+    conductance is an exact integer ratio of the alive working graph.
     """
+    view = PeeledCSR.from_graph(graph)
     idx = view.alive_indices()
     n = idx.size
     if n < 2 or view.total_volume == 0:
         return SweepCut(frozenset(), float("inf"), 0.0)
     if scores is None:
-        scores, _ = _fiedler_scores_masked(view)
-    labels = [view.vertices[int(i)] for i in idx]
-    score_arr = np.array([scores.get(v, 0.0) for v in labels])
-    perm = np.lexsort((np.arange(n), -score_arr))
+        scores, _ = fiedler_scores(view)
+    elif len(scores) != n:
+        raise ValueError(f"{len(scores)} scores for a view with {n} alive vertices")
+    perm = np.lexsort((np.arange(n), -np.asarray(scores, dtype=float)))
     order = idx[perm]
     prefix_volume, prefix_cut = csr_prefix_cut_profile(view, order)
     total_volume = view.total_volume
@@ -438,56 +356,19 @@ def _sweep_cut_masked(
     pick = int(np.argmin(conds))
     best_phi = float(conds[pick])
     best_prefix = pick + 1 if best_phi < float("inf") else 0
-    subset = frozenset(labels[int(p)] for p in perm[:best_prefix])
+    labels = view.vertices
+    subset = frozenset(labels[int(i)] for i in order[:best_prefix])
     balance = view.balance_of_cut(order[:best_prefix]) if subset else 0.0
     return SweepCut(subset, best_phi, balance)
 
 
-def sweep_cut(
-    graph: SpectralGraph, scores: Optional[dict[Vertex, float]] = None
-) -> SweepCut:
-    """Best prefix cut when vertices are sorted by ``scores``.
-
-    With ``scores=None`` the Fiedler vector of the normalised Laplacian
-    (divided by sqrt(degree)) is used, i.e. the classical spectral sweep.
-    This is the standard constructive side of Cheeger's inequality, and it is
-    also the primitive the Nibble family applies to its truncated-walk vector.
-    A :class:`~repro.graphs.peel.PeeledCSR` ``graph`` sweeps the masked
-    surface directly (:func:`_sweep_cut_masked`), cut-identical to the dict
-    path on the materialised working graph.
-    """
-    if isinstance(graph, PeeledCSR):
-        return _sweep_cut_masked(graph, scores)
-    vertices, _ = vertex_index(graph)
-    n = len(vertices)
-    if n < 2 or graph.total_volume() == 0:
-        return SweepCut(frozenset(), float("inf"), 0.0)
-    if scores is None:
-        scores, _ = fiedler_scores(graph)
-    order = sorted(vertices, key=lambda v: (-scores.get(v, 0.0), repr(v)))
-    total_volume = graph.total_volume()
-    prefix_volume, prefix_cut = graph.prefix_cut_profile(order)
-    best_phi = float("inf")
-    best_prefix = 0
-    for j in range(1, n):  # proper prefixes only
-        denom = min(prefix_volume[j], total_volume - prefix_volume[j])
-        if denom <= 0:
-            continue
-        phi = prefix_cut[j] / denom
-        if phi < best_phi:
-            best_phi = phi
-            best_prefix = j
-    subset = frozenset(order[:best_prefix])
-    return SweepCut(subset, best_phi, graph.balance_of_cut(subset) if subset else 0.0)
-
-
-def sweep_cut_conductance(graph: Graph) -> float:
+def sweep_cut_conductance(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     """Conductance of the spectral sweep cut (an upper bound on Φ(G))."""
     return sweep_cut(graph).conductance
 
 
 def certify_conductance(
-    graph: SpectralGraph,
+    graph: "Graph | CSRGraph | PeeledCSR",
     phi: float,
     precomputed: Optional[SpectralCertificate] = None,
 ) -> tuple[bool, float, Optional[frozenset]]:
@@ -506,43 +387,48 @@ def certify_conductance(
     discovered — ``None`` when certified — so a failed certificate hands the
     caller a deterministic splitter without recomputing the spectra.
 
-    ``graph`` may be a :class:`~repro.graphs.peel.PeeledCSR` working view,
-    which certifies straight off the masked surface — no dict ``G{U}`` is
-    materialised (except the ≤ :data:`~repro.graphs.metrics
+    The check runs straight off the view's masked surface — no dict
+    ``G{U}`` is materialised, except for the ≤ :data:`~repro.graphs.metrics
     .EXACT_ENUMERATION_LIMIT`-vertex enumeration fallback, where the tiny
-    dict graph is rebuilt for the exact oracle).  A ``precomputed``
+    dict graph is rebuilt for the exact oracle.  A ``precomputed``
     certificate replaces the eigensolve when its ``solver`` is the one this
     check would run on ``graph`` — dense ``eigh`` up to
     :data:`DENSE_EIGH_LIMIT` vertices, the converged Lanczos solve above —
     so it carries the very bytes the check would compute; it is typically
     handed down from the fast path's pre-check so each component is solved
     once.  Any other certificate (a pre-check Lanczos solve on a graph this
-    check solves densely) is ignored and the solve is run here.
+    check solves densely) is ignored and the solve is run here; a reused
+    certificate whose score array does not match the view's alive count
+    raises :class:`ValueError`.
     """
     from .metrics import EXACT_ENUMERATION_LIMIT, graph_conductance_exact
 
-    is_view = isinstance(graph, PeeledCSR)
-    num_vertices = graph.num_vertices
-    total_volume = graph.total_volume if is_view else graph.total_volume()
-    if num_vertices < 2 or total_volume == 0:
+    view = PeeledCSR.from_graph(graph)
+    num_vertices = view.num_vertices
+    if num_vertices < 2 or view.total_volume == 0:
         return True, float("inf"), None  # no cut exists at all
     solver = "dense" if num_vertices <= DENSE_EIGH_LIMIT else "lanczos"
     if precomputed is not None and precomputed.solver == solver:
         scores, lam2 = precomputed.scores, precomputed.lam2
+        if len(scores) != num_vertices:
+            raise ValueError(
+                f"a certificate of {len(scores)} vertices applied to a view "
+                f"with {num_vertices} alive vertices"
+            )
     else:
-        scores, lam2 = fiedler_scores(graph)
+        scores, lam2 = fiedler_scores(view)
     if lam2 / 2.0 >= phi:
-        return True, sweep_cut(graph, scores).conductance, None
+        return True, sweep_cut(view, scores).conductance, None
     if num_vertices <= EXACT_ENUMERATION_LIMIT:
-        exact = graph_conductance_exact(graph.to_graph() if is_view else graph)
+        exact = graph_conductance_exact(view.to_graph())
         certified = exact.conductance >= phi
         return certified, exact.conductance, None if certified else exact.subset
-    cut = sweep_cut(graph, scores)
+    cut = sweep_cut(view, scores)
     return False, cut.conductance, cut.subset
 
 
 def conductance_lower_bound(
-    graph: SpectralGraph, phi: Optional[float] = None
+    graph: "Graph | CSRGraph | PeeledCSR", phi: Optional[float] = None
 ) -> tuple[float, Optional[SpectralCertificate]]:
     """A cheap Cheeger lower bound λ₂/2 on Φ(G), with a reusable solve.
 
@@ -553,11 +439,11 @@ def conductance_lower_bound(
     work and :func:`repro.decomposition.sparse_cut
     .nearly_most_balanced_sparse_cut` skips it.
 
-    Graphs — dict or :class:`~repro.graphs.peel.PeeledCSR` view — of at
-    most :data:`PRECHECK_DENSE_LIMIT` vertices are solved densely (exact;
-    the returned ``"dense"`` :class:`SpectralCertificate` is reusable by
-    :func:`certify_conductance`, so the pre-check and the authoritative
-    final check share one eigensolve).  Larger graphs go in two stages,
+    Graphs of at most :data:`PRECHECK_DENSE_LIMIT` alive vertices are
+    solved densely (exact; the returned ``"dense"``
+    :class:`SpectralCertificate` is reusable by :func:`certify_conductance`,
+    so the pre-check and the authoritative final check share one
+    eigensolve).  Larger graphs go in two stages,
     both on the *compacted* surface — no dict materialisation, no dense
     eigh:
 
@@ -575,7 +461,7 @@ def conductance_lower_bound(
        can overestimate λ₂ severely, and a skip must stand on the same
        quality of solve certification itself uses.  The solve comes back
        as a ``"lanczos"`` certificate, built exactly as
-       :func:`_fiedler_scores_masked` builds its sparse result, so above
+       :func:`fiedler_scores` builds its sparse result, so above
        :data:`DENSE_EIGH_LIMIT` certification reuses it instead of
        compacting and solving the graph again.  Without scipy (or when
        ARPACK does not converge) the confirmation is unavailable: the
@@ -587,15 +473,14 @@ def conductance_lower_bound(
     Edgeless or single-vertex graphs admit no cut at all and report an
     infinite bound.
     """
-    is_view = isinstance(graph, PeeledCSR)
-    num_vertices = graph.num_vertices
-    total_volume = graph.total_volume if is_view else graph.total_volume()
-    if num_vertices < 2 or total_volume == 0:
+    view = PeeledCSR.from_graph(graph)
+    num_vertices = view.num_vertices
+    if num_vertices < 2 or view.total_volume == 0:
         return float("inf"), None
     if num_vertices <= min(PRECHECK_DENSE_LIMIT, DENSE_EIGH_LIMIT):
-        scores, lam2 = fiedler_scores(graph)
+        scores, lam2 = fiedler_scores(view)
         return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="dense")
-    view = graph.compact() if is_view else PeeledCSR.from_graph(graph)
+    view = view.compact()
     screen = _iterative_cheeger_bound(view, phi)
     if phi is not None and screen <= phi + PRECHECK_MARGIN:
         return min(screen, phi), None  # the screen already rules the skip out
@@ -604,9 +489,7 @@ def conductance_lower_bound(
         # No converged solve available: report a bound that cannot fire.
         return 0.0 if phi is None else min(screen, phi), None
     lam2, fiedler = confirmed
-    scores = _embedding_scores(
-        fiedler, view.base.degree.astype(float), view.base.vertices
-    )
+    scores = _embedding_scores(fiedler, view.base.degree.astype(float))
     return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="lanczos")
 
 
@@ -634,7 +517,6 @@ def batched_component_certificates(
         if 2 <= size <= PRECHECK_DENSE_LIMIT:
             groups.setdefault(size, []).append(position)
     index = view.index
-    labels = view.vertices
     for size, members in groups.items():
         # Chunk so one stack stays comfortably in memory even for many
         # mid-sized components (k · size² doubles per chunk).
@@ -643,7 +525,6 @@ def batched_component_certificates(
             part = members[begin : begin + chunk]
             laps = np.empty((len(part), size, size))
             piece_degrees = []
-            piece_labels = []
             for slot, position in enumerate(part):
                 idx = np.fromiter(
                     sorted(index[v] for v in pieces[position]),
@@ -653,13 +534,10 @@ def batched_component_certificates(
                 lap, degrees = _masked_dense_laplacian(view, idx)
                 laps[slot] = lap
                 piece_degrees.append(degrees)
-                piece_labels.append([labels[int(i)] for i in idx])
             eigenvalues, eigenvectors = np.linalg.eigh(laps)
             for slot, position in enumerate(part):
                 lam2 = float(max(0.0, eigenvalues[slot, 1]))
-                scores = _embedding_scores(
-                    eigenvectors[slot][:, 1], piece_degrees[slot], piece_labels[slot]
-                )
+                scores = _embedding_scores(eigenvectors[slot][:, 1], piece_degrees[slot])
                 hints[position] = SpectralCertificate(
                     lam2=lam2, scores=scores, solver="dense"
                 )
@@ -740,15 +618,16 @@ def _iterative_cheeger_bound(view: PeeledCSR, phi: Optional[float]) -> float:
     return best
 
 
-def is_expander(graph: Graph, phi: float) -> bool:
+def is_expander(graph: "Graph | CSRGraph | PeeledCSR", phi: float) -> bool:
     """Certify Φ(G) >= phi (see :func:`certify_conductance`)."""
     return certify_conductance(graph, phi)[0]
 
 
-def effective_conductance(graph: Graph) -> float:
+def effective_conductance(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     """Best available estimate of Φ(G): exact when tiny, sweep cut otherwise."""
     from .metrics import EXACT_ENUMERATION_LIMIT, graph_conductance_exact
 
-    if graph.num_vertices <= EXACT_ENUMERATION_LIMIT:
-        return graph_conductance_exact(graph).conductance
-    return sweep_cut_conductance(graph)
+    view = PeeledCSR.from_graph(graph)
+    if view.num_vertices <= EXACT_ENUMERATION_LIMIT:
+        return graph_conductance_exact(view.to_graph()).conductance
+    return sweep_cut(view).conductance

@@ -109,7 +109,6 @@ def scan_walk_sequence(
     params: NibbleParameters,
     start: Hashable,
     approximate: bool = False,
-    return_first: bool = False,
 ) -> Optional[NibbleCut]:
     """Sweep every time step of ``sequence`` and return a certified cut.
 
@@ -118,12 +117,9 @@ def scan_walk_sequence(
     function is shared verbatim by the centralized and distributed Nibble so
     their outputs coincide whenever their walk vectors do.
 
-    By default the *best* certified cut over all (t, j) is returned (lowest
-    conductance, ties to larger volume then earlier time).  The paper's
-    analysis only needs the first certified prefix (``return_first=True``),
-    but early time steps certify ragged cuts whose boundaries inflate the
-    decomposition's removed-edge budget; scanning the whole sequence costs no
-    extra walk steps and returns the cleaned-up cut the walk converges to.
+    The *best* certified cut over all (t, j) is returned (lowest
+    conductance, ties to larger volume then earlier time), not the paper's
+    first certified prefix: EXPERIMENTS.md documents the deviation.
 
     ``sequence`` may be a lazy generator
     (:func:`repro.walks.lazy_walk.truncated_walk_iter`): the scan consumes
@@ -167,8 +163,6 @@ def scan_walk_sequence(
                 scale=scale,
                 start=start,
             )
-            if return_first:
-                return cut
             if best is None or (cut.conductance, -cut.volume) < (
                 best.conductance,
                 -best.volume,
@@ -184,7 +178,6 @@ def scan_walk_sequence_csr(
     params: NibbleParameters,
     start: Hashable,
     approximate: bool = False,
-    return_first: bool = False,
 ) -> Optional[NibbleCut]:
     """Vectorized twin of :func:`scan_walk_sequence` for the CSR backend.
 
@@ -263,17 +256,12 @@ def scan_walk_sequence_csr(
         )
         hit = np.flatnonzero(certified)
         if hit.size:
-            if return_first:
-                pick = hit[0]
-            else:
-                # same tie rule as the dict scan: min (Φ, -Vol), then smallest j
-                pick = hit[np.lexsort((j_values[hit], -vol[hit], cond[hit]))[0]]
+            # same tie rule as the dict scan: min (Φ, -Vol), then smallest j
+            pick = hit[np.lexsort((j_values[hit], -vol[hit], cond[hit]))[0]]
             key = (float(cond[pick]), -int(vol[pick]))
-            if return_first or best is None or key < best[0]:
+            if best is None or key < best[0]:
                 j = int(j_values[pick])
                 best = (key, t, j, int(cut[pick]), state.prefix(j).copy())
-                if return_first:
-                    break
     if best is None:
         return None
     (conductance, neg_volume), t, j, cut_size, prefix = best

@@ -174,7 +174,9 @@ class SubtreeTask:
     ``subset`` is the component's vertex-label set, ``depth`` its recursion
     depth, and ``hint`` an optional precomputed
     :class:`~repro.graphs.spectral.SpectralCertificate` of its induced
-    graph (the driver batches sibling solves).  Together with the run-wide
+    graph (the driver batches sibling solves).  ``connected`` is set for a
+    piece its parent split off along connected components, so the subtree
+    skips scanning it again.  Together with the run-wide
     :class:`SubtreeSpec` these name the subtree completely — which is why
     any engine can run it anywhere and produce the same outcome.
     """
@@ -182,6 +184,7 @@ class SubtreeTask:
     subset: frozenset
     depth: int
     hint: Optional[object] = None
+    connected: bool = False
 
 
 @dataclass(frozen=True)
@@ -783,7 +786,9 @@ class ShardedExecutor(Executor):
                 _Job(
                     inline=inline,
                     fn=run_subtree,
-                    args=(subset_indices, task.depth, task.hint, shipped),
+                    args=(
+                        subset_indices, task.depth, task.hint, task.connected, shipped
+                    ),
                     address=("subtree", spec.root, task.depth, first, len(subset_indices)),
                     validate=functools.partial(
                         validate_subtree_outcome, subset=task.subset, base=spec.base

@@ -114,7 +114,12 @@ def run_nibble_instance(
 
 
 def run_subtree(
-    meta: SharedCSRMeta, subset_indices: list[int], depth: int, hint, spec
+    meta: SharedCSRMeta,
+    subset_indices: list[int],
+    depth: int,
+    hint,
+    connected: bool,
+    spec,
 ) -> object:
     """Decompose one recursion subtree inside a worker process.
 
@@ -134,7 +139,7 @@ def run_subtree(
     from ..decomposition.expander import decompose_subtree_on_base
 
     return decompose_subtree_on_base(
-        attached_graph(meta), subset_indices, depth, hint, spec
+        attached_graph(meta), subset_indices, depth, hint, connected, spec
     )
 
 

@@ -84,10 +84,6 @@ class RoundReport:
                 return node
         return None
 
-    def merge_from(self, other: "RoundReport") -> None:
-        """Fold another report into this one as a child."""
-        self.children.append(other)
-
     def summary(self, max_depth: int = 3) -> str:
         """Indented text summary of the round breakdown."""
         lines = []

@@ -21,7 +21,7 @@ switches the hot path over without changing any output.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 from ..graphs.graph import Graph, Vertex
 
@@ -31,15 +31,6 @@ MassVector = dict[Vertex, float]
 def point_mass(vertex: Vertex) -> MassVector:
     """χ_v: all probability mass on one vertex."""
     return {vertex: 1.0}
-
-
-def degree_distribution(graph: Graph, subset: Optional[Iterable[Vertex]] = None) -> MassVector:
-    """ψ_S: mass deg(v)/Vol(S) on each v of S (whole graph by default)."""
-    vertices = list(subset) if subset is not None else list(graph.vertices())
-    total = graph.volume(vertices)
-    if total == 0:
-        raise ValueError("cannot normalise over a zero-volume set")
-    return {v: graph.degree(v) / total for v in vertices if graph.degree(v) > 0}
 
 
 def lazy_walk_step(graph: Graph, p: Mapping[Vertex, float]) -> MassVector:

@@ -27,10 +27,13 @@ from repro.decomposition import expander_decomposition
 from repro.decomposition.expander import ExpanderComponent, _SubtreeOutcome
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
+    disjoint_cliques,
     planted_partition_graph,
     ring_of_cliques,
+    union_of_graphs,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.peel import PeeledCSR
 from repro.parallel import (
     SEQUENTIAL,
     ShardedExecutor,
@@ -214,6 +217,55 @@ class TestComponentParallelIdentity:
         with ShardedExecutor(2, min_shard_vertices=1) as engine:
             run(graph, executor=engine)
         assert shm_entries() - before == set()
+
+
+class TestKnownConnectedPieces:
+    """A piece its parent split off along connected components is known to
+    be connected, so no engine scans it for components again."""
+
+    @staticmethod
+    def spy_on_scans(monkeypatch) -> list:
+        """Record (alive label set, returned pieces) for every scan."""
+        real = PeeledCSR.connected_components
+        scans = []
+
+        def spy(view):
+            pieces = real(view)
+            alive = frozenset(view.vertices[int(i)] for i in view.alive_indices())
+            scans.append((alive, pieces))
+            return pieces
+
+        monkeypatch.setattr(PeeledCSR, "connected_components", spy)
+        return scans
+
+    @pytest.mark.parametrize("engine", ["sequential", pytest.param("pool", marks=needs_shm)])
+    @pytest.mark.parametrize(
+        "name, graph",
+        [
+            ("disjoint_cliques", disjoint_cliques(5, 8)),
+            # pieces that are then cut, and whose cut sides are scanned
+            ("union", union_of_graphs([graph for _, graph in GRAPHS])),
+        ],
+    )
+    def test_split_off_pieces_are_not_scanned_again(self, monkeypatch, engine, name, graph):
+        expected = run(graph)
+        scans = self.spy_on_scans(monkeypatch)
+        if engine == "pool":
+            # every piece ships to the in-process pool double, so the
+            # flag must survive run_siblings -> run_subtree
+            with ShardedExecutor(2, min_shard_vertices=1) as pooled:
+                pooled._pool = FakePool()
+                got = run(graph, executor=pooled)
+        else:
+            got = run(graph)
+        assert got == expected
+        split_off = {
+            frozenset(piece) for _, pieces in scans if len(pieces) > 1 for piece in pieces
+        }
+        assert split_off, name  # the run does split along components
+        assert [alive for alive, _ in scans if alive in split_off] == []
+        if name == "disjoint_cliques":
+            assert len(scans) == 1  # the host; each clique certifies unscanned
 
 
 class TestFaultInjection:

@@ -253,7 +253,7 @@ class TestSpectralPrecheck:
             exact = graph_conductance_exact(g).conductance
             assert bound <= exact + PRECHECK_MARGIN, trial
             if cert is not None:
-                assert cert.exact
+                assert cert.solver == "dense"
                 assert cert.cheeger_lower_bound == bound
 
     def test_certificate_reproduces_certify_conductance(self):
@@ -288,12 +288,12 @@ class TestSpectralPrecheck:
         view = PeeledCSR.from_graph(g)
         pieces = view.connected_components()
         hints = batched_component_certificates(view, pieces)
-        assert all(h is not None and h.exact for h in hints)
+        assert all(h is not None and h.solver == "dense" for h in hints)
         for piece, hint in zip(pieces, hints):
             solo_bound, solo_cert = conductance_lower_bound(g.induced_with_loops(piece))
             assert solo_cert is not None
             assert hint.lam2 == solo_cert.lam2
-            assert hint.scores == solo_cert.scores
+            assert np.array_equal(hint.scores, solo_cert.scores)
 
     def test_iterative_bound_fires_on_large_expander_only(self, monkeypatch):
         g = barbell_expanders(640, degree=8, seed=7)

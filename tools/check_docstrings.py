@@ -1,11 +1,13 @@
 """Docs gate for CI: user docs must exist, public APIs must be documented.
 
-Walks the AST of every module under ``repro.nibble``, ``repro.decomposition``,
-``repro.triangles``, and the vectorized graph layers and fails (exit code 1)
-if any module, public class, or public function/method lacks a docstring, or
-if any of the required user-facing documents (``README.md``,
-``docs/ARCHITECTURE.md``, ``docs/PEELING.md``, ``docs/TRIANGLES.md``) is
-missing.  Pure stdlib, grep-free, no third-party linter needed.
+Walks the AST of every module under ``repro.nibble``,
+``repro.decomposition``, ``repro.parallel``, ``repro.resilience``,
+``repro.triangles`` and ``repro.worlds``, plus the graph layers the
+pipeline runs on (``repro.graphs.csr``, ``repro.graphs.peel`` and
+``repro.graphs.spectral``), and fails (exit code 1) if any module, public
+class, or public function/method lacks a docstring, or if any of the
+required user-facing documents (``README.md`` and the ``docs/`` guides
+listed in :data:`REQUIRED_DOCS`) is missing.  Pure stdlib, grep-free, no third-party linter needed.
 
 Usage::
 
@@ -27,6 +29,7 @@ CHECKED_PATHS = [
     "src/repro/triangles",
     "src/repro/graphs/csr.py",
     "src/repro/graphs/peel.py",
+    "src/repro/graphs/spectral.py",
     "src/repro/worlds",
 ]
 
