@@ -306,10 +306,14 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
     (:func:`_masked_dense_laplacian`) and solved exactly with ``eigh``;
     beyond, the view is compacted and solved by the sparse iterative path
     (scipy Lanczos or deflated power iteration) — see the module docstring
-    for the accuracy caveat.
+    for the accuracy caveat.  With fewer than two alive vertices or no
+    volume there is no eigenvector to embed: the scores are all zero and
+    λ₂ is 0.0, as :func:`spectral_gap` reports.
     """
     view = PeeledCSR.from_graph(graph)
     idx = view.alive_indices()
+    if idx.size < 2 or view.total_volume == 0:
+        return np.zeros(idx.size), 0.0
     if idx.size > DENSE_EIGH_LIMIT:
         csr = view.compact().base
         lam2, fiedler = _lambda2_sparse_csr(csr)

@@ -12,9 +12,15 @@ mass and the IEEE fixpoint, are read off the walk alone — so the kernel
 walks a *block* of ``K`` lockstep steps first, keeping each step's mass
 in a ``(K, rows, n)`` stack, and then sweeps every ``(step, row)`` pair
 of the block in one vectorised pass: one stable ρ̃ argsort, one set of
-prefix statistics, one (C.1)–(C.3*) test on the geometric candidate
-prefixes and one best-cut selection.  A row that stops mid-block is
-swept up to the step before its stop and dropped at the block's end.
+prefix statistics per *fresh* pair, one (C.2) test per pair and one
+best-cut selection.  A pair is fresh when it is its row's first step in
+the block or its ordering or jmax differs from the row's previous step;
+late in a walk most steps repeat the previous ordering, and every other
+pair shares the (C.1)/(C.3*)-passing candidates of its row's latest
+fresh pair.  A row that stops mid-block is swept up to the step before
+its stop and dropped at the block's end.  The walk's share and gather
+buffers are allocated once per call, and each step's mass is written
+straight into its stack slot.
 
 Each row is bit-identical to ``approximate_nibble(view, start, scale,
 params)`` by construction, not by tolerance:
@@ -26,12 +32,19 @@ params)`` by construction, not by tolerance:
 * each target's incoming mass is one ``np.bincount`` over a row-major
   ``(row, source, target)`` gather, which adds shares sequentially in
   ascending source order — zero-mass sources add ``+0.0``, exact for
-  these non-negative sums — and the retained share is added last; a
+  these non-negative sums — and the retained share is added last
+  (``retained += incoming``: IEEE addition commutes); a
   compensating self loop of a peeled view enters only through that
   retained share, as in the workspace;
 * every float expression is the single walk's, element-wise:
   ``m*(0.5+(0.5*loops)/deg)``, ``m/(2.0*deg)``, ``(2.0*ε_b)*deg``,
   ``m/deg``, ``cut/min(vol, Vol−vol)``, ``γ/vol``;
+* prefix volumes and cuts, the candidate chain, (C.1) and (C.3*) are a
+  function of the ordering, jmax and the row's scale alone, so a pair
+  that repeats its row's previous ordering and jmax has its fresh pair's
+  candidates exactly; (C.2), the one test that reads ρ̃, is evaluated for
+  every pair against its own ρ̃, and a winning prefix is cut out of its
+  own pair's ordering;
 * the candidate chain compares integer volumes with ``(1+φ)·Vol``
   exactly, through ``floor`` of the threshold — never a float with an
   integer row offset added;
@@ -65,8 +78,9 @@ LOCKSTEP_CELL_BUDGET = 65_536
 #: Cells one walk-then-sweep block spans: a block is
 #: ``max(1, BLOCK_CELLS // batch_cells(view, rows))`` steps long (capped by
 #: the steps left), for the rows still walking when it starts.  Set from
-#: the measured latency/RSS trade-off (EXPERIMENTS.md, "Blocked sweep").
-BLOCK_CELLS = 32_768
+#: the measured latency/RSS trade-off (EXPERIMENTS.md, "Blocked sweep",
+#: re-measured in "Sweep each ordering once").
+BLOCK_CELLS = 65_536
 
 
 def batch_cells(view: PeeledCSR, rows: int) -> int:
@@ -134,23 +148,32 @@ def lockstep_approximate_nibble(
     best_conductance = np.full(columns, np.inf)
     best_neg_volume = np.zeros(columns, dtype=np.int64)
     best: list[Optional[tuple]] = [None] * columns
+    # The per-step share and gather buffers, sliced to the live rows.
+    quotient = np.empty(columns * n)
+    gather = np.empty(columns * len(src))
 
     check_walk_deadline()  # t = 0: p̃_0 = χ_v is never certified
     t = 0
     while t < params.t0 and len(col):
         count = len(col)
         steps = min(max(1, BLOCK_CELLS // batch_cells(view, count)), params.t0 - t)
+        divided = quotient[: count * n].reshape(count, n)
+        shares = gather[: count * len(src)].reshape(count, len(src))
+        block_bins = bins[: count * len(src)]
         # -- walk the block ----------------------------------------------
         stack = np.empty((steps, count, n))
         swept = np.zeros((steps, count), dtype=bool)
         walking = np.ones(count, dtype=bool)
         for k in range(steps):
             check_walk_deadline()
-            share = (mass / share_divisor)[:, src]
-            walked = np.bincount(
-                bins[: count * len(src)], weights=share.ravel(), minlength=count * n
-            )
-            walked = walked.reshape(count, n) + mass * keep_factor
+            np.divide(mass, share_divisor, out=divided)
+            # mode="clip" lets take write into ``out`` unbuffered; every
+            # index is in range, so it gathers exactly what "raise" would.
+            np.take(divided, src, axis=1, out=shares, mode="clip")
+            walked = np.multiply(mass, keep_factor, out=stack[k])
+            walked += np.bincount(
+                block_bins, weights=shares.ravel(), minlength=count * n
+            ).reshape(count, n)
             walked[walked < threshold] = 0.0
             # Zero mass and the fixpoint (from t = 2 on) stop a row before
             # its step is swept; a stopped row keeps walking to the block's
@@ -158,29 +181,32 @@ def lockstep_approximate_nibble(
             walking &= walked.any(axis=1)
             if t + k >= 1:
                 walking &= (walked != mass).any(axis=1)
-            stack[k] = walked
             swept[k] = walking
             mass = walked
             if not walking.any():
                 steps = k + 1
                 break
         # -- sweep the block ---------------------------------------------
-        pair_step, pair_row = np.nonzero(swept[:steps])
+        pair_row, pair_step = np.nonzero(swept[:steps].T)  # row by row
         if pair_row.size:
             pair_mass = stack[pair_step, pair_row]
             support = (pair_mass > 0.0) & positive
             rho = np.where(support, pair_mass / safe_deg, 0.0)
             order = np.argsort(np.where(support, -rho, np.inf), axis=1, kind="stable")
+            jmax = support.sum(axis=1)
+            fresh, source = _fresh_pairs(pair_step, order, jmax)
             prefixes = _Prefixes(
-                order, support.sum(axis=1), min_volume[pair_row], params, *graph_arrays
+                order[fresh], jmax[fresh], min_volume[pair_row[fresh]], params,
+                *graph_arrays,
             )
-            certified = prefixes.static & (
-                rho.ravel()[prefixes.rho_at] >= prefixes.gamma_over_volume  # (C.2)
-            )
-            hit = np.flatnonzero(certified)
-            if hit.size:
+            pair, cand = prefixes.static_per_pair(source)
+            certified = (
+                rho[pair, prefixes.last[cand]] >= prefixes.gamma_over_volume[cand]
+            )  # (C.2), on each pair's own ρ̃
+            if certified.any():
                 _update_best(
-                    prefixes, hit, t + 1 + pair_step, col[pair_row],
+                    prefixes, pair[certified], cand[certified], order,
+                    t + 1 + pair_step, col[pair_row],
                     best_conductance, best_neg_volume, best,
                 )
         t += steps
@@ -211,15 +237,35 @@ def lockstep_approximate_nibble(
     return cuts
 
 
-class _Prefixes:
-    """Prefix statistics of a block's orderings, and their candidates.
+def _fresh_pairs(pair_step, order, jmax):
+    """Which pairs get their own prefix statistics, and whose each pair uses.
 
-    Everything here depends on the ``(pairs × n)`` ordering, jmax and the
-    pairs' scales only: prefix volumes and cuts, the geometric candidate
-    chain, and the candidates' (C.1), (C.3*) and γ/Vol values.  Flat
-    indices address the row-major ``(pairs × (n+1))`` prefix grid
-    (``candidates``) and the ``(pairs × n)`` ρ̃ grid (``rho_at``, each
-    candidate's last vertex).
+    The pairs come row by row, each row's swept steps in ascending order
+    (a row stops for good, so they are the block's first steps), with
+    their orderings and jmax.  A pair is fresh when it is its row's first
+    step in the block, or when its ordering or jmax differs from the pair
+    before it — the same row one step earlier.  Returns the fresh mask and,
+    per pair, the rank among the fresh pairs of its row's latest fresh
+    pair (itself when fresh): a forward fill along the rows, which a
+    running count of the fresh pairs is, since every row starts fresh.
+    """
+    fresh = pair_step == 0
+    fresh[1:] |= (jmax[1:] != jmax[:-1]) | (order[1:] != order[:-1]).any(axis=1)
+    return fresh, np.cumsum(fresh) - 1
+
+
+class _Prefixes:
+    """Prefix statistics of a block's distinct orderings, and their candidates.
+
+    Everything here is a function of an ordering, its jmax and its row's
+    scale alone: prefix volumes and cuts, the geometric candidate chain,
+    and the candidates' (C.1), (C.3*) and γ/Vol values.  So a block builds
+    it once per fresh pair (:func:`_fresh_pairs`), each of the
+    ``(fresh × n)`` orderings one row here, and every pair that repeats
+    its predecessor's ordering and jmax shares its fresh pair's
+    candidates; only (C.2) reads the pair's own ρ̃.  Candidates are listed
+    by flat index into the row-major ``(fresh × (n+1))`` prefix grid
+    (``candidates``), with their row, prefix length ``j`` and last vertex.
     """
 
     def __init__(
@@ -228,7 +274,6 @@ class _Prefixes:
     ) -> None:
         count, n = order.shape
         row = np.arange(count)[:, None]
-        self.order = order
         volume = np.zeros((count, n + 1), dtype=np.int64)
         np.cumsum(deg[order], axis=1, out=volume[:, 1:])
         # An edge is inside a prefix from its later endpoint's position on.
@@ -258,11 +303,10 @@ class _Prefixes:
         for _ in range(max(int(jmax.max()) - 1, 0).bit_length()):
             on_chain[hop[on_chain]] = True
             hop = hop[hop]
-        # (C.1) and (C.3*) on the candidates; (C.2) needs the pair's ρ̃.
+        # (C.1) and (C.3*) on the candidates; (C.2) needs each pair's ρ̃.
         self.candidates = np.flatnonzero(on_chain)
         self.cand_row, self.cand_j = np.divmod(self.candidates, n + 1)
-        last = order.ravel()[self.cand_row * n + self.cand_j - 1]
-        self.rho_at = self.cand_row * n + last
+        self.last = order[self.cand_row, self.cand_j - 1]
         self.vol = volume.ravel()[self.candidates]
         self.boundary = cut.ravel()[self.candidates]
         denom = np.minimum(self.vol, total - self.vol)
@@ -277,31 +321,50 @@ class _Prefixes:
         )
         # Candidates have vol >= 1 (their first vertex has positive degree).
         self.gamma_over_volume = params.gamma / self.vol
+        self.rows = count
+
+    def static_per_pair(self, source):
+        """Every ``(pair, candidate)`` whose candidate passes (C.1) and
+        (C.3*), for pairs whose fresh row is ``source``: the fresh rows'
+        static candidates repeated for each pair that shares them."""
+        static = np.flatnonzero(self.static)  # ascending row, then j
+        per_row = np.bincount(self.cand_row[static], minlength=self.rows)
+        first = np.cumsum(per_row) - per_row
+        repeats = per_row[source]
+        pair = np.repeat(np.arange(len(source)), repeats)
+        offset = np.cumsum(repeats) - repeats
+        at = np.repeat(first[source] - offset, repeats) + np.arange(len(pair))
+        return pair, static[at]
 
 
 def _update_best(
-    prefixes, hit, pair_t, pair_draw, best_conductance, best_neg_volume, best
+    prefixes, pair, cand, order, pair_t, pair_draw,
+    best_conductance, best_neg_volume, best,
 ):
-    """Fold one block's certified candidates ``hit`` into the per-draw best.
+    """Fold one block's certified ``(pair, candidate)`` hits into the best.
 
     Per draw the block's winner is the least ``(Φ, −Vol, t, j)``; it
     replaces the draw's best only if strictly better in ``(Φ, −Vol)``, so
-    ties go to the earlier block.
+    ties go to the earlier block.  The winner's prefix is cut out of its
+    pair's own ordering.
     """
     p = prefixes
-    draw, t = pair_draw[p.cand_row[hit]], pair_t[p.cand_row[hit]]
-    rank = np.lexsort((p.cand_j[hit], t, -p.vol[hit], p.conductance[hit], draw))
-    draw, ranked = draw[rank], hit[rank]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = draw[1:] != draw[:-1]
-    win, draw = ranked[first], draw[first]
-    conductance, neg_volume = p.conductance[win], -p.vol[win]
+    draw, t, j = pair_draw[pair], pair_t[pair], p.cand_j[cand]
+    vol, conductance = p.vol[cand], p.conductance[cand]
+    rank = np.lexsort((j, t, -vol, conductance, draw))
+    first = np.ones(len(rank), dtype=bool)
+    first[1:] = draw[rank[1:]] != draw[rank[:-1]]
+    win = rank[first]
+    draw, conductance, neg_volume = draw[win], conductance[win], -vol[win]
     better = (conductance < best_conductance[draw]) | (
         (conductance == best_conductance[draw])
         & (neg_volume < best_neg_volume[draw])
     )
     best_conductance[draw[better]] = conductance[better]
     best_neg_volume[draw[better]] = neg_volume[better]
-    for pick, d in zip(win[better].tolist(), draw[better].tolist()):
-        row, j = int(p.cand_row[pick]), int(p.cand_j[pick])
-        best[d] = (int(pair_t[row]), j, int(p.boundary[pick]), p.order[row, :j].copy())
+    for w, d in zip(win[better].tolist(), draw[better].tolist()):
+        length = int(j[w])
+        best[d] = (
+            int(t[w]), length, int(p.boundary[cand[w]]),
+            order[pair[w], :length].copy(),
+        )

@@ -13,7 +13,9 @@ below cover the benchmark families' small pieces at every scale, views
 with gaps, views after peels, int32 and int64 bases, a memory-mapped
 base, degenerate rows, rows that retire at each stop rule while others
 keep walking, block boundaries at several block lengths, the deadline,
-and a graph large enough that a superlinear table would show.
+a graph large enough that a superlinear table would show, and the reuse
+of one fresh pair's prefix statistics by the steps that repeat its
+ordering.
 """
 
 import dataclasses
@@ -21,8 +23,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diffharness import generator_families, index_width
-from repro.decomposition import nearly_most_balanced_sparse_cut
+from diffharness import decomposition_signature, generator_families, index_width
+from repro.decomposition import expander_decomposition, nearly_most_balanced_sparse_cut
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
@@ -399,3 +401,93 @@ class TestBlockBoundaries:
             with pytest.raises(DeadlineExpired):
                 lockstep_approximate_nibble(view, draws, params)
         assert ticks.elapsed() - 1 == 10
+
+
+def count_prefix_rows(monkeypatch):
+    """Spy on the sweep: ``pairs`` swept, and ``rows`` of prefix statistics
+    built — one per fresh pair."""
+    counts = {"pairs": 0, "rows": 0}
+    fresh_pairs, prefixes = lockstep._fresh_pairs, lockstep._Prefixes
+
+    def count_pairs(pair_step, order, jmax):
+        counts["pairs"] += len(order)
+        return fresh_pairs(pair_step, order, jmax)
+
+    def count_rows(order, *args):
+        counts["rows"] += len(order)
+        return prefixes(order, *args)
+
+    monkeypatch.setattr(lockstep, "_fresh_pairs", count_pairs)
+    monkeypatch.setattr(lockstep, "_Prefixes", count_rows)
+    return counts
+
+
+class TestPrefixReuse:
+    """A pair that repeats its row's previous ordering and jmax shares that
+    step's prefix statistics; (C.2) still reads its own ρ̃."""
+
+    #: The ``ring`` benchmark workload's decomposition settings.
+    RING = {
+        "epsilon": 0.1,
+        "phi": 0.1,
+        "sparse_cut_kwargs": {"num_instances": 6, "params_overrides": {"max_t0": 150}},
+    }
+
+    def test_repeated_orderings_are_not_recomputed(self, monkeypatch):
+        counts = count_prefix_rows(monkeypatch)
+        result = expander_decomposition(ring_of_cliques(6, 8), seed=1, **self.RING)
+        assert 0 < counts["rows"] < counts["pairs"]
+        assert len(result.components) == 6
+
+    def test_one_step_blocks_recompute_every_pair(self, monkeypatch):
+        """With one-step blocks every pair is its row's first step in its
+        block, so every pair is fresh — and the outputs do not move."""
+        graph = ring_of_cliques(6, 8)
+        view = PeeledCSR.from_graph(graph)
+        params = NibbleParameters.practical(view, 0.1, max_t0=150)
+        draws = every_draw(view, params, stride=7)
+        blocked = lockstep_approximate_nibble(view, draws, params)
+        expected = decomposition_signature(
+            expander_decomposition(graph, seed=1, **self.RING)
+        )
+        monkeypatch.setattr(lockstep, "BLOCK_CELLS", 1)
+        counts = count_prefix_rows(monkeypatch)
+        assert lockstep_approximate_nibble(view, draws, params) == blocked
+        got = decomposition_signature(expander_decomposition(graph, seed=1, **self.RING))
+        assert got == expected
+        assert counts["pairs"] > 0 and counts["rows"] == counts["pairs"]
+
+    @pytest.mark.parametrize("steps", [7, None], ids=str)
+    def test_c2_reads_each_pairs_own_rho(self, monkeypatch, steps):
+        """On a path the ordering is fixed by the distance from the start,
+        so most steps reuse their fresh pair's candidates while mass still
+        creeps down the path; (C.2) first passes on such a reused step, so
+        testing it on the fresh pair's ρ̃ would return a later cut."""
+        graph = Graph()
+        for i in range(29):
+            graph.add_edge(i, i + 1)
+        view = PeeledCSR.from_graph(graph)
+        params = NibbleParameters.practical(view, 0.1, max_t0=60)
+        draws = [(0, 1), (0, 2), (3, 4), (25, 5)]
+        monkeypatch.setattr(
+            lockstep, "BLOCK_CELLS", block_cells(view, len(draws), steps)
+        )
+        counts = count_prefix_rows(monkeypatch)
+        assert_rows_match(view, draws, params)
+        assert counts["rows"] < counts["pairs"]
+
+    def test_same_ordering_with_another_jmax_is_fresh(self):
+        """Hand-built pairs: row A's steps 0-3, row B's steps 0-1.  A's step
+        1 keeps the ordering but loses a vertex from the support, so it is
+        recomputed; A's steps 2-3 and B's step 1 repeat and are reused."""
+        same = [2, 0, 1, 3]
+        order = np.array([same, same, same, same, [1, 0, 2, 3], [1, 0, 2, 3]])
+        jmax = np.array([3, 2, 2, 2, 4, 4])
+        pair_step = np.array([0, 1, 2, 3, 0, 1])
+        fresh, source = lockstep._fresh_pairs(pair_step, order, jmax)
+        assert fresh.tolist() == [True, True, False, False, True, False]
+        assert source.tolist() == [0, 1, 1, 1, 2, 2]
+        order[3] = [0, 2, 1, 3]  # a moved ordering is fresh as well
+        fresh, source = lockstep._fresh_pairs(pair_step, order, jmax)
+        assert fresh.tolist() == [True, True, False, True, True, False]
+        assert source.tolist() == [0, 1, 1, 2, 3, 3]

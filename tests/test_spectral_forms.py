@@ -26,6 +26,7 @@ from repro.graphs.generators import (
     hypercube_graph,
     ring_of_cliques,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
 
 FORMS = ["dict", "csr", "full_view", "subset_view"]
@@ -125,6 +126,34 @@ def test_misaligned_scores_raise():
     for phi in (0.05, 0.5):  # certified by Cheeger, and by enumeration
         with pytest.raises(ValueError):
             spectral.certify_conductance(view, phi, precomputed=other)
+
+
+def degenerate_inputs():
+    """Working graphs with no cut: one vertex, two isolated vertices, and a
+    one-vertex subset view of a larger host."""
+    base = CSRGraph.from_graph(ring_of_cliques(3, 4))
+    yield "complete_graph(1)", complete_graph(1)
+    yield "two_isolated", Graph(vertices=["a", "b"])
+    yield "one_vertex_subset", PeeledCSR.for_subset(base, [base.index[(1, 2)]])
+
+
+DEGENERATE = list(degenerate_inputs())
+
+
+@pytest.mark.parametrize("name, graph", DEGENERATE, ids=[d[0] for d in DEGENERATE])
+def test_degenerate_inputs_report_no_cut(name, graph):
+    """Every routine agrees there is nothing to cut: zero scores aligned
+    with the alive vertices and λ₂ = 0, as ``spectral_gap`` reports."""
+    alive = PeeledCSR.from_graph(graph).num_vertices
+    scores, lam2 = spectral.fiedler_scores(graph)
+    assert scores.dtype == np.float64
+    assert np.array_equal(scores, np.zeros(alive))
+    assert lam2 == spectral.spectral_gap(graph) == 0.0
+    assert spectral.sweep_cut(graph) == spectral.SweepCut(frozenset(), math.inf, 0.0)
+    assert spectral.sweep_cut(graph, scores) == spectral.sweep_cut(graph)
+    for phi in (0.1, 0.5):
+        assert spectral.certify_conductance(graph, phi) == (True, math.inf, None)
+        assert spectral.conductance_lower_bound(graph, phi) == (math.inf, None)
 
 
 class TestClosedFormSpectra:
