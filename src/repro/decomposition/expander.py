@@ -28,8 +28,10 @@ schedule length also bounds the recursion depth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,7 +51,8 @@ from ..parallel.executor import (
     SubtreeTask,
     resolve_executor,
 )
-from ..resilience.deadline import Deadline, resolve_deadline
+from ..parallel.frontier import Rounds, one_per_round, run_rounds, run_together
+from ..resilience.deadline import Deadline, deadline_scope, resolve_deadline
 from ..utils.rng import (
     SeedLike,
     component_stream_key,
@@ -59,7 +62,12 @@ from ..utils.rng import (
     subtree_journal_key,
 )
 from ..utils.rounds import RoundReport
-from .sparse_cut import nearly_most_balanced_sparse_cut, validate_phi
+from .sparse_cut import sparse_cut_search, validate_phi
+
+# Each component's search runs as the generator ``sparse_cut_search``; the
+# one-search wrapper stays importable here because benchmark/tracing.py
+# wraps the ``sparse_cut`` layer's boundary at this module.
+from .sparse_cut import nearly_most_balanced_sparse_cut  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -141,12 +149,11 @@ class PartialDecomposition(DecompositionResult):
     :class:`DecompositionResult` whenever its deadline expired mid-run.
     Every vertex is still covered — subtrees the run never reached are
     emitted as single ``unfinished=True`` uncertified components — so the
-    result is never silently wrong, and the *finished* components of a
-    sequential run are a bitwise prefix of the unbounded run's components
-    (the recursion emits in canonical DFS order and the expiry latch means
-    everything after the first expired check is a marker;
-    docs/RESILIENCE.md carries the argument, ``tests/test_resilience.py``
-    pins it).
+    result is never silently wrong, and the *finished* components are a
+    bitwise prefix of the unbounded run's components (the merge is in
+    canonical DFS order, and every sibling after the first unfinished one
+    is flagged whole; docs/RESILIENCE.md carries the argument,
+    ``tests/test_resilience.py`` pins it).
     """
 
     @property
@@ -242,7 +249,9 @@ class _SubtreeContext:
     """The run-wide recursion state shared by every subtree of one run.
 
     ``root`` is the single stream root drawn from the caller's generator;
-    ``engine`` decides where sibling subtrees execute; ``base`` is the
+    ``engine`` decides where sibling subtrees execute (the batches of every
+    live search run through the driver's one loop, :func:`run_rounds`);
+    ``cut_kwargs`` are the searches' tuning arguments; ``base`` is the
     host's CSR snapshot, which every working graph restricts as a
     :class:`~repro.graphs.peel.PeeledCSR` view.  The resilience fields:
     ``journal`` replays and records completed subtrees
@@ -268,11 +277,10 @@ class _SubtreeContext:
     def spec(self) -> SubtreeSpec:
         """The dispatch spec for pooled sibling groups.
 
-        The shipped ``cut_kwargs`` replace the driver's executor with
-        ``None``: worker-side batches run on the sequential engine —
-        workers never nest pools — and the stream discipline makes that
-        invisible to every output.  ``deadline`` rides along driver-side
-        only (the engine bounds its waits with it; it is never pickled).
+        Worker-side batches run on the sequential engine — workers never
+        nest pools — and the stream discipline makes that invisible to
+        every output.  ``deadline`` rides along driver-side only (the
+        engine bounds its waits with it; it is never pickled).
         """
         return SubtreeSpec(
             base=self.base,
@@ -280,7 +288,7 @@ class _SubtreeContext:
             mode=self.mode,
             schedule=tuple(self.schedule),
             max_depth=self.max_depth,
-            cut_kwargs={**self.cut_kwargs, "executor": None},
+            cut_kwargs=dict(self.cut_kwargs),
             root=self.root,
             deadline=self.deadline,
         )
@@ -320,21 +328,31 @@ def _finished(outcome: _SubtreeOutcome) -> bool:
 
 def _run_children(
     ctx: _SubtreeContext, outcome: _SubtreeOutcome, tasks: list[SubtreeTask]
-) -> _SubtreeOutcome:
+) -> Rounds:
     """Run sibling subtrees through the engine; merge in task order.
 
     ``tasks`` arrive in canonical (ascending smallest-``repr``) order and
     the engine returns outcomes positionally, so the merged component,
     cut-edge, and report order is the same whether the siblings ran
-    inline, permuted, or on pool workers.
+    together, permuted, or on pool workers.  The siblings the engine keeps
+    run as one group (:func:`_run_group`): their searches' batch requests
+    leave through this generator's rounds, beside every other live
+    search's.
 
     The journal seam lives here: subtrees already journaled are replayed
     without dispatching (their recorded outcome is bit-identical to a
-    re-run, per the stream discipline), and every *finished* fresh subtree
-    is recorded after its group returns — so a killed run resumes at
-    sibling-subtree granularity.  Progress accounting: inline children
-    bump the shared context as they emit; journal replays and
-    pool-returned outcomes arrive whole and are bumped here.
+    re-run, per the stream discipline), a subtree the group ran is
+    recorded as soon as it finishes, and a finished pool-returned one when
+    it arrives — so a killed run resumes at sibling-subtree granularity.
+    Progress accounting: group members bump the shared context as they
+    emit; journal replays and pool-returned outcomes arrive whole and are
+    bumped here.
+
+    The deadline's prefix rule: the siblings ran side by side, so a later
+    one may have finished while an earlier one was cut off.  Every sibling
+    after the first unfinished one becomes its subset's unfinished marker,
+    and its cut edges go with it, so the finished components stay a
+    prefix of the unbounded run's.
     """
     results: list = [None] * len(tasks)
     replayed: set[int] = set()
@@ -351,26 +369,44 @@ def _run_children(
         pending.append(task)
         pending_positions.append(i)
     if pending:
-        children, shipped = ctx.engine.run_siblings(
-            pending,
-            lambda task: _decompose_subtree(
-                ctx, task.subset, task.depth, task.hint, task.connected
-            ),
-            spec=ctx.spec(),
+        children, shipped = yield from ctx.engine.run_siblings(
+            pending, functools.partial(_run_group, ctx), spec=ctx.spec()
         )
         for position, child in zip(pending_positions, children):
             results[position] = child
         pooled = {pending_positions[k] for k in shipped}
+    cut_off = False
     for i, (task, child) in enumerate(zip(tasks, results)):
         if i in replayed or i in pooled:
             _bump(ctx, len(child.components))
-        if (
-            ctx.journal is not None
-            and i not in replayed
-            and _finished(child)
-        ):
+        if ctx.journal is not None and i in pooled and _finished(child):
             ctx.journal.record(subtree_journal_key(task.depth, task.subset), child)
+        if cut_off:
+            child = _SubtreeOutcome(
+                components=[_unfinished_marker(task.subset, task.depth)]
+            )
+        cut_off = cut_off or not _finished(child)
         outcome.absorb(child)
+    return outcome
+
+
+def _run_group(ctx: _SubtreeContext, tasks: list[SubtreeTask]) -> Rounds:
+    """The group callback: decompose ``tasks`` side by side, outcomes in order.
+
+    Each member is advanced until its searches make their next requests
+    (:func:`~repro.parallel.frontier.run_together`); a member is recorded
+    in the journal the moment it finishes.
+    """
+    return (yield from run_together([_recorded_subtree(ctx, task) for task in tasks]))
+
+
+def _recorded_subtree(ctx: _SubtreeContext, task: SubtreeTask) -> Rounds:
+    """One group member: its subtree, journaled when it finishes."""
+    outcome = yield from _decompose_subtree(
+        ctx, task.subset, task.depth, task.hint, task.connected
+    )
+    if ctx.journal is not None and _finished(outcome):
+        ctx.journal.record(subtree_journal_key(task.depth, task.subset), outcome)
     return outcome
 
 
@@ -380,19 +416,24 @@ def _decompose_subtree(
     depth: int,
     hint: Optional[SpectralCertificate] = None,
     connected: bool = False,
-) -> _SubtreeOutcome:
+) -> Rounds:
     """Decompose one component subtree; the recursive heart of Theorem 1.
+
+    A generator of request rounds (:mod:`repro.parallel.frontier`): the
+    component's sparse-cut search yields each ParallelNibble batch, and a
+    split passes on the rounds of its children, which run side by side.
+    Returns the subtree's outcome.
 
     Pure in ``(ctx-parameters, subset, depth, hint)``: the searched node's
     randomness comes from ``split_stream(ctx.root, depth,
     component_stream_key(subset))`` rather than a threaded generator, so
-    sibling subtrees can run in any order, on any process, and still
-    produce these exact bits.  Python-frame depth stays ~4 frames per tree
-    level and at most two tree levels per recursion depth (a disconnected
-    subset splits into connected pieces at the same depth, and connected
-    pieces either cut — descending a depth — or terminate), so the
-    ``max_depth`` bound of 2⌈log₂n⌉ + 2 keeps the recursion far under the
-    interpreter limit even at n = 10⁷.
+    sibling subtrees can run in any order, interleaved, on any process,
+    and still produce these exact bits.  Python-frame depth stays a few
+    generator frames per tree level and at most two tree levels per
+    recursion depth (a disconnected subset splits into connected pieces at
+    the same depth, and connected pieces either cut — descending a depth —
+    or terminate), so the ``max_depth`` bound of 2⌈log₂n⌉ + 2 keeps the
+    recursion far under the interpreter limit even at n = 10⁷.
 
     ``connected`` marks a subset its parent split off as one connected
     component; it is not scanned for components again.  The flag only
@@ -449,7 +490,7 @@ def _decompose_subtree(
             SubtreeTask(frozenset(piece), depth, piece_hint, connected=True)
             for piece, piece_hint in zip(pieces, hints)
         ]
-        return _run_children(ctx, outcome, tasks)
+        return (yield from _run_children(ctx, outcome, tasks))
 
     if depth >= ctx.max_depth:
         if _expired(ctx):
@@ -468,15 +509,17 @@ def _decompose_subtree(
     theta = ctx.schedule[min(depth, len(ctx.schedule) - 1)]
     search_phi = theta if ctx.mode is ParameterMode.PAPER else max(theta, ctx.phi)
     level_report = RoundReport(f"level {depth} (n={len(subset)})")
-    cut_result = nearly_most_balanced_sparse_cut(
-        view,
-        search_phi,
-        mode=ctx.mode,
-        seed=split_stream(ctx.root, depth, component_stream_key(subset)),
-        report=level_report,
-        spectral_hint=hint,
-        deadline=ctx.deadline,
-        **ctx.cut_kwargs,
+    cut_result = yield from one_per_round(
+        sparse_cut_search(
+            view,
+            search_phi,
+            mode=ctx.mode,
+            seed=split_stream(ctx.root, depth, component_stream_key(subset)),
+            report=level_report,
+            spectral_hint=hint,
+            deadline=ctx.deadline,
+            **ctx.cut_kwargs,
+        )
     )
     outcome.reports.append(level_report)
     outcome.precheck_skips += cut_result.precheck_skips
@@ -530,7 +573,7 @@ def _decompose_subtree(
         key=lambda side: min(map(repr, side)),
     )
     tasks = [SubtreeTask(side, depth + 1, None) for side in sides]
-    return _run_children(ctx, outcome, tasks)
+    return (yield from _run_children(ctx, outcome, tasks))
 
 
 def decompose_subtree_on_base(
@@ -549,8 +592,9 @@ def decompose_subtree_on_base(
     ``connected`` is the task's known-connected flag, and ``spec`` carries
     the run's parameters (its own ``base`` and ``deadline`` are not used).
     Runs the exact :func:`_decompose_subtree` recursion on the sequential
-    executor (sibling groups and batches inline), so the returned outcome
-    is bit-identical to the driver decomposing the same subtree itself.
+    executor (sibling groups and batch rounds inline), so the returned
+    outcome is bit-identical to the driver decomposing the same subtree
+    itself.
     """
     labels = base.vertices
     subset = frozenset(labels[int(i)] for i in subset_indices)
@@ -564,7 +608,7 @@ def decompose_subtree_on_base(
         root=spec.root,
         engine=SEQUENTIAL,
     )
-    return _decompose_subtree(ctx, subset, depth, hint, connected)
+    return run_rounds(_decompose_subtree(ctx, subset, depth, hint, connected), SEQUENTIAL)
 
 
 def expander_decomposition(
@@ -606,7 +650,8 @@ def expander_decomposition(
         PAPER uses the verbatim parameter schedules; PRACTICAL (default) the
         runnable ones.
     max_depth:
-        Recursion depth cap; defaults to :func:`recursion_depth_bound`.
+        Recursion depth cap, an int ≥ 0 (anything else raises
+        :class:`ValueError`); defaults to :func:`recursion_depth_bound`.
         Components hit by the cap are emitted with their spectral
         certificate as-is (usually ``certified=False``).
     sparse_cut_kwargs:
@@ -620,9 +665,12 @@ def expander_decomposition(
         the parity suite pins by patching both off.
     executor, workers:
         Execution engine (:mod:`repro.parallel`), used for both kinds of
-        independent task: every level's ParallelNibble batches
-        (``run_batch``) and whole sibling subtrees of the recursion
-        (``run_siblings``).  ``workers`` > 1 creates one
+        independent task: the ParallelNibble batches (``run_batches``) and
+        whole sibling subtrees of the recursion (``run_siblings``).  The
+        recursion runs sibling subtrees side by side, and every search
+        live at once hands its batch to the same round, so the engine can
+        run a round's small batches as one fused lockstep call.
+        ``workers`` > 1 creates one
         :class:`~repro.parallel.executor.ShardedExecutor` — one process
         pool, one shared snapshot per base — amortised over the whole
         recursion and closed on return; an explicit ``executor`` is used
@@ -655,9 +703,10 @@ def expander_decomposition(
         :class:`~repro.resilience.deadline.Deadline`.  On expiry the run
         stops cleanly and returns a :class:`PartialDecomposition` whose
         untouched subtrees are flagged ``unfinished`` uncertified
-        components — never an exception, never silent wrongness, and (for
-        sequential runs) the finished components are a bitwise prefix of
-        the unbounded run's.
+        components — never an exception, never silent wrongness, and the
+        finished components are a bitwise prefix of the unbounded run's
+        (siblings run side by side, so every sibling after the first
+        unfinished one is flagged whole; docs/RESILIENCE.md).
     on_progress:
         Callback receiving the cumulative emitted-component count as the
         run proceeds — the feed for bench's heartbeat lines.
@@ -665,6 +714,12 @@ def expander_decomposition(
     validate_phi(phi)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+    if max_depth is not None and (
+        not isinstance(max_depth, numbers.Integral)
+        or isinstance(max_depth, bool)
+        or max_depth < 0
+    ):
+        raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
     rng = ensure_rng(seed)
     engine, owned_engine = resolve_executor(executor, workers)
     report = RoundReport("expander_decomposition")
@@ -672,11 +727,10 @@ def expander_decomposition(
     if max_depth is None:
         max_depth = recursion_depth_bound(graph.num_vertices)
     # sparse_cut_kwargs may legitimately carry its own "executor"; an
-    # explicit entry there wins over the decomposition-level default.
-    cut_kwargs = {
-        "executor": engine,
-        **(sparse_cut_kwargs or {}),
-    }
+    # explicit entry there runs the searches' batches instead of the
+    # decomposition-level engine.
+    cut_kwargs = dict(sparse_cut_kwargs or {})
+    batch_engine = cut_kwargs.pop("executor", None) or engine
     # One draw, however many components are searched: every node of the
     # recursion derives its stream from the root and its own address.
     # Drawn before the journal is consulted, so a fully-replayed resume
@@ -701,7 +755,7 @@ def expander_decomposition(
         phi=phi,
         mode=mode,
         schedule=schedule,
-        max_depth=max_depth,
+        max_depth=int(max_depth),
         cut_kwargs=cut_kwargs,
         root=root,
         engine=engine,
@@ -711,7 +765,10 @@ def expander_decomposition(
     )
     top = frozenset(base.vertices)
     try:
-        outcome = _decompose_subtree(ctx, top, 0, None)
+        # One loop runs every round of batch requests the live searches
+        # make, wherever in the recursion they are.
+        with deadline_scope(ctx.deadline):
+            outcome = run_rounds(_decompose_subtree(ctx, top, 0, None), batch_engine)
     finally:
         if owned_engine:
             engine.close()

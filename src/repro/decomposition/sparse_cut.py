@@ -50,6 +50,7 @@ from ..graphs.spectral import (
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters, ParameterMode, sample_scale
 from ..parallel.executor import SEQUENTIAL, Executor, resolve_executor
+from ..parallel.frontier import BatchRequest, one_per_round, run_rounds
 from ..parallel.worker import run_nibble_instance
 from ..resilience.deadline import (
     Deadline,
@@ -76,6 +77,7 @@ __all__ = [
     "SparseCutResult",
     "default_num_instances",
     "nearly_most_balanced_sparse_cut",
+    "sparse_cut_search",
 ]
 
 
@@ -154,16 +156,27 @@ def parallel_nibble_cuts(
 
     The batch runs on ``graph`` as a :class:`PeeledCSR` view (a dict
     ``Graph`` or a ``CSRGraph`` is wrapped whole first); which kernel runs
-    its rows is :func:`repro.parallel.worker.run_chunk`'s choice and never
-    changes a cut.
+    its rows is :func:`repro.parallel.worker.run_chunks`'s choice and never
+    changes a cut.  This is the batch alone, one round of one request;
+    the sparse-cut search runs the same body, :func:`_nibble_batch`, as
+    one step of its own generator.
     """
     view = PeeledCSR.from_graph(graph)
     if stream is None:
         stream = (stream_root(rng), 0)
     root, batch_index = stream
-    if executor is None:
-        executor = SEQUENTIAL
-    triples = executor.run_batch(view, params, root, batch_index, num_instances)
+    batch = _nibble_batch(view, params, num_instances, root, batch_index, report)
+    return run_rounds(one_per_round(batch), executor or SEQUENTIAL)
+
+
+def _nibble_batch(view, params, num_instances, root, batch_index, report):
+    """One ParallelNibble batch as a generator step: request, then harvest.
+
+    Yields the batch's :class:`~repro.parallel.frontier.BatchRequest`,
+    receives its ``(instance_index, scale, cut)`` triples, charges the
+    batch's rounds to ``report`` and returns the disjoint-cut harvest.
+    """
+    triples = yield BatchRequest(view, params, root, batch_index, num_instances)
     instance_reports: list[RoundReport] = []
     found: list[NibbleCut] = []
     for i, scale, cut in triples:
@@ -385,8 +398,12 @@ def validate_phi(phi: float) -> None:
 
 
 def _is_count(value) -> bool:
-    """Whether ``value`` is an int ≥ 1."""
-    return isinstance(value, numbers.Integral) and value >= 1
+    """Whether ``value`` is an int ≥ 1 (a bool is not a count)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def _validate_search_arguments(
@@ -481,17 +498,72 @@ def nearly_most_balanced_sparse_cut(
     an *interrupted* result: empty, not certified — the caller must treat
     the component as unfinished, never as a certified expander.
 
+    The search itself is :func:`sparse_cut_search`, a generator that yields
+    each batch's request; this function runs it one request per round.
+    The decomposition runs the same generator beside every other live
+    search of its recursion, so sibling searches share lockstep calls.
+
     A ``phi`` that is not a finite number > 0 raises :class:`ValueError`, as
     do a ``num_instances`` or ``max_failures`` that is not an int ≥ 1 and a
     ``balance_target`` that is not a finite number > 0 — each would issue
     the no-cut certificate without running a single instance.
     """
+    deadline = resolve_deadline(deadline)
+    search = sparse_cut_search(
+        graph,
+        phi,
+        mode=mode,
+        seed=seed,
+        balance_target=balance_target,
+        max_failures=max_failures,
+        num_instances=num_instances,
+        report=report,
+        params_overrides=params_overrides,
+        spectral_hint=spectral_hint,
+        deadline=deadline,
+    )
+    engine, owned = resolve_executor(executor, workers)
+    try:
+        with deadline_scope(deadline):
+            return run_rounds(one_per_round(search), engine)
+    finally:
+        if owned:
+            engine.close()
+
+
+def sparse_cut_search(
+    graph: WorkGraph,
+    phi: float,
+    mode: ParameterMode = ParameterMode.PRACTICAL,
+    seed: SeedLike = None,
+    balance_target: float = 1.0 / 3.0,
+    max_failures: int = 2,
+    num_instances: Optional[int] = None,
+    report: Optional[RoundReport] = None,
+    params_overrides: Optional[dict] = None,
+    spectral_hint: Optional[SpectralCertificate] = None,
+    deadline: Optional[Deadline] = None,
+):
+    """Theorem 3's loop as a generator of batch requests.
+
+    Yields each ParallelNibble batch as a
+    :class:`~repro.parallel.frontier.BatchRequest` and expects that
+    batch's ``(instance_index, scale, cut)`` triples sent back; returns
+    the :class:`SparseCutResult`.  Round charging, the harvest, the peels
+    and the pre-check all stay in here, so whoever runs the requests — one
+    at a time (:func:`nearly_most_balanced_sparse_cut`) or beside other
+    searches' requests — gets the same result.  A
+    :class:`~repro.resilience.deadline.DeadlineExpired` thrown in at a
+    yield ends the search as interrupted, as does ``deadline`` found
+    expired between batches; the ambient deadline scope is the runner's.
+    The arguments are :func:`nearly_most_balanced_sparse_cut`'s, except
+    that ``deadline`` is a :class:`~repro.resilience.deadline.Deadline` or
+    None, never seconds.
+    """
     validate_phi(phi)
     _validate_search_arguments(num_instances, max_failures, balance_target)
     rng = ensure_rng(seed)
     root = stream_root(rng)
-    deadline = resolve_deadline(deadline)
-    engine, owned = resolve_executor(executor, workers)
     own_report = report if report is not None else RoundReport("sparse_cut")
     work = _PeelWork(PeeledCSR.from_graph(graph))
     total_volume = work.total_volume()
@@ -505,110 +577,100 @@ def nearly_most_balanced_sparse_cut(
     interrupted = False
 
     try:
-        with deadline_scope(deadline):
-            try:
-                while (
-                    work.num_edges > 0
-                    and failures < max_failures
-                    and accumulated_volume < balance_target * total_volume
-                ):
-                    if deadline is not None and deadline.expired():
-                        interrupted = True
-                        break
-                    work.refresh()
-                    params = NibbleParameters.for_mode(
-                        work.search_graph, phi, mode, **(params_overrides or {})
-                    )
-                    batch_size = num_instances or default_num_instances(
-                        work.search_graph
-                    )
-                    if not checked:
-                        checked = True
-                        if spectral_hint is not None and not accumulated:
-                            bound, cert = (
-                                spectral_hint.cheeger_lower_bound,
-                                spectral_hint,
-                            )
-                        else:
-                            bound, cert = conductance_lower_bound(
-                                work.search_graph, phi=phi
-                            )
-                        if cert is not None and not accumulated:
-                            # Valid for the *input* graph: nothing has been
-                            # removed yet.  Dense or Lanczos alike — the
-                            # final check decides whether it can reuse it.
-                            spectral_cert = cert
-                        if bound > phi + PRECHECK_MARGIN:
-                            # Φ(working graph) ≥ λ₂/2 > φ: no prefix can ever
-                            # satisfy (C.1), so every remaining batch until
-                            # max_failures would apply nothing.  Skip them —
-                            # their counter-addressed streams are simply never
-                            # opened, so no downstream draw can tell — and
-                            # charge the pre-check's matvec rounds in their
-                            # place.
-                            skipped = max_failures - failures
-                            own_report.subreport("spectral_precheck").charge(
-                                2
-                                * math.ceil(
-                                    math.log2(
-                                        max(work.search_graph.num_vertices, 2)
-                                    )
-                                )
-                            )
-                            batches += skipped
-                            precheck_skips += skipped
-                            failures = max_failures
-                            break
-                    batch_index = batches
-                    batches += 1
-                    cuts = parallel_nibble_cuts(
-                        work.search_graph,
-                        params,
-                        batch_size,
-                        report=own_report,
-                        executor=engine,
-                        stream=(root, batch_index),
-                    )
-                    applied = 0
-                    for found in cuts:
-                        if accumulated_volume >= balance_target * total_volume:
-                            break
-                        cut_vertices = set(found.vertices)
-                        # An earlier cut of this batch may have been flipped to
-                        # the big side and swallowed this one's vertices; skip
-                        # it then.
-                        if not work.contains_all(cut_vertices):
-                            continue
-                        # Keep S the small side of the working graph so its
-                        # accumulation tracks the balance target rather than
-                        # overshooting it.
-                        if work.volume_of(cut_vertices) > work.total_volume() / 2.0:
-                            cut_vertices = work.complement(cut_vertices)
-                            if not cut_vertices:
-                                continue
-                        work.remove(cut_vertices)
-                        accumulated |= cut_vertices
-                        accumulated_volume = work.initial_volume(accumulated)
-                        applied += 1
-                    # One union peel for the whole batch's cuts (see
-                    # _PeelWork).
-                    work.flush_batch()
-                    if applied == 0:
-                        failures += 1
-                    else:
-                        failures = 0
-                        checked = False  # the working graph changed: re-check
-                        # before the next batch (an unchanged graph keeps its
-                        # verdict)
-            except DeadlineExpired:
-                # A diffusion-walk step (or the pooled executor) noticed the
-                # expiry mid-batch: unwind cleanly.  The partially-applied
-                # state is discarded below — an interrupted search never
-                # reports a cut.
+        while (
+            work.num_edges > 0
+            and failures < max_failures
+            and accumulated_volume < balance_target * total_volume
+        ):
+            if deadline is not None and deadline.expired():
                 interrupted = True
-    finally:
-        if owned:
-            engine.close()
+                break
+            work.refresh()
+            params = NibbleParameters.for_mode(
+                work.search_graph, phi, mode, **(params_overrides or {})
+            )
+            batch_size = num_instances or default_num_instances(
+                work.search_graph
+            )
+            if not checked:
+                checked = True
+                if spectral_hint is not None and not accumulated:
+                    bound, cert = (
+                        spectral_hint.cheeger_lower_bound,
+                        spectral_hint,
+                    )
+                else:
+                    bound, cert = conductance_lower_bound(
+                        work.search_graph, phi=phi
+                    )
+                if cert is not None and not accumulated:
+                    # Valid for the *input* graph: nothing has been
+                    # removed yet.  Dense or Lanczos alike — the
+                    # final check decides whether it can reuse it.
+                    spectral_cert = cert
+                if bound > phi + PRECHECK_MARGIN:
+                    # Φ(working graph) ≥ λ₂/2 > φ: no prefix can ever
+                    # satisfy (C.1), so every remaining batch until
+                    # max_failures would apply nothing.  Skip them —
+                    # their counter-addressed streams are simply never
+                    # opened, so no downstream draw can tell — and
+                    # charge the pre-check's matvec rounds in their
+                    # place.
+                    skipped = max_failures - failures
+                    own_report.subreport("spectral_precheck").charge(
+                        2
+                        * math.ceil(
+                            math.log2(
+                                max(work.search_graph.num_vertices, 2)
+                            )
+                        )
+                    )
+                    batches += skipped
+                    precheck_skips += skipped
+                    failures = max_failures
+                    break
+            batch_index = batches
+            batches += 1
+            cuts = yield from _nibble_batch(
+                work.search_graph, params, batch_size, root, batch_index, own_report
+            )
+            applied = 0
+            for found in cuts:
+                if accumulated_volume >= balance_target * total_volume:
+                    break
+                cut_vertices = set(found.vertices)
+                # An earlier cut of this batch may have been flipped to
+                # the big side and swallowed this one's vertices; skip
+                # it then.
+                if not work.contains_all(cut_vertices):
+                    continue
+                # Keep S the small side of the working graph so its
+                # accumulation tracks the balance target rather than
+                # overshooting it.
+                if work.volume_of(cut_vertices) > work.total_volume() / 2.0:
+                    cut_vertices = work.complement(cut_vertices)
+                    if not cut_vertices:
+                        continue
+                work.remove(cut_vertices)
+                accumulated |= cut_vertices
+                accumulated_volume = work.initial_volume(accumulated)
+                applied += 1
+            # One union peel for the whole batch's cuts (see
+            # _PeelWork).
+            work.flush_batch()
+            if applied == 0:
+                failures += 1
+            else:
+                failures = 0
+                checked = False  # the working graph changed: re-check
+                # before the next batch (an unchanged graph keeps its
+                # verdict)
+    except DeadlineExpired:
+        # A diffusion-walk step (or the pooled executor) noticed the
+        # expiry mid-batch, and the round's runner threw it in here:
+        # unwind cleanly.  The partially-applied state is discarded
+        # below — an interrupted search never reports a cut.
+        interrupted = True
 
     if interrupted:
         return SparseCutResult(

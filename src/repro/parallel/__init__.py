@@ -4,8 +4,10 @@ The pipeline's ParallelNibble batches and the recursion's sibling
 subtrees are independent tasks — the paper even names the batches
 embarrassingly parallel — and this package is the one seam through which
 both run: an :class:`~repro.parallel.executor.Executor` protocol
-(``run_batch`` and ``run_siblings``) with a sequential oracle and a
-process-pool engine whose two task kinds share one dispatch path, a
+(``run_batches`` and ``run_siblings``) with a sequential oracle and a
+process-pool engine whose two task kinds share one submit-and-collect
+path, the generator protocol of :mod:`repro.parallel.frontier` through
+which every live search's batch requests reach one driver loop, a
 :class:`~repro.parallel.shared.SharedCSR` transport that moves the
 immutable CSR snapshot into ``multiprocessing.shared_memory`` exactly
 once, and the counter-based stream splitting of :mod:`repro.utils.rng`
@@ -28,10 +30,12 @@ from .executor import (
     validate_batch_triples,
     validate_subtree_outcome,
 )
+from .frontier import BatchRequest, one_per_round, run_rounds, run_together
 from .shared import SharedCSR, SharedCSRMeta, shared_memory_available
-from .worker import run_chunk, run_nibble_instance, run_sharded_chunk, run_subtree
+from .worker import run_chunk, run_chunks, run_nibble_instance, run_sharded_chunk, run_subtree
 
 __all__ = [
+    "BatchRequest",
     "BatchResult",
     "Executor",
     "POOL_REBUILD_LIMIT",
@@ -44,10 +48,14 @@ __all__ = [
     "SubtreeSpec",
     "SubtreeTask",
     "resolve_executor",
+    "one_per_round",
     "run_chunk",
+    "run_chunks",
     "run_nibble_instance",
+    "run_rounds",
     "run_sharded_chunk",
     "run_subtree",
+    "run_together",
     "sequential_batch",
     "shared_memory_available",
     "validate_batch_triples",

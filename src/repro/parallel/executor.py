@@ -1,35 +1,43 @@
 """The execution-backend seam: where ParallelNibble batches and sibling subtrees run.
 
 The pipeline has two kinds of independent task and one seam for both,
-the :class:`Executor` protocol.  :meth:`Executor.run_batch` runs a
-ParallelNibble batch and returns ordered ``(instance_index, scale, cut)``
+the :class:`Executor` protocol.  :meth:`Executor.run_batches` runs one
+round of ParallelNibble batches — every :class:`~repro.parallel.frontier
+.BatchRequest` that the live searches of a decomposition made at once —
+and returns each request's ordered ``(instance_index, scale, cut)``
 triples (executors never touch :class:`~repro.utils.rounds.RoundReport`;
 the driver rebuilds exact round accounting from the scales).
 :meth:`Executor.run_siblings` runs a group of sibling subtrees of the
-decomposition recursion and returns their outcomes in task order.
+decomposition recursion and returns their outcomes in task order; it is
+a generator, so the subtrees it keeps in the driver pass their batch
+requests up to the driver's one loop (:func:`~repro.parallel.frontier
+.run_rounds`) instead of running them alone.
 :class:`SequentialExecutor` is the bit-identity oracle: everything runs
-inline, in order.  :class:`ShardedExecutor` publishes the immutable CSR
-snapshot once into shared memory (:class:`~repro.parallel.shared
-.SharedCSR`) and fans batch chunks and whole subtrees out over a
-``ProcessPoolExecutor`` through one dispatch method,
-:meth:`ShardedExecutor._dispatch`.
+inline, a round's small batches fused into shared lockstep calls
+(:func:`~repro.parallel.worker.run_chunks`).  :class:`ShardedExecutor`
+publishes the immutable CSR snapshot once into shared memory
+(:class:`~repro.parallel.shared.SharedCSR`) and fans batch chunks and
+whole subtrees out over a ``ProcessPoolExecutor``; both task kinds share
+its submit (:meth:`ShardedExecutor._submit`) and collect
+(:meth:`ShardedExecutor._collect`) path.
 
 Cut-identity across engines falls out of the stream discipline
 (:mod:`repro.utils.rng`): instance ``i`` of batch ``b`` draws from a
 stream keyed by ``(root, b, i)`` and the subtree of subset *S* at depth
 *d* from one keyed by ``(root, d, component_stream_key(S))`` on every
-engine, so which worker runs a task — or whether a pool exists at all —
-cannot reach the outputs.  That same property is the foundation of the
-resilience layer (:mod:`repro.resilience`): a crashed, hung, or lying
-worker's job is simply re-run inline on the same addressed streams —
-bit-identically — while the pool is torn down and rebuilt for the next
-group.  Failures are recorded as structured
-:class:`~repro.resilience.events.DegradeEvent`\\ s on the executor; only
-when the bounded rebuild budget (``max_pool_rebuilds``) is exhausted does
-the engine degrade to inline execution permanently, with the one classic
-warning.  Every pooled result is re-verified in the driver
-(:func:`validate_batch_triples`, :func:`validate_subtree_outcome`), so a
-corrupted result is caught and recomputed, never silently propagated.
+engine, so which worker runs a task — or whether a pool exists at all,
+or which other batches share its lockstep call — cannot reach the
+outputs.  That same property is the foundation of the resilience layer
+(:mod:`repro.resilience`): a crashed, hung, or lying worker's job is
+simply re-run inline on the same addressed streams — bit-identically —
+while the pool is torn down and rebuilt for the next group.  Failures are
+recorded as structured :class:`~repro.resilience.events.DegradeEvent`\\ s
+on the executor; only when the bounded rebuild budget
+(``max_pool_rebuilds``) is exhausted does the engine degrade to inline
+execution permanently, with the one classic warning.  Every pooled result
+is re-verified in the driver (:func:`validate_batch_triples`,
+:func:`validate_subtree_outcome`), so a corrupted result is caught and
+recomputed, never silently propagated.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -54,10 +62,11 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from ..graphs.csr import CSRGraph
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
-from ..resilience.deadline import active_deadline, check_walk_deadline
+from ..resilience.deadline import DeadlineExpired, active_deadline, check_walk_deadline
 from ..resilience.events import DegradeEvent, ResultValidationError
 from .shared import SharedCSR, shared_memory_available
-from .worker import run_chunk, run_sharded_chunk, run_subtree
+from .frontier import BatchRequest
+from .worker import run_chunk, run_chunks, run_sharded_chunk, run_subtree
 
 #: A batch result: ``(instance_index, scale-or-None, cut-or-None)`` triples,
 #: ascending by instance index.
@@ -95,8 +104,8 @@ def sequential_batch(
 ) -> BatchResult:
     """Run a whole batch inline, instance by instance, in index order.
 
-    The body of :class:`SequentialExecutor` and of every batch
-    :class:`ShardedExecutor` keeps inline.  ``task_streams`` defaults to
+    One batch alone, as :meth:`SequentialExecutor.run_batches` runs a
+    round of one.  ``task_streams`` defaults to
     :func:`repro.utils.rng.task_stream`; injectable for tests that probe
     the stream keying.
 
@@ -215,15 +224,26 @@ class SubtreeSpec:
     deadline: Optional[object] = None
 
 
-#: The inline callback :meth:`Executor.run_siblings` receives: decompose
-#: one task in the driver and return its outcome.
-RunInline = Callable[[SubtreeTask], object]
+#: The group callback :meth:`Executor.run_siblings` receives: decompose a
+#: list of tasks together in the driver — a generator of request rounds
+#: (:mod:`repro.parallel.frontier`) returning one outcome per task, in order.
+RunGroup = Callable[[list], Generator]
 
 #: What :meth:`Executor.run_siblings` returns: one outcome per task, in task
 #: order, and the positions whose outcome came back from a pool worker
 #: (the driver did not watch those subtrees emit, so it accounts their
 #: progress itself).
 SiblingResult = tuple[list, set]
+
+
+def _chunk(request: BatchRequest, indices) -> tuple:
+    """The :func:`~repro.parallel.worker.run_chunks` chunk of ``request``'s ``indices``."""
+    return (request.view, request.params, request.root, request.batch_index, indices)
+
+
+def inline_batches(requests: list[BatchRequest]) -> list[BatchResult]:
+    """Run a round's requests in the driver, whole, small ones fused."""
+    return run_chunks([_chunk(r, range(r.num_instances)) for r in requests])
 
 
 def validate_subtree_outcome(outcome, subset: frozenset, base: CSRGraph) -> None:
@@ -292,19 +312,23 @@ def validate_subtree_outcome(outcome, subset: frozenset, base: CSRGraph) -> None
 class Executor:
     """Protocol for running the pipeline's independent tasks.
 
-    Two methods make the surface.  ``run_batch``: given the working
-    :class:`~repro.graphs.peel.PeeledCSR` view, the parameter schedule,
+    Two methods make the surface.  ``run_batches``: given a round of
+    :class:`~repro.parallel.frontier.BatchRequest`\\ s — each a working
+    :class:`~repro.graphs.peel.PeeledCSR` view, its parameter schedule,
     the batch's stream address ``(root, batch_index)`` and the instance
-    count, return the ``(instance_index, scale, cut)`` triples in
-    ascending index order.  ``run_siblings``: given
-    a group of sibling :class:`SubtreeTask`\\ s, a callback that decomposes
-    one task inline, and the run's :class:`SubtreeSpec` (or ``None``),
-    return a :data:`SiblingResult` — one outcome per task, in task order,
-    and the positions not run through the callback.  Implementations must
-    be output-deterministic in those inputs — execution order, worker
-    identity, chunking, and inline-vs-shipped placement may never reach a
-    result — and must not touch round reports (the driver charges rounds
-    from the scales).
+    count — return one list of ``(instance_index, scale, cut)`` triples
+    per request, in request order, each ascending by index; an expired
+    ambient deadline raises :class:`~repro.resilience.deadline
+    .DeadlineExpired` for the whole round.  ``run_siblings``: given a group
+    of sibling :class:`SubtreeTask`\\ s, a group callback (:data:`RunGroup`)
+    and the run's :class:`SubtreeSpec` (or ``None``), a generator that
+    passes on the request rounds of whatever it runs through the callback
+    and returns a :data:`SiblingResult` — one outcome per task, in task
+    order, and the positions not run through the callback.
+    Implementations must be output-deterministic in those inputs —
+    execution order, worker identity, chunking, fusing, and
+    inline-vs-shipped placement may never reach a result — and must not
+    touch round reports (the driver charges rounds from the scales).
 
     Executors are context managers; :meth:`close` releases whatever the
     engine holds (pools, shared segments) and is idempotent.
@@ -312,23 +336,16 @@ class Executor:
 
     name = "abstract"
 
-    def run_batch(
-        self,
-        graph,
-        params: NibbleParameters,
-        root: int,
-        batch_index: int,
-        num_instances: int,
-    ) -> BatchResult:
-        """Run the batch; see the class docstring for the contract."""
+    def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
+        """Run one round of batches; see the class docstring for the contract."""
         raise NotImplementedError
 
     def run_siblings(
         self,
         tasks: list[SubtreeTask],
-        run_inline: RunInline,
+        run_group: RunGroup,
         spec: Optional[SubtreeSpec] = None,
-    ) -> SiblingResult:
+    ) -> Generator:
         """Run every sibling subtree; see the class docstring for the contract."""
         raise NotImplementedError
 
@@ -357,25 +374,18 @@ class SequentialExecutor(Executor):
 
     name = "sequential"
 
-    def run_batch(
-        self,
-        graph,
-        params: NibbleParameters,
-        root: int,
-        batch_index: int,
-        num_instances: int,
-    ) -> BatchResult:
-        """Run every instance inline via :func:`sequential_batch`."""
-        return sequential_batch(graph, params, root, batch_index, num_instances)
+    def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
+        """Run every request inline via :func:`inline_batches`."""
+        return inline_batches(requests)
 
     def run_siblings(
         self,
         tasks: list[SubtreeTask],
-        run_inline: RunInline,
+        run_group: RunGroup,
         spec: Optional[SubtreeSpec] = None,
-    ) -> SiblingResult:
-        """Run each task inline via ``run_inline``, in task order."""
-        return [run_inline(task) for task in tasks], set()
+    ) -> Generator:
+        """Run the tasks as one group through ``run_group``, in task order."""
+        return (yield from run_group(tasks)), set()
 
 
 #: The shared stateless sequential engine (the default executor).
@@ -448,23 +458,22 @@ def _install_sigterm_backstop() -> None:
 
 @dataclass(frozen=True)
 class _Job:
-    """One task for :meth:`ShardedExecutor._dispatch`: a batch chunk or a subtree.
+    """One task to ship: a batch chunk or a subtree.
 
-    ``inline`` recomputes the result in the driver, bit-identically — the
-    recovery for a failed job and the whole job when ``fn`` is ``None``.
-    ``fn`` is the worker entry point, called as ``fn(meta, *args)`` with the
-    published snapshot's meta; ``address`` names the job for fault
-    injection (``("chunk", root, batch, first instance)`` or ``("subtree",
-    root, depth, first index, size)``); ``validate`` raises
+    ``fn`` is the worker entry point, called as ``fn(meta, *args)`` with
+    the meta of ``base``'s published snapshot; ``address`` names the job
+    for fault injection (``("chunk", root, batch, first instance)`` or
+    ``("subtree", root, depth, first index, size)``); ``validate`` raises
     :class:`~repro.resilience.events.ResultValidationError` on a wrong
-    pooled result.
+    pooled result.  A job the pool does not answer is recomputed in the
+    driver, bit-identically, by its submitter.
     """
 
-    inline: Callable[[], object]
-    fn: Optional[Callable] = None
-    args: tuple = ()
-    address: tuple = ()
-    validate: Optional[Callable[[object], None]] = None
+    fn: Callable
+    args: tuple
+    address: tuple
+    validate: Callable[[object], None]
+    base: CSRGraph
 
 
 def _inline_chunk(graph, params, root, batch_index, indices):
@@ -485,19 +494,21 @@ class ShardedExecutor(Executor):
     ``min_shard_vertices``, sibling groups without a spec, siblings
     smaller than ``min_shard_vertices``, and everything after the engine
     has terminally degraded run inline — identical results either way, per
-    the stream discipline.  Small siblings run in the driver *while the
-    pool works*, so a split into one big and many tiny components overlaps
+    the stream discipline.  Small batches and small siblings run in the
+    driver *while the pool works* — the batches fused into shared lockstep
+    calls, the siblings as one group whose searches join the driver's
+    rounds — so a split into one big and many tiny components overlaps
     the big subtree with the tiny certifications.  Published segments are
     cached per snapshot object (keyed by identity, holding the base alive
     so the key cannot be recycled) and unlinked on LRU eviction,
     :meth:`close`, context-manager exit, or the ``atexit``/SIGTERM
     backstops.
 
-    Failure policy (the resilience layer, :meth:`_dispatch`): a submit
-    error, a crashed worker, a per-task timeout (``task_timeout`` seconds
-    per outstanding future; hung workers are killed), or a result failing
-    re-verification counts as one *failure episode* per batch or sibling
-    group — recorded as a :class:`~repro.resilience.events.DegradeEvent` on
+    Failure policy (the resilience layer, :meth:`_submit` and
+    :meth:`_collect`): a submit error, a crashed worker, a per-task
+    timeout (``task_timeout`` seconds per outstanding future; hung workers
+    are killed), or a result failing re-verification counts as one
+    *failure episode* per round of batches or sibling group — recorded as a :class:`~repro.resilience.events.DegradeEvent` on
     :attr:`events`, the failed jobs re-run inline (bit-identically), the
     pool torn down and lazily rebuilt for the next group after
     ``retry_backoff`` seconds (doubling per episode).  After
@@ -650,41 +661,43 @@ class ShardedExecutor(Executor):
         self._teardown_pool(kill=True)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, scope: str, base: CSRGraph, jobs: list["_Job"], deadline) -> SiblingResult:
-        """Run ``jobs``: the one submit / wait / validate / recover path.
+    def _submit(self, scope: str, jobs: list[_Job], deadline) -> dict:
+        """Ship ``jobs`` to the pool; return ``{position: future}``.
 
-        Publishes ``base`` and ships every job that has a worker entry
-        point; the others run inline while the pool works.  Each wait is
-        bounded by ``task_timeout`` and ``deadline``; every pooled result
-        is validated.  The first failure is the group's one failure
-        episode (a broken pool fails every outstanding future at once, and
-        charging each would spend the whole rebuild budget on one event);
-        a wait cut short by an expired deadline instead cancels the pool
-        work without charging the budget.  Every failed or cancelled job
-        re-runs inline.  Returns the results in job order and the
-        positions that came from the pool.
+        Publishes each job's base (once per snapshot) and submits every
+        job, unless the deadline has already expired.  A submit error is
+        the call's one failure episode, and nothing is shipped: the
+        caller recomputes every job in the driver.
         """
-        futures: dict[int, object] = {}
-        if any(job.fn is not None for job in jobs) and (
-            deadline is None or not deadline.expired()
-        ):
-            try:
-                meta = self._publish(base).meta
-                pool = self._ensure_pool()
-                for i, job in enumerate(jobs):
-                    if job.fn is not None:
-                        futures[i] = pool.submit(*self._worker_call(job, meta))
-            except Exception as exc:
-                self._note_failure(exc, scope=scope)
-                futures = {}
-        results = [None if i in futures else job.inline() for i, job in enumerate(jobs)]
-        pooled: set = set()
+        if not jobs or (deadline is not None and deadline.expired()):
+            return {}
+        try:
+            pool = self._ensure_pool()
+            return {
+                i: pool.submit(*self._worker_call(job, self._publish(job.base).meta))
+                for i, job in enumerate(jobs)
+            }
+        except Exception as exc:
+            self._note_failure(exc, scope=scope)
+            return {}
+
+    def _collect(self, scope: str, jobs: list[_Job], futures: dict, deadline):
+        """Yield ``(position, ok, result)`` per shipped job as its result arrives.
+
+        Each wait is bounded by ``task_timeout`` and ``deadline``; every
+        pooled result is validated.  The first failure is the call's one
+        failure episode (a broken pool fails every outstanding future at
+        once, and charging each would spend the whole rebuild budget on
+        one event); a wait cut short by an expired deadline instead
+        cancels the pool work without charging the budget.  A failed or
+        cancelled job yields ``ok`` False, and the caller recomputes it in
+        the driver before the next wait.
+        """
         failed = cancelled = False
         for i, future in futures.items():
-            job = jobs[i]
             try:
                 result = future.result(timeout=self._wait_timeout(deadline))
-                job.validate(result)
+                jobs[i].validate(result)
             except Exception as exc:
                 expired = deadline is not None and deadline.expired()
                 if not cancelled and expired and isinstance(exc, TIMEOUT_ERRORS):
@@ -696,106 +709,140 @@ class ShardedExecutor(Executor):
                 elif not cancelled and not failed:
                     failed = True
                     self._note_failure(exc, scope=scope)
-                results[i] = job.inline()
+                yield i, False, None
             else:
-                results[i] = result
-                pooled.add(i)
-        return results, pooled
+                yield i, True, result
 
-    def run_batch(
-        self,
-        graph,
-        params: NibbleParameters,
-        root: int,
-        batch_index: int,
-        num_instances: int,
-    ) -> BatchResult:
-        """Fan the batch out over the pool as one chunk per worker.
+    def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
+        """Ship the round's large batches as one chunk per worker; fuse the rest.
 
-        Only views at or above the size floor are shipped; tiny views
-        run inline.  A failed chunk re-runs only its own instances
+        A request on a view at or above the size floor, with two or more
+        instances, is split into contiguous chunks for the pool; every
+        other request runs in the driver while the pool works, all of them
+        through one :func:`inline_batches` call, so the small ones share
+        lockstep calls.  A failed chunk re-runs only its own instances
         inline: the streams are counter-addressed and an instance's answer
         depends only on its draws, so that is bit-identical to re-running
         the batch.  An ambient deadline bounds the wait for pool results;
         once it has expired, a chunk's inline re-run raises
         :class:`~repro.resilience.deadline.DeadlineExpired` (a cancel, not
-        a failure), which the sparse-cut driver converts into an
-        interrupted result.
+        a failure), which interrupts every search of the round.
         """
-        if (
-            self._broken
-            or self._closed
-            or num_instances < 2
-            or graph.num_vertices < self.min_shard_vertices
-        ):
-            return sequential_batch(graph, params, root, batch_index, num_instances)
-        jobs = []
-        for chunk in np.array_split(
-            np.arange(num_instances), min(self.workers, num_instances)
-        ):
-            indices = [int(i) for i in chunk]
-            jobs.append(
-                _Job(
-                    inline=functools.partial(
-                        _inline_chunk, graph, params, root, batch_index, indices
-                    ),
-                    fn=run_sharded_chunk,
-                    args=(
-                        graph.alive, graph.proper_degree, graph.loops, graph.total_volume,
-                        graph.num_edges, params, root, batch_index, indices,
-                    ),
-                    address=("chunk", root, batch_index, indices[0]),
-                    validate=functools.partial(
-                        validate_batch_triples, graph, params, instance_indices=indices
-                    ),
+        ship = (
+            []
+            if self._broken or self._closed
+            else [
+                k
+                for k, request in enumerate(requests)
+                if request.num_instances >= 2
+                and request.view.num_vertices >= self.min_shard_vertices
+            ]
+        )
+        jobs, owners = [], []
+        for k in ship:
+            request = requests[k]
+            view = request.view
+            for chunk in np.array_split(
+                np.arange(request.num_instances),
+                min(self.workers, request.num_instances),
+            ):
+                indices = [int(i) for i in chunk]
+                jobs.append(
+                    _Job(
+                        fn=run_sharded_chunk,
+                        args=(
+                            view.alive, view.proper_degree, view.loops,
+                            view.total_volume, view.num_edges, request.params,
+                            request.root, request.batch_index, indices,
+                        ),
+                        address=("chunk", request.root, request.batch_index, indices[0]),
+                        validate=functools.partial(
+                            validate_batch_triples, view, request.params,
+                            instance_indices=indices,
+                        ),
+                        base=view.base,
+                    )
                 )
-            )
-        chunks, _ = self._dispatch("batch", graph.base, jobs, active_deadline())
-        return [triple for chunk in chunks for triple in chunk]
+                owners.append((k, indices))
+        deadline = active_deadline()
+        futures = self._submit("batch", jobs, deadline)
+        shipped = {owners[i][0] for i in futures}
+        kept = [k for k in range(len(requests)) if k not in shipped]
+        results: list = [[] for _ in requests]
+        try:
+            for k, triples in zip(kept, inline_batches([requests[k] for k in kept])):
+                results[k] = triples
+        except DeadlineExpired:
+            if futures:
+                self._deadline_cancel("batch")
+            raise
+        chunks: dict = {}
+        for i, ok, triples in self._collect("batch", jobs, futures, deadline):
+            k, indices = owners[i]
+            chunks[i] = triples if ok else _inline_chunk(*_chunk(requests[k], indices))
+        for i in sorted(chunks):  # a request's chunks, in instance order
+            results[owners[i][0]].extend(chunks[i])
+        return results
 
     def run_siblings(
         self,
         tasks: list[SubtreeTask],
-        run_inline: RunInline,
+        run_group: RunGroup,
         spec: Optional[SubtreeSpec] = None,
-    ) -> SiblingResult:
-        """Ship siblings at or above the size floor to the pool, run the rest inline.
+    ) -> Generator:
+        """Ship siblings at or above the size floor to the pool; run the rest as a group.
 
         Every shipped subtree decomposes wholly inside one worker against
         the published host snapshot (:func:`repro.parallel.worker
         .run_subtree`) and is re-verified by
-        :func:`validate_subtree_outcome`.  Without a spec, on a degraded
-        engine, or for a lone task, everything runs inline.
-        The spec's deadline bounds each wait; its expiry cancels the
-        remaining pool work, and the inline re-runs emit their flagged
-        unfinished markers at once.
+        :func:`validate_subtree_outcome`.  The kept siblings run through
+        ``run_group`` together while the pool works; a shipped task whose
+        result fails re-runs through ``run_group([task])``.  Without a
+        spec, on a degraded engine, or for a lone task, everything runs as
+        one group.  The spec's deadline bounds each wait; its expiry
+        cancels the remaining pool work, and the re-runs emit their
+        flagged unfinished markers at once.
         """
         if spec is None or self._broken or self._closed or len(tasks) < 2:
-            return SEQUENTIAL.run_siblings(tasks, run_inline)
+            return (yield from SEQUENTIAL.run_siblings(tasks, run_group))
         index = spec.base.index
-        shipped = replace(spec, base=None, deadline=None)  # both stay driver-side
-        jobs = []
-        for task in tasks:
-            inline = functools.partial(run_inline, task)
+        shipped_spec = replace(spec, base=None, deadline=None)  # both stay driver-side
+        jobs, owners = [], []
+        for k, task in enumerate(tasks):
             if len(task.subset) < self.min_shard_vertices:
-                jobs.append(_Job(inline=inline))
                 continue
             subset_indices = sorted(index[v] for v in task.subset)
-            first = subset_indices[0] if subset_indices else -1
             jobs.append(
                 _Job(
-                    inline=inline,
                     fn=run_subtree,
                     args=(
-                        subset_indices, task.depth, task.hint, task.connected, shipped
+                        subset_indices, task.depth, task.hint, task.connected,
+                        shipped_spec,
                     ),
-                    address=("subtree", spec.root, task.depth, first, len(subset_indices)),
+                    address=(
+                        "subtree", spec.root, task.depth, subset_indices[0],
+                        len(subset_indices),
+                    ),
                     validate=functools.partial(
                         validate_subtree_outcome, subset=task.subset, base=spec.base
                     ),
+                    base=spec.base,
                 )
             )
-        return self._dispatch("subtree", spec.base, jobs, spec.deadline)
+            owners.append(k)
+        futures = self._submit("subtree", jobs, spec.deadline)
+        pooled = {owners[i] for i in futures}
+        kept = [k for k in range(len(tasks)) if k not in pooled]
+        outcomes: list = [None] * len(tasks)
+        for k, outcome in zip(kept, (yield from run_group([tasks[k] for k in kept]))):
+            outcomes[k] = outcome
+        for i, ok, outcome in self._collect("subtree", jobs, futures, spec.deadline):
+            k = owners[i]
+            if not ok:
+                pooled.discard(k)
+                (outcome,) = yield from run_group([tasks[k]])
+            outcomes[k] = outcome
+        return outcomes, pooled
 
     # ------------------------------------------------------------------
     def close(self) -> None:

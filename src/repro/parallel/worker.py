@@ -12,13 +12,13 @@ jobs, or between processes, which is the whole determinism argument
 (``docs/PARALLEL.md``).
 
 :func:`draw_nibble_instance` is the one definition of what an instance
-draws from its stream.  :func:`run_chunk` is the one batch body every
-executor runs: it makes every instance's draws on the batch's
-:class:`~repro.graphs.peel.PeeledCSR` view, then runs each distinct draw
-once — all of them as the rows of one
-:func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call when the
-batch fits :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, one
-ApproximateNibble walk after another otherwise.
+draws from its stream.  :func:`run_chunks` is the one batch body every
+executor runs: it makes every instance's draws on each batch's
+:class:`~repro.graphs.peel.PeeledCSR` view, then runs each batch's
+distinct draws once — as lockstep rows when the batch fits
+:data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, several such batches
+fused into one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble`
+call, and one ApproximateNibble walk after another otherwise.
 :func:`run_nibble_instance` is the body of a single RandomNibble call
 (:func:`repro.decomposition.sparse_cut.random_nibble`); the tests pin
 every batch to it instance by instance.
@@ -34,7 +34,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..graphs.peel import PeeledCSR
 from ..nibble import lockstep
-from ..nibble.lockstep import batch_cells, lockstep_approximate_nibble
+from ..nibble.lockstep import batch_cells, fused_cells, lockstep_approximate_nibble
 from ..nibble.nibble import NibbleCut, approximate_nibble
 from ..nibble.parameters import NibbleParameters, sample_scale
 from ..utils.rng import task_stream
@@ -153,47 +153,81 @@ def run_chunk(
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run the listed instances of one batch on ``view``, in order.
 
-    The one batch body: a pooled chunk, its inline re-run in the driver,
-    and a whole inline batch all come through here.  Every instance makes
-    its two draws (:func:`draw_nibble_instance`) from ``streams(root,
-    batch_index, instance_index)`` (default
+    A pooled chunk and its inline re-run in the driver come through here;
+    it is :func:`run_chunks` for one chunk.
+    """
+    return run_chunks([(view, params, root, batch_index, instance_indices)], streams)[0]
+
+
+def run_chunks(chunks, streams=None) -> list[list]:
+    """Run several batches' chunks: the one batch body every executor runs.
+
+    Each chunk is ``(view, params, root, batch_index, instance_indices)``.
+    Every instance makes its two draws (:func:`draw_nibble_instance`) from
+    ``streams(root, batch_index, instance_index)`` (default
     :func:`repro.utils.rng.task_stream` — the key names *what* the task
     is, never where it runs), so nothing flows between chunks.  Each
-    distinct ``(start, scale)`` draw then runs once, on one of two
-    kernels with identical outputs: all of them together as the rows of
-    one :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` call
-    when :func:`~repro.nibble.lockstep.batch_cells` fits
-    :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET`, otherwise
-    one :func:`approximate_nibble` walk per draw, whose work stays on the
-    walk's support (Nibble's locality) however large the view is.
+    distinct ``(start, scale)`` draw of a chunk then runs once, on one of
+    two kernels with identical outputs.  A chunk whose
+    :func:`~repro.nibble.lockstep.batch_cells` fit
+    :data:`~repro.nibble.lockstep.LOCKSTEP_CELL_BUDGET` runs as lockstep
+    rows, and such chunks share
+    :func:`~repro.nibble.lockstep.lockstep_approximate_nibble` calls —
+    one group per chunk, as many per call as
+    :func:`~repro.nibble.lockstep.fused_cells` keeps within the same
+    budget.  A larger chunk runs one :func:`approximate_nibble` walk per
+    draw, whose work stays on the walk's support (Nibble's locality)
+    however large the view is.
 
-    Deduplication is exact, not a heuristic: an instance is a
-    deterministic function of (view, start, scale, params) once its draws
-    are made, a batch's view is invariant (harvest and peel happen after
-    the batch), and every stream is drawn from either way, so RNG states
-    and round accounting never depend on it.  Duplicates are common
-    exactly where they hurt: terminal deep-recursion components (2–5-clique
-    chains) draw a handful of starts across Θ(log m) instances.  Returns
-    ``(instance_index, scale, cut)`` triples in the given order.
+    Deduplication is exact, not a heuristic, and stays within a chunk: an
+    instance is a deterministic function of (view, start, scale, params)
+    once its draws are made, a batch's view is invariant (harvest and peel
+    happen after the batch), and every stream is drawn from either way, so
+    RNG states and round accounting never depend on it.  Duplicates are
+    common exactly where they hurt: terminal deep-recursion components
+    (2–5-clique chains) draw a handful of starts across Θ(log m)
+    instances.  Returns each chunk's ``(instance_index, scale, cut)``
+    triples in the given order.
     """
     streams = streams or task_stream
     draws = [
-        draw_nibble_instance(view, params, streams(root, batch_index, int(i)))
-        for i in instance_indices
-    ]
-    distinct = list(dict.fromkeys(d for d in draws if d[1] is not None))
-    if batch_cells(view, len(distinct)) <= lockstep.LOCKSTEP_CELL_BUDGET:
-        found = lockstep_approximate_nibble(view, distinct, params)
-    else:
-        found = [
-            approximate_nibble(view, start, scale, params)
-            for start, scale in distinct
+        [
+            draw_nibble_instance(view, params, streams(root, batch_index, int(i)))
+            for i in indices
         ]
-    cuts = dict(zip(distinct, found))
-    return [
-        (int(i), scale, cuts.get((start, scale)))
-        for i, (start, scale) in zip(instance_indices, draws)
+        for view, params, root, batch_index, indices in chunks
     ]
+    distinct = [list(dict.fromkeys(d for d in drawn if d[1] is not None)) for drawn in draws]
+    found: list = [None] * len(chunks)
+    rows = []  # the lockstep-side chunks, narrowest view first
+    for k, ((view, params, *_), todo) in enumerate(zip(chunks, distinct)):
+        if batch_cells(view, len(todo)) > lockstep.LOCKSTEP_CELL_BUDGET:
+            found[k] = [approximate_nibble(view, start, scale, params) for start, scale in todo]
+        elif todo:
+            rows.append(k)
+        else:
+            found[k] = []
+    rows.sort(key=lambda k: chunks[k][0].num_vertices)
+    while rows:
+        call = [rows.pop(0)]
+        while rows and fused_cells(
+            [(chunks[k][0], len(distinct[k])) for k in call + rows[:1]]
+        ) <= lockstep.LOCKSTEP_CELL_BUDGET:
+            call.append(rows.pop(0))
+        groups = [(chunks[k][0], distinct[k], chunks[k][1]) for k in call]
+        cuts = iter(lockstep_approximate_nibble(*groups[0], *groups[1:]))
+        for k in call:
+            found[k] = [next(cuts) for _ in distinct[k]]
+    results = []
+    for (_, _, _, _, indices), drawn, todo, cuts in zip(chunks, draws, distinct, found):
+        by_draw = dict(zip(todo, cuts))
+        results.append(
+            [
+                (int(i), scale, by_draw.get((start, scale)))
+                for i, (start, scale) in zip(indices, drawn)
+            ]
+        )
+    return results
 
 
 def run_sharded_chunk(

@@ -353,14 +353,16 @@ def ambient_executor():
 
 
 class PermutedExecutor(SequentialExecutor):
-    """Adversarial test engine: sibling subtrees run inline in a shuffled order.
+    """Adversarial test engine: sibling subtrees run as a shuffled group.
 
-    Each sibling group is executed in a deterministic pseudo-random
-    permutation of its submission order — the in-process model of pool
-    workers finishing (and delivering) in an arbitrary order — and returned
-    in task order.  Batches run exactly as on the sequential oracle.
-    Because the recursion is pure (counter-addressed streams, no shared
-    mutable state), the outcomes must be bit-identical to the sequential
+    Each sibling group goes to the group callback in a deterministic
+    pseudo-random permutation of its submission order — the in-process
+    model of pool workers finishing (and delivering) in an arbitrary
+    order: the members advance, emit and put their batch requests into
+    each round in the permuted order — and the outcomes come back in task
+    order.  Batches run exactly as on the sequential oracle.  Because the
+    recursion is pure (counter-addressed streams, no shared mutable
+    state), the outcomes must be bit-identical to the sequential
     executor's; the ``component-parallel`` matrix cell and
     ``test_scheduling.py`` assert exactly that.
     """
@@ -370,11 +372,13 @@ class PermutedExecutor(SequentialExecutor):
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def run_siblings(self, tasks, run_inline, spec=None):
-        """Run the tasks inline in a shuffled order; return in task order."""
+    def run_siblings(self, tasks, run_group, spec=None):
+        """Run the tasks as one group in a shuffled order; return in task order."""
+        order = [int(i) for i in self._rng.permutation(len(tasks))]
+        outcomes = yield from run_group([tasks[i] for i in order])
         results: list = [None] * len(tasks)
-        for i in self._rng.permutation(len(tasks)):
-            results[int(i)] = run_inline(tasks[int(i)])
+        for i, outcome in zip(order, outcomes):
+            results[i] = outcome
         return results, set()
 
 

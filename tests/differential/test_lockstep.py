@@ -491,3 +491,98 @@ class TestPrefixReuse:
         fresh, source = lockstep._fresh_pairs(pair_step, order, jmax)
         assert fresh.tolist() == [True, True, False, True, True, False]
         assert source.tolist() == [0, 1, 1, 2, 3, 3]
+
+
+def fused_groups():
+    """``(view, draws, params)`` groups that differ in n, m, t0, ell and φ:
+    two ring pieces, a planted piece whose short t0 ends first, the
+    retiring batch's mixed graph, and a one-row path."""
+    ring = dict(PIECES)["ring_3_cliques"]
+    small_ring = dict(PIECES)["ring_2_cliques"]
+    planted = dict(PIECES)["planted_2_blocks"]
+    path = Graph()
+    for i in range(29):
+        path.add_edge(i, i + 1)
+    path_view = PeeledCSR.from_graph(path)
+    mixed, mixed_params, mixed_draws = retiring_batch()
+    groups = []
+    for view, params, stride in (
+        (ring, NibbleParameters.practical(ring, 0.1, max_t0=150), 4),
+        (planted, NibbleParameters.practical(planted, 0.2, max_t0=40), 5),
+        (small_ring, NibbleParameters.practical(small_ring, 0.15, max_t0=90), 3),
+    ):
+        groups.append((view, every_draw(view, params, stride), params))
+    groups.append((mixed, mixed_draws[::4], mixed_params))
+    path_params = NibbleParameters.practical(path_view, 0.1, max_t0=60)
+    groups.append((path_view, [(0, 2)], path_params))
+    return groups
+
+
+def split_by_group(cuts, groups):
+    """A fused call's cuts, one list per group."""
+    cuts = iter(cuts)
+    return [[next(cuts) for _ in draws] for _, draws, _ in groups]
+
+
+class TestFusedGroups:
+    """Several batches in one call: each group is exactly its own call."""
+
+    def test_groups_differ_in_every_shape_parameter(self):
+        groups = fused_groups()
+        views = [view for view, _, _ in groups]
+        params = [p for _, _, p in groups]
+        assert len({v.num_vertices for v in views}) > 3
+        assert len({v.num_edges for v in views}) == len(groups)
+        assert len({p.t0 for p in params}) > 2
+        assert len({p.ell for p in params}) > 1
+        assert len({p.phi for p in params}) > 1
+        assert min(p.t0 for p in params) == params[1].t0  # planted ends first
+        assert len(groups[-1][1]) == 1  # a one-row group
+
+    def test_each_group_equals_its_solo_call_and_the_walk(self):
+        groups = fused_groups()
+        fused = lockstep_approximate_nibble(*groups[0], *groups[1:])
+        assert len(fused) == sum(len(draws) for _, draws, _ in groups)
+        found = 0
+        for (view, draws, params), cuts in zip(groups, split_by_group(fused, groups)):
+            assert cuts == lockstep_approximate_nibble(view, draws, params)
+            for (start, scale), cut in zip(draws, cuts):
+                assert cut == approximate_nibble(view, start, scale, params)
+                found += cut is not None
+        assert found > 0
+
+    def test_group_order_does_not_matter(self):
+        groups = fused_groups()
+        expected = split_by_group(lockstep_approximate_nibble(*groups[0], *groups[1:]), groups)
+        turned = groups[::-1]
+        got = split_by_group(lockstep_approximate_nibble(*turned[0], *turned[1:]), turned)
+        assert got[::-1] == expected
+
+    @pytest.mark.parametrize("steps", [1, 7, None], ids=str)
+    def test_padding_never_holds_mass(self, monkeypatch, steps):
+        """Every block's walk leaves zero mass past each row's own view, and
+        the groups still equal their solo calls at every block length."""
+        groups = fused_groups()
+        solo = [lockstep_approximate_nibble(*group) for group in groups]
+        view, draws, _ = groups[0]
+        monkeypatch.setattr(lockstep, "BLOCK_CELLS", block_cells(view, len(draws), steps))
+        walk, padded = lockstep._walk, []
+
+        def checked(block, mass, *args):
+            stack, swept, walking = walk(block, mass, *args)
+            for row, n in enumerate(block.n.tolist()):
+                assert not mass[row, n:].any()
+                assert not stack[:, row, n:].any()
+                padded.append(block.width > n)
+            return stack, swept, walking
+
+        monkeypatch.setattr(lockstep, "_walk", checked)
+        fused = lockstep_approximate_nibble(*groups[0], *groups[1:])
+        assert split_by_group(fused, groups) == solo
+        assert any(padded)
+
+    def test_a_single_group_is_the_plain_call(self):
+        view, draws, params = fused_groups()[0]
+        assert lockstep_approximate_nibble(view, draws, params) == (
+            lockstep_approximate_nibble(view, draws, params, (view, [], params))
+        )

@@ -22,8 +22,10 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.parallel import (
+    SEQUENTIAL,
     ShardedExecutor,
     SubtreeTask,
+    run_rounds,
     shared_memory_available,
 )
 
@@ -69,11 +71,14 @@ class TestPermutationInvariance:
         tasks = [SubtreeTask(frozenset([i]), 0) for i in range(8)]
         seen = []
 
-        def record(task):
-            seen.append(min(task.subset))
-            return min(task.subset)
+        def record(group):
+            seen.extend(min(task.subset) for task in group)
+            return [min(task.subset) for task in group]
+            yield  # a group callback is a generator of request rounds
 
-        results, pooled = PermutedExecutor(seed=3).run_siblings(tasks, record)
+        results, pooled = run_rounds(
+            PermutedExecutor(seed=3).run_siblings(tasks, record), SEQUENTIAL
+        )
         assert results == list(range(8))  # positional, submission-aligned
         assert pooled == set()
         assert sorted(seen) == list(range(8))

@@ -38,6 +38,7 @@ from repro.parallel import (
     SEQUENTIAL,
     ShardedExecutor,
     SubtreeTask,
+    run_rounds,
     shared_memory_available,
     validate_subtree_outcome,
 )
@@ -138,14 +139,16 @@ GRAPHS = [
 class TestRunSiblingsUnits:
     def test_sequential_runs_in_submission_order(self):
         tasks = [SubtreeTask(frozenset([i]), 0) for i in range(5)]
-        seen = []
+        groups = []
 
-        def record(task):
-            seen.append(min(task.subset))
-            return min(task.subset)
+        def record(group):
+            groups.append([min(task.subset) for task in group])
+            return groups[-1]
+            yield  # a group callback is a generator of request rounds
 
-        assert SEQUENTIAL.run_siblings(tasks, record) == ([0, 1, 2, 3, 4], set())
-        assert seen == [0, 1, 2, 3, 4]
+        got = run_rounds(SEQUENTIAL.run_siblings(tasks, record), SEQUENTIAL)
+        assert got == ([0, 1, 2, 3, 4], set())
+        assert groups == [[0, 1, 2, 3, 4]]  # one group, in submission order
 
     def test_pooled_without_spec_runs_inline(self):
         # A dict-only run has no CSR base: every sibling runs inline and
@@ -153,7 +156,12 @@ class TestRunSiblingsUnits:
         engine = ShardedExecutor(2, min_shard_vertices=1)
         try:
             tasks = [SubtreeTask(frozenset([i]), 0) for i in range(3)]
-            got = engine.run_siblings(tasks, lambda t: min(t.subset), spec=None)
+
+            def minima(group):
+                return [min(task.subset) for task in group]
+                yield  # a group callback is a generator of request rounds
+
+            got = run_rounds(engine.run_siblings(tasks, minima, spec=None), engine)
             assert got == ([0, 1, 2], set())
             assert engine._pool is None
         finally:

@@ -299,26 +299,26 @@ class TestKernelRule:
     @pytest.mark.parametrize("n", [31, 32])
     def test_decomposition_site(self, monkeypatch, n):
         seen = []
-        original = expander_module.nearly_most_balanced_sparse_cut
+        original = expander_module.sparse_cut_search
 
         def spy(target, *args, **kwargs):
             seen.append(type(target))
             return original(target, *args, **kwargs)
 
-        monkeypatch.setattr(expander_module, "nearly_most_balanced_sparse_cut", spy)
+        monkeypatch.setattr(expander_module, "sparse_cut_search", spy)
         expander_decomposition(cycle_graph(n), 0.5, 0.1, seed=1)
         assert seen and set(seen) == {PeeledCSR}
 
     @pytest.mark.parametrize("n", [31, 32])
     def test_sparse_cut_site(self, monkeypatch, n):
         seen = []
-        original = sparse_cut_module.parallel_nibble_cuts
+        original = sparse_cut_module._nibble_batch
 
         def spy(graph, *args, **kwargs):
             seen.append(type(graph))
             return original(graph, *args, **kwargs)
 
-        monkeypatch.setattr(sparse_cut_module, "parallel_nibble_cuts", spy)
+        monkeypatch.setattr(sparse_cut_module, "_nibble_batch", spy)
         with precheck_off():
             nearly_most_balanced_sparse_cut(cycle_graph(n), 0.1, seed=1)
         assert seen and set(seen) == {PeeledCSR}

@@ -27,6 +27,7 @@ from repro.graphs.peel import PeeledCSR
 from repro.nibble import NibbleParameters
 from repro.parallel import (
     SEQUENTIAL,
+    BatchRequest,
     SequentialExecutor,
     ShardedExecutor,
     SharedCSR,
@@ -120,8 +121,9 @@ class TestSharedCSR:
             shared_memory.SharedMemory(name=name)
 
 
-def batch_outputs(engine, graph, params, root, **kwargs):
-    return engine.run_batch(graph, params, root, 0, 8, **kwargs)
+def batch_outputs(engine, graph, params, root):
+    (triples,) = engine.run_batches([BatchRequest(graph, params, root, 0, 8)])
+    return triples
 
 
 @needs_shm

@@ -220,6 +220,33 @@ class TestJournalUnit:
                 graph, 0.1, 0.1, seed=1, sparse_cut_kwargs=reordered, journal=journal
             )
 
+    def test_fractional_max_depth_cannot_replay_an_int_journal(self, tmp_path):
+        """The journal pins ``int(max_depth)``, so a ``max_depth=1.5`` run
+        would replay a depth-1 journal's 2 components where a fresh run
+        compares depths against 1.5 and returns 4.  A depth must be an int
+        >= 0, and counts must be ints, not bools."""
+        graph = ring_of_cliques(6, 8)
+        with RunJournal(tmp_path / "j") as journal:
+            expander_decomposition(graph, 0.1, 0.1, seed=1, max_depth=1, journal=journal)
+        with RunJournal(tmp_path / "j") as journal:
+            with pytest.raises(ValueError, match="max_depth"):
+                expander_decomposition(
+                    graph, 0.1, 0.1, seed=1, max_depth=1.5, journal=journal
+                )
+        for bad in (1.5, -1, True, "2"):
+            with pytest.raises(ValueError, match="max_depth"):
+                expander_decomposition(graph, 0.1, 0.1, seed=1, max_depth=bad)
+        assert expander_decomposition(
+            graph, 0.1, 0.1, seed=1, max_depth=np.int64(1)
+        ).num_components == expander_decomposition(
+            graph, 0.1, 0.1, seed=1, max_depth=1
+        ).num_components
+        for counts in ({"num_instances": True}, {"max_failures": True}):
+            with pytest.raises(ValueError, match="must be"):
+                nearly_most_balanced_sparse_cut(graph, 0.1, seed=1, **counts)
+            with pytest.raises(ValueError, match="must be"):
+                expander_decomposition(graph, 0.1, 0.1, seed=1, sparse_cut_kwargs=counts)
+
 
 class TestMmapValidation:
     def snapshot(self, tmp_path):
