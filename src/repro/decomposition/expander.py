@@ -28,7 +28,6 @@ schedule length also bounds the recursion depth.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -44,13 +43,7 @@ from ..graphs.spectral import (
     certify_conductance,
 )
 from ..nibble.parameters import ParameterMode, h_inverse
-from ..parallel.executor import (
-    SEQUENTIAL,
-    Executor,
-    SubtreeSpec,
-    SubtreeTask,
-    resolve_executor,
-)
+from ..parallel.executor import Executor, resolve_executor
 from ..parallel.frontier import Rounds, one_per_round, run_rounds, run_together
 from ..resilience.deadline import Deadline, deadline_scope, resolve_deadline
 from ..utils.rng import (
@@ -201,32 +194,49 @@ def level_schedule(
     return schedule
 
 
+#: The sparse-cut arguments ``sparse_cut_kwargs`` may carry; the recursion
+#: sets every other argument of :func:`sparse_cut_search` itself.
+SEARCH_KWARGS = frozenset(
+    {"balance_target", "max_failures", "num_instances", "params_overrides"}
+)
+
+
 def search_kwargs_key(sparse_cut_kwargs: Optional[dict]) -> str:
     """The canonical string of the sparse-cut kwargs that shape a search.
 
-    ``executor`` and ``workers`` are dropped: they select *how* batches
-    and sibling subtrees run, never *what* they produce (the
-    :mod:`repro.parallel` identity contract), and an executor's ``repr``
-    carries a process-local address.  Everything else — batch sizes,
-    parameter overrides — is serialised with sorted keys at every depth,
-    so equal searches give equal strings.  The run journal pins it and the
-    triangle workload's decomposition cache keys on it.
+    The kwargs — batch sizes, parameter overrides — are serialised with
+    sorted keys at every depth, so equal searches give equal strings.  The
+    run journal pins it and the triangle workload's decomposition cache
+    keys on it.
     """
-    searched = {
-        key: value
-        for key, value in (sparse_cut_kwargs or {}).items()
-        if key not in ("executor", "workers")
-    }
-    return json.dumps(searched, sort_keys=True, default=repr)
+    return json.dumps(dict(sparse_cut_kwargs or {}), sort_keys=True, default=repr)
+
+
+@dataclass(frozen=True)
+class _SubtreeTask:
+    """One sibling subtree of the recursion: a component to decompose.
+
+    ``subset`` is the component's vertex-label set, ``depth`` its recursion
+    depth, and ``hint`` an optional precomputed
+    :class:`~repro.graphs.spectral.SpectralCertificate` of its induced
+    graph (the driver batches sibling solves).  ``connected`` is set for a
+    piece its parent split off along connected components, so the subtree
+    skips scanning it again.
+    """
+
+    subset: frozenset
+    depth: int
+    hint: Optional[SpectralCertificate] = None
+    connected: bool = False
 
 
 @dataclass
 class _SubtreeOutcome:
     """Everything one recursion subtree produces.
 
-    Pool workers pickle this back to the driver (every field is plain
-    data); the driver's merge is a canonical-order concatenation, so the
-    outcome of a subtree group is independent of which engine ran it.
+    The journal pickles it (every field is plain data); the merge is a
+    canonical-order concatenation, so the outcome of a subtree is
+    independent of which engine ran its batches.
     """
 
     components: list[ExpanderComponent] = field(default_factory=list)
@@ -248,12 +258,11 @@ class _SubtreeOutcome:
 class _SubtreeContext:
     """The run-wide recursion state shared by every subtree of one run.
 
-    ``root`` is the single stream root drawn from the caller's generator;
-    ``engine`` decides where sibling subtrees execute (the batches of every
-    live search run through the driver's one loop, :func:`run_rounds`);
-    ``cut_kwargs`` are the searches' tuning arguments; ``base`` is the
-    host's CSR snapshot, which every working graph restricts as a
-    :class:`~repro.graphs.peel.PeeledCSR` view.  The resilience fields:
+    ``root`` is the single stream root drawn from the caller's generator
+    (the batches of every live search run through the driver's one loop,
+    :func:`run_rounds`); ``cut_kwargs`` are the searches' tuning
+    arguments; ``base`` is the host's CSR snapshot, which every working
+    graph restricts as a :class:`~repro.graphs.peel.PeeledCSR` view.  The resilience fields:
     ``journal`` replays and records completed subtrees
     (:class:`~repro.resilience.journal.RunJournal`), ``deadline`` bounds
     the run (:class:`~repro.resilience.deadline.Deadline`), and
@@ -268,30 +277,10 @@ class _SubtreeContext:
     max_depth: int
     cut_kwargs: dict
     root: int
-    engine: Executor
     journal: Optional[object] = None
     deadline: Optional[Deadline] = None
     on_progress: Optional[object] = None
     progress: int = 0
-
-    def spec(self) -> SubtreeSpec:
-        """The dispatch spec for pooled sibling groups.
-
-        Worker-side batches run on the sequential engine — workers never
-        nest pools — and the stream discipline makes that invisible to
-        every output.  ``deadline`` rides along driver-side only (the
-        engine bounds its waits with it; it is never pickled).
-        """
-        return SubtreeSpec(
-            base=self.base,
-            phi=self.phi,
-            mode=self.mode,
-            schedule=tuple(self.schedule),
-            max_depth=self.max_depth,
-            cut_kwargs=dict(self.cut_kwargs),
-            root=self.root,
-            deadline=self.deadline,
-        )
 
 
 def _bump(ctx: _SubtreeContext, count: int) -> None:
@@ -306,7 +295,7 @@ def _bump(ctx: _SubtreeContext, count: int) -> None:
 def _emit(
     ctx: _SubtreeContext, outcome: _SubtreeOutcome, component: ExpanderComponent
 ) -> None:
-    """Emit one component from driver-side recursion (progress included)."""
+    """Emit one component (progress included)."""
     outcome.components.append(component)
     _bump(ctx, 1)
 
@@ -327,26 +316,23 @@ def _finished(outcome: _SubtreeOutcome) -> bool:
 
 
 def _run_children(
-    ctx: _SubtreeContext, outcome: _SubtreeOutcome, tasks: list[SubtreeTask]
+    ctx: _SubtreeContext, outcome: _SubtreeOutcome, tasks: list[_SubtreeTask]
 ) -> Rounds:
-    """Run sibling subtrees through the engine; merge in task order.
+    """Run sibling subtrees side by side; merge in task order.
 
     ``tasks`` arrive in canonical (ascending smallest-``repr``) order and
-    the engine returns outcomes positionally, so the merged component,
-    cut-edge, and report order is the same whether the siblings ran
-    together, permuted, or on pool workers.  The siblings the engine keeps
-    run as one group (:func:`_run_group`): their searches' batch requests
+    :func:`~repro.parallel.frontier.run_together` returns their outcomes
+    positionally, so the merged component, cut-edge, and report order is
+    fixed whatever runs the batches.  Each member is advanced until its
+    searches make their next requests, so the siblings' batch requests
     leave through this generator's rounds, beside every other live
     search's.
 
     The journal seam lives here: subtrees already journaled are replayed
-    without dispatching (their recorded outcome is bit-identical to a
-    re-run, per the stream discipline), a subtree the group ran is
-    recorded as soon as it finishes, and a finished pool-returned one when
-    it arrives — so a killed run resumes at sibling-subtree granularity.
-    Progress accounting: group members bump the shared context as they
-    emit; journal replays and pool-returned outcomes arrive whole and are
-    bumped here.
+    without running (their recorded outcome is bit-identical to a re-run,
+    per the stream discipline, and their progress is bumped here), and a
+    subtree that runs is recorded the moment it finishes — so a killed run
+    resumes at sibling-subtree granularity.
 
     The deadline's prefix rule: the siblings ran side by side, so a later
     one may have finished while an earlier one was cut off.  Every sibling
@@ -356,9 +342,7 @@ def _run_children(
     """
     results: list = [None] * len(tasks)
     replayed: set[int] = set()
-    pooled: set[int] = set()
-    pending: list[SubtreeTask] = []
-    pending_positions: list[int] = []
+    pending: list[int] = []
     for i, task in enumerate(tasks):
         if ctx.journal is not None:
             cached = ctx.journal.get(subtree_journal_key(task.depth, task.subset))
@@ -366,21 +350,14 @@ def _run_children(
                 results[i] = cached
                 replayed.add(i)
                 continue
-        pending.append(task)
-        pending_positions.append(i)
-    if pending:
-        children, shipped = yield from ctx.engine.run_siblings(
-            pending, functools.partial(_run_group, ctx), spec=ctx.spec()
-        )
-        for position, child in zip(pending_positions, children):
-            results[position] = child
-        pooled = {pending_positions[k] for k in shipped}
+        pending.append(i)
+    children = yield from run_together([_recorded_subtree(ctx, tasks[i]) for i in pending])
+    for i, child in zip(pending, children):
+        results[i] = child
     cut_off = False
     for i, (task, child) in enumerate(zip(tasks, results)):
-        if i in replayed or i in pooled:
+        if i in replayed:
             _bump(ctx, len(child.components))
-        if ctx.journal is not None and i in pooled and _finished(child):
-            ctx.journal.record(subtree_journal_key(task.depth, task.subset), child)
         if cut_off:
             child = _SubtreeOutcome(
                 components=[_unfinished_marker(task.subset, task.depth)]
@@ -390,18 +367,8 @@ def _run_children(
     return outcome
 
 
-def _run_group(ctx: _SubtreeContext, tasks: list[SubtreeTask]) -> Rounds:
-    """The group callback: decompose ``tasks`` side by side, outcomes in order.
-
-    Each member is advanced until its searches make their next requests
-    (:func:`~repro.parallel.frontier.run_together`); a member is recorded
-    in the journal the moment it finishes.
-    """
-    return (yield from run_together([_recorded_subtree(ctx, task) for task in tasks]))
-
-
-def _recorded_subtree(ctx: _SubtreeContext, task: SubtreeTask) -> Rounds:
-    """One group member: its subtree, journaled when it finishes."""
+def _recorded_subtree(ctx: _SubtreeContext, task: _SubtreeTask) -> Rounds:
+    """One sibling: its subtree, journaled when it finishes."""
     outcome = yield from _decompose_subtree(
         ctx, task.subset, task.depth, task.hint, task.connected
     )
@@ -427,8 +394,8 @@ def _decompose_subtree(
     Pure in ``(ctx-parameters, subset, depth, hint)``: the searched node's
     randomness comes from ``split_stream(ctx.root, depth,
     component_stream_key(subset))`` rather than a threaded generator, so
-    sibling subtrees can run in any order, interleaved, on any process,
-    and still produce these exact bits.  Python-frame depth stays a few
+    sibling subtrees can run in any order, interleaved, beside any other
+    searches, and still produce these exact bits.  Python-frame depth stays a few
     generator frames per tree level and at most two tree levels per
     recursion depth (a disconnected subset splits into connected pieces at
     the same depth, and connected pieces either cut — descending a depth —
@@ -487,7 +454,7 @@ def _decompose_subtree(
         # decisions are unchanged.
         hints = batched_component_certificates(view, pieces)
         tasks = [
-            SubtreeTask(frozenset(piece), depth, piece_hint, connected=True)
+            _SubtreeTask(frozenset(piece), depth, piece_hint, connected=True)
             for piece, piece_hint in zip(pieces, hints)
         ]
         return (yield from _run_children(ctx, outcome, tasks))
@@ -572,43 +539,8 @@ def _decompose_subtree(
         (side for side in (frozenset(split), rest) if side),
         key=lambda side: min(map(repr, side)),
     )
-    tasks = [SubtreeTask(side, depth + 1, None) for side in sides]
+    tasks = [_SubtreeTask(side, depth + 1, None) for side in sides]
     return (yield from _run_children(ctx, outcome, tasks))
-
-
-def decompose_subtree_on_base(
-    base: CSRGraph,
-    subset_indices,
-    depth: int,
-    hint: Optional[SpectralCertificate],
-    connected: bool,
-    spec: SubtreeSpec,
-) -> _SubtreeOutcome:
-    """One recursion subtree against a host snapshot: the pool-worker body.
-
-    :func:`repro.parallel.worker.run_subtree` calls this with the
-    rehydrated shared-memory ``base``; ``subset_indices`` are base vertex
-    indices (labels are not shipped — the snapshot already carries them),
-    ``connected`` is the task's known-connected flag, and ``spec`` carries
-    the run's parameters (its own ``base`` and ``deadline`` are not used).
-    Runs the exact :func:`_decompose_subtree` recursion on the sequential
-    executor (sibling groups and batch rounds inline), so the returned
-    outcome is bit-identical to the driver decomposing the same subtree
-    itself.
-    """
-    labels = base.vertices
-    subset = frozenset(labels[int(i)] for i in subset_indices)
-    ctx = _SubtreeContext(
-        base=base,
-        phi=spec.phi,
-        mode=spec.mode,
-        schedule=list(spec.schedule),
-        max_depth=spec.max_depth,
-        cut_kwargs=dict(spec.cut_kwargs),
-        root=spec.root,
-        engine=SEQUENTIAL,
-    )
-    return run_rounds(_decompose_subtree(ctx, subset, depth, hint, connected), SEQUENTIAL)
 
 
 def expander_decomposition(
@@ -655,25 +587,29 @@ def expander_decomposition(
         Components hit by the cap are emitted with their spectral
         certificate as-is (usually ``certified=False``).
     sparse_cut_kwargs:
-        Extra keyword arguments forwarded to
-        :func:`nearly_most_balanced_sparse_cut` (batch sizes, overrides).
-        Sibling components split off together always get their spectral
-        solves batched into stacked ``eigh`` calls
+        Extra keyword arguments for every component's sparse-cut search
+        (:func:`nearly_most_balanced_sparse_cut`'s ``balance_target``,
+        ``max_failures``, ``num_instances`` and ``params_overrides``;
+        :data:`SEARCH_KWARGS`).  Any other key — an engine selector such
+        as ``executor`` or ``workers`` included — raises
+        :class:`ValueError` before anything runs.  Sibling components
+        split off together always get their spectral solves batched into
+        stacked ``eigh`` calls
         (:func:`repro.graphs.spectral.batched_component_certificates`) and
         handed down as the sparse cut's pre-check hints; like the
         pre-check itself this is output-neutral by construction, which
         the parity suite pins by patching both off.
     executor, workers:
-        Execution engine (:mod:`repro.parallel`), used for both kinds of
-        independent task: the ParallelNibble batches (``run_batches``) and
-        whole sibling subtrees of the recursion (``run_siblings``).  The
+        The execution engine (:mod:`repro.parallel`) of the run's
+        ParallelNibble batches, and the only engine selectors.  The
         recursion runs sibling subtrees side by side, and every search
-        live at once hands its batch to the same round, so the engine can
-        run a round's small batches as one fused lockstep call.
-        ``workers`` > 1 creates one
+        live at once hands its batch to the same round, which the engine
+        runs through ``run_batches``: the sequential engine as fused
+        lockstep calls, a sharded one as slices of the round spread over
+        its pool and the driver.  ``workers`` > 1 creates one
         :class:`~repro.parallel.executor.ShardedExecutor` — one process
-        pool, one shared snapshot per base — amortised over the whole
-        recursion and closed on return; an explicit ``executor`` is used
+        pool, one shared snapshot per large base — amortised over the
+        whole recursion and closed on return; an explicit ``executor`` is used
         as-is and left open for its owner (passing both raises
         :class:`ValueError`).  The engine is output-invisible: batch
         randomness is counter-addressed by ``(root, batch, instance)`` and
@@ -684,8 +620,8 @@ def expander_decomposition(
         sequential with one warning.  The call draws exactly one stream
         root from ``seed`` — however deep the recursion, however many
         batches run.  ``executor`` is also the testing seam: a
-        scheduling-invariance suite passes an executor that runs siblings
-        in a shuffled order.
+        scheduling-invariance suite passes an executor that runs each
+        round's requests in a shuffled order.
     journal:
         A :class:`~repro.resilience.journal.RunJournal` for
         checkpoint/resume.  Completed subtrees are recorded as the run
@@ -696,7 +632,7 @@ def expander_decomposition(
         ``meta.json`` pins the run identity — seed, parameters and
         :func:`search_kwargs_key` of ``sparse_cut_kwargs`` — and a
         mismatch raises :class:`ValueError`).  Journals are driver-side
-        only; pool workers never see one.
+        only: pool workers run slices of rounds and never see one.
     deadline:
         A wall-clock budget: seconds (a float; ``inf`` never expires, NaN
         raises :class:`ValueError`) or a prepared
@@ -720,17 +656,19 @@ def expander_decomposition(
         or max_depth < 0
     ):
         raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
+    for key in sparse_cut_kwargs or {}:
+        if key not in SEARCH_KWARGS:
+            raise ValueError(
+                f"unknown sparse_cut_kwargs key {key!r}: a search takes "
+                f"{sorted(SEARCH_KWARGS)}, and engines are chosen with "
+                "executor= or workers="
+            )
     rng = ensure_rng(seed)
     engine, owned_engine = resolve_executor(executor, workers)
     report = RoundReport("expander_decomposition")
     schedule = level_schedule(phi, graph.num_vertices, mode)
     if max_depth is None:
         max_depth = recursion_depth_bound(graph.num_vertices)
-    # sparse_cut_kwargs may legitimately carry its own "executor"; an
-    # explicit entry there runs the searches' batches instead of the
-    # decomposition-level engine.
-    cut_kwargs = dict(sparse_cut_kwargs or {})
-    batch_engine = cut_kwargs.pop("executor", None) or engine
     # One draw, however many components are searched: every node of the
     # recursion derives its stream from the root and its own address.
     # Drawn before the journal is consulted, so a fully-replayed resume
@@ -756,9 +694,8 @@ def expander_decomposition(
         mode=mode,
         schedule=schedule,
         max_depth=int(max_depth),
-        cut_kwargs=cut_kwargs,
+        cut_kwargs=dict(sparse_cut_kwargs or {}),
         root=root,
-        engine=engine,
         journal=journal,
         deadline=resolve_deadline(deadline),
         on_progress=on_progress,
@@ -768,7 +705,7 @@ def expander_decomposition(
         # One loop runs every round of batch requests the live searches
         # make, wherever in the recursion they are.
         with deadline_scope(ctx.deadline):
-            outcome = run_rounds(_decompose_subtree(ctx, top, 0, None), batch_engine)
+            outcome = run_rounds(_decompose_subtree(ctx, top, 0, None), engine)
     finally:
         if owned_engine:
             engine.close()

@@ -1,49 +1,43 @@
-"""The execution-backend seam: where ParallelNibble batches and sibling subtrees run.
+"""The execution-backend seam: where a round of ParallelNibble batches runs.
 
-The pipeline has two kinds of independent task and one seam for both,
-the :class:`Executor` protocol.  :meth:`Executor.run_batches` runs one
-round of ParallelNibble batches — every :class:`~repro.parallel.frontier
-.BatchRequest` that the live searches of a decomposition made at once —
-and returns each request's ordered ``(instance_index, scale, cut)``
-triples (executors never touch :class:`~repro.utils.rounds.RoundReport`;
-the driver rebuilds exact round accounting from the scales).
-:meth:`Executor.run_siblings` runs a group of sibling subtrees of the
-decomposition recursion and returns their outcomes in task order; it is
-a generator, so the subtrees it keeps in the driver pass their batch
-requests up to the driver's one loop (:func:`~repro.parallel.frontier
-.run_rounds`) instead of running them alone.
-:class:`SequentialExecutor` is the bit-identity oracle: everything runs
-inline, a round's small batches fused into shared lockstep calls
+The pipeline's independent tasks are its ParallelNibble batches, and the
+:class:`Executor` protocol is their one seam.  :meth:`Executor.run_batches`
+runs one round — every :class:`~repro.parallel.frontier.BatchRequest`
+that the live searches of a decomposition made at once — and returns
+each request's ordered ``(instance_index, scale, cut)`` triples
+(executors never touch :class:`~repro.utils.rounds.RoundReport`; the
+driver rebuilds exact round accounting from the scales).
+:class:`SequentialExecutor` is the bit-identity oracle: the round runs
+inline, its small batches fused into shared lockstep calls
 (:func:`~repro.parallel.worker.run_chunks`).  :class:`ShardedExecutor`
-publishes the immutable CSR snapshot once into shared memory
-(:class:`~repro.parallel.shared.SharedCSR`) and fans batch chunks and
-whole subtrees out over a ``ProcessPoolExecutor``; both task kinds share
-its submit (:meth:`ShardedExecutor._submit`) and collect
-(:meth:`ShardedExecutor._collect`) path.
+cuts a round's ``(request, instance)`` items into contiguous *slices* of
+about equal cost (:func:`round_slices`), ships each slice but one to a
+``ProcessPoolExecutor`` as one job and runs the last in the driver while
+the pool works.  A slice's views travel as masks over a base published
+once into shared memory (:class:`~repro.parallel.shared.SharedCSR`), or,
+for the small compacted bases of the deep recursion, with the base
+itself (:data:`PUBLISH_MIN_VERTICES`).
 
 Cut-identity across engines falls out of the stream discipline
 (:mod:`repro.utils.rng`): instance ``i`` of batch ``b`` draws from a
-stream keyed by ``(root, b, i)`` and the subtree of subset *S* at depth
-*d* from one keyed by ``(root, d, component_stream_key(S))`` on every
-engine, so which worker runs a task — or whether a pool exists at all,
-or which other batches share its lockstep call — cannot reach the
-outputs.  That same property is the foundation of the resilience layer
-(:mod:`repro.resilience`): a crashed, hung, or lying worker's job is
+stream keyed by ``(root, b, i)`` on every engine, so which worker runs
+an instance — or whether a pool exists at all, or which other batches
+share its slice or its lockstep call — cannot reach the outputs.  That
+same property is the foundation of the resilience layer
+(:mod:`repro.resilience`): a crashed, hung, or lying worker's slice is
 simply re-run inline on the same addressed streams — bit-identically —
-while the pool is torn down and rebuilt for the next group.  Failures are
-recorded as structured :class:`~repro.resilience.events.DegradeEvent`\\ s
+while the pool is torn down and rebuilt for the next round.  Failures
+are recorded as structured :class:`~repro.resilience.events.DegradeEvent`\\ s
 on the executor; only when the bounded rebuild budget
 (``max_pool_rebuilds``) is exhausted does the engine degrade to inline
-execution permanently, with the one classic warning.  Every pooled result
-is re-verified in the driver (:func:`validate_batch_triples`,
-:func:`validate_subtree_outcome`), so a corrupted result is caught and
-recomputed, never silently propagated.
+execution permanently, with the one classic warning.  Every pooled
+result is re-verified in the driver (:func:`validate_batch_triples`), so
+a corrupted result is caught and recomputed, never silently propagated.
 """
 
 from __future__ import annotations
 
 import atexit
-import functools
 import math
 import os
 import signal
@@ -52,34 +46,44 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from concurrent.futures import TimeoutError as _FuturesTimeout
 
 from ..graphs.csr import CSRGraph
+from ..nibble.lockstep import batch_cells
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
 from ..resilience.deadline import DeadlineExpired, active_deadline, check_walk_deadline
 from ..resilience.events import DegradeEvent, ResultValidationError
 from .shared import SharedCSR, shared_memory_available
 from .frontier import BatchRequest
-from .worker import run_chunk, run_chunks, run_sharded_chunk, run_subtree
+from .worker import run_chunk, run_chunks, run_sharded_chunk
 
 #: A batch result: ``(instance_index, scale-or-None, cut-or-None)`` triples,
 #: ascending by instance index.
 BatchResult = list[tuple[int, Optional[int], Optional[NibbleCut]]]
 
-#: Below this many alive vertices a sharded batch runs inline: the walks
-#: are microseconds-cheap and per-task IPC would dominate.  Deep-recursion
-#: pieces therefore stay sequential while the big early levels fan out.
-SHARD_MIN_VERTICES = 256
+#: A round whose instances see fewer alive vertices than this in total
+#: (each instance counts its view's vertices) runs inline on a sharded
+#: engine: its walks are cheaper than shipping them.  EXPERIMENTS.md ("One
+#: pool unit") has the measurement behind the value.
+SHARD_MIN_VERTICES = 1024
 
-#: How many published snapshots a sharded executor keeps live at once.
-#: Compaction mints a new base per halving, so a recursion branch touches
-#: O(log n) bases over its lifetime but only the latest few concurrently.
+#: Bases with fewer vertices than this ship by value, inside each job that
+#: needs them; larger ones are published once into shared memory and their
+#: views ship as masks.  The deep recursion's compacted bases are small and
+#: many, and a segment each would cost a publish, an attach and a cache
+#: slot per base.  EXPERIMENTS.md ("One pool unit") has the measurement.
+PUBLISH_MIN_VERTICES = 2048
+
+#: How many published snapshots a sharded executor keeps live between
+#: rounds.  Compaction mints a new base per halving, so a recursion branch
+#: touches O(log n) bases over its lifetime but only the latest few
+#: concurrently.  A round keeps every base it ships on published until its
+#: last result is in, however many that is.
 PUBLISH_CACHE_SIZE = 8
 
 #: Exception classes that mean "a pooled task timed out".  On Python 3.10
@@ -176,66 +180,6 @@ def validate_batch_triples(
             )
 
 
-@dataclass(frozen=True)
-class SubtreeTask:
-    """One sibling subtree of the recursion: a component to decompose.
-
-    ``subset`` is the component's vertex-label set, ``depth`` its recursion
-    depth, and ``hint`` an optional precomputed
-    :class:`~repro.graphs.spectral.SpectralCertificate` of its induced
-    graph (the driver batches sibling solves).  ``connected`` is set for a
-    piece its parent split off along connected components, so the subtree
-    skips scanning it again.  Together with the run-wide
-    :class:`SubtreeSpec` these name the subtree completely — which is why
-    any engine can run it anywhere and produce the same outcome.
-    """
-
-    subset: frozenset
-    depth: int
-    hint: Optional[object] = None
-    connected: bool = False
-
-
-@dataclass(frozen=True)
-class SubtreeSpec:
-    """The run-wide parameters a pool worker needs to decompose a subtree.
-
-    ``base`` is the host CSR snapshot every subtree's peeled views restrict
-    (published into shared memory at dispatch time); the rest mirrors the
-    driver's own recursion context, with ``cut_kwargs`` already scrubbed of
-    the driver's executor (worker-side batches run sequentially — workers
-    never nest pools).  A dispatch without a spec runs every sibling
-    inline.
-
-    ``deadline`` is the driver-side :class:`~repro.resilience.deadline
-    .Deadline` (never shipped to workers — it bounds how long the *driver*
-    waits on pool results; workers hit by a cancel are killed and their
-    subtrees re-enter the driver, where the expired deadline turns them
-    into flagged unfinished markers immediately).
-    """
-
-    base: object
-    phi: float
-    mode: object
-    schedule: tuple
-    max_depth: int
-    cut_kwargs: dict
-    root: int
-    deadline: Optional[object] = None
-
-
-#: The group callback :meth:`Executor.run_siblings` receives: decompose a
-#: list of tasks together in the driver — a generator of request rounds
-#: (:mod:`repro.parallel.frontier`) returning one outcome per task, in order.
-RunGroup = Callable[[list], Generator]
-
-#: What :meth:`Executor.run_siblings` returns: one outcome per task, in task
-#: order, and the positions whose outcome came back from a pool worker
-#: (the driver did not watch those subtrees emit, so it accounts their
-#: progress itself).
-SiblingResult = tuple[list, set]
-
-
 def _chunk(request: BatchRequest, indices) -> tuple:
     """The :func:`~repro.parallel.worker.run_chunks` chunk of ``request``'s ``indices``."""
     return (request.view, request.params, request.root, request.batch_index, indices)
@@ -246,88 +190,46 @@ def inline_batches(requests: list[BatchRequest]) -> list[BatchResult]:
     return run_chunks([_chunk(r, range(r.num_instances)) for r in requests])
 
 
-def validate_subtree_outcome(outcome, subset: frozenset, base: CSRGraph) -> None:
-    """Re-verify a pool-returned subtree outcome against the host snapshot.
+def round_slices(requests: list[BatchRequest], parts: int) -> list[list]:
+    """Cut a round into at most ``parts`` contiguous slices of about equal cost.
 
-    The component-level certification re-check: the outcome's components
-    must exactly partition the subtree's vertex set (every vertex in
-    exactly one component), and its cut edges must be exactly the edges of
-    ``base`` inside the subset whose endpoints lie in different components,
-    each listed once — the recursion removes precisely those edges.  The
-    check costs O(Vol(subset)).  A worker returning a corrupted outcome —
-    chaos-injected or real — therefore cannot slip a wrong decomposition
-    past the driver; the violation raises
-    :class:`~repro.resilience.events.ResultValidationError` and the
-    subtree is re-run inline, bit-identically.
+    The round's ``(request, instance)`` items, in request-then-instance
+    order, each cost their view's :func:`~repro.nibble.lockstep
+    .batch_cells` for one row; an item joins the slice its cost prefix
+    starts in.  A slice is a list of ``(request position, instance
+    indices)`` chunks, so a request may be split across two slices, each
+    holding a contiguous run of its instances.
     """
-    try:
-        components = outcome.components
-        cut_edges = outcome.cut_edges
-    except AttributeError as exc:
-        raise ResultValidationError(
-            f"subtree outcome has no components/cut_edges: {outcome!r}"
-        ) from exc
-    covered = 0
-    seen: set = set()
-    for component in components:
-        covered += len(component.vertices)
-        seen |= component.vertices
-    if covered != len(subset) or seen != set(subset):
-        raise ResultValidationError(
-            f"subtree components cover {covered} vertex slots over "
-            f"{len(seen)} distinct vertices; expected an exact partition of "
-            f"the {len(subset)}-vertex subtree"
-        )
-    index = base.index
-    rows = np.sort(np.fromiter((index[v] for v in subset), np.int64, len(subset)))
-    label = np.empty(len(rows), dtype=np.int64)
-    for position, component in enumerate(components):
-        label[np.searchsorted(rows, [index[v] for v in component.vertices])] = position
-    row_id, flat = base.flat_adjacency(rows)
-    at = np.minimum(np.searchsorted(rows, flat), len(rows) - 1)
-    crossing = (rows[at] == flat) & (label[at] != label[row_id]) & (rows[row_id] < flat)
-    expected = set(zip(rows[row_id[crossing]].tolist(), flat[crossing].tolist()))
-    claimed = set()
-    for edge in cut_edges:
-        try:
-            u, v = (index[endpoint] for endpoint in edge)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResultValidationError(
-                f"subtree cut edge {edge!r} is not an edge of the host graph"
-            ) from exc
-        key = (min(u, v), max(u, v))
-        if key in claimed:
-            raise ResultValidationError(f"subtree cut edge {edge!r} is listed twice")
-        claimed.add(key)
-    if claimed != expected:
-        labels = base.vertices
-        invented = sorted(((labels[u], labels[v]) for u, v in claimed - expected), key=repr)
-        missing = sorted(((labels[u], labels[v]) for u, v in expected - claimed), key=repr)
-        raise ResultValidationError(
-            "subtree cut edges disagree with its components: "
-            f"invented {invented[:5]}, missing {missing[:5]}"
-        )
+    counts = [request.num_instances for request in requests]
+    cost = np.repeat([batch_cells(request.view, 1) for request in requests], counts)
+    start = np.cumsum(cost) - cost
+    part_of = np.minimum(parts * start // max(int(cost.sum()), 1), parts - 1)
+    slices: dict[int, list] = {}
+    first = 0
+    for k, count in enumerate(counts):
+        owned = part_of[first : first + count]
+        for part in np.unique(owned):
+            slices.setdefault(int(part), []).append(
+                (k, np.flatnonzero(owned == part).tolist())
+            )
+        first += count
+    return [slices[part] for part in sorted(slices)]
 
 
 class Executor:
-    """Protocol for running the pipeline's independent tasks.
+    """Protocol for running the pipeline's ParallelNibble batches.
 
-    Two methods make the surface.  ``run_batches``: given a round of
+    ``run_batches`` is the surface: given a round of
     :class:`~repro.parallel.frontier.BatchRequest`\\ s — each a working
     :class:`~repro.graphs.peel.PeeledCSR` view, its parameter schedule,
     the batch's stream address ``(root, batch_index)`` and the instance
     count — return one list of ``(instance_index, scale, cut)`` triples
     per request, in request order, each ascending by index; an expired
     ambient deadline raises :class:`~repro.resilience.deadline
-    .DeadlineExpired` for the whole round.  ``run_siblings``: given a group
-    of sibling :class:`SubtreeTask`\\ s, a group callback (:data:`RunGroup`)
-    and the run's :class:`SubtreeSpec` (or ``None``), a generator that
-    passes on the request rounds of whatever it runs through the callback
-    and returns a :data:`SiblingResult` — one outcome per task, in task
-    order, and the positions not run through the callback.
-    Implementations must be output-deterministic in those inputs —
-    execution order, worker identity, chunking, fusing, and
-    inline-vs-shipped placement may never reach a result — and must not
+    .DeadlineExpired` for the whole round.  Implementations must be
+    output-deterministic in those inputs — execution order, worker
+    identity, slicing, fusing, and inline-vs-shipped placement may never
+    reach a result — and must not
     touch round reports (the driver charges rounds from the scales).
 
     Executors are context managers; :meth:`close` releases whatever the
@@ -338,15 +240,6 @@ class Executor:
 
     def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
         """Run one round of batches; see the class docstring for the contract."""
-        raise NotImplementedError
-
-    def run_siblings(
-        self,
-        tasks: list[SubtreeTask],
-        run_group: RunGroup,
-        spec: Optional[SubtreeSpec] = None,
-    ) -> Generator:
-        """Run every sibling subtree; see the class docstring for the contract."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -362,14 +255,13 @@ class Executor:
 
 
 class SequentialExecutor(Executor):
-    """The in-process oracle: instances and sibling subtrees run inline, in order.
+    """The in-process oracle: every round runs inline, in order.
 
     Every other engine is defined as "produces exactly what this produces";
     the parity suites (``tests/test_parallel.py``,
     ``tests/test_component_parallel.py``) pin that equivalence.
     Stateless — the module-level :data:`SEQUENTIAL` singleton serves every
-    caller, including the pool workers themselves (workers never nest
-    pools).
+    caller.
     """
 
     name = "sequential"
@@ -377,15 +269,6 @@ class SequentialExecutor(Executor):
     def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
         """Run every request inline via :func:`inline_batches`."""
         return inline_batches(requests)
-
-    def run_siblings(
-        self,
-        tasks: list[SubtreeTask],
-        run_group: RunGroup,
-        spec: Optional[SubtreeSpec] = None,
-    ) -> Generator:
-        """Run the tasks as one group through ``run_group``, in task order."""
-        return (yield from run_group(tasks)), set()
 
 
 #: The shared stateless sequential engine (the default executor).
@@ -456,26 +339,6 @@ def _install_sigterm_backstop() -> None:
     _SIGTERM_PID = os.getpid()
 
 
-@dataclass(frozen=True)
-class _Job:
-    """One task to ship: a batch chunk or a subtree.
-
-    ``fn`` is the worker entry point, called as ``fn(meta, *args)`` with
-    the meta of ``base``'s published snapshot; ``address`` names the job
-    for fault injection (``("chunk", root, batch, first instance)`` or
-    ``("subtree", root, depth, first index, size)``); ``validate`` raises
-    :class:`~repro.resilience.events.ResultValidationError` on a wrong
-    pooled result.  A job the pool does not answer is recomputed in the
-    driver, bit-identically, by its submitter.
-    """
-
-    fn: Callable
-    args: tuple
-    address: tuple
-    validate: Callable[[object], None]
-    base: CSRGraph
-
-
 def _inline_chunk(graph, params, root, batch_index, indices):
     """A batch chunk recomputed in the driver, under the ambient deadline.
 
@@ -487,34 +350,41 @@ def _inline_chunk(graph, params, root, batch_index, indices):
 
 
 class ShardedExecutor(Executor):
-    """Process-pool engine: batches and sibling subtrees fan out over shared memory.
+    """Process-pool engine: each round is cut into slices that run side by side.
 
-    The pool is created lazily on the first shipped job (constructing an
-    executor is free).  Batches on views smaller than
-    ``min_shard_vertices``, sibling groups without a spec, siblings
-    smaller than ``min_shard_vertices``, and everything after the engine
-    has terminally degraded run inline — identical results either way, per
-    the stream discipline.  Small batches and small siblings run in the
-    driver *while the pool works* — the batches fused into shared lockstep
-    calls, the siblings as one group whose searches join the driver's
-    rounds — so a split into one big and many tiny components overlaps
-    the big subtree with the tiny certifications.  Published segments are
-    cached per snapshot object (keyed by identity, holding the base alive
-    so the key cannot be recycled) and unlinked on LRU eviction,
-    :meth:`close`, context-manager exit, or the ``atexit``/SIGTERM
-    backstops.
+    :meth:`run_batches` cuts a round into at most ``workers`` slices
+    (:func:`round_slices`), ships every slice but the last to the pool as
+    one job each — a lone slice ships whole — and runs the last in the
+    driver while the pool works, fused like any inline round.  A worker
+    runs its slice's chunks through :func:`~repro.parallel.worker
+    .run_chunks` as well, so a slice's small batches share lockstep calls
+    there too.  A round whose instances see fewer than
+    ``min_shard_vertices`` alive vertices in total, and every round after
+    the engine has terminally degraded, runs inline — identical results
+    either way, per the stream discipline.  The pool is created lazily on
+    the first shipped slice (constructing an executor is free).
+
+    Transport: a view on a base of :data:`PUBLISH_MIN_VERTICES` or more
+    vertices ships as its masks over the base's shared segment, published
+    once per base; a smaller base ships by value inside the job.
+    Published segments are cached per snapshot object (keyed by identity,
+    holding the base alive so the key cannot be recycled), stay published
+    while a round that ships on them is outstanding, and are unlinked on
+    LRU eviction after the round, :meth:`close`, context-manager exit, or
+    the ``atexit``/SIGTERM backstops.
 
     Failure policy (the resilience layer, :meth:`_submit` and
     :meth:`_collect`): a submit error, a crashed worker, a per-task
     timeout (``task_timeout`` seconds per outstanding future; hung workers
     are killed), or a result failing re-verification counts as one
-    *failure episode* per round of batches or sibling group — recorded as a :class:`~repro.resilience.events.DegradeEvent` on
-    :attr:`events`, the failed jobs re-run inline (bit-identically), the
-    pool torn down and lazily rebuilt for the next group after
-    ``retry_backoff`` seconds (doubling per episode).  After
-    ``max_pool_rebuilds`` episodes the engine degrades to inline execution
-    permanently with the one classic warning; ``max_pool_rebuilds=0``
-    restores the historic first-failure-is-final behaviour.
+    *failure episode* per round — recorded as a
+    :class:`~repro.resilience.events.DegradeEvent` on :attr:`events`, the
+    failed slices re-run inline (bit-identically), the pool torn down and
+    lazily rebuilt for the next round after ``retry_backoff`` seconds
+    (doubling per episode).  After ``max_pool_rebuilds`` episodes the
+    engine degrades to inline execution permanently with the one classic
+    warning; ``max_pool_rebuilds=0`` restores the historic
+    first-failure-is-final behaviour.
     """
 
     name = "sharded"
@@ -556,7 +426,13 @@ class ShardedExecutor(Executor):
         return self._pool
 
     def _publish(self, base: CSRGraph) -> SharedCSR:
-        """The shared segment for ``base``, publishing on first sight (LRU)."""
+        """The shared segment for ``base``, publishing on first sight.
+
+        Never evicts: a round may ship on more bases than the cache holds,
+        and a segment unlinked before a worker attaches it fails that
+        worker's slice.  :meth:`_evict` trims the cache once the round's
+        results are in.
+        """
         key = id(base)
         entry = self._published.get(key)
         if entry is not None:
@@ -564,15 +440,38 @@ class ShardedExecutor(Executor):
             return entry[1]
         handle = SharedCSR.publish(base)
         self._published[key] = (base, handle)
+        return handle
+
+    def _evict(self) -> None:
+        """Unlink the least recently used segments beyond :data:`PUBLISH_CACHE_SIZE`."""
         while len(self._published) > PUBLISH_CACHE_SIZE:
             _, (_, evicted) = self._published.popitem(last=False)
             evicted.unlink()
-        return handle
+
+    def _transport(self, request: BatchRequest, indices: list[int]) -> tuple:
+        """The worker-side form of ``request``'s chunk of ``indices``.
+
+        The view's masks, with its base's published meta — or, below
+        :data:`PUBLISH_MIN_VERTICES`, the base itself — in front, then the
+        chunk's stream address; :func:`~repro.parallel.worker
+        .run_sharded_chunk` rebuilds the view from it.
+        """
+        view = request.view
+        base = view.base
+        graph = self._publish(base).meta if base.n >= PUBLISH_MIN_VERTICES else base
+        return (
+            graph, view.alive, view.proper_degree, view.loops, view.total_volume,
+            view.num_edges, request.params, request.root, request.batch_index, indices,
+        )
 
     # ------------------------------------------------------------------
-    def _worker_call(self, job: "_Job", meta) -> tuple:
-        """``(callable, *args)`` to submit for ``job`` (the chaos executor's seam)."""
-        return (job.fn, meta, *job.args)
+    def _worker_call(self, address: tuple, chunks: list) -> tuple:
+        """``(callable, *args)`` to submit for one slice (the chaos executor's seam).
+
+        ``address`` — ``("slice", root, batch index, first instance)`` of
+        the slice's first item — names the job for fault injection.
+        """
+        return (run_sharded_chunk, chunks)
 
     def _wait_timeout(self, deadline) -> Optional[float]:
         """``task_timeout`` capped by ``deadline``; ``None`` if neither bounds the wait."""
@@ -645,7 +544,7 @@ class ShardedExecutor(Executor):
     def _deadline_cancel(self, scope: str) -> None:
         """Stop pool work because a deadline expired — a cancel, not a fault.
 
-        Kills the pool (outstanding subtrees must not keep burning CPU
+        Kills the pool (outstanding slices must not keep burning CPU
         past the budget) and records a ``deadline-cancel`` event, but does
         *not* count against the rebuild budget: the engine stays healthy
         for a later run.
@@ -661,43 +560,47 @@ class ShardedExecutor(Executor):
         self._teardown_pool(kill=True)
 
     # ------------------------------------------------------------------
-    def _submit(self, scope: str, jobs: list[_Job], deadline) -> dict:
-        """Ship ``jobs`` to the pool; return ``{position: future}``.
+    def _submit(self, requests: list[BatchRequest], slices: list, deadline) -> dict:
+        """Ship ``slices`` of the round ``requests`` to the pool; return ``{position: future}``.
 
-        Publishes each job's base (once per snapshot) and submits every
-        job, unless the deadline has already expired.  A submit error is
-        the call's one failure episode, and nothing is shipped: the
-        caller recomputes every job in the driver.
+        Each slice is one job: its chunks in :meth:`_transport` form, for
+        :func:`~repro.parallel.worker.run_sharded_chunk`.  Nothing ships
+        once the deadline has expired.  A submit error is the round's one
+        failure episode, and nothing is shipped: the caller recomputes
+        every slice in the driver.
         """
-        if not jobs or (deadline is not None and deadline.expired()):
+        if not slices or (deadline is not None and deadline.expired()):
             return {}
         try:
             pool = self._ensure_pool()
-            return {
-                i: pool.submit(*self._worker_call(job, self._publish(job.base).meta))
-                for i, job in enumerate(jobs)
-            }
+            futures = {}
+            for position, part in enumerate(slices):
+                k, indices = part[0]
+                address = ("slice", requests[k].root, requests[k].batch_index, indices[0])
+                chunks = [self._transport(requests[k], indices) for k, indices in part]
+                futures[position] = pool.submit(*self._worker_call(address, chunks))
+            return futures
         except Exception as exc:
-            self._note_failure(exc, scope=scope)
+            self._note_failure(exc, scope="batch")
             return {}
 
-    def _collect(self, scope: str, jobs: list[_Job], futures: dict, deadline):
-        """Yield ``(position, ok, result)`` per shipped job as its result arrives.
+    def _collect(self, futures: dict, validate: Callable, deadline):
+        """Yield ``(position, ok, result)`` per shipped slice as its result arrives.
 
         Each wait is bounded by ``task_timeout`` and ``deadline``; every
-        pooled result is validated.  The first failure is the call's one
-        failure episode (a broken pool fails every outstanding future at
-        once, and charging each would spend the whole rebuild budget on
-        one event); a wait cut short by an expired deadline instead
-        cancels the pool work without charging the budget.  A failed or
-        cancelled job yields ``ok`` False, and the caller recomputes it in
-        the driver before the next wait.
+        pooled result goes through ``validate(position, result)``.  The
+        first failure is the round's one failure episode (a broken pool
+        fails every outstanding future at once, and charging each would
+        spend the whole rebuild budget on one event); a wait cut short by
+        an expired deadline instead cancels the pool work without charging
+        the budget.  A failed or cancelled slice yields ``ok`` False, and
+        the caller recomputes it in the driver before the next wait.
         """
         failed = cancelled = False
-        for i, future in futures.items():
+        for position, future in futures.items():
             try:
                 result = future.result(timeout=self._wait_timeout(deadline))
-                jobs[i].validate(result)
+                validate(position, result)
             except Exception as exc:
                 expired = deadline is not None and deadline.expired()
                 if not cancelled and expired and isinstance(exc, TIMEOUT_ERRORS):
@@ -705,144 +608,71 @@ class ShardedExecutor(Executor):
                     # the rest (not a fault); the inline re-runs notice the
                     # expired deadline at once.
                     cancelled = True
-                    self._deadline_cancel(scope)
+                    self._deadline_cancel("batch")
                 elif not cancelled and not failed:
                     failed = True
-                    self._note_failure(exc, scope=scope)
-                yield i, False, None
+                    self._note_failure(exc, scope="batch")
+                yield position, False, None
             else:
-                yield i, True, result
+                yield position, True, result
 
     def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
-        """Ship the round's large batches as one chunk per worker; fuse the rest.
+        """Cut the round into slices; ship all but the last, and run that one here.
 
-        A request on a view at or above the size floor, with two or more
-        instances, is split into contiguous chunks for the pool; every
-        other request runs in the driver while the pool works, all of them
-        through one :func:`inline_batches` call, so the small ones share
-        lockstep calls.  A failed chunk re-runs only its own instances
-        inline: the streams are counter-addressed and an instance's answer
-        depends only on its draws, so that is bit-identical to re-running
-        the batch.  An ambient deadline bounds the wait for pool results;
-        once it has expired, a chunk's inline re-run raises
+        The driver's slice — and any slice the pool did not take — runs
+        through one :func:`~repro.parallel.worker.run_chunks` call while
+        the pool works.  Each shipped slice's triples are re-verified
+        chunk by chunk (:func:`validate_batch_triples`); a failed slice
+        re-runs its own chunks inline, which is bit-identical because the
+        streams are counter-addressed and an instance's answer depends
+        only on its draws.  A request split across slices gets its chunks
+        back in instance order.  An ambient deadline bounds the wait for
+        pool results; once it has expired, a chunk's inline re-run raises
         :class:`~repro.resilience.deadline.DeadlineExpired` (a cancel, not
         a failure), which interrupts every search of the round.
         """
-        ship = (
-            []
-            if self._broken or self._closed
-            else [
-                k
-                for k, request in enumerate(requests)
-                if request.num_instances >= 2
-                and request.view.num_vertices >= self.min_shard_vertices
-            ]
-        )
-        jobs, owners = [], []
-        for k in ship:
-            request = requests[k]
-            view = request.view
-            for chunk in np.array_split(
-                np.arange(request.num_instances),
-                min(self.workers, request.num_instances),
-            ):
-                indices = [int(i) for i in chunk]
-                jobs.append(
-                    _Job(
-                        fn=run_sharded_chunk,
-                        args=(
-                            view.alive, view.proper_degree, view.loops,
-                            view.total_volume, view.num_edges, request.params,
-                            request.root, request.batch_index, indices,
-                        ),
-                        address=("chunk", request.root, request.batch_index, indices[0]),
-                        validate=functools.partial(
-                            validate_batch_triples, view, request.params,
-                            instance_indices=indices,
-                        ),
-                        base=view.base,
-                    )
-                )
-                owners.append((k, indices))
+        seen = sum(request.num_instances * request.view.num_vertices for request in requests)
+        if self._broken or self._closed or not seen or seen < self.min_shard_vertices:
+            return inline_batches(requests)
+        slices = round_slices(requests, self.workers)
+        answers: list = [None] * len(slices)  # per slice, one triple list per chunk
         deadline = active_deadline()
-        futures = self._submit("batch", jobs, deadline)
-        shipped = {owners[i][0] for i in futures}
-        kept = [k for k in range(len(requests)) if k not in shipped]
-        results: list = [[] for _ in requests]
-        try:
-            for k, triples in zip(kept, inline_batches([requests[k] for k in kept])):
-                results[k] = triples
-        except DeadlineExpired:
-            if futures:
-                self._deadline_cancel("batch")
-            raise
-        chunks: dict = {}
-        for i, ok, triples in self._collect("batch", jobs, futures, deadline):
-            k, indices = owners[i]
-            chunks[i] = triples if ok else _inline_chunk(*_chunk(requests[k], indices))
-        for i in sorted(chunks):  # a request's chunks, in instance order
-            results[owners[i][0]].extend(chunks[i])
-        return results
 
-    def run_siblings(
-        self,
-        tasks: list[SubtreeTask],
-        run_group: RunGroup,
-        spec: Optional[SubtreeSpec] = None,
-    ) -> Generator:
-        """Ship siblings at or above the size floor to the pool; run the rest as a group.
-
-        Every shipped subtree decomposes wholly inside one worker against
-        the published host snapshot (:func:`repro.parallel.worker
-        .run_subtree`) and is re-verified by
-        :func:`validate_subtree_outcome`.  The kept siblings run through
-        ``run_group`` together while the pool works; a shipped task whose
-        result fails re-runs through ``run_group([task])``.  Without a
-        spec, on a degraded engine, or for a lone task, everything runs as
-        one group.  The spec's deadline bounds each wait; its expiry
-        cancels the remaining pool work, and the re-runs emit their
-        flagged unfinished markers at once.
-        """
-        if spec is None or self._broken or self._closed or len(tasks) < 2:
-            return (yield from SEQUENTIAL.run_siblings(tasks, run_group))
-        index = spec.base.index
-        shipped_spec = replace(spec, base=None, deadline=None)  # both stay driver-side
-        jobs, owners = [], []
-        for k, task in enumerate(tasks):
-            if len(task.subset) < self.min_shard_vertices:
-                continue
-            subset_indices = sorted(index[v] for v in task.subset)
-            jobs.append(
-                _Job(
-                    fn=run_subtree,
-                    args=(
-                        subset_indices, task.depth, task.hint, task.connected,
-                        shipped_spec,
-                    ),
-                    address=(
-                        "subtree", spec.root, task.depth, subset_indices[0],
-                        len(subset_indices),
-                    ),
-                    validate=functools.partial(
-                        validate_subtree_outcome, subset=task.subset, base=spec.base
-                    ),
-                    base=spec.base,
+        def validate(position, result):
+            if len(result) != len(slices[position]):
+                raise ResultValidationError(
+                    f"pooled slice returned {len(result)} chunks; "
+                    f"expected {len(slices[position])}"
                 )
-            )
-            owners.append(k)
-        futures = self._submit("subtree", jobs, spec.deadline)
-        pooled = {owners[i] for i in futures}
-        kept = [k for k in range(len(tasks)) if k not in pooled]
-        outcomes: list = [None] * len(tasks)
-        for k, outcome in zip(kept, (yield from run_group([tasks[k] for k in kept]))):
-            outcomes[k] = outcome
-        for i, ok, outcome in self._collect("subtree", jobs, futures, spec.deadline):
-            k = owners[i]
-            if not ok:
-                pooled.discard(k)
-                (outcome,) = yield from run_group([tasks[k]])
-            outcomes[k] = outcome
-        return outcomes, pooled
+            for (k, indices), triples in zip(slices[position], result):
+                validate_batch_triples(requests[k].view, requests[k].params, triples, indices)
+
+        try:
+            futures = self._submit(requests, slices[:-1] or slices, deadline)
+            here = [s for s in range(len(slices)) if s not in futures]
+            try:
+                fused = iter(
+                    run_chunks([_chunk(requests[k], ix) for s in here for k, ix in slices[s]])
+                )
+            except DeadlineExpired:
+                if futures:
+                    self._deadline_cancel("batch")
+                raise
+            for s in here:
+                answers[s] = [next(fused) for _ in slices[s]]
+            for s, ok, result in self._collect(futures, validate, deadline):
+                answers[s] = (
+                    result
+                    if ok
+                    else [_inline_chunk(*_chunk(requests[k], ix)) for k, ix in slices[s]]
+                )
+        finally:
+            self._evict()
+        results: list = [[] for _ in requests]
+        for part, triples in zip(slices, answers):
+            for (k, _), chunk_triples in zip(part, triples):
+                results[k].extend(chunk_triples)
+        return results
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,15 +1,14 @@
 """Worker-process side of the sharded executor, and the batch and instance bodies.
 
-The driver ships a worker one of two jobs, each led by the
-:class:`~repro.parallel.shared.SharedCSRMeta` of the published snapshot:
-a *chunk* of a ParallelNibble batch — the batch's
-:class:`~repro.graphs.peel.PeeledCSR` mask state (small dense arrays), the
-stream root / batch index, and the chunk's instance indices — for
-:func:`run_sharded_chunk`, or a recursion *subtree* for
-:func:`run_subtree`.  Each rehydrates its graph and runs on
-counter-derived streams — no state flows between instances, between
-jobs, or between processes, which is the whole determinism argument
-(``docs/PARALLEL.md``).
+The driver ships a worker one kind of job, a *slice* of a round
+(:func:`run_sharded_chunk`): chunks of ParallelNibble batches, each the
+batch's :class:`~repro.graphs.peel.PeeledCSR` mask state (small dense
+arrays) led by its base — the :class:`~repro.parallel.shared.SharedCSRMeta`
+of a published snapshot, or a small base itself — then the stream root,
+batch index, and the chunk's instance indices.  The worker rebuilds each
+view and runs the slice on counter-derived streams — no state flows
+between instances, between jobs, or between processes, which is the
+whole determinism argument (``docs/PARALLEL.md``).
 
 :func:`draw_nibble_instance` is the one definition of what an instance
 draws from its stream.  :func:`run_chunks` is the one batch body every
@@ -41,10 +40,10 @@ from ..utils.rng import task_stream
 from ..utils.rounds import RoundReport
 from .shared import SharedCSR, SharedCSRMeta
 
-#: How many attached snapshots a worker process keeps rehydrated at once.
-#: The decomposition touches at most a couple of bases concurrently (the
-#: host snapshot plus recent compactions), so a small cache covers the
-#: working set; evicted handles just close their mapping.
+#: How many attached snapshots a worker process keeps rehydrated between
+#: slices.  Only bases of :data:`~repro.parallel.executor
+#: .PUBLISH_MIN_VERTICES` or more are published, so a small cache covers
+#: the working set; evicted handles just close their mapping.
 ATTACH_CACHE_SIZE = 4
 
 _ATTACHED: "OrderedDict[str, SharedCSR]" = OrderedDict()
@@ -54,21 +53,28 @@ def attached_graph(meta: SharedCSRMeta) -> CSRGraph:
     """The rehydrated snapshot for ``meta``, via the per-process LRU cache.
 
     One segment is attached (and its labels unpickled) at most once per
-    worker process no matter how many chunks reference it; eviction closes
-    the mapping (never unlinks — workers don't own segments).  A close that
-    races a still-referenced buffer is a no-op (``SharedCSR.close`` tolerates
-    the ``BufferError``), so eviction can never corrupt an in-flight chunk.
+    worker process no matter how many chunks reference it.  Attaching
+    never evicts: the slice being rebuilt may still hold views on every
+    cached snapshot.  :func:`run_sharded_chunk` trims the cache before it
+    rebuilds its views instead, when no view of an earlier slice is left.
     """
     handle = _ATTACHED.get(meta.name)
     if handle is None:
-        handle = SharedCSR.attach(meta)
-        _ATTACHED[meta.name] = handle
-        while len(_ATTACHED) > ATTACH_CACHE_SIZE:
-            _, evicted = _ATTACHED.popitem(last=False)
-            evicted.close()
+        handle = _ATTACHED[meta.name] = SharedCSR.attach(meta)
     else:
         _ATTACHED.move_to_end(meta.name)
     return handle.graph
+
+
+def _trim_attached() -> None:
+    """Close the least recently used attachments beyond :data:`ATTACH_CACHE_SIZE`.
+
+    Eviction closes the mapping, never unlinks — workers don't own
+    segments.
+    """
+    while len(_ATTACHED) > ATTACH_CACHE_SIZE:
+        _, evicted = _ATTACHED.popitem(last=False)
+        evicted.close()
 
 
 def draw_nibble_instance(
@@ -113,36 +119,6 @@ def run_nibble_instance(
     return scale, approximate_nibble(view, start, scale, params, report=report)
 
 
-def run_subtree(
-    meta: SharedCSRMeta,
-    subset_indices: list[int],
-    depth: int,
-    hint,
-    connected: bool,
-    spec,
-) -> object:
-    """Decompose one recursion subtree inside a worker process.
-
-    Rehydrates the host snapshot from shared memory (cached per process by
-    :func:`attached_graph`) and runs the exact driver recursion
-    (:func:`repro.decomposition.expander.decompose_subtree_on_base`) with
-    the sequential executor for its sibling groups and batches — workers
-    never nest pools.  ``spec`` is the run's
-    :class:`~repro.parallel.executor.SubtreeSpec` shipped without its base
-    and deadline.  Every searched component inside the subtree draws from
-    ``split_stream(root, depth, component_stream_key(subset))``, the same
-    address the driver would use, so the returned outcome (components, cut
-    edges, level reports, pre-check skips) is bit-identical to an inline
-    run of the same subtree.  Imported lazily to keep
-    ``repro.parallel`` importable without ``repro.decomposition``.
-    """
-    from ..decomposition.expander import decompose_subtree_on_base
-
-    return decompose_subtree_on_base(
-        attached_graph(meta), subset_indices, depth, hint, connected, spec
-    )
-
-
 def run_chunk(
     view: PeeledCSR,
     params: NibbleParameters,
@@ -153,8 +129,8 @@ def run_chunk(
 ) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
     """Run the listed instances of one batch on ``view``, in order.
 
-    A pooled chunk and its inline re-run in the driver come through here;
-    it is :func:`run_chunks` for one chunk.
+    A failed slice's chunks re-run in the driver through here; it is
+    :func:`run_chunks` for one chunk.
     """
     return run_chunks([(view, params, root, batch_index, instance_indices)], streams)[0]
 
@@ -230,32 +206,30 @@ def run_chunks(chunks, streams=None) -> list[list]:
     return results
 
 
-def run_sharded_chunk(
-    meta: SharedCSRMeta,
-    alive: np.ndarray,
-    proper_degree: np.ndarray,
-    loops: np.ndarray,
-    total_volume: int,
-    num_edges: int,
-    params: NibbleParameters,
-    root: int,
-    batch_index: int,
-    instance_indices: list[int],
-) -> list[tuple[int, Optional[int], Optional[NibbleCut]]]:
-    """Run one chunk of a ParallelNibble batch inside a worker process.
+def run_sharded_chunk(chunks: list) -> list[list]:
+    """Run one slice of a round inside a worker process: the pool's one job.
 
-    Rebuilds the batch's :class:`PeeledCSR` view over the shared snapshot
-    (zero-copy base arrays, small shipped mask arrays) and runs the chunk
-    through :func:`run_chunk`, so the triples this returns are identical
-    to what the sequential executor computes for the same indices.
+    Each chunk is ``(graph, alive, proper_degree, loops, total_volume,
+    num_edges, params, root, batch_index, instance_indices)``, where
+    ``graph`` is the :class:`SharedCSRMeta` of a published base (attached
+    zero-copy, cached per process by :func:`attached_graph`) or a small
+    base shipped by value.  Rebuilds every chunk's :class:`PeeledCSR` view
+    and runs the slice through :func:`run_chunks`, so its small batches
+    share lockstep calls here as they would in the driver, and the
+    triples are identical to what the sequential executor computes for
+    the same indices.  Returns one triple list per chunk, in order.
     """
-    base = attached_graph(meta)
-    view = PeeledCSR(
-        base=base,
-        alive=np.asarray(alive, dtype=bool),
-        proper_degree=np.asarray(proper_degree, dtype=np.int64),
-        loops=np.asarray(loops, dtype=np.int64),
-        total_volume=int(total_volume),
-        num_edges=int(num_edges),
-    )
-    return run_chunk(view, params, root, batch_index, instance_indices)
+    _trim_attached()
+    views = []
+    for graph, alive, proper_degree, loops, total_volume, num_edges, *address in chunks:
+        base = attached_graph(graph) if isinstance(graph, SharedCSRMeta) else graph
+        view = PeeledCSR(
+            base=base,
+            alive=np.asarray(alive, dtype=bool),
+            proper_degree=np.asarray(proper_degree, dtype=np.int64),
+            loops=np.asarray(loops, dtype=np.int64),
+            total_volume=int(total_volume),
+            num_edges=int(num_edges),
+        )
+        views.append((view, *address))
+    return run_chunks(views)

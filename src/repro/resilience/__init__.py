@@ -16,8 +16,8 @@ missing work; this package is what lets it *survive* it:
   records replacing the old one-shot degradation warning, plus
   :class:`ResultValidationError`, the re-verification failure.
 * :mod:`~repro.resilience.chaos` — :class:`ChaosExecutor`, seeded
-  deterministic fault injection (crash / hang / slow / corrupt) into both
-  pooled task kinds, across the whole differential matrix.
+  deterministic fault injection (crash / hang / slow / corrupt) into the
+  pool's slices of rounds, across the whole differential matrix.
 
 The first three modules import nothing from the rest of the package, so
 every layer can depend on them; :mod:`~repro.resilience.chaos` sits

@@ -1,30 +1,28 @@
 """Deterministic fault injection for the parallel execution layer.
 
 A :class:`ChaosExecutor` behaves exactly like the sharded engine except
-that each shipped work item — a ParallelNibble chunk or a recursion
-subtree — runs through one worker wrapper, :func:`chaos_run_task`, and
+that each shipped work item — a slice of a round of ParallelNibble
+batches — runs through one worker wrapper, :func:`chaos_run_task`, and
 may be hit by a seeded fault:
 
 * **crash** — the worker raises :class:`ChaosInjectedCrash`;
 * **hang** — the worker sleeps past the engine's per-task timeout;
 * **slow** — the worker sleeps briefly, exercising completion races;
 * **corrupt** — the worker returns a *detectably wrong* result (a cut
-  whose recomputed conductance cannot match, a scale outside the
-  parameter schedule, a subtree outcome whose components no longer
-  partition the subtree), which the engine's re-verification layer must
+  whose recomputed conductance cannot match, or a scale outside the
+  parameter schedule), which the engine's re-verification layer must
   catch and recover from.
 
 Fault decisions are a pure function of ``(ChaosSpec.seed, work-item
-address)`` — the address the driver gives each job, ``("chunk", root,
-batch, first instance)`` or ``("subtree", root, depth, first index,
-size)``, hashed with SHA-256 like every other cross-process key in this
-repository — so a chaos run is exactly reproducible: the same spec
-injects the same faults into the same chunks on any machine, any worker
-count, any scheduling order.  Because the retry layer recovers every
-fault by re-running the work inline on its counter-addressed streams, a
-chaos run's *outputs* must be bit-identical to the fault-free oracle —
-which is precisely what the chaos differential suite and the CI
-``chaos-parity`` job assert.
+address)`` — the address the driver gives each slice, ``("slice", root,
+batch, first instance)`` of its first item, hashed with SHA-256 like
+every other cross-process key in this repository — so a chaos run is
+exactly reproducible: the same spec injects the same faults into the
+same slices on any machine and in any scheduling order.  Because the
+retry layer recovers every fault by re-running the work inline on its
+counter-addressed streams, a chaos run's *outputs* must be bit-identical
+to the fault-free oracle — which is precisely what the chaos
+differential suite and the CI ``chaos-parity`` job assert.
 """
 
 from __future__ import annotations
@@ -109,39 +107,32 @@ def _corrupt_triples(results):
     return corrupted
 
 
-def _corrupt_outcome(outcome):
-    """Make a subtree outcome detectably wrong: break the vertex partition.
+def _corrupt_slice(chunks):
+    """Make a slice's result detectably wrong: corrupt one of its chunks.
 
-    Drops one vertex from the first multi-vertex component (the outcome's
-    components then no longer cover the subtree's subset), falling back
-    to dropping a whole component.  Caught by the executor's partition
-    re-verification.
+    The first chunk with a cut — else the first non-empty one — goes
+    through :func:`_corrupt_triples`; the driver re-verifies every chunk
+    of a shipped slice, so the slice fails as a whole.
     """
-    for position, component in enumerate(outcome.components):
-        if len(component.vertices) > 1:
-            victim = min(component.vertices, key=repr)
-            outcome.components[position] = replace(
-                component, vertices=frozenset(component.vertices - {victim})
-            )
-            return outcome
-    if outcome.components:
-        outcome.components.pop()
-    return outcome
+    corrupted = list(chunks)
+    victims = [
+        k for k, triples in enumerate(corrupted)
+        if any(cut is not None for _, _, cut in triples)
+    ] + [k for k, triples in enumerate(corrupted) if triples]
+    if victims:
+        corrupted[victims[0]] = _corrupt_triples(corrupted[victims[0]])
+    return corrupted
 
 
-#: The corruptor for each task kind, keyed by the address's first element.
-CORRUPTORS = {"chunk": _corrupt_triples, "subtree": _corrupt_outcome}
-
-
-def chaos_run_task(spec: ChaosSpec, address: tuple, corrupt, fn, *args):
+def chaos_run_task(spec: ChaosSpec, address: tuple, fn, *args):
     """Worker-side entry point with fault injection; pool-picklable.
 
-    Runs ``fn(*args)`` — the job's real worker entry point — unless the
+    Runs ``fn(*args)`` — the slice's real worker entry point — unless the
     spec's roll for the driver-given ``address`` injects a fault; a
-    corrupt fault passes the result through ``corrupt``, the corruptor for
-    the job's kind (:data:`CORRUPTORS`).  The address uses the same facts
-    the job's own stream key does, so the fault plan is independent of
-    scheduling, exactly like the randomness it perturbs.
+    corrupt fault passes the result through :func:`_corrupt_slice`.  The
+    address uses the same facts the slice's first stream key does, so the
+    fault plan is independent of scheduling, exactly like the randomness
+    it perturbs.
     """
     fault = spec.roll(*address)
     if fault == "crash":
@@ -151,7 +142,7 @@ def chaos_run_task(spec: ChaosSpec, address: tuple, corrupt, fn, *args):
     elif fault == "slow":
         time.sleep(spec.slow_seconds)
     result = fn(*args)
-    return corrupt(result) if fault == "corrupt" else result
+    return _corrupt_slice(result) if fault == "corrupt" else result
 
 
 class ChaosExecutor(ShardedExecutor):
@@ -190,14 +181,6 @@ class ChaosExecutor(ShardedExecutor):
         )
         self.spec = spec
 
-    def _worker_call(self, job, meta) -> tuple:
-        """Route every job through :func:`chaos_run_task`."""
-        return (
-            chaos_run_task,
-            self.spec,
-            job.address,
-            CORRUPTORS[job.address[0]],
-            job.fn,
-            meta,
-            *job.args,
-        )
+    def _worker_call(self, address: tuple, chunks: list) -> tuple:
+        """Route every slice through :func:`chaos_run_task`."""
+        return (chaos_run_task, self.spec, address, *super()._worker_call(address, chunks))

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 class ResultValidationError(RuntimeError):
     """A pool worker returned a result that fails re-verification.
 
-    Raised by the executor's batch and subtree validators when a returned
-    cut's recomputed conductance/volume/boundary disagrees with what the
-    worker claimed, or a subtree outcome's components fail to partition
-    the subtree's vertex set or its cut edges are not exactly the host
-    edges between those components.  The caller
-    treats it exactly like a crashed worker: the work is re-run inline
+    Raised by the executor's batch validator when a returned cut's
+    recomputed conductance/volume/boundary disagrees with what the worker
+    claimed, or a chunk's instance indices or truncation scales are not
+    the ones it was asked for.  The caller treats it exactly like a
+    crashed worker: the work is re-run inline
     (bit-identically, per the counter-addressed stream discipline) and the
     pool is rebuilt — a corrupted result can therefore never reach a
     caller, only cost time.
@@ -43,8 +42,8 @@ class DegradeEvent:
     ``"deadline-cancel"`` (the run's :class:`~repro.resilience.deadline.
     Deadline` expired while pool results were outstanding — not a fault,
     so it never counts against the rebuild budget).  ``scope`` says which
-    seam failed: ``"batch"`` (a ParallelNibble batch) or ``"subtree"`` (a
-    component-level recursion subtree).  ``fatal`` marks the episode that
+    seam failed; the sharded engine ships slices of rounds of
+    ParallelNibble batches only, so it is always ``"batch"``.  ``fatal`` marks the episode that
     exhausted ``max_pool_rebuilds`` and degraded the engine to inline
     execution permanently.
     """

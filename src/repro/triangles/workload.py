@@ -156,9 +156,8 @@ class DecompositionCache:
         state into ``rng`` and returns the stored result.  Callers must
         treat the result as immutable — it is shared across queries.
 
-        The key deliberately excludes ``executor``/``workers`` (and
-        :func:`~repro.decomposition.expander.search_kwargs_key` scrubs them
-        out of ``sparse_cut_kwargs``): the execution engine is
+        The key deliberately excludes ``executor``/``workers`` (which
+        ``sparse_cut_kwargs`` may not carry): the execution engine is
         output-invisible (:mod:`repro.parallel`), so a cache warmed by a
         sequential run must hit — and does hit — from a sharded run of the
         same query, and vice versa.

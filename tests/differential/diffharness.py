@@ -91,7 +91,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.nibble import lockstep
 from repro.nibble.nibble import scan_walk_sequence
-from repro.parallel import SequentialExecutor
+from repro.parallel import SEQUENTIAL, Executor
 from repro.walks.lazy_walk import truncated_walk_iter
 
 
@@ -122,10 +122,10 @@ class BackendConfig:
     index_dtype: str = "int32"
     precheck: bool = True
     mmap: bool = False
-    #: Sibling-order column: ``"inline"`` (the oracle ordering) or
-    #: ``"permuted"`` — sibling subtrees executed in a deterministic
-    #: shuffled order by :class:`PermutedExecutor`, the in-process stand-in
-    #: for pool completion races.
+    #: Request-order column: ``"inline"`` (the oracle ordering) or
+    #: ``"permuted"`` — each round's requests run in a deterministic
+    #: shuffled order by :class:`PermutedExecutor`, which moves the
+    #: composition of fused calls and of a sharded engine's slices.
     scheduler: str = "inline"
 
 
@@ -306,15 +306,14 @@ def ambient_executor():
     The CI ``component-parity`` job sets ``REPRO_DIFF_WORKERS=<n>`` to run
     this whole differential suite against a real ``n``-worker sharded
     executor with the pool forced on (``min_shard_vertices=1``), so every
-    matrix cell exercises pool-side batches *and* pool-side sibling
-    subtrees while still asserting bit-identity to the dict oracle.  One
-    engine is shared across the suite (one pool, one snapshot cache); the
-    executor module's ``atexit`` backstop unlinks its segments at
-    interpreter exit.  The ``component-parallel`` cell's decompositions run
-    on :class:`PermutedExecutor` instead (its sparse cuts still use this
-    engine): the permuted order is that cell's whole point, and the other
-    cells already cover pool-side subtrees.  The pre-check-off cells run
-    sequentially too (see :func:`_config_executor`).
+    matrix cell ships slices of its rounds to worker processes while still
+    asserting bit-identity to the dict oracle.  One engine is shared across
+    the suite (one pool, one snapshot cache); the executor module's
+    ``atexit`` backstop unlinks its segments at interpreter exit.  The
+    ``component-parallel`` cell's decompositions run on a
+    :class:`PermutedExecutor` wrapped around this engine, so its slices
+    are cut from shuffled rounds.  The pre-check-off cells run
+    sequentially (see :func:`_config_executor`).
 
     The ``chaos-parity`` job additionally sets ``REPRO_DIFF_CHAOS=<seed>``:
     the engine becomes a :class:`~repro.resilience.chaos.ChaosExecutor`
@@ -352,34 +351,34 @@ def ambient_executor():
     return _AMBIENT_EXECUTOR
 
 
-class PermutedExecutor(SequentialExecutor):
-    """Adversarial test engine: sibling subtrees run as a shuffled group.
+class PermutedExecutor(Executor):
+    """Adversarial test engine: each round's requests run in a shuffled order.
 
-    Each sibling group goes to the group callback in a deterministic
-    pseudo-random permutation of its submission order — the in-process
-    model of pool workers finishing (and delivering) in an arbitrary
-    order: the members advance, emit and put their batch requests into
-    each round in the permuted order — and the outcomes come back in task
-    order.  Batches run exactly as on the sequential oracle.  Because the
-    recursion is pure (counter-addressed streams, no shared mutable
-    state), the outcomes must be bit-identical to the sequential
-    executor's; the ``component-parallel`` matrix cell and
-    ``test_scheduling.py`` assert exactly that.
+    Every round goes to the wrapped ``engine`` (the sequential oracle by
+    default) as a deterministic pseudo-random permutation of its requests
+    — so which batches share a fused lockstep call, and how a sharded
+    engine cuts the round into slices, both move — and the answers come
+    back in request order.  Because every instance's draws are
+    counter-addressed and no search shares state with another, the
+    outcomes must be bit-identical to the sequential executor's; the
+    ``component-parallel`` matrix cell and ``test_scheduling.py`` assert
+    exactly that.  The wrapped engine stays its owner's to close.
     """
 
     name = "permuted"
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, engine: Optional[Executor] = None) -> None:
         self._rng = np.random.default_rng(seed)
+        self.engine = engine or SEQUENTIAL
 
-    def run_siblings(self, tasks, run_group, spec=None):
-        """Run the tasks as one group in a shuffled order; return in task order."""
-        order = [int(i) for i in self._rng.permutation(len(tasks))]
-        outcomes = yield from run_group([tasks[i] for i in order])
-        results: list = [None] * len(tasks)
-        for i, outcome in zip(order, outcomes):
-            results[i] = outcome
-        return results, set()
+    def run_batches(self, requests):
+        """Run the round permuted through the wrapped engine; return in request order."""
+        order = [int(i) for i in self._rng.permutation(len(requests))]
+        answers = self.engine.run_batches([requests[i] for i in order])
+        results: list = [None] * len(requests)
+        for i, triples in zip(order, answers):
+            results[i] = triples
+        return results
 
 
 def _config_executor(config: BackendConfig):
@@ -392,8 +391,8 @@ def _config_executor(config: BackendConfig):
         return None
     if config.scheduler == "permuted":
         # Fresh per run so every decomposition sees the same deterministic
-        # permutation sequence (the executor is stateful across groups).
-        return PermutedExecutor(seed=101)
+        # permutation sequence (the executor is stateful across rounds).
+        return PermutedExecutor(seed=101, engine=ambient_executor())
     return ambient_executor()
 
 

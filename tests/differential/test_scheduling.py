@@ -1,13 +1,14 @@
-"""Property-based scheduling invariance: the order siblings run never matters.
+"""Property-based scheduling invariance: the order a round's requests run never matters.
 
-Sibling dispatch's correctness argument is order-freeness: every
-searched component's randomness is addressed by ``(root, depth,
-component_stream_key)``, and the parent merges child outcomes in canonical
-(smallest-repr) order — so *any* execution order of sibling subtrees, in
-any process, yields bit-identical decompositions.  Instead of pinning a
-few hand-picked cases, this suite samples the property space: random
-generator families × random permutation seeds × random worker counts, all
-asserted identical to the inline-sequential reference.
+The engine seam's correctness argument is order-freeness: every
+instance's randomness is addressed by ``(root, batch, instance)``, every
+searched component's by ``(root, depth, component_stream_key)``, and the
+parent merges child outcomes in canonical (smallest-repr) order — so
+*any* order of a round's requests, any composition of its fused calls
+and slices, in any process, yields bit-identical decompositions.  Instead
+of pinning a few hand-picked cases, this suite samples the property
+space: random generator families × random permutation seeds × random
+worker counts, all asserted identical to the inline-sequential reference.
 """
 
 import numpy as np
@@ -21,11 +22,13 @@ from repro.graphs.generators import (
     power_law_graph,
     ring_of_cliques,
 )
+from repro.graphs.peel import PeeledCSR
+from repro.nibble import NibbleParameters
 from repro.parallel import (
     SEQUENTIAL,
+    BatchRequest,
+    SequentialExecutor,
     ShardedExecutor,
-    SubtreeTask,
-    run_rounds,
     shared_memory_available,
 )
 
@@ -65,22 +68,22 @@ def run(graph, seed, **kwargs):
 
 
 class TestPermutationInvariance:
-    """Deterministic shuffled sibling execution ≡ inline, across the space."""
+    """Deterministic shuffled request order ≡ inline, across the space."""
 
     def test_permuted_shuffles_execution_but_not_results(self):
-        tasks = [SubtreeTask(frozenset([i]), 0) for i in range(8)]
+        graph = ring_of_cliques(4, 6)
+        view = PeeledCSR.from_graph(graph)
+        params = NibbleParameters.practical(graph, 0.1)
+        requests = [BatchRequest(view, params, 17, batch, 3) for batch in range(8)]
         seen = []
 
-        def record(group):
-            seen.extend(min(task.subset) for task in group)
-            return [min(task.subset) for task in group]
-            yield  # a group callback is a generator of request rounds
+        class Recording(SequentialExecutor):
+            def run_batches(self, round_requests):
+                seen.extend(request.batch_index for request in round_requests)
+                return super().run_batches(round_requests)
 
-        results, pooled = run_rounds(
-            PermutedExecutor(seed=3).run_siblings(tasks, record), SEQUENTIAL
-        )
-        assert results == list(range(8))  # positional, submission-aligned
-        assert pooled == set()
+        results = PermutedExecutor(seed=3, engine=Recording()).run_batches(requests)
+        assert results == SEQUENTIAL.run_batches(requests)  # request-aligned
         assert sorted(seen) == list(range(8))
         assert seen != list(range(8))  # the order genuinely moved
 

@@ -99,22 +99,18 @@ class TestChaosSpec:
             hangy.close()
 
     def test_one_wrapper_for_both_task_kinds(self):
-        # The driver hands the wrapper the job's address and its kind's
-        # corruptor; the wrapper rolls, sleeps or raises, then runs the job.
-        from repro.resilience.chaos import CORRUPTORS, ChaosInjectedCrash, chaos_run_task
+        # The driver hands the wrapper the slice's address; the wrapper
+        # rolls, sleeps or raises, then runs the slice.
+        from repro.resilience.chaos import ChaosInjectedCrash, chaos_run_task
 
         with pytest.raises(ChaosInjectedCrash):
-            chaos_run_task(
-                ChaosSpec(seed=2, crash=1.0), ("subtree", 1, 0, 0, 3),
-                CORRUPTORS["subtree"], len, [1, 2, 3],
-            )
+            chaos_run_task(ChaosSpec(seed=2, crash=1.0), ("slice", 1, 0, 0), len, [1, 2, 3])
         clean = ChaosSpec(seed=2)
-        assert chaos_run_task(clean, ("chunk", 1, 0, 0), CORRUPTORS["chunk"], len, [1, 2]) == 2
+        assert chaos_run_task(clean, ("slice", 1, 0, 0), len, [1, 2]) == 2
         corrupted = chaos_run_task(
-            ChaosSpec(seed=2, corrupt=1.0), ("chunk", 1, 0, 0),
-            CORRUPTORS["chunk"], list, [(0, 1, None)],
+            ChaosSpec(seed=2, corrupt=1.0), ("slice", 1, 0, 0), list, [[], [(0, 1, None)]],
         )
-        assert corrupted == [(0, 10**9, None)]  # out-of-schedule scale
+        assert corrupted == [[], [(0, 10**9, None)]]  # out-of-schedule scale
 
 
 @needs_shm

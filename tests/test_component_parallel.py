@@ -1,12 +1,13 @@
-"""Component-level parallelism: identity, fault injection, leak checks.
+"""Whole decompositions on the sharded engine: identity, fault injection, leaks.
 
-The contract under test: sibling subtrees of the decomposition recursion
-dispatched through :meth:`~repro.parallel.executor.ShardedExecutor
-.run_siblings` must be *engine-invisible* — sequential,
+The contract under test: the slices of rounds that
+:meth:`~repro.parallel.executor.ShardedExecutor.run_batches` spreads over
+its pool and the driver must be *engine-invisible* — sequential,
 1-worker, and N-worker runs produce the same components, cut edges, round
 totals, and residual RNG state, because every searched component's
-randomness is addressed by ``(root, depth, component_stream_key)`` rather
-than by scheduling.  And the engine must *fail soft*: a poisoned worker
+randomness is addressed by ``(root, depth, component_stream_key)`` and
+every instance's by ``(root, batch, instance)`` rather than by
+scheduling.  And the engine must *fail soft*: a poisoned worker
 function, a pool that breaks mid-run, or a genuinely killed worker process
 degrades the run to inline execution with exactly one warning, bit-identical
 outputs, and zero leaked ``/dev/shm`` segments.
@@ -24,27 +25,16 @@ import numpy as np
 import pytest
 
 from repro.decomposition import expander_decomposition
-from repro.decomposition.expander import ExpanderComponent, _SubtreeOutcome
-from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     disjoint_cliques,
     planted_partition_graph,
     ring_of_cliques,
     union_of_graphs,
 )
-from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR
-from repro.parallel import (
-    SEQUENTIAL,
-    ShardedExecutor,
-    SubtreeTask,
-    run_rounds,
-    shared_memory_available,
-    validate_subtree_outcome,
-)
+from repro.parallel import SHARD_MIN_VERTICES, ShardedExecutor, shared_memory_available
 from repro.parallel import executor as executor_module
 from repro.parallel import worker as worker_module
-from repro.resilience import ResultValidationError
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="multiprocessing.shared_memory unavailable"
@@ -102,8 +92,7 @@ class FakePool:
 
     Used to inject failures deterministically: the submitted function is
     whatever name the executor resolved at submit time, so a monkeypatched
-    ``run_subtree``/``run_sharded_chunk`` raises exactly where a poisoned
-    worker would.
+    ``run_sharded_chunk`` raises exactly where a poisoned worker would.
     """
 
     def submit(self, fn, *args, **kwargs):
@@ -136,80 +125,6 @@ GRAPHS = [
 ]
 
 
-class TestRunSiblingsUnits:
-    def test_sequential_runs_in_submission_order(self):
-        tasks = [SubtreeTask(frozenset([i]), 0) for i in range(5)]
-        groups = []
-
-        def record(group):
-            groups.append([min(task.subset) for task in group])
-            return groups[-1]
-            yield  # a group callback is a generator of request rounds
-
-        got = run_rounds(SEQUENTIAL.run_siblings(tasks, record), SEQUENTIAL)
-        assert got == ([0, 1, 2, 3, 4], set())
-        assert groups == [[0, 1, 2, 3, 4]]  # one group, in submission order
-
-    def test_pooled_without_spec_runs_inline(self):
-        # A dict-only run has no CSR base: every sibling runs inline and
-        # no pool is ever created.
-        engine = ShardedExecutor(2, min_shard_vertices=1)
-        try:
-            tasks = [SubtreeTask(frozenset([i]), 0) for i in range(3)]
-
-            def minima(group):
-                return [min(task.subset) for task in group]
-                yield  # a group callback is a generator of request rounds
-
-            got = run_rounds(engine.run_siblings(tasks, minima, spec=None), engine)
-            assert got == ([0, 1, 2], set())
-            assert engine._pool is None
-        finally:
-            engine.close()
-
-
-def two_triangles():
-    """Triangles {0,1,2} and {3,4,5} joined by the one edge (2, 3)."""
-    graph = Graph()
-    for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]:
-        graph.add_edge(u, v)
-    return CSRGraph.from_graph(graph)
-
-
-def outcome_of(cut_edges):
-    """A subtree outcome splitting the two triangles apart."""
-    return _SubtreeOutcome(
-        components=[
-            ExpanderComponent(frozenset({0, 1, 2}), True, 1.0, 1),
-            ExpanderComponent(frozenset({3, 4, 5}), True, 1.0, 1),
-        ],
-        cut_edges=list(cut_edges),
-    )
-
-
-class TestSubtreeValidator:
-    """The subtree re-check compares cut edges against the host graph."""
-
-    SUBSET = frozenset(range(6))
-
-    def test_true_outcome_passes(self):
-        validate_subtree_outcome(outcome_of([(3, 2)]), self.SUBSET, two_triangles())
-
-    @pytest.mark.parametrize(
-        "cut_edges,message",
-        [
-            # (0, 1) lies inside one component and (0, 5) is no edge at all.
-            ([(0, 1), (0, 5)], "cut edges disagree"),
-            ([], "missing"),  # the true cut edge (2, 3) dropped
-            ([(2, 3), (3, 2)], "listed twice"),
-        ],
-        ids=["invented", "dropped", "duplicate"],
-    )
-    def test_wrong_cut_edges_rejected(self, cut_edges, message):
-        with pytest.raises(ResultValidationError, match=message):
-            validate_subtree_outcome(outcome_of(cut_edges), self.SUBSET, two_triangles())
-
-
 @needs_shm
 class TestComponentParallelIdentity:
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
@@ -225,6 +140,30 @@ class TestComponentParallelIdentity:
         with ShardedExecutor(2, min_shard_vertices=1) as engine:
             run(graph, executor=engine)
         assert shm_entries() - before == set()
+
+    def test_deep_rounds_of_small_requests_ship_slices(self):
+        # At the default floor, the deep rounds — many requests, each on a
+        # view too small to be worth a job of its own — still reach the
+        # pool, as slices of the whole round.
+        graph = ring_of_cliques(64, 16)
+        expected = run(graph)
+        shipped = []
+
+        class SpyingExecutor(ShardedExecutor):
+            def _submit(self, requests, slices, deadline):
+                futures = super()._submit(requests, slices, deadline)
+                if futures:
+                    shipped.append([request.view.num_vertices for request in requests])
+                return futures
+
+        with SpyingExecutor(2) as engine:
+            got = run(graph, executor=engine)
+            assert engine.events == []
+        assert got == expected
+        deep = [
+            sizes for sizes in shipped if len(sizes) > 1 and max(sizes) < SHARD_MIN_VERTICES
+        ]
+        assert deep, shipped
 
 
 class TestKnownConnectedPieces:
@@ -259,8 +198,8 @@ class TestKnownConnectedPieces:
         expected = run(graph)
         scans = self.spy_on_scans(monkeypatch)
         if engine == "pool":
-            # every piece ships to the in-process pool double, so the
-            # flag must survive run_siblings -> run_subtree
+            # every round's slices ship to the in-process pool double;
+            # the pieces' searches stay in the driver either way
             with ShardedExecutor(2, min_shard_vertices=1) as pooled:
                 pooled._pool = FakePool()
                 got = run(graph, executor=pooled)
@@ -280,31 +219,6 @@ class TestFaultInjection:
     """Poisoned workers and broken pools: one warning, identical bits."""
 
     @needs_shm
-    def test_poisoned_run_subtree_degrades_bit_identically(self, monkeypatch):
-        graph = ring_of_cliques(6, 8)
-        expected = run(graph)
-
-        def poisoned(*args, **kwargs):
-            raise RuntimeError("worker poisoned mid-run")
-
-        monkeypatch.setattr(executor_module, "run_subtree", poisoned)
-        # max_pool_rebuilds=0 pins the historic first-failure-final policy
-        # (the default policy would rebuild a real pool and recover).
-        with ShardedExecutor(2, min_shard_vertices=1, max_pool_rebuilds=0) as engine:
-            engine._pool = FakePool()  # execute submissions in-process
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = run(graph, executor=engine)
-            assert engine._broken
-        degraded = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "degraded to sequential" in str(w.message)
-        ]
-        assert len(degraded) == 1, "degradation must warn exactly once"
-        assert got == expected
-
-    @needs_shm
     def test_poisoned_run_sharded_chunk_degrades_bit_identically(self, monkeypatch):
         graph = planted_partition_graph(4, 12, 0.7, 0.02, seed=7)
         expected = run(graph)
@@ -313,12 +227,9 @@ class TestFaultInjection:
             raise OSError("chunk worker killed")
 
         monkeypatch.setattr(executor_module, "run_sharded_chunk", poisoned)
-        # Keep subtree dispatch off (floor above n) so the *batch* level is
-        # the one that trips the poison.  max_pool_rebuilds=0 pins the
-        # historic first-failure-final policy.
-        with ShardedExecutor(2, min_shard_vertices=10_000, max_pool_rebuilds=0) as engine:
+        # max_pool_rebuilds=0 pins the historic first-failure-final policy.
+        with ShardedExecutor(2, min_shard_vertices=1, max_pool_rebuilds=0) as engine:
             engine._pool = FakePool()
-            engine.min_shard_vertices = 1
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = run(graph, executor=engine)
@@ -333,7 +244,7 @@ class TestFaultInjection:
     @needs_shm
     def test_simulated_broken_process_pool(self):
         # Every outstanding future fails at once, the way a dead pool fails
-        # them: still one warning, every subtree recovered inline.
+        # them: still one warning, every slice recovered inline.
         graph = ring_of_cliques(6, 8)
         expected = run(graph)
         with ShardedExecutor(4, min_shard_vertices=1, max_pool_rebuilds=0) as engine:

@@ -22,9 +22,11 @@ from repro.graphs.generators import (
     barbell_expanders,
     planted_partition_graph,
     ring_of_cliques,
+    union_of_graphs,
 )
-from repro.graphs.peel import PeeledCSR
+from repro.graphs.peel import PeeledCSR, maybe_compact
 from repro.nibble import NibbleParameters
+from repro.nibble.lockstep import batch_cells
 from repro.parallel import (
     SEQUENTIAL,
     BatchRequest,
@@ -152,7 +154,7 @@ class TestExecutorParity:
     def test_small_views_run_inline(self):
         # Below the shard floor no pool is ever created — and the results
         # still match the oracle.
-        with ShardedExecutor(2) as engine:  # default floor: 256 vertices
+        with ShardedExecutor(2) as engine:  # default floor: SHARD_MIN_VERTICES
             got = batch_outputs(engine, self.graph, self.params, self.root)
             assert engine._pool is None
         assert got == batch_outputs(SEQUENTIAL, self.graph, self.params, self.root)
@@ -175,6 +177,96 @@ class TestExecutorParity:
                 second = batch_outputs(engine, self.graph, self.params, self.root)
         assert first == expected
         assert second == expected
+
+    def test_request_split_across_slices_keeps_instance_order(self):
+        # Twelve equal-cost items cut in two: the cut falls inside the
+        # second request, whose first instances ship with the first
+        # request while the driver runs the rest.
+        requests = [
+            BatchRequest(self.graph, self.params, self.root, 0, 4),
+            BatchRequest(self.graph, self.params, self.root, 1, 8),
+        ]
+        assert executor_module.round_slices(requests, 2) == [
+            [(0, [0, 1, 2, 3]), (1, [0, 1])],
+            [(1, [2, 3, 4, 5, 6, 7])],
+        ]
+        expected = SEQUENTIAL.run_batches(requests)
+        with ShardedExecutor(2, min_shard_vertices=1) as engine:
+            got = engine.run_batches(requests)
+            assert engine._pool is not None
+            assert engine.events == []
+        assert got == expected
+        assert [[i for i, _, _ in triples] for triples in got] == [
+            list(range(4)),
+            list(range(8)),
+        ]
+
+
+class TestRoundSlices:
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    def test_slices_cover_the_round_contiguously(self, parts):
+        # Requests of unequal cost: every item lands in exactly one slice,
+        # slices follow request-then-instance order, and their costs stay
+        # within one item of an equal share.
+        big = PeeledCSR.from_graph(ring_of_cliques(6, 8))
+        small = PeeledCSR.from_graph(ring_of_cliques(3, 4))
+        params = NibbleParameters.practical(ring_of_cliques(3, 4), 0.1)
+        requests = [
+            BatchRequest(view, params, 1, batch, count)
+            for batch, (view, count) in enumerate([(small, 3), (big, 5), (small, 4)])
+        ]
+        slices = executor_module.round_slices(requests, parts)
+        assert 1 <= len(slices) <= parts
+        items = [(k, i) for part in slices for k, indices in part for i in indices]
+        assert items == [(k, i) for k, r in enumerate(requests) for i in range(r.num_instances)]
+        cost = [
+            sum(len(indices) * batch_cells(requests[k].view, 1) for k, indices in part)
+            for part in slices
+        ]
+        total = sum(r.num_instances * batch_cells(r.view, 1) for r in requests)
+        widest = max(batch_cells(r.view, 1) for r in requests)
+        assert all(abs(c - total / parts) <= widest for c in cost[:-1])
+
+
+@needs_shm
+class TestPublishCache:
+    """A round keeps every base it ships on published until its results are in."""
+
+    @pytest.mark.parametrize("transport", ["published", "by-value"])
+    def test_round_on_more_bases_than_the_cache_holds(self, monkeypatch, transport):
+        # Twelve compacted views, each on its own base: three of the four
+        # slices ship nine of them, more than PUBLISH_CACHE_SIZE.  An
+        # eviction while the later slices are submitted would unlink a
+        # segment a worker may have yet to attach, and record a pool
+        # failure; so every shipped segment must still be published when
+        # the driver starts collecting.
+        copies = [barbell_expanders(200, degree=8, seed=c) for c in range(12)]
+        host = CSRGraph.from_graph(union_of_graphs(copies))
+        views = [
+            maybe_compact(
+                PeeledCSR.for_subset(host, [host.index[(c, v)] for v in copy.vertices()])
+            )
+            for c, copy in enumerate(copies)
+        ]
+        assert len({id(view.base) for view in views}) == 12
+        if transport == "published":
+            monkeypatch.setattr(executor_module, "PUBLISH_MIN_VERTICES", 0, raising=False)
+        params = NibbleParameters.practical(copies[0], 0.1)
+        root = stream_root(ensure_rng(5))
+        requests = [BatchRequest(view, params, root, c, 6) for c, view in enumerate(views)]
+        live = []
+        with ShardedExecutor(4, min_shard_vertices=1) as engine:
+            collect = engine._collect
+
+            def counting_collect(*args):
+                live.append(len(engine._published))
+                return collect(*args)
+
+            engine._collect = counting_collect
+            got = engine.run_batches(requests)
+            assert engine.events == []
+        assert live == [9 if transport == "published" else 0]
+        assert got == executor_module.inline_batches(requests)
 
 
 class TestResolveExecutor:
@@ -296,7 +388,7 @@ class TestCutIdentity:
 
     def test_decomposition_cache_is_executor_independent(self):
         # A cache warmed by a sequential run must hit from a sharded run:
-        # the key scrubs executor/workers, and the engines are
+        # the key leaves executor/workers out, and the engines are
         # output-identical so serving the sequential entry is correct.
         from repro.nibble.parameters import ParameterMode
         from repro.triangles.workload import DecompositionCache

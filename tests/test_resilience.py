@@ -36,6 +36,7 @@ from repro.decomposition import (
     PartialDecomposition,
     expander_decomposition,
 )
+from repro.decomposition.expander import search_kwargs_key
 from repro.decomposition.sparse_cut import nearly_most_balanced_sparse_cut
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
@@ -219,6 +220,28 @@ class TestJournalUnit:
             expander_decomposition(
                 graph, 0.1, 0.1, seed=1, sparse_cut_kwargs=reordered, journal=journal
             )
+
+    def test_unknown_search_kwargs_are_rejected_before_binding(self, tmp_path):
+        """Engines are chosen with executor=/workers= only: an engine key,
+        or any key a search does not take, in ``sparse_cut_kwargs`` raises
+        ValueError naming it before the journal pins the run."""
+        graph = ring_of_cliques(4, 6)
+        for bad in ({"workers": 2}, {"executor": None}, {"num_instance": 4}):
+            (key,) = bad
+            with RunJournal(tmp_path / "j") as journal:
+                with pytest.raises(ValueError, match=f"'{key}'"):
+                    expander_decomposition(
+                        graph, 0.2, 0.1, seed=7, sparse_cut_kwargs=bad, journal=journal
+                    )
+        # Nothing was bound, so the journal takes a run of its own.
+        kwargs = {"params_overrides": {"max_t0": 60}, "num_instances": 4}
+        with RunJournal(tmp_path / "j") as journal:
+            expander_decomposition(
+                graph, 0.2, 0.1, seed=7, sparse_cut_kwargs=kwargs, journal=journal
+            )
+        assert search_kwargs_key(kwargs) == (
+            '{"num_instances": 4, "params_overrides": {"max_t0": 60}}'
+        )
 
     def test_fractional_max_depth_cannot_replay_an_int_journal(self, tmp_path):
         """The journal pins ``int(max_depth)``, so a ``max_depth=1.5`` run
