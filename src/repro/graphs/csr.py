@@ -126,15 +126,6 @@ class CSRGraph:
         self._edge_keys: Optional[np.ndarray] = None
         self._ws = None
 
-    def __reduce__(self):
-        """Pickle the defining arrays and labels; the rest is rebuilt on load.
-
-        The sharded executor ships small bases by value, and the derived
-        degree arrays, the label index and the per-graph caches would
-        otherwise ride along.
-        """
-        return (CSRGraph, (self.indptr, self.indices, self.loops, self.vertices))
-
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
         """Snapshot ``graph`` into CSR form (one O(n log n + m) pass).

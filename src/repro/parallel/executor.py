@@ -11,12 +11,10 @@ driver rebuilds exact round accounting from the scales).
 inline, its small batches fused into shared lockstep calls
 (:func:`~repro.parallel.worker.run_chunks`).  :class:`ShardedExecutor`
 cuts a round's ``(request, instance)`` items into contiguous *slices* of
-about equal cost (:func:`round_slices`), ships each slice but one to a
-``ProcessPoolExecutor`` as one job and runs the last in the driver while
-the pool works.  A slice's views travel as masks over a base published
-once into shared memory (:class:`~repro.parallel.shared.SharedCSR`), or,
-for the small compacted bases of the deep recursion, with the base
-itself (:data:`PUBLISH_MIN_VERTICES`).
+about equal cost (:func:`round_slices`) and ships each slice to a
+``ProcessPoolExecutor`` as one job.  A slice's views travel as masks
+over a base published once into shared memory
+(:class:`~repro.parallel.shared.SharedCSR`).
 
 Cut-identity across engines falls out of the stream discipline
 (:mod:`repro.utils.rng`): instance ``i`` of batch ``b`` draws from a
@@ -56,7 +54,7 @@ from ..graphs.csr import CSRGraph
 from ..nibble.lockstep import batch_cells
 from ..nibble.nibble import NibbleCut
 from ..nibble.parameters import NibbleParameters
-from ..resilience.deadline import DeadlineExpired, active_deadline, check_walk_deadline
+from ..resilience.deadline import active_deadline, check_walk_deadline
 from ..resilience.events import DegradeEvent, ResultValidationError
 from .shared import SharedCSR, shared_memory_available
 from .frontier import BatchRequest
@@ -71,13 +69,6 @@ BatchResult = list[tuple[int, Optional[int], Optional[NibbleCut]]]
 #: engine: its walks are cheaper than shipping them.  EXPERIMENTS.md ("One
 #: pool unit") has the measurement behind the value.
 SHARD_MIN_VERTICES = 1024
-
-#: Bases with fewer vertices than this ship by value, inside each job that
-#: needs them; larger ones are published once into shared memory and their
-#: views ship as masks.  The deep recursion's compacted bases are small and
-#: many, and a segment each would cost a publish, an attach and a cache
-#: slot per base.  EXPERIMENTS.md ("One pool unit") has the measurement.
-PUBLISH_MIN_VERTICES = 2048
 
 #: How many published snapshots a sharded executor keeps live between
 #: rounds.  Compaction mints a new base per halving, so a recursion branch
@@ -353,25 +344,22 @@ class ShardedExecutor(Executor):
     """Process-pool engine: each round is cut into slices that run side by side.
 
     :meth:`run_batches` cuts a round into at most ``workers`` slices
-    (:func:`round_slices`), ships every slice but the last to the pool as
-    one job each — a lone slice ships whole — and runs the last in the
-    driver while the pool works, fused like any inline round.  A worker
-    runs its slice's chunks through :func:`~repro.parallel.worker
-    .run_chunks` as well, so a slice's small batches share lockstep calls
-    there too.  A round whose instances see fewer than
+    (:func:`round_slices`) and ships each slice to the pool as one job.
+    A worker runs its slice's chunks through :func:`~repro.parallel.worker
+    .run_chunks`, so a slice's small batches share lockstep calls there
+    as they would inline.  A round whose instances see fewer than
     ``min_shard_vertices`` alive vertices in total, and every round after
     the engine has terminally degraded, runs inline — identical results
     either way, per the stream discipline.  The pool is created lazily on
     the first shipped slice (constructing an executor is free).
 
-    Transport: a view on a base of :data:`PUBLISH_MIN_VERTICES` or more
-    vertices ships as its masks over the base's shared segment, published
-    once per base; a smaller base ships by value inside the job.
-    Published segments are cached per snapshot object (keyed by identity,
-    holding the base alive so the key cannot be recycled), stay published
-    while a round that ships on them is outstanding, and are unlinked on
-    LRU eviction after the round, :meth:`close`, context-manager exit, or
-    the ``atexit``/SIGTERM backstops.
+    Transport: a view ships as its masks over its base's shared segment,
+    published once per base.  Published segments are cached per snapshot
+    object (keyed by identity, holding the base alive so the key cannot be
+    recycled), stay published while a round that ships on them is
+    outstanding, and are unlinked on LRU eviction after the round,
+    :meth:`close`, context-manager exit, or the ``atexit``/SIGTERM
+    backstops.
 
     Failure policy (the resilience layer, :meth:`_submit` and
     :meth:`_collect`): a submit error, a crashed worker, a per-task
@@ -451,16 +439,14 @@ class ShardedExecutor(Executor):
     def _transport(self, request: BatchRequest, indices: list[int]) -> tuple:
         """The worker-side form of ``request``'s chunk of ``indices``.
 
-        The view's masks, with its base's published meta — or, below
-        :data:`PUBLISH_MIN_VERTICES`, the base itself — in front, then the
+        The view's masks, with its base's published meta in front, then the
         chunk's stream address; :func:`~repro.parallel.worker
         .run_sharded_chunk` rebuilds the view from it.
         """
         view = request.view
-        base = view.base
-        graph = self._publish(base).meta if base.n >= PUBLISH_MIN_VERTICES else base
+        meta = self._publish(view.base).meta
         return (
-            graph, view.alive, view.proper_degree, view.loops, view.total_volume,
+            meta, view.alive, view.proper_degree, view.loops, view.total_volume,
             view.num_edges, request.params, request.root, request.batch_index, indices,
         )
 
@@ -500,7 +486,7 @@ class ShardedExecutor(Executor):
         except Exception:  # pragma: no cover - shutdown of a dead pool
             pass
 
-    def _note_failure(self, exc: Exception, scope: str) -> None:
+    def _note_failure(self, exc: Exception) -> None:
         """Record one failure episode; tear down and maybe terminally degrade.
 
         The episode is appended to :attr:`events`; the pool is dropped
@@ -519,7 +505,6 @@ class ShardedExecutor(Executor):
         self.events.append(
             DegradeEvent(
                 kind=kind,
-                scope=scope,
                 error=f"{type(exc).__name__}: {exc}",
                 fatal=fatal,
             )
@@ -541,7 +526,7 @@ class ShardedExecutor(Executor):
             stacklevel=5,
         )
 
-    def _deadline_cancel(self, scope: str) -> None:
+    def _deadline_cancel(self) -> None:
         """Stop pool work because a deadline expired — a cancel, not a fault.
 
         Kills the pool (outstanding slices must not keep burning CPU
@@ -552,7 +537,6 @@ class ShardedExecutor(Executor):
         self.events.append(
             DegradeEvent(
                 kind="deadline-cancel",
-                scope=scope,
                 error="deadline expired with pool work outstanding",
                 fatal=False,
             )
@@ -566,10 +550,10 @@ class ShardedExecutor(Executor):
         Each slice is one job: its chunks in :meth:`_transport` form, for
         :func:`~repro.parallel.worker.run_sharded_chunk`.  Nothing ships
         once the deadline has expired.  A submit error is the round's one
-        failure episode, and nothing is shipped: the caller recomputes
-        every slice in the driver.
+        failure episode, and nothing is shipped: the caller runs the round
+        inline.
         """
-        if not slices or (deadline is not None and deadline.expired()):
+        if deadline is not None and deadline.expired():
             return {}
         try:
             pool = self._ensure_pool()
@@ -581,7 +565,7 @@ class ShardedExecutor(Executor):
                 futures[position] = pool.submit(*self._worker_call(address, chunks))
             return futures
         except Exception as exc:
-            self._note_failure(exc, scope="batch")
+            self._note_failure(exc)
             return {}
 
     def _collect(self, futures: dict, validate: Callable, deadline):
@@ -608,24 +592,23 @@ class ShardedExecutor(Executor):
                     # the rest (not a fault); the inline re-runs notice the
                     # expired deadline at once.
                     cancelled = True
-                    self._deadline_cancel("batch")
+                    self._deadline_cancel()
                 elif not cancelled and not failed:
                     failed = True
-                    self._note_failure(exc, scope="batch")
+                    self._note_failure(exc)
                 yield position, False, None
             else:
                 yield position, True, result
 
     def run_batches(self, requests: list[BatchRequest]) -> list[BatchResult]:
-        """Cut the round into slices; ship all but the last, and run that one here.
+        """Cut the round into slices and ship each one to the pool.
 
-        The driver's slice — and any slice the pool did not take — runs
-        through one :func:`~repro.parallel.worker.run_chunks` call while
-        the pool works.  Each shipped slice's triples are re-verified
-        chunk by chunk (:func:`validate_batch_triples`); a failed slice
-        re-runs its own chunks inline, which is bit-identical because the
-        streams are counter-addressed and an instance's answer depends
-        only on its draws.  A request split across slices gets its chunks
+        A round the pool did not take (a submit error, or an expired
+        deadline) runs inline instead.  Each shipped slice's triples are
+        re-verified chunk by chunk (:func:`validate_batch_triples`); a
+        failed slice re-runs its own chunks inline, which is bit-identical
+        because the streams are counter-addressed and an instance's answer
+        depends only on its draws.  A request split across slices gets its chunks
         back in instance order.  An ambient deadline bounds the wait for
         pool results; once it has expired, a chunk's inline re-run raises
         :class:`~repro.resilience.deadline.DeadlineExpired` (a cancel, not
@@ -648,18 +631,9 @@ class ShardedExecutor(Executor):
                 validate_batch_triples(requests[k].view, requests[k].params, triples, indices)
 
         try:
-            futures = self._submit(requests, slices[:-1] or slices, deadline)
-            here = [s for s in range(len(slices)) if s not in futures]
-            try:
-                fused = iter(
-                    run_chunks([_chunk(requests[k], ix) for s in here for k, ix in slices[s]])
-                )
-            except DeadlineExpired:
-                if futures:
-                    self._deadline_cancel("batch")
-                raise
-            for s in here:
-                answers[s] = [next(fused) for _ in slices[s]]
+            futures = self._submit(requests, slices, deadline)
+            if not futures:
+                return inline_batches(requests)
             for s, ok, result in self._collect(futures, validate, deadline):
                 answers[s] = (
                     result

@@ -3,8 +3,8 @@
 The driver ships a worker one kind of job, a *slice* of a round
 (:func:`run_sharded_chunk`): chunks of ParallelNibble batches, each the
 batch's :class:`~repro.graphs.peel.PeeledCSR` mask state (small dense
-arrays) led by its base — the :class:`~repro.parallel.shared.SharedCSRMeta`
-of a published snapshot, or a small base itself — then the stream root,
+arrays) led by the :class:`~repro.parallel.shared.SharedCSRMeta` of its
+published base, then the stream root,
 batch index, and the chunk's instance indices.  The worker rebuilds each
 view and runs the slice on counter-derived streams — no state flows
 between instances, between jobs, or between processes, which is the
@@ -41,9 +41,7 @@ from ..utils.rounds import RoundReport
 from .shared import SharedCSR, SharedCSRMeta
 
 #: How many attached snapshots a worker process keeps rehydrated between
-#: slices.  Only bases of :data:`~repro.parallel.executor
-#: .PUBLISH_MIN_VERTICES` or more are published, so a small cache covers
-#: the working set; evicted handles just close their mapping.
+#: slices; evicted handles just close their mapping.
 ATTACH_CACHE_SIZE = 4
 
 _ATTACHED: "OrderedDict[str, SharedCSR]" = OrderedDict()
@@ -209,22 +207,21 @@ def run_chunks(chunks, streams=None) -> list[list]:
 def run_sharded_chunk(chunks: list) -> list[list]:
     """Run one slice of a round inside a worker process: the pool's one job.
 
-    Each chunk is ``(graph, alive, proper_degree, loops, total_volume,
+    Each chunk is ``(meta, alive, proper_degree, loops, total_volume,
     num_edges, params, root, batch_index, instance_indices)``, where
-    ``graph`` is the :class:`SharedCSRMeta` of a published base (attached
-    zero-copy, cached per process by :func:`attached_graph`) or a small
-    base shipped by value.  Rebuilds every chunk's :class:`PeeledCSR` view
-    and runs the slice through :func:`run_chunks`, so its small batches
-    share lockstep calls here as they would in the driver, and the
-    triples are identical to what the sequential executor computes for
-    the same indices.  Returns one triple list per chunk, in order.
+    ``meta`` is the :class:`SharedCSRMeta` of the published base (attached
+    zero-copy, cached per process by :func:`attached_graph`).  Rebuilds
+    every chunk's :class:`PeeledCSR` view and runs the slice through
+    :func:`run_chunks`, so its small batches share lockstep calls here as
+    they would in the driver, and the triples are identical to what the
+    sequential executor computes for the same indices.  Returns one
+    triple list per chunk, in order.
     """
     _trim_attached()
     views = []
-    for graph, alive, proper_degree, loops, total_volume, num_edges, *address in chunks:
-        base = attached_graph(graph) if isinstance(graph, SharedCSRMeta) else graph
+    for meta, alive, proper_degree, loops, total_volume, num_edges, *address in chunks:
         view = PeeledCSR(
-            base=base,
+            base=attached_graph(meta),
             alive=np.asarray(alive, dtype=bool),
             proper_degree=np.asarray(proper_degree, dtype=np.int64),
             loops=np.asarray(loops, dtype=np.int64),

@@ -41,14 +41,11 @@ class DegradeEvent:
     ``"corrupt-result"`` (a returned result failed re-verification), or
     ``"deadline-cancel"`` (the run's :class:`~repro.resilience.deadline.
     Deadline` expired while pool results were outstanding — not a fault,
-    so it never counts against the rebuild budget).  ``scope`` says which
-    seam failed; the sharded engine ships slices of rounds of
-    ParallelNibble batches only, so it is always ``"batch"``.  ``fatal`` marks the episode that
-    exhausted ``max_pool_rebuilds`` and degraded the engine to inline
-    execution permanently.
+    so it never counts against the rebuild budget).  ``fatal`` marks the
+    episode that exhausted ``max_pool_rebuilds`` and degraded the engine to
+    inline execution permanently.
     """
 
     kind: str
-    scope: str
     error: str
     fatal: bool = False

@@ -126,6 +126,7 @@ class TestChaosParity:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # degrade would warn: forbidden
                 got = run(graph, executor=engine)
+            assert shm_entries() - before, "the run published no segment"
             assert not engine._broken
         assert got == expected
         assert shm_entries() - before == set(), "leaked shared-memory segments"

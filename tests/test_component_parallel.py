@@ -139,6 +139,7 @@ class TestComponentParallelIdentity:
         before = shm_entries()
         with ShardedExecutor(2, min_shard_vertices=1) as engine:
             run(graph, executor=engine)
+            assert shm_entries() - before, "the run published no segment"
         assert shm_entries() - before == set()
 
     def test_deep_rounds_of_small_requests_ship_slices(self):
@@ -277,6 +278,7 @@ class TestFaultInjection:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a degrade warning would fail
                 got = run(graph, executor=engine)
+            assert shm_entries() - before, "the run published no segment"
             assert not engine._broken, "one dead worker must not be fatal"
             kinds = {event.kind for event in engine.events}
             assert kinds <= {"pool-failure", "timeout"}

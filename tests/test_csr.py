@@ -122,22 +122,6 @@ class TestCSRGraphStructure:
                 assert back.neighbors(v) == g.neighbors(v)
                 assert back.self_loops(v) == g.self_loops(v)
 
-    def test_pickle_ships_defining_arrays_only(self):
-        # The sharded executor ships small bases by value: a pickled
-        # snapshot rebuilds its derived fields and leaves its caches behind.
-        import pickle
-
-        for g in random_graphs(3):
-            csr = CSRGraph.from_graph(g)
-            csr_backend.get_workspace(csr)
-            back = pickle.loads(pickle.dumps(csr))
-            for name in ("indptr", "indices", "loops", "proper_degree", "degree"):
-                assert np.array_equal(getattr(back, name), getattr(csr, name))
-                assert getattr(back, name).dtype == getattr(csr, name).dtype
-            assert back.vertices == csr.vertices and back.index == csr.index
-            assert back.total_volume == csr.total_volume
-            assert back._ws is None
-
 
 
 class TestWalkParity:

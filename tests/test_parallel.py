@@ -181,7 +181,7 @@ class TestExecutorParity:
     def test_request_split_across_slices_keeps_instance_order(self):
         # Twelve equal-cost items cut in two: the cut falls inside the
         # second request, whose first instances ship with the first
-        # request while the driver runs the rest.
+        # request and the rest as the second slice.
         requests = [
             BatchRequest(self.graph, self.params, self.root, 0, 4),
             BatchRequest(self.graph, self.params, self.root, 1, 8),
@@ -232,11 +232,10 @@ class TestRoundSlices:
 class TestPublishCache:
     """A round keeps every base it ships on published until its results are in."""
 
-    @pytest.mark.parametrize("transport", ["published", "by-value"])
-    def test_round_on_more_bases_than_the_cache_holds(self, monkeypatch, transport):
-        # Twelve compacted views, each on its own base: three of the four
-        # slices ship nine of them, more than PUBLISH_CACHE_SIZE.  An
-        # eviction while the later slices are submitted would unlink a
+    def test_round_on_more_bases_than_the_cache_holds(self):
+        # Twelve compacted views, each on its own base: the round's two
+        # slices ship all twelve, more than PUBLISH_CACHE_SIZE.  An
+        # eviction while the second slice is submitted would unlink a
         # segment a worker may have yet to attach, and record a pool
         # failure; so every shipped segment must still be published when
         # the driver starts collecting.
@@ -249,13 +248,11 @@ class TestPublishCache:
             for c, copy in enumerate(copies)
         ]
         assert len({id(view.base) for view in views}) == 12
-        if transport == "published":
-            monkeypatch.setattr(executor_module, "PUBLISH_MIN_VERTICES", 0, raising=False)
         params = NibbleParameters.practical(copies[0], 0.1)
         root = stream_root(ensure_rng(5))
         requests = [BatchRequest(view, params, root, c, 6) for c, view in enumerate(views)]
         live = []
-        with ShardedExecutor(4, min_shard_vertices=1) as engine:
+        with ShardedExecutor(2, min_shard_vertices=1) as engine:
             collect = engine._collect
 
             def counting_collect(*args):
@@ -265,7 +262,7 @@ class TestPublishCache:
             engine._collect = counting_collect
             got = engine.run_batches(requests)
             assert engine.events == []
-        assert live == [9 if transport == "published" else 0]
+        assert live == [12]
         assert got == executor_module.inline_batches(requests)
 
 

@@ -591,8 +591,8 @@ class TestRetryPolicy:
 
     def test_deadline_cancel_does_not_charge_the_budget(self):
         with ShardedExecutor(2, min_shard_vertices=1) as engine:
-            engine._deadline_cancel("batch")
-            engine._deadline_cancel("subtree")
+            engine._deadline_cancel()
+            engine._deadline_cancel()
             assert engine._pool_failures == 0
             assert not engine._broken
             assert [e.kind for e in engine.events] == [
@@ -608,9 +608,17 @@ class TestInterruptCleanup:
     def test_keyboard_interrupt_leaves_no_shm(self):
         graph = planted_partition_graph(4, 12, 0.7, 0.02, seed=7)
         before = shm_entries()
+        at_interrupt = []
+        interrupt = interrupt_after(1)
+
+        def on_progress(done):
+            at_interrupt.append(shm_entries() - before)
+            interrupt(done)
+
         with pytest.raises(_Interrupt):
             with ShardedExecutor(2, min_shard_vertices=1) as engine:
-                run(graph, executor=engine, on_progress=interrupt_after(1))
+                run(graph, executor=engine, on_progress=on_progress)
+        assert at_interrupt[-1], "no segment was published when the run was killed"
         assert shm_entries() - before == set(), "leaked shared-memory segments"
 
     def test_sigterm_leaves_no_shm_and_no_orphans(self, tmp_path):
@@ -650,7 +658,14 @@ class TestInterruptCleanup:
             assert line.startswith("WORKERS"), f"unexpected first line: {line!r}"
             worker_pids = [int(p) for p in line.split()[1:]]
             assert worker_pids, "pool advertised no workers"
-            time.sleep(0.3)  # let the decomposition loop reach the pool
+            # Let the decomposition loop reach the pool: kill it only once
+            # it has published a segment, so the backstop has one to unlink.
+            published = set()
+            wait_until = time.monotonic() + 30
+            while not published and time.monotonic() < wait_until:
+                time.sleep(0.05)
+                published = shm_entries() - before
+            assert published, "the run published no segment before the kill"
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=30)
         finally:
