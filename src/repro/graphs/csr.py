@@ -88,9 +88,12 @@ class CSRGraph:
     total_volume:
         ``Vol(V)`` as a Python int (matches ``Graph.total_volume()``).
     vertices:
-        The original vertex labels in index order.
+        The original vertex labels in index order; they must be distinct.
     index:
         Mapping from vertex label to index.
+
+    A repeated label, or an ``indptr`` that does not start at 0 or that
+    decreases, raises :class:`ValueError` at construction.
     """
 
     __slots__ = (
@@ -120,7 +123,14 @@ class CSRGraph:
         self.vertices = vertices
         self.n = len(vertices)
         self.index = {v: i for i, v in enumerate(vertices)}
+        if len(self.index) != self.n:
+            raise ValueError(
+                f"vertex labels repeat: {self.n} labels name only "
+                f"{len(self.index)} distinct vertices"
+            )
         self.proper_degree = np.diff(indptr)
+        if int(indptr[0]) != 0 or bool((self.proper_degree < 0).any()):
+            raise ValueError("indptr must start at 0 and never decrease")
         self.degree = self.proper_degree + loops
         self.total_volume = int(self.degree.sum())
         self._edge_keys: Optional[np.ndarray] = None
@@ -188,9 +198,10 @@ class CSRGraph:
         write fails loudly instead of corrupting the snapshot.
 
         The snapshot is validated before use: a missing, truncated, or
-        unreadable array, a non-integer or mismatched index dtype, or
-        inconsistent shapes all raise :class:`ValueError` naming the bad
-        file — a damaged snapshot (e.g. one torn by a mid-``to_mmap``
+        unreadable array, a non-integer or mismatched index dtype,
+        inconsistent shapes, an ``indptr`` that does not start at 0 or
+        decreases, or repeated labels all raise :class:`ValueError` naming
+        the bad file — a damaged snapshot (e.g. one torn by a mid-``to_mmap``
         kill) must fail here, not as a wrong decomposition later.
         """
         source = Path(path)
@@ -223,6 +234,11 @@ class CSRGraph:
                 f"mmap snapshot array indptr.npy at {source} must be a "
                 f"non-empty 1-d array"
             )
+        if int(indptr[0]) != 0 or bool((np.diff(indptr) < 0).any()):
+            raise ValueError(
+                f"mmap snapshot array indptr.npy at {source} must start at 0 "
+                f"and never decrease"
+            )
         if indices.ndim != 1 or indices.size != int(indptr[-1]):
             raise ValueError(
                 f"mmap snapshot array indices.npy at {source} has "
@@ -250,7 +266,14 @@ class CSRGraph:
                 f"mmap snapshot labels vertices.pkl at {source} hold "
                 f"{len(vertices)} labels for {indptr.size - 1} vertices"
             )
-        return cls(indptr, indices, loops, vertices)
+        try:
+            # indptr is checked above, so the constructor can only refuse
+            # the labels: a repeated label would silently merge vertices.
+            return cls(indptr, indices, loops, vertices)
+        except ValueError as exc:
+            raise ValueError(
+                f"mmap snapshot labels vertices.pkl at {source} are damaged: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     @property

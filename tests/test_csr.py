@@ -114,6 +114,23 @@ class TestCSRGraphStructure:
                 for j in row:
                     assert i in csr.neighbors(int(j))
 
+    def test_repeated_labels_are_refused(self):
+        csr = CSRGraph.from_graph(ring_of_cliques(4, 5))
+        labels = list(csr.vertices)
+        labels[1] = labels[0]
+        with pytest.raises(ValueError, match="labels repeat"):
+            CSRGraph(csr.indptr, csr.indices, csr.loops, labels)
+
+    def test_indptr_must_start_at_zero_and_never_decrease(self):
+        csr = CSRGraph.from_graph(ring_of_cliques(4, 5))
+        shifted = csr.indptr.copy()
+        shifted[0] = 1
+        swapped = csr.indptr.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        for indptr in (shifted, swapped):
+            with pytest.raises(ValueError, match="start at 0 and never decrease"):
+                CSRGraph(indptr, csr.indices, csr.loops, list(csr.vertices))
+
     def test_roundtrip_to_graph(self):
         for g in random_graphs(3):
             back = CSRGraph.from_graph(g).to_graph()

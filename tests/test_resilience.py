@@ -319,6 +319,26 @@ class TestMmapValidation:
         with pytest.raises(ValueError, match="vertices.pkl"):
             CSRGraph.from_mmap(target)
 
+    def test_repeated_label(self, tmp_path):
+        target = self.snapshot(tmp_path)
+        labels = pickle.loads((target / "vertices.pkl").read_bytes())
+        labels[1] = labels[0]
+        (target / "vertices.pkl").write_bytes(pickle.dumps(labels))
+        with pytest.raises(ValueError, match="vertices.pkl.*damaged"):
+            CSRGraph.from_mmap(target)
+
+    @pytest.mark.parametrize("damage", ["offset", "decreasing"])
+    def test_indptr_must_start_at_zero_and_never_decrease(self, tmp_path, damage):
+        target = self.snapshot(tmp_path)
+        indptr = np.load(target / "indptr.npy")
+        if damage == "offset":
+            indptr[0] = 1
+        else:
+            indptr[3], indptr[4] = indptr[4], indptr[3]
+        np.save(target / "indptr.npy", indptr)
+        with pytest.raises(ValueError, match="indptr.npy.*start at 0"):
+            CSRGraph.from_mmap(target)
+
     def test_intact_snapshot_still_loads(self, tmp_path):
         target = self.snapshot(tmp_path)
         reopened = CSRGraph.from_mmap(target)
