@@ -34,6 +34,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Edge, Graph
 from ..graphs.peel import PeeledCSR, maybe_compact
@@ -212,11 +214,12 @@ def search_kwargs_key(sparse_cut_kwargs: Optional[dict]) -> str:
     return json.dumps(dict(sparse_cut_kwargs or {}), sort_keys=True, default=repr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SubtreeTask:
     """One sibling subtree of the recursion: a component to decompose.
 
-    ``subset`` is the component's vertex-label set, ``depth`` its recursion
+    ``subset`` is the component's vertices as a sorted int64 array of
+    ``ctx.base`` indices (labels appear only in the result), ``depth`` its recursion
     depth, and ``hint`` an optional precomputed
     :class:`~repro.graphs.spectral.SpectralCertificate` of its induced
     graph (the driver batches sibling solves).  ``connected`` is set for a
@@ -224,7 +227,7 @@ class _SubtreeTask:
     skips scanning it again.
     """
 
-    subset: frozenset
+    subset: np.ndarray
     depth: int
     hint: Optional[SpectralCertificate] = None
     connected: bool = False
@@ -262,7 +265,10 @@ class _SubtreeContext:
     (the batches of every live search run through the driver's one loop,
     :func:`run_rounds`); ``cut_kwargs`` are the searches' tuning
     arguments; ``base`` is the host's CSR snapshot, which every working
-    graph restricts as a :class:`~repro.graphs.peel.PeeledCSR` view.  The resilience fields:
+    graph restricts as a :class:`~repro.graphs.peel.PeeledCSR` view, and
+    ``rank`` its labels' ``repr`` rank (:func:`_repr_rank`), the one
+    source of the canonical order and of every stream and journal key.
+    The resilience fields:
     ``journal`` replays and records completed subtrees
     (:class:`~repro.resilience.journal.RunJournal`), ``deadline`` bounds
     the run (:class:`~repro.resilience.deadline.Deadline`), and
@@ -277,10 +283,60 @@ class _SubtreeContext:
     max_depth: int
     cut_kwargs: dict
     root: int
+    rank: np.ndarray
     journal: Optional[object] = None
     deadline: Optional[Deadline] = None
     on_progress: Optional[object] = None
     progress: int = 0
+
+
+def _repr_rank(labels: list) -> np.ndarray:
+    """Each label's place in ``repr`` order; labels of equal ``repr`` share it.
+
+    Computed once per run over the host's labels, so ordering pieces and
+    deriving keys never calls ``repr`` again.  Equal ``repr``\\ s get equal
+    rank, so a stable sort by rank leaves ties in the order they came in.
+    """
+    reprs = np.array([repr(v) for v in labels], dtype=object)
+    order = np.argsort(reprs, kind="stable")
+    ordered = reprs[order]
+    steps = np.zeros(len(labels), dtype=np.int64)
+    steps[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[order] = np.cumsum(steps)
+    return rank
+
+
+def _smallest_repr(ctx: _SubtreeContext, subset: np.ndarray) -> str:
+    """The smallest ``repr`` among a subset's labels."""
+    return repr(ctx.base.vertices[int(subset[np.argmin(ctx.rank[subset])])])
+
+
+def _journal_key(ctx: _SubtreeContext, depth: int, subset: np.ndarray) -> tuple:
+    """The journal address of the subtree rooted at ``subset``."""
+    return subtree_journal_key(depth, _smallest_repr(ctx, subset), subset.size)
+
+
+def _labels(ctx: _SubtreeContext, subset: np.ndarray) -> frozenset:
+    """A subset's vertex labels, for the result."""
+    vertices = ctx.base.vertices
+    return frozenset([vertices[i] for i in subset.tolist()])
+
+
+def _host_indices(ctx: _SubtreeContext, labels) -> np.ndarray:
+    """Sorted ``ctx.base`` indices of a label set (a cut side)."""
+    index = ctx.base.index
+    return np.sort(np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)))
+
+
+def _canonical(ctx: _SubtreeContext, subsets: list) -> list[int]:
+    """Positions of ``subsets`` in ascending smallest-``repr`` order.
+
+    A stable sort, so subsets whose smallest ``repr``\\ s tie keep the
+    order they are given in.
+    """
+    smallest = [int(ctx.rank[subset].min()) for subset in subsets]
+    return sorted(range(len(subsets)), key=smallest.__getitem__)
 
 
 def _bump(ctx: _SubtreeContext, count: int) -> None:
@@ -305,9 +361,11 @@ def _expired(ctx: _SubtreeContext) -> bool:
     return ctx.deadline is not None and ctx.deadline.expired()
 
 
-def _unfinished_marker(subset: frozenset, depth: int) -> ExpanderComponent:
+def _unfinished_marker(
+    ctx: _SubtreeContext, subset: np.ndarray, depth: int
+) -> ExpanderComponent:
     """The flagged placeholder for a subtree the deadline cut off."""
-    return ExpanderComponent(frozenset(subset), False, 0.0, depth, unfinished=True)
+    return ExpanderComponent(_labels(ctx, subset), False, 0.0, depth, unfinished=True)
 
 
 def _finished(outcome: _SubtreeOutcome) -> bool:
@@ -345,7 +403,7 @@ def _run_children(
     pending: list[int] = []
     for i, task in enumerate(tasks):
         if ctx.journal is not None:
-            cached = ctx.journal.get(subtree_journal_key(task.depth, task.subset))
+            cached = ctx.journal.get(_journal_key(ctx, task.depth, task.subset))
             if cached is not None:
                 results[i] = cached
                 replayed.add(i)
@@ -360,7 +418,7 @@ def _run_children(
             _bump(ctx, len(child.components))
         if cut_off:
             child = _SubtreeOutcome(
-                components=[_unfinished_marker(task.subset, task.depth)]
+                components=[_unfinished_marker(ctx, task.subset, task.depth)]
             )
         cut_off = cut_off or not _finished(child)
         outcome.absorb(child)
@@ -373,13 +431,13 @@ def _recorded_subtree(ctx: _SubtreeContext, task: _SubtreeTask) -> Rounds:
         ctx, task.subset, task.depth, task.hint, task.connected
     )
     if ctx.journal is not None and _finished(outcome):
-        ctx.journal.record(subtree_journal_key(task.depth, task.subset), outcome)
+        ctx.journal.record(_journal_key(ctx, task.depth, task.subset), outcome)
     return outcome
 
 
 def _decompose_subtree(
     ctx: _SubtreeContext,
-    subset: frozenset,
+    subset: np.ndarray,
     depth: int,
     hint: Optional[SpectralCertificate] = None,
     connected: bool = False,
@@ -391,9 +449,11 @@ def _decompose_subtree(
     split passes on the rounds of its children, which run side by side.
     Returns the subtree's outcome.
 
-    Pure in ``(ctx-parameters, subset, depth, hint)``: the searched node's
-    randomness comes from ``split_stream(ctx.root, depth,
-    component_stream_key(subset))`` rather than a threaded generator, so
+    ``subset`` is a sorted array of ``ctx.base`` indices; labels are looked
+    up only for what the subtree emits.  Pure in ``(ctx-parameters,
+    subset, depth, hint)``: the searched node's randomness comes from
+    ``split_stream(ctx.root, depth, component_stream_key(smallest repr))``
+    rather than a threaded generator, so
     sibling subtrees can run in any order, interleaved, beside any other
     searches, and still produce these exact bits.  Python-frame depth stays a few
     generator frames per tree level and at most two tree levels per
@@ -407,10 +467,10 @@ def _decompose_subtree(
     skips work, so it is not part of the subtree's journal or stream key.
     """
     outcome = _SubtreeOutcome()
-    if not subset:
+    if subset.size == 0:
         return outcome
     if ctx.journal is not None:
-        cached = ctx.journal.get(subtree_journal_key(depth, subset))
+        cached = ctx.journal.get(_journal_key(ctx, depth, subset))
         if cached is not None:
             # A completed run replayed from the top, or a resumed top-level
             # subtree: the recorded outcome is bit-identical to a re-run.
@@ -420,54 +480,58 @@ def _decompose_subtree(
         # Deadline already spent before this subtree was touched: emit the
         # whole subset as one flagged, uncertified, unfinished block.
         # Never raise — ancestors keep merging and the run ends cleanly.
-        _emit(ctx, outcome, _unfinished_marker(subset, depth))
+        _emit(ctx, outcome, _unfinished_marker(ctx, subset, depth))
         return outcome
-    # Deep-recursion subsets are a shrinking fraction of the host: compact
-    # the view once it has halved so its arrays stay proportional to the
-    # component, not to the original n.  A singleton needs no view.
+    # Deep-recursion subsets are a shrinking fraction of the host: a subset
+    # below half of it is built straight into a compact view, so its arrays
+    # stay proportional to the component, not to the original n.  A
+    # singleton needs no view.
     view = None
-    if len(subset) > 1:
-        view = maybe_compact(
-            PeeledCSR.for_subset(ctx.base, (ctx.base.index[v] for v in subset))
-        )
+    if subset.size > 1:
+        view = maybe_compact(PeeledCSR.for_subset(ctx.base, subset))
 
     if view is None or view.num_edges == 0:
         # Isolated vertices (all their degree is self loops) are vacuously
         # φ-expanders: they admit no cut at all.  repr-sorted so the
         # component order is canonical on every process.
-        for v in sorted(subset, key=repr):
+        vertices = ctx.base.vertices
+        for i in subset[np.lexsort((subset, ctx.rank[subset]))].tolist():
             _emit(
-                ctx, outcome, ExpanderComponent(frozenset([v]), True, float("inf"), depth)
+                ctx,
+                outcome,
+                ExpanderComponent(frozenset([vertices[i]]), True, float("inf"), depth),
             )
         return outcome
 
     pieces = [subset] if connected else view.connected_components()
     if len(pieces) > 1:
-        # Splitting along existing components removes no edges.  The
-        # canonical piece order (ascending smallest ``repr``, which a view
-        # of a dict host produces natively) keeps the merge — and with it
-        # the output ordering — independent of the host's form.
-        pieces.sort(key=lambda piece: min(map(repr, piece)))
+        # Splitting along existing components removes no edges.  Pieces
+        # index the view's base; a compact view's index i is subset[i].
+        host_pieces = pieces if view.base is ctx.base else [subset[p] for p in pieces]
+        # The canonical piece order (ascending smallest ``repr``) keeps the
+        # merge — and with it the output ordering — independent of the
+        # host's form and index order.
+        order = _canonical(ctx, host_pieces)
         # Batch the sibling components' spectral solves: one stacked eigh
         # per size class instead of one dispatch per future pre-check.
         # Each hint is bit-identical to the solo solve, so downstream
         # decisions are unchanged.
-        hints = batched_component_certificates(view, pieces)
+        hints = batched_component_certificates(view, [pieces[k] for k in order])
         tasks = [
-            _SubtreeTask(frozenset(piece), depth, piece_hint, connected=True)
-            for piece, piece_hint in zip(pieces, hints)
+            _SubtreeTask(host_pieces[k], depth, piece_hint, connected=True)
+            for k, piece_hint in zip(order, hints)
         ]
         return (yield from _run_children(ctx, outcome, tasks))
 
     if depth >= ctx.max_depth:
         if _expired(ctx):
-            _emit(ctx, outcome, _unfinished_marker(subset, depth))
+            _emit(ctx, outcome, _unfinished_marker(ctx, subset, depth))
             return outcome
         certified, estimate, _ = certify_conductance(
             view, ctx.phi, precomputed=hint
         )
         _emit(
-            ctx, outcome, ExpanderComponent(frozenset(subset), certified, estimate, depth)
+            ctx, outcome, ExpanderComponent(_labels(ctx, subset), certified, estimate, depth)
         )
         return outcome
 
@@ -475,13 +539,15 @@ def _decompose_subtree(
     # deep levels keep finding the cuts the certification target demands.
     theta = ctx.schedule[min(depth, len(ctx.schedule) - 1)]
     search_phi = theta if ctx.mode is ParameterMode.PAPER else max(theta, ctx.phi)
-    level_report = RoundReport(f"level {depth} (n={len(subset)})")
+    level_report = RoundReport(f"level {depth} (n={subset.size})")
     cut_result = yield from one_per_round(
         sparse_cut_search(
             view,
             search_phi,
             mode=ctx.mode,
-            seed=split_stream(ctx.root, depth, component_stream_key(subset)),
+            seed=split_stream(
+                ctx.root, depth, component_stream_key(_smallest_repr(ctx, subset))
+            ),
             report=level_report,
             spectral_hint=hint,
             deadline=ctx.deadline,
@@ -496,7 +562,7 @@ def _decompose_subtree(
         # evidence proves nothing either way, so the subtree becomes one
         # flagged unfinished block.  Checked before ``is_empty`` — an
         # interrupted result is empty but is *not* a no-cut certificate.
-        _emit(ctx, outcome, _unfinished_marker(subset, depth))
+        _emit(ctx, outcome, _unfinished_marker(ctx, subset, depth))
         return outcome
 
     split: Optional[frozenset] = None
@@ -506,7 +572,7 @@ def _decompose_subtree(
         if _expired(ctx):
             # Expired between the (certified) empty search and the final
             # spectral check: don't start an eigensolve past the budget.
-            _emit(ctx, outcome, _unfinished_marker(subset, depth))
+            _emit(ctx, outcome, _unfinished_marker(ctx, subset, depth))
             return outcome
         # Authoritative final check, straight off the working view (no
         # dict G{U} rebuild).  A certificate the pre-check already computed
@@ -518,28 +584,29 @@ def _decompose_subtree(
         )
         if certified:
             _emit(
-                ctx, outcome, ExpanderComponent(frozenset(subset), True, estimate, depth)
+                ctx, outcome, ExpanderComponent(_labels(ctx, subset), True, estimate, depth)
             )
             return outcome
         # Nibble certified "no cut" but the spectral check disagrees:
         # split on the check's own witness cut so a missed sparse cut
         # cannot silently produce an uncertified component.
-        if witness and len(witness) < len(subset):
+        if witness and len(witness) < subset.size:
             level_report.subreport("fallback_split").charge(view.num_vertices)
-            split = frozenset(witness)
+            split = witness
         else:
             _emit(
-                ctx, outcome, ExpanderComponent(frozenset(subset), False, estimate, depth)
+                ctx, outcome, ExpanderComponent(_labels(ctx, subset), False, estimate, depth)
             )
             return outcome
 
-    rest = frozenset(subset - split)
     outcome.cut_edges.extend(view.cut_edges(view.indices_of(split)))
-    sides = sorted(
-        (side for side in (frozenset(split), rest) if side),
-        key=lambda side: min(map(repr, side)),
-    )
-    tasks = [_SubtreeTask(side, depth + 1, None) for side in sides]
+    split_indices = _host_indices(ctx, split)
+    sides = [
+        side
+        for side in (split_indices, np.setdiff1d(subset, split_indices, assume_unique=True))
+        if side.size
+    ]
+    tasks = [_SubtreeTask(sides[k], depth + 1, None) for k in _canonical(ctx, sides)]
     return (yield from _run_children(ctx, outcome, tasks))
 
 
@@ -696,11 +763,12 @@ def expander_decomposition(
         max_depth=int(max_depth),
         cut_kwargs=dict(sparse_cut_kwargs or {}),
         root=root,
+        rank=_repr_rank(base.vertices),
         journal=journal,
         deadline=resolve_deadline(deadline),
         on_progress=on_progress,
     )
-    top = frozenset(base.vertices)
+    top = np.arange(base.n, dtype=np.int64)
     try:
         # One loop runs every round of batch requests the live searches
         # make, wherever in the recursion they are.
@@ -710,7 +778,7 @@ def expander_decomposition(
         if owned_engine:
             engine.close()
     if journal is not None and _finished(outcome):
-        journal.record(subtree_journal_key(0, top), outcome)
+        journal.record(_journal_key(ctx, 0, top), outcome)
     for level_report in outcome.reports:
         report.add_child(level_report)
 

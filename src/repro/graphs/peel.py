@@ -61,6 +61,21 @@ from .graph import Graph, Vertex
 from ..utils.rng import sample_index_by_weight
 
 
+def _sorted_unique(indices: Iterable[int]) -> np.ndarray:
+    """``indices`` as a new sorted, duplicate-free int64 array.
+
+    An array that already is one (what the decomposition passes) is
+    copied after one comparison pass instead of a sort.
+    """
+    idx = np.array(
+        indices if isinstance(indices, np.ndarray) else list(indices),
+        dtype=np.int64,
+    )
+    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
+    return idx
+
+
 class PeeledCSR:
     """A mutable alive-subset view of one immutable :class:`CSRGraph`.
 
@@ -85,34 +100,44 @@ class PeeledCSR:
         degree preservation (INV-1).
     num_edges:
         Number of residual proper (alive–alive) edges.
+
+    A view made by :meth:`for_subset` keeps the subset's masked gather and
+    fills ``proper_degree`` and ``loops`` — the two length-``n`` integer
+    arrays — only when they are first read, so a subset that is compacted
+    straight away (:func:`maybe_compact`) never builds them.
     """
 
     __slots__ = (
         "base",
         "alive",
-        "proper_degree",
-        "loops",
+        "_proper_degree",
+        "_loops",
         "total_volume",
         "num_edges",
         "_ws",
+        "_gather",
     )
 
     def __init__(
         self,
         base: CSRGraph,
         alive: np.ndarray,
-        proper_degree: np.ndarray,
-        loops: np.ndarray,
+        proper_degree: Optional[np.ndarray],
+        loops: Optional[np.ndarray],
         total_volume: int,
         num_edges: int,
     ) -> None:
         self.base = base
         self.alive = alive
-        self.proper_degree = proper_degree
-        self.loops = loops
+        self._proper_degree = proper_degree
+        self._loops = loops
         self.total_volume = total_volume
         self.num_edges = num_edges
         self._ws = None
+        #: ``(idx, row_id, flat)``: a :meth:`for_subset` view's alive
+        #: indices and masked adjacency gather, until its residual arrays
+        #: are built.
+        self._gather: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -149,30 +174,61 @@ class PeeledCSR:
         Structurally identical to ``G{S}`` = ``induced_with_loops`` of the
         snapshotted graph restricted to the subset: residual proper degrees
         count within-subset neighbors and every out-of-subset edge becomes a
-        compensating self loop.  O(n + Vol(S)) — no dict graph is built.
+        compensating self loop.  No dict graph is built.  The whole host is
+        :meth:`full`; any other subset costs one masked adjacency gather,
+        O(Vol(S)), plus the alive mask, and its residual degree arrays are
+        filled on first use — :meth:`compact` does not need them.
         """
-        idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
+        idx = _sorted_unique(indices)
         if idx.size and (idx[0] < 0 or idx[-1] >= base.n):
             raise IndexError("subset index out of range for the base snapshot")
+        if idx.size == base.n:
+            return cls.full(base)
         alive = np.zeros(base.n, dtype=bool)
         alive[idx] = True
-        proper = np.zeros(base.n, dtype=np.int64)
-        if idx.size:
-            row_id, flat = base.flat_adjacency(idx)
-            if flat.size:
-                keep = alive[flat]
-                counts = np.bincount(row_id[keep], minlength=len(idx))
-                proper[idx] = counts
-        loops = np.zeros(base.n, dtype=np.int64)
-        loops[idx] = base.degree[idx] - proper[idx]
-        return cls(
+        row_id, flat = base.flat_adjacency(idx)
+        if flat.size:
+            keep = alive[flat]
+            row_id, flat = row_id[keep], flat[keep]
+        view = cls(
             base=base,
             alive=alive,
-            proper_degree=proper,
-            loops=loops,
+            proper_degree=None,
+            loops=None,
             total_volume=int(base.degree[idx].sum()),
-            num_edges=int(proper[idx].sum()) // 2,
+            num_edges=int(flat.size) // 2,
         )
+        view._gather = (idx, row_id, flat)
+        return view
+
+    @property
+    def proper_degree(self) -> np.ndarray:
+        """Residual proper degree per base index (0 on dead rows)."""
+        if self._proper_degree is None:
+            self._fill_degrees()
+        return self._proper_degree
+
+    @property
+    def loops(self) -> np.ndarray:
+        """Residual self loops per base index (0 on dead rows)."""
+        if self._loops is None:
+            self._fill_degrees()
+        return self._loops
+
+    def _fill_degrees(self) -> None:
+        """Build the residual arrays of a :meth:`for_subset` view (INV-1).
+
+        The view is then used as a kernel input like any other, so its
+        subset gather is let go rather than held for the view's lifetime.
+        """
+        idx, row_id, _ = self._gather
+        counts = np.bincount(row_id, minlength=idx.size)
+        proper = np.zeros(self.base.n, dtype=np.int64)
+        proper[idx] = counts
+        loops = np.zeros(self.base.n, dtype=np.int64)
+        loops[idx] = self.base.degree[idx] - counts
+        self._proper_degree, self._loops = proper, loops
+        self._gather = None
 
     def clone(self) -> "PeeledCSR":
         """An independent copy sharing the immutable base snapshot."""
@@ -211,11 +267,27 @@ class PeeledCSR:
     @property
     def num_vertices(self) -> int:
         """Number of alive vertices."""
+        if self._gather is not None:
+            return int(self._gather[0].size)
         return int(np.count_nonzero(self.alive))
 
     def alive_indices(self) -> np.ndarray:
-        """Alive base indices, ascending (= ``repr``-sorted label order)."""
+        """Alive base indices, ascending.
+
+        Ascending index is ``repr`` order only on a snapshot of a dict
+        graph (:meth:`CSRGraph.from_graph`); a CSR host keeps the index
+        order it was built with.
+        """
+        if self._gather is not None:
+            return self._gather[0]
         return np.flatnonzero(self.alive)
+
+    def _alive_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(idx, row_id, flat)``: the alive indices and their masked gather."""
+        if self._gather is not None:
+            return self._gather
+        idx = self.alive_indices()
+        return (idx, *self.flat_adjacency(idx))
 
     def flat_adjacency(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masked gather: like :meth:`CSRGraph.flat_adjacency`, minus dead targets.
@@ -250,19 +322,17 @@ class PeeledCSR:
         degrees never change (INV-1).  Cost: O(Vol(peeled)) plus an O(n)
         bincount, with no Python per-edge loop.
         """
-        idx = np.unique(
-            np.asarray(
-                indices if isinstance(indices, np.ndarray) else list(indices),
-                dtype=np.int64,
-            )
-        )
+        idx = _sorted_unique(indices)
         if idx.size:
             idx = idx[self.alive[idx]]
         if idx.size == 0:
             return 0
+        proper, loops = self.proper_degree, self.loops
         # The alive mask and residual loops are kernel inputs; any cached
-        # walk workspace (gather/scatter caches) would go stale with them.
+        # walk workspace (gather/scatter caches) or subset gather would go
+        # stale with them.
         self._ws = None
+        self._gather = None
         self.alive[idx] = False
         row_id, flat = self.base.flat_adjacency(idx)
         boundary = 0
@@ -271,15 +341,15 @@ class PeeledCSR:
             boundary = int(targets.size)
             if boundary:
                 compensation = np.bincount(targets, minlength=self.base.n)
-                self.proper_degree -= compensation
-                self.loops += compensation
+                proper -= compensation
+                loops += compensation
         # Residual proper degrees of the peeled rows still count their
         # alive-at-call-time neighbors: 2·(internal edges) + boundary.
-        internal_twice = int(self.proper_degree[idx].sum()) - boundary
+        internal_twice = int(proper[idx].sum()) - boundary
         self.num_edges -= boundary + internal_twice // 2
         self.total_volume -= int(self.base.degree[idx].sum())
-        self.proper_degree[idx] = 0
-        self.loops[idx] = 0
+        proper[idx] = 0
+        loops[idx] = 0
         return int(idx.size)
 
     def compact(self) -> "PeeledCSR":
@@ -287,28 +357,33 @@ class PeeledCSR:
 
         Peels, start sampling, and workspace set-up cost O(base.n) no
         matter how few vertices remain alive, so once a view has shrunk
-        well below its index space it pays to rebuild: this gathers the
-        residual alive–alive adjacency with one masked ``flat_adjacency``
-        pass and re-indexes it into a new :class:`CSRGraph` — one O(n) scan
-        for the alive set plus O(Vol(alive) log n) numpy work, no dict
-        graph in sight.  The compact base keeps the
-        alive labels in their old relative (``repr``-sorted) order, and
-        degrees/loops carry over unchanged, so walks, sweeps, and cuts on
-        the compact view are bit-identical to the uncompacted ones.
-        :func:`maybe_compact` applies the 2× shrink heuristic.
+        well below its index space it pays to rebuild: this takes the
+        residual alive–alive adjacency from one masked ``flat_adjacency``
+        gather (the one :meth:`for_subset` already made, for a view fresh
+        from it) and re-indexes it into a new :class:`CSRGraph` —
+        O(Vol(alive) log |alive|) numpy work, plus an O(n) scan for the
+        alive set of a peeled view, no dict graph in sight.  Residual
+        degrees are the gather's row counts and loops make up the rest of
+        each base degree (INV-1), so a fresh subset view is compacted
+        without ever building its length-``n`` arrays.  The compact base
+        keeps the alive labels in their old relative (ascending index)
+        order, and degrees/loops carry over unchanged, so walks, sweeps,
+        and cuts on the compact view are bit-identical to the uncompacted
+        ones.  :func:`maybe_compact` applies the 2× shrink heuristic.
         """
-        idx = self.alive_indices()
-        _, flat = self.flat_adjacency(idx)
+        idx, row_id, flat = self._alive_gather()
+        counts = np.bincount(row_id, minlength=idx.size)
         indptr = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(self.proper_degree[idx], out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
         dtype = csr_kernels.choose_index_dtype(idx.size, int(indptr[-1]))
+        labels = self.base.vertices
         base = CSRGraph(
             indptr=indptr.astype(dtype, copy=False),
             # every gathered neighbor is alive, so its new index is its
             # rank in ``idx``: a binary search, no length-n remap array
             indices=np.searchsorted(idx, flat).astype(dtype, copy=False),
-            loops=self.loops[idx].copy(),
-            vertices=[self.base.vertices[int(i)] for i in idx],
+            loops=self.base.degree[idx] - counts,
+            vertices=[labels[i] for i in idx.tolist()],
         )
         return PeeledCSR.full(base)
 
@@ -321,11 +396,10 @@ class PeeledCSR:
         workload: a cluster's view yields the edges whose wedges the
         cluster is responsible for closing (:mod:`repro.triangles`).
         """
-        idx = self.alive_indices()
-        if idx.size == 0:
+        idx, row_id, flat = self._alive_gather()
+        if flat.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        row_id, flat = self.flat_adjacency(idx)
         u = idx[row_id]
         keep = u < flat
         return u[keep], flat[keep]
@@ -339,13 +413,7 @@ class PeeledCSR:
         ``indices`` is treated as a set: duplicates count once, as in
         :meth:`Graph.volume` over a vertex set.
         """
-        idx = np.unique(
-            np.asarray(
-                indices if isinstance(indices, np.ndarray) else list(indices),
-                dtype=np.int64,
-            )
-        )
-        return int(self.base.degree[idx].sum())
+        return int(self.base.degree[_sorted_unique(indices)].sum())
 
     def cut_edges(self, indices: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
         """∂(S) against the alive rest, as label pairs (S-endpoint first)."""
@@ -391,44 +459,58 @@ class PeeledCSR:
     # ------------------------------------------------------------------
     # traversal / sampling
     # ------------------------------------------------------------------
-    def connected_components(self) -> list[set[Vertex]]:
-        """Alive components as label sets, ordered by smallest member index.
+    def connected_components(self) -> list[np.ndarray]:
+        """Alive components as sorted base-index arrays, by smallest member.
 
         Vertices whose residual edges are all self loops come out as
         singletons, matching the dict graph's ``connected_components`` on
-        the materialised ``G{U}``.  The ordering (ascending smallest alive
-        index = ascending smallest ``repr``) is the canonical one the
-        decomposition recursion uses on both backends.
+        the materialised ``G{U}``.  The components are found with
+        whole-array passes: every vertex starts as its own root, each
+        round hooks the larger root of every edge whose endpoints' roots
+        differ onto the smallest root it touches, and pointer jumping then
+        flattens every tree.  Roots only ever decrease, so each
+        component's root ends at its smallest index, which orders the
+        components.  On a dict host's snapshot that is ascending smallest
+        ``repr``; the decomposition recursion sorts pieces by ``repr``
+        itself, whatever the host.
         """
-        unvisited = self.alive.copy()
-        components: list[set[Vertex]] = []
-        labels = self.base.vertices
-        for start in np.flatnonzero(self.alive):
-            if not unvisited[start]:
-                continue
-            unvisited[start] = False
-            member = [int(start)]
-            frontier = np.asarray([start], dtype=np.int64)
-            while frontier.size:
-                _, flat = self.flat_adjacency(frontier)
-                if flat.size == 0:
+        idx, row_id, flat = self._alive_gather()
+        if idx.size == 0:
+            return []
+        u = idx[row_id]
+        once = u < flat
+        u, v = u[once], flat[once].astype(np.int64)
+        parent = np.arange(self.base.n, dtype=np.int64)
+        while u.size:
+            pu, pv = parent[u], parent[v]
+            differ = pu != pv
+            if not differ.any():
+                break
+            u, v, pu, pv = u[differ], v[differ], pu[differ], pv[differ]
+            np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
                     break
-                fresh = np.unique(flat[unvisited[flat]])
-                unvisited[fresh] = False
-                member.extend(int(i) for i in fresh)
-                frontier = fresh
-            components.append({labels[i] for i in member})
-        return components
+                parent = jumped
+        roots = parent[idx]
+        order = np.argsort(roots, kind="stable")
+        members = idx[order]
+        ordered_roots = roots[order]
+        starts = np.flatnonzero(ordered_roots[1:] != ordered_roots[:-1]) + 1
+        return np.split(members, starts)
 
     def sample_start(self, rng: np.random.Generator) -> Optional[int]:
         """Degree-proportional alive start index (ψ_V), or ``None`` if empty.
 
-        Consumes the RNG stream exactly like the dict path's
-        :func:`repro.utils.rng.sample_by_degree` over ``repr``-sorted
-        positive-degree vertices (same weight vector, same
-        :func:`~repro.utils.rng.sample_index_by_weight` call), which is what
-        keeps dict and peeled runs of RandomNibble in lockstep for a shared
-        seed.
+        Draws over the positive-degree alive vertices in ascending index
+        order with :func:`~repro.utils.rng.sample_index_by_weight`.  On a
+        dict host's snapshot (:meth:`CSRGraph.from_graph`) that order is
+        ``repr`` order, so the draw consumes the RNG stream exactly like the
+        dict path's :func:`repro.utils.rng.sample_by_degree` over
+        ``repr``-sorted vertices (same weight vector, same call), which is
+        what keeps dict and peeled runs of RandomNibble in lockstep for a
+        shared seed; a CSR host draws in its own index order.
         """
         idx = self.alive_indices()
         if idx.size:
@@ -451,7 +533,7 @@ class PeeledCSR:
 
         The result equals ``induced_with_loops(alive labels)`` of the
         snapshotted graph with every prior peel's Remove-j compensation
-        applied — vertices in ascending index (``repr``) order.
+        applied — vertices in ascending index order.
         """
         labels = self.base.vertices
         idx = self.alive_indices()

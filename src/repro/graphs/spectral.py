@@ -135,24 +135,50 @@ def _lambda2_power_iteration(
     return lam2, x
 
 
+def _scipy_sparse():
+    """The ``scipy.sparse`` module, or ``None`` where scipy is not installed."""
+    try:
+        import scipy.sparse as sparse
+    except ImportError:
+        return None
+    return sparse
+
+
+def _unit_adjacency(graph: CSRGraph, sparse):
+    """A snapshot's proper adjacency as a ``scipy.sparse`` CSR matrix of ones.
+
+    ``adjacency @ y`` sums each row's terms from 0.0 in ascending column
+    order — the order in which a ``flat_adjacency`` gather plus
+    ``np.bincount`` adds them — and multiplying by 1.0 is exact, so the
+    product is bit-identical to that gather-and-count form.
+    """
+    return sparse.csr_matrix(
+        (np.ones(graph.indices.size), graph.indices, graph.indptr),
+        shape=(graph.n, graph.n),
+    )
+
+
 def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     """(λ₂, Fiedler vector) by a *converged* scipy Lanczos solve, or ``None``.
 
     Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L`` (its two largest
     eigenvalues are 2 - λ₁ and 2 - λ₂, well-separated extremes that Lanczos
-    handles robustly).  Returns ``None`` when scipy is unavailable or ARPACK
-    fails to converge — callers choose their own fallback: certification
-    falls back to the best-effort power iteration, while the fast path's
-    pre-check refuses to skip work on an unconverged estimate.
+    handles robustly).  ARPACK is handed an operator whose matvec is the
+    CSR product ``shifted @ x`` itself — the ``csr_matvec`` the generic
+    ``LinearOperator`` wrapping of a sparse matrix ends in, without the
+    wrapper's per-call checks.  Returns ``None`` when scipy is unavailable
+    or ARPACK fails to converge — callers choose their own fallback:
+    certification falls back to the best-effort power iteration, while
+    the fast path's pre-check refuses to skip work on an unconverged
+    estimate.
     """
     n = graph.n
     deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    try:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import ArpackError, eigsh
-    except ImportError:
+    sp = _scipy_sparse()
+    if sp is None:
         return None
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     # Matrix assembly stays outside the solver try/except: a construction
     # bug must propagate, not be papered over by the iterative fallback.
     row = np.repeat(np.arange(n), graph.proper_degree)
@@ -163,12 +189,21 @@ def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     lap = sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
     lap = lap + sp.diags(diagonal)
     shifted = sp.identity(n, format="csr") * 2.0 - lap
+
+    class Shifted(LinearOperator):
+        def _matvec(self, x):
+            return shifted @ x
+
+        matvec = _matvec
+
     # A fixed ARPACK start vector keeps this a pure function of the graph;
     # without v0 ARPACK seeds from global RNG state and two calls on the
     # same graph return slightly different (even sign-flipped) eigenpairs.
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        values, vectors = eigsh(shifted, k=2, which="LM", v0=v0)
+        values, vectors = eigsh(
+            Shifted(shifted.dtype, shifted.shape), k=2, which="LM", v0=v0
+        )
     except ArpackError:
         return None
     lam = 2.0 - values
@@ -194,7 +229,7 @@ def spectral_gap(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     """Second-smallest eigenvalue of the normalised Laplacian (λ₂).
 
     Returns 0.0 for graphs with fewer than two vertices or no edges.  Exact
-    (dense ``eigvalsh`` of :func:`_masked_dense_laplacian`) up to
+    (dense ``eigvalsh`` of :func:`_masked_dense_laplacians`) up to
     :data:`DENSE_EIGH_LIMIT` vertices, sparse iterative on the compacted
     view beyond.
     """
@@ -204,8 +239,8 @@ def spectral_gap(graph: "Graph | CSRGraph | PeeledCSR") -> float:
         return 0.0
     if idx.size > DENSE_EIGH_LIMIT:
         return _lambda2_sparse_csr(view.compact().base)[0]
-    lap, _ = _masked_dense_laplacian(view, idx)
-    eigenvalues = np.linalg.eigvalsh(lap)
+    laps, _ = _masked_dense_laplacians(view, [idx])
+    eigenvalues = np.linalg.eigvalsh(laps[0])
     eigenvalues.sort()
     return float(max(0.0, eigenvalues[1]))
 
@@ -258,33 +293,43 @@ class SpectralCertificate:
         return self.lam2 / 2.0
 
 
-def _masked_dense_laplacian(
-    view: PeeledCSR, idx: np.ndarray
+def _masked_dense_laplacians(
+    view: PeeledCSR, pieces: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dense normalised Laplacian, degree vector) of an alive index set.
+    """(dense normalised Laplacians, degree vectors) of equal-size index sets.
 
-    ``idx`` must be closed under the view's alive adjacency — the whole
+    Each piece must be closed under the view's alive adjacency — the whole
     alive set, or one connected component of it — so that ``view.loops``
-    already carries every Remove-j compensation the set sees.  Matrix rows
-    follow ascending base index, the order of the score arrays.  Self loops
-    add degree mass but no off-diagonal coupling, so the diagonal subtracts
-    their share ``loops / deg``.
+    already carries every Remove-j compensation the set sees.  Slice ``s``
+    of the ``(len(pieces), k, k)`` stack is the Laplacian of ``pieces[s]``,
+    rows in ascending base index, the order of the score arrays; all the
+    pieces are assembled with one adjacency gather, and every entry is the
+    same expression whether a piece is assembled alone or stacked.  Self
+    loops add degree mass but no off-diagonal coupling, so the diagonal
+    subtracts their share ``loops / deg``.
     """
-    k = idx.size
-    degrees = view.degree[idx].astype(float)
+    count, k = len(pieces), len(pieces[0])
+    rows = np.concatenate(pieces)
+    degrees = view.degree[rows].astype(float)
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-12)), 0.0)
-    lap = np.eye(k)
-    row_id, flat = view.flat_adjacency(idx)
-    if flat.size:
-        local = np.searchsorted(idx, flat)
-        lap[row_id, local] -= inv_sqrt[row_id] * inv_sqrt[local]
-    loops = view.loops[idx]
+    laps = np.zeros((count, k, k))
     diag = np.arange(k)
-    positive = degrees > 0
-    lap[diag[positive], diag[positive]] -= (
+    laps[:, diag, diag] = 1.0
+    row_id, flat = view.flat_adjacency(rows)
+    if flat.size:
+        # A neighbour lies in its row's piece, and each piece is sorted,
+        # so (piece, index) keys ascend along ``rows``: a binary search
+        # gives the neighbour's stacked position.
+        slot = row_id // k
+        keys = np.repeat(np.arange(count, dtype=np.int64), k) * view.n + rows
+        column = np.searchsorted(keys, slot * view.n + flat)
+        laps[slot, row_id % k, column % k] -= inv_sqrt[row_id] * inv_sqrt[column]
+    loops = view.loops[rows]
+    positive = np.flatnonzero(degrees > 0)
+    laps[positive // k, positive % k, positive % k] -= (
         loops[positive] * inv_sqrt[positive]
     ) * inv_sqrt[positive]
-    return lap, degrees
+    return laps, degrees.reshape(count, k)
 
 
 def _embedding_scores(fiedler: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -303,7 +348,7 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
     The scores are aligned with the view's alive vertices in ascending
     index order.  Up to :data:`DENSE_EIGH_LIMIT` alive vertices the
     Laplacian is assembled off the masked surface
-    (:func:`_masked_dense_laplacian`) and solved exactly with ``eigh``;
+    (:func:`_masked_dense_laplacians`) and solved exactly with ``eigh``;
     beyond, the view is compacted and solved by the sparse iterative path
     (scipy Lanczos or deflated power iteration) — see the module docstring
     for the accuracy caveat.  With fewer than two alive vertices or no
@@ -318,10 +363,10 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
         csr = view.compact().base
         lam2, fiedler = _lambda2_sparse_csr(csr)
         return _embedding_scores(fiedler, csr.degree.astype(float)), lam2
-    lap, degrees = _masked_dense_laplacian(view, idx)
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    laps, degrees = _masked_dense_laplacians(view, [idx])
+    eigenvalues, eigenvectors = np.linalg.eigh(laps[0])
     lam2 = float(max(0.0, eigenvalues[1]))
-    return _embedding_scores(eigenvectors[:, 1], degrees), lam2
+    return _embedding_scores(eigenvectors[:, 1], degrees[0]), lam2
 
 
 def sweep_cut(
@@ -448,15 +493,15 @@ def conductance_lower_bound(
     :class:`SpectralCertificate` is reusable by :func:`certify_conductance`,
     so the pre-check and the authoritative final check share one
     eigensolve).  Larger graphs go in two stages,
-    both on the *compacted* surface — no dict materialisation, no dense
-    eigh:
+    both on the *compacted* graph's CSR matrices through ``scipy.sparse``
+    — no dict materialisation, no dense eigh:
 
     1. a few deflated power-iteration blocks
        (:func:`_iterative_cheeger_bound`) *screen* the graph — on
        cut-bearing working graphs (the common mid-loop case) the Rayleigh
        quotient collapses below 2φ within a block or two and the
-       pre-check bails for the price of a handful of matvecs, with no
-       certificate;
+       pre-check bails for the price of a handful of sparse matvecs, with
+       no certificate;
     2. only when the screen believes φ is cleared does the *converged*
        Lanczos solve (:func:`_lambda2_eigsh`) run, and its λ₂ — accurate
        to solver tolerance, not a truncated iterate — is what the
@@ -467,9 +512,15 @@ def conductance_lower_bound(
        as a ``"lanczos"`` certificate, built exactly as
        :func:`fiedler_scores` builds its sparse result, so above
        :data:`DENSE_EIGH_LIMIT` certification reuses it instead of
-       compacting and solving the graph again.  Without scipy (or when
-       ARPACK does not converge) the confirmation is unavailable: the
-       bound is clamped below φ (no skip) and no certificate is returned.
+       compacting and solving the graph again.  When ARPACK does not
+       converge the confirmation is unavailable: the bound is clamped
+       below φ (no skip) and no certificate is returned.
+
+    Without scipy neither stage runs: the screen's only job is to decide
+    whether the Lanczos confirmation is worth running, and without scipy
+    there is none, so the pre-check returns 0.0 — a bound that never
+    clears φ — and no certificate.  The decomposition then runs its
+    batches and certifies through the power iteration.
 
     The iterative path always runs on a *compacted* view, so the bound,
     the skip decision and the certificate are pure functions of the
@@ -484,8 +535,11 @@ def conductance_lower_bound(
     if num_vertices <= min(PRECHECK_DENSE_LIMIT, DENSE_EIGH_LIMIT):
         scores, lam2 = fiedler_scores(view)
         return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="dense")
+    sparse = _scipy_sparse()
+    if sparse is None:
+        return 0.0, None  # no confirmation exists, so nothing to screen for
     view = view.compact()
-    screen = _iterative_cheeger_bound(view, phi)
+    screen = _iterative_cheeger_bound(view.base, phi, sparse)
     if phi is not None and screen <= phi + PRECHECK_MARGIN:
         return min(screen, phi), None  # the screen already rules the skip out
     confirmed = _lambda2_eigsh(view.base)
@@ -502,9 +556,10 @@ def batched_component_certificates(
 ) -> list[Optional[SpectralCertificate]]:
     """Exact spectral certificates for sibling components, eigh-batched.
 
-    ``pieces`` are the connected components of ``view`` (label sets, as
+    ``pieces`` are connected components of ``view`` as sorted arrays of
+    the view's base indices, as
     :meth:`~repro.graphs.peel.PeeledCSR.connected_components` returns
-    them).  All components of the same size up to
+    them.  All components of the same size up to
     :data:`PRECHECK_DENSE_LIMIT` vertices are solved in stacked
     ``numpy.linalg.eigh`` calls — one LAPACK dispatch per size class
     instead of one per component, which is where a many-component
@@ -520,24 +575,15 @@ def batched_component_certificates(
         size = len(piece)
         if 2 <= size <= PRECHECK_DENSE_LIMIT:
             groups.setdefault(size, []).append(position)
-    index = view.index
     for size, members in groups.items():
         # Chunk so one stack stays comfortably in memory even for many
         # mid-sized components (k · size² doubles per chunk).
         chunk = max(1, 4_000_000 // (size * size))
         for begin in range(0, len(members), chunk):
             part = members[begin : begin + chunk]
-            laps = np.empty((len(part), size, size))
-            piece_degrees = []
-            for slot, position in enumerate(part):
-                idx = np.fromiter(
-                    sorted(index[v] for v in pieces[position]),
-                    dtype=np.int64,
-                    count=size,
-                )
-                lap, degrees = _masked_dense_laplacian(view, idx)
-                laps[slot] = lap
-                piece_degrees.append(degrees)
+            laps, piece_degrees = _masked_dense_laplacians(
+                view, [pieces[position] for position in part]
+            )
             eigenvalues, eigenvectors = np.linalg.eigh(laps)
             for slot, position in enumerate(part):
                 lam2 = float(max(0.0, eigenvalues[slot, 1]))
@@ -555,12 +601,13 @@ PRECHECK_BLOCK_ITERATIONS = 32
 PRECHECK_MAX_BLOCKS = 16
 
 
-def _iterative_cheeger_bound(view: PeeledCSR, phi: Optional[float]) -> float:
-    """Cheap λ₂/2 *screen* by deflated power iteration on a masked view.
+def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float], sparse) -> float:
+    """Cheap λ₂/2 *screen* by deflated power iteration on a compact graph.
 
-    Iterates ``x ← (2I − L)x`` against the masked Laplacian (the matvec
-    gathers only alive rows, so a peeled working view is consumed directly)
-    while re-orthogonalising against the known kernel D^{1/2}·1.  After
+    Iterates ``x ← (2I − L)x`` against the normalised Laplacian of the
+    compacted working graph, whose adjacency product runs as one
+    ``scipy.sparse`` CSR matvec per step (:func:`_unit_adjacency`), while
+    re-orthogonalising against the known kernel D^{1/2}·1.  After
     each block the Rayleigh quotient θ and residual r = ‖Lx − θx‖ are
     measured and ``max(0, θ − 2r)/2`` is the candidate screen value.
 
@@ -575,27 +622,20 @@ def _iterative_cheeger_bound(view: PeeledCSR, phi: Optional[float]) -> float:
     (:func:`conductance_lower_bound`), whose λ₂ is what any batch skip
     actually stands on.
     """
-    n = view.n
-    alive = view.alive
-    rows = view.alive_indices()
-    deg = np.where(alive, view.degree, 0).astype(float)
+    n = graph.n
+    deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    loops_share = np.where(deg > 0, view.loops / np.maximum(deg, 1e-12), 0.0)
-    row_id, flat = view.flat_adjacency(rows)
+    loops_share = np.where(deg > 0, graph.loops / np.maximum(deg, 1e-12), 0.0)
+    adjacency = _unit_adjacency(graph, sparse)
 
     def laplacian_matvec(x: np.ndarray) -> np.ndarray:
-        y = inv_sqrt * x
-        ay = np.zeros(n)
-        if flat.size:
-            ay[rows] = np.bincount(row_id, weights=y[flat], minlength=rows.size)
-        return x - inv_sqrt * ay - loops_share * x
+        return x - inv_sqrt * (adjacency @ (inv_sqrt * x)) - loops_share * x
 
     kernel = np.sqrt(np.maximum(deg, 0.0))
     norm = np.linalg.norm(kernel)
     if norm > 0:
         kernel /= norm
     x = np.random.default_rng(0).standard_normal(n)
-    x[~alive] = 0.0
     best = 0.0
     for _ in range(PRECHECK_MAX_BLOCKS):
         for _ in range(PRECHECK_BLOCK_ITERATIONS):

@@ -67,36 +67,36 @@ def split_stream(root: int, *spawn_key: int) -> np.random.Generator:
     )
 
 
-def component_stream_key(vertices) -> int:
+def component_stream_key(smallest_repr: str) -> int:
     """A stable 63-bit stream key for a component: its smallest ``repr``, hashed.
 
     The expander decomposition addresses each searched component's
-    randomness as ``split_stream(root, depth, component_stream_key(subset))``
-    — derived from *what* the component is, never from when or where it is
+    randomness as ``split_stream(root, depth, component_stream_key(r))``,
+    where ``r`` is the smallest ``repr`` among the component's vertices —
+    derived from *what* the component is, never from when or where it is
     scheduled, so sibling subtrees can decompose concurrently (or in any
     order) and still draw exactly the streams the sequential recursion
-    draws.  The key is the SHA-256 of the component's smallest vertex
-    ``repr``, which identifies it uniquely among the components that can
-    share a ``(root, depth)`` address: only *connected* subsets reach the
-    cut search, and the searched subsets at one recursion depth are
-    pairwise disjoint (a disconnected subset splits into its pieces without
-    consuming a key; cut children descend to depth + 1), so their smallest
-    reprs differ.  SHA-256 rather than ``hash()`` because the builtin
-    string hash is salted per process — a pool worker must derive the same
-    key the driver would.
+    draws.  The key is the SHA-256 of that ``repr``, which identifies the
+    component uniquely among the components that can share a ``(root,
+    depth)`` address: only *connected* subsets reach the cut search, and
+    the searched subsets at one recursion depth are pairwise disjoint (a
+    disconnected subset splits into its pieces without consuming a key;
+    cut children descend to depth + 1), so their smallest reprs differ.
+    SHA-256 rather than ``hash()`` because the builtin string hash is
+    salted per process — a pool worker must derive the same key the
+    driver would.
     """
     import hashlib
 
-    smallest = min(map(repr, vertices))
-    digest = hashlib.sha256(smallest.encode("utf-8")).digest()
+    digest = hashlib.sha256(smallest_repr.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def subtree_journal_key(depth: int, vertices) -> tuple[int, int, int]:
+def subtree_journal_key(depth: int, smallest_repr: str, size: int) -> tuple[int, int, int]:
     """The checkpoint address of one recursion subtree: collision-free per run.
 
     The :class:`~repro.resilience.journal.RunJournal` keys each completed
-    subtree by ``(depth, component_stream_key(subset), len(subset))`` —
+    subtree by ``(depth, component_stream_key(smallest_repr), size)`` —
     the same content-derived address that names the subtree's randomness,
     so a journal written by a pooled run replays into a sequential one
     and vice versa.  Collision-freedom within a run: subtrees rooted at
@@ -108,7 +108,7 @@ def subtree_journal_key(depth: int, vertices) -> tuple[int, int, int]:
     the third field separates.  Cut children descend to ``depth + 1``,
     so an ancestor can never collide with a descendant across depths.
     """
-    return (int(depth), component_stream_key(vertices), len(vertices))
+    return (int(depth), component_stream_key(smallest_repr), int(size))
 
 
 def task_stream(root: int, batch_index: int, instance_index: int) -> np.random.Generator:

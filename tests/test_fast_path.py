@@ -290,7 +290,8 @@ class TestSpectralPrecheck:
         hints = batched_component_certificates(view, pieces)
         assert all(h is not None and h.solver == "dense" for h in hints)
         for piece, hint in zip(pieces, hints):
-            solo_bound, solo_cert = conductance_lower_bound(g.induced_with_loops(piece))
+            labels = [view.vertices[i] for i in piece]
+            solo_bound, solo_cert = conductance_lower_bound(g.induced_with_loops(labels))
             assert solo_cert is not None
             assert hint.lam2 == solo_cert.lam2
             assert np.array_equal(hint.scores, solo_cert.scores)

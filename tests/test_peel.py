@@ -222,11 +222,16 @@ class TestMaskedKernels:
             base = CSRGraph.from_graph(g)
             view = PeeledCSR.for_subset(base, (base.index[v] for v in subset))
             work = g.induced_with_loops(subset)
-            got = view.connected_components()
+            pieces = view.connected_components()
+            for piece in pieces:
+                assert piece.dtype == np.int64
+                assert np.array_equal(piece, np.unique(piece))  # sorted
+            firsts = [int(piece[0]) for piece in pieces]
+            assert firsts == sorted(firsts)  # ascending smallest index
+            got = [frozenset(view.vertices[i] for i in piece) for piece in pieces]
             expected = work.connected_components()
-            assert sorted(map(frozenset, got), key=repr) == sorted(
-                map(frozenset, expected), key=repr
-            )
+            assert sorted(got, key=repr) == sorted(map(frozenset, expected), key=repr)
+            # a dict host's snapshot indexes in repr order
             reps = [min(map(repr, piece)) for piece in got]
             assert reps == sorted(reps)  # ascending smallest-repr order
 
