@@ -777,7 +777,8 @@ def expander_decomposition(
     finally:
         if owned_engine:
             engine.close()
-    if journal is not None and _finished(outcome):
+    if journal is not None and _finished(outcome) and top.size:
+        # An empty host has no subtree to address; it replays as it ran.
         journal.record(_journal_key(ctx, 0, top), outcome)
     for level_report in outcome.reports:
         report.add_child(level_report)

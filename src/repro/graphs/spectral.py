@@ -22,13 +22,16 @@ the degrees but not in the off-diagonal coupling, which is exactly how
 Up to :data:`DENSE_EIGH_LIMIT` alive vertices the eigenproblem is solved
 densely (``numpy.linalg.eigh``, exact to machine precision).  Beyond it a
 dense n x n Laplacian is infeasible, so the view is compacted and λ₂ and the
-Fiedler vector come from a sparse iterative solve over the compact CSR
-adjacency — a converged ``scipy.sparse.linalg.eigsh`` (Lanczos) solve when
-scipy is installed and ARPACK converges, otherwise a deflated power
-iteration in pure numpy.  The iterative values are accurate to solver
+Fiedler vector come from a converged ``scipy.sparse.linalg.eigsh`` (Lanczos)
+solve over the compact CSR adjacency.  Its values are accurate to solver
 tolerance rather than machine precision, so large-component certification
 is best-effort in the same sense as PRACTICAL-mode parameters (see
-EXPERIMENTS.md).
+EXPERIMENTS.md).  When ARPACK does not converge there is no value to stand
+on: :func:`spectral_gap` and :func:`fiedler_scores` raise, certification
+reports the graph uncertified and the pre-check does not skip.  scipy is
+imported inside the routines that solve sparsely, so a run whose working
+graphs all stay within :data:`PRECHECK_DENSE_LIMIT` vertices never loads
+it.
 
 The Fiedler embedding ``x / sqrt(deg)`` is one float64 array aligned with
 the view's alive vertices in ascending base-index order — the order
@@ -62,7 +65,7 @@ from .graph import Graph
 from .peel import PeeledCSR
 
 #: Largest vertex count solved with dense ``numpy.linalg.eigh``; larger
-#: graphs use the sparse iterative path (scipy Lanczos or power iteration).
+#: graphs are compacted and solved by Lanczos (:func:`_lambda2_eigsh`).
 DENSE_EIGH_LIMIT = 1500
 
 #: Absolute safety margin of the certification fast path's pre-check: the
@@ -75,76 +78,16 @@ PRECHECK_MARGIN = 1e-9
 
 #: Largest vertex count the *pre-check* solves densely.  Smaller than
 #: :data:`DENSE_EIGH_LIMIT` because the pre-check re-runs on every change
-#: of the working graph: a dense solve must stay far cheaper than the
-#: ParallelNibble batch it might save, while certification pays its one
-#: dense solve per component regardless.
+#: of the working graph.  At 1 000–1 500 vertices, with one BLAS thread,
+#: a dense solve takes 0.19–0.66 s, while the screen bails in 2–3 ms on a
+#: graph with a sparse cut and screen plus Lanczos take 14–23 ms on an
+#: expander (EXPERIMENTS.md, "One certificate path").  Raising the limit
+#: would spare a 513–1 500-vertex component's second solve, but would make
+#: each of its pre-checks 10 to 300 times slower.
 PRECHECK_DENSE_LIMIT = 512
 
 
-def _lambda2_power_iteration(
-    graph: CSRGraph, iterations: int = 400, seed: int = 0
-) -> tuple[float, np.ndarray]:
-    """(λ₂, Fiedler vector) by deflated power iteration — the scipy-free path.
-
-    The normalised Laplacian's kernel vector D^{1/2}·1 is known exactly, so
-    iterating ``x ← (2I - L)x`` while re-orthogonalising against it converges
-    to the eigenpair of the second-smallest eigenvalue.  Accuracy is limited
-    by the iteration budget (fine for the decomposition's certification of
-    genuine expanders, whose spectral gap makes convergence fast); callers
-    needing machine precision must stay under :data:`DENSE_EIGH_LIMIT`.
-
-    The raw Rayleigh quotient of any deflated vector upper-bounds λ₂ — the
-    *unsafe* direction for certification, since an unconverged iterate would
-    overestimate the gap.  The returned value is therefore the Rayleigh
-    quotient minus the residual norm ``‖Lx - θx‖``: there is always an
-    eigenvalue within the residual of θ, so the shift counters the one-sided
-    bias (without being a fully rigorous lower bound on λ₂ — see the module
-    docstring's best-effort caveat).
-    """
-    n = graph.n
-    deg = graph.degree.astype(float)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    loops_share = np.where(deg > 0, graph.loops / np.maximum(deg, 1e-12), 0.0)
-    row = np.repeat(np.arange(n), graph.proper_degree)
-
-    def laplacian_matvec(x: np.ndarray) -> np.ndarray:
-        y = inv_sqrt * x
-        ay = np.bincount(row, weights=y[graph.indices], minlength=n)
-        return x - inv_sqrt * ay - loops_share * x
-
-    kernel = np.sqrt(np.maximum(deg, 0.0))
-    norm = np.linalg.norm(kernel)
-    if norm > 0:
-        kernel /= norm
-    x = np.random.default_rng(seed).standard_normal(n)
-    for _ in range(iterations):
-        x -= kernel * (kernel @ x)
-        x = 2.0 * x - laplacian_matvec(x)
-        norm = np.linalg.norm(x)
-        if norm == 0:
-            break
-        x /= norm
-    x -= kernel * (kernel @ x)
-    norm = np.linalg.norm(x)
-    if norm > 0:
-        x /= norm
-    lx = laplacian_matvec(x)
-    theta = float(x @ lx)
-    residual = float(np.linalg.norm(lx - theta * x))
-    lam2 = max(0.0, theta - residual)
-    return lam2, x
-
-
-def _scipy_sparse():
-    """The ``scipy.sparse`` module, or ``None`` where scipy is not installed."""
-    try:
-        import scipy.sparse as sparse
-    except ImportError:
-        return None
-    return sparse
-
-
-def _unit_adjacency(graph: CSRGraph, sparse):
+def _unit_adjacency(graph: CSRGraph):
     """A snapshot's proper adjacency as a ``scipy.sparse`` CSR matrix of ones.
 
     ``adjacency @ y`` sums each row's terms from 0.0 in ascending column
@@ -152,35 +95,33 @@ def _unit_adjacency(graph: CSRGraph, sparse):
     ``np.bincount`` adds them — and multiplying by 1.0 is exact, so the
     product is bit-identical to that gather-and-count form.
     """
+    import scipy.sparse as sparse
+
     return sparse.csr_matrix(
         (np.ones(graph.indices.size), graph.indices, graph.indptr),
         shape=(graph.n, graph.n),
     )
 
 
-def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
-    """(λ₂, Fiedler vector) by a *converged* scipy Lanczos solve, or ``None``.
+def _lambda2_eigsh(graph: CSRGraph) -> tuple[float, np.ndarray]:
+    """(λ₂, Fiedler vector) of a CSR snapshot by a *converged* Lanczos solve.
 
     Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L`` (its two largest
     eigenvalues are 2 - λ₁ and 2 - λ₂, well-separated extremes that Lanczos
     handles robustly).  ARPACK is handed an operator whose matvec is the
     CSR product ``shifted @ x`` itself — the ``csr_matvec`` the generic
     ``LinearOperator`` wrapping of a sparse matrix ends in, without the
-    wrapper's per-call checks.  Returns ``None`` when scipy is unavailable
-    or ARPACK fails to converge — callers choose their own fallback:
-    certification falls back to the best-effort power iteration, while
-    the fast path's pre-check refuses to skip work on an unconverged
-    estimate.
+    wrapper's per-call checks.  When ARPACK does not converge its
+    ``ArpackNoConvergence`` propagates: no caller may stand on an
+    unconverged iterate, and each decides what no answer means — the
+    pre-check refuses to skip, certification reports the graph uncertified.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = graph.n
     deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    sp = _scipy_sparse()
-    if sp is None:
-        return None
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-    # Matrix assembly stays outside the solver try/except: a construction
-    # bug must propagate, not be papered over by the iterative fallback.
     row = np.repeat(np.arange(n), graph.proper_degree)
     data = -inv_sqrt[row] * inv_sqrt[graph.indices]
     diagonal = np.ones(n)
@@ -200,29 +141,13 @@ def _lambda2_eigsh(graph: CSRGraph) -> Optional[tuple[float, np.ndarray]]:
     # without v0 ARPACK seeds from global RNG state and two calls on the
     # same graph return slightly different (even sign-flipped) eigenpairs.
     v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        values, vectors = eigsh(
-            Shifted(shifted.dtype, shifted.shape), k=2, which="LM", v0=v0
-        )
-    except ArpackError:
-        return None
+    values, vectors = eigsh(
+        Shifted(shifted.dtype, shifted.shape), k=2, which="LM", v0=v0
+    )
     lam = 2.0 - values
     order = np.argsort(lam)
     lam2 = float(max(0.0, lam[order[1]]))
     return lam2, vectors[:, order[1]]
-
-
-def _lambda2_sparse_csr(graph: CSRGraph) -> tuple[float, np.ndarray]:
-    """(λ₂, Fiedler vector) of a CSR snapshot by a sparse iterative solve.
-
-    The converged Lanczos solve (:func:`_lambda2_eigsh`) when available,
-    otherwise the best-effort deflated power iteration
-    (:func:`_lambda2_power_iteration`).
-    """
-    solved = _lambda2_eigsh(graph)
-    if solved is None:
-        return _lambda2_power_iteration(graph)
-    return solved
 
 
 def spectral_gap(graph: "Graph | CSRGraph | PeeledCSR") -> float:
@@ -230,15 +155,16 @@ def spectral_gap(graph: "Graph | CSRGraph | PeeledCSR") -> float:
 
     Returns 0.0 for graphs with fewer than two vertices or no edges.  Exact
     (dense ``eigvalsh`` of :func:`_masked_dense_laplacians`) up to
-    :data:`DENSE_EIGH_LIMIT` vertices, sparse iterative on the compacted
-    view beyond.
+    :data:`DENSE_EIGH_LIMIT` vertices, a converged Lanczos solve of the
+    compacted view beyond; when ARPACK does not converge there, scipy's
+    ``ArpackNoConvergence`` is raised.
     """
     view = PeeledCSR.from_graph(graph)
     idx = view.alive_indices()
     if idx.size < 2 or view.total_volume == 0:
         return 0.0
     if idx.size > DENSE_EIGH_LIMIT:
-        return _lambda2_sparse_csr(view.compact().base)[0]
+        return _lambda2_eigsh(view.compact().base)[0]
     laps, _ = _masked_dense_laplacians(view, [idx])
     eigenvalues = np.linalg.eigvalsh(laps[0])
     eigenvalues.sort()
@@ -279,8 +205,8 @@ class SpectralCertificate:
     certificate substitutes for certification's own eigensolve only when it
     names the solver certification would run on that graph (dense up to
     :data:`DENSE_EIGH_LIMIT` vertices, Lanczos above), so the substitution
-    never changes a bit of the result.  The power-iteration screen and
-    fallback never yield a certificate.
+    never changes a bit of the result.  The pre-check's power-iteration
+    screen never yields a certificate.
     """
 
     lam2: float
@@ -349,9 +275,10 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
     index order.  Up to :data:`DENSE_EIGH_LIMIT` alive vertices the
     Laplacian is assembled off the masked surface
     (:func:`_masked_dense_laplacians`) and solved exactly with ``eigh``;
-    beyond, the view is compacted and solved by the sparse iterative path
-    (scipy Lanczos or deflated power iteration) — see the module docstring
-    for the accuracy caveat.  With fewer than two alive vertices or no
+    beyond, the view is compacted and solved by Lanczos
+    (:func:`_lambda2_eigsh`) — see the module docstring for the accuracy
+    caveat — and scipy's ``ArpackNoConvergence`` is raised when ARPACK
+    does not converge.  With fewer than two alive vertices or no
     volume there is no eigenvector to embed: the scores are all zero and
     λ₂ is 0.0, as :func:`spectral_gap` reports.
     """
@@ -361,7 +288,7 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
         return np.zeros(idx.size), 0.0
     if idx.size > DENSE_EIGH_LIMIT:
         csr = view.compact().base
-        lam2, fiedler = _lambda2_sparse_csr(csr)
+        lam2, fiedler = _lambda2_eigsh(csr)
         return _embedding_scores(fiedler, csr.degree.astype(float)), lam2
     laps, degrees = _masked_dense_laplacians(view, [idx])
     eigenvalues, eigenvectors = np.linalg.eigh(laps[0])
@@ -434,7 +361,9 @@ def certify_conductance(
     ``estimate`` is exact when enumeration ran and a sweep-cut upper bound
     on Φ otherwise.  ``witness`` is the lowest-conductance cut the check
     discovered — ``None`` when certified — so a failed certificate hands the
-    caller a deterministic splitter without recomputing the spectra.
+    caller a deterministic splitter without recomputing the spectra.  Above
+    :data:`DENSE_EIGH_LIMIT` vertices, when ARPACK does not converge, there
+    is no solve to stand on and the check returns ``(False, nan, None)``.
 
     The check runs straight off the view's masked surface — no dict
     ``G{U}`` is materialised, except for the ≤ :data:`~repro.graphs.metrics
@@ -464,8 +393,15 @@ def certify_conductance(
                 f"a certificate of {len(scores)} vertices applied to a view "
                 f"with {num_vertices} alive vertices"
             )
-    else:
+    elif solver == "dense":
         scores, lam2 = fiedler_scores(view)
+    else:
+        from scipy.sparse.linalg import ArpackError
+
+        try:
+            scores, lam2 = fiedler_scores(view)
+        except ArpackError:
+            return False, math.nan, None
     if lam2 / 2.0 >= phi:
         return True, sweep_cut(view, scores).conductance, None
     if num_vertices <= EXACT_ENUMERATION_LIMIT:
@@ -516,12 +452,6 @@ def conductance_lower_bound(
        converge the confirmation is unavailable: the bound is clamped
        below φ (no skip) and no certificate is returned.
 
-    Without scipy neither stage runs: the screen's only job is to decide
-    whether the Lanczos confirmation is worth running, and without scipy
-    there is none, so the pre-check returns 0.0 — a bound that never
-    clears φ — and no certificate.  The decomposition then runs its
-    batches and certifies through the power iteration.
-
     The iterative path always runs on a *compacted* view, so the bound,
     the skip decision and the certificate are pure functions of the
     working graph's structure, whatever view or dict graph it is held in.
@@ -535,18 +465,17 @@ def conductance_lower_bound(
     if num_vertices <= min(PRECHECK_DENSE_LIMIT, DENSE_EIGH_LIMIT):
         scores, lam2 = fiedler_scores(view)
         return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="dense")
-    sparse = _scipy_sparse()
-    if sparse is None:
-        return 0.0, None  # no confirmation exists, so nothing to screen for
     view = view.compact()
-    screen = _iterative_cheeger_bound(view.base, phi, sparse)
+    screen = _iterative_cheeger_bound(view.base, phi)
     if phi is not None and screen <= phi + PRECHECK_MARGIN:
         return min(screen, phi), None  # the screen already rules the skip out
-    confirmed = _lambda2_eigsh(view.base)
-    if confirmed is None:
+    from scipy.sparse.linalg import ArpackError
+
+    try:
+        lam2, fiedler = _lambda2_eigsh(view.base)
+    except ArpackError:
         # No converged solve available: report a bound that cannot fire.
         return 0.0 if phi is None else min(screen, phi), None
-    lam2, fiedler = confirmed
     scores = _embedding_scores(fiedler, view.base.degree.astype(float))
     return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="lanczos")
 
@@ -601,7 +530,7 @@ PRECHECK_BLOCK_ITERATIONS = 32
 PRECHECK_MAX_BLOCKS = 16
 
 
-def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float], sparse) -> float:
+def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float]) -> float:
     """Cheap λ₂/2 *screen* by deflated power iteration on a compact graph.
 
     Iterates ``x ← (2I − L)x`` against the normalised Laplacian of the
@@ -626,7 +555,7 @@ def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float], sparse) -> f
     deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     loops_share = np.where(deg > 0, graph.loops / np.maximum(deg, 1e-12), 0.0)
-    adjacency = _unit_adjacency(graph, sparse)
+    adjacency = _unit_adjacency(graph)
 
     def laplacian_matvec(x: np.ndarray) -> np.ndarray:
         return x - inv_sqrt * (adjacency @ (inv_sqrt * x)) - loops_share * x

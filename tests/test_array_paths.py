@@ -6,15 +6,11 @@
 * a subset view compacted straight from its subset gather against the
   compaction of the same alive set reached by peeling, array for array;
 * the spectral screen's ``scipy.sparse`` adjacency product against the
-  gather-plus-``bincount`` form, bit for bit;
-* the pre-check and certification with ``scipy`` blocked: no screen, no
-  certificate, and large components still certify through the power
-  iteration.
+  gather-plus-``bincount`` form, bit for bit.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 
 import numpy as np
@@ -22,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decomposition import expander_decomposition
 from repro.graphs import spectral
 from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import power_law_csr, random_regular_graph
+from repro.graphs.generators import power_law_csr
 from repro.graphs.graph import Graph
 from repro.graphs.peel import PeeledCSR, maybe_compact
 
@@ -143,12 +138,11 @@ class TestDirectCompaction:
 
 class TestScreenMatvec:
     def test_sparse_product_equals_gather_and_bincount(self):
-        scipy_sparse = pytest.importorskip("scipy.sparse")
         host = power_law_csr(3000, exponent=2.0, seed=2)
         view = PeeledCSR.full(host)
         view.peel(np.arange(0, host.n, 7))
         compact = view.compact().base
-        adjacency = spectral._unit_adjacency(compact, scipy_sparse)
+        adjacency = spectral._unit_adjacency(compact)
         rows = np.arange(compact.n)
         row_id, flat = compact.flat_adjacency(rows)
         y = np.random.default_rng(5).standard_normal(compact.n)
@@ -157,52 +151,3 @@ class TestScreenMatvec:
             got = adjacency @ y
             assert got.tobytes() == expected.tobytes()
             y = got / np.linalg.norm(got)
-
-
-@pytest.fixture
-def no_scipy(monkeypatch):
-    """Make every ``import scipy...`` fail, as on an install without it."""
-    for name in list(sys.modules):
-        if name == "scipy" or name.startswith("scipy."):
-            monkeypatch.delitem(sys.modules, name)
-    for name in ("scipy", "scipy.sparse", "scipy.sparse.linalg"):
-        monkeypatch.setitem(sys.modules, name, None)
-
-
-class TestWithoutScipy:
-    def test_precheck_runs_no_screen_and_returns_no_certificate(
-        self, no_scipy, monkeypatch
-    ):
-        screens = []
-        monkeypatch.setattr(
-            spectral, "_iterative_cheeger_bound", lambda *a: screens.append(a) or 1.0
-        )
-        graph = random_regular_graph(spectral.PRECHECK_DENSE_LIMIT + 100, 8, seed=1)
-        bound, certificate = spectral.conductance_lower_bound(graph, phi=0.05)
-        assert bound <= 0.05
-        assert certificate is None
-        assert screens == []
-
-    def test_large_component_certifies_through_power_iteration(
-        self, no_scipy, monkeypatch
-    ):
-        iterations = []
-        real = spectral._lambda2_power_iteration
-
-        def spy(graph, *args, **kwargs):
-            iterations.append(graph.n)
-            return real(graph, *args, **kwargs)
-
-        monkeypatch.setattr(spectral, "_lambda2_power_iteration", spy)
-        graph = random_regular_graph(spectral.DENSE_EIGH_LIMIT + 100, 8, seed=2)
-        result = expander_decomposition(
-            graph,
-            0.1,
-            0.05,
-            seed=3,
-            sparse_cut_kwargs={"num_instances": 2, "params_overrides": {"max_t0": 20}},
-        )
-        assert [len(c) for c in result.components] == [graph.num_vertices]
-        assert result.components[0].certified
-        assert result.precheck_skips == 0
-        assert iterations == [graph.num_vertices]

@@ -23,10 +23,13 @@ backend matrix):
   and solved once, with outputs identical to solving it again.
 """
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as sparse_linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import repro.decomposition.expander as expander_module
 from diffharness import generator_families, precheck_off
@@ -357,23 +360,38 @@ class TestLanczosCertificate:
         assert sorted(solves) == large
         assert sorted(n for n in compactions if n > spectral.DENSE_EIGH_LIMIT) == large
 
-    def test_without_lanczos_no_certificate_and_power_iteration_certifies(
+    def test_unconverged_lanczos_skips_nothing_and_certifies_nothing(
         self, monkeypatch
     ):
-        """No scipy (or no ARPACK convergence): the pre-check cannot
-        confirm its screen, returns no certificate and never fires, and
-        certification falls back to the deflated power iteration."""
+        """When ARPACK does not converge there is no solve to stand on: the
+        pre-check does not skip and returns no certificate, certification
+        returns ``(False, nan, None)``, the decomposition emits the component
+        uncertified, and the plain spectral routines raise."""
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
         g = random_regular_graph(spectral.DENSE_EIGH_LIMIT + 100, 8, seed=11)
         view = PeeledCSR.from_graph(g)
-        monkeypatch.setattr(spectral, "_lambda2_eigsh", lambda graph: None)
-        power_runs = spy_on(
-            monkeypatch, spectral, "_lambda2_power_iteration", lambda g: g.n
-        )
         bound, cert = conductance_lower_bound(view, 0.05)
         assert cert is None and bound <= 0.05
-        certified, _, witness = certify_conductance(view, 0.05, precomputed=cert)
-        assert power_runs == [view.num_vertices]
-        assert certified and witness is None
+        certified, estimate, witness = certify_conductance(view, 0.05)
+        assert not certified and math.isnan(estimate) and witness is None
+        for routine in (spectral.spectral_gap, spectral.fiedler_scores):
+            with pytest.raises(ArpackNoConvergence):
+                routine(view)
+        result = expander_decomposition(
+            g,
+            0.1,
+            0.05,
+            seed=3,
+            sparse_cut_kwargs={"num_instances": 2, "params_overrides": {"max_t0": 20}},
+        )
+        assert [len(c) for c in result.components] == [g.num_vertices]
+        assert not result.components[0].certified
+        assert math.isnan(result.components[0].conductance_estimate)
+        assert result.precheck_skips == 0
 
     @pytest.mark.parametrize("certifies", [True, False], ids=["expander", "barbell"])
     def test_reused_certificate_matches_own_solve(self, certifies):

@@ -44,6 +44,7 @@ from repro.graphs.generators import (
     planted_partition_graph,
     ring_of_cliques,
 )
+from repro.graphs.graph import Graph
 from repro.parallel import ShardedExecutor, shared_memory_available
 from repro.resilience import (
     Deadline,
@@ -394,6 +395,17 @@ class TestResumeBitIdentity:
             assert len(journal) == recorded
         assert first == expected
         assert replayed == expected
+
+    @pytest.mark.parametrize("form", ["dict", "csr"])
+    def test_empty_host_replays_empty_with_a_journal(self, tmp_path, form):
+        host = Graph() if form == "dict" else CSRGraph.from_graph(Graph())
+        expected = run(host)
+        assert expected[0][0] == []  # no components
+        # The first run binds the journal; the second resumes from it.
+        for _ in range(2):
+            with RunJournal(tmp_path / "j") as journal:
+                assert run(host, journal=journal) == expected
+                assert len(journal) == 0
 
     def test_resume_survives_torn_tail(self, tmp_path):
         graph = planted_partition_graph(4, 12, 0.7, 0.02, seed=7)

@@ -85,7 +85,6 @@ def route(request, monkeypatch):
     """Run on the default limits, or with them shrunk so every solve above
     eight alive vertices takes the compacted Lanczos route."""
     if request.param == "lanczos":
-        pytest.importorskip("scipy")
         monkeypatch.setattr(spectral, "PRECHECK_DENSE_LIMIT", 8)
         monkeypatch.setattr(spectral, "DENSE_EIGH_LIMIT", 8)
     return request.param

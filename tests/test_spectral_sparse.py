@@ -1,16 +1,21 @@
 """The large-graph sparse spectral path, pinned against dense ``eigh``.
 
 ``repro.graphs.spectral`` switches from dense eigendecomposition to a
-sparse iterative solve above ``DENSE_EIGH_LIMIT``.  These tests run both
-solvers on the same (small) graphs so the sparse Laplacian assembly, the
-scipy Lanczos path, the deflated power-iteration fallback, and the
-threshold dispatch are all exercised in CI rather than only in manual
-bench sessions.
+Lanczos solve above ``DENSE_EIGH_LIMIT``.  These tests run both solvers on
+the same (small) graphs so the sparse Laplacian assembly, the Lanczos
+solve and the threshold dispatch are all exercised in CI rather than only
+in manual bench sessions.  A last test checks that scipy stays unloaded
+while no working graph needs a sparse solve.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.graphs import spectral
@@ -36,24 +41,13 @@ def graphs_with_loops():
 
 class TestSparseLambda2:
     def test_lanczos_matches_dense_eigh(self):
-        # _lambda2_sparse_csr does not itself check DENSE_EIGH_LIMIT, so the
-        # scipy path (including the hand-assembled sparse Laplacian with
+        # _lambda2_eigsh does not itself check DENSE_EIGH_LIMIT, so the
+        # Lanczos solve (including the hand-assembled sparse Laplacian with
         # its self-loop diagonal) can be pinned on dense-solvable graphs.
         for name, g in graphs_with_loops():
             dense = spectral.spectral_gap(g)
-            sparse_val = spectral._lambda2_sparse_csr(CSRGraph.from_graph(g))[0]
+            sparse_val = spectral._lambda2_eigsh(CSRGraph.from_graph(g))[0]
             assert sparse_val == pytest.approx(dense, abs=1e-8), name
-
-    def test_power_iteration_is_close_and_never_above_dense(self):
-        for name, g in graphs_with_loops():
-            dense = spectral.spectral_gap(g)
-            lam2, fiedler = spectral._lambda2_power_iteration(CSRGraph.from_graph(g))
-            # the residual shift makes the estimate conservative: it must
-            # not exceed the true gap (the unsafe direction for
-            # certification), while staying in its vicinity
-            assert lam2 <= dense + 1e-9, name
-            assert lam2 >= 0.25 * dense, name
-            assert np.isfinite(fiedler).all()
 
     def test_dispatch_above_threshold(self, monkeypatch):
         # Shrink the threshold so the public entry points take the sparse
@@ -82,3 +76,30 @@ class TestSparseLambda2:
         certified, estimate, witness = spectral.certify_conductance(g, 0.05)
         assert certified and witness is None
         assert estimate > 0.05
+
+
+def test_small_working_graphs_never_import_scipy():
+    """scipy is imported only inside the sparse solves, so a decomposition
+    whose working graphs all stay within PRECHECK_DENSE_LIMIT vertices —
+    the benchmark's ring workload — never loads it (a top-level import
+    would add its modules to every run's memory)."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.decomposition import expander_decomposition
+        from repro.graphs.generators import ring_of_cliques
+
+        result = expander_decomposition(
+            ring_of_cliques(6, 8), 0.1, 0.1, seed=1, deadline=60.0,
+            sparse_cut_kwargs={"num_instances": 6, "params_overrides": {"max_t0": 150}},
+        )
+        assert len(result.components) == 6, result.components
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
