@@ -40,8 +40,10 @@ from ..graphs.csr import CSRGraph
 from ..graphs.graph import Edge, Graph
 from ..graphs.peel import PeeledCSR, maybe_compact
 from ..graphs.spectral import (
+    PRECHECK_MARGIN,
     SpectralCertificate,
     batched_component_certificates,
+    batched_sweep_conductances,
     certify_conductance,
 )
 from ..nibble.parameters import ParameterMode, h_inverse
@@ -57,7 +59,12 @@ from ..utils.rng import (
     subtree_journal_key,
 )
 from ..utils.rounds import RoundReport
-from .sparse_cut import sparse_cut_search, validate_phi
+from .sparse_cut import (
+    DEFAULT_MAX_FAILURES,
+    sparse_cut_search,
+    validate_phi,
+    validate_search_kwargs,
+)
 
 # Each component's search runs as the generator ``sparse_cut_search``; the
 # one-search wrapper stays importable here because benchmark/tracing.py
@@ -374,7 +381,10 @@ def _finished(outcome: _SubtreeOutcome) -> bool:
 
 
 def _run_children(
-    ctx: _SubtreeContext, outcome: _SubtreeOutcome, tasks: list[_SubtreeTask]
+    ctx: _SubtreeContext,
+    outcome: _SubtreeOutcome,
+    tasks: list[_SubtreeTask],
+    settled: Optional[dict[int, float]] = None,
 ) -> Rounds:
     """Run sibling subtrees side by side; merge in task order.
 
@@ -390,7 +400,10 @@ def _run_children(
     without running (their recorded outcome is bit-identical to a re-run,
     per the stream discipline, and their progress is bumped here), and a
     subtree that runs is recorded the moment it finishes — so a killed run
-    resumes at sibling-subtree granularity.
+    resumes at sibling-subtree granularity.  ``settled`` maps the position
+    of a task its batched hint settles to its sweep estimate
+    (:func:`_settle_estimates`); such a task runs no subtree, its outcome
+    is built and recorded here, and a journaled entry still wins.
 
     The deadline's prefix rule: the siblings ran side by side, so a later
     one may have finished while an earlier one was cut off.  Every sibling
@@ -408,6 +421,9 @@ def _run_children(
                 results[i] = cached
                 replayed.add(i)
                 continue
+        if settled and i in settled:
+            results[i] = _settled_subtree(ctx, task, settled[i])
+            continue
         pending.append(i)
     children = yield from run_together([_recorded_subtree(ctx, tasks[i]) for i in pending])
     for i, child in zip(pending, children):
@@ -431,6 +447,82 @@ def _recorded_subtree(ctx: _SubtreeContext, task: _SubtreeTask) -> Rounds:
         ctx, task.subset, task.depth, task.hint, task.connected
     )
     if ctx.journal is not None and _finished(outcome):
+        ctx.journal.record(_journal_key(ctx, task.depth, task.subset), outcome)
+    return outcome
+
+
+def _search_phi(ctx: _SubtreeContext, depth: int) -> float:
+    """The conductance a depth's sparse-cut search looks for.
+
+    Section 2's parameter chain; PRACTICAL floors the search at φ so deep
+    levels keep finding the cuts the certification target demands.
+    """
+    theta = ctx.schedule[min(depth, len(ctx.schedule) - 1)]
+    return theta if ctx.mode is ParameterMode.PAPER else max(theta, ctx.phi)
+
+
+def _settle_estimates(
+    ctx: _SubtreeContext,
+    view: PeeledCSR,
+    pieces: list[np.ndarray],
+    hints: list[Optional[SpectralCertificate]],
+    depth: int,
+) -> dict[int, float]:
+    """The pieces their batched hints settle, by position, with their estimates.
+
+    A piece's search would skip every batch on a dense hint whose Cheeger
+    bound λ₂/2 clears the search's φ by :data:`PRECHECK_MARGIN`, and its
+    final check would reuse the hint and certify it when λ₂/2 ≥ φ, with
+    the sweep conductance over the hint's scores as the estimate.  Such a
+    piece needs neither: its estimate comes from
+    :func:`~repro.graphs.spectral.batched_sweep_conductances`, one pass
+    per size class.  Pieces at ``max_depth`` are certified without a
+    search, and after the deadline has expired nothing is settled, so
+    both keep the per-piece path.
+    """
+    if depth >= ctx.max_depth or _expired(ctx):
+        return {}
+    search_phi = _search_phi(ctx, depth)
+    classes: dict[int, list[int]] = {}
+    for position, hint in enumerate(hints):
+        if (
+            hint is not None
+            and hint.solver == "dense"
+            and hint.cheeger_lower_bound > search_phi + PRECHECK_MARGIN
+            and hint.lam2 / 2.0 >= ctx.phi
+        ):
+            classes.setdefault(pieces[position].size, []).append(position)
+    estimates: dict[int, float] = {}
+    for members in classes.values():
+        conductances = batched_sweep_conductances(
+            view, [pieces[p] for p in members], [hints[p].scores for p in members]
+        )
+        estimates.update(zip(members, conductances.tolist()))
+    return estimates
+
+
+def _settled_subtree(
+    ctx: _SubtreeContext, task: _SubtreeTask, estimate: float
+) -> _SubtreeOutcome:
+    """A settled piece's outcome: the one its skipped search and check give.
+
+    One certified component, and the level report the search would file:
+    its pre-check's matvec rounds charged in place of the
+    ``max_failures`` batches it skips.  Emitted and journaled here.
+    """
+    size = task.subset.size
+    report = RoundReport(f"level {task.depth} (n={size})")
+    report.subreport("spectral_precheck").charge(2 * math.ceil(math.log2(max(size, 2))))
+    outcome = _SubtreeOutcome(
+        reports=[report],
+        precheck_skips=ctx.cut_kwargs.get("max_failures", DEFAULT_MAX_FAILURES),
+    )
+    _emit(
+        ctx,
+        outcome,
+        ExpanderComponent(_labels(ctx, task.subset), True, estimate, task.depth),
+    )
+    if ctx.journal is not None:
         ctx.journal.record(_journal_key(ctx, task.depth, task.subset), outcome)
     return outcome
 
@@ -516,12 +608,14 @@ def _decompose_subtree(
         # per size class instead of one dispatch per future pre-check.
         # Each hint is bit-identical to the solo solve, so downstream
         # decisions are unchanged.
-        hints = batched_component_certificates(view, [pieces[k] for k in order])
+        ordered = [pieces[k] for k in order]
+        hints = batched_component_certificates(view, ordered)
         tasks = [
             _SubtreeTask(host_pieces[k], depth, piece_hint, connected=True)
             for k, piece_hint in zip(order, hints)
         ]
-        return (yield from _run_children(ctx, outcome, tasks))
+        settled = _settle_estimates(ctx, view, ordered, hints, depth)
+        return (yield from _run_children(ctx, outcome, tasks, settled))
 
     if depth >= ctx.max_depth:
         if _expired(ctx):
@@ -535,15 +629,11 @@ def _decompose_subtree(
         )
         return outcome
 
-    # Section 2's parameter chain; PRACTICAL floors the search at φ so
-    # deep levels keep finding the cuts the certification target demands.
-    theta = ctx.schedule[min(depth, len(ctx.schedule) - 1)]
-    search_phi = theta if ctx.mode is ParameterMode.PAPER else max(theta, ctx.phi)
     level_report = RoundReport(f"level {depth} (n={subset.size})")
     cut_result = yield from one_per_round(
         sparse_cut_search(
             view,
-            search_phi,
+            _search_phi(ctx, depth),
             mode=ctx.mode,
             seed=split_stream(
                 ctx.root, depth, component_stream_key(_smallest_repr(ctx, subset))
@@ -730,6 +820,9 @@ def expander_decomposition(
                 f"{sorted(SEARCH_KWARGS)}, and engines are chosen with "
                 "executor= or workers="
             )
+    # A search that never launches a batch never checks its arguments, and
+    # a host of small settled pieces launches none: check them once here.
+    validate_search_kwargs(graph, phi, mode, **(sparse_cut_kwargs or {}))
     rng = ensure_rng(seed)
     engine, owned_engine = resolve_executor(executor, workers)
     report = RoundReport("expander_decomposition")

@@ -387,6 +387,11 @@ class _PeelWork:
         )
 
 
+#: A search's ``max_failures`` when it is given none: the consecutive empty
+#: batches after which it stops, and so the batches a pre-check skip saves.
+DEFAULT_MAX_FAILURES = 2
+
+
 def validate_phi(phi: float) -> None:
     """Reject a conductance target that is not a finite number > 0.
 
@@ -427,13 +432,35 @@ def _validate_search_arguments(
         )
 
 
+def validate_search_kwargs(
+    graph: WorkGraph,
+    phi: float,
+    mode: ParameterMode = ParameterMode.PRACTICAL,
+    balance_target: float = 1.0 / 3.0,
+    max_failures: int = DEFAULT_MAX_FAILURES,
+    num_instances: Optional[int] = None,
+    params_overrides: Optional[dict] = None,
+) -> None:
+    """Raise what :func:`sparse_cut_search` would raise for these arguments.
+
+    A search checks ``num_instances``, ``max_failures`` and
+    ``balance_target`` on entry, but builds its Nibble parameters — where a
+    bad ``params_overrides`` fails — only before its first batch, so a
+    search that never launches one accepts them silently.  This runs both
+    checks on ``graph`` without searching, raising the search's exception
+    types; PAPER mode ignores ``params_overrides``, as the search does.
+    """
+    _validate_search_arguments(num_instances, max_failures, balance_target)
+    NibbleParameters.for_mode(graph, phi, mode, **(params_overrides or {}))
+
+
 def nearly_most_balanced_sparse_cut(
     graph: WorkGraph,
     phi: float,
     mode: ParameterMode = ParameterMode.PRACTICAL,
     seed: SeedLike = None,
     balance_target: float = 1.0 / 3.0,
-    max_failures: int = 2,
+    max_failures: int = DEFAULT_MAX_FAILURES,
     num_instances: Optional[int] = None,
     report: Optional[RoundReport] = None,
     params_overrides: Optional[dict] = None,
@@ -537,7 +564,7 @@ def sparse_cut_search(
     mode: ParameterMode = ParameterMode.PRACTICAL,
     seed: SeedLike = None,
     balance_target: float = 1.0 / 3.0,
-    max_failures: int = 2,
+    max_failures: int = DEFAULT_MAX_FAILURES,
     num_instances: Optional[int] = None,
     report: Optional[RoundReport] = None,
     params_overrides: Optional[dict] = None,

@@ -324,26 +324,16 @@ def planted_partition_graph(
     return g
 
 
-def power_law_graph(
-    n: int,
-    exponent: float = 2.5,
-    seed: SeedLike = None,
-    max_degree: Optional[int] = None,
-) -> Graph:
-    """Configuration-model-ish graph with a power-law degree sequence.
+def _power_law_stubs(
+    n: int, exponent: float, seed: SeedLike, max_degree: Optional[int]
+) -> np.ndarray:
+    """The shuffled stub list both power-law generators pair up consecutively.
 
-    Low-degree tails are what the CPZ baseline peels off into its
-    low-arboricity part, so this family stresses the difference between the
-    paper's decomposition and the baseline.
-
-    ``max_degree`` caps the drawn degree sequence (the degree-skew axis of
-    the world sweep).  With an explicit cap, the parity fix-up bumps the
-    minimum-degree vertex (or drops a stub when every vertex sits at the
-    cap), so no realized degree ever exceeds ``max_degree``.  Without it the
-    historical behavior is preserved bit-for-bit: the implicit cap is
-    ``max(2, n // 4)`` and the parity bump goes to the maximum-degree
-    vertex, which may exceed that implicit cap by one.
+    Draws the degree sequence, applies the parity fix-up and shuffles the
+    stubs — every RNG draw either generator makes.
     """
+    if not exponent > 1:  # also refuses NaN, which would draw a matching
+        raise ValueError(f"exponent must be a number greater than 1, got {exponent!r}")
     if max_degree is not None and max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     rng = _rng(seed)
@@ -360,6 +350,32 @@ def power_law_graph(
             degrees[int(np.argmax(degrees))] -= 1
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
+    return stubs
+
+
+def power_law_graph(
+    n: int,
+    exponent: float = 2.5,
+    seed: SeedLike = None,
+    max_degree: Optional[int] = None,
+) -> Graph:
+    """Configuration-model-ish graph with a power-law degree sequence.
+
+    Low-degree tails are what the CPZ baseline peels off into its
+    low-arboricity part, so this family stresses the difference between the
+    paper's decomposition and the baseline.
+
+    ``exponent`` must be greater than 1 (``ValueError`` otherwise, NaN
+    included).  ``max_degree`` caps the drawn degree sequence (the
+    degree-skew axis of the world sweep).  With an explicit cap, the parity
+    fix-up bumps the minimum-degree vertex (or drops a stub when every
+    vertex sits at the cap), so no realized degree ever exceeds
+    ``max_degree``.  Without it the historical behavior is preserved
+    bit-for-bit: the implicit cap is ``max(2, n // 4)`` and the parity bump
+    goes to the maximum-degree vertex, which may exceed that implicit cap
+    by one.
+    """
+    stubs = _power_law_stubs(n, exponent, seed, max_degree)
     g = Graph(vertices=range(n))
     for i in range(0, len(stubs) - 1, 2):
         u, v = int(stubs[i]), int(stubs[i + 1])
@@ -383,6 +399,14 @@ def power_law_csr(
     numpy: no Python per-edge loop and no dict graph, which is what makes
     ~10⁷-edge instances buildable in seconds for the ``--xl`` benchmark.
 
+    The rows come from one sort.  Each proper pair ``{u, v}`` contributes
+    the composite keys ``u·n + v`` and ``v·n + u``, and sorting the 2m
+    keys orders them by row and, within a row, by neighbour.  A parallel
+    pair repeats both of its keys, so an adjacent-difference mask
+    collapses it.  ``key // n`` and ``key − row·n`` give each entry's row
+    and neighbour, and ``indptr`` is the running sum of the rows' counts.
+    ``tests/test_power_law_snapshot.py`` pins the arrays' bytes.
+
     The one deliberate difference: vertices are indexed in *numeric* order
     (labels are ``0 .. n-1``), not the ``repr``-sorted order
     :meth:`CSRGraph.from_graph` uses.  Numeric order is self-consistent for
@@ -392,41 +416,26 @@ def power_law_csr(
     """
     from .csr import CSRGraph, choose_index_dtype
 
-    if max_degree is not None and max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
-    rng = _rng(seed)
-    cap = max(2, n // 4) if max_degree is None else max_degree
-    degrees = np.clip(
-        np.round(rng.pareto(exponent - 1, size=n) + 1).astype(int), 1, cap
-    )
-    if degrees.sum() % 2 == 1:
-        if max_degree is None:
-            degrees[int(np.argmax(degrees))] += 1
-        elif int(degrees.min()) < cap:
-            degrees[int(np.argmin(degrees))] += 1
-        else:
-            degrees[int(np.argmax(degrees))] -= 1
-    stubs = np.repeat(np.arange(n), degrees)
-    rng.shuffle(stubs)
+    stubs = _power_law_stubs(n, exponent, seed, max_degree)
     pairs = (len(stubs) // 2) * 2
     u = stubs[0:pairs:2].astype(np.int64)
     v = stubs[1:pairs:2].astype(np.int64)
     proper = u != v
     u, v = u[proper], v[proper]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = np.unique(lo * np.int64(n) + hi)  # collapse parallel pairs
-    lo, hi = keys // n, keys % n
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    order = np.lexsort((dst, src))
-    counts = np.bincount(src, minlength=n)
+    width = np.int64(n)
+    keys = np.sort(np.concatenate((u * width + v, v * width + u)))
+    if len(keys):
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+    rows = keys // width
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    dtype = choose_index_dtype(n, len(src))
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    dtype = choose_index_dtype(n, len(keys))
     return CSRGraph(
         indptr=indptr.astype(dtype, copy=False),
-        indices=dst[order].astype(dtype, copy=False),
+        indices=(keys - rows * width).astype(dtype, copy=False),
         loops=np.zeros(n, dtype=np.int64),
         vertices=list(range(n)),
     )

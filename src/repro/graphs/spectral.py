@@ -523,6 +523,50 @@ def batched_component_certificates(
     return hints
 
 
+def batched_sweep_conductances(
+    view: PeeledCSR, pieces: list, scores: list
+) -> np.ndarray:
+    """Sweep-cut conductances of equal-size sibling components, in one pass.
+
+    ``pieces`` are connected components of ``view`` of one size, as sorted
+    arrays of the view's base indices, and ``scores[s]`` is aligned with
+    ``pieces[s]`` as a certificate's scores are.  Entry ``s`` is
+    ``sweep_cut(G{pieces[s]}, scores[s]).conductance``, bit for bit: the
+    same descending-score order with ties to the smaller index, the same
+    integer prefix volumes and cuts, the same division and the same first
+    minimum — computed for the whole stack at once, with one adjacency
+    gather and no per-piece view.  A neighbour always lies in its row's
+    piece, so the gather needs no masking beyond the view's own.
+    """
+    count, k = len(pieces), len(pieces[0])
+    rows = np.stack(pieces)
+    perm = np.lexsort(
+        (np.broadcast_to(np.arange(k), (count, k)), -np.asarray(scores, dtype=float)),
+        axis=-1,
+    )
+    rank = np.empty((count, k), dtype=np.int64)
+    np.put_along_axis(rank, perm, np.arange(k), axis=1)
+    rank = rank.ravel()
+    row_id, flat = view.flat_adjacency(rows.ravel())
+    # Stacked (piece, index) keys ascend, so a binary search finds each
+    # neighbour's stacked position, as in _masked_dense_laplacians.
+    keys = np.repeat(np.arange(count, dtype=np.int64), k) * view.n + rows.ravel()
+    column = np.searchsorted(keys, (row_id // k) * view.n + flat)
+    earlier = rank[column] < rank[row_id]
+    delta = np.bincount(row_id, minlength=count * k) - 2 * np.bincount(
+        row_id[earlier], minlength=count * k
+    )
+    prefix_cut = np.cumsum(np.take_along_axis(delta.reshape(count, k), perm, axis=1), axis=1)
+    volumes = np.take_along_axis(view.degree[rows].astype(np.int64), perm, axis=1)
+    prefix_volume = np.cumsum(volumes, axis=1)
+    vol = prefix_volume[:, :-1]
+    denom = np.minimum(vol, prefix_volume[:, -1:] - vol)
+    conds = np.full((count, k - 1), np.inf)
+    ok = denom > 0
+    conds[ok] = prefix_cut[:, :-1][ok] / denom[ok]
+    return conds[np.arange(count), np.argmin(conds, axis=1)]
+
+
 #: Iteration schedule of the pre-check's masked power iteration: up to
 #: ``PRECHECK_MAX_BLOCKS`` blocks of ``PRECHECK_BLOCK_ITERATIONS`` matvecs,
 #: with a convergence check (and the two early exits) after each block.

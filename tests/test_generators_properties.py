@@ -20,6 +20,7 @@ validation holes, and the power-law parity bump piercing an explicit
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestRegressionFixes:
     def test_power_law_invalid_cap_raises(self):
         with pytest.raises(ValueError):
             gen.power_law_graph(10, seed=1, max_degree=0)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), 1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("generator", [gen.power_law_graph, gen.power_law_csr])
+    def test_power_law_refuses_an_exponent_not_above_one(self, generator, exponent):
+        """A NaN exponent used to draw a 25-edge matching with only a numpy
+        cast warning, and one <= 1 raised numpy's bare ``a <= 0``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"exponent .*{exponent}"):
+                generator(50, exponent=exponent, seed=1)
 
 
 class TestMetadataVariants:

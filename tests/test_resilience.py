@@ -41,10 +41,12 @@ from repro.decomposition.sparse_cut import nearly_most_balanced_sparse_cut
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
+    disjoint_cliques,
     planted_partition_graph,
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
+from repro.nibble.parameters import ParameterMode
 from repro.parallel import ShardedExecutor, shared_memory_available
 from repro.resilience import (
     Deadline,
@@ -243,6 +245,30 @@ class TestJournalUnit:
         assert search_kwargs_key(kwargs) == (
             '{"num_instances": 4, "params_overrides": {"max_t0": 60}}'
         )
+
+    @pytest.mark.parametrize(
+        "kwargs,error",
+        [
+            ({"num_instances": 0}, ValueError),
+            ({"max_failures": 0}, ValueError),
+            ({"balance_target": 0.0}, ValueError),
+            ({"params_overrides": {"t0_override": 0}}, ValueError),
+            ({"params_overrides": {"max_steps": 60}}, TypeError),
+        ],
+    )
+    def test_bad_search_kwargs_raise_on_a_host_of_small_pieces(self, kwargs, error):
+        """disjoint_cliques(50, 4) splits into K₄ pieces whose batched hints
+        certify them, so none may ever launch a search batch; a bad tuning
+        argument must raise the search's own exception all the same."""
+        graph = disjoint_cliques(50, 4)
+        with pytest.raises(error):
+            expander_decomposition(graph, 0.1, 0.1, seed=3, sparse_cut_kwargs=kwargs)
+        # PAPER mode ignores params_overrides, as its search does.
+        if "params_overrides" in kwargs:
+            result = expander_decomposition(
+                graph, 0.1, 0.1, mode=ParameterMode.PAPER, seed=3, sparse_cut_kwargs=kwargs
+            )
+            assert len(result.components) == 50
 
     def test_fractional_max_depth_cannot_replay_an_int_journal(self, tmp_path):
         """The journal pins ``int(max_depth)``, so a ``max_depth=1.5`` run
