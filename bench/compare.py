@@ -43,8 +43,6 @@ TIME_FIELDS = {
     ),
     "large_results": ("wall_time_s",),
     "parallel_scaling": ("wall_time_s",),
-    "walk_sweep_comparison": ("dict_time_s", "csr_time_s"),
-    "peel_comparison": ("resnapshot_time_s", "peel_time_s"),
     "triangle_cache_results": ("cold_time_s", "warm_time_s"),
     "xl_results": ("build_time_s", "wall_time_s"),
     "world_results": ("wall_time_s",),

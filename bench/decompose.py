@@ -1,6 +1,6 @@
 """Benchmark harness for the expander decomposition pipeline.
 
-Five sections, all emitted into one JSON report
+Six sections, all emitted into one JSON report
 (``BENCH_decomposition.json`` by default):
 
 * ``results`` — full decompositions of the four small generator families
@@ -9,24 +9,12 @@ Five sections, all emitted into one JSON report
   time).  Unchanged from the original harness.
 * ``large_results`` — full decompositions of 10⁴-vertex instances (every
   working graph a peeled-CSR view of the host snapshot).
-* ``walk_sweep_comparison`` — the walk/sweep stage (truncated walk +
-  certification scan, i.e. one ApproximateNibble) timed on the dict
-  reference (:func:`repro.walks.lazy_walk.truncated_walk_iter` fed through
-  :func:`repro.nibble.nibble.scan_walk_sequence`) against
-  :func:`repro.nibble.nibble.approximate_nibble` on the CSR snapshot,
-  across instance sizes from 48 to 10⁵ vertices, with a cut-equality
-  assertion per run: the two must return *identical* cuts, the speedup
-  is the only thing allowed to differ.
 * ``parallel_scaling`` — the multicore sweep: the two large families
   decomposed at 1, 2, and 4 workers through the shared-memory sharded
   engine (:mod:`repro.parallel`), with the decomposition asserted
   *identical* across worker counts — only wall time is allowed to move.
   Each record carries a ``workers`` field so ``bench/compare.py`` never
   diffs timings across different worker counts.
-* ``peel_comparison`` — the mutable-side comparison: peeling a sequence
-  of cuts out of one shared :class:`PeeledCSR` (the incremental engine)
-  against the dict Remove-j loop plus the per-cut ``CSRGraph`` re-snapshot
-  it replaced, with a structural-equality assertion per step.
 * ``triangle_results`` — the Theorem 2 application workload:
   decomposition-based triangle enumeration (cluster stage + removed-edge
   recursion, verified exactly against the oriented enumerator) next to
@@ -69,9 +57,8 @@ oriented enumerator, the sharded engine is cut-identical to the
 sequential one, *and* every small family's auto
 dtype decision is int32; ``--workers N`` runs the results/large_results
 sections through the N-worker engine (recorded per run — outputs are
-engine-independent); ``--xl`` adds a 10⁵-vertex stage comparison
-(minutes, dominated by the dict reference's own runtime — which is
-rather the point) and the 10⁷-edge mmap decomposition above.
+engine-independent); ``--xl`` adds the 10⁷-edge mmap decomposition
+above (minutes).
 ``bench/compare.py`` diffs two reports.
 """
 
@@ -93,7 +80,6 @@ import numpy as np
 from repro.decomposition import expander_decomposition
 from repro.graphs.csr import CSRGraph, choose_index_dtype
 from repro.graphs.graph import Graph
-from repro.graphs.peel import PeeledCSR
 from repro.graphs.generators import (
     barbell_expanders,
     planted_partition_graph,
@@ -101,15 +87,11 @@ from repro.graphs.generators import (
     power_law_graph,
     ring_of_cliques,
 )
-from repro.nibble.nibble import approximate_nibble, scan_walk_sequence
-from repro.nibble.parameters import NibbleParameters
 from repro.triangles import (
     DecompositionCache,
     cpz_baseline_enumeration,
     decomposition_triangle_enumeration,
 )
-from repro.utils.rng import ensure_rng, sample_by_degree
-from repro.walks.lazy_walk import truncated_walk_iter
 
 
 def peak_rss_mb() -> float:
@@ -168,49 +150,6 @@ def large_families(seed: int) -> list[tuple[str, Callable[[], Graph], float, flo
             {"num_instances": 6, "params_overrides": {"max_t0": 150}},
         ),
     ]
-
-
-def stage_families(seed: int, xl: bool) -> list[tuple[str, Callable[[], Graph], float, int]]:
-    """(name, builder, phi, num_starts) for the walk/sweep stage comparison.
-
-    A size sweep per family so the dict-vs-CSR speedup curve is visible:
-    the dict path costs O(Vol(support)) Python-dict operations per walk
-    step, the CSR path O(n + Vol(support)) numpy element operations, so the
-    speedup grows with the support volume the walk actually drags around.
-    """
-    out = [
-        ("ring_of_cliques(6,8)", lambda: ring_of_cliques(6, 8), 0.10, 2),
-        ("ring_of_cliques(40,16)", lambda: ring_of_cliques(40, 16), 0.10, 2),
-        ("ring_of_cliques(640,16)", lambda: ring_of_cliques(640, 16), 0.10, 2),
-        ("barbell_expanders(32)", lambda: barbell_expanders(32, seed=seed), 0.10, 2),
-        ("barbell_expanders(512)", lambda: barbell_expanders(512, seed=seed), 0.10, 2),
-        ("barbell_expanders(5120)", lambda: barbell_expanders(5120, degree=8, seed=seed), 0.10, 2),
-        (
-            "planted_partition(4,12)",
-            lambda: planted_partition_graph(4, 12, 0.7, 0.02, seed=seed),
-            0.10,
-            2,
-        ),
-        (
-            "planted_partition(32,64)",
-            lambda: planted_partition_graph(32, 64, 0.3, 0.002, seed=seed),
-            0.10,
-            2,
-        ),
-        ("power_law(80)", lambda: power_law_graph(80, seed=seed), 0.05, 2),
-        ("power_law(2000)", lambda: power_law_graph(2000, seed=seed), 0.05, 2),
-        ("power_law(20000)", lambda: power_law_graph(20000, seed=seed), 0.05, 2),
-    ]
-    if xl:
-        out.append(
-            (
-                "barbell_expanders(51200)",
-                lambda: barbell_expanders(51200, degree=8, seed=seed),
-                0.10,
-                1,
-            )
-        )
-    return out
 
 
 def triangle_families(seed: int, smoke: bool) -> list[tuple[str, Callable[[], Graph], float, float]]:
@@ -569,126 +508,8 @@ def run_triangle_cache_stage(
     }
 
 
-def run_stage_comparison(name: str, graph: Graph, phi: float, seed: int, num_starts: int) -> dict:
-    """Time the walk/sweep stage (one ApproximateNibble): dict reference vs CSR.
-
-    The same degree-proportionally sampled starts and truncation scales are
-    replayed through the dict reference — the dict walk
-    (:func:`truncated_walk_iter`) fed through the dict scan
-    (:func:`scan_walk_sequence`) on ``graph`` — and through
-    :func:`approximate_nibble` on its prebuilt ``CSRGraph`` snapshot, and
-    total wall time per engine is recorded.  Cut equality is a hard
-    contract, not an observation: any dict/CSR disagreement raises and
-    aborts the benchmark, so no record with non-identical cuts can ever be
-    written.  The CSR snapshot cost is reported separately because the
-    decomposition amortises it over a whole ParallelNibble batch.
-    """
-    params = NibbleParameters.practical(graph, phi)
-    rng = ensure_rng(seed)
-    degrees = {v: graph.degree(v) for v in graph.vertices() if graph.degree(v) > 0}
-    starts = [sample_by_degree(rng, degrees) for _ in range(num_starts)]
-    scales = [1, params.ell] if num_starts > 1 else [params.ell]
-
-    gc.collect()
-    build_start = time.perf_counter()
-    csr = CSRGraph.from_graph(graph)
-    csr_build_s = time.perf_counter() - build_start
-
-    def dict_reference(start, scale):
-        walk = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
-        return scan_walk_sequence(
-            graph, walk, scale, params, start, approximate=True
-        )
-
-    view = PeeledCSR.full(csr)  # one view, so its workspace is built once
-
-    def on_csr(start, scale):
-        return approximate_nibble(view, start, scale, params)
-
-    timings = {"dict": 0.0, "csr": 0.0}
-    cuts: dict[str, list] = {"dict": [], "csr": []}
-    for engine, run in (("dict", dict_reference), ("csr", on_csr)):
-        for start in starts:
-            for scale in scales:
-                begin = time.perf_counter()
-                cut = run(start, scale)
-                timings[engine] += time.perf_counter() - begin
-                cuts[engine].append(cut)
-    if cuts["dict"] != cuts["csr"]:  # pragma: no cover - parity pinned by tests
-        raise AssertionError(f"{name}: dict and CSR engines returned different cuts")
-    speedup = timings["dict"] / timings["csr"] if timings["csr"] > 0 else float("inf")
-    return {
-        "family": name,
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "phi": phi,
-        "t0": params.t0,
-        "runs": len(starts) * len(scales),
-        "dict_time_s": round(timings["dict"], 3),
-        "csr_time_s": round(timings["csr"], 3),
-        "csr_build_s": round(csr_build_s, 3),
-        "speedup": round(speedup, 2),
-    }
-
-
-def run_peel_comparison(name: str, graph: Graph, num_steps: int) -> dict:
-    """Time the mutable side: incremental peeling vs Remove-j + re-snapshot.
-
-    Replays the same peel sequence — one planted clique/community at a time,
-    grouped by the first element of the vertex label — through both
-    implementations of the working-graph shrink:
-
-    * *resnapshot* (what PR 2's loop did per applied cut): Remove-j every
-      boundary edge of the dict working graph, drop the cut's vertices,
-      then rebuild the ``CSRGraph`` snapshot the next batch would need;
-    * *peel*: one shared :class:`PeeledCSR`, one masked ``peel()`` call.
-
-    After every step the peeled view must be structurally identical to the
-    re-snapshotted graph (vertex count, residual edges, volume) — asserted,
-    not observed.  Only the wall time may differ.
-    """
-    groups: dict = {}
-    for v in graph.vertices():
-        groups.setdefault(v[0] if isinstance(v, tuple) else v, []).append(v)
-    order = sorted(groups)[:num_steps]
-
-    gc.collect()
-    work = graph.copy()
-    resnapshot_s = 0.0
-    reference_stats = []  # (n, m, vol) after each step, collected untimed
-    for key in order:
-        cut = set(groups[key])
-        begin = time.perf_counter()
-        for u, v in work.cut_edges(cut):
-            work.remove_edge_with_loops(u, v)
-        for v in cut:
-            work.remove_vertex(v)
-        snapshot = CSRGraph.from_graph(work)
-        resnapshot_s += time.perf_counter() - begin
-        reference_stats.append((snapshot.n, work.num_edges, work.total_volume()))
-
-    view = PeeledCSR.from_graph(graph)
-    peel_s = 0.0
-    for key, expected in zip(order, reference_stats):
-        idx = view.indices_of(groups[key])
-        begin = time.perf_counter()
-        view.peel(idx)
-        peel_s += time.perf_counter() - begin
-        assert (view.num_vertices, view.num_edges, view.total_volume) == expected
-
-    return {
-        "family": name,
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "peel_steps": len(order),
-        "resnapshot_time_s": round(resnapshot_s, 3),
-        "peel_time_s": round(peel_s, 3),
-        "speedup": round(resnapshot_s / peel_s, 1) if peel_s > 0 else float("inf"),
-    }
-
-
 def main() -> None:
-    """CLI entry point: run the three sections and write the JSON report."""
+    """CLI entry point: run the sections and write the JSON report."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
     parser.add_argument(
@@ -709,7 +530,7 @@ def main() -> None:
     parser.add_argument(
         "--xl",
         action="store_true",
-        help="Add a 10⁵-vertex stage comparison (slow: times the dict baseline too)",
+        help="Add the 10⁷-edge power-law decomposition from an mmap snapshot (minutes)",
     )
     parser.add_argument(
         "--workers",
@@ -779,8 +600,6 @@ def main() -> None:
 
     large_records = []
     scaling_records = []
-    stage_records = []
-    peel_records = []
     xl_records = []
     if not (args.skip_large or args.smoke):
         for name, builder, epsilon, phi, kwargs in large_families(args.seed):
@@ -800,27 +619,6 @@ def main() -> None:
                 f"{record['num_components']} components, "
                 f"certified {record['certified_fraction']:.0%}, "
                 f"budget ok: {record['within_budget']}, {record['wall_time_s']}s"
-            )
-        for name, builder, phi, num_starts in stage_families(args.seed, args.xl):
-            graph = builder()
-            record = run_stage_comparison(name, graph, phi, args.seed, num_starts)
-            stage_records.append(record)
-            print(
-                f"[stage] {name}: n={record['num_vertices']}, "
-                f"dict {record['dict_time_s']}s vs csr {record['csr_time_s']}s "
-                f"→ {record['speedup']}x (cuts asserted identical)"
-            )
-        for name, builder, steps in (
-            ("ring_of_cliques(640,16)", lambda: ring_of_cliques(640, 16), 64),
-            ("ring_of_cliques(40,16)", lambda: ring_of_cliques(40, 16), 16),
-        ):
-            record = run_peel_comparison(name, builder(), steps)
-            peel_records.append(record)
-            print(
-                f"[peel] {name}: {record['peel_steps']} peels, "
-                f"resnapshot {record['resnapshot_time_s']}s vs "
-                f"peel {record['peel_time_s']}s → {record['speedup']}x "
-                f"(working graphs asserted identical)"
             )
         for name, builder, epsilon, phi, kwargs in large_families(args.seed):
             family_records = run_parallel_scaling(
@@ -860,8 +658,6 @@ def main() -> None:
         "triangle_cache_results": triangle_cache_records,
         "large_results": large_records,
         "parallel_scaling": scaling_records,
-        "walk_sweep_comparison": stage_records,
-        "peel_comparison": peel_records,
         "xl_results": xl_records,
     }
     if args.smoke:

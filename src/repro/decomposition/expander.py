@@ -733,8 +733,8 @@ def expander_decomposition(
         Removed-edge budget as a fraction of |E| (reported, and checkable via
         :attr:`DecompositionResult.within_budget`); a finite number ≥ 0.
     phi:
-        Conductance target each component must certify; a finite number
-        > 0.  Either argument out of range raises :class:`ValueError`.
+        Conductance target each component must certify; a number in
+        (0, 1].  Either argument out of range raises :class:`ValueError`.
     mode:
         PAPER uses the verbatim parameter schedules; PRACTICAL (default) the
         runnable ones.

@@ -262,144 +262,21 @@ def default_num_instances(graph: WorkGraph) -> int:
     return max(4, math.ceil(math.log2(max(graph.num_edges, 2))))
 
 
-class _PeelWork:
-    """Work-state adapter over the working :class:`PeeledCSR` view.
-
-    The input view is cloned (callers keep theirs) and removals are masked
-    :meth:`~repro.graphs.peel.PeeledCSR.peel` calls; final measurements run
-    against a pristine clone of the initial view, whose integer statistics
-    equal the input graph's.
-
-    A batch's harvested-cut removals are deferred and applied as one union
-    peel at the end of the application loop (:meth:`flush_batch`), instead
-    of one peel — an O(n) masked-array pass — per cut.  Exact, not
-    approximate: harvested cuts are pairwise disjoint, Remove-j preserves
-    the degrees of the surviving vertices, and ``peel`` is path-independent
-    (``tests/test_peel.py`` pins this), so every per-cut decision —
-    containment, the small-side flip, the balance check — is simulatable
-    from a pending-dead set plus a running volume, and the union peel
-    produces bit-for-bit the mask per-cut peels would.  The differential
-    matrix checks this against signatures frozen from a dict oracle that
-    removed each cut immediately.
-    """
-
-    def __init__(self, peel: PeeledCSR) -> None:
-        self.peel = peel.clone()
-        self.initial = peel.clone()
-        #: Deferred-removal state (see the class docstring): base
-        #: index arrays awaiting the union peel, the labels they cover, and
-        #: their volume — the three facts that keep every adapter query
-        #: answering exactly what the sequential per-cut peels would.
-        self._pending_indices: list = []
-        self._pending_dead: set = set()
-        self._pending_volume = 0
-
-    @property
-    def search_graph(self) -> PeeledCSR:
-        """What the ParallelNibble batch should run on."""
-        return self.peel
-
-    @property
-    def num_edges(self) -> int:
-        """Residual proper edge count of the working view."""
-        return self.peel.num_edges
-
-    def total_volume(self) -> int:
-        """Vol of the current working view (pending removals excluded).
-
-        Remove-j preserves surviving degrees, so a peel shrinks the total
-        volume by exactly the peeled set's volume — which is what makes
-        the pending adjustment exact before the union peel lands.
-        """
-        return self.peel.total_volume - self._pending_volume
-
-    def contains_all(self, cut_vertices: set) -> bool:
-        """Whether every cut vertex is still alive (and not pending removal)."""
-        if self._pending_dead and not self._pending_dead.isdisjoint(cut_vertices):
-            return False
-        idx = self.peel.indices_of(cut_vertices)
-        return bool(self.peel.alive[idx].all())
-
-    def volume_of(self, cut_vertices: set) -> int:
-        """Vol of a vertex set in the current working view.
-
-        Degree-preservation makes an alive set's volume invariant under
-        peeling *other* vertices, so pending removals need no adjustment
-        here (callers only measure sets that passed :meth:`contains_all`).
-        """
-        return self.peel.volume(self.peel.indices_of(cut_vertices))
-
-    def complement(self, cut_vertices: set) -> set:
-        """The other side of the cut among the currently alive vertices."""
-        labels = self.peel.vertices
-        alive = {labels[int(i)] for i in self.peel.alive_indices()}
-        return alive - self._pending_dead - cut_vertices
-
-    def remove(self, cut_vertices: set) -> None:
-        """Peel the cut: the masked Remove-j + vertex drop, deferred.
-
-        The cut joins the batch's pending set and the whole batch lands as
-        one union :meth:`~repro.graphs.peel.PeeledCSR.peel` in
-        :meth:`flush_batch` (path-independence makes the union bit-equal
-        to per-cut peels, at one O(n) pass per batch instead of per cut).
-        """
-        idx = self.peel.indices_of(cut_vertices)
-        self._pending_indices.append(idx)
-        self._pending_dead |= set(cut_vertices)
-        self._pending_volume += self.peel.volume(idx)
-
-    def flush_batch(self) -> None:
-        """Apply every deferred removal as one union peel; idempotent."""
-        if self._pending_indices:
-            self.peel.peel(np.concatenate(self._pending_indices))
-        self._pending_indices = []
-        self._pending_dead = set()
-        self._pending_volume = 0
-
-    def refresh(self) -> None:
-        """Between batches: re-compact the view once it has halved.
-
-        Output-neutral (compaction is bit-identical) but keeps the masked
-        kernels' dense-vector cost proportional to what is still alive.
-        Flushes first as a guard — compaction renumbers base indices, so
-        pending index arrays must never survive it (the application loop
-        always flushes before the next batch anyway).
-        """
-        self.flush_batch()
-        self.peel = maybe_compact(self.peel)
-
-    def initial_volume(self, vertices: set) -> int:
-        """Vol of a vertex set measured in the initial view (= input graph)."""
-        return self.initial.volume(self.initial.indices_of(vertices))
-
-    def initial_vertices(self) -> set:
-        """Alive vertex set of the initial view."""
-        labels = self.initial.vertices
-        return {labels[int(i)] for i in self.initial.alive_indices()}
-
-    def measure(self, vertices: set) -> tuple[float, float, int]:
-        """(Φ, balance, |∂|) of a set, measured in the initial view."""
-        idx = self.initial.indices_of(vertices)
-        return (
-            self.initial.conductance_of_cut(idx),
-            self.initial.balance_of_cut(idx),
-            self.initial.cut_size(idx),
-        )
-
-
 #: A search's ``max_failures`` when it is given none: the consecutive empty
 #: batches after which it stops, and so the batches a pre-check skip saves.
 DEFAULT_MAX_FAILURES = 2
 
 
 def validate_phi(phi: float) -> None:
-    """Reject a conductance target that is not a finite number > 0.
+    """Reject a conductance target outside (0, 1].
 
-    ``nan`` would otherwise fail deep in the parameter formulas and a
-    non-positive target would *certify* components no walk can cut.
+    ``nan`` would otherwise fail deep in the parameter formulas, a
+    non-positive target would *certify* components no walk can cut, and
+    conductance never exceeds 1, so a target above it asks for nothing
+    that exists (the level schedule's h⁻¹ chain overflows on it).
     """
-    if not (math.isfinite(phi) and phi > 0):
-        raise ValueError(f"phi must be a finite number > 0, got {phi!r}")
+    if not (0 < phi <= 1):
+        raise ValueError(f"phi must lie in (0, 1], got {phi!r}")
 
 
 def _is_count(value) -> bool:
@@ -530,10 +407,11 @@ def nearly_most_balanced_sparse_cut(
     The decomposition runs the same generator beside every other live
     search of its recursion, so sibling searches share lockstep calls.
 
-    A ``phi`` that is not a finite number > 0 raises :class:`ValueError`, as
-    do a ``num_instances`` or ``max_failures`` that is not an int ≥ 1 and a
-    ``balance_target`` that is not a finite number > 0 — each would issue
-    the no-cut certificate without running a single instance.
+    A ``phi`` outside (0, 1] raises :class:`ValueError`
+    (:func:`validate_phi`), as do a ``num_instances`` or ``max_failures``
+    that is not an int ≥ 1 and a ``balance_target`` that is not a finite
+    number > 0 — each would issue the no-cut certificate without running a
+    single instance.
     """
     deadline = resolve_deadline(deadline)
     search = sparse_cut_search(
@@ -592,9 +470,15 @@ def sparse_cut_search(
     rng = ensure_rng(seed)
     root = stream_root(rng)
     own_report = report if report is not None else RoundReport("sparse_cut")
-    work = _PeelWork(PeeledCSR.from_graph(graph))
-    total_volume = work.total_volume()
-    accumulated: set[Vertex] = set()
+    # ``initial`` is never written: the final measures run on it, and its
+    # integer statistics are the input graph's.  ``view`` is the working
+    # graph G{U}, peeled once per batch and re-compacted between batches.
+    initial = PeeledCSR.from_graph(graph)
+    view = initial.clone()
+    total_volume = initial.total_volume
+    accumulated: list[Vertex] = []  # S, as labels (they survive compaction)
+    # Vol(S) as a running sum: applied cuts are disjoint and Remove-j keeps
+    # the surviving degrees, so each adds its working-graph volume exactly.
     accumulated_volume = 0
     failures = 0
     batches = 0
@@ -605,20 +489,21 @@ def sparse_cut_search(
 
     try:
         while (
-            work.num_edges > 0
+            view.num_edges > 0
             and failures < max_failures
             and accumulated_volume < balance_target * total_volume
         ):
             if deadline is not None and deadline.expired():
                 interrupted = True
                 break
-            work.refresh()
+            # Output-neutral (compaction is bit-identical), but keeps the
+            # masked kernels' dense-vector cost proportional to what is
+            # still alive.
+            view = maybe_compact(view)
             params = NibbleParameters.for_mode(
-                work.search_graph, phi, mode, **(params_overrides or {})
+                view, phi, mode, **(params_overrides or {})
             )
-            batch_size = num_instances or default_num_instances(
-                work.search_graph
-            )
+            batch_size = num_instances or default_num_instances(view)
             if not checked:
                 checked = True
                 if spectral_hint is not None and not accumulated:
@@ -627,9 +512,7 @@ def sparse_cut_search(
                         spectral_hint,
                     )
                 else:
-                    bound, cert = conductance_lower_bound(
-                        work.search_graph, phi=phi
-                    )
+                    bound, cert = conductance_lower_bound(view, phi=phi)
                 if cert is not None and not accumulated:
                     # Valid for the *input* graph: nothing has been
                     # removed yet.  Dense or Lanczos alike — the
@@ -645,12 +528,7 @@ def sparse_cut_search(
                     # place.
                     skipped = max_failures - failures
                     own_report.subreport("spectral_precheck").charge(
-                        2
-                        * math.ceil(
-                            math.log2(
-                                max(work.search_graph.num_vertices, 2)
-                            )
-                        )
+                        2 * math.ceil(math.log2(max(view.num_vertices, 2)))
                     )
                     batches += skipped
                     precheck_skips += skipped
@@ -659,35 +537,47 @@ def sparse_cut_search(
             batch_index = batches
             batches += 1
             cuts = yield from _nibble_batch(
-                work.search_graph, params, batch_size, root, batch_index, own_report
+                view, params, batch_size, root, batch_index, own_report
             )
+            # The batch's cuts are decided against ``view`` minus ``taken``
+            # (the cuts applied so far in this batch) and land as one union
+            # peel below.  Remove-j keeps the surviving vertices' degrees,
+            # so Vol(view) - Vol(taken) is the working graph's volume after
+            # per-cut peels; harvested cuts are disjoint and ``peel`` is
+            # path-independent (tests/test_peel.py), so the union peel
+            # gives the very arrays per-cut peels would.
+            taken = np.zeros(view.n, dtype=bool)
+            remaining_volume = view.total_volume
             applied = 0
             for found in cuts:
                 if accumulated_volume >= balance_target * total_volume:
                     break
-                cut_vertices = set(found.vertices)
+                idx = view.indices_of(found.vertices)
                 # An earlier cut of this batch may have been flipped to
                 # the big side and swallowed this one's vertices; skip
                 # it then.
-                if not work.contains_all(cut_vertices):
+                if taken[idx].any():
                     continue
+                volume = view.volume(idx)
                 # Keep S the small side of the working graph so its
                 # accumulation tracks the balance target rather than
                 # overshooting it.
-                if work.volume_of(cut_vertices) > work.total_volume() / 2.0:
-                    cut_vertices = work.complement(cut_vertices)
-                    if not cut_vertices:
+                if volume > remaining_volume / 2.0:
+                    rest = view.alive & ~taken
+                    rest[idx] = False
+                    idx = np.flatnonzero(rest)
+                    if idx.size == 0:
                         continue
-                work.remove(cut_vertices)
-                accumulated |= cut_vertices
-                accumulated_volume = work.initial_volume(accumulated)
+                    volume = remaining_volume - volume
+                taken[idx] = True
+                remaining_volume -= volume
+                accumulated.extend(view.vertices[i] for i in idx.tolist())
+                accumulated_volume += volume
                 applied += 1
-            # One union peel for the whole batch's cuts (see
-            # _PeelWork).
-            work.flush_batch()
             if applied == 0:
                 failures += 1
             else:
+                view.peel(np.flatnonzero(taken))
                 failures = 0
                 checked = False  # the working graph changed: re-check
                 # before the next batch (an unchanged graph keeps its
@@ -725,14 +615,14 @@ def sparse_cut_search(
             precheck_skips=precheck_skips,
         )
     # Report the small side of the final cut, measured in the input graph.
-    if work.initial_volume(accumulated) > total_volume / 2.0:
-        accumulated = work.initial_vertices() - accumulated
-    conductance, balance, cut_size = work.measure(accumulated)
+    idx = initial.indices_of(accumulated)
+    if accumulated_volume > total_volume / 2.0:
+        idx = np.setdiff1d(initial.alive_indices(), idx, assume_unique=True)
     return SparseCutResult(
-        cut=frozenset(accumulated),
-        conductance=conductance,
-        balance=balance,
-        cut_size=cut_size,
+        cut=frozenset(initial.vertices[i] for i in idx.tolist()),
+        conductance=initial.conductance_of_cut(idx),
+        balance=initial.balance_of_cut(idx),
+        cut_size=initial.cut_size(idx),
         certified_no_cut=False,
         batches=batches,
         report=own_report,

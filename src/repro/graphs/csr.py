@@ -406,47 +406,6 @@ class CSRSweep:
         return self.order[:j]
 
 
-#: Sweeps up to this long build their candidate sequence with the shared
-#: pure-Python linear scan: below it, per-call numpy ``searchsorted``
-#: dispatch overhead costs more than scanning a plain list.
-CANDIDATE_SEARCHSORTED_THRESHOLD = 512
-
-
-def candidate_indices_from_volumes(prefix_volume: np.ndarray, phi: float) -> list[int]:
-    """ApproximateNibble's geometric candidate prefixes, via ``searchsorted``.
-
-    Produces exactly the sequence of
-    :func:`repro.nibble.sweep.candidate_indices_from_profile` — each "largest
-    j with Vol(π̃(1..j)) ≤ (1+φ)·Vol(π̃(1..j_prev))" is found by one binary
-    search over the non-decreasing prefix-volume profile instead of a linear
-    scan.  The duplication is deliberate and profile-driven, not cosmetic:
-    the shared helper's Python linear scan (O(jmax) interpreted iterations
-    per time step) was a third of the whole CSR ApproximateNibble wall time
-    on 10⁴-vertex supports, and this variant removes it.  Short sweeps
-    (jmax ≤ :data:`CANDIDATE_SEARCHSORTED_THRESHOLD`) go the other way —
-    O(φ⁻¹ log Vol) numpy binary-search dispatches cost more than one pass
-    over a small Python list, and deep-recursion components are exactly the
-    short-sweep case — so they delegate to the shared helper over
-    ``tolist()``.  Any semantic edit here must be mirrored in the shared
-    helper; ``tests/test_csr.py`` pins the two constructions equal.
-    """
-    jmax = len(prefix_volume) - 1
-    if jmax <= 0:
-        return []
-    if jmax <= CANDIDATE_SEARCHSORTED_THRESHOLD:
-        from ..nibble.sweep import candidate_indices_from_profile
-
-        return candidate_indices_from_profile(prefix_volume.tolist(), phi)
-    candidates = [1]
-    while candidates[-1] < jmax:
-        prev = candidates[-1]
-        threshold = (1.0 + phi) * float(prefix_volume[prev])
-        j = int(np.searchsorted(prefix_volume, threshold, side="right")) - 1
-        nxt = max(prev + 1, j)
-        candidates.append(min(nxt, jmax))
-    return candidates
-
-
 def prefix_cut_profile(graph: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix volumes and prefix cut sizes of an explicit vertex-index order.
 

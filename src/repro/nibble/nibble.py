@@ -47,7 +47,12 @@ from ..graphs.peel import PeeledCSR
 from ..resilience.deadline import check_walk_deadline
 from ..utils.rounds import RoundReport
 from .parameters import NibbleParameters
-from .sweep import SweepState, build_sweep, candidate_indices
+from .sweep import (
+    SweepState,
+    build_sweep,
+    candidate_indices,
+    candidate_indices_from_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -234,9 +239,7 @@ def scan_walk_sequence_csr(
             continue
         if approximate:
             j_values = np.asarray(
-                csr_backend.candidate_indices_from_volumes(
-                    state.prefix_volume, params.phi
-                ),
+                candidate_indices_from_profile(state.prefix_volume, params.phi),
                 dtype=np.int64,
             )
         else:

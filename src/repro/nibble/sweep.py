@@ -100,11 +100,8 @@ def candidate_indices_from_profile(
 
     ``prefix_volume[j]`` is Vol(π̃(1..j)) with ``prefix_volume[0] = 0``, as
     produced by both :func:`build_sweep` and the CSR backend's
-    :meth:`repro.graphs.csr.WalkWorkspace.build_sweep`.  The CSR scan uses
-    its own ``searchsorted`` variant
-    (:func:`repro.graphs.csr.candidate_indices_from_volumes`) on long
-    sweeps; the two constructions are semantically identical and are pinned
-    equal by ``tests/test_csr.py``.
+    :meth:`repro.graphs.csr.WalkWorkspace.build_sweep`; both scans build
+    their candidates here.
 
     Each "largest j with Vol(π̃(1..j)) ≤ (1+φ)·Vol(π̃(1..j_prev))" is found
     by :func:`bisect.bisect_right` over a plain Python list — the profile

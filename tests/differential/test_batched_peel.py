@@ -1,8 +1,9 @@
 """Batched harvest application ≡ immediate removal, bitwise, on every family.
 
 ``nearly_most_balanced_sparse_cut`` applies a batch's harvested cuts in
-one union :meth:`PeeledCSR.peel`.  The exactness argument lives on the
-``_PeelWork`` docstring in :mod:`repro.decomposition.sparse_cut`:
+one union :meth:`PeeledCSR.peel`.  The exactness argument is the comment
+at that union peel in ``sparse_cut_search``
+(:mod:`repro.decomposition.sparse_cut`):
 harvested cuts are pairwise disjoint, peeling is degree-preserving on
 survivors, and ``peel`` is path-independent — so the union peel is
 bit-equal to removing each cut as it lands, which is what the dict

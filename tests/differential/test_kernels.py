@@ -11,14 +11,14 @@ step and vector that drifted.
 import numpy as np
 import pytest
 
-from diffharness import generator_families
+from diffharness import dict_reference_cut, generator_families
 from repro.graphs import csr as csr_backend
 from repro.graphs.csr import CSRGraph, WalkWorkspace, get_workspace
-from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.generators import barbell_expanders, erdos_renyi_graph
 from repro.graphs.peel import PeeledCSR
+from repro.nibble.nibble import approximate_nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
-from repro.nibble.sweep import candidate_indices
 from repro.walks.lazy_walk import truncated_walk_iter as dict_walk_iter
 
 
@@ -111,21 +111,34 @@ class TestWorkspaceSweepParity:
                 assert list(ws_state.prefix_cut) == dict_state.prefix_cut
                 assert ws_state.total_volume == dict_state.total_volume
 
-    def test_candidate_scan_matches_dict_linear_scan(self):
-        """The bisect-based dict scan and the searchsorted CSR scan must
-        pick the same sweep candidates on shared profiles."""
-        for seed, g in enumerate(walk_graphs()[:6]):
-            csr = CSRGraph.from_graph(g)
-            ws = WalkWorkspace(csr)
-            for sparse in self.masses(csr, seed + 50):
-                ws_state = ws.build_sweep(sparse)
-                dict_state = dict_build_sweep(
-                    g, csr_backend.mass_to_dict(csr, sparse)
-                )
-                for phi in (0.05, 0.2, 0.5):
-                    assert csr_backend.candidate_indices_from_volumes(
-                        ws_state.prefix_volume, phi
-                    ) == candidate_indices(dict_state, phi)
+
+class TestLongSweeps:
+    def test_approximate_nibble_matches_dict_reference_on_long_sweeps(
+        self, monkeypatch
+    ):
+        """The per-draw scan's candidate chain on sweeps of a thousand-plus
+        entries: the barbell's walks spread over both sides, and every cut
+        must still equal the dict reference's."""
+        g = barbell_expanders(600, degree=8, seed=3)
+        params = NibbleParameters.practical(g, 0.1, max_t0=40)
+        view = PeeledCSR.from_graph(g)
+        longest = 0
+        build_sweep = WalkWorkspace.build_sweep
+
+        def measured_build_sweep(workspace, mass):
+            nonlocal longest
+            state = build_sweep(workspace, mass)
+            longest = max(longest, state.jmax)
+            return state
+
+        monkeypatch.setattr(WalkWorkspace, "build_sweep", measured_build_sweep)
+        for start in (view.vertices[0], view.vertices[700]):
+            for scale in (1, 5, params.ell):
+                assert approximate_nibble(
+                    view, start, scale, params
+                ) == dict_reference_cut(g, start, scale, params)
+        # the case must keep reaching sweeps this long
+        assert longest > 512
 
 
 class TestWorkspaceCache:

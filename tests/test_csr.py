@@ -38,7 +38,7 @@ from repro.graphs.peel import PeeledCSR
 from repro.nibble import lockstep
 from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
-from repro.nibble.sweep import build_sweep, candidate_indices
+from repro.nibble.sweep import build_sweep
 from repro.parallel import worker
 from repro.parallel.executor import sequential_batch
 from repro.utils.rng import task_stream
@@ -211,18 +211,6 @@ class TestSweepParity:
                 conds = csr_state.conductances()
                 for j in range(1, dict_state.jmax + 1):
                     assert conds[j - 1] == dict_state.conductance(j)
-
-    def test_candidate_indices_identical(self):
-        # candidate_indices_from_volumes is the searchsorted variant the CSR
-        # scan actually calls — compare it (not the dict-side helper)
-        # against the dict engine's linear-scan construction.
-        for seed, g in enumerate(random_graphs(4)):
-            csr = CSRGraph.from_graph(g)
-            for dict_state, csr_state in self.sweeps(g, csr, seed + 100):
-                for phi in (0.05, 0.2, 0.5):
-                    assert csr_backend.candidate_indices_from_volumes(
-                        csr_state.prefix_volume, phi
-                    ) == candidate_indices(dict_state, phi)
 
     def test_prefix_cut_matches_graph_profile(self):
         for g in random_graphs(4):

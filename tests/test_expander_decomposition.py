@@ -93,7 +93,9 @@ class TestExpanderDecomposition:
 
 class TestArgumentValidation:
     @pytest.mark.parametrize(
-        "phi", [float("nan"), float("inf"), -0.2, 0.0], ids=["nan", "inf", "negative", "zero"]
+        "phi",
+        [float("nan"), float("inf"), -0.2, 0.0, 1.5, 2.0],
+        ids=["nan", "inf", "negative", "zero", "above_one", "two"],
     )
     def test_bad_phi_raises_naming_phi(self, phi):
         with pytest.raises(ValueError, match="phi"):

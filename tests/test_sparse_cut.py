@@ -12,6 +12,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.metrics import most_balanced_sparse_cut_exact
+from repro.decomposition.sparse_cut import sparse_cut_search
 from repro.decomposition import (
     nearly_most_balanced_sparse_cut,
     parallel_nibble,
@@ -20,6 +21,7 @@ from repro.decomposition import (
     sample_scale,
 )
 from repro.nibble import NibbleParameters
+from repro.nibble.nibble import NibbleCut
 from repro.utils.rng import ensure_rng
 
 
@@ -128,9 +130,103 @@ class TestCSRGraphInput:
         )
 
 
+class TestCutApplication:
+    """Theorem 3's loop applying hand-made batch harvests.
+
+    On dumbbell_cliques(5, 2) the left clique with the path has volume 25
+    and the right clique 21, of 46.  The search is driven one batch at a
+    time; each batch's request shows the working graph it would run on.
+    """
+
+    graph = dumbbell_cliques(5, 2)
+    left = frozenset([("L", i) for i in range(5)] + [("P", 0), ("P", 1)])
+    right = frozenset(("R", i) for i in range(5))
+
+    def cut(self, vertices, conductance):
+        return NibbleCut(
+            vertices=frozenset(vertices),
+            conductance=conductance,
+            volume=self.graph.volume(vertices),
+            cut_size=1,
+            time_step=1,
+            prefix_index=len(vertices),
+            scale=1,
+            start=next(iter(vertices)),
+        )
+
+    def drive(self, batches, **kwargs):
+        """Answer each request with the next batch's cuts; returns the
+        result and the alive labels of every requested working graph."""
+        views = []
+        with precheck_off():
+            search = sparse_cut_search(
+                self.graph, 0.1, seed=1, num_instances=2, **kwargs
+            )
+            request = next(search)
+            for cuts in batches:
+                view = request.view
+                labels = view.vertices
+                views.append({labels[i] for i in view.alive_indices().tolist()})
+                try:
+                    request = search.send(
+                        [(i, 1, c) for i, c in enumerate(cuts)]
+                    )
+                except StopIteration as stop:
+                    assert len(views) == len(batches), "the search stopped early"
+                    return stop.value, views
+        pytest.fail("the search asked for more batches")
+
+    def test_big_side_cut_is_flipped_to_its_complement(self):
+        result, views = self.drive(
+            [[self.cut(self.left, 0.01)], [], []], balance_target=0.5
+        )
+        # S took the right clique, so the left side stays to be searched
+        assert views[1] == self.left
+        assert result.cut == self.right
+        assert result.batches == 3
+
+    def test_cut_swallowed_by_an_earlier_flip_is_skipped(self):
+        inside_right = [("R", 1), ("R", 2)]
+        result, views = self.drive(
+            [
+                [self.cut(self.left, 0.01), self.cut(inside_right, 0.02)],
+                [],
+                [],
+            ],
+            balance_target=0.5,
+        )
+        # Applying the swallowed cut too would count its volume twice and
+        # reach the balance target after the first batch.
+        assert views[1] == self.left
+        assert result.cut == self.right
+        assert result.batches == 3
+
+    def test_cut_with_empty_complement_is_skipped_and_counts_a_failure(self):
+        everything = self.left | self.right
+        result, views = self.drive([[self.cut(everything, 0.01)], []])
+        assert views == [everything, everything]
+        assert result.certified_no_cut and result.is_empty
+        assert result.batches == 2
+
+    def test_flip_is_judged_against_the_volume_left_in_the_batch(self):
+        left_clique = [("L", i) for i in range(5)]
+        result, views = self.drive(
+            [[self.cut(self.right, 0.01), self.cut(left_clique, 0.02)]],
+            balance_target=0.5,
+        )
+        # Vol 21 of the 46 is at most half of the view, but more than half
+        # of the 25 the right clique left: the left clique flips to the
+        # path, S = right clique + path (25 of 46), reported as its small
+        # side.
+        assert result.cut == frozenset(left_clique)
+        assert result.batches == 1
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize(
-        "phi", [float("nan"), float("inf"), -0.2, 0.0], ids=["nan", "inf", "negative", "zero"]
+        "phi",
+        [float("nan"), float("inf"), -0.2, 0.0, 1.5, 2.0],
+        ids=["nan", "inf", "negative", "zero", "above_one", "two"],
     )
     def test_bad_phi_raises_naming_phi(self, phi):
         with pytest.raises(ValueError, match="phi"):
