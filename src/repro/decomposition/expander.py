@@ -468,9 +468,11 @@ def _settle_estimates(
     hints: list[Optional[SpectralCertificate]],
     depth: int,
 ) -> dict[int, float]:
-    """The pieces their batched hints settle, by position, with their estimates.
+    """The pieces the split settles, by position, with their estimates.
 
-    A piece's search would skip every batch on a dense hint whose Cheeger
+    A single vertex admits no cut: its subtree would emit it certified with
+    an infinite estimate, so it is settled with that.  A larger piece's
+    search would skip every batch on a dense hint whose Cheeger
     bound λ₂/2 clears the search's φ by :data:`PRECHECK_MARGIN`, and its
     final check would reuse the hint and certify it when λ₂/2 ≥ φ, with
     the sweep conductance over the hint's scores as the estimate.  Such a
@@ -483,6 +485,9 @@ def _settle_estimates(
     if depth >= ctx.max_depth or _expired(ctx):
         return {}
     search_phi = _search_phi(ctx, depth)
+    estimates = {
+        position: float("inf") for position, piece in enumerate(pieces) if piece.size == 1
+    }
     classes: dict[int, list[int]] = {}
     for position, hint in enumerate(hints):
         if (
@@ -492,7 +497,6 @@ def _settle_estimates(
             and hint.lam2 / 2.0 >= ctx.phi
         ):
             classes.setdefault(pieces[position].size, []).append(position)
-    estimates: dict[int, float] = {}
     for members in classes.values():
         conductances = batched_sweep_conductances(
             view, [pieces[p] for p in members], [hints[p].scores for p in members]
@@ -506,17 +510,19 @@ def _settled_subtree(
 ) -> _SubtreeOutcome:
     """A settled piece's outcome: the one its skipped search and check give.
 
-    One certified component, and the level report the search would file:
-    its pre-check's matvec rounds charged in place of the
-    ``max_failures`` batches it skips.  Emitted and journaled here.
+    One certified component.  A piece of two or more vertices also files
+    the level report its search would: its pre-check's matvec rounds
+    charged in place of the ``max_failures`` batches it skips.  A single
+    vertex is never searched, so it files none.  Emitted and journaled
+    here.
     """
     size = task.subset.size
-    report = RoundReport(f"level {task.depth} (n={size})")
-    report.subreport("spectral_precheck").charge(2 * math.ceil(math.log2(max(size, 2))))
-    outcome = _SubtreeOutcome(
-        reports=[report],
-        precheck_skips=ctx.cut_kwargs.get("max_failures", DEFAULT_MAX_FAILURES),
-    )
+    outcome = _SubtreeOutcome()
+    if size > 1:
+        report = RoundReport(f"level {task.depth} (n={size})")
+        report.subreport("spectral_precheck").charge(2 * math.ceil(math.log2(size)))
+        outcome.reports.append(report)
+        outcome.precheck_skips = ctx.cut_kwargs.get("max_failures", DEFAULT_MAX_FAILURES)
     _emit(
         ctx,
         outcome,

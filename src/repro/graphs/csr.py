@@ -29,6 +29,7 @@ conductance values — ratios of those integers — agree exactly as well.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,7 +91,7 @@ class CSRGraph:
     vertices:
         The original vertex labels in index order; they must be distinct.
     index:
-        Mapping from vertex label to index.
+        Mapping from vertex label to index, built on first use.
 
     A repeated label, or an ``indptr`` that does not start at 0 or that
     decreases, raises :class:`ValueError` at construction.
@@ -105,7 +106,7 @@ class CSRGraph:
         "degree",
         "total_volume",
         "vertices",
-        "index",
+        "_index",
         "_edge_keys",
         "_ws",
     )
@@ -122,12 +123,13 @@ class CSRGraph:
         self.loops = loops
         self.vertices = vertices
         self.n = len(vertices)
-        self.index = {v: i for i, v in enumerate(vertices)}
-        if len(self.index) != self.n:
+        distinct = len(set(vertices))
+        if distinct != self.n:
             raise ValueError(
                 f"vertex labels repeat: {self.n} labels name only "
-                f"{len(self.index)} distinct vertices"
+                f"{distinct} distinct vertices"
             )
+        self._index: Optional[dict] = None
         self.proper_degree = np.diff(indptr)
         if int(indptr[0]) != 0 or bool((self.proper_degree < 0).any()):
             raise ValueError("indptr must start at 0 and never decrease")
@@ -138,31 +140,39 @@ class CSRGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Snapshot ``graph`` into CSR form (one O(n log n + m) pass).
+        """Snapshot ``graph`` into CSR form (one O(n log n + m log m) pass).
 
-        The index arrays take the width :func:`choose_index_dtype` picks
-        for the snapshot's dimensions (int32 whenever it fits).
-        ``loops`` — and therefore ``degree`` — stay int64 regardless, so
-        every arithmetic expression downstream of degrees is unchanged by
-        the index width.
+        One pass collects every directed ``(row, column)`` pair as the key
+        ``row·n + column``, and one integer sort of the keys orders each
+        row's neighbours ascending (rows are already grouped).  The index
+        arrays take the width :func:`choose_index_dtype` picks for the
+        snapshot's dimensions (int32 whenever it fits).  ``loops`` — and
+        therefore ``degree`` — stay int64 regardless, so every arithmetic
+        expression downstream of degrees is unchanged by the index width.
         """
         vertices = sorted(graph.vertices(), key=repr)
+        n = len(vertices)
         index = {v: i for i, v in enumerate(vertices)}
-        counts = np.fromiter(
-            (len(graph.neighbors(v)) for v in vertices), dtype=np.int64, count=len(vertices)
-        )
-        indptr64 = np.zeros(len(vertices) + 1, dtype=np.int64)
+        neighbours = [graph.neighbors(v) for v in vertices]
+        counts = np.fromiter(map(len, neighbours), dtype=np.int64, count=n)
+        indptr64 = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr64[1:])
-        dtype = choose_index_dtype(len(vertices), int(indptr64[-1]))
-        indptr = indptr64.astype(dtype, copy=False)
-        indices = np.empty(int(indptr64[-1]), dtype=dtype)
-        for i, v in enumerate(vertices):
-            nbrs = sorted(index[u] for u in graph.neighbors(v))
-            indices[indptr64[i] : indptr64[i + 1]] = nbrs
-        loops = np.fromiter(
-            (graph.self_loops(v) for v in vertices), dtype=np.int64, count=len(vertices)
+        total = int(indptr64[-1])
+        row_keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+        keys = row_keys + np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(neighbours)),
+            dtype=np.int64,
+            count=total,
         )
-        return cls(indptr, indices, loops, vertices)
+        keys.sort()
+        dtype = choose_index_dtype(n, total)
+        loops = np.fromiter(map(graph.self_loops, vertices), dtype=np.int64, count=n)
+        return cls(
+            indptr64.astype(dtype, copy=False),
+            (keys - row_keys).astype(dtype, copy=False),
+            loops,
+            vertices,
+        )
 
     # ------------------------------------------------------------------
     # memory-mapped snapshots
@@ -277,6 +287,18 @@ class CSRGraph:
 
     # ------------------------------------------------------------------
     @property
+    def index(self) -> dict:
+        """Label → index mapping, built on first use.
+
+        Most snapshots — one opened from disk, a compacted working graph —
+        are never asked for a label's index, so the dict is left unbuilt
+        until they are.  Labels are checked distinct at construction.
+        """
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
+
+    @property
     def num_vertices(self) -> int:
         """Number of vertices (mirrors ``Graph.num_vertices``)."""
         return self.n
@@ -305,15 +327,16 @@ class CSRGraph:
         and the sweep cut scan.
         """
         counts = self.proper_degree[rows]
-        total = int(counts.sum())
+        ends = np.cumsum(counts, dtype=np.int64)
+        total = int(ends[-1]) if ends.size else 0
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         row_id = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        starts = self.indptr[rows]
-        offsets = np.arange(total, dtype=np.int64)
-        offsets -= np.repeat(np.concatenate(([0], np.cumsum(counts[:-1]))), counts)
-        flat = self.indices[np.repeat(starts, counts) + offsets]
-        return row_id, flat
+        # Entry k of row r sits at indptr[rows[r]] + (k − first entry of r).
+        shift = self.indptr[rows] - (ends - counts)
+        positions = np.arange(total, dtype=np.int64)
+        positions += shift[row_id]
+        return row_id, self.indices[positions]
 
     def directed_edge_keys(self) -> np.ndarray:
         """Every directed adjacency entry ``(u, v)`` encoded as ``u·n + v``.

@@ -23,15 +23,17 @@ Up to :data:`DENSE_EIGH_LIMIT` alive vertices the eigenproblem is solved
 densely (``numpy.linalg.eigh``, exact to machine precision).  Beyond it a
 dense n x n Laplacian is infeasible, so the view is compacted and λ₂ and the
 Fiedler vector come from a converged ``scipy.sparse.linalg.eigsh`` (Lanczos)
-solve over the compact CSR adjacency.  Its values are accurate to solver
-tolerance rather than machine precision, so large-component certification
-is best-effort in the same sense as PRACTICAL-mode parameters (see
-EXPERIMENTS.md).  When ARPACK does not converge there is no value to stand
-on: :func:`spectral_gap` and :func:`fiedler_scores` raise, certification
-reports the graph uncertified and the pre-check does not skip.  scipy is
-imported inside the routines that solve sparsely, so a run whose working
-graphs all stay within :data:`PRECHECK_DENSE_LIMIT` vertices never loads
-it.
+solve of ``2I − L``, assembled in one pass from the compact CSR adjacency
+(:func:`_shifted_laplacian`; its bytes are those of the ``csr_matrix`` +
+``diags`` sum it replaces, so ARPACK runs the same matvecs).  Its values
+are accurate to solver tolerance rather than machine precision, so
+large-component certification is best-effort in the same sense as
+PRACTICAL-mode parameters (see EXPERIMENTS.md).  When ARPACK does not
+converge there is no value to stand on: :func:`spectral_gap` and
+:func:`fiedler_scores` raise, certification reports the graph uncertified
+and the pre-check does not skip.  scipy is imported inside the routines
+that solve sparsely, so a run whose working graphs all stay within
+:data:`PRECHECK_DENSE_LIMIT` vertices never loads it.
 
 The Fiedler embedding ``x / sqrt(deg)`` is one float64 array aligned with
 the view's alive vertices in ascending base-index order — the order
@@ -49,6 +51,13 @@ compaction) without moving any output.  Between :data:`PRECHECK_DENSE_LIMIT`
 and :data:`DENSE_EIGH_LIMIT` vertices the pre-check's Lanczos certificate
 is ignored and certification solves densely.  A certificate whose length
 differs from the alive count of the view it is applied to raises.
+
+Every sweep runs through one helper (:func:`_best_sweep`), which stops at
+the numbers: the order, the best prefix's length and its conductance.
+Only :func:`sweep_cut` turns that prefix into a label set and a balance;
+a certified component's estimate, :func:`sweep_cut_conductance` and
+:func:`effective_conductance` need the value alone and never build the
+cut.
 """
 
 from __future__ import annotations
@@ -103,33 +112,62 @@ def _unit_adjacency(graph: CSRGraph):
     )
 
 
-def _lambda2_eigsh(graph: CSRGraph) -> tuple[float, np.ndarray]:
-    """(λ₂, Fiedler vector) of a CSR snapshot by a *converged* Lanczos solve.
+def _shifted_laplacian(graph: CSRGraph):
+    """``2I − L`` of a CSR snapshot as one ``scipy.sparse`` CSR matrix.
 
-    Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L`` (its two largest
-    eigenvalues are 2 - λ₁ and 2 - λ₂, well-separated extremes that Lanczos
-    handles robustly).  ARPACK is handed an operator whose matvec is the
-    CSR product ``shifted @ x`` itself — the ``csr_matvec`` the generic
-    ``LinearOperator`` wrapping of a sparse matrix ends in, without the
-    wrapper's per-call checks.  When ARPACK does not converge its
-    ``ArpackNoConvergence`` propagates: no caller may stand on an
-    unconverged iterate, and each decides what no answer means — the
-    pre-check refuses to skip, certification reports the graph uncertified.
+    Built in one pass: each row holds its off-diagonal entries
+    ``d_i^{-1/2} d_j^{-1/2}`` in ascending column order, with the diagonal
+    ``2.0 − (1 − loops_i/deg_i)`` merged in at its own column.  These are
+    the values, columns and row offsets — bytes and index dtypes included
+    — that summing ``csr_matrix`` and ``diags`` into ``L`` and subtracting
+    it from ``2·identity`` produces: ``0.0 − (−a·b)`` is ``a·b`` exactly,
+    and no entry is zero, so that sum drops none.  Every matvec on it is
+    therefore the same.  ``tests/test_lanczos_digests.py`` keeps the
+    three-step build as the oracle.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator, eigsh
 
     n = graph.n
     deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     row = np.repeat(np.arange(n), graph.proper_degree)
-    data = -inv_sqrt[row] * inv_sqrt[graph.indices]
+    columns = graph.indices
     diagonal = np.ones(n)
     positive = deg > 0
     diagonal[positive] -= graph.loops[positive] * inv_sqrt[positive] ** 2
-    lap = sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
-    lap = lap + sp.diags(diagonal)
-    shifted = sp.identity(n, format="csr") * 2.0 - lap
+    # Row i's entries move i places on to make room for the diagonals of
+    # the rows above it, and those right of its own diagonal one more.
+    after = columns > row
+    off = np.arange(columns.size) + row + after
+    on = graph.indptr[:-1] + np.arange(n) + np.bincount(row[~after], minlength=n)
+    data = np.empty(columns.size + n)
+    data[off] = inv_sqrt[row] * inv_sqrt[columns]
+    data[on] = 2.0 - diagonal
+    indices = np.empty(columns.size + n, dtype=np.int64)
+    indices[off] = columns
+    indices[on] = np.arange(n)
+    indptr = graph.indptr + np.arange(n + 1)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _lambda2_eigsh(graph: CSRGraph) -> tuple[float, np.ndarray]:
+    """(λ₂, Fiedler vector) of a CSR snapshot by a *converged* Lanczos solve.
+
+    Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L``
+    (:func:`_shifted_laplacian`; its two largest eigenvalues are 2 - λ₁ and
+    2 - λ₂, well-separated extremes that Lanczos handles robustly).  ARPACK
+    is handed an operator whose matvec is the CSR product ``shifted @ x``
+    itself — the ``csr_matvec`` the generic ``LinearOperator`` wrapping of
+    a sparse matrix ends in, without the wrapper's per-call checks.  When
+    ARPACK does not converge its ``ArpackNoConvergence`` propagates: no
+    caller may stand on an unconverged iterate, and each decides what no
+    answer means — the pre-check refuses to skip, certification reports
+    the graph uncertified.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = graph.n
+    shifted = _shifted_laplacian(graph)
 
     class Shifted(LinearOperator):
         def _matvec(self, x):
@@ -296,6 +334,40 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
     return _embedding_scores(eigenvectors[:, 1], degrees[0]), lam2
 
 
+def _best_sweep(
+    view: PeeledCSR, scores: Optional[np.ndarray]
+) -> tuple[np.ndarray, int, float]:
+    """``(order, prefix, conductance)`` of the best prefix of a sweep.
+
+    ``order`` is the view's alive vertices sorted by descending score, ties
+    to the smaller index; ``prefix`` is the length of its first prefix of
+    least conductance (0 when no prefix has a finite one), and
+    ``conductance`` that value.  This is the whole sweep in numbers: a
+    caller that needs the cut itself (:func:`sweep_cut`) turns the prefix
+    into labels, one that needs only the value stops here.
+    """
+    idx = view.alive_indices()
+    n = idx.size
+    if n < 2 or view.total_volume == 0:
+        return idx, 0, float("inf")
+    if scores is None:
+        scores, _ = fiedler_scores(view)
+    elif len(scores) != n:
+        raise ValueError(f"{len(scores)} scores for a view with {n} alive vertices")
+    perm = np.lexsort((np.arange(n), -np.asarray(scores, dtype=float)))
+    order = idx[perm]
+    prefix_volume, prefix_cut = csr_prefix_cut_profile(view, order)
+    total_volume = view.total_volume
+    vol = prefix_volume[1:n]
+    denom = np.minimum(vol, total_volume - vol)
+    conds = np.full(n - 1, np.inf)
+    ok = denom > 0
+    conds[ok] = prefix_cut[1:n][ok] / denom[ok]
+    pick = int(np.argmin(conds))
+    best_phi = float(conds[pick])
+    return order, pick + 1 if best_phi < float("inf") else 0, best_phi
+
+
 def sweep_cut(
     graph: "Graph | CSRGraph | PeeledCSR", scores: Optional[np.ndarray] = None
 ) -> SweepCut:
@@ -312,35 +384,17 @@ def sweep_cut(
     conductance is an exact integer ratio of the alive working graph.
     """
     view = PeeledCSR.from_graph(graph)
-    idx = view.alive_indices()
-    n = idx.size
-    if n < 2 or view.total_volume == 0:
-        return SweepCut(frozenset(), float("inf"), 0.0)
-    if scores is None:
-        scores, _ = fiedler_scores(view)
-    elif len(scores) != n:
-        raise ValueError(f"{len(scores)} scores for a view with {n} alive vertices")
-    perm = np.lexsort((np.arange(n), -np.asarray(scores, dtype=float)))
-    order = idx[perm]
-    prefix_volume, prefix_cut = csr_prefix_cut_profile(view, order)
-    total_volume = view.total_volume
-    vol = prefix_volume[1:n]
-    denom = np.minimum(vol, total_volume - vol)
-    conds = np.full(n - 1, np.inf)
-    ok = denom > 0
-    conds[ok] = prefix_cut[1:n][ok] / denom[ok]
-    pick = int(np.argmin(conds))
-    best_phi = float(conds[pick])
-    best_prefix = pick + 1 if best_phi < float("inf") else 0
+    order, prefix, conductance = _best_sweep(view, scores)
+    if prefix == 0:
+        return SweepCut(frozenset(), conductance, 0.0)
     labels = view.vertices
-    subset = frozenset(labels[int(i)] for i in order[:best_prefix])
-    balance = view.balance_of_cut(order[:best_prefix]) if subset else 0.0
-    return SweepCut(subset, best_phi, balance)
+    subset = frozenset(labels[int(i)] for i in order[:prefix])
+    return SweepCut(subset, conductance, view.balance_of_cut(order[:prefix]))
 
 
 def sweep_cut_conductance(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     """Conductance of the spectral sweep cut (an upper bound on Φ(G))."""
-    return sweep_cut(graph).conductance
+    return _best_sweep(PeeledCSR.from_graph(graph), None)[2]
 
 
 def certify_conductance(
@@ -403,7 +457,7 @@ def certify_conductance(
         except ArpackError:
             return False, math.nan, None
     if lam2 / 2.0 >= phi:
-        return True, sweep_cut(view, scores).conductance, None
+        return True, _best_sweep(view, scores)[2], None
     if num_vertices <= EXACT_ENUMERATION_LIMIT:
         exact = graph_conductance_exact(view.to_graph())
         certified = exact.conductance >= phi
@@ -647,4 +701,4 @@ def effective_conductance(graph: "Graph | CSRGraph | PeeledCSR") -> float:
     view = PeeledCSR.from_graph(graph)
     if view.num_vertices <= EXACT_ENUMERATION_LIMIT:
         return graph_conductance_exact(view.to_graph()).conductance
-    return sweep_cut(view).conductance
+    return _best_sweep(view, None)[2]

@@ -166,8 +166,9 @@ class SharedCSR:
         Built lazily and cached: the array views are zero-copy
         (``np.frombuffer`` over the segment), marked read-only, and the
         labels are unpickled once.  The derived ``degree`` /
-        ``proper_degree`` / ``index`` structures are small per-process
-        copies computed by ``CSRGraph.__init__``.
+        ``proper_degree`` arrays are small per-process copies computed by
+        ``CSRGraph.__init__``, which also refuses repeated labels; the
+        label ``index`` is built only if the process asks for it.
         """
         if self._graph is None:
             meta = self.meta

@@ -17,6 +17,7 @@ import pytest
 
 from diffharness import dict_reference_cut, precheck_off
 from repro.graphs import csr as csr_backend
+from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph, WalkWorkspace
 from repro.graphs.generators import (
     barbell_expanders,
@@ -40,6 +41,7 @@ from repro.nibble.nibble import approximate_nibble, nibble
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep
 from repro.parallel import worker
+from repro.parallel.shared import SharedCSR, shared_memory_available
 from repro.parallel.executor import sequential_batch
 from repro.utils.rng import task_stream
 from repro.walks.lazy_walk import (
@@ -121,6 +123,35 @@ class TestCSRGraphStructure:
         with pytest.raises(ValueError, match="labels repeat"):
             CSRGraph(csr.indptr, csr.indices, csr.loops, labels)
 
+    def test_repeated_labels_are_refused_on_every_path(self, tmp_path):
+        """A repeated label fails construction however a snapshot is made:
+        reopened from disk, compacted from a view, attached from shared
+        memory."""
+        damaged = CSRGraph.from_graph(ring_of_cliques(4, 5))
+        damaged.vertices[3] = damaged.vertices[2]  # after the constructor's check
+        damaged.to_mmap(tmp_path / "snapshot")
+        with pytest.raises(ValueError, match="labels repeat"):
+            CSRGraph.from_mmap(tmp_path / "snapshot")
+        with pytest.raises(ValueError, match="labels repeat"):
+            PeeledCSR.for_subset(damaged, range(8)).compact()
+        if shared_memory_available():
+            with SharedCSR.publish(damaged) as owner:
+                attached = SharedCSR.attach(owner.meta)
+                with pytest.raises(ValueError, match="labels repeat"):
+                    attached.graph
+                attached.close()
+
+    def test_index_is_built_on_first_use(self, tmp_path):
+        graph = ring_of_cliques(4, 5)
+        csr = CSRGraph.from_graph(graph)
+        csr.to_mmap(tmp_path / "snapshot")
+        opened = CSRGraph.from_mmap(tmp_path / "snapshot")
+        compact = PeeledCSR.for_subset(opened, range(0, 20, 2)).compact().base
+        for snapshot in (csr, opened, compact):
+            assert snapshot._index is None
+            assert snapshot.index == {v: i for i, v in enumerate(snapshot.vertices)}
+            assert snapshot.index is snapshot.index
+
     def test_indptr_must_start_at_zero_and_never_decrease(self):
         csr = CSRGraph.from_graph(ring_of_cliques(4, 5))
         shifted = csr.indptr.copy()
@@ -139,6 +170,84 @@ class TestCSRGraphStructure:
                 assert back.neighbors(v) == g.neighbors(v)
                 assert back.self_loops(v) == g.self_loops(v)
 
+
+
+def per_vertex_snapshot(graph: Graph) -> CSRGraph:
+    """The per-vertex ``from_graph`` build, kept as the oracle of the sort-based one."""
+    vertices = sorted(graph.vertices(), key=repr)
+    index = {v: i for i, v in enumerate(vertices)}
+    counts = np.fromiter(
+        (len(graph.neighbors(v)) for v in vertices), dtype=np.int64, count=len(vertices)
+    )
+    indptr64 = np.zeros(len(vertices) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr64[1:])
+    dtype = csr_backend.choose_index_dtype(len(vertices), int(indptr64[-1]))
+    indices = np.empty(int(indptr64[-1]), dtype=dtype)
+    for i, v in enumerate(vertices):
+        indices[indptr64[i] : indptr64[i + 1]] = sorted(index[u] for u in graph.neighbors(v))
+    loops = np.fromiter(
+        (graph.self_loops(v) for v in vertices), dtype=np.int64, count=len(vertices)
+    )
+    return CSRGraph(indptr64.astype(dtype, copy=False), indices, loops, vertices)
+
+
+def snapshot_hosts() -> list[tuple[str, Graph]]:
+    """Every generator family, a G{S} with loops, and awkward labels."""
+    hosts = [
+        ("empty", Graph()),
+        ("path", gen.path_graph(9)),
+        ("cycle", gen.cycle_graph(12)),
+        ("complete", gen.complete_graph(7)),
+        ("star", gen.star_graph(10)),
+        ("grid", gen.grid_graph(4, 6)),
+        ("hypercube", gen.hypercube_graph(5)),
+        ("complete_bipartite", gen.complete_bipartite_graph(4, 7)),
+        ("binary_tree", gen.binary_tree_graph(4)),
+        ("erdos_renyi", gen.erdos_renyi_graph(60, 0.1, seed=2)),
+        ("random_regular", gen.random_regular_graph(40, 4, seed=3)),
+        ("barbell", gen.barbell_expanders(24, seed=4)),
+        ("unbalanced", gen.unbalanced_bridged_expanders(10, 30, seed=5)),
+        ("ring_of_cliques", gen.ring_of_cliques(5, 6)),
+        ("planted", gen.planted_partition_graph(3, 12, 0.6, 0.05, seed=6)),
+        ("power_law", gen.power_law_graph(120, seed=7)),
+        ("dumbbell", gen.dumbbell_cliques(6, 4)),
+        ("disjoint_cliques", gen.disjoint_cliques(5, 4)),
+        ("triangle_rich", gen.triangle_rich_graph(40, seed=8)),
+        ("union", gen.union_of_graphs(
+            [gen.cycle_graph(6), gen.complete_graph(5)], bridge_edges=2, seed=9
+        )),
+    ]
+    host = gen.erdos_renyi_graph(50, 0.15, seed=10)
+    keep = sorted(host.vertices(), key=repr)[::2]
+    hosts.append(("induced_with_loops", host.induced_with_loops(keep)))
+    # Labels of mixed types have no order of their own, only ``repr``'s;
+    # two of them share a ``repr`` and keep their insertion order.
+    mixed = Graph(vertices=[3, "3", (1, "a"), None, frozenset({2}), 2.5, ("x",), "b"])
+    for u, v in [(3, "3"), ("3", None), (None, (1, "a")), (2.5, ("x",)), ("b", 3), (3, 2.5)]:
+        mixed.add_edge(u, v)
+    mixed.add_self_loops("b", 2)
+    mixed.add_self_loops(None, 1)
+    mixed.add_self_loops(frozenset({2}), 3)
+    hosts.append(("unorderable_labels", mixed))
+    return hosts
+
+
+class TestFromGraphBuild:
+    """The sort-based ``from_graph`` gives the per-vertex build's bytes."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+    def test_byte_identical_to_per_vertex_build(self, monkeypatch, wide):
+        if wide:
+            monkeypatch.setattr(csr_backend, "INDEX32_LIMIT", 0)
+        for name, graph in snapshot_hosts():
+            got, expected = CSRGraph.from_graph(graph), per_vertex_snapshot(graph)
+            for field in ("indptr", "indices", "loops"):
+                a, b = getattr(got, field), getattr(expected, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
+                assert a.tobytes() == b.tobytes(), (name, field)
+            assert got.vertices == expected.vertices, name
+            if graph.num_vertices:
+                assert got.indptr.dtype == ("int64" if wide else "int32"), name
 
 
 class TestWalkParity:

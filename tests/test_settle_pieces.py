@@ -1,4 +1,4 @@
-"""Pieces settled from their batched hints give the per-piece path's outputs.
+"""Pieces settled at the split give the per-piece path's outputs.
 
 When a subset splits into connected pieces, the decomposition solves the
 pieces' spectra in stacked ``eigh`` calls.  A piece whose dense hint
@@ -6,7 +6,9 @@ clears its search's φ would skip every batch and then certify on that same
 hint, so the recursion settles it on the spot
 (``expander._settle_estimates``): no search, no per-piece view, no
 ``certify_conductance``, and its sweep estimate comes from one array pass
-per size class (``spectral.batched_sweep_conductances``).
+per size class (``spectral.batched_sweep_conductances``).  A single-vertex
+piece — isolated, or left with self loops only — admits no cut and is
+settled too, certified with an infinite estimate and no level report.
 
 The oracle is the per-piece path itself, reached by patching the settle
 helper to settle nothing: components, estimates, levels, cut edges, the
@@ -55,8 +57,34 @@ def k4_host(count: int = 300):
     return graph
 
 
+def singleton_host():
+    """One K₄ beside isolated and loop-only vertices: mostly singletons."""
+    graph = complete_graph(4)
+    for i in range(40):
+        graph.add_vertex(("isolated", i))
+        graph.add_self_loops(("looped", i), 1 + i % 3)
+    return graph
+
+
+def k4_ring_host():
+    """:func:`k4_host` plus a ring of cliques whose search runs between them.
+
+    In ``repr`` order the isolated vertices come first, then the ring, then
+    the K₄s, so a deadline that expires in the ring's search falls between
+    settled siblings on either side.
+    """
+    graph = k4_host()
+    ring = ring_of_cliques(4, 6)
+    for v in ring.vertices():
+        graph.add_vertex(("ring", v))
+    for u, v in ring.edges():
+        graph.add_edge(("ring", u), ("ring", v))
+    return graph
+
+
 HOSTS = {
     "k4": (k4_host, K4),
+    "singletons": (singleton_host, K4),
     # Each settled piece is charged the max_failures batches it skips.
     "k4, max_failures=3": (k4_host, dict(K4, sparse_cut_kwargs={"max_failures": 3})),
     "power_law_csr(600)": (lambda: power_law_csr(600, exponent=2.0, seed=5), POWERLAW),
@@ -175,6 +203,27 @@ class TestSettleRule:
             assert sorted(settled) == [k4]
         assert expander_module._settle_estimates(ctx, view, pieces, hints, 5) == {}
 
+    def test_singletons_settle_without_a_subtree(self, monkeypatch, settled):
+        """Each isolated vertex of the K₄ host is emitted at the split: no
+        subtree generator runs for it, and it files no level report."""
+        subtrees: list[int] = []
+        real = expander_module._recorded_subtree
+
+        def spy(ctx, task):
+            subtrees.append(task.subset.size)
+            return real(ctx, task)
+
+        monkeypatch.setattr(expander_module, "_recorded_subtree", spy)
+        result = expander_decomposition(k4_host(), **K4)
+        assert settled[0] == 600 and subtrees == []
+        singles = [c for c in result.components if len(c) == 1]
+        assert len(singles) == 300
+        assert all(
+            c.certified and c.conductance_estimate == float("inf") and c.level == 0
+            for c in singles
+        )
+        assert len(result.report.children) == 300  # one per K₄
+
 
 class TestSettleParity:
     @pytest.mark.parametrize("host", sorted(HOSTS))
@@ -207,7 +256,7 @@ class TestSettleParity:
             per_piece(monkeypatch, lambda: expander_decomposition(graph, **settings))
         )
 
-    @pytest.mark.parametrize("host", ["k4", "power_law_csr(600)"])
+    @pytest.mark.parametrize("host", ["k4", "singletons", "power_law_csr(600)"])
     def test_journal_records_and_replays_each_piece(
         self, monkeypatch, settled, tmp_path, host
     ):
@@ -243,7 +292,7 @@ class TestSettleParity:
         assert settled[0] == before
         assert record(resumed) == record(result)
 
-    @pytest.mark.parametrize("host", ["k4", "power_law_csr(600)"])
+    @pytest.mark.parametrize("host", ["k4", "singletons", "power_law_csr(600)"])
     def test_deadline_expired_at_the_split_settles_nothing(
         self, monkeypatch, settled, host
     ):
@@ -273,7 +322,10 @@ class TestSettleParity:
         assert record(result) == record(per_piece(monkeypatch, run))
 
     def test_expiring_deadline_keeps_the_prefix(self, settled):
-        graph = k4_host()
+        # Every piece of k4_host settles at the split, so its run consults
+        # the deadline too rarely for a tick clock to expire mid-run: the
+        # ring's search supplies the ticks.
+        graph = k4_ring_host()
         unbounded = expander_decomposition(graph, **K4)
         saw_partial = False
         for budget in (50, 500, 5_000):
@@ -298,7 +350,7 @@ class TestSettleParity:
             saw_partial = saw_partial or bounded.partial
         assert saw_partial and settled[0] > 0
 
-    @pytest.mark.parametrize("host", ["k4", "power_law_csr(5000)"])
+    @pytest.mark.parametrize("host", ["k4", "singletons", "power_law_csr(5000)"])
     def test_two_workers(self, monkeypatch, settled, host):
         make, settings = HOSTS[host]
         graph = make()

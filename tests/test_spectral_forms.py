@@ -24,6 +24,7 @@ from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    power_law_csr,
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
@@ -153,6 +154,68 @@ def test_degenerate_inputs_report_no_cut(name, graph):
     for phi in (0.1, 0.5):
         assert spectral.certify_conductance(graph, phi) == (True, math.inf, None)
         assert spectral.conductance_lower_bound(graph, phi) == (math.inf, None)
+
+
+def clique_piece(peeled: bool) -> PeeledCSR:
+    """One clique-chain piece of a ring of cliques, optionally after a
+    Remove-j peel that leaves its boundary vertices with self loops."""
+    base = CSRGraph.from_graph(ring_of_cliques(8, 6))
+    view = PeeledCSR.full(base)
+    if peeled:
+        view.peel([base.index[(c, 0)] for c in (0, 4)])
+    return view
+
+
+class TestCertifiedEstimate:
+    """A certified component's estimate is its sweep cut's conductance."""
+
+    @pytest.mark.parametrize("peeled", [False, True], ids=["whole", "remove_j"])
+    def test_equals_sweep_cut_on_tied_scores(self, peeled):
+        """Scores with few distinct values tie often; the estimate must
+        break the ties as ``sweep_cut`` does (to the smaller index)."""
+        view = clique_piece(peeled)
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            scores = rng.integers(-1, 2, view.num_vertices).astype(float)
+            certificate = spectral.SpectralCertificate(
+                lam2=1.0, scores=scores, solver="dense"
+            )
+            certified, estimate, witness = spectral.certify_conductance(
+                view, 0.1, precomputed=certificate
+            )
+            assert certified and witness is None
+            assert estimate == spectral.sweep_cut(view, scores).conductance
+
+    @pytest.mark.parametrize("peeled", [False, True], ids=["whole", "remove_j"])
+    def test_equals_sweep_cut_on_fiedler_scores(self, peeled):
+        view = clique_piece(peeled)
+        scores, lam2 = spectral.fiedler_scores(view)
+        certified, estimate, _ = spectral.certify_conductance(view, lam2 / 4)
+        assert certified
+        assert estimate == spectral.sweep_cut(view, scores).conductance
+        assert estimate == spectral.sweep_cut_conductance(view)
+
+    def test_equals_sweep_cut_on_the_lanczos_route(self):
+        graph = power_law_csr(2000, exponent=2.0, seed=0)
+        giant = max(PeeledCSR.full(graph).connected_components(), key=len)
+        view = PeeledCSR.for_subset(graph, giant)
+        assert view.num_vertices > spectral.DENSE_EIGH_LIMIT
+        scores, _ = spectral.fiedler_scores(view)
+        certified, estimate, _ = spectral.certify_conductance(view, 0.01)
+        assert certified
+        assert estimate == spectral.sweep_cut(view, scores).conductance
+
+    def test_scores_of_another_length_raise(self):
+        view = clique_piece(True)
+        for size in (view.num_vertices - 1, view.num_vertices + 1):
+            scores = np.zeros(size)
+            with pytest.raises(ValueError):
+                spectral.sweep_cut(view, scores)
+            certificate = spectral.SpectralCertificate(
+                lam2=1.0, scores=scores, solver="dense"
+            )
+            with pytest.raises(ValueError):
+                spectral.certify_conductance(view, 0.1, precomputed=certificate)
 
 
 class TestClosedFormSpectra:
