@@ -303,15 +303,48 @@ def _repr_rank(labels: list) -> np.ndarray:
     Computed once per run over the host's labels, so ordering pieces and
     deriving keys never calls ``repr`` again.  Equal ``repr``\\ s get equal
     rank, so a stable sort by rank leaves ties in the order they came in.
+    Labels that are all exactly ``int`` are ranked by integer keys in the
+    same order (:func:`_int_repr_keys`) instead of their strings.
     """
-    reprs = np.array([repr(v) for v in labels], dtype=object)
-    order = np.argsort(reprs, kind="stable")
-    ordered = reprs[order]
+    keys = _int_repr_keys(labels)
+    if keys is None:
+        keys = np.array([repr(v) for v in labels], dtype=object)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     steps = np.zeros(len(labels), dtype=np.int64)
     steps[1:] = ordered[1:] != ordered[:-1]
     rank = np.empty(len(labels), dtype=np.int64)
     rank[order] = np.cumsum(steps)
     return rank
+
+
+def _int_repr_keys(labels: list) -> Optional[np.ndarray]:
+    """int64 keys that sort exactly as the labels' ``repr``\\ s, or ``None``.
+
+    Only for labels that are all exactly ``int`` (not ``bool``, not a
+    numpy integer) with |v| < 10¹⁷; anything else gets ``None``.  An int's
+    ``repr`` is its digits, after a ``-`` for a negative one, and ``-``
+    sorts before every digit: negatives come first, then within each sign
+    the digit strings of |v| compare lexicographically.  Padded to 17
+    digits, |v|·10^(17−d) with ``d`` its digit count compares those
+    strings exactly except that a prefix ties with its extensions ("1",
+    "10"), where the shorter string comes first — so the key is
+    ``(v ≥ 0, |v|·10^(17−d), d)``, packed into one int64 (< 4·10¹⁸).
+    Distinct ints have distinct ``repr``\\ s and distinct keys.
+    """
+    if set(map(type, labels)) != {int}:
+        return None
+    try:
+        values = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        return None
+    if values.min() <= -(10**17) or values.max() >= 10**17:
+        return None
+    magnitude = np.abs(values)
+    powers = 10 ** np.arange(1, 17, dtype=np.int64)
+    digits = 1 + np.searchsorted(powers, magnitude, side="right")
+    padded = magnitude * 10 ** (17 - digits)
+    return ((values >= 0) * 10**17 + padded) * 18 + digits
 
 
 def _smallest_repr(ctx: _SubtreeContext, subset: np.ndarray) -> str:

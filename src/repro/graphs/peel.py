@@ -231,7 +231,24 @@ class PeeledCSR:
         self._gather = None
 
     def clone(self) -> "PeeledCSR":
-        """An independent copy sharing the immutable base snapshot."""
+        """An independent copy sharing the immutable base snapshot.
+
+        A fresh :meth:`for_subset` view is copied with its subset gather,
+        which no method writes, and each copy builds its residual arrays on
+        first use — so the copy's :meth:`compact` (the pre-check's) does
+        not gather the subset's adjacency again.
+        """
+        if self._gather is not None:
+            view = PeeledCSR(
+                base=self.base,
+                alive=self.alive.copy(),
+                proper_degree=None,
+                loops=None,
+                total_volume=self.total_volume,
+                num_edges=self.num_edges,
+            )
+            view._gather = self._gather
+            return view
         return PeeledCSR(
             base=self.base,
             alive=self.alive.copy(),

@@ -25,7 +25,10 @@ dense n x n Laplacian is infeasible, so the view is compacted and λ₂ and the
 Fiedler vector come from a converged ``scipy.sparse.linalg.eigsh`` (Lanczos)
 solve of ``2I − L``, assembled in one pass from the compact CSR adjacency
 (:func:`_shifted_laplacian`; its bytes are those of the ``csr_matrix`` +
-``diags`` sum it replaces, so ARPACK runs the same matvecs).  Its values
+``diags`` sum it replaces, so ARPACK runs the same matvecs).  Every sparse
+product — ARPACK's and the pre-check screen's — calls scipy's
+``csr_matvec`` kernel directly (:func:`_csr_product`): the loop
+``matrix @ x`` ends in, without the operator's per-call dispatch.  Its values
 are accurate to solver tolerance rather than machine precision, so
 large-component certification is best-effort in the same sense as
 PRACTICAL-mode parameters (see EXPERIMENTS.md).  When ARPACK does not
@@ -57,13 +60,16 @@ the numbers: the order, the best prefix's length and its conductance.
 Only :func:`sweep_cut` turns that prefix into a label set and a balance;
 a certified component's estimate, :func:`sweep_cut_conductance` and
 :func:`effective_conductance` need the value alone and never build the
-cut.
+cut.  A view with every vertex alive is swept on its base's adjacency,
+without the mask, and a certified large component is swept on the compact
+graph its Lanczos solve ran on (:attr:`SpectralCertificate.graph`), so a
+giant component is gathered by one compaction, not again through its mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
@@ -150,28 +156,55 @@ def _shifted_laplacian(graph: CSRGraph):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def _csr_product(matrix):
+    """``x ↦ matrix @ x`` for a square ``scipy.sparse`` CSR ``matrix``.
+
+    The returned ``product(x, out)`` zeroes ``out`` and calls the
+    ``csr_matvec`` kernel that ``matrix @ x`` ends in on the matrix's own
+    arrays, which adds each row's terms to it in stored column order — the
+    zeroed vector the operator allocates, summed by the same C loop — so
+    the product is byte-equal to ``matrix @ x`` without the operator's
+    dispatch and checks on every call (``tests/test_screen_digests.py``
+    compares the two).
+    """
+    from scipy.sparse._sparsetools import csr_matvec
+
+    n = matrix.shape[0]
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+
+    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, x, out)
+        return out
+
+    return product
+
+
 def _lambda2_eigsh(graph: CSRGraph) -> tuple[float, np.ndarray]:
     """(λ₂, Fiedler vector) of a CSR snapshot by a *converged* Lanczos solve.
 
     Uses ``scipy.sparse.linalg.eigsh`` on ``2I - L``
     (:func:`_shifted_laplacian`; its two largest eigenvalues are 2 - λ₁ and
     2 - λ₂, well-separated extremes that Lanczos handles robustly).  ARPACK
-    is handed an operator whose matvec is the CSR product ``shifted @ x``
-    itself — the ``csr_matvec`` the generic ``LinearOperator`` wrapping of
-    a sparse matrix ends in, without the wrapper's per-call checks.  When
-    ARPACK does not converge its ``ArpackNoConvergence`` propagates: no
-    caller may stand on an unconverged iterate, and each decides what no
-    answer means — the pre-check refuses to skip, certification reports
-    the graph uncertified.
+    is handed an operator whose matvec is scipy's ``csr_matvec`` kernel on
+    the matrix's arrays, into a fresh vector (:func:`_csr_product`) — the
+    product ``shifted @ x`` computes, without the ``LinearOperator``
+    wrapper's per-call checks or the sparse operator's dispatch; ARPACK
+    copies each result into its own work array at once.  When ARPACK does
+    not converge its ``ArpackNoConvergence`` propagates: no caller may
+    stand on an unconverged iterate, and each decides what no answer
+    means — the pre-check refuses to skip, certification reports the
+    graph uncertified.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     n = graph.n
     shifted = _shifted_laplacian(graph)
+    product = _csr_product(shifted)
 
     class Shifted(LinearOperator):
         def _matvec(self, x):
-            return shifted @ x
+            return product(x, np.empty(n))
 
         matvec = _matvec
 
@@ -245,11 +278,19 @@ class SpectralCertificate:
     :data:`DENSE_EIGH_LIMIT` vertices, Lanczos above), so the substitution
     never changes a bit of the result.  The pre-check's power-iteration
     screen never yields a certificate.
+
+    A Lanczos certificate also carries ``graph``, the compacted snapshot
+    its solve ran on (``None`` on a dense one).  Its prefix volumes and
+    cuts are the integers of every view of the same working graph, so a
+    certified component's estimate is swept there
+    (:func:`certify_conductance`) rather than gathered again through the
+    uncompacted view's alive mask.
     """
 
     lam2: float
     scores: np.ndarray
     solver: Literal["dense", "lanczos"]
+    graph: Optional[CSRGraph] = field(default=None, repr=False, compare=False)
 
     @property
     def cheeger_lower_bound(self) -> float:
@@ -325,13 +366,22 @@ def fiedler_scores(graph: "Graph | CSRGraph | PeeledCSR") -> tuple[np.ndarray, f
     if idx.size < 2 or view.total_volume == 0:
         return np.zeros(idx.size), 0.0
     if idx.size > DENSE_EIGH_LIMIT:
-        csr = view.compact().base
-        lam2, fiedler = _lambda2_eigsh(csr)
-        return _embedding_scores(fiedler, csr.degree.astype(float)), lam2
+        certificate = _lanczos_certificate(view.compact().base)
+        return certificate.scores, certificate.lam2
     laps, degrees = _masked_dense_laplacians(view, [idx])
     eigenvalues, eigenvectors = np.linalg.eigh(laps[0])
     lam2 = float(max(0.0, eigenvalues[1]))
     return _embedding_scores(eigenvectors[:, 1], degrees[0]), lam2
+
+
+def _lanczos_certificate(compact: CSRGraph) -> SpectralCertificate:
+    """The converged Lanczos certificate of a compacted snapshot.
+
+    Raises scipy's ``ArpackNoConvergence`` when ARPACK does not converge.
+    """
+    lam2, fiedler = _lambda2_eigsh(compact)
+    scores = _embedding_scores(fiedler, compact.degree.astype(float))
+    return SpectralCertificate(lam2=lam2, scores=scores, solver="lanczos", graph=compact)
 
 
 def _best_sweep(
@@ -356,7 +406,11 @@ def _best_sweep(
         raise ValueError(f"{len(scores)} scores for a view with {n} alive vertices")
     perm = np.lexsort((np.arange(n), -np.asarray(scores, dtype=float)))
     order = idx[perm]
-    prefix_volume, prefix_cut = csr_prefix_cut_profile(view, order)
+    # A view with every vertex alive has peeled nothing, so its base holds
+    # exactly its adjacency: the prefix integers are gathered there,
+    # without the mask.
+    surface = view.base if n == view.n else view
+    prefix_volume, prefix_cut = csr_prefix_cut_profile(surface, order)
     total_volume = view.total_volume
     vol = prefix_volume[1:n]
     denom = np.minimum(vol, total_volume - vol)
@@ -431,7 +485,10 @@ def certify_conductance(
     once.  Any other certificate (a pre-check Lanczos solve on a graph this
     check solves densely) is ignored and the solve is run here; a reused
     certificate whose score array does not match the view's alive count
-    raises :class:`ValueError`.
+    raises :class:`ValueError`.  A certified Lanczos estimate is swept on
+    the compacted graph the solve ran on (:attr:`SpectralCertificate
+    .graph`): compaction keeps the order and the integer prefix volumes
+    and cuts, so the value is the one the view itself would give.
     """
     from .metrics import EXACT_ENUMERATION_LIMIT, graph_conductance_exact
 
@@ -441,23 +498,28 @@ def certify_conductance(
         return True, float("inf"), None  # no cut exists at all
     solver = "dense" if num_vertices <= DENSE_EIGH_LIMIT else "lanczos"
     if precomputed is not None and precomputed.solver == solver:
-        scores, lam2 = precomputed.scores, precomputed.lam2
-        if len(scores) != num_vertices:
+        certificate = precomputed
+        if len(certificate.scores) != num_vertices:
             raise ValueError(
-                f"a certificate of {len(scores)} vertices applied to a view "
-                f"with {num_vertices} alive vertices"
+                f"a certificate of {len(certificate.scores)} vertices applied "
+                f"to a view with {num_vertices} alive vertices"
             )
     elif solver == "dense":
         scores, lam2 = fiedler_scores(view)
+        certificate = SpectralCertificate(lam2=lam2, scores=scores, solver="dense")
     else:
         from scipy.sparse.linalg import ArpackError
 
         try:
-            scores, lam2 = fiedler_scores(view)
+            certificate = _lanczos_certificate(view.compact().base)
         except ArpackError:
             return False, math.nan, None
+    scores, lam2 = certificate.scores, certificate.lam2
     if lam2 / 2.0 >= phi:
-        return True, _best_sweep(view, scores)[2], None
+        # The value alone: swept on the compact graph a Lanczos solve ran
+        # on, whose prefix integers are this view's.
+        swept = view if certificate.graph is None else PeeledCSR.full(certificate.graph)
+        return True, _best_sweep(swept, scores)[2], None
     if num_vertices <= EXACT_ENUMERATION_LIMIT:
         exact = graph_conductance_exact(view.to_graph())
         certified = exact.conductance >= phi
@@ -526,12 +588,11 @@ def conductance_lower_bound(
     from scipy.sparse.linalg import ArpackError
 
     try:
-        lam2, fiedler = _lambda2_eigsh(view.base)
+        certificate = _lanczos_certificate(view.base)
     except ArpackError:
         # No converged solve available: report a bound that cannot fire.
         return 0.0 if phi is None else min(screen, phi), None
-    scores = _embedding_scores(fiedler, view.base.degree.astype(float))
-    return lam2 / 2.0, SpectralCertificate(lam2=lam2, scores=scores, solver="lanczos")
+    return certificate.cheeger_lower_bound, certificate
 
 
 def batched_component_certificates(
@@ -632,11 +693,19 @@ def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float]) -> float:
     """Cheap λ₂/2 *screen* by deflated power iteration on a compact graph.
 
     Iterates ``x ← (2I − L)x`` against the normalised Laplacian of the
-    compacted working graph, whose adjacency product runs as one
-    ``scipy.sparse`` CSR matvec per step (:func:`_unit_adjacency`), while
-    re-orthogonalising against the known kernel D^{1/2}·1.  After
-    each block the Rayleigh quotient θ and residual r = ‖Lx − θx‖ are
-    measured and ``max(0, θ − 2r)/2`` is the candidate screen value.
+    compacted working graph, while re-orthogonalising against the known
+    kernel D^{1/2}·1.  After each block the Rayleigh quotient θ and
+    residual r = ‖Lx − θx‖ are measured and ``max(0, θ − 2r)/2`` is the
+    candidate screen value.  Each step's adjacency product is scipy's
+    ``csr_matvec`` kernel called directly (:func:`_csr_product` of
+    :func:`_unit_adjacency`), and every temporary of the iteration is
+    written into a buffer allocated once per call: the same ufuncs on the
+    same operands in the same order as the expression form
+    ``x - inv_sqrt * (adjacency @ (inv_sqrt * x)) - loops_share * x``, and
+    each norm is ``math.sqrt(x @ x)``, the ``sqrt(x.dot(x))`` that
+    ``np.linalg.norm`` computes for a 1-d float array — so every iterate
+    and the returned value keep their bits
+    (``tests/data/lanczos/screen_digests.json``).
 
     This is a screen, **not** a sound lower bound: the residual only
     localises *some* eigenvalue near θ — an unconverged iterate still
@@ -653,10 +722,21 @@ def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float]) -> float:
     deg = graph.degree.astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     loops_share = np.where(deg > 0, graph.loops / np.maximum(deg, 1e-12), 0.0)
-    adjacency = _unit_adjacency(graph)
+    adjacency = _csr_product(_unit_adjacency(graph))
+    scaled, product, share, lx = (np.empty(n) for _ in range(4))
 
     def laplacian_matvec(x: np.ndarray) -> np.ndarray:
-        return x - inv_sqrt * (adjacency @ (inv_sqrt * x)) - loops_share * x
+        """``L x`` into ``lx``; ``x`` is left as it is."""
+        np.multiply(inv_sqrt, x, out=scaled)
+        adjacency(scaled, product)
+        np.multiply(inv_sqrt, product, out=product)
+        np.subtract(x, product, out=lx)
+        np.multiply(loops_share, x, out=share)
+        return np.subtract(lx, share, out=lx)
+
+    def deflate(x: np.ndarray) -> None:
+        np.multiply(kernel, kernel @ x, out=share)
+        np.subtract(x, share, out=x)
 
     kernel = np.sqrt(np.maximum(deg, 0.0))
     norm = np.linalg.norm(kernel)
@@ -666,20 +746,24 @@ def _iterative_cheeger_bound(graph: CSRGraph, phi: Optional[float]) -> float:
     best = 0.0
     for _ in range(PRECHECK_MAX_BLOCKS):
         for _ in range(PRECHECK_BLOCK_ITERATIONS):
-            x -= kernel * (kernel @ x)
-            x = 2.0 * x - laplacian_matvec(x)
-            norm = np.linalg.norm(x)
+            deflate(x)
+            laplacian_matvec(x)
+            np.multiply(2.0, x, out=x)
+            np.subtract(x, lx, out=x)
+            norm = math.sqrt(x @ x)
             if norm == 0:
                 return best
             x /= norm
-        x -= kernel * (kernel @ x)
-        norm = np.linalg.norm(x)
+        deflate(x)
+        norm = math.sqrt(x @ x)
         if norm == 0:
             return best
         x /= norm
-        lx = laplacian_matvec(x)
+        laplacian_matvec(x)
         theta = float(x @ lx)
-        residual = float(np.linalg.norm(lx - theta * x))
+        np.multiply(theta, x, out=share)
+        np.subtract(lx, share, out=share)
+        residual = math.sqrt(share @ share)
         best = max(best, max(0.0, theta - 2.0 * residual) / 2.0)
         if phi is not None:
             if theta / 2.0 <= phi:
