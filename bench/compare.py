@@ -43,7 +43,6 @@ TIME_FIELDS = {
     ),
     "large_results": ("wall_time_s",),
     "parallel_scaling": ("wall_time_s",),
-    "triangle_cache_results": ("cold_time_s", "warm_time_s"),
     "xl_results": ("build_time_s", "wall_time_s"),
     "world_results": ("wall_time_s",),
 }
@@ -83,7 +82,6 @@ STRUCT_FIELDS = {
         "partial",
         "unfinished_components",
     ),
-    "triangle_cache_results": ("triangles", "identical"),
     # The world sweep's determinism contract: everything but wall time is a
     # pure function of the world seed, so certification/recall regressions
     # gate cross-machine exactly like decomposition structure does.

@@ -1,6 +1,6 @@
 """Benchmark harness for the expander decomposition pipeline.
 
-Six sections, all emitted into one JSON report
+Five sections, all emitted into one JSON report
 (``BENCH_decomposition.json`` by default):
 
 * ``results`` — full decompositions of the four small generator families
@@ -21,11 +21,6 @@ Six sections, all emitted into one JSON report
   the CPZ-style degeneracy baseline, with per-stage timings and the
   paper's Õ-style round comparison.  Set agreement between the two
   routes is asserted, never observed.
-* ``triangle_cache_results`` — the repeated-query amortisation: the same
-  triangle query run cold and then warm through one
-  :class:`~repro.triangles.workload.DecompositionCache`, with
-  bit-identical triangle sets asserted and the cold/warm speedup
-  recorded.
 * ``xl_results`` (``--xl`` only) — the 10⁷-edge stage: a 2·10⁶-vertex
   power-law graph built straight into CSR (no dict detour), persisted
   with :meth:`CSRGraph.to_mmap`, and decomposed entirely from the
@@ -87,11 +82,7 @@ from repro.graphs.generators import (
     power_law_graph,
     ring_of_cliques,
 )
-from repro.triangles import (
-    DecompositionCache,
-    cpz_baseline_enumeration,
-    decomposition_triangle_enumeration,
-)
+from repro.triangles import cpz_baseline_enumeration, decomposition_triangle_enumeration
 
 
 def peak_rss_mb() -> float:
@@ -465,49 +456,6 @@ def assert_sharded_identity(
         )
 
 
-def run_triangle_cache_stage(
-    name: str, graph: Graph, epsilon: float, phi: float, seed: int
-) -> dict:
-    """Cold-vs-warm repeated triangle query through one DecompositionCache.
-
-    The same query (same graph, same seed) runs twice against a shared
-    :class:`~repro.triangles.workload.DecompositionCache`; the warm run
-    must return the bit-identical triangle set (asserted — a cache that
-    changes an answer aborts the benchmark) and its speedup quantifies the
-    per-level decomposition reuse ROADMAP asked for.
-    """
-    cache = DecompositionCache()
-    gc.collect()
-    begin = time.perf_counter()
-    cold = decomposition_triangle_enumeration(
-        graph, epsilon=epsilon, phi=phi, seed=seed, verify=False, cache=cache
-    )
-    cold_s = time.perf_counter() - begin
-    begin = time.perf_counter()
-    warm = decomposition_triangle_enumeration(
-        graph, epsilon=epsilon, phi=phi, seed=seed, verify=False, cache=cache
-    )
-    warm_s = time.perf_counter() - begin
-    identical = cold.triangles == warm.triangles
-    if not identical:
-        raise AssertionError(f"{name}: cached rerun changed the triangle set")
-    return {
-        "family": name,
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "epsilon": epsilon,
-        "phi": phi,
-        "seed": seed,
-        "triangles": cold.count,
-        "identical": identical,  # asserted above: False never reaches a record
-        "cold_time_s": round(cold_s, 3),
-        "warm_time_s": round(warm_s, 4),
-        "speedup": round(cold_s / warm_s, 1) if warm_s > 0 else float("inf"),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-    }
-
-
 def main() -> None:
     """CLI entry point: run the sections and write the JSON report."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -588,16 +536,6 @@ def main() -> None:
             f"{record['workload_time_s']}s vs {record['baseline_time_s']}s"
         )
 
-    triangle_cache_records = []
-    for name, builder, epsilon, phi in triangle_families(args.seed, args.smoke):
-        record = run_triangle_cache_stage(name, builder(), epsilon, phi, args.seed)
-        triangle_cache_records.append(record)
-        print(
-            f"[triangle-cache] {name}: cold {record['cold_time_s']}s vs warm "
-            f"{record['warm_time_s']}s → {record['speedup']}x "
-            f"({record['cache_hits']} hits, triangle sets asserted identical)"
-        )
-
     large_records = []
     scaling_records = []
     xl_records = []
@@ -655,7 +593,6 @@ def main() -> None:
         "benchmark": "expander_decomposition",
         "results": records,
         "triangle_results": triangle_records,
-        "triangle_cache_results": triangle_cache_records,
         "large_results": large_records,
         "parallel_scaling": scaling_records,
         "xl_results": xl_records,
@@ -684,19 +621,14 @@ def main() -> None:
             for r in triangle_records
             if not r["agreement"]
         ]
-        broken += [
-            f"{r['family']} (triangle cache)"
-            for r in triangle_cache_records
-            if not r["identical"]
-        ]
         if broken:
             print(f"SMOKE FAILED: uncertified or over-budget families: {broken}")
             sys.exit(1)
         print(
             "smoke passed: all families 100% certified within budget on "
             "int32 snapshots, triangle stages agree with the oriented "
-            "enumerator, sharded engine and decomposition cache "
-            f"are output-identical (peak RSS {peak_rss_mb()}MB)"
+            "enumerator, and the sharded engine is output-identical "
+            f"(peak RSS {peak_rss_mb()}MB)"
         )
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)

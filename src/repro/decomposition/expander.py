@@ -215,8 +215,7 @@ def search_kwargs_key(sparse_cut_kwargs: Optional[dict]) -> str:
 
     The kwargs — batch sizes, parameter overrides — are serialised with
     sorted keys at every depth, so equal searches give equal strings.  The
-    run journal pins it and the triangle workload's decomposition cache
-    keys on it.
+    run journal pins it.
     """
     return json.dumps(dict(sparse_cut_kwargs or {}), sort_keys=True, default=repr)
 

@@ -350,9 +350,8 @@ class CSRGraph:
 
         The array is built once and memoised on the snapshot (the snapshot
         is immutable, so it can never go stale): every cluster of a
-        triangle-workload level, and every repeated query through a
-        :class:`~repro.triangles.workload.DecompositionCache`, shares one
-        copy.  Callers must treat it as read-only.
+        triangle-workload level shares one copy.  Callers must treat it as
+        read-only.
         """
         if self._edge_keys is None:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), self.proper_degree)

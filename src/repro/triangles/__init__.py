@@ -21,23 +21,19 @@ from .oriented import (
 )
 from .workload import (
     BASE_CASE_EDGE_LIMIT,
-    DecompositionCache,
     TriangleLevel,
     TriangleWorkloadResult,
     decomposition_triangle_enumeration,
-    graph_fingerprint,
 )
 
 __all__ = [
     "BASE_CASE_EDGE_LIMIT",
     "BaselineResult",
-    "DecompositionCache",
     "TriangleLevel",
     "TriangleWorkloadResult",
     "cpz_baseline_enumeration",
     "decomposition_triangle_enumeration",
     "forward_wedge_count",
-    "graph_fingerprint",
     "oriented_triangle_count",
     "oriented_triangles",
 ]

@@ -41,21 +41,14 @@ headline instead, which is what makes the paper's Õ-comparison visible in
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..decomposition.expander import (
-    DecompositionResult,
-    expander_decomposition,
-    search_kwargs_key,
-)
+from ..decomposition.expander import DecompositionResult, expander_decomposition
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 from ..graphs.metrics import degeneracy_order
@@ -69,144 +62,6 @@ from .oriented import forward_wedge_count, oriented_triangles
 #: and enumerate directly — below it one oriented pass is cheaper than even a
 #: single Nibble batch, exactly like the recursion base case of Theorem 2.
 BASE_CASE_EDGE_LIMIT = 64
-
-
-def graph_fingerprint(graph: Graph) -> str:
-    """A canonical structural digest of a graph (vertices, loops, edges).
-
-    Two graphs hash equal iff they have the same ``repr``-identified
-    vertices with the same self-loop multiplicities and the same proper
-    edge set — exactly the notion of identity under which every algorithm
-    in this repository is deterministic for a fixed seed.  O(Vol log Vol)
-    to compute, which is orders below one decomposition level; the
-    :class:`DecompositionCache` keys on it.
-    """
-    digest = hashlib.sha256()
-    for v in sorted(graph.vertices(), key=repr):
-        digest.update(repr(v).encode())
-        digest.update(b"#")
-        digest.update(str(graph.self_loops(v)).encode())
-        digest.update(b";")
-        for u in sorted(graph.neighbors(v), key=repr):
-            digest.update(repr(u).encode())
-            digest.update(b",")
-        digest.update(b"|")
-    return digest.hexdigest()
-
-
-def _rng_state_key(rng: np.random.Generator) -> str:
-    """A stable serialisation of a generator's exact state (cache key part)."""
-    return json.dumps(rng.bit_generator.state, sort_keys=True, default=str)
-
-
-class DecompositionCache:
-    """Memoises per-level decompositions and CSR snapshots across queries.
-
-    ROADMAP's leftover Theorem 2 scale item: the triangle workload
-    re-decomposes from scratch at every recursion level and for every
-    repeated query.  This cache closes both gaps:
-
-    * :meth:`decomposition` memoises ``expander_decomposition`` results
-      keyed by the working graph's structure (:func:`graph_fingerprint`),
-      every output-relevant parameter, *and the exact RNG state* — so a hit
-      is guaranteed to be the decomposition the miss path would have
-      recomputed.  On a hit the stored post-run RNG state is restored into
-      the caller's generator, leaving deeper recursion levels on the exact
-      stream a cold run would see: cached and uncached queries are
-      bit-identical end to end, levels deep.
-    * :meth:`snapshot` memoises the per-level ``CSRGraph`` (whose
-      ``directed_edge_keys`` array is itself memoised on the snapshot), so
-      the cluster stage of a repeated query re-uses the level's adjacency
-      and edge-membership arrays instead of rebuilding them.
-
-    Entries are LRU-evicted beyond ``max_entries``.  ``hits`` / ``misses``
-    (and the snapshot twins) expose effectiveness to benchmarks; the
-    repeated-query bench asserts cached and cold triangle sets are equal
-    and reports the speedup.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        self._decompositions: OrderedDict[tuple, tuple[DecompositionResult, dict]] = (
-            OrderedDict()
-        )
-        self._snapshots: OrderedDict[str, CSRGraph] = OrderedDict()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.snapshot_hits = 0
-        self.snapshot_misses = 0
-
-    def decomposition(
-        self,
-        work: Graph,
-        *,
-        epsilon: float,
-        phi: float,
-        mode: ParameterMode,
-        sparse_cut_kwargs: Optional[dict],
-        rng: np.random.Generator,
-        executor=None,
-        workers: Optional[int] = None,
-    ) -> DecompositionResult:
-        """The expander decomposition of ``work``, cached.
-
-        A miss runs :func:`repro.decomposition.expander_decomposition`
-        (consuming ``rng`` exactly as an uncached call would) and stores the
-        result with the generator's post-run state; a hit restores that
-        state into ``rng`` and returns the stored result.  Callers must
-        treat the result as immutable — it is shared across queries.
-
-        The key deliberately excludes ``executor``/``workers`` (which
-        ``sparse_cut_kwargs`` may not carry): the execution engine is
-        output-invisible (:mod:`repro.parallel`), so a cache warmed by a
-        sequential run must hit — and does hit — from a sharded run of the
-        same query, and vice versa.
-        """
-        key = (
-            graph_fingerprint(work),
-            float(epsilon),
-            float(phi),
-            mode.value,
-            search_kwargs_key(sparse_cut_kwargs),
-            _rng_state_key(rng),
-        )
-        entry = self._decompositions.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._decompositions.move_to_end(key)
-            result, state_after = entry
-            rng.bit_generator.state = state_after
-            return result
-        self.misses += 1
-        result = expander_decomposition(
-            work,
-            epsilon=epsilon,
-            phi=phi,
-            mode=mode,
-            seed=rng,
-            sparse_cut_kwargs=sparse_cut_kwargs,
-            executor=executor,
-            workers=workers,
-        )
-        self._decompositions[key] = (result, rng.bit_generator.state)
-        while len(self._decompositions) > self.max_entries:
-            self._decompositions.popitem(last=False)
-        return result
-
-    def snapshot(self, work: Graph) -> CSRGraph:
-        """The level's ``CSRGraph`` snapshot of ``work``, cached by structure."""
-        key = graph_fingerprint(work)
-        snapshot = self._snapshots.get(key)
-        if snapshot is not None:
-            self.snapshot_hits += 1
-            self._snapshots.move_to_end(key)
-            return snapshot
-        self.snapshot_misses += 1
-        snapshot = CSRGraph.from_graph(work)
-        self._snapshots[key] = snapshot
-        while len(self._snapshots) > self.max_entries:
-            self._snapshots.popitem(last=False)
-        return snapshot
 
 
 def _charge_cluster(report: RoundReport, volume: int, wedges: int) -> None:
@@ -351,7 +206,6 @@ def decomposition_triangle_enumeration(
     seed: SeedLike = None,
     verify: bool = True,
     sparse_cut_kwargs: Optional[dict] = None,
-    cache: Optional[DecompositionCache] = None,
     executor=None,
     workers: Optional[int] = None,
 ) -> TriangleWorkloadResult:
@@ -368,23 +222,16 @@ def decomposition_triangle_enumeration(
     With ``verify=True`` (the default, kept on in benchmarks and tests) the
     final set is checked for exact equality against the independent
     oriented enumerator and a mismatch raises — the workload never returns
-    a silently wrong answer.  Every level's cluster stage runs on one
-    snapshot of the level's working graph.
-
-    A :class:`DecompositionCache` passed as ``cache`` is consulted at every
-    recursion level for both the level's decomposition and its CSR
-    snapshot, so repeated queries — the same graph asked again, or distinct
-    queries whose recursion reaches a previously-seen removed-edge graph —
-    skip straight to the cluster stage.  Hits restore the RNG stream to the
-    post-decomposition state, so cached and uncached runs return
-    bit-identical triangle sets and level records.
+    a silently wrong answer.  Every decomposed level builds one CSR
+    snapshot of its working graph: the decomposition runs on it as its
+    host and the cluster stage reads it; the verification pass snapshots
+    the input on its own, so the check shares no array with the pipeline.
 
     ``executor``/``workers`` select the execution engine for every level's
     decomposition (:mod:`repro.parallel`): ``workers`` > 1 opens one
     sharded engine amortised across all recursion levels and closed on
-    return.  The engine never reaches an output or a cache key — sharded
-    and sequential queries return identical triangle sets and share cache
-    entries.
+    return.  The engine never reaches an output — sharded and sequential
+    queries return identical triangle sets.
     """
     from ..parallel.executor import resolve_executor
 
@@ -397,8 +244,17 @@ def decomposition_triangle_enumeration(
     work = graph
     level = 0
 
-    def _direct_level(level_report: RoundReport, remainder: Graph, depth: int) -> int:
-        """Recursion base case: one oriented pass over what is left."""
+    def _direct_level(
+        level_report: RoundReport,
+        remainder: Graph,
+        depth: int,
+        decompose_seconds: float,
+    ) -> int:
+        """Recursion base case: one oriented pass over what is left.
+
+        ``decompose_seconds`` is the time of a decomposition that ran on
+        this level and removed every edge (zero when none ran).
+        """
         begin = time.perf_counter()
         order, _ = degeneracy_order(remainder)  # one peel serves both calls
         found = oriented_triangles(remainder, order=order)
@@ -418,7 +274,7 @@ def decomposition_triangle_enumeration(
                 triangles_found=len(found),
                 removed_edges=0,
                 direct=True,
-                decompose_seconds=0.0,
+                decompose_seconds=round(decompose_seconds, 6),
                 enumerate_seconds=round(time.perf_counter() - begin, 6),
             )
         )
@@ -429,30 +285,20 @@ def decomposition_triangle_enumeration(
             level_report = report.subreport(f"level {level} (m={work.num_edges})")
 
             if work.num_edges <= BASE_CASE_EDGE_LIMIT:
-                found_total += _direct_level(level_report, work, level)
+                found_total += _direct_level(level_report, work, level, 0.0)
                 break
 
             begin = time.perf_counter()
-            if cache is not None:
-                decomposition = cache.decomposition(
-                    work,
-                    epsilon=epsilon,
-                    phi=phi,
-                    mode=mode,
-                    sparse_cut_kwargs=sparse_cut_kwargs,
-                    rng=rng,
-                    executor=engine,
-                )
-            else:
-                decomposition = expander_decomposition(
-                    work,
-                    epsilon=epsilon,
-                    phi=phi,
-                    mode=mode,
-                    seed=rng,
-                    sparse_cut_kwargs=sparse_cut_kwargs,
-                    executor=engine,
-                )
+            snapshot = CSRGraph.from_graph(work)
+            decomposition = expander_decomposition(
+                snapshot,
+                epsilon=epsilon,
+                phi=phi,
+                mode=mode,
+                seed=rng,
+                sparse_cut_kwargs=sparse_cut_kwargs,
+                executor=engine,
+            )
             decompose_seconds = time.perf_counter() - begin
             level_report.add_child(decomposition.report)
 
@@ -460,11 +306,13 @@ def decomposition_triangle_enumeration(
             if len(removed) >= work.num_edges:
                 # Degenerate decomposition (everything removed): no cluster has
                 # an edge, so recursing would loop on the same instance forever.
-                found_total += _direct_level(level_report, work, level)
+                found_total += _direct_level(
+                    level_report, work, level, decompose_seconds
+                )
                 break
 
             begin = time.perf_counter()
-            found_here = _enumerate_clusters(work, decomposition, level_report, cache=cache)
+            found_here = _enumerate_clusters(snapshot, decomposition, level_report)
             triangles.update(found_here)
             found_total += len(found_here)
             levels.append(
@@ -513,23 +361,20 @@ def decomposition_triangle_enumeration(
 
 
 def _enumerate_clusters(
-    work: Graph,
+    base: CSRGraph,
     decomposition: DecompositionResult,
     level_report: RoundReport,
-    cache: Optional[DecompositionCache] = None,
 ) -> set:
-    """The cluster stage of one level.
+    """The cluster stage of one level, on the snapshot it was decomposed on.
 
-    The level snapshots ``work`` once; every cluster is a masked view of that snapshot and closes its wedges against the shared
-    sorted edge-key array (memoised on the snapshot, so it is built once
-    per level rather than consulted-and-rebuilt per cluster, and — through
-    the :class:`DecompositionCache` — once per *graph* across repeated
-    queries).  Cluster reports are combined with :func:`parallel_rounds` —
-    in CONGEST the clusters are vertex-disjoint and run simultaneously.
+    Every cluster is a masked view of ``base`` and closes its wedges
+    against the shared sorted edge-key array (memoised on the snapshot, so
+    it is built once per level rather than per cluster).  Cluster reports
+    are combined with :func:`parallel_rounds` — in CONGEST the clusters are
+    vertex-disjoint and run simultaneously.
     """
     found: set = set()
     cluster_reports: list[RoundReport] = []
-    base = cache.snapshot(work) if cache is not None else CSRGraph.from_graph(work)
     edge_keys = base.directed_edge_keys()
     for i, component in enumerate(decomposition.components):
         idx = np.asarray(

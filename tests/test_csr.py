@@ -152,6 +152,18 @@ class TestCSRGraphStructure:
             assert snapshot.index == {v: i for i, v in enumerate(snapshot.vertices)}
             assert snapshot.index is snapshot.index
 
+    def test_edge_keys_memoised_on_snapshot(self):
+        g = ring_of_cliques(3, 8)
+        csr = CSRGraph.from_graph(g)
+        keys = csr.directed_edge_keys()
+        assert csr.directed_edge_keys() is keys
+        expected = (
+            np.repeat(np.arange(csr.n, dtype=np.int64), csr.proper_degree)
+            * np.int64(csr.n)
+            + csr.indices
+        )
+        assert np.array_equal(keys, expected)
+
     def test_indptr_must_start_at_zero_and_never_decrease(self):
         csr = CSRGraph.from_graph(ring_of_cliques(4, 5))
         shifted = csr.indptr.copy()

@@ -1,10 +1,9 @@
 """Parity suite for the certification fast path.
 
 The fast path — spectral pre-checks that skip provably-failing
-ParallelNibble batches and batched sibling-component eigensolves — and
-the triangle workload's decomposition cache are a pure performance
-layer that is always on: each must be output-neutral, bit for bit.  The
-pre-check has no switch, so these tests patch it off
+ParallelNibble batches and batched sibling-component eigensolves — is a
+pure performance layer that is always on: it must be output-neutral, bit
+for bit.  The pre-check has no switch, so these tests patch it off
 (:func:`diffharness.precheck_off`) as the oracle (the decomposition- and
 sparse-cut-level on/off parity lives in
 ``tests/differential/test_pipeline.py``, asserted across the full
@@ -13,8 +12,6 @@ backend matrix):
 * sparse cuts and decompositions identical with the pre-check patched
   off, so every batch it skips runs — decompositions also at each small
   ``bench/decompose.py`` family's own ε and φ;
-* triangle sets and level records identical with and without a
-  :class:`~repro.triangles.workload.DecompositionCache`, cold and warm;
 * the spectral pre-check itself: a sound lower bound (never above the
   exact conductance), certificates that reproduce ``certify_conductance``
   exactly, and batch-skipping observable where it must fire;
@@ -56,7 +53,6 @@ from repro.graphs.spectral import (
     certify_conductance,
     conductance_lower_bound,
 )
-from repro.triangles import DecompositionCache, decomposition_triangle_enumeration
 from repro.utils.rng import ensure_rng
 
 
@@ -411,59 +407,3 @@ class TestLanczosCertificate:
             assert result[0] is certifies
             assert (result[2] is None) is certifies
 
-
-class TestDecompositionCache:
-    def test_cached_and_uncached_queries_identical(self):
-        for name, g in family_graphs():
-            plain = decomposition_triangle_enumeration(g, 0.2, 0.1, seed=7)
-            cache = DecompositionCache()
-            cold = decomposition_triangle_enumeration(g, 0.2, 0.1, seed=7, cache=cache)
-            warm = decomposition_triangle_enumeration(g, 0.2, 0.1, seed=7, cache=cache)
-            assert plain.triangles == cold.triangles == warm.triangles, name
-            level_record = lambda r: [
-                (l.level, l.num_vertices, l.num_edges, l.num_clusters,
-                 l.triangles_found, l.removed_edges, l.direct)
-                for l in r.levels
-            ]
-            assert level_record(plain) == level_record(cold) == level_record(warm)
-            assert cache.hits > 0
-
-    def test_cache_misses_across_different_parameters(self):
-        g = ring_of_cliques(4, 8)
-        cache = DecompositionCache()
-        decomposition_triangle_enumeration(g, 0.2, 0.1, seed=7, cache=cache)
-        decomposition_triangle_enumeration(g, 0.2, 0.1, seed=8, cache=cache)
-        # a different seed is a different RNG state: it must not hit
-        assert cache.hits == 0
-        warm = decomposition_triangle_enumeration(g, 0.2, 0.1, seed=7, cache=cache)
-        assert cache.hits > 0
-        assert warm.verified
-
-    def test_cache_restores_rng_stream_on_hit(self):
-        g = ring_of_cliques(4, 8)
-        cache = DecompositionCache()
-        states = []
-        for _ in range(2):
-            rng = ensure_rng(99)
-            decomposition_triangle_enumeration(g, 0.2, 0.1, seed=rng, cache=cache)
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]
-
-    def test_cache_eviction_keeps_bound(self):
-        cache = DecompositionCache(max_entries=2)
-        for k in range(4):
-            g = ring_of_cliques(2, 4 + k)
-            cache.snapshot(g)
-        assert len(cache._snapshots) <= 2
-
-    def test_edge_keys_memoised_on_snapshot(self):
-        g = ring_of_cliques(3, 8)
-        csr = CSRGraph.from_graph(g)
-        keys = csr.directed_edge_keys()
-        assert csr.directed_edge_keys() is keys
-        expected = (
-            np.repeat(np.arange(csr.n, dtype=np.int64), csr.proper_degree)
-            * np.int64(csr.n)
-            + csr.indices
-        )
-        assert np.array_equal(keys, expected)

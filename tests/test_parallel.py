@@ -382,24 +382,3 @@ class TestCutIdentity:
         )
         got = expander_decomposition(graph, epsilon=0.3, phi=0.1, seed=7, workers=2)
         assert decomposition_signature(got) == expected
-
-    def test_decomposition_cache_is_executor_independent(self):
-        # A cache warmed by a sequential run must hit from a sharded run:
-        # the key leaves executor/workers out, and the engines are
-        # output-identical so serving the sequential entry is correct.
-        from repro.nibble.parameters import ParameterMode
-        from repro.triangles.workload import DecompositionCache
-
-        graph = ring_of_cliques(6, 8)
-        cache = DecompositionCache()
-        kwargs = dict(
-            epsilon=0.3,
-            phi=0.1,
-            mode=ParameterMode.PRACTICAL,
-            sparse_cut_kwargs=None,
-        )
-        cold = cache.decomposition(graph, rng=ensure_rng(9), **kwargs)
-        assert (cache.misses, cache.hits) == (1, 0)
-        warm = cache.decomposition(graph, rng=ensure_rng(9), workers=2, **kwargs)
-        assert (cache.misses, cache.hits) == (1, 1)
-        assert decomposition_signature(warm) == decomposition_signature(cold)

@@ -22,6 +22,7 @@ import math
 
 import pytest
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     barbell_expanders,
     complete_graph,
@@ -30,6 +31,7 @@ from repro.graphs.generators import (
     path_graph,
     planted_partition_graph,
     power_law_graph,
+    random_regular_graph,
     ring_of_cliques,
     triangle_rich_graph,
 )
@@ -42,6 +44,7 @@ from repro.graphs.metrics import (
     triangle_count,
 )
 from repro.triangles import (
+    BASE_CASE_EDGE_LIMIT,
     cpz_baseline_enumeration,
     decomposition_triangle_enumeration,
     forward_wedge_count,
@@ -278,6 +281,45 @@ class TestDecompositionWorkload:
         result = decomposition_triangle_enumeration(g, 0.10, 0.10, seed=7)
         assert result.count == math.comb(8, 3)
         assert result.levels[0].direct
+
+    def test_one_snapshot_per_decomposed_level(self, monkeypatch):
+        # The decomposition runs on the level's snapshot and the cluster
+        # stage reads the same one, so each working graph is snapshotted
+        # once; the base-case level's oriented pass and the verification
+        # pass take one each.  The spy keeps every argument alive, so the
+        # identity check cannot be fooled by a recycled id.
+        seen = []
+        build = CSRGraph.from_graph.__func__
+
+        def spy(cls, graph):
+            seen.append(graph)
+            return build(cls, graph)
+
+        monkeypatch.setattr(CSRGraph, "from_graph", classmethod(spy))
+        g = random_regular_graph(60, 5, seed=3)
+        result = decomposition_triangle_enumeration(g, 0.5, 0.3, seed=7)
+        assert sum(not rec.direct for rec in result.levels) >= 2
+        pipeline, verification = seen[:-1], seen[-1]
+        assert verification is g and pipeline[0] is g
+        assert len({id(h) for h in pipeline}) == len(pipeline)
+        assert [h.num_edges for h in pipeline] == [
+            rec.num_edges for rec in result.levels
+        ]
+
+    def test_degenerate_level_keeps_its_decomposition_time(self):
+        # At ε = 2, φ = 1 the decomposition of the circulant C(100; 1, 2)
+        # cuts every edge, so the level falls back to direct enumeration
+        # after a decomposition ran: its record carries that run's time.
+        g = Graph(
+            edges=[(i, (i + 1) % 100) for i in range(100)]
+            + [(i, (i + 2) % 100) for i in range(100)]
+        )
+        result = decomposition_triangle_enumeration(g, 2.0, 1.0, seed=1)
+        (record,) = result.levels
+        assert record.direct and record.num_edges > BASE_CASE_EDGE_LIMIT
+        assert result.count == 100
+        assert record.decompose_seconds > 0
+        assert result.stage_seconds["decompose_s"] > 0
 
 
 class TestBaseline:
